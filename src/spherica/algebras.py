@@ -143,18 +143,21 @@ class Algebra:
     def multiply_vec(self, x: Matrix, y: Matrix) -> Matrix:
         """Product of two elements given as dim x 1 coefficient vectors."""
         f = self.field
-        out = f._zeros(self.dim, 1)
-        zero = f.elem(0)
-        for i in range(self.dim):
-            xi = x.arr[i, 0]
-            if xi == zero:
+        # Python numbers, so that products of residues cannot overflow
+        xs = x.arr[:, 0].tolist()
+        ys = y.arr[:, 0].tolist()
+        acc = [0] * self.dim
+        for i, xi in enumerate(xs):
+            if not xi:
                 continue
-            for j in range(self.dim):
-                yj = y.arr[j, 0]
-                if yj == zero:
+            for j, yj in enumerate(ys):
+                if not yj:
                     continue
                 for k, c in self.mult[i][j].items():
-                    out[k, 0] += xi * yj * c
+                    acc[k] += xi * yj * c
+        out = f._zeros(self.dim, 1)
+        for k, v in enumerate(acc):
+            out[k, 0] = f.elem(v)
         return Matrix(f, out)
 
     def left_mult_matrix(self, i: int) -> Matrix:
@@ -482,10 +485,7 @@ def center_basis(a: Algebra) -> list[Matrix]:
         blocks.append(a.left_mult_matrix(i) - a.right_mult_matrix(i))
     if not blocks:
         return []
-    stacked = blocks[0]
-    for m in blocks[1:]:
-        stacked = stacked.vstack(m)
-    null = stacked.nullspace()
+    null = Matrix.stack_rows(a.field, blocks, a.dim).nullspace()
     return [null.column_vec(j) for j in range(null.cols)]
 
 

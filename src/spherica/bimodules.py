@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebras import Algebra
 from .linalg import Matrix
 
@@ -72,20 +74,17 @@ class Bimodule:
             raise BimoduleError("right unit does not act as identity")
         # homomorphism property, checked on generator x basis pairs:
         # products of generators reach every basis element, so this
-        # propagates to the whole algebra by induction.
+        # propagates to the whole algebra by induction.  The product of
+        # basis elements i and j is the sparse combination A.mult[i][j].
         for g in A.generator_indices:
-            gv = Matrix.basis_vector(self.field, A.dim, g)
             Lg = self.left_action[g]
             for j in range(A.dim):
-                prod = A.multiply_vec(gv, Matrix.basis_vector(self.field, A.dim, j))
-                if self.left_action_of(prod) != Lg * self.left_action[j]:
+                if _combination(self.left_action, A.mult[g][j], n) != Lg * self.left_action[j]:
                     raise BimoduleError("left action is not a homomorphism")
         for g in B.generator_indices:
-            gv = Matrix.basis_vector(self.field, B.dim, g)
             Rg = self.right_action[g]
             for j in range(B.dim):
-                prod = B.multiply_vec(Matrix.basis_vector(self.field, B.dim, j), gv)
-                if self.right_action_of(prod) != Rg * self.right_action[j]:
+                if _combination(self.right_action, B.mult[j][g], n) != Rg * self.right_action[j]:
                     raise BimoduleError("right action is not an anti-homomorphism")
         for g in A.generator_indices:
             for h in B.generator_indices:
@@ -112,6 +111,14 @@ class Bimodule:
             if c != zero:
                 out = out + self.right_action[i].scale(c)
         return out
+
+    def left_act(self, avs: Matrix, xs: Matrix) -> Matrix:
+        """Column j is a_j . x_j, for a_j = avs[:, j] in A and x_j = xs[:, j]."""
+        return _act(self.left_action, avs, xs)
+
+    def right_act(self, xs: Matrix, bvs: Matrix) -> Matrix:
+        """Column j is x_j . b_j, for x_j = xs[:, j] and b_j = bvs[:, j] in B."""
+        return _act(self.right_action, bvs, xs)
 
     # --- vertex blocks (cached) ----------------------------------------
 
@@ -161,6 +168,24 @@ class Bimodule:
     def __repr__(self):
         lbl = self.label or "Bimodule"
         return f"{lbl}({self.left_algebra.name or 'A'},{self.right_algebra.name or 'B'}; dim={self.dim})"
+
+
+def _act(actions: list[Matrix], coeffs: Matrix, xs: Matrix) -> Matrix:
+    """Column j is sum_i coeffs[i, j] actions[i] xs[:, j]."""
+    stacked = Matrix.stack_rows(xs.field, actions, xs.rows)
+    return (stacked * xs).combine_blocks(coeffs)
+
+
+def _combination(mats: list[Matrix], coeffs: dict, n: int) -> Matrix:
+    """sum_k c_k mats[k] over the n x n matrices, for coeffs {k: c_k}."""
+    if len(coeffs) == 1:
+        (k, c), = coeffs.items()
+        if c == 1:
+            return mats[k]
+    out = Matrix.zeros(mats[0].field, n, n)
+    for k, c in coeffs.items():
+        out = out + mats[k].scale(c)
+    return out
 
 
 def _left_inverse(m: Matrix) -> Matrix:
@@ -414,10 +439,7 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
                 rows.append(Matrix(field, arr))
 
     if rows:
-        system = rows[0]
-        for extra in rows[1:]:
-            system = system.vstack(extra)
-        null = system.nullspace()
+        null = Matrix.stack_rows(field, rows, total).nullspace()
     else:
         null = Matrix.identity(field, total)
 
@@ -513,14 +535,13 @@ def _splitting(m: Bimodule, side: str) -> Splitting | None:
     if cover_dim != m.dim:
         m._cache[key] = None
         return None
-    # phi: free module -> M
+    # phi: free module -> M, slot t: g |-> p_t.g (right) or g.p_t (left)
     cols = []
-    act_of = m.right_action_of if side == "right" else m.left_action_of
     for t, v_pos in enumerate(vertex_pos):
         v = alg.vertex_idempotents[v_pos]
         ideal = alg.right_ideal_basis(v) if side == "right" else alg.left_ideal_basis(v)
-        for j in range(ideal.cols):
-            cols.append(act_of(ideal.column_vec(j)) * gens[t])
+        copies = Matrix.stack_columns(field, [gens[t]] * ideal.cols, m.dim)
+        cols.append(m.right_act(copies, ideal) if side == "right" else m.left_act(ideal, copies))
     phi = Matrix.stack_columns(field, cols, m.dim)
     if not phi.is_invertible():
         m._cache[key] = None
@@ -583,14 +604,10 @@ class DualData:
     cogenerators: list[Matrix]
 
     def evaluate(self, f_coords: Matrix, x: Matrix) -> Matrix:
-        out = Matrix.zeros(f_coords.field, self.hom_matrices[0].rows, 1) if \
-            self.hom_matrices else Matrix.zeros(f_coords.field, 0, 1)
-        zero = f_coords.field.elem(0)
-        for i, H in enumerate(self.hom_matrices):
-            c = f_coords.arr[i, 0]
-            if c != zero:
-                out = out + (H * x).scale(c)
-        return out
+        """Column j is f_j(x_j), for f_j = f_coords[:, j] and x_j = x[:, j]."""
+        if not self.hom_matrices:
+            return Matrix.zeros(f_coords.field, 0, x.cols)
+        return _act(self.hom_matrices, f_coords, x)
 
 
 def right_dual(p: Bimodule) -> DualData:
@@ -777,9 +794,11 @@ class TensorData:
     """A concrete model of m (x)_B n with monomial basis and coordinates.
 
     Each basis vector of the resulting bimodule is the class of a pure
-    tensor (available through monomials()); tensor_coords expresses any
-    pure tensor in the chosen basis, and induced() transports a pair of
-    equivariant maps to a map of tensor products.
+    tensor x_j (x) y_j; monomial_matrices() returns the x_j and the y_j
+    as the columns of two matrices.  coords(X, Y) expresses the pure
+    tensors X[:, j] (x) Y[:, j] in that basis, all columns at once, and
+    induced() transports a pair of equivariant maps to a map of tensor
+    products with one such call.
     """
 
     def __init__(self, m: Bimodule, n: Bimodule):
@@ -789,27 +808,37 @@ class TensorData:
         self.n = n
         self.field = m.field
 
-    def monomials(self) -> list[tuple[Matrix, Matrix]]:
-        raise NotImplementedError
-
-    def tensor_coords(self, mv: Matrix, nv: Matrix) -> Matrix:
-        raise NotImplementedError
-
     @property
     def bimodule(self) -> Bimodule:
         raise NotImplementedError
 
+    def monomial_matrices(self) -> tuple[Matrix, Matrix]:
+        raise NotImplementedError
+
+    def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
+        raise NotImplementedError
+
+    def monomials(self) -> list[tuple[Matrix, Matrix]]:
+        xs, ys = self.monomial_matrices()
+        return [(xs.column_vec(j), ys.column_vec(j)) for j in range(xs.cols)]
+
+    def tensor_coords(self, mv: Matrix, nv: Matrix) -> Matrix:
+        return self.coords(mv, nv)
+
     def induced(self, f: BimoduleMap, g: BimoduleMap, target: "TensorData") -> BimoduleMap:
         """The map f (x) g between tensor products (f, g equivariant)."""
-        cols = []
-        for (xv, yv) in self.monomials():
-            cols.append(target.tensor_coords(f.matrix * xv, g.matrix * yv))
-        mat = Matrix.stack_columns(self.field, cols, target.bimodule.dim)
+        xs, ys = self.monomial_matrices()
+        mat = target.coords(f.matrix * xs, g.matrix * ys)
         return BimoduleMap(self.bimodule, target.bimodule, mat, validate=False)
 
 
 class _SplitTensor(TensorData):
-    """Model of m (x)_B n through a right-projective splitting of m."""
+    """Model of m (x)_B n through a right-projective splitting of m.
+
+    With m = (+)_t p_t.e_{v_t}B, the tensor is (+)_t p_t (x) e_{v_t}n: in
+    slot t, x (x) y has the coordinates of c_t(x).y in e_{v_t}n, where
+    c_t(x) in e_{v_t}B is the slot-t component of phi^-1(x).
+    """
 
     def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting):
         super().__init__(m, n)
@@ -826,13 +855,7 @@ class _SplitTensor(TensorData):
                 slice(sp.slot_offsets[t], sp.slot_offsets[t] + sp.slot_dims[t]),
                 slice(0, m.dim))
             self._comp.append(E * rows)
-        self._dims = [blk.cols for blk in self._nblocks]
-        self._offsets = []
-        off = 0
-        for d in self._dims:
-            self._offsets.append(off)
-            off += d
-        self._dim = off
+        self._dim = sum(blk.cols for blk in self._nblocks)
 
         A, C = m.left_algebra, n.right_algebra
         # right action of C: block diagonal on e_{v_t} n
@@ -841,28 +864,15 @@ class _SplitTensor(TensorData):
             blocks = [self._nprojs[t] * (n.right_action[i] * self._nblocks[t])
                       for t in range(len(sp.gens))]
             right_action.append(Matrix.block_diag(field, blocks))
-        # left action of A: a.(p_t (x) y) = sum_s p_s (x) c_st.y where c_st is
-        # the slot-s component of phi_inv(a.p_t)
-        nslots = len(sp.gens)
-        left_action = []
-        for i in range(A.dim):
-            mat = field._zeros(self._dim, self._dim)
-            for t in range(nslots):
-                if self._dims[t] == 0:
-                    continue
-                img = m.left_action[i] * sp.gens[t]
-                for s in range(nslots):
-                    if self._dims[s] == 0:
-                        continue
-                    c_st = self._comp[s] * img
-                    if c_st.is_zero():
-                        continue
-                    move = self._nprojs[s] * (n.left_action_of(c_st) * self._nblocks[t])
-                    if move.is_zero():
-                        continue
-                    r0, c0 = self._offsets[s], self._offsets[t]
-                    mat[r0:r0 + self._dims[s], c0:c0 + self._dims[t]] += move.arr
-            left_action.append(Matrix(field, mat))
+        # left action of A: a.(p_t (x) y) = (a.p_t) (x) y, for every basis
+        # element a and monomial at once
+        gens = Matrix.stack_columns(field, sp.gens, m.dim)
+        moved = Matrix.stack_columns(field, [m.left_action[i] * gens for i in range(A.dim)], m.dim)
+        acted = self._acted(self.monomial_matrices()[1])
+        every = self._from_coeffs([self._per_monomial(comp * moved) for comp in self._comp],
+                                  Matrix.stack_columns(field, [acted] * A.dim, acted.rows))
+        left_action = [every.submatrix(slice(None), slice(i * self._dim, (i + 1) * self._dim))
+                       for i in range(A.dim)]
         self._bimodule = Bimodule(A, C, left_action, right_action, self._dim,
                                   label=f"{m.label or 'M'}(x){n.label or 'N'}")
 
@@ -870,26 +880,31 @@ class _SplitTensor(TensorData):
     def bimodule(self) -> Bimodule:
         return self._bimodule
 
-    def monomials(self):
-        out = []
-        for t, blk in enumerate(self._nblocks):
-            for j in range(blk.cols):
-                out.append((self.sp.gens[t], blk.column_vec(j)))
-        return out
-
-    def tensor_coords(self, mv: Matrix, nv: Matrix) -> Matrix:
+    def monomial_matrices(self):
         field = self.field
-        out = field._zeros(self._dim, 1)
-        for t in range(len(self.sp.gens)):
-            c = self._comp[t] * mv          # element of e_{v_t} B
-            if c.is_zero():
-                continue
-            moved = self.n.left_action_of(c) * nv
-            coords = self._nprojs[t] * moved
-            d = self._dims[t]
-            if d:
-                out[self._offsets[t]:self._offsets[t] + d, 0:1] = coords.arr
-        return Matrix(field, out)
+        gens = Matrix.stack_columns(field, self.sp.gens, self.m.dim)
+        return self._per_monomial(gens), Matrix.stack_columns(field, self._nblocks, self.n.dim)
+
+    def _per_monomial(self, per_slot: Matrix) -> Matrix:
+        """Column t of per_slot repeated once for each monomial of slot t
+        (columns t + k * #slots likewise, for several runs of slots)."""
+        counts = [blk.cols for blk in self._nblocks]
+        runs = per_slot.cols // len(counts) if counts else 0
+        return Matrix(self.field, np.repeat(per_slot.arr, counts * runs, axis=1))
+
+    def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
+        return self._from_coeffs([comp * xs for comp in self._comp], self._acted(ys))
+
+    def _acted(self, ys: Matrix) -> Matrix:
+        """b_i . y for every basis element b_i of B, stacked by i."""
+        return Matrix.stack_rows(self.field, self.n.left_action, self.n.dim) * ys
+
+    def _from_coeffs(self, coeffs: list[Matrix], acted: Matrix) -> Matrix:
+        """Coordinates of the x_j (x) y_j from coeffs[t][:, j] = c_t(x_j)
+        and acted = self._acted(ys)."""
+        parts = [proj * acted.combine_blocks(c)
+                 for c, proj in zip(coeffs, self._nprojs) if proj.rows]
+        return Matrix.stack_rows(self.field, parts, acted.cols)
 
 
 class _QuotientTensor(TensorData):
@@ -904,50 +919,27 @@ class _QuotientTensor(TensorData):
         self._mprojs = [m.right_block_proj(v) for v in range(nverts)]
         self._nblocks = [n.left_block(v) for v in range(nverts)]
         self._nprojs = [n.left_block_proj(v) for v in range(nverts)]
-        self._bdims = [self._mblocks[v].cols * self._nblocks[v].cols for v in range(nverts)]
-        self._boffsets = []
-        off = 0
-        for d in self._bdims:
-            self._boffsets.append(off)
-            off += d
-        self._model_dim = off
 
-        rel_rows = []
+        # relations x.b (x) y - x (x) b.y for arrows b and basis vectors x, y
+        every_x = Matrix.identity(field, m.dim)
+        every_y = Matrix.identity(field, n.dim)
+        rel_cols = []
         for g in _radical_generator_indices(B):
-            Rg = m.right_action[g]
-            Lg = n.left_action[g]
-            for i in range(m.dim):
-                xv = Matrix.basis_vector(field, m.dim, i)
-                xr = Rg * xv
-                for j in range(n.dim):
-                    yv = Matrix.basis_vector(field, n.dim, j)
-                    vec = self._model_coords(xr, yv) - self._model_coords(xv, Lg * yv)
-                    if not vec.is_zero():
-                        rel_rows.append(vec.transpose())
-        if rel_rows:
-            rel = rel_rows[0]
-            for r in rel_rows[1:]:
-                rel = rel.vstack(r)
-            R, pivots = rel.rref()
-            self._pivots = list(pivots)
-            self._rel_rref = R
-        else:
-            self._pivots = []
-            self._rel_rref = Matrix.zeros(field, 0, self._model_dim)
-        pivot_set = set(self._pivots)
-        self._free = [c for c in range(self._model_dim) if c not in pivot_set]
+            xs, ys = _all_pairs(m.right_action[g], every_y)
+            xs0, ys0 = _all_pairs(every_x, n.left_action[g])
+            rel_cols.append(self._model_coords(xs, ys) - self._model_coords(xs0, ys0))
+        model_dim = sum(mb.cols * nb.cols for mb, nb in zip(self._mblocks, self._nblocks))
+        R, pivots = Matrix.stack_columns(field, rel_cols, model_dim).transpose().rref()
+        self._pivots = list(pivots)
+        pivot_set = set(pivots)
+        self._free = [c for c in range(model_dim) if c not in pivot_set]
+        self._rel_free = R.submatrix(slice(0, len(pivots)), self._free).transpose()
         self._dim = len(self._free)
 
         A, C = m.left_algebra, n.right_algebra
-        monos = self.monomials()
-        left_action = []
-        for i in range(A.dim):
-            cols = [self.tensor_coords(m.left_action[i] * xv, yv) for (xv, yv) in monos]
-            left_action.append(Matrix.stack_columns(field, cols, self._dim))
-        right_action = []
-        for i in range(C.dim):
-            cols = [self.tensor_coords(xv, n.right_action[i] * yv) for (xv, yv) in monos]
-            right_action.append(Matrix.stack_columns(field, cols, self._dim))
+        xs, ys = self.monomial_matrices()
+        left_action = [self.coords(m.left_action[i] * xs, ys) for i in range(A.dim)]
+        right_action = [self.coords(xs, n.right_action[i] * ys) for i in range(C.dim)]
         self._bimodule = Bimodule(A, C, left_action, right_action, self._dim,
                                   label=f"{m.label or 'M'}(x){n.label or 'N'}")
 
@@ -955,47 +947,37 @@ class _QuotientTensor(TensorData):
     def bimodule(self) -> Bimodule:
         return self._bimodule
 
-    def _model_coords(self, mv: Matrix, nv: Matrix) -> Matrix:
-        """Coordinates of the class of mv (x) nv in the block model."""
-        field = self.field
-        out = field._zeros(self._model_dim, 1)
-        for v in range(len(self._mblocks)):
-            mc = self._mprojs[v] * (self.m.right_action[self.m.right_algebra.vertex_idempotents[v]] * mv)
-            nc = self._nprojs[v] * (self.n.left_action[self.n.left_algebra.vertex_idempotents[v]] * nv)
-            if mc.is_zero() or nc.is_zero():
-                continue
-            block = mc.kron(nc)
-            d = self._bdims[v]
-            if d:
-                out[self._boffsets[v]:self._boffsets[v] + d, 0:1] = block.arr
-        return Matrix(field, out)
+    def _model_coords(self, xs: Matrix, ys: Matrix) -> Matrix:
+        """Coordinates of the classes of xs[:, j] (x) ys[:, j] in the block model."""
+        m, n = self.m, self.n
+        blocks = []
+        for v, (mproj, nproj) in enumerate(zip(self._mprojs, self._nprojs)):
+            mc = mproj * (m.right_action[m.right_algebra.vertex_idempotents[v]] * xs)
+            nc = nproj * (n.left_action[n.left_algebra.vertex_idempotents[v]] * ys)
+            blocks.append(mc.column_kron(nc))
+        return Matrix.stack_rows(self.field, blocks, xs.cols)
 
-    def _reduce(self, vec: Matrix) -> Matrix:
-        """Eliminate pivot coordinates, then restrict to the free ones."""
-        field = self.field
-        arr = vec.arr.copy()
-        for i, p in enumerate(self._pivots):
-            c = arr[p, 0]
-            if c != field.elem(0):
-                arr[:, 0] -= c * self._rel_rref.arr[i, :]
-        arr = field._normalize(arr)
-        out = field._zeros(self._dim, 1)
-        for k, c in enumerate(self._free):
-            out[k, 0] = arr[c, 0]
-        return Matrix(field, out)
+    def monomial_matrices(self):
+        pairs = [_all_pairs(mb, nb) for mb, nb in zip(self._mblocks, self._nblocks)]
+        xs = Matrix.stack_columns(self.field, [x for x, _ in pairs], self.m.dim)
+        ys = Matrix.stack_columns(self.field, [y for _, y in pairs], self.n.dim)
+        # keep only the free coordinates' monomials
+        return xs.submatrix(slice(None), self._free), ys.submatrix(slice(None), self._free)
 
-    def monomials(self):
-        out = []
-        for v in range(len(self._mblocks)):
-            mb, nb = self._mblocks[v], self._nblocks[v]
-            for i in range(mb.cols):
-                for j in range(nb.cols):
-                    out.append((mb.column_vec(i), nb.column_vec(j)))
-        # keep only free coordinates' monomials
-        return [out[c] for c in self._free]
+    def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
+        # eliminate the pivot coordinates with the relations, keep the free ones
+        model = self._model_coords(xs, ys)
+        free = model.submatrix(self._free, slice(None))
+        if not self._pivots:
+            return free
+        return free - self._rel_free * model.submatrix(self._pivots, slice(None))
 
-    def tensor_coords(self, mv: Matrix, nv: Matrix) -> Matrix:
-        return self._reduce(self._model_coords(mv, nv))
+
+def _all_pairs(xs: Matrix, ys: Matrix) -> tuple[Matrix, Matrix]:
+    """Columns x_i and y_j of every pair (i, j), in row-major order of (i, j)."""
+    field = xs.field
+    return (Matrix(field, np.repeat(xs.arr, ys.cols, axis=1)),
+            Matrix(field, np.tile(ys.arr, (1, xs.cols))))
 
 
 def tensor_over_middle(m: Bimodule, n: Bimodule) -> TensorData:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .algebras import Algebra, trivial_algebra
 from .bimodules import (
     Bimodule,
@@ -604,10 +606,7 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
             rows.append(Matrix(field, arr))
 
     if rows:
-        system = rows[0]
-        for r in rows[1:]:
-            system = system.vstack(r)
-        null = system.nullspace()
+        null = Matrix.stack_rows(field, rows, total).nullspace()
     else:
         null = Matrix.identity(field, total)
 
@@ -675,27 +674,20 @@ def left_unitor(t: TensorComplex) -> ChainMap:
     x = t.y
     comps = {}
     for n, slots in t.layout.items():
-        cols = []
-        for (i, j, td, off) in slots:
-            for (av, mv) in td.monomials():
-                cols.append(x.term(j).left_action_of(av) * mv)
+        cols = [x.term(j).left_act(*td.monomial_matrices()) for (i, j, td, off) in slots]
         comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
     return ChainMap(t.complex, x, comps)
 
 
 def left_unitor_inv(t: TensorComplex) -> ChainMap:
     x = t.y
-    unit_vec = t.x.term(0).left_algebra.unit
+    unit = t.x.term(0).left_algebra.unit
     comps = {}
     for n in x.degrees():
         td, off = t.slot(n, 0, n)
-        cols = []
-        for b in range(x.dim(n)):
-            coords = td.tensor_coords(unit_vec, Matrix.basis_vector(x.field, x.dim(n), b))
-            full = x.field._zeros(t.complex.dim(n), 1)
-            full[off:off + td.bimodule.dim, 0:1] = coords.arr
-            cols.append(Matrix(x.field, full))
-        comps[n] = Matrix.stack_columns(x.field, cols, t.complex.dim(n))
+        units = Matrix.stack_columns(x.field, [unit] * x.dim(n), unit.rows)
+        coords = td.coords(units, Matrix.identity(x.field, x.dim(n)))
+        comps[n] = coords.pad_rows(off, t.complex.dim(n))
     return ChainMap(x, t.complex, comps)
 
 
@@ -704,27 +696,20 @@ def right_unitor(t: TensorComplex) -> ChainMap:
     x = t.x
     comps = {}
     for n, slots in t.layout.items():
-        cols = []
-        for (i, j, td, off) in slots:
-            for (mv, bv) in td.monomials():
-                cols.append(x.term(i).right_action_of(bv) * mv)
+        cols = [x.term(i).right_act(*td.monomial_matrices()) for (i, j, td, off) in slots]
         comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
     return ChainMap(t.complex, x, comps)
 
 
 def right_unitor_inv(t: TensorComplex) -> ChainMap:
     x = t.x
-    unit_vec = t.y.term(0).right_algebra.unit
+    unit = t.y.term(0).right_algebra.unit
     comps = {}
     for n in x.degrees():
         td, off = t.slot(n, n, 0)
-        cols = []
-        for b in range(x.dim(n)):
-            coords = td.tensor_coords(Matrix.basis_vector(x.field, x.dim(n), b), unit_vec)
-            full = x.field._zeros(t.complex.dim(n), 1)
-            full[off:off + td.bimodule.dim, 0:1] = coords.arr
-            cols.append(Matrix(x.field, full))
-        comps[n] = Matrix.stack_columns(x.field, cols, t.complex.dim(n))
+        units = Matrix.stack_columns(x.field, [unit] * x.dim(n), unit.rows)
+        coords = td.coords(Matrix.identity(x.field, x.dim(n)), units)
+        comps[n] = coords.pad_rows(off, t.complex.dim(n))
     return ChainMap(x, t.complex, comps)
 
 
@@ -737,27 +722,27 @@ def associator(txy: TensorComplex, txy_z: TensorComplex,
     field = txy.complex.field
     comps = {}
     for n, slots in txy_z.layout.items():
+        dim = tx_yz.complex.dim(n)
         cols = []
-        for (m, k, td_outer, off_outer) in slots:
-            inner_slots = txy.layout[m]
-            for (q1v, zv) in td_outer.monomials():
-                out = field._zeros(tx_yz.complex.dim(n), 1)
-                for (i, j, td_xy, off_xy) in inner_slots:
-                    seg = q1v.arr[off_xy:off_xy + td_xy.bimodule.dim, 0]
-                    monos = td_xy.monomials()
-                    for e, coeff in enumerate(seg):
-                        if coeff == field.elem(0):
-                            continue
-                        xv, yv = monos[e]
-                        td_yz, off_yz = tyz.slot(j + k, j, k)
-                        inner = td_yz.tensor_coords(yv, zv)
-                        w = field._zeros(tyz.complex.dim(j + k), 1)
-                        w[off_yz:off_yz + td_yz.bimodule.dim, 0:1] = inner.arr
-                        td_t, off_t = tx_yz.slot(n, i, j + k)
-                        coords = td_t.tensor_coords(xv, Matrix(field, w))
-                        out[off_t:off_t + td_t.bimodule.dim, 0:1] += coords.arr.reshape(-1, 1) * coeff
-                cols.append(Matrix(field, field._normalize(out)))
-        comps[n] = Matrix.stack_columns(field, cols, tx_yz.complex.dim(n))
+        for (m, k, td_outer, _) in slots:
+            # outer monomial c is q_c (x) z_c, with q_c = sum_e S[e, c] x_e (x) y_e
+            qs, zs = td_outer.monomial_matrices()
+            out = Matrix.zeros(field, dim, qs.cols)
+            for (i, j, td_xy, off_xy) in txy.layout[m]:
+                seg = qs.submatrix(slice(off_xy, off_xy + td_xy.bimodule.dim), slice(None))
+                e_idx, c_idx, spread = _nonzero_pairs(seg)
+                if not len(e_idx):
+                    continue
+                xs, ys = td_xy.monomial_matrices()
+                td_yz, off_yz = tyz.slot(j + k, j, k)
+                inner = td_yz.coords(ys.submatrix(slice(None), e_idx),
+                                     zs.submatrix(slice(None), c_idx))
+                td_t, off_t = tx_yz.slot(n, i, j + k)
+                coords = td_t.coords(xs.submatrix(slice(None), e_idx),
+                                     inner.pad_rows(off_yz, tyz.complex.dim(j + k)))
+                out = out + (coords * spread).pad_rows(off_t, dim)
+            cols.append(out)
+        comps[n] = Matrix.stack_columns(field, cols, dim)
     return ChainMap(txy_z.complex, tx_yz.complex, comps)
 
 
@@ -767,28 +752,37 @@ def associator_inv(txy: TensorComplex, txy_z: TensorComplex,
     field = txy.complex.field
     comps = {}
     for n, slots in tx_yz.layout.items():
+        dim = txy_z.complex.dim(n)
         cols = []
-        for (i, m, td_outer, off_outer) in slots:
-            inner_slots = tyz.layout[m]
-            for (xv, wv) in td_outer.monomials():
-                out = field._zeros(txy_z.complex.dim(n), 1)
-                for (j, k, td_yz, off_yz) in inner_slots:
-                    seg = wv.arr[off_yz:off_yz + td_yz.bimodule.dim, 0]
-                    monos = td_yz.monomials()
-                    for e, coeff in enumerate(seg):
-                        if coeff == field.elem(0):
-                            continue
-                        yv, zv = monos[e]
-                        td_xy, off_xy = txy.slot(i + j, i, j)
-                        inner = td_xy.tensor_coords(xv, yv)
-                        w = field._zeros(txy.complex.dim(i + j), 1)
-                        w[off_xy:off_xy + td_xy.bimodule.dim, 0:1] = inner.arr
-                        td_t, off_t = txy_z.slot(n, i + j, k)
-                        coords = td_t.tensor_coords(Matrix(field, w), zv)
-                        out[off_t:off_t + td_t.bimodule.dim, 0:1] += coords.arr * coeff
-                cols.append(Matrix(field, field._normalize(out)))
-        comps[n] = Matrix.stack_columns(field, cols, txy_z.complex.dim(n))
+        for (i, m, td_outer, _) in slots:
+            # outer monomial c is x_c (x) w_c, with w_c = sum_e S[e, c] y_e (x) z_e
+            xs, ws = td_outer.monomial_matrices()
+            out = Matrix.zeros(field, dim, xs.cols)
+            for (j, k, td_yz, off_yz) in tyz.layout[m]:
+                seg = ws.submatrix(slice(off_yz, off_yz + td_yz.bimodule.dim), slice(None))
+                e_idx, c_idx, spread = _nonzero_pairs(seg)
+                if not len(e_idx):
+                    continue
+                ys, zs = td_yz.monomial_matrices()
+                td_xy, off_xy = txy.slot(i + j, i, j)
+                inner = td_xy.coords(xs.submatrix(slice(None), c_idx),
+                                     ys.submatrix(slice(None), e_idx))
+                td_t, off_t = txy_z.slot(n, i + j, k)
+                coords = td_t.coords(inner.pad_rows(off_xy, txy.complex.dim(i + j)),
+                                     zs.submatrix(slice(None), e_idx))
+                out = out + (coords * spread).pad_rows(off_t, dim)
+            cols.append(out)
+        comps[n] = Matrix.stack_columns(field, cols, dim)
     return ChainMap(tx_yz.complex, txy_z.complex, comps)
+
+
+def _nonzero_pairs(seg: Matrix):
+    """The nonzero entries S[e, c] of seg as index arrays e, c and the
+    r x cols matrix that sends column r to S[e_r, c_r] times column c_r."""
+    e_idx, c_idx = np.nonzero(seg.arr != seg.field.elem(0))
+    spread = seg.field._zeros(len(e_idx), seg.cols)
+    spread[np.arange(len(e_idx)), c_idx] = seg.arr[e_idx, c_idx]
+    return e_idx, c_idx, Matrix(seg.field, spread)
 
 
 def interchange_right_shift(t_shifted: TensorComplex, t_plain: TensorComplex,

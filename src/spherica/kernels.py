@@ -140,6 +140,11 @@ def _flatten(mat: Matrix) -> Matrix:
     return Matrix(mat.field, mat.arr.reshape(mat.rows * mat.cols, 1))
 
 
+def _sum_runs(field, runs: int, length: int) -> Matrix:
+    """The (runs * length) x runs matrix that sums each run of length columns."""
+    return Matrix.identity(field, runs).kron(Matrix.from_rows(field, [[1]] * length))
+
+
 class AdjointData:
     """Dual complex of a kernel together with its termwise dual bases."""
 
@@ -239,23 +244,23 @@ class KernelOps:
             t = self.rf()
             duals = self.right_adjoint().duals
             unit_cx = unit_complex(self.A)
-            dimA = self.A.dim
-            cols = []
-            for a_idx in range(dimA):
-                vec = Matrix.zeros(self.field, t.complex.dim(0), 1)
-                for i in self.p.complex.degrees():
-                    dd = duals[i]
-                    if dd.bimodule.dim == 0:
-                        continue
-                    td, off = t.slot(0, i, -i)
-                    term = self.p.complex.term(i)
-                    for g, gstar in zip(dd.generators, dd.cogenerators):
-                        coords = td.tensor_coords(term.left_action[a_idx] * g, gstar)
-                        full = self.field._zeros(t.complex.dim(0), 1)
-                        full[off:off + td.bimodule.dim, 0:1] = coords.arr
-                        vec = vec + Matrix(self.field, full)
-                cols.append(vec)
-            comp = Matrix.stack_columns(self.field, cols, t.complex.dim(0))
+            field, dimA = self.field, self.A.dim
+            comp = Matrix.zeros(field, t.complex.dim(0), dimA)
+            for i in self.p.complex.degrees():
+                dd = duals[i]
+                if dd.bimodule.dim == 0:
+                    continue
+                td, off = t.slot(0, i, -i)
+                term = self.p.complex.term(i)
+                gens = Matrix.stack_columns(field, dd.generators, term.dim)
+                cogens = Matrix.stack_columns(field, dd.cogenerators, dd.bimodule.dim)
+                # a.g_t (x) g_t^* for every a and t, then summed over t
+                coords = td.coords(
+                    Matrix.stack_columns(field, [term.left_action[a] * gens
+                                                 for a in range(dimA)], term.dim),
+                    Matrix.stack_columns(field, [cogens] * dimA, dd.bimodule.dim))
+                summed = coords * _sum_runs(field, dimA, gens.cols)
+                comp = comp + summed.pad_rows(off, t.complex.dim(0))
             return ChainMap(unit_cx, t.complex, {0: comp})
         return self._get("unit_right", build)
 
@@ -267,14 +272,9 @@ class KernelOps:
             unit_cx = unit_complex(self.B)
             comps = {}
             if 0 in t.complex.terms:
-                arr = self.field._zeros(self.B.dim, t.complex.dim(0))
-                col = 0
-                for (i, j, td, off) in t.layout[0]:
-                    dd = duals[j]
-                    for (fv, xv) in td.monomials():
-                        arr[:, col:col + 1] = dd.evaluate(fv, xv).arr
-                        col += 1
-                comps[0] = Matrix(self.field, arr)
+                cols = [duals[j].evaluate(*td.monomial_matrices())
+                        for (i, j, td, off) in t.layout[0]]
+                comps[0] = Matrix.stack_columns(self.field, cols, self.B.dim)
             return ChainMap(t.complex, unit_cx, comps)
         return self._get("counit_right", build)
 
@@ -284,21 +284,22 @@ class KernelOps:
             t = self.fl()
             duals = self.left_adjoint().duals
             unit_cx = unit_complex(self.B)
-            cols = []
-            for b_idx in range(self.B.dim):
-                vec = Matrix.zeros(self.field, t.complex.dim(0), 1)
-                for i in self.p.complex.degrees():
-                    dd = duals[i]
-                    if dd.bimodule.dim == 0:
-                        continue
-                    td, off = t.slot(0, -i, i)
-                    for h, hstar in zip(dd.generators, dd.cogenerators):
-                        coords = td.tensor_coords(dd.bimodule.left_action[b_idx] * hstar, h)
-                        full = self.field._zeros(t.complex.dim(0), 1)
-                        full[off:off + td.bimodule.dim, 0:1] = coords.arr
-                        vec = vec + Matrix(self.field, full)
-                cols.append(vec)
-            comp = Matrix.stack_columns(self.field, cols, t.complex.dim(0))
+            field, dimB = self.field, self.B.dim
+            comp = Matrix.zeros(field, t.complex.dim(0), dimB)
+            for i in self.p.complex.degrees():
+                dd = duals[i]
+                if dd.bimodule.dim == 0:
+                    continue
+                td, off = t.slot(0, -i, i)
+                gens = Matrix.stack_columns(field, dd.generators, self.p.complex.dim(i))
+                cogens = Matrix.stack_columns(field, dd.cogenerators, dd.bimodule.dim)
+                # b.h_t^* (x) h_t for every b and t, then summed over t
+                coords = td.coords(
+                    Matrix.stack_columns(field, [dd.bimodule.left_action[b] * cogens
+                                                 for b in range(dimB)], dd.bimodule.dim),
+                    Matrix.stack_columns(field, [gens] * dimB, gens.rows))
+                summed = coords * _sum_runs(field, dimB, gens.cols)
+                comp = comp + summed.pad_rows(off, t.complex.dim(0))
             return ChainMap(unit_cx, t.complex, {0: comp})
         return self._get("unit_left", build)
 
@@ -310,14 +311,11 @@ class KernelOps:
             unit_cx = unit_complex(self.A)
             comps = {}
             if 0 in t.complex.terms:
-                arr = self.field._zeros(self.A.dim, t.complex.dim(0))
-                col = 0
+                cols = []
                 for (i, j, td, off) in t.layout[0]:
-                    dd = duals[i]
-                    for (xv, fv) in td.monomials():
-                        arr[:, col:col + 1] = dd.evaluate(fv, xv).arr
-                        col += 1
-                comps[0] = Matrix(self.field, arr)
+                    xs, fs = td.monomial_matrices()
+                    cols.append(duals[i].evaluate(fs, xs))
+                comps[0] = Matrix.stack_columns(self.field, cols, self.A.dim)
             return ChainMap(t.complex, unit_cx, comps)
         return self._get("counit_left", build)
 

@@ -6,6 +6,19 @@ arithmetic is exact.  Row reduction uses deterministic pivoting (first
 nonzero column, then first nonzero row), so every basis produced
 downstream is reproducible bit for bit.
 
+Prime fields go up to p = 2^31 - 1 (MAX_PRIME), so a product of two
+residues fits in int64.  A product A (m x k) times B (k x n) over F_p
+is computed in one of two exact ways, chosen by its size alone:
+
+* float64 BLAS when k (p-1)^2 < 2^53, so every partial sum is an
+  integer that a double holds exactly, and m k n >= BLAS_MIN_MACS, a
+  measured size below which converting costs about what BLAS saves;
+* int64 otherwise, reducing mod p once at the end, or after each run of
+  the inner dimension whose partial sums stay below 2^63 when
+  k (p-1)^2 would not.
+
+Over Q products stay on Fraction objects.
+
 Matrices are immutable after construction and safe to share between
 threads; all operations return fresh objects.
 """
@@ -13,8 +26,14 @@ threads; all operations return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+
+MAX_PRIME = 2 ** 31 - 1
+BLAS_MIN_MACS = 32 ** 3
+_FLOAT_EXACT = 2 ** 53
+_INT64_MAX = 2 ** 63 - 1
 
 
 def _is_prime(n: int) -> bool:
@@ -36,6 +55,8 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
+        if p is not None and p > MAX_PRIME:
+            raise ValueError(f"prime fields go up to 2^31 - 1 = {MAX_PRIME}, not {p}")
         if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -107,6 +128,29 @@ class Field:
         return out
 
 
+@lru_cache(maxsize=None)
+def _int64_run(p: int) -> int:
+    """How many products of residues mod p can be summed onto a residue
+    while the sum stays below 2^63."""
+    return max(1, (_INT64_MAX - (p - 1)) // max(1, (p - 1) ** 2))
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b mod p for arrays of residues (see the module docstring)."""
+    m, k = a.shape
+    n = b.shape[1]
+    if k * (p - 1) ** 2 < _FLOAT_EXACT and m * k * n >= BLAS_MIN_MACS:
+        return np.dot(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % p
+    run = _int64_run(p)
+    if k <= run:
+        return np.dot(a, b) % p
+    out = np.zeros((m, n), dtype=np.int64)
+    for s in range(0, k, run):
+        out += np.dot(a[:, s:s + run], b[s:s + run])
+        out %= p
+    return out
+
+
 class Matrix:
     """An immutable exact matrix over a Field, stored densely row-major."""
 
@@ -121,6 +165,18 @@ class Matrix:
         self.arr.flags.writeable = False
         self.rows, self.cols = self.arr.shape
         self._rref = None
+
+    @classmethod
+    def _wrap(cls, field: Field, arr: np.ndarray) -> "Matrix":
+        """A matrix around an array already in normal form (reduced
+        residues, or Fractions over Q), without copying it."""
+        out = object.__new__(cls)
+        arr.flags.writeable = False
+        out.field = field
+        out.arr = arr
+        out.rows, out.cols = arr.shape
+        out._rref = None
+        return out
 
     # construction ---------------------------------------------------
 
@@ -187,13 +243,16 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
-        return Matrix(self.field, np.dot(self.arr, other.arr))
+        p = self.field.p
+        if p is None:
+            return Matrix._wrap(self.field, np.dot(self.arr, other.arr))
+        return Matrix._wrap(self.field, _dot_mod(self.arr, other.arr, p))
 
     def scale(self, c) -> "Matrix":
         return Matrix(self.field, self.arr * self.field.elem(c))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.arr.T)
+        return Matrix._wrap(self.field, self.arr.T)
 
     def kron(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -202,15 +261,38 @@ class Matrix:
             return Matrix.zeros(self.field, self.rows * other.rows, self.cols * other.cols)
         return Matrix(self.field, np.kron(self.arr, other.arr))
 
+    def column_kron(self, other: "Matrix") -> "Matrix":
+        """Column j is the Kronecker product of column j of self and of other."""
+        if self.field != other.field or self.cols != other.cols:
+            raise ValueError("shape or field mismatch in column_kron")
+        arr = self.arr[:, None, :] * other.arr[None, :, :]
+        return Matrix(self.field, arr.reshape(self.rows * other.rows, self.cols))
+
+    def combine_blocks(self, coeffs: "Matrix") -> "Matrix":
+        """Column by column linear combination of equal row blocks.
+
+        self stacks coeffs.rows blocks of equal height h; column j of the
+        h x coeffs.cols result is sum_i coeffs[i, j] * (block i)[:, j].
+        """
+        r, cols = coeffs.rows, coeffs.cols
+        if self.field != coeffs.field or self.cols != cols or r == 0 or self.rows % r:
+            raise ValueError("shape or field mismatch in combine_blocks")
+        blocks = self.arr.reshape(r, self.rows // r, cols)
+        weights = coeffs.arr[:, None, :]
+        p = self.field.p
+        if p is None:
+            return Matrix._wrap(self.field, (blocks * weights).sum(axis=0))
+        run = _int64_run(p)
+        out = np.zeros(blocks.shape[1:], dtype=np.int64)
+        for s in range(0, r, run):
+            out += (blocks[s:s + run] * weights[s:s + run]).sum(axis=0)
+            out %= p
+        return Matrix._wrap(self.field, out)
+
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix(self.field, np.hstack([self.arr, other.arr]))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return Matrix(self.field, np.vstack([self.arr, other.arr]))
+        return Matrix._wrap(self.field, np.hstack([self.arr, other.arr]))
 
     @staticmethod
     def stack_columns(field: Field, mats: list["Matrix"], rows: int) -> "Matrix":
@@ -218,10 +300,15 @@ class Matrix:
         mats = [m for m in mats if m.cols > 0]
         if not mats:
             return Matrix.zeros(field, rows, 0)
-        out = mats[0]
-        for m in mats[1:]:
-            out = out.hstack(m)
-        return out
+        return Matrix._wrap(field, np.hstack([m.arr for m in mats]))
+
+    @staticmethod
+    def stack_rows(field: Field, mats: list["Matrix"], cols: int) -> "Matrix":
+        """Concatenate matrices top to bottom (empty list allowed)."""
+        mats = [m for m in mats if m.rows > 0]
+        if not mats:
+            return Matrix.zeros(field, 0, cols)
+        return Matrix._wrap(field, np.vstack([m.arr for m in mats]))
 
     @staticmethod
     def block_diag(field: Field, mats: list["Matrix"]) -> "Matrix":
@@ -236,11 +323,17 @@ class Matrix:
             c += m.cols
         return Matrix(field, out)
 
+    def pad_rows(self, offset: int, rows: int) -> "Matrix":
+        """self placed at row offset in a zero matrix with the given rows."""
+        zeros = self.field._zeros
+        return Matrix._wrap(self.field, np.vstack([
+            zeros(offset, self.cols), self.arr, zeros(rows - offset - self.rows, self.cols)]))
+
     def submatrix(self, row_slice, col_slice) -> "Matrix":
-        return Matrix(self.field, self.arr[row_slice, col_slice])
+        return Matrix._wrap(self.field, self.arr[row_slice, col_slice])
 
     def column_vec(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.arr[:, j:j + 1])
+        return Matrix._wrap(self.field, self.arr[:, j:j + 1])
 
     def is_zero(self) -> bool:
         return self.rows == 0 or self.cols == 0 or not np.any(self.arr != self.field.elem(0))

@@ -312,6 +312,8 @@ def _parse_kernel_items(items: list[tuple[str, int]], decl_line: int):
             rows = []
             for row in rows_text.split(","):
                 entries = row.split()
+                for tok in entries:
+                    _parse_coeff(tok, line)
                 if entries:
                     rows.append(entries)
             diff_rows[deg] = rows
@@ -449,7 +451,7 @@ def _elaborate(session: Session, field: Field | None = None):
     for name, decl in session.algebras.items():
         try:
             built_algebras[name] = algebra_from_quiver(decl.presentation, field, name=name)
-        except AlgebraError as e:
+        except (AlgebraError, ZeroDivisionError) as e:
             raise SessionInvariantError(f"algebra {name}: {e}", decl.line)
     built_kernels: dict[str, Kernel] = {}
     for name, decl in session.kernels.items():
@@ -486,8 +488,11 @@ def _elaborate(session: Session, field: Field | None = None):
                     f"differential at degree {deg} must be {tgt.dim} rows of "
                     f"{src.dim} entries", decl.line)
             from .linalg import Matrix
-            mat = Matrix.from_rows(field, [[field.elem(Fraction(x)) for x in r]
-                                           for r in rows])
+            try:
+                mat = Matrix.from_rows(field, [[field.elem(Fraction(x)) for x in r]
+                                               for r in rows])
+            except ZeroDivisionError as e:
+                raise SessionInvariantError(f"differential at degree {deg}: {e}", decl.line)
             try:
                 diffs[deg] = BimoduleMap(src, tgt, mat, validate=True)
             except BimoduleError as e:

@@ -322,6 +322,11 @@ def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random,
         total, _, _ = direct_sum(summands)
         terms[deg] = total
 
+    def draw():
+        """A random coefficient: a residue, or over Q a small integer as
+        find_quasi_iso draws them."""
+        return rng.randrange(field.p) if field.is_prime_field else rng.randrange(-9, 10)
+
     def random_hom(src: Bimodule, tgt: Bimodule, after=None):
         """A random equivariant map, constrained to kill the image of 'after'."""
         basis = hom_space(src, tgt, "both")
@@ -336,7 +341,7 @@ def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random,
             null = system.nullspace()
             if null.cols == 0:
                 return None
-            coeffs = [rng.randrange(field.p) for _ in range(null.cols)]
+            coeffs = [draw() for _ in range(null.cols)]
             combo = Matrix.zeros(field, len(basis), 1)
             for j, c in enumerate(coeffs):
                 if c:
@@ -348,7 +353,7 @@ def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random,
             return mat
         mat = Matrix.zeros(field, tgt.dim, src.dim)
         for h in basis:
-            c = rng.randrange(field.p)
+            c = draw()
             if c:
                 mat = mat + h.matrix.scale(c)
         return mat

@@ -207,6 +207,36 @@ def test_tensor_coords_and_monomials_consistent():
         assert coords == Matrix.basis_vector(F, t.bimodule.dim, k)
 
 
+@pytest.mark.parametrize("field", [F, Field.rationals()], ids=["F101", "Q"])
+@pytest.mark.parametrize("model", ["split", "quotient"])
+def test_batched_coords_equal_column_by_column(field, model):
+    """The batched coordinate map on a tensor with several slots agrees
+    with its one-column case and is balanced over the middle algebra."""
+    import random
+
+    from spherica.bimodules import _QuotientTensor
+    z = zigzag_a2(field)
+    m = regular_bimodule(z)
+    n = direct_sum([projective_bimodule(z, 0, z, 1), regular_bimodule(z)])[0]
+    t = tensor_over_middle(m, n) if model == "split" else _QuotientTensor(m, n)
+    if model == "split":
+        assert len(t.sp.gens) >= 2
+    rng = random.Random(7)
+
+    def rand(rows, cols):
+        return Matrix.from_rows(field, [[rng.randrange(-50, 51) for _ in range(cols)]
+                                        for _ in range(rows)])
+
+    xs, ys = rand(m.dim, 9), rand(n.dim, 9)
+    batched = t.coords(xs, ys)
+    singles = [t.tensor_coords(xs.column_vec(j), ys.column_vec(j)) for j in range(9)]
+    assert batched == Matrix.stack_columns(field, singles, t.bimodule.dim)
+    for g in z.generator_indices:
+        assert t.coords(m.right_action[g] * xs, ys) == t.coords(xs, n.left_action[g] * ys)
+    mx, my = t.monomial_matrices()
+    assert t.coords(mx, my).is_identity()
+
+
 def test_tensor_generic_fallback_agrees():
     # a non-projective left factor exercises the quotient model:
     # simple module k over D, then k (x)_D D = k.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherica.linalg import Field, Matrix, reduce, solve
+from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, Field, Matrix, reduce, solve
 
 F101 = Field.prime(101)
 F2 = Field.prime(2)
@@ -21,6 +21,22 @@ def test_field_validation():
         Field.prime(6)
     assert Field.prime(2) == Field.prime(2)
     assert Field.rationals() != Field.prime(2)
+
+
+def test_field_rejects_primes_above_the_limit():
+    assert Field.prime(MAX_PRIME).p == 2 ** 31 - 1
+    for p in (4294967291, 3037000493, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match="2\\^31 - 1"):
+            Field.prime(p)
+
+
+def test_products_at_the_largest_prime():
+    field = Field.prime(MAX_PRIME)
+    top = MAX_PRIME - 1
+    assert (Matrix(field, [[top]]) * Matrix(field, [[top]])).arr.tolist() == [[1]]
+    row = Matrix(field, [[top, top, top]])
+    assert (row * row.transpose()).arr.tolist() == [[3]]
+    assert (row.transpose() * row) == Matrix(field, [[1] * 3] * 3)
 
 
 def test_reduce_identity_f7():
@@ -160,3 +176,67 @@ def test_kron_and_block_diag():
     assert k.rows == k.cols == 4
     d = Matrix.block_diag(F7, [a, b])
     assert d.rank() == a.rank() + 2
+
+
+# Primes that put the bounds of Matrix products inside the tested inner
+# dimensions: float64 BLAS is exact for k (p-1)^2 < 2^53, which holds up
+# to k = 20 for 21000037; int64 sums of products are reduced every 19
+# terms mod 680000003 and every 2 terms mod 2^31 - 1.
+PRODUCT_PRIMES = [2, 101, 21000037, 680000003, MAX_PRIME]
+
+
+def _exact_product(a: Matrix, b: Matrix, p: int) -> list[list[int]]:
+    rows, cols = a.arr.tolist(), b.arr.T.tolist()
+    return [[sum(x * y for x, y in zip(r, c)) % p for c in cols] for r in rows]
+
+
+def _residues(field, rows, cols, rng) -> Matrix:
+    """Random residues, half of them p - 1, the worst case for the bounds."""
+    p = field.p
+    return Matrix(field, [[p - 1 if rng.random() < 0.5 else rng.randrange(p)
+                           for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from(PRODUCT_PRIMES),
+    m=st.integers(1, 48),
+    k=st.integers(1, 40),
+    n=st.integers(1, 48),
+    seed=st.integers(0, 10**6),
+)
+def test_product_equals_exact_integer_product(p, m, k, n, seed):
+    rng = random.Random(seed)
+    field = Field.prime(p)
+    a, b = _residues(field, m, k, rng), _residues(field, k, n, rng)
+    assert (a * b).arr.tolist() == _exact_product(a, b, p)
+
+
+@pytest.mark.parametrize("p", PRODUCT_PRIMES)
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 3, 3), (31, 32, 32), (32, 32, 32),
+                                   (64, 20, 64), (64, 21, 64), (40, 40, 40)])
+def test_product_on_both_sides_of_the_blas_cutover(p, shape):
+    # the first shapes stay below the size cutover, the others reach it
+    assert 31 * 32 * 32 < BLAS_MIN_MACS <= 32 * 32 * 32
+    m, k, n = shape
+    rng = random.Random(p * 1000 + k)
+    field = Field.prime(p)
+    a, b = _residues(field, m, k, rng), _residues(field, k, n, rng)
+    assert (a * b).arr.tolist() == _exact_product(a, b, p)
+    top = Matrix(field, [[p - 1] * k] * m)
+    assert (top * top.transpose()).arr.tolist() == [[k % p] * m] * m
+
+
+@pytest.mark.parametrize("p", PRODUCT_PRIMES)
+def test_combine_blocks_and_column_kron_are_exact(p):
+    rng = random.Random(p)
+    field = Field.prime(p)
+    blocks, coeffs = _residues(field, 25 * 3, 4, rng), _residues(field, 25, 4, rng)
+    b, c = blocks.arr.tolist(), coeffs.arr.tolist()
+    want = [[sum(c[i][j] * b[3 * i + h][j] for i in range(25)) % p for j in range(4)]
+            for h in range(3)]
+    assert blocks.combine_blocks(coeffs).arr.tolist() == want
+    x, y = _residues(field, 3, 4, rng), _residues(field, 2, 4, rng)
+    kron = x.column_kron(y)
+    for j in range(4):
+        assert kron.column_vec(j) == x.column_vec(j).kron(y.column_vec(j))

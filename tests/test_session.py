@@ -250,6 +250,18 @@ def test_golden_reports(name):
     assert report.to_json() == golden.read_text()
 
 
+@pytest.mark.parametrize("name", ["identity", "x_cubed", "dual_numbers"])
+def test_golden_reports_at_the_largest_prime(name):
+    """Over F_p with p = 2^31 - 1 the verdicts are those of F101."""
+    from pathlib import Path
+    from spherica.linalg import MAX_PRIME
+    golden = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    report = json.loads(run_session(builtin_example(name), field=Field.prime(MAX_PRIME)).to_json())
+    assert report.pop("field") == f"F{MAX_PRIME}"
+    golden.pop("field")
+    assert report == golden
+
+
 def test_all_builtin_sessions_run_clean():
     """Every builtin session completes with no engine errors."""
     for name in builtin_names():
@@ -267,3 +279,53 @@ def test_dual_numbers_over_rationals_cross_check():
     assert check.status == "ok"
     assert all(check.data["conditions"].values())
     assert check.data["homology"] == {"twist": {"-1": 2}, "cotwist": {"1": 1}}
+
+
+def test_differential_entry_without_image_in_the_field(tmp_path, capsys):
+    text = """\
+field F 101
+algebra k { vertices pt }
+algebra D { vertices v; arrows x: v -> v; relations x*x = 0; bound 2 }
+kernel X from k to D { deg 0: P(pt,v); deg 1: P(pt,v); d 0: 1/101 0 , 0 1/101 }
+check X
+"""
+    with pytest.raises(SessionInvariantError) as err:
+        parse_session(text)
+    assert err.value.line == 4
+    assert "1/101" in str(err.value)
+    f = tmp_path / "bad_entry.sph"
+    f.write_text(text)
+    assert cli_main(["run", str(f)]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_coefficients_without_value_are_positioned_errors():
+    bad_entry = """\
+field F 101
+algebra k { vertices pt }
+algebra D { vertices v; arrows x: v -> v; relations x*x = 0; bound 2 }
+kernel X from k to D {
+  deg 0: P(pt,v); deg 1: P(pt,v)
+  d 0: 1/0 0 , 0 1
+}
+"""
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session(bad_entry)
+    assert err.value.line == 6 and "1/0" in str(err.value)
+    bad_relation = """\
+field F 101
+algebra k { vertices pt }
+algebra D { vertices v; arrows x: v -> v; relations 1/101*x*x = 0; bound 2 }
+kernel X from k to D { deg 0: P(pt,v) }
+"""
+    with pytest.raises(SessionInvariantError) as err:
+        parse_session(bad_relation)
+    assert err.value.line == 3
+
+
+def test_prime_above_the_limit_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "big_prime.sph"
+    f.write_text(MINIMAL.replace("field F 101", "field F 4294967291"))
+    assert cli_main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "4294967291" in err

@@ -171,6 +171,17 @@ def test_random_kernels_two_out_of_four():
             f"count {rep.count()} over {b.name}"
 
 
+def test_random_kernel_over_rationals():
+    field = Field.rationals()
+    k, d = scalar_algebra(field), dual_numbers(field)
+    for seed in range(30):
+        kernel = random_kernel(k, d, random.Random(seed))
+        again = random_kernel(k, d, random.Random(seed))
+        assert kernel.complex.field == field
+        for n in kernel.complex.degrees():
+            assert kernel.complex.diff_matrix(n) == again.complex.diff_matrix(n)
+
+
 def test_random_kernel_deterministic():
     k1 = random_kernel(K, D, random.Random(99))
     k2 = random_kernel(K, D, random.Random(99))
