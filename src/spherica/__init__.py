@@ -23,6 +23,7 @@ from .bimodules import (
     Bimodule,
     BimoduleError,
     BimoduleMap,
+    flip,
     hom_space,
     is_projective,
     left_dual,

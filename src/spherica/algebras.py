@@ -18,7 +18,7 @@ Algebras are immutable and freely shareable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .linalg import Field, Matrix
 
@@ -89,6 +89,8 @@ class Algebra:
         self._left_mats: list[Matrix] | None = None
         self._right_mats: list[Matrix] | None = None
         self._subspace_cache: dict = {}
+        self._opposite: Algebra | None = None
+        self._unit_complex = None   # complexes.unit_complex(self), once built
         self._validate()
 
     # --- construction-time sanity -----------------------------------
@@ -427,12 +429,19 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field, name: str = "") -> 
 
 
 def opposite(a: Algebra) -> Algebra:
-    """The opposite algebra: multiplication reversed, everything else shared."""
-    mult = [[dict(a.mult[j][i]) for j in range(a.dim)] for i in range(a.dim)]
-    return Algebra(a.field, a.basis_labels, mult, a.unit,
-                   a.vertex_idempotents, a.radical_basis,
-                   basis_paths=a.basis_paths,
-                   name=f"{a.name}^op" if a.name else "op")
+    """The opposite algebra: multiplication reversed, everything else shared.
+
+    Built once per algebra and cached on it, so opposite(opposite(a)) is a.
+    """
+    if a._opposite is None:
+        mult = [[dict(a.mult[j][i]) for j in range(a.dim)] for i in range(a.dim)]
+        op = Algebra(a.field, a.basis_labels, mult, a.unit,
+                     a.vertex_idempotents, a.radical_basis,
+                     basis_paths=a.basis_paths,
+                     name=f"{a.name}^op" if a.name else "op")
+        op._opposite = a
+        a._opposite = op
+    return a._opposite
 
 
 def enveloping(a: Algebra, b: Algebra) -> Algebra:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Algebra
+from .algebras import Algebra, opposite
 from .linalg import Matrix
 
 
@@ -124,11 +124,7 @@ class Bimodule:
 
     def left_block(self, v_pos: int) -> Matrix:
         """Basis of e_v M for the v-th left vertex idempotent."""
-        key = ("lb", v_pos)
-        if key not in self._cache:
-            idem = self.left_algebra.vertex_idempotents[v_pos]
-            self._cache[key] = self.left_action[idem].image_basis()
-        return self._cache[key]
+        return flip(self).right_block(v_pos)
 
     def right_block(self, w_pos: int) -> Matrix:
         """Basis of M e_w for the w-th right vertex idempotent."""
@@ -139,10 +135,7 @@ class Bimodule:
         return self._cache[key]
 
     def left_block_proj(self, v_pos: int) -> Matrix:
-        key = ("lbp", v_pos)
-        if key not in self._cache:
-            self._cache[key] = _left_inverse(self.left_block(v_pos))
-        return self._cache[key]
+        return flip(self).right_block_proj(v_pos)
 
     def right_block_proj(self, w_pos: int) -> Matrix:
         key = ("rbp", w_pos)
@@ -168,6 +161,27 @@ class Bimodule:
     def __repr__(self):
         lbl = self.label or "Bimodule"
         return f"{lbl}({self.left_algebra.name or 'A'},{self.right_algebra.name or 'B'}; dim={self.dim})"
+
+
+def flip(m: Bimodule) -> Bimodule:
+    """m read the other way round: the same action matrices with the sides
+    swapped, so an (A,B)-bimodule becomes a (B^op,A^op)-bimodule.
+
+    Cached on m and not validated again, since m already was.  Every
+    left-side construction is the right-side one read through flip.
+    """
+    if "flip" not in m._cache:
+        m._cache["flip"] = Bimodule(opposite(m.right_algebra), opposite(m.left_algebra),
+                                    m.right_action, m.left_action, m.dim,
+                                    label=m.label, validate=False)
+    return m._cache["flip"]
+
+
+def _right_view(m: Bimodule, side: str) -> Bimodule:
+    """m itself for side "right", its flip for side "left"."""
+    if side not in ("left", "right"):
+        raise BimoduleError("side must be 'left' or 'right'")
+    return m if side == "right" else flip(m)
 
 
 def _act(actions: list[Matrix], coeffs: Matrix, xs: Matrix) -> Matrix:
@@ -342,57 +356,48 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
 
     sides is "left", "right" or "both"; the algebras on each requested
     side must agree.  Solving is done per vertex block, with constraint
-    rows only for the arrow generators.
+    rows only for the arrow generators.  Left-equivariant maps are the
+    right-equivariant maps of the flips.
     """
     if sides in ("left", "both") and m.left_algebra.mult != n.left_algebra.mult:
         raise BimoduleError("left algebras differ")
-    if sides in ("right", "both") and m.right_algebra.mult != n.right_algebra.mult:
+    if sides == "left":
+        return [BimoduleMap(m, n, f.matrix, sides="left", validate=False)
+                for f in hom_space(flip(m), flip(n), "right")]
+    if m.right_algebra.mult != n.right_algebra.mult:
         raise BimoduleError("right algebras differ")
     field = m.field
     if m.dim == 0 or n.dim == 0:
         return []
 
+    right_idems = m.right_algebra.vertex_idempotents
+    constraints = [(m.right_action[g], n.right_action[g])
+                   for g in _radical_generator_indices(m.right_algebra)]
     if sides == "both":
-        nv = len(m.left_algebra.vertex_idempotents)
-        nw = len(m.right_algebra.vertex_idempotents)
-        blocks = [(v, w) for v in range(nv) for w in range(nw)]
-        src_basis = {bl: m.double_block(*bl) for bl in blocks}
-        tgt_basis = {bl: n.double_block(*bl) for bl in blocks}
-        tgt_proj = {bl: n.double_block_proj(*bl) for bl in blocks}
-        constraints = []
-        for g in _radical_generator_indices(m.left_algebra):
-            constraints.append(("L", m.left_action[g], n.left_action[g]))
-        for g in _radical_generator_indices(m.right_algebra):
-            constraints.append(("R", m.right_action[g], n.right_action[g]))
-    elif sides == "left":
-        nv = len(m.left_algebra.vertex_idempotents)
-        blocks = [(v,) for v in range(nv)]
-        src_basis = {bl: m.left_block(bl[0]) for bl in blocks}
-        tgt_basis = {bl: n.left_block(bl[0]) for bl in blocks}
-        tgt_proj = {bl: n.left_block_proj(bl[0]) for bl in blocks}
-        constraints = [("L", m.left_action[g], n.left_action[g])
-                       for g in _radical_generator_indices(m.left_algebra)]
-    else:
-        nw = len(m.right_algebra.vertex_idempotents)
-        blocks = [(w,) for w in range(nw)]
-        src_basis = {bl: m.right_block(bl[0]) for bl in blocks}
-        tgt_basis = {bl: n.right_block(bl[0]) for bl in blocks}
-        tgt_proj = {bl: n.right_block_proj(bl[0]) for bl in blocks}
-        constraints = [("R", m.right_action[g], n.right_action[g])
-                       for g in _radical_generator_indices(m.right_algebra)]
+        left_idems = m.left_algebra.vertex_idempotents
+        blocks = [(v, w) for v in range(len(left_idems)) for w in range(len(right_idems))]
+        constraints = [(m.left_action[g], n.left_action[g])
+                       for g in _radical_generator_indices(m.left_algebra)] + constraints
 
-    def project_onto(module: Bimodule, bl, vecs: Matrix) -> Matrix:
-        """Coordinates, in the chosen block basis, of the block component."""
-        if sides == "both":
-            li = module.left_algebra.vertex_idempotents[bl[0]]
-            ri = module.right_algebra.vertex_idempotents[bl[1]]
-            comp = module.left_action[li] * (module.right_action[ri] * vecs)
-            return module.double_block_proj(*bl) * comp
-        if sides == "left":
-            li = module.left_algebra.vertex_idempotents[bl[0]]
-            return module.left_block_proj(bl[0]) * (module.left_action[li] * vecs)
-        ri = module.right_algebra.vertex_idempotents[bl[0]]
-        return module.right_block_proj(bl[0]) * (module.right_action[ri] * vecs)
+        def block_data(module: Bimodule, bl):
+            projector = module.left_action[left_idems[bl[0]]] * \
+                module.right_action[right_idems[bl[1]]]
+            return module.double_block(*bl), module.double_block_proj(*bl), projector
+    else:
+        blocks = [(w,) for w in range(len(right_idems))]
+
+        def block_data(module: Bimodule, bl):
+            return (module.right_block(bl[0]), module.right_block_proj(bl[0]),
+                    module.right_action[right_idems[bl[0]]])
+
+    # per block: its basis, and the map to coordinates of a vector's block component
+    src_basis, src_proj, src_coords = {}, {}, {}
+    tgt_basis, tgt_coords = {}, {}
+    for bl in blocks:
+        src_basis[bl], src_proj[bl], projector = block_data(m, bl)
+        src_coords[bl] = src_proj[bl] * projector
+        tgt_basis[bl], proj, projector = block_data(n, bl)
+        tgt_coords[bl] = proj * projector
 
     sizes = {bl: (tgt_basis[bl].cols, src_basis[bl].cols) for bl in blocks}
     offsets = {}
@@ -404,12 +409,11 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
         return []
 
     rows: list[Matrix] = []
-    for _, Lm, Ln in constraints:
+    for Lm, Ln in constraints:
         # constraint per block pair: F_tgt . (coords of Lm on m-blocks)
         #                          == (coords of Ln on n-blocks) . F_src
         for src_bl in blocks:
-            mB_s = sizes[src_bl][1]
-            nB_s = sizes[src_bl][0]
+            nB_s, mB_s = sizes[src_bl]
             if mB_s == 0:
                 continue
             moved_m = Lm * src_basis[src_bl]
@@ -418,14 +422,13 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
                 nB_t, mB_t = sizes[tgt_bl]
                 if nB_t == 0:
                     continue
-                comp_m = project_onto(m, tgt_bl, moved_m) if mB_t else None
-                comp_n = project_onto(n, tgt_bl, moved_n) if nB_s else None
+                comp_m = src_coords[tgt_bl] * moved_m if mB_t else None
+                comp_n = tgt_coords[tgt_bl] * moved_n if nB_s else None
                 has_m = comp_m is not None and not comp_m.is_zero()
                 has_n = comp_n is not None and not comp_n.is_zero()
                 if not has_m and not has_n:
                     continue
-                block_rows = Matrix.zeros(field, nB_t * mB_s, total)
-                arr = block_rows.arr.copy()
+                arr = field._zeros(nB_t * mB_s, total)
                 if has_m:
                     # vec_rm(F_tgt @ comp_m) = (I (x) comp_m^T) vec_rm(F_tgt)
                     term = Matrix.identity(field, nB_t).kron(comp_m.transpose())
@@ -443,29 +446,16 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
     else:
         null = Matrix.identity(field, total)
 
-    src_proj = {}
-    for bl in blocks:
-        if sides == "both":
-            src_proj[bl] = m.double_block_proj(*bl)
-        elif sides == "left":
-            src_proj[bl] = m.left_block_proj(bl[0])
-        else:
-            src_proj[bl] = m.right_block_proj(bl[0])
-
     maps = []
     for j in range(null.cols):
-        coeffs = null.column_vec(j)
         full = Matrix.zeros(field, n.dim, m.dim)
         for bl in blocks:
             nB, mB = sizes[bl]
             if nB == 0 or mB == 0:
                 continue
             off = offsets[bl]
-            block = field._zeros(nB, mB)
-            for r in range(nB):
-                for c in range(mB):
-                    block[r, c] = coeffs.arr[off + r * mB + c, 0]
-            full = full + tgt_basis[bl] * Matrix(field, block) * src_proj[bl]
+            block = Matrix(field, null.arr[off:off + nB * mB, j].reshape(nB, mB))
+            full = full + tgt_basis[bl] * block * src_proj[bl]
         maps.append(BimoduleMap(m, n, full, sides=sides, validate=False))
     return maps
 
@@ -477,110 +467,73 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
 
 @dataclass
 class Splitting:
-    """Identification of a projective one-sided module with ideal summands.
+    """Identification of a right-projective module with ideal summands:
+    M = (+)_t  e_{v_t} B  via phi(slot t: g) = p_t . g.
 
-    side "right": M = (+)_t  e_{v_t} B  via phi(slot t: g) = p_t . g
-    side "left":  M = (+)_t  A e_{v_t}  via phi(slot t: g) = g . p_t
+    The left-side splitting of M is the splitting of flip(M).
     """
 
-    side: str
     gens: list[Matrix]
     vertex_pos: list[int]
     phi: Matrix
     phi_inv: Matrix
     slot_offsets: list[int]
     slot_dims: list[int]
-    cover_dim: int
 
 
-def _splitting(m: Bimodule, side: str) -> Splitting | None:
-    key = ("split", side)
-    if key in m._cache:
-        return m._cache[key]
+def _cover(m: Bimodule) -> tuple[list[Matrix], list[int], list[int]]:
+    """Generators of m modulo m.rad, by echelon choice from the vertex blocks
+    m e_v, with their vertices and the dimensions of their slots e_v B."""
     field = m.field
-    alg = m.right_algebra if side == "right" else m.left_algebra
-    act = m.right_action if side == "right" else m.left_action
+    alg = m.right_algebra
     if m.dim == 0:
-        sp = Splitting(side, [], [], Matrix.zeros(field, 0, 0),
-                       Matrix.zeros(field, 0, 0), [], [], 0)
-        m._cache[key] = sp
-        return sp
-    # span of M.rad (right) or rad.M (left)
-    rad_cols = [act[r] for r in alg.radical_basis]
-    rad = Matrix.stack_columns(field, rad_cols, m.dim)
+        return [], [], []
+    rad = Matrix.stack_columns(field, [m.right_action[r] for r in alg.radical_basis], m.dim)
     rad_basis = rad.image_basis()
-    # candidates grouped by vertex
     cand_cols = [rad_basis]
     cand_meta: list[int] = []
     for v_pos in range(len(alg.vertex_idempotents)):
-        blk = m.right_block(v_pos) if side == "right" else m.left_block(v_pos)
+        blk = m.right_block(v_pos)
         cand_cols.append(blk)
         cand_meta.extend([v_pos] * blk.cols)
     stacked = Matrix.stack_columns(field, cand_cols, m.dim)
     _, pivots = stacked.rref()
-    base = rad_basis.cols
-    gens = []
-    vertex_pos = []
-    for p in pivots:
-        if p >= base:
-            gens.append(stacked.column_vec(p))
-            vertex_pos.append(cand_meta[p - base])
-    # cover dimension
-    slot_dims = []
-    for t, v_pos in enumerate(vertex_pos):
-        v = alg.vertex_idempotents[v_pos]
-        ideal = alg.right_ideal_basis(v) if side == "right" else alg.left_ideal_basis(v)
-        slot_dims.append(ideal.cols)
-    cover_dim = sum(slot_dims)
-    if cover_dim != m.dim:
-        m._cache[key] = None
-        return None
-    # phi: free module -> M, slot t: g |-> p_t.g (right) or g.p_t (left)
-    cols = []
-    for t, v_pos in enumerate(vertex_pos):
-        v = alg.vertex_idempotents[v_pos]
-        ideal = alg.right_ideal_basis(v) if side == "right" else alg.left_ideal_basis(v)
-        copies = Matrix.stack_columns(field, [gens[t]] * ideal.cols, m.dim)
-        cols.append(m.right_act(copies, ideal) if side == "right" else m.left_act(ideal, copies))
-    phi = Matrix.stack_columns(field, cols, m.dim)
-    if not phi.is_invertible():
-        m._cache[key] = None
-        return None
-    offsets = []
-    off = 0
-    for d in slot_dims:
-        offsets.append(off)
-        off += d
-    sp = Splitting(side, gens, vertex_pos, phi, phi.inverse(), offsets, slot_dims, cover_dim)
-    m._cache[key] = sp
+    picked = [p for p in pivots if p >= rad_basis.cols]
+    vertex_pos = [cand_meta[p - rad_basis.cols] for p in picked]
+    slot_dims = [alg.right_ideal_basis(alg.vertex_idempotents[v]).cols for v in vertex_pos]
+    return [stacked.column_vec(p) for p in picked], vertex_pos, slot_dims
+
+
+def _splitting(m: Bimodule) -> Splitting | None:
+    """The right-projective splitting of m, or None when m is not right-projective."""
+    if "split" in m._cache:
+        return m._cache["split"]
+    gens, vertex_pos, slot_dims = _cover(m)
+    sp = None
+    if sum(slot_dims) == m.dim:
+        # phi: free module -> M, slot t: g |-> p_t.g
+        alg = m.right_algebra
+        cols = []
+        for t, v_pos in enumerate(vertex_pos):
+            ideal = alg.right_ideal_basis(alg.vertex_idempotents[v_pos])
+            copies = Matrix.stack_columns(m.field, [gens[t]] * ideal.cols, m.dim)
+            cols.append(m.right_act(copies, ideal))
+        phi = Matrix.stack_columns(m.field, cols, m.dim)
+        if phi.is_invertible():
+            offsets = [sum(slot_dims[:t]) for t in range(len(slot_dims))]
+            sp = Splitting(gens, vertex_pos, phi, phi.inverse(), offsets, slot_dims)
+    m._cache["split"] = sp
     return sp
 
 
 def is_projective(m: Bimodule, side: str) -> bool:
     """Projectivity over one side, decided by the projective cover dimension."""
-    if side not in ("left", "right"):
-        raise BimoduleError("side must be 'left' or 'right'")
-    return _splitting(m, side) is not None
+    return _splitting(_right_view(m, side)) is not None
 
 
 def projective_cover_dim(m: Bimodule, side: str) -> int:
     """Dimension of the projective cover over one side (diagnostic)."""
-    field = m.field
-    alg = m.right_algebra if side == "right" else m.left_algebra
-    act = m.right_action if side == "right" else m.left_action
-    if m.dim == 0:
-        return 0
-    rad = Matrix.stack_columns(field, [act[r] for r in alg.radical_basis], m.dim)
-    rad_basis = rad.image_basis()
-    total = 0
-    for v_pos in range(len(alg.vertex_idempotents)):
-        blk = m.right_block(v_pos) if side == "right" else m.left_block(v_pos)
-        both = rad_basis.hstack(blk) if blk.cols else rad_basis
-        mult = both.rank() - rad_basis.rank()
-        v = alg.vertex_idempotents[v_pos]
-        ideal = alg.right_ideal_basis(v) if side == "right" else alg.left_ideal_basis(v)
-        total += mult * ideal.cols
-    return total
+    return sum(_cover(_right_view(m, side))[2])
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +563,17 @@ class DualData:
         return _act(self.hom_matrices, f_coords, x)
 
 
+def _require_projective(p: Bimodule, side: str) -> None:
+    if not is_projective(p, side):
+        raise BimoduleError(
+            f"{side}_dual needs a {side}-projective bimodule (cover dim "
+            f"{projective_cover_dim(p, side)} != dim {p.dim})")
+
+
 def right_dual(p: Bimodule) -> DualData:
     """Maps into the right algebra: an (A,B)-bimodule yields a (B,A)-bimodule."""
-    sp = _splitting(p, "right")
-    if sp is None:
-        raise BimoduleError(
-            f"right_dual needs a right-projective bimodule (cover dim "
-            f"{projective_cover_dim(p, 'right')} != dim {p.dim})")
+    _require_projective(p, "right")
+    sp = _splitting(p)
     A, B = p.left_algebra, p.right_algebra
     field = p.field
     # dual slots: B e_{v_t}
@@ -696,93 +653,14 @@ def right_dual(p: Bimodule) -> DualData:
 
 
 def left_dual(p: Bimodule) -> DualData:
-    """Maps into the left algebra: an (A,B)-bimodule yields a (B,A)-bimodule."""
-    sp = _splitting(p, "left")
-    if sp is None:
-        raise BimoduleError(
-            f"left_dual needs a left-projective bimodule (cover dim "
-            f"{projective_cover_dim(p, 'left')} != dim {p.dim})")
-    A, B = p.left_algebra, p.right_algebra
-    field = p.field
-    # dual slots: e_{w_t} A
-    slot_basis = []
-    for w_pos in sp.vertex_pos:
-        w = A.vertex_idempotents[w_pos]
-        slot_basis.append(A.right_ideal_basis(w))
-    dual_dim = sum(g.cols for g in slot_basis)
-    dual_offsets = []
-    off = 0
-    for g in slot_basis:
-        dual_offsets.append(off)
-        off += g.cols
+    """Maps into the left algebra: an (A,B)-bimodule yields a (B,A)-bimodule.
 
-    comp = []
-    for t, w_pos in enumerate(sp.vertex_pos):
-        w = A.vertex_idempotents[w_pos]
-        E = A.left_ideal_basis(w)  # basis of A e_w
-        rows = sp.phi_inv.submatrix(slice(sp.slot_offsets[t], sp.slot_offsets[t] + sp.slot_dims[t]),
-                                    slice(0, p.dim))
-        comp.append(E * rows)
-
-    hom_matrices = []
-    for t, G in enumerate(slot_basis):
-        for j in range(G.cols):
-            beta = G.column_vec(j)
-            right_mult = Matrix.zeros(field, A.dim, A.dim)
-            zero = field.elem(0)
-            for i in range(A.dim):
-                c = beta.arr[i, 0]
-                if c != zero:
-                    right_mult = right_mult + A.right_mult_matrix(i).scale(c)
-            hom_matrices.append(right_mult * comp[t])
-
-    slot_proj = [_left_inverse(G) for G in slot_basis]
-    # right action: block diagonal beta |-> beta . a
-    right_action = []
-    for i in range(A.dim):
-        blocks = []
-        for t, G in enumerate(slot_basis):
-            blocks.append(slot_proj[t] * (A.right_mult_matrix(i) * G))
-        right_action.append(Matrix.block_diag(field, blocks))
-    # left action: b . f via  c_{st} = comp_t(phi_inv(q_s . b))
-    left_action = []
-    for i in range(B.dim):
-        mat = field._zeros(dual_dim, dual_dim)
-        for s in range(len(sp.gens)):
-            img = sp.phi_inv * (p.right_action[i] * sp.gens[s])
-            for t in range(len(sp.gens)):
-                w_t = A.vertex_idempotents[sp.vertex_pos[t]]
-                E_t = A.left_ideal_basis(w_t)
-                c_st = E_t * img.submatrix(
-                    slice(sp.slot_offsets[t], sp.slot_offsets[t] + sp.slot_dims[t]),
-                    slice(0, 1))
-                if c_st.is_zero():
-                    continue
-                move = slot_proj[s] * (A.left_action_of(c_st) * slot_basis[t]) \
-                    if slot_basis[s].cols else None
-                if move is None:
-                    continue
-                r0, c0 = dual_offsets[s], dual_offsets[t]
-                block = move.arr
-                if block.shape[0] and block.shape[1]:
-                    sub = mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]]
-                    mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = sub + block
-        left_action.append(Matrix(field, mat))
-
-    dual = Bimodule(B, A, left_action, right_action, dual_dim,
-                    label=f"^v{p.label or 'P'}")
-    cogens = []
-    for t, w_pos in enumerate(sp.vertex_pos):
-        w = A.vertex_idempotents[w_pos]
-        G = slot_basis[t]
-        coords = G.solve(Matrix.basis_vector(field, A.dim, w))
-        if coords is None:
-            raise BimoduleError("idempotent not in its own ideal (internal error)")
-        vec = field._zeros(dual_dim, 1)
-        for j in range(G.cols):
-            vec[dual_offsets[t] + j, 0] = coords.arr[j, 0]
-        cogens.append(Matrix(field, vec))
-    return DualData(dual, hom_matrices, list(sp.gens), cogens)
+    Hom_A(P, A) is Hom_{A^op}(flip P, A^op), so this is the right dual of
+    the flip, read back through flip, with the same hom matrices and bases.
+    """
+    _require_projective(p, "left")
+    dd = right_dual(flip(p))
+    return DualData(flip(dd.bimodule), dd.hom_matrices, dd.generators, dd.cogenerators)
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +864,7 @@ def tensor_over_middle(m: Bimodule, n: Bimodule) -> TensorData:
     Uses the projective-splitting model when m is right-projective
     (every kernel term is) and the generic block quotient otherwise.
     """
-    sp = _splitting(m, "right")
+    sp = _splitting(m)
     if sp is not None:
         return _SplitTensor(m, n, sp)
     return _QuotientTensor(m, n)

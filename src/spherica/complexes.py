@@ -36,6 +36,7 @@ from .bimodules import (
     direct_sum,
     hom_space,
     is_projective,
+    regular_bimodule,
     tensor_over_middle,
     zero_bimodule,
 )
@@ -122,8 +123,10 @@ def single_term(m: Bimodule, degree: int = 0) -> Complex:
 
 
 def unit_complex(a: Algebra) -> Complex:
-    from .bimodules import regular_bimodule
-    return Complex(a, a, {0: regular_bimodule(a)}, {})
+    """The diagonal kernel's complex, built once per algebra and cached on it."""
+    if a._unit_complex is None:
+        a._unit_complex = Complex(a, a, {0: regular_bimodule(a)}, {})
+    return a._unit_complex
 
 
 class ChainMap:

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from .algebras import Algebra
 from .bimodules import (
-    Bimodule,
-    BimoduleError,
     BimoduleMap,
     DualData,
     is_projective,
@@ -206,6 +204,51 @@ class KernelOps:
             self._cache[key] = builder()
         return self._cache[key]
 
+    # tensor workspace: the pieces every canonical composite is built from
+
+    def _tensor(self, x: Complex, y: Complex) -> TensorComplex:
+        """x (x) y, built once per pair of complex objects (the tensor holds
+        both, so their ids stay theirs while it is cached)."""
+        return self._get(("tensor", id(x), id(y)), lambda: tensor_cx(x, y))
+
+    def _whisker(self, f: ChainMap | Complex, g: ChainMap | Complex) -> ChainMap:
+        """f (x) g, where a complex stands for its identity map."""
+        f = identity_map(f) if isinstance(f, Complex) else f
+        g = identity_map(g) if isinstance(g, Complex) else g
+        return self._tensor(f.source, g.source).induced(f, g, self._tensor(f.target, g.target))
+
+    def _assoc(self, x: Complex, y: Complex, z: Complex) -> ChainMap:
+        """(x (x) y) (x) z -> x (x) (y (x) z)."""
+        xy, yz = self._tensor(x, y), self._tensor(y, z)
+        return associator(xy, self._tensor(xy.complex, z), yz, self._tensor(x, yz.complex))
+
+    def _assoc_inv(self, x: Complex, y: Complex, z: Complex) -> ChainMap:
+        """x (x) (y (x) z) -> (x (x) y) (x) z."""
+        xy, yz = self._tensor(x, y), self._tensor(y, z)
+        return associator_inv(xy, self._tensor(xy.complex, z), yz, self._tensor(x, yz.complex))
+
+    def _lunit(self, x: Complex) -> ChainMap:
+        """id (x) x -> x."""
+        return left_unitor(self._tensor(unit_complex(x.left_algebra), x))
+
+    def _lunit_inv(self, x: Complex) -> ChainMap:
+        return left_unitor_inv(self._tensor(unit_complex(x.left_algebra), x))
+
+    def _runit(self, x: Complex) -> ChainMap:
+        """x (x) id -> x."""
+        return right_unitor(self._tensor(x, unit_complex(x.right_algebra)))
+
+    def _runit_inv(self, x: Complex) -> ChainMap:
+        return right_unitor_inv(self._tensor(x, unit_complex(x.right_algebra)))
+
+    def _shift_out_right(self, x: Complex, y1: Complex, y: Complex) -> ChainMap:
+        """x (x) y1 -> (x (x) y)[1], for y1 = y[1]."""
+        return interchange_right_shift(self._tensor(x, y1), self._tensor(x, y), 1)
+
+    def _shift_out_left(self, x1: Complex, x: Complex, y: Complex) -> ChainMap:
+        """x1 (x) y -> (x (x) y)[1], for x1 = x[1]."""
+        return interchange_left_shift(self._tensor(x1, y), self._tensor(x, y), 1)
+
     # adjoints ---------------------------------------------------------
 
     def right_adjoint(self) -> AdjointData:
@@ -218,23 +261,23 @@ class KernelOps:
 
     def rf(self) -> TensorComplex:
         """RF = compose(p, R): the monad kernel on the source side."""
-        return self._get("rf", lambda: tensor_cx(self.p.complex,
-                                                 self.right_adjoint().kernel.complex))
+        return self._get("rf", lambda: self._tensor(self.p.complex,
+                                                    self.right_adjoint().kernel.complex))
 
     def fr(self) -> TensorComplex:
         """FR = compose(R, p): the comonad kernel on the target side."""
-        return self._get("fr", lambda: tensor_cx(self.right_adjoint().kernel.complex,
-                                                 self.p.complex))
+        return self._get("fr", lambda: self._tensor(self.right_adjoint().kernel.complex,
+                                                    self.p.complex))
 
     def fl(self) -> TensorComplex:
         """FL = compose(L, p)."""
-        return self._get("fl", lambda: tensor_cx(self.left_adjoint().kernel.complex,
-                                                 self.p.complex))
+        return self._get("fl", lambda: self._tensor(self.left_adjoint().kernel.complex,
+                                                    self.p.complex))
 
     def lf(self) -> TensorComplex:
         """LF = compose(p, L)."""
-        return self._get("lf", lambda: tensor_cx(self.p.complex,
-                                                 self.left_adjoint().kernel.complex))
+        return self._get("lf", lambda: self._tensor(self.p.complex,
+                                                    self.left_adjoint().kernel.complex))
 
     # units and counits ---------------------------------------------------
 
@@ -476,27 +519,14 @@ def condition4_map(p: Kernel) -> KernelMap:
     ops = kernel_ops(p)
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    pc = p.complex
-    fl_t = ops.fl()
-    rf_t = ops.rf()
     ct = ops.cotwist()
-    c_cx = ct.kernel.complex
-
-    t1 = tensor_cx(unit_complex(ops.B), r)
-    lam_inv = left_unitor_inv(t1)
-    t2 = tensor_cx(fl_t.complex, r)
-    s1 = t1.induced(ops.unit_left(), identity_map(r), t2)
-    t3 = tensor_cx(l, rf_t.complex)
-    a = associator(fl_t, t2, rf_t, t3)
-    c1 = shift(c_cx, 1)
-    t4 = tensor_cx(l, c1)
-    s3 = t3.induced(identity_map(l), ct.gamma, t4)
-    t_lc = tensor_cx(l, c_cx)
-    itx = interchange_right_shift(t4, t_lc, 1)
-    chain = lam_inv.then(s1).then(a).then(s3).then(itx)
-    src = ops.right_adjoint().kernel
+    chain = (ops._lunit_inv(r)
+             .then(ops._whisker(ops.unit_left(), r))
+             .then(ops._assoc(l, p.complex, r))
+             .then(ops._whisker(l, ct.gamma))
+             .then(ops._shift_out_right(l, ct.gamma.target, ct.kernel.complex)))
     tgt = Kernel(ops.B, ops.A, chain.target, check=False)
-    return KernelMap(src, tgt, chain)
+    return KernelMap(ops.right_adjoint().kernel, tgt, chain)
 
 
 def condition3_map(p: Kernel) -> KernelMap:
@@ -505,25 +535,14 @@ def condition3_map(p: Kernel) -> KernelMap:
     ops = kernel_ops(p)
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    pc = p.complex
-    fr_t = ops.fr()
-    lf_t = ops.lf()
     tw = ops.twist()
-    t_cx = tw.kernel.complex
-
-    t_src = tensor_cx(t_cx, l)
-    t_mid = tensor_cx(shift(fr_t.complex, 1), l)
-    s1 = t_src.induced(tw.project, identity_map(l), t_mid)
-    t_frl = tensor_cx(fr_t.complex, l)
-    ilx = interchange_left_shift(t_mid, t_frl, 1)
-    c_full = s1.then(ilx)                       # T (x) L -> ((R(x)P)(x)L)[1]
-    c_shifted = shift_map(c_full, -1)           # (T(x)L)[-1] -> (R(x)P)(x)L
-    t_n = tensor_cx(r, lf_t.complex)
-    a = associator(fr_t, t_frl, lf_t, t_n)
-    t_o = tensor_cx(r, unit_complex(ops.A))
-    s2 = t_n.induced(identity_map(r), ops.counit_left(), t_o)
-    rho = right_unitor(t_o)
-    chain = c_shifted.then(a).then(s2).then(rho)
+    # (T (x) L)[-1] -> (R(x)P)(x)L
+    c_shifted = shift_map(ops._whisker(tw.project, l)
+                          .then(ops._shift_out_left(tw.project.target, ops.fr().complex, l)), -1)
+    chain = (c_shifted
+             .then(ops._assoc(r, p.complex, l))
+             .then(ops._whisker(r, ops.counit_left()))
+             .then(ops._runit(r)))
     src = Kernel(ops.B, ops.A, chain.source, check=False)
     return KernelMap(src, ops.right_adjoint().kernel, chain)
 
@@ -539,75 +558,34 @@ def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
     pc = p.complex
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    fr_t, rf_t, fl_t, lf_t = ops.fr(), ops.rf(), ops.fl(), ops.lf()
+    fr, lf = ops.fr().complex, ops.lf().complex
     tw = ops.twist()
     ct = ops.cotwist()
     dtw = ops.dual_twist()      # T'
     dct = ops.dual_cotwist()    # C'
-    out = {}
-
-    # (a) TF[-1] -> FRF -> FC[1]
-    t_u = tensor_cx(pc, tw.kernel.complex)
-    t_v = tensor_cx(pc, shift(fr_t.complex, 1))
-    s1 = t_u.induced(identity_map(pc), tw.project, t_v)
-    t_w = tensor_cx(pc, fr_t.complex)
-    irx = interchange_right_shift(t_v, t_w, 1)
-    first = shift_map(s1.then(irx), -1)
-    t_x2 = tensor_cx(rf_t.complex, pc)
-    ainv = associator_inv(rf_t, t_x2, fr_t, t_w)
-    c1 = shift(ct.kernel.complex, 1)
-    t_y = tensor_cx(c1, pc)
-    s2 = t_x2.induced(ct.gamma, identity_map(pc), t_y)
-    t_z = tensor_cx(ct.kernel.complex, pc)
-    ilx = interchange_left_shift(t_y, t_z, 1)
-    out["TF"] = first.then(ainv).then(s2).then(ilx)
-
-    # (b) RT[-1] -> RFR -> CR[1]
-    t_u = tensor_cx(tw.kernel.complex, r)
-    t_v = tensor_cx(shift(fr_t.complex, 1), r)
-    s1 = t_u.induced(tw.project, identity_map(r), t_v)
-    t_w = tensor_cx(fr_t.complex, r)
-    ilx = interchange_left_shift(t_v, t_w, 1)
-    first = shift_map(s1.then(ilx), -1)
-    t_x2 = tensor_cx(r, rf_t.complex)
-    a = associator(fr_t, t_w, rf_t, t_x2)
-    t_y = tensor_cx(r, c1)
-    s2 = t_x2.induced(identity_map(r), ct.gamma, t_y)
-    t_z = tensor_cx(r, ct.kernel.complex)
-    irx = interchange_right_shift(t_y, t_z, 1)
-    out["RT"] = first.then(a).then(s2).then(irx)
-
-    # (c) FC'[-1] -> FLF -> T'F[1]
-    t_u = tensor_cx(dct.kernel.complex, pc)
-    t_v = tensor_cx(shift(lf_t.complex, 1), pc)
-    s1 = t_u.induced(dct.project, identity_map(pc), t_v)
-    t_w = tensor_cx(lf_t.complex, pc)
-    ilx = interchange_left_shift(t_v, t_w, 1)
-    first = shift_map(s1.then(ilx), -1)
-    t_x2 = tensor_cx(pc, fl_t.complex)
-    a = associator(lf_t, t_w, fl_t, t_x2)
-    tp1 = shift(dtw.kernel.complex, 1)
-    t_y = tensor_cx(pc, tp1)
-    s2 = t_x2.induced(identity_map(pc), dtw.gamma, t_y)
-    t_z = tensor_cx(pc, dtw.kernel.complex)
-    irx = interchange_right_shift(t_y, t_z, 1)
-    out["FC'"] = first.then(a).then(s2).then(irx)
-
-    # (d) C'L[-1] -> LFL -> LT'[1]
-    t_u = tensor_cx(l, dct.kernel.complex)
-    t_v = tensor_cx(l, shift(lf_t.complex, 1))
-    s1 = t_u.induced(identity_map(l), dct.project, t_v)
-    t_w2 = tensor_cx(l, lf_t.complex)
-    irx = interchange_right_shift(t_v, t_w2, 1)
-    first = shift_map(s1.then(irx), -1)
-    t_x2 = tensor_cx(fl_t.complex, l)
-    ainv = associator_inv(fl_t, t_x2, lf_t, t_w2)
-    t_y = tensor_cx(tp1, l)
-    s2 = t_x2.induced(dtw.gamma, identity_map(l), t_y)
-    t_z = tensor_cx(dtw.kernel.complex, l)
-    ilx = interchange_left_shift(t_y, t_z, 1)
-    out["C'L"] = first.then(ainv).then(s2).then(ilx)
-    return out
+    c, tp = ct.kernel.complex, dtw.kernel.complex
+    return {
+        "TF": shift_map(ops._whisker(pc, tw.project)
+                        .then(ops._shift_out_right(pc, tw.project.target, fr)), -1)
+        .then(ops._assoc_inv(pc, r, pc))
+        .then(ops._whisker(ct.gamma, pc))
+        .then(ops._shift_out_left(ct.gamma.target, c, pc)),
+        "RT": shift_map(ops._whisker(tw.project, r)
+                        .then(ops._shift_out_left(tw.project.target, fr, r)), -1)
+        .then(ops._assoc(r, pc, r))
+        .then(ops._whisker(r, ct.gamma))
+        .then(ops._shift_out_right(r, ct.gamma.target, c)),
+        "FC'": shift_map(ops._whisker(dct.project, pc)
+                         .then(ops._shift_out_left(dct.project.target, lf, pc)), -1)
+        .then(ops._assoc(pc, l, pc))
+        .then(ops._whisker(pc, dtw.gamma))
+        .then(ops._shift_out_right(pc, dtw.gamma.target, tp)),
+        "C'L": shift_map(ops._whisker(l, dct.project)
+                         .then(ops._shift_out_right(l, dct.project.target, lf)), -1)
+        .then(ops._assoc_inv(l, pc, l))
+        .then(ops._whisker(dtw.gamma, l))
+        .then(ops._shift_out_left(dtw.gamma.target, tp, l)),
+    }
 
 
 def triangular_identity_composites(p: Kernel) -> dict[str, ChainMap]:
@@ -616,59 +594,22 @@ def triangular_identity_composites(p: Kernel) -> dict[str, ChainMap]:
     pc = p.complex
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    rf_t, fr_t, fl_t, lf_t = ops.rf(), ops.fr(), ops.fl(), ops.lf()
     eta_r, eps_r = ops.unit_right(), ops.counit_right()
     eta_l, eps_l = ops.unit_left(), ops.counit_left()
-    out = {}
-
-    # F: P -> (P(x)R)(x)P -> P(x)(R(x)P) -> P
-    t_a = tensor_cx(unit_complex(ops.A), pc)
-    t_b = tensor_cx(rf_t.complex, pc)
-    t_c = tensor_cx(pc, fr_t.complex)
-    t_d = tensor_cx(pc, unit_complex(ops.B))
-    out["F_right"] = (
-        left_unitor_inv(t_a)
-        .then(t_a.induced(eta_r, identity_map(pc), t_b))
-        .then(associator(rf_t, t_b, fr_t, t_c))
-        .then(t_c.induced(identity_map(pc), eps_r, t_d))
-        .then(right_unitor(t_d)))
-
-    # R: R -> R(x)(P(x)R) -> (R(x)P)(x)R -> R
-    t_e = tensor_cx(r, unit_complex(ops.A))
-    t_f = tensor_cx(r, rf_t.complex)
-    t_g = tensor_cx(fr_t.complex, r)
-    t_h = tensor_cx(unit_complex(ops.B), r)
-    out["R_right"] = (
-        right_unitor_inv(t_e)
-        .then(t_e.induced(identity_map(r), eta_r, t_f))
-        .then(associator_inv(fr_t, t_g, rf_t, t_f))
-        .then(t_g.induced(eps_r, identity_map(r), t_h))
-        .then(left_unitor(t_h)))
-
-    # F (left adjunction): P -> P(x)(L(x)P) -> (P(x)L)(x)P -> P
-    t_i = tensor_cx(pc, unit_complex(ops.B))
-    t_j = tensor_cx(pc, fl_t.complex)
-    t_k = tensor_cx(lf_t.complex, pc)
-    t_m = tensor_cx(unit_complex(ops.A), pc)
-    out["F_left"] = (
-        right_unitor_inv(t_i)
-        .then(t_i.induced(identity_map(pc), eta_l, t_j))
-        .then(associator_inv(lf_t, t_k, fl_t, t_j))
-        .then(t_k.induced(eps_l, identity_map(pc), t_m))
-        .then(left_unitor(t_m)))
-
-    # L: L -> (L(x)P)(x)L -> L(x)(P(x)L) -> L
-    t_n = tensor_cx(unit_complex(ops.B), l)
-    t_o = tensor_cx(fl_t.complex, l)
-    t_q = tensor_cx(l, lf_t.complex)
-    t_s = tensor_cx(l, unit_complex(ops.A))
-    out["L_left"] = (
-        left_unitor_inv(t_n)
-        .then(t_n.induced(eta_l, identity_map(l), t_o))
-        .then(associator(fl_t, t_o, lf_t, t_q))
-        .then(t_q.induced(identity_map(l), eps_l, t_s))
-        .then(right_unitor(t_s)))
-    return out
+    return {
+        # F: P -> (P(x)R)(x)P -> P(x)(R(x)P) -> P
+        "F_right": ops._lunit_inv(pc).then(ops._whisker(eta_r, pc))
+        .then(ops._assoc(pc, r, pc)).then(ops._whisker(pc, eps_r)).then(ops._runit(pc)),
+        # R: R -> R(x)(P(x)R) -> (R(x)P)(x)R -> R
+        "R_right": ops._runit_inv(r).then(ops._whisker(r, eta_r))
+        .then(ops._assoc_inv(r, pc, r)).then(ops._whisker(eps_r, r)).then(ops._lunit(r)),
+        # F (left adjunction): P -> P(x)(L(x)P) -> (P(x)L)(x)P -> P
+        "F_left": ops._runit_inv(pc).then(ops._whisker(pc, eta_l))
+        .then(ops._assoc_inv(pc, l, pc)).then(ops._whisker(eps_l, pc)).then(ops._lunit(pc)),
+        # L: L -> (L(x)P)(x)L -> L(x)(P(x)L) -> L
+        "L_left": ops._lunit_inv(l).then(ops._whisker(eta_l, l))
+        .then(ops._assoc(l, pc, l)).then(ops._whisker(l, eps_l)).then(ops._runit(l)),
+    }
 
 
 def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:
@@ -680,32 +621,17 @@ def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:
     Returns (into_rfl, from_lfr, sum_complex).
     """
     ops = kernel_ops(p)
+    pc = p.complex
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    fl_t, rf_t, fr_t, lf_t = ops.fl(), ops.rf(), ops.fr(), ops.lf()
-
-    # component R -> RFL
-    t1 = tensor_cx(unit_complex(ops.B), r)
-    t2 = tensor_cx(fl_t.complex, r)
-    map_r = left_unitor_inv(t1).then(t1.induced(ops.unit_left(), identity_map(r), t2))
-    # component L -> RFL
-    t_m = tensor_cx(l, unit_complex(ops.A))
-    t3 = tensor_cx(l, rf_t.complex)
-    map_l = (right_unitor_inv(t_m)
-             .then(t_m.induced(identity_map(l), ops.unit_right(), t3))
-             .then(associator_inv(fl_t, t2, rf_t, t3)))
+    map_r = ops._lunit_inv(r).then(ops._whisker(ops.unit_left(), r))
+    map_l = (ops._runit_inv(l).then(ops._whisker(l, ops.unit_right()))
+             .then(ops._assoc_inv(l, pc, r)))
     sum_cx, injs, projs = direct_sum_complexes([r, l])
     into_rfl = projs[0].then(map_r) + projs[1].then(map_l)
-
-    # LFR -> R: id_r (x) eps_L after regrouping
-    t_w = tensor_cx(fr_t.complex, l)
-    t_n = tensor_cx(r, lf_t.complex)
-    a = associator(fr_t, t_w, lf_t, t_n)
-    t_o = tensor_cx(r, unit_complex(ops.A))
-    g1 = a.then(t_n.induced(identity_map(r), ops.counit_left(), t_o)).then(right_unitor(t_o))
-    # LFR -> L: eps_R (x) id_l
-    t_p = tensor_cx(unit_complex(ops.B), l)
-    g2 = t_w.induced(ops.counit_right(), identity_map(l), t_p).then(left_unitor(t_p))
+    # LFR -> R: id_r (x) eps_L after regrouping; LFR -> L: eps_R (x) id_l
+    g1 = ops._assoc(r, pc, l).then(ops._whisker(r, ops.counit_left())).then(ops._runit(r))
+    g2 = ops._whisker(ops.counit_right(), l).then(ops._lunit(l))
     from_lfr = g1.then(injs[0]) + g2.then(injs[1])
     return into_rfl, from_lfr, sum_cx
 
@@ -715,29 +641,17 @@ def appendix_map(p: Kernel) -> KernelMap:
     ops = kernel_ops(p)
     pc = p.complex
     r = ops.right_adjoint().kernel.complex
-    rf_t, fl_t, lf_t = ops.rf(), ops.fl(), ops.lf()
+    l = ops.left_adjoint().kernel.complex
+    lf = ops.lf().complex
     ct = ops.cotwist()
-    c_cx = ct.kernel.complex
-
-    t_a = tensor_cx(pc, unit_complex(ops.B))
-    t_b = tensor_cx(t_a.complex, r)
-    step0 = rf_t.induced(right_unitor_inv(t_a), identity_map(r), t_b)
-    t_d = tensor_cx(pc, fl_t.complex)
-    i1 = t_a.induced(identity_map(pc), ops.unit_left(), t_d)
-    t_c = tensor_cx(t_d.complex, r)
-    step1 = t_b.induced(i1, identity_map(r), t_c)
-    t_e = tensor_cx(lf_t.complex, pc)
-    ainv = associator_inv(lf_t, t_e, fl_t, t_d)
-    t_f = tensor_cx(t_e.complex, r)
-    step2 = t_c.induced(ainv, identity_map(r), t_f)
-    t_g = tensor_cx(lf_t.complex, rf_t.complex)
-    a2 = associator(t_e, t_f, rf_t, t_g)
-    c1 = shift(c_cx, 1)
-    t_h = tensor_cx(lf_t.complex, c1)
-    s = t_g.induced(identity_map(lf_t.complex), ct.gamma, t_h)
-    t_clf = tensor_cx(lf_t.complex, c_cx)
-    itx = interchange_right_shift(t_h, t_clf, 1)
-    chain = step0.then(step1).then(step2).then(a2).then(s).then(itx)
+    # P (x) R -> (P(x)B)(x)R -> (P(x)FL)(x)R -> (LF(x)P)(x)R -> LF(x)RF -> LF(x)C[1]
+    into_pflr = ops._whisker(ops._runit_inv(pc), r).then(
+        ops._whisker(ops._whisker(pc, ops.unit_left()), r))
+    chain = (into_pflr
+             .then(ops._whisker(ops._assoc_inv(pc, l, pc), r))
+             .then(ops._assoc(lf, pc, r))
+             .then(ops._whisker(lf, ct.gamma))
+             .then(ops._shift_out_right(lf, ct.gamma.target, ct.kernel.complex)))
     src = Kernel(ops.A, ops.A, chain.source, check=False)
     tgt = Kernel(ops.A, ops.A, chain.target, check=False)
     return KernelMap(src, tgt, chain)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -35,7 +35,6 @@ from .complexes import (
     ComplexError,
     find_quasi_iso,
     homology_dims,
-    is_quasi_iso,
     unit_complex,
 )
 from .kernels import (
@@ -43,6 +42,7 @@ from .kernels import (
     KernelError,
     KernelMap,
     compose,
+    identity_kernel,
     kernel_ops,
     twist_kernel,
 )
@@ -584,116 +584,129 @@ def _conditions_payload(report) -> dict:
     }
 
 
+def _homology_payload(report) -> dict:
+    return {"twist": _profile(report.homology_profiles["twist"]),
+            "cotwist": _profile(report.homology_profiles["cotwist"])}
+
+
+class _RunState:
+    """What the commands of one session run share: named kernels and the rng."""
+
+    def __init__(self, kernels: dict[str, Kernel], seed: int):
+        self.kernels = kernels
+        self.reseed(seed)
+
+    def reseed(self, seed: int):
+        self.seed = seed
+        self.rng = random.Random(seed)
+
+
+# each command handler returns (status, data) for the command's arguments
+
+
+def _run_seed(st: _RunState, args):
+    st.reseed(int(args[0]))
+    return "ok", {}
+
+
+def _run_check(st: _RunState, args):
+    p = st.kernels[args[0]]
+    rep = check_conditions(p)
+    data = {
+        "conditions": _conditions_payload(rep),
+        "two_out_of_four": verify_two_out_of_four(p, rep).status,
+        "theorem": check_theorem(p, rep).status,
+        "homology": _homology_payload(rep),
+    }
+    ok = data["two_out_of_four"] == "pass" and data["theorem"] != "fail"
+    return ("ok" if ok else "assert-failed"), data
+
+
+def _run_spherical(st: _RunState, args):
+    p = st.kernels[args[0]]
+    rep = check_conditions(p)
+    data = {
+        "is_spherical": is_spherical(p, rep).is_spherical,
+        "conditions": _conditions_payload(rep),
+        "homology": _homology_payload(rep),
+        "splitting": check_splitting(p, rep).status,
+        "adjoint_spherical": check_adjoint_spherical(p, rep).status,
+        "appendix": check_appendix(p, rep).status,
+    }
+    bad = any(data[k] == "fail" for k in ("splitting", "adjoint_spherical", "appendix"))
+    return ("assert-failed" if bad else "ok"), data
+
+
+def _run_twist(st: _RunState, args):
+    tw = twist_kernel(st.kernels[args[0]])
+    if len(args) == 2:
+        st.kernels[args[1]] = tw.kernel
+    return "ok", {"homology": {"twist": _profile(homology_dims(tw.kernel.complex))}}
+
+
+def _run_compose(st: _RunState, args):
+    r = compose(st.kernels[args[0]], st.kernels[args[1]])
+    st.kernels[args[2]] = r
+    return "ok", {"dims": {str(n): r.complex.dim(n) for n in r.complex.degrees()}}
+
+
+def _run_assert_quasi_iso(st: _RunState, args):
+    x, y = st.kernels[args[0]], st.kernels[args[1]]
+    hx = homology_dims(x.complex)
+    hy = homology_dims(y.complex)
+    w = find_quasi_iso(x.complex, y.complex, st.rng) if hx == hy else None
+    data = {"homology": {args[0]: _profile(hx), args[1]: _profile(hy)},
+            "witness_found": w is not None}
+    return ("ok" if w is not None else "assert-failed"), data
+
+
+def _run_faithful(st: _RunState, args):
+    p = st.kernels[args[0]]
+    rf = kernel_ops(p).rf().complex
+    witness_chain = find_quasi_iso(unit_complex(p.source_algebra), rf, st.rng)
+    if witness_chain is None:
+        return "ok", {"witness_found": False, "verdict": "not_applicable",
+                      "detail": "no quasi-iso witness id -> RF exists"}
+    wk = KernelMap(identity_kernel(p.source_algebra),
+                   Kernel(p.source_algebra, p.source_algebra, rf, check=False),
+                   witness_chain)
+    v = check_fully_faithful(p, wk)
+    return ("assert-failed" if v.status == "fail" else "ok"), \
+        {"witness_found": True, "verdict": v.status}
+
+
+_HANDLERS = {
+    "seed": _run_seed,
+    "check": _run_check,
+    "spherical": _run_spherical,
+    "twist": _run_twist,
+    "compose": _run_compose,
+    "assert-quasi-iso": _run_assert_quasi_iso,
+    "faithful": _run_faithful,
+}
+
+
 def run_session(session: Session, seed: int | None = None,
                 field: Field | None = None,
                 include_timings: bool = False) -> Report:
     """Execute the commands in order; engine errors are captured per command."""
     eff_field = field or session.field
     _, kernels = _elaborate(session, eff_field)
-    rng_seed = seed if seed is not None else 0
-    rng = random.Random(rng_seed)
+    st = _RunState(kernels, seed if seed is not None else 0)
     results: list[CommandResult] = []
 
     for c in session.commands:
         t0 = time.perf_counter()
-        cmd_str = c.render()
+        handler = _HANDLERS.get(c.kind)
+        if handler is None:
+            raise SessionError(f"unhandled command {c.kind}")
         try:
-            if c.kind == "seed":
-                rng_seed = int(c.args[0])
-                rng = random.Random(rng_seed)
-                results.append(CommandResult(cmd_str, "ok", {}))
-            elif c.kind == "check":
-                p = kernels[c.args[0]]
-                rep = check_conditions(p)
-                data = {
-                    "conditions": _conditions_payload(rep),
-                    "two_out_of_four": verify_two_out_of_four(p, rep).status,
-                    "theorem": check_theorem(p, rep).status,
-                    "homology": {
-                        "twist": _profile(rep.homology_profiles["twist"]),
-                        "cotwist": _profile(rep.homology_profiles["cotwist"]),
-                    },
-                }
-                ok = data["two_out_of_four"] == "pass" and data["theorem"] != "fail"
-                results.append(CommandResult(cmd_str, "ok" if ok else "assert-failed",
-                                             data, (time.perf_counter() - t0) * 1e3))
-            elif c.kind == "spherical":
-                p = kernels[c.args[0]]
-                rep = check_conditions(p)
-                verdict = is_spherical(p, rep)
-                data = {
-                    "is_spherical": verdict.is_spherical,
-                    "conditions": _conditions_payload(rep),
-                    "homology": {
-                        "twist": _profile(rep.homology_profiles["twist"]),
-                        "cotwist": _profile(rep.homology_profiles["cotwist"]),
-                    },
-                    "splitting": check_splitting(p, rep).status,
-                    "adjoint_spherical": check_adjoint_spherical(p, rep).status,
-                    "appendix": check_appendix(p, rep).status,
-                }
-                bad = any(data[k] == "fail"
-                          for k in ("splitting", "adjoint_spherical", "appendix"))
-                results.append(CommandResult(cmd_str, "assert-failed" if bad else "ok",
-                                             data, (time.perf_counter() - t0) * 1e3))
-            elif c.kind == "twist":
-                p = kernels[c.args[0]]
-                tw = twist_kernel(p)
-                if len(c.args) == 2:
-                    kernels[c.args[1]] = tw.kernel
-                data = {"homology": {"twist": _profile(homology_dims(tw.kernel.complex))}}
-                results.append(CommandResult(cmd_str, "ok", data,
-                                             (time.perf_counter() - t0) * 1e3))
-            elif c.kind == "compose":
-                p, q = kernels[c.args[0]], kernels[c.args[1]]
-                r = compose(p, q)
-                kernels[c.args[2]] = r
-                data = {"dims": {str(n): r.complex.dim(n) for n in r.complex.degrees()}}
-                results.append(CommandResult(cmd_str, "ok", data,
-                                             (time.perf_counter() - t0) * 1e3))
-            elif c.kind == "assert-quasi-iso":
-                x, y = kernels[c.args[0]], kernels[c.args[1]]
-                hx = homology_dims(x.complex)
-                hy = homology_dims(y.complex)
-                data = {"homology": {c.args[0]: _profile(hx), c.args[1]: _profile(hy)}}
-                if hx != hy:
-                    data["witness_found"] = False
-                    results.append(CommandResult(cmd_str, "assert-failed", data,
-                                                 (time.perf_counter() - t0) * 1e3))
-                else:
-                    w = find_quasi_iso(x.complex, y.complex, rng)
-                    data["witness_found"] = w is not None
-                    status = "ok" if w is not None else "assert-failed"
-                    results.append(CommandResult(cmd_str, status, data,
-                                                 (time.perf_counter() - t0) * 1e3))
-            elif c.kind == "faithful":
-                p = kernels[c.args[0]]
-                ops = kernel_ops(p)
-                witness_chain = find_quasi_iso(unit_complex(p.source_algebra),
-                                               ops.rf().complex, rng)
-                if witness_chain is None:
-                    data = {"witness_found": False, "verdict": "not_applicable",
-                            "detail": "no quasi-iso witness id -> RF exists"}
-                    results.append(CommandResult(cmd_str, "ok", data,
-                                                 (time.perf_counter() - t0) * 1e3))
-                else:
-                    from .kernels import identity_kernel
-                    wk = KernelMap(identity_kernel(p.source_algebra),
-                                   Kernel(p.source_algebra, p.source_algebra,
-                                          ops.rf().complex, check=False),
-                                   witness_chain)
-                    v = check_fully_faithful(p, wk)
-                    data = {"witness_found": True, "verdict": v.status}
-                    status = "assert-failed" if v.status == "fail" else "ok"
-                    results.append(CommandResult(cmd_str, status, data,
-                                                 (time.perf_counter() - t0) * 1e3))
-            else:
-                raise SessionError(f"unhandled command {c.kind}")
+            status, data = handler(st, c.args)
         except (KernelError, BimoduleError, ComplexError, AlgebraError) as e:
-            results.append(CommandResult(cmd_str, "error", {"detail": str(e)},
-                                         (time.perf_counter() - t0) * 1e3))
+            status, data = "error", {"detail": str(e)}
+        results.append(CommandResult(c.render(), status, data, (time.perf_counter() - t0) * 1e3))
     field_str = f"F{eff_field.p}" if eff_field.is_prime_field else "Q"
-    return Report(__version__, field_str, rng_seed if seed is None else seed, results)
+    return Report(__version__, field_str, st.seed if seed is None else seed, results)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from spherica.algebras import trivial_algebra
+from spherica.algebras import opposite, trivial_algebra
 from spherica.bimodules import (
     Bimodule,
     BimoduleError,
     direct_sum,
+    flip,
     hom_space,
     is_projective,
     left_dual,
@@ -104,6 +105,9 @@ def test_is_projective_regular_and_simple():
     assert not is_projective(simple, "right")
     assert projective_cover_dim(simple, "right") == 2
     assert is_projective(e1Z(), "right")
+    for side_check in (is_projective, projective_cover_dim):
+        with pytest.raises(BimoduleError, match="side must be 'left' or 'right'"):
+            side_check(simple, "both")
 
 
 def test_right_dual_of_regular():
@@ -284,7 +288,27 @@ def test_right_dual_rejects_non_projective():
     one = Matrix.identity(F, 1)
     zero_act = Matrix.zeros(F, 1, 1)
     simple = Bimodule(K, D, [one], [one, zero_act], 1, label="S")
-    with pytest.raises(BimoduleError, match="projective"):
+    with pytest.raises(BimoduleError,
+                       match=r"right_dual needs a right-projective bimodule \(cover dim 2 != dim 1\)"):
         right_dual(simple)
-    with pytest.raises(BimoduleError, match="projective"):
+    with pytest.raises(BimoduleError,
+                       match=r"left_dual needs a left-projective bimodule \(cover dim 2 != dim 1\)"):
         left_dual(Bimodule(D, K, [one, zero_act], [one], 1, label="S'"))
+
+
+def test_flip_swaps_sides_over_opposite_algebras():
+    for alg in (K, D, Z):
+        assert opposite(opposite(alg)) is alg
+        assert opposite(alg) is opposite(alg)
+    for m in (e1Z(), Ze1(), regular_bimodule(Z)):
+        f = flip(m)
+        assert flip(m) is f
+        assert f.left_algebra is opposite(m.right_algebra)
+        assert f.right_algebra is opposite(m.left_algebra)
+        assert f.left_action == m.right_action and f.right_action == m.left_action
+        # the already validated m read the other way round is a bimodule again
+        Bimodule(f.left_algebra, f.right_algebra, f.left_action, f.right_action, f.dim)
+        back = flip(f)
+        assert (back.left_algebra, back.right_algebra) == (m.left_algebra, m.right_algebra)
+        assert is_projective(m, "left") == is_projective(f, "right")
+        assert projective_cover_dim(m, "left") == projective_cover_dim(f, "right")

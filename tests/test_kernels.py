@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from spherica.bimodules import projective_bimodule
+from spherica.bimodules import hom_space, left_dual, projective_bimodule, regular_bimodule
 from spherica.complexes import (
     homology_dims,
     is_acyclic,
@@ -38,8 +40,9 @@ from spherica.kernels import (
     appendix_map,
 )
 from spherica.linalg import Field, Matrix
+from spherica.spherical import random_kernel
 
-from helpers import dual_numbers, k_times_k, x_cubed, zigzag_a2
+from helpers import RANDOM_SHAPES, dual_numbers, k_times_k, left_dual_basis_sum, x_cubed, zigzag_a2
 
 F = Field.prime(101)
 K = scalar_algebra(F)
@@ -260,3 +263,30 @@ def test_dual_twists_are_the_adjoint_kernels(PD, PZ):
         cadj = left_adjoint_kernel(c)
         w2 = find_quasi_iso(cprime.complex, cadj.complex, random.Random(0))
         assert w2 is not None
+
+
+@pytest.mark.parametrize("shape", sorted(RANDOM_SHAPES))
+@pytest.mark.parametrize("field", [Field.prime(2), F], ids=["F2", "F101"])
+def test_left_side_on_random_kernels_with_nontrivial_source(field, shape):
+    src, tgt = RANDOM_SHAPES[shape]
+    for seed in (0, 5, 7):
+        k = random_kernel(src(field), tgt(field), random.Random(seed))
+        for n in k.complex.degrees():
+            assert left_dual_basis_sum(k.complex.term(n)).is_identity()
+        for name, comp in triangular_identity_composites(k).items():
+            assert comp.is_identity(), f"{name} is not strict for seed {seed}"
+
+
+@pytest.mark.parametrize("shape", sorted(RANDOM_SHAPES))
+def test_left_duals_on_random_kernels_over_rationals(shape):
+    field = Field.rationals()
+    src, tgt = RANDOM_SHAPES[shape]
+    for seed in (0, 7):
+        k = random_kernel(src(field), tgt(field), random.Random(seed))
+        for n in k.complex.degrees():
+            term = k.complex.term(n)
+            assert left_dual_basis_sum(term).is_identity()
+            dual = left_dual(term).bimodule
+            assert dual.left_algebra is term.right_algebra
+            assert dual.right_algebra is term.left_algebra
+            assert dual.dim == len(hom_space(term, regular_bimodule(term.left_algebra), "left"))
