@@ -37,11 +37,15 @@ class BimoduleError(Exception):
 
 
 class Bimodule:
-    """A finite-dimensional bimodule given by per-basis action matrices."""
+    """A finite-dimensional bimodule given by per-basis action matrices.
+
+    The constructor only checks that the algebras share a field; check()
+    verifies the module axioms.
+    """
 
     def __init__(self, left_algebra: Algebra, right_algebra: Algebra,
                  left_action: list[Matrix], right_action: list[Matrix],
-                 dim: int, label: str = "", validate: bool = True):
+                 dim: int, label: str = ""):
         if left_algebra.field != right_algebra.field:
             raise BimoduleError("bimodule algebras must share a field")
         self.left_algebra = left_algebra
@@ -52,12 +56,12 @@ class Bimodule:
         self.right_action = right_action
         self.label = label
         self._cache: dict = {}
-        if validate:
-            self._validate()
 
     # --- validation ---------------------------------------------------
 
-    def _validate(self):
+    def check(self):
+        """Raise BimoduleError unless the action matrices are dim x dim, both
+        actions are unital and multiplicative, and they commute."""
         A, B = self.left_algebra, self.right_algebra
         n = self.dim
         if len(self.left_action) != A.dim or len(self.right_action) != B.dim:
@@ -167,13 +171,12 @@ def flip(m: Bimodule) -> Bimodule:
     """m read the other way round: the same action matrices with the sides
     swapped, so an (A,B)-bimodule becomes a (B^op,A^op)-bimodule.
 
-    Cached on m and not validated again, since m already was.  Every
-    left-side construction is the right-side one read through flip.
+    Cached on m; it satisfies the module axioms exactly when m does.
+    Every left-side construction is the right-side one read through flip.
     """
     if "flip" not in m._cache:
         m._cache["flip"] = Bimodule(opposite(m.right_algebra), opposite(m.left_algebra),
-                                    m.right_action, m.left_action, m.dim,
-                                    label=m.label, validate=False)
+                                    m.right_action, m.left_action, m.dim, label=m.label)
     return m._cache["flip"]
 
 
@@ -213,10 +216,14 @@ def _left_inverse(m: Matrix) -> Matrix:
 
 
 class BimoduleMap:
-    """A linear map intertwining the actions on the stated sides."""
+    """A linear map intertwining the actions on the stated sides.
+
+    The constructor checks sides and the matrix shape; check() verifies
+    that the map intertwines the actions.
+    """
 
     def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix,
-                 sides: str = "both", validate: bool = True):
+                 sides: str = "both"):
         if sides not in ("both", "left", "right"):
             raise BimoduleError(f"invalid sides {sides!r}")
         if matrix.rows != target.dim or matrix.cols != source.dim:
@@ -227,10 +234,9 @@ class BimoduleMap:
         self.target = target
         self.matrix = matrix
         self.sides = sides
-        if validate:
-            self._validate()
 
-    def _validate(self):
+    def check(self):
+        """Raise BimoduleError unless the map intertwines the actions on its sides."""
         if self.sides in ("both", "left"):
             if self.source.left_algebra is not self.target.left_algebra and \
                self.source.left_algebra.mult != self.target.left_algebra.mult:
@@ -251,16 +257,13 @@ class BimoduleMap:
     def then(self, other: "BimoduleMap") -> "BimoduleMap":
         if other.source.dim != self.target.dim:
             raise BimoduleError("maps are not composable")
-        return BimoduleMap(self.source, other.target, other.matrix * self.matrix,
-                           sides=self.sides, validate=False)
+        return BimoduleMap(self.source, other.target, other.matrix * self.matrix, self.sides)
 
     def __add__(self, other: "BimoduleMap") -> "BimoduleMap":
-        return BimoduleMap(self.source, self.target, self.matrix + other.matrix,
-                           sides=self.sides, validate=False)
+        return BimoduleMap(self.source, self.target, self.matrix + other.matrix, self.sides)
 
     def scale(self, c) -> "BimoduleMap":
-        return BimoduleMap(self.source, self.target, self.matrix.scale(c),
-                           sides=self.sides, validate=False)
+        return BimoduleMap(self.source, self.target, self.matrix.scale(c), self.sides)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -279,8 +282,7 @@ class BimoduleMap:
 
 def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
     return Bimodule(a, b, [Matrix.zeros(a.field, 0, 0)] * a.dim,
-                    [Matrix.zeros(a.field, 0, 0)] * b.dim, 0, label="0",
-                    validate=False)
+                    [Matrix.zeros(a.field, 0, 0)] * b.dim, 0, label="0")
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:
@@ -322,9 +324,7 @@ def direct_sum(summands: list[Bimodule], left: Algebra | None = None,
              for i in range(a.dim)]
     rights = [Matrix.block_diag(field, [m.right_action[i] for m in summands])
               for i in range(b.dim)]
-    out = Bimodule(a, b, lefts, rights, total,
-                   label="(+)".join(m.label or "?" for m in summands),
-                   validate=False)
+    out = Bimodule(a, b, lefts, rights, total, label="(+)".join(m.label or "?" for m in summands))
     injections = []
     projections = []
     offset = 0
@@ -359,10 +359,12 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
     rows only for the arrow generators.  Left-equivariant maps are the
     right-equivariant maps of the flips.
     """
+    if sides not in ("left", "right", "both"):
+        raise BimoduleError(f"invalid sides {sides!r}")
     if sides in ("left", "both") and m.left_algebra.mult != n.left_algebra.mult:
         raise BimoduleError("left algebras differ")
     if sides == "left":
-        return [BimoduleMap(m, n, f.matrix, sides="left", validate=False)
+        return [BimoduleMap(m, n, f.matrix, sides="left")
                 for f in hom_space(flip(m), flip(n), "right")]
     if m.right_algebra.mult != n.right_algebra.mult:
         raise BimoduleError("right algebras differ")
@@ -456,7 +458,7 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
             off = offsets[bl]
             block = Matrix(field, null.arr[off:off + nB * mB, j].reshape(nB, mB))
             full = full + tgt_basis[bl] * block * src_proj[bl]
-        maps.append(BimoduleMap(m, n, full, sides=sides, validate=False))
+        maps.append(BimoduleMap(m, n, full, sides=sides))
     return maps
 
 
@@ -707,7 +709,7 @@ class TensorData:
         """The map f (x) g between tensor products (f, g equivariant)."""
         xs, ys = self.monomial_matrices()
         mat = target.coords(f.matrix * xs, g.matrix * ys)
-        return BimoduleMap(self.bimodule, target.bimodule, mat, validate=False)
+        return BimoduleMap(self.bimodule, target.bimodule, mat)
 
 
 class _SplitTensor(TensorData):

@@ -58,21 +58,24 @@ def scalar_algebra(field: Field) -> Algebra:
 
 
 class Complex:
-    """A bounded cochain complex of (A,B)-bimodules."""
+    """A bounded cochain complex of (A,B)-bimodules.
+
+    Zero terms and zero differentials are dropped on construction;
+    check() verifies the algebras, the endpoints and d^2 = 0.
+    """
 
     def __init__(self, left_algebra: Algebra, right_algebra: Algebra,
-                 terms: dict[int, Bimodule], diffs: dict[int, BimoduleMap],
-                 validate: bool = True):
+                 terms: dict[int, Bimodule], diffs: dict[int, BimoduleMap]):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.field = left_algebra.field
         self.terms = {n: t for n, t in terms.items() if t.dim > 0}
         self.diffs = {n: d for n, d in diffs.items()
                       if n in self.terms and (n + 1) in self.terms and not d.is_zero()}
-        if validate:
-            self._validate()
 
-    def _validate(self):
+    def check(self):
+        """Raise ComplexError unless every term lives over the complex's
+        algebras, every differential joins its terms and d^2 = 0."""
         for n, t in self.terms.items():
             if t.left_algebra is not self.left_algebra or \
                t.right_algebra is not self.right_algebra:
@@ -130,10 +133,14 @@ def unit_complex(a: Algebra) -> Complex:
 
 
 class ChainMap:
-    """A degree-zero map of complexes commuting with the differentials."""
+    """A degree-zero map of complexes commuting with the differentials.
+
+    The constructor checks the component shapes and drops zero components;
+    check() verifies commutation with d and equivariance.
+    """
 
     def __init__(self, source: Complex, target: Complex,
-                 components: dict[int, Matrix], validate: bool = True):
+                 components: dict[int, Matrix]):
         self.source = source
         self.target = target
         self.field = source.field
@@ -144,10 +151,10 @@ class ChainMap:
                                    f"expected {target.dim(n)}x{source.dim(n)}")
             if mat.rows and mat.cols and not mat.is_zero():
                 self.components[n] = mat
-        if validate:
-            self._validate()
 
-    def _validate(self):
+    def check(self):
+        """Raise ComplexError unless the map commutes with the differentials,
+        and BimoduleError unless every component is equivariant."""
         degrees = set(self.source.terms) | set(self.target.terms)
         for n in degrees:
             left = self.target.diff_matrix(n) * self.comp(n)
@@ -156,7 +163,7 @@ class ChainMap:
                 raise ComplexError(f"chain map does not commute with d at degree {n}")
         # equivariance of each component
         for n, mat in self.components.items():
-            BimoduleMap(self.source.term(n), self.target.term(n), mat, validate=True)
+            BimoduleMap(self.source.term(n), self.target.term(n), mat).check()
 
     def comp(self, n: int) -> Matrix:
         mat = self.components.get(n)
@@ -168,18 +175,17 @@ class ChainMap:
         comps = {}
         for n in set(self.components) | set(other.components):
             comps[n] = other.comp(n) * self.comp(n)
-        return ChainMap(self.source, other.target, comps, validate=False)
+        return ChainMap(self.source, other.target, comps)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         comps = {}
         for n in set(self.components) | set(other.components):
             comps[n] = self.comp(n) + other.comp(n)
-        return ChainMap(self.source, self.target, comps, validate=False)
+        return ChainMap(self.source, self.target, comps)
 
     def scale(self, c) -> "ChainMap":
         return ChainMap(self.source, self.target,
-                        {n: m.scale(c) for n, m in self.components.items()},
-                        validate=False)
+                        {n: m.scale(c) for n, m in self.components.items()})
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
@@ -206,7 +212,7 @@ class ChainMap:
 
 def identity_map(x: Complex) -> ChainMap:
     return ChainMap(x, x, {n: Matrix.identity(x.field, t.dim)
-                           for n, t in x.terms.items()}, validate=False)
+                           for n, t in x.terms.items()})
 
 
 def shift(x: Complex, n: int) -> Complex:
@@ -215,14 +221,13 @@ def shift(x: Complex, n: int) -> Complex:
     sign = x.field.elem((-1) ** n)
     diffs = {}
     for i, d in x.diffs.items():
-        diffs[i - n] = BimoduleMap(d.source, d.target, d.matrix.scale(sign),
-                                   sides="both", validate=False)
-    return Complex(x.left_algebra, x.right_algebra, terms, diffs, validate=False)
+        diffs[i - n] = BimoduleMap(d.source, d.target, d.matrix.scale(sign))
+    return Complex(x.left_algebra, x.right_algebra, terms, diffs)
 
 
 def shift_map(f: ChainMap, n: int) -> ChainMap:
     return ChainMap(shift(f.source, n), shift(f.target, n),
-                    {i - n: m for i, m in f.components.items()}, validate=False)
+                    {i - n: m for i, m in f.components.items()})
 
 
 class ConeData:
@@ -266,11 +271,11 @@ def cone(f: ChainMap) -> ConeData:
         mat = mat + injs1[0] * (x.diff_matrix(n + 1).scale(-1)) * projs0[0]
         mat = mat + injs1[1] * f.comp(n + 1) * projs0[0]
         mat = mat + injs1[1] * y.diff_matrix(n) * projs0[1]
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat, validate=False)
+        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat)
     cx = Complex(x.left_algebra, x.right_algebra, terms, diffs)
-    include = ChainMap(y, cx, {n: parts[n][0][1] for n in terms}, validate=True)
+    include = ChainMap(y, cx, {n: parts[n][0][1] for n in terms})
     sx = shift(x, 1)
-    project = ChainMap(cx, sx, {n: parts[n][1][0] for n in terms}, validate=True)
+    project = ChainMap(cx, sx, {n: parts[n][1][0] for n in terms})
     return ConeData(cx, include, project)
 
 
@@ -297,17 +302,15 @@ def direct_sum_complexes(xs: list[Complex]) -> tuple[Complex, list[ChainMap], li
         mat = Matrix.zeros(field, terms[n + 1].dim, terms[n].dim)
         for idx, x in enumerate(xs):
             mat = mat + injections[n + 1][idx] * x.diff_matrix(n) * projections[n][idx]
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat, validate=False)
-    total_cx = Complex(la, ra, terms, diffs, validate=False)
+        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat)
+    total_cx = Complex(la, ra, terms, diffs)
     inj_maps = []
     proj_maps = []
     for idx, x in enumerate(xs):
         inj_maps.append(ChainMap(x, total_cx,
-                                 {n: injections[n][idx] for n in terms if x.dim(n)},
-                                 validate=False))
+                                 {n: injections[n][idx] for n in terms if x.dim(n)}))
         proj_maps.append(ChainMap(total_cx, x,
-                                  {n: projections[n][idx] for n in terms if x.dim(n)},
-                                  validate=False))
+                                  {n: projections[n][idx] for n in terms if x.dim(n)}))
     return total_cx, inj_maps, proj_maps
 
 
@@ -359,19 +362,16 @@ class TensorComplex:
                 # d_x (x) id : slot (i,j) -> (i+1, j)
                 if (i + 1, j) in tgt_slots and x.diffs.get(i) is not None:
                     td2, off2 = tgt_slots[(i + 1, j)]
-                    idy = BimoduleMap(y.term(j), y.term(j),
-                                      Matrix.identity(field, y.dim(j)), validate=False)
+                    idy = BimoduleMap(y.term(j), y.term(j), Matrix.identity(field, y.dim(j)))
                     block = td.induced(x.diffs[i], idy, td2).matrix
                     arr[off2:off2 + block.rows, off:off + block.cols] += block.arr
                 # (-1)^i id (x) d_y : slot (i,j) -> (i, j+1)
                 if (i, j + 1) in tgt_slots and y.diffs.get(j) is not None:
                     td2, off2 = tgt_slots[(i, j + 1)]
-                    idx_map = BimoduleMap(x.term(i), x.term(i),
-                                          Matrix.identity(field, x.dim(i)), validate=False)
+                    idx_map = BimoduleMap(x.term(i), x.term(i), Matrix.identity(field, x.dim(i)))
                     block = td.induced(idx_map, y.diffs[j], td2).matrix.scale((-1) ** i)
                     arr[off2:off2 + block.rows, off:off + block.cols] += block.arr
-            diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix(field, arr),
-                                   validate=False)
+            diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix(field, arr))
         self.complex = Complex(la, ra, terms, diffs)
 
     def slot(self, n: int, i: int, j: int) -> tuple[TensorData, int]:
@@ -396,12 +396,12 @@ class TensorComplex:
                 if (i, j) not in tgt_slots:
                     continue
                 td2, off2 = tgt_slots[(i, j)]
-                fm = BimoduleMap(self.x.term(i), target.x.term(i), f.comp(i), validate=False)
-                gm = BimoduleMap(self.y.term(j), target.y.term(j), g.comp(j), validate=False)
+                fm = BimoduleMap(self.x.term(i), target.x.term(i), f.comp(i))
+                gm = BimoduleMap(self.y.term(j), target.y.term(j), g.comp(j))
                 block = td.induced(fm, gm, td2).matrix
                 arr[off2:off2 + block.rows, off:off + block.cols] += block.arr
             comps[n] = Matrix(self.complex.field, arr)
-        return ChainMap(self.complex, target.complex, comps, validate=False)
+        return ChainMap(self.complex, target.complex, comps)
 
 
 def tensor_cx(x: Complex, y: Complex) -> TensorComplex:
@@ -459,9 +459,8 @@ def homology(x: Complex) -> dict[int, tuple[int, Bimodule]]:
                                              slice(0, hdim)))
             return mats
 
-        h = Bimodule(x.left_algebra, x.right_algebra,
-                     induced(term.left_action), induced(term.right_action),
-                     hdim, label=f"H{n}", validate=False)
+        h = Bimodule(x.left_algebra, x.right_algebra, induced(term.left_action),
+                     induced(term.right_action), hdim, label=f"H{n}")
         out[n] = (hdim, h)
     return out
 
@@ -525,8 +524,7 @@ def hom_cx(x: Complex, y: Complex, sides: str) -> Complex:
             off += len(slot_homs[i])
         offsets[n] = offs
         ident = Matrix.identity(field, total)
-        terms[n] = Bimodule(triv, triv, [ident], [ident], total,
-                            label=f"Hom^{n}", validate=False)
+        terms[n] = Bimodule(triv, triv, [ident], [ident], total, label=f"Hom^{n}")
 
     diffs = {}
     for n in bases:
@@ -559,7 +557,7 @@ def hom_cx(x: Complex, y: Complex, sides: str) -> Complex:
                         raise ComplexError("hom differential image not in hom basis span")
                     for b in range(len(tgt)):
                         arr[offsets[n + 1][i - 1] + b, col] += coords.arr[b, 0]
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix(field, arr), validate=False)
+        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix(field, arr))
     return Complex(triv, triv, terms, diffs)
 
 
@@ -623,7 +621,7 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
                 if coeff != field.elem(0):
                     mat = mat + F.matrix.scale(coeff)
             comps[n] = mat
-        out.append(ChainMap(x, y, comps, validate=False))
+        out.append(ChainMap(x, y, comps))
     return out
 
 
@@ -639,7 +637,7 @@ def find_quasi_iso(x: Complex, y: Complex, rng: random.Random,
         return None
     if not hx:
         # both acyclic: every chain map, including zero, is a quasi-iso
-        return ChainMap(x, y, {}, validate=False)
+        return ChainMap(x, y, {})
     basis = chain_map_space(x, y)
     if not basis:
         return None

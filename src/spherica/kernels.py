@@ -180,7 +180,7 @@ def _adjoint_data(p: Kernel, side: str) -> AdjointData:
         coords = V.solve(B)
         if coords is None:
             raise KernelError("dual differential does not lie in the dual hom space")
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], coords.scale(sign), validate=False)
+        diffs[n] = BimoduleMap(terms[n], terms[n + 1], coords.scale(sign))
     cx = Complex(p.target_algebra, p.source_algebra, terms, diffs)
     return AdjointData(Kernel(p.target_algebra, p.source_algebra, cx), duals)
 
@@ -364,55 +364,40 @@ class KernelOps:
 
     # twists ---------------------------------------------------------------
 
+    @staticmethod
+    def _counit_cone(eps: ChainMap) -> "TwistData":
+        """The cone T of a counit eps: M -> id, with its triangle
+        M -> id -> T -> M[1]."""
+        cd = cone(eps)
+        alg = eps.target.left_algebra
+        return TwistData(Kernel(alg, alg, cd.cone), cd.include_target, cd.project_source, cd)
+
+    @staticmethod
+    def _unit_cocone(eta: ChainMap) -> "CotwistData":
+        """The shifted cone C = cone(eta)[-1] of a unit eta: id -> M, with
+        its triangle C -> id -> M -> C[1]."""
+        cd = cone(eta)
+        c_cx = shift(cd.cone, -1)
+        alg = eta.source.left_algebra
+        delta = ChainMap(c_cx, eta.source, shift_map(cd.project_source, -1).components)
+        gamma = ChainMap(eta.target, shift(c_cx, 1), cd.include_target.components)
+        return CotwistData(Kernel(alg, alg, c_cx), delta, gamma, cd)
+
     def twist(self) -> "TwistData":
-        def build():
-            eps = self.counit_right()
-            cd = cone(eps)
-            kernel = Kernel(self.B, self.B, cd.cone)
-            beta = ChainMap(cd.cone, shift(self.fr().complex, 1),
-                            cd.project_source.components, validate=False)
-            return TwistData(kernel, cd.include_target, beta, cd)
-        return self._get("twist", build)
+        """T with its triangle FR -> id_B -> T -> FR[1]."""
+        return self._get("twist", lambda: self._counit_cone(self.counit_right()))
 
     def cotwist(self) -> "CotwistData":
-        def build():
-            eta = self.unit_right()
-            cd = cone(eta)
-            c_cx = shift(cd.cone, -1)
-            kernel = Kernel(self.A, self.A, c_cx)
-            delta = ChainMap(c_cx, unit_complex(self.A),
-                             {n: m for n, m in shift_map(cd.project_source, -1).components.items()},
-                             validate=False)
-            gamma = ChainMap(self.rf().complex, shift(c_cx, 1),
-                             cd.include_target.components, validate=False)
-            return CotwistData(kernel, delta, gamma, cd)
-        return self._get("cotwist", build)
+        """C with its triangle C -> id_A -> RF -> C[1]."""
+        return self._get("cotwist", lambda: self._unit_cocone(self.unit_right()))
 
     def dual_twist(self) -> "CotwistData":
         """T' with its triangle T' -> id_B -> FL -> T'[1]."""
-        def build():
-            eta = self.unit_left()
-            cd = cone(eta)
-            t_cx = shift(cd.cone, -1)
-            kernel = Kernel(self.B, self.B, t_cx)
-            delta = ChainMap(t_cx, unit_complex(self.B),
-                             {n: m for n, m in shift_map(cd.project_source, -1).components.items()},
-                             validate=False)
-            gamma = ChainMap(self.fl().complex, shift(t_cx, 1),
-                             cd.include_target.components, validate=False)
-            return CotwistData(kernel, delta, gamma, cd)
-        return self._get("dual_twist", build)
+        return self._get("dual_twist", lambda: self._unit_cocone(self.unit_left()))
 
     def dual_cotwist(self) -> "TwistData":
         """C' with its triangle LF -> id_A -> C' -> LF[1]."""
-        def build():
-            eps = self.counit_left()
-            cd = cone(eps)
-            kernel = Kernel(self.A, self.A, cd.cone)
-            beta = ChainMap(cd.cone, shift(self.lf().complex, 1),
-                            cd.project_source.components, validate=False)
-            return TwistData(kernel, cd.include_target, beta, cd)
-        return self._get("dual_cotwist", build)
+        return self._get("dual_cotwist", lambda: self._counit_cone(self.counit_left()))
 
 
 class TwistData:

@@ -440,12 +440,17 @@ def parse_session(text: str) -> Session:
 
 
 # ---------------------------------------------------------------------------
-# elaboration: build engine objects, validating on load
+# elaboration: build engine objects, checking the input on load
 # ---------------------------------------------------------------------------
 
 
 def _elaborate(session: Session, field: Field | None = None):
-    """Build algebras and kernels, raising positioned errors."""
+    """Build algebras and kernels, raising positioned errors.
+
+    This is where outside input enters the engine, so each differential
+    and each kernel complex is checked here; the objects the engine builds
+    from them later are not checked again.
+    """
     field = field or session.field
     built_algebras: dict[str, Algebra] = {}
     for name, decl in session.algebras.items():
@@ -493,13 +498,15 @@ def _elaborate(session: Session, field: Field | None = None):
                                                for r in rows])
             except ZeroDivisionError as e:
                 raise SessionInvariantError(f"differential at degree {deg}: {e}", decl.line)
+            diffs[deg] = BimoduleMap(src, tgt, mat)
             try:
-                diffs[deg] = BimoduleMap(src, tgt, mat, validate=True)
+                diffs[deg].check()
             except BimoduleError as e:
                 raise SessionInvariantError(
                     f"differential at degree {deg} is not equivariant: {e}", decl.line)
         try:
             cx = Complex(a, b, terms, diffs)
+            cx.check()
             built_kernels[name] = Kernel(a, b, cx)
         except (ComplexError, KernelError) as e:
             raise SessionInvariantError(f"kernel {name}: {e}", decl.line)
@@ -687,8 +694,7 @@ _HANDLERS = {
 
 
 def run_session(session: Session, seed: int | None = None,
-                field: Field | None = None,
-                include_timings: bool = False) -> Report:
+                field: Field | None = None) -> Report:
     """Execute the commands in order; engine errors are captured per command."""
     eff_field = field or session.field
     _, kernels = _elaborate(session, eff_field)

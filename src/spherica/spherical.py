@@ -368,7 +368,7 @@ def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random,
         if mat is None or mat.is_zero():
             prev = None
             continue
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat, validate=False)
+        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat)
         prev = mat
     cx = Complex(a, b, terms, diffs)
     return Kernel(a, b, cx)

@@ -53,6 +53,7 @@ def test_regular_bimodule_actions_commute():
     for alg in (K, D, Z):
         m = regular_bimodule(alg)
         assert m.dim == alg.dim
+        m.check()
 
 
 def test_projective_bimodule_dims():
@@ -92,6 +93,15 @@ def test_hom_space_matches_enveloping_module_count():
     for alg in (D, Z):
         m = regular_bimodule(alg)
         assert len(hom_space(m, m, "both")) == len(center_basis(alg))
+
+
+def test_hom_space_rejects_unknown_sides():
+    reg, zero = regular_bimodule(D), zero_bimodule(D, D)
+    with pytest.raises(BimoduleError, match="invalid sides 'Both'"):
+        hom_space(zero, reg, "Both")
+    with pytest.raises(BimoduleError, match="invalid sides 'nonsense'"):
+        hom_space(reg, zero, "nonsense")
+    assert hom_space(zero, reg, "both") == []
 
 
 def test_is_projective_regular_and_simple():
@@ -264,8 +274,8 @@ def test_tensor_middle_mismatch():
 def test_induced_map_identity():
     t = tensor_over_middle(e1Z(), Ze1())
     from spherica.bimodules import BimoduleMap
-    idm = BimoduleMap(e1Z(), e1Z(), Matrix.identity(F, 3), validate=False)
-    idn = BimoduleMap(Ze1(), Ze1(), Matrix.identity(F, 3), validate=False)
+    idm = BimoduleMap(e1Z(), e1Z(), Matrix.identity(F, 3))
+    idn = BimoduleMap(Ze1(), Ze1(), Matrix.identity(F, 3))
     ind = t.induced(idm, idn, t)
     assert ind.matrix.is_identity()
 
@@ -306,8 +316,9 @@ def test_flip_swaps_sides_over_opposite_algebras():
         assert f.left_algebra is opposite(m.right_algebra)
         assert f.right_algebra is opposite(m.left_algebra)
         assert f.left_action == m.right_action and f.right_action == m.left_action
-        # the already validated m read the other way round is a bimodule again
-        Bimodule(f.left_algebra, f.right_algebra, f.left_action, f.right_action, f.dim)
+        # m read the other way round is a bimodule again
+        m.check()
+        f.check()
         back = flip(f)
         assert (back.left_algebra, back.right_algebra) == (m.left_algebra, m.right_algebra)
         assert is_projective(m, "left") == is_projective(f, "right")

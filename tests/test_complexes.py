@@ -13,6 +13,7 @@ from spherica.complexes import (
     Complex,
     ComplexError,
     associator,
+    associator_inv,
     chain_map_space,
     cone,
     direct_sum_complexes,
@@ -49,7 +50,7 @@ def dual_numbers_x_complex() -> Complex:
     """[D --x--> D] in degrees 0, 1 over (k, D)."""
     m = projective_bimodule(K, 0, D, 0)
     x_idx = D.radical_basis[0]
-    d = BimoduleMap(m, m, m.right_action[x_idx], validate=True)
+    d = BimoduleMap(m, m, m.right_action[x_idx])
     return Complex(K, D, {0: m, 1: m}, {0: d})
 
 
@@ -71,14 +72,17 @@ def test_shift_single_term():
 
 def test_d_squared_enforced():
     m = regular_bimodule(K)
-    one = BimoduleMap(m, m, Matrix.identity(F, 1), validate=False)
-    with pytest.raises(ComplexError):
-        Complex(K, K, {0: m, 1: m, 2: m}, {0: one, 1: one})
+    one = BimoduleMap(m, m, Matrix.identity(F, 1))
+    x = Complex(K, K, {0: m, 1: m, 2: m}, {0: one, 1: one})
+    with pytest.raises(ComplexError, match=r"d\^2 != 0 at degree 0"):
+        x.check()
 
 
 def test_cone_of_identity_acyclic():
     x = dual_numbers_x_complex()
     c = cone(identity_map(x))
+    for built in (c.cone, c.include_target, c.project_source):
+        built.check()
     assert is_acyclic(c.cone)
 
 
@@ -101,6 +105,8 @@ def test_cone_socle_inclusion():
     incl = Matrix.from_rows(F, [[0], [1]])
     f = ChainMap(single_term(soc), single_term(m), {0: incl})
     c = cone(f)
+    for built in (soc, f, c.cone, c.include_target, c.project_source):
+        built.check()
     h = homology_dims(c.cone)
     assert h == {0: 1}
 
@@ -161,10 +167,11 @@ def test_tensor_koszul_d_squared():
     x = dual_numbers_x_complex()
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz, 1: dz},
-                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]], validate=True)})
+                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
     t = tensor_cx(x, y)   # (k,D) (x)_D (D,D)
     assert t.complex.degrees() == [0, 1, 2]
-    # Complex construction already validates d^2 = 0.
+    assert 1 in t.complex.diffs and 0 in t.complex.diffs
+    t.complex.check()
 
 
 def test_quasi_iso_identity_and_acyclic():
@@ -237,6 +244,8 @@ def test_left_unitor_roundtrip():
     t = tensor_cx(unit_complex(K), x)
     lam = left_unitor(t)
     lam_inv = left_unitor_inv(t)
+    for f in (lam, lam_inv):
+        f.check()
     assert lam_inv.then(lam).is_identity()
     assert lam.then(lam_inv).is_identity()
 
@@ -246,6 +255,8 @@ def test_right_unitor_roundtrip():
     t = tensor_cx(x, unit_complex(D))
     rho = right_unitor(t)
     rho_inv = right_unitor_inv(t)
+    for f in (rho, rho_inv):
+        f.check()
     assert rho_inv.then(rho).is_identity()
     assert rho.then(rho_inv).is_identity()
 
@@ -259,6 +270,7 @@ def test_associator_invertible():
     tyz = tensor_cx(q, r)
     tx_yz = tensor_cx(p, tyz.complex)
     a = associator(txy, txy_z, tyz, tx_yz)
+    a.check()
     assert a.is_degreewise_invertible()
 
 
@@ -267,12 +279,14 @@ def test_associator_on_complexes_with_differentials():
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz}, {})          # (D,D)
     z = Complex(D, D, {-1: dz, 0: dz},
-                {-1: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]], validate=True)})
+                {-1: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
     txy = tensor_cx(x, y)
     txy_z = tensor_cx(txy.complex, z)
     tyz = tensor_cx(y, z)
     tx_yz = tensor_cx(x, tyz.complex)
     a = associator(txy, txy_z, tyz, tx_yz)
+    a.check()
+    associator_inv(txy, txy_z, tyz, tx_yz).check()
     assert a.is_degreewise_invertible()
 
 
@@ -280,10 +294,11 @@ def test_interchange_left_shift_is_identity_layout():
     x = dual_numbers_x_complex()
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz, 1: dz},
-                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]], validate=True)})
+                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
     t_plain = tensor_cx(x, y)
     t_shifted = tensor_cx(shift(x, 2), y)
     f = interchange_left_shift(t_shifted, t_plain, 2)
+    f.check()
     assert f.is_degreewise_invertible()
     for n, mat in f.components.items():
         assert mat.is_identity()
@@ -293,10 +308,11 @@ def test_interchange_right_shift_signs():
     x = dual_numbers_x_complex()
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz, 1: dz},
-                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]], validate=True)})
+                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
     t_plain = tensor_cx(x, y)
     t_shifted = tensor_cx(x, shift(y, 1))
     f = interchange_right_shift(t_shifted, t_plain, 1)
+    f.check()
     assert f.is_degreewise_invertible()
 
 

@@ -299,6 +299,25 @@ check X
     assert "line 4" in capsys.readouterr().err
 
 
+def test_differential_with_nonzero_square_is_rejected_on_load(tmp_path, capsys):
+    text = """\
+field F 101
+algebra k { vertices pt }
+algebra D { vertices v; arrows x: v -> v; relations x*x = 0; bound 2 }
+kernel X from k to D { deg 0: P(pt,v); deg 1: P(pt,v); deg 2: P(pt,v); d 0: 1 0 , 0 1 ; d 1: 1 0 , 0 1 }
+check X
+"""
+    for field_line in ("field F 101", "field Q"):
+        with pytest.raises(SessionInvariantError, match=r"kernel X: d\^2 != 0 at degree 0") as err:
+            parse_session(text.replace("field F 101", field_line))
+        assert err.value.line == 4
+    f = tmp_path / "d_squared.sph"
+    f.write_text(text)
+    assert cli_main(["run", str(f)]) == 2
+    assert cli_main(["run", str(f), "--field", "q"]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_coefficients_without_value_are_positioned_errors():
     bad_entry = """\
 field F 101
