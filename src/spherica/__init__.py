@@ -51,7 +51,6 @@ from .complexes import (
 from .kernels import (
     Kernel,
     KernelError,
-    KernelMap,
     compose,
     compose_list,
     condition3_map,

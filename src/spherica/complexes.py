@@ -206,6 +206,19 @@ class ChainMap:
                 return False
         return True
 
+    def inverse(self) -> "ChainMap":
+        """The inverse target -> source, degree by degree; ComplexError when
+        a degree has different dimensions on the two sides or is singular."""
+        comps = {}
+        for n in set(self.source.terms) | set(self.target.terms):
+            if self.source.dim(n) != self.target.dim(n):
+                raise ComplexError(f"component {n} is not square")
+            try:
+                comps[n] = self.comp(n).inverse()
+            except ValueError:
+                raise ComplexError(f"component {n} is singular") from None
+        return ChainMap(self.target, self.source, comps)
+
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
 
@@ -667,6 +680,7 @@ def find_quasi_iso(x: Complex, y: Complex, rng: random.Random,
 
 # ---------------------------------------------------------------------------
 # canonical isomorphisms: unitors, associator, shift interchange
+# (each is built in one direction; its inverse is ChainMap.inverse())
 # ---------------------------------------------------------------------------
 
 
@@ -680,18 +694,6 @@ def left_unitor(t: TensorComplex) -> ChainMap:
     return ChainMap(t.complex, x, comps)
 
 
-def left_unitor_inv(t: TensorComplex) -> ChainMap:
-    x = t.y
-    unit = t.x.term(0).left_algebra.unit
-    comps = {}
-    for n in x.degrees():
-        td, off = t.slot(n, 0, n)
-        units = Matrix.stack_columns(x.field, [unit] * x.dim(n), unit.rows)
-        coords = td.coords(units, Matrix.identity(x.field, x.dim(n)))
-        comps[n] = coords.pad_rows(off, t.complex.dim(n))
-    return ChainMap(x, t.complex, comps)
-
-
 def right_unitor(t: TensorComplex) -> ChainMap:
     """X (x) unit_complex(B) -> X, m (x) b |-> m.b."""
     x = t.x
@@ -700,18 +702,6 @@ def right_unitor(t: TensorComplex) -> ChainMap:
         cols = [x.term(i).right_act(*td.monomial_matrices()) for (i, j, td, off) in slots]
         comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
     return ChainMap(t.complex, x, comps)
-
-
-def right_unitor_inv(t: TensorComplex) -> ChainMap:
-    x = t.x
-    unit = t.y.term(0).right_algebra.unit
-    comps = {}
-    for n in x.degrees():
-        td, off = t.slot(n, n, 0)
-        units = Matrix.stack_columns(x.field, [unit] * x.dim(n), unit.rows)
-        coords = td.coords(Matrix.identity(x.field, x.dim(n)), units)
-        comps[n] = coords.pad_rows(off, t.complex.dim(n))
-    return ChainMap(x, t.complex, comps)
 
 
 def associator(txy: TensorComplex, txy_z: TensorComplex,
@@ -745,36 +735,6 @@ def associator(txy: TensorComplex, txy_z: TensorComplex,
             cols.append(out)
         comps[n] = Matrix.stack_columns(field, cols, dim)
     return ChainMap(txy_z.complex, tx_yz.complex, comps)
-
-
-def associator_inv(txy: TensorComplex, txy_z: TensorComplex,
-                   tyz: TensorComplex, tx_yz: TensorComplex) -> ChainMap:
-    """X (x) (Y (x) Z)  ->  (X (x) Y) (x) Z, no signs (inverse bracketing)."""
-    field = txy.complex.field
-    comps = {}
-    for n, slots in tx_yz.layout.items():
-        dim = txy_z.complex.dim(n)
-        cols = []
-        for (i, m, td_outer, _) in slots:
-            # outer monomial c is x_c (x) w_c, with w_c = sum_e S[e, c] y_e (x) z_e
-            xs, ws = td_outer.monomial_matrices()
-            out = Matrix.zeros(field, dim, xs.cols)
-            for (j, k, td_yz, off_yz) in tyz.layout[m]:
-                seg = ws.submatrix(slice(off_yz, off_yz + td_yz.bimodule.dim), slice(None))
-                e_idx, c_idx, spread = _nonzero_pairs(seg)
-                if not len(e_idx):
-                    continue
-                ys, zs = td_yz.monomial_matrices()
-                td_xy, off_xy = txy.slot(i + j, i, j)
-                inner = td_xy.coords(xs.submatrix(slice(None), c_idx),
-                                     ys.submatrix(slice(None), e_idx))
-                td_t, off_t = txy_z.slot(n, i + j, k)
-                coords = td_t.coords(inner.pad_rows(off_xy, txy.complex.dim(i + j)),
-                                     zs.submatrix(slice(None), e_idx))
-                out = out + (coords * spread).pad_rows(off_t, dim)
-            cols.append(out)
-        comps[n] = Matrix.stack_columns(field, cols, dim)
-    return ChainMap(tx_yz.complex, txy_z.complex, comps)
 
 
 def _nonzero_pairs(seg: Matrix):

@@ -12,11 +12,14 @@ kernel(G)); all multi-letter composites in this module are assembled by
 compose_list with the kernels listed in application order, folded to
 the left, so ((k1 (x) k2) (x) k3) ... is the canonical bracketing.
 
-Whiskering a map of kernels by a kernel is tensoring the chain map with
-an identity chain map; regrouping between bracketings goes through the
-explicit associators, and every canonical map below (units, counits,
-twist triangles, the condition maps) is assembled from these pieces,
-with the cone constructor as the only source of triangle maps.
+A map of kernels is a ChainMap between their complexes.  Whiskering it
+by a kernel is tensoring it with an identity chain map; regrouping
+between bracketings goes through the associator, and the unitors absorb
+identity kernels.  Both are built in one direction, and the maps the
+other way are their ChainMap.inverse().  Every canonical map below
+(units, counits, twist triangles, the condition maps) is assembled from
+these pieces, with the cone constructor as the only source of triangle
+maps.
 
 Adjoints: the right adjoint kernel takes the termwise right dual with
 differentials dualised with sign (-1)^{n+1}; the left adjoint uses the
@@ -42,16 +45,13 @@ from .complexes import (
     ConeData,
     TensorComplex,
     associator,
-    associator_inv,
     cone,
     direct_sum_complexes,
     identity_map,
     interchange_left_shift,
     interchange_right_shift,
     left_unitor,
-    left_unitor_inv,
     right_unitor,
-    right_unitor_inv,
     shift,
     shift_map,
     tensor_cx,
@@ -87,22 +87,6 @@ class Kernel:
     def __repr__(self):
         return (f"Kernel({self.source_algebra.name or 'A'} -> "
                 f"{self.target_algebra.name or 'B'}; {self.complex!r})")
-
-
-class KernelMap:
-    """A chain map between the complexes of two kernels over the same algebras."""
-
-    def __init__(self, source: Kernel, target: Kernel, chain: ChainMap):
-        self.source = source
-        self.target = target
-        self.chain = chain
-
-    def is_quasi_iso(self) -> bool:
-        from .complexes import is_quasi_iso
-        return is_quasi_iso(self.chain)
-
-    def __repr__(self):
-        return f"KernelMap({self.source!r} -> {self.target!r})"
 
 
 def identity_kernel(a: Algebra) -> Kernel:
@@ -222,24 +206,13 @@ class KernelOps:
         xy, yz = self._tensor(x, y), self._tensor(y, z)
         return associator(xy, self._tensor(xy.complex, z), yz, self._tensor(x, yz.complex))
 
-    def _assoc_inv(self, x: Complex, y: Complex, z: Complex) -> ChainMap:
-        """x (x) (y (x) z) -> (x (x) y) (x) z."""
-        xy, yz = self._tensor(x, y), self._tensor(y, z)
-        return associator_inv(xy, self._tensor(xy.complex, z), yz, self._tensor(x, yz.complex))
-
     def _lunit(self, x: Complex) -> ChainMap:
         """id (x) x -> x."""
         return left_unitor(self._tensor(unit_complex(x.left_algebra), x))
 
-    def _lunit_inv(self, x: Complex) -> ChainMap:
-        return left_unitor_inv(self._tensor(unit_complex(x.left_algebra), x))
-
     def _runit(self, x: Complex) -> ChainMap:
         """x (x) id -> x."""
         return right_unitor(self._tensor(x, unit_complex(x.right_algebra)))
-
-    def _runit_inv(self, x: Complex) -> ChainMap:
-        return right_unitor_inv(self._tensor(x, unit_complex(x.right_algebra)))
 
     def _shift_out_right(self, x: Complex, y1: Complex, y: Complex) -> ChainMap:
         """x (x) y1 -> (x (x) y)[1], for y1 = y[1]."""
@@ -281,31 +254,30 @@ class KernelOps:
 
     # units and counits ---------------------------------------------------
 
+    def _coevaluation(self, alg: Algebra, t: TensorComplex, parts) -> ChainMap:
+        """id_alg -> t, a |-> sum a.x_t (x) y_t.  parts lists, for each
+        degree-0 slot (i, j) of t, the x_t in t.x^i and the y_t in t.y^j
+        as lists of column vectors."""
+        field, dim = self.field, alg.dim
+        comp = Matrix.zeros(field, t.complex.dim(0), dim)
+        for i, j, x_cols, y_cols in parts:
+            td, off = t.slot(0, i, j)
+            module = t.x.term(i)
+            xs = Matrix.stack_columns(field, x_cols, module.dim)
+            # a.x_t (x) y_t for every a and t, then summed over t
+            coords = td.coords(
+                Matrix.stack_columns(field, [module.left_action[a] * xs
+                                             for a in range(dim)], module.dim),
+                Matrix.stack_columns(field, y_cols * dim, t.y.dim(j)))
+            summed = coords * _sum_runs(field, dim, len(x_cols))
+            comp = comp + summed.pad_rows(off, t.complex.dim(0))
+        return ChainMap(unit_complex(alg), t.complex, {0: comp})
+
     def unit_right(self) -> ChainMap:
         """id_A -> RF, the coevaluation a |-> sum a.g_t (x) g_t^*."""
-        def build():
-            t = self.rf()
-            duals = self.right_adjoint().duals
-            unit_cx = unit_complex(self.A)
-            field, dimA = self.field, self.A.dim
-            comp = Matrix.zeros(field, t.complex.dim(0), dimA)
-            for i in self.p.complex.degrees():
-                dd = duals[i]
-                if dd.bimodule.dim == 0:
-                    continue
-                td, off = t.slot(0, i, -i)
-                term = self.p.complex.term(i)
-                gens = Matrix.stack_columns(field, dd.generators, term.dim)
-                cogens = Matrix.stack_columns(field, dd.cogenerators, dd.bimodule.dim)
-                # a.g_t (x) g_t^* for every a and t, then summed over t
-                coords = td.coords(
-                    Matrix.stack_columns(field, [term.left_action[a] * gens
-                                                 for a in range(dimA)], term.dim),
-                    Matrix.stack_columns(field, [cogens] * dimA, dd.bimodule.dim))
-                summed = coords * _sum_runs(field, dimA, gens.cols)
-                comp = comp + summed.pad_rows(off, t.complex.dim(0))
-            return ChainMap(unit_cx, t.complex, {0: comp})
-        return self._get("unit_right", build)
+        return self._get("unit_right", lambda: self._coevaluation(self.A, self.rf(), [
+            (i, -i, dd.generators, dd.cogenerators)
+            for i, dd in self.right_adjoint().duals.items() if dd.bimodule.dim]))
 
     def counit_right(self) -> ChainMap:
         """FR -> id_B, the evaluation f (x) x |-> f(x)."""
@@ -323,28 +295,9 @@ class KernelOps:
 
     def unit_left(self) -> ChainMap:
         """id_B -> FL, b |-> sum (b.h_t^*) (x) h_t."""
-        def build():
-            t = self.fl()
-            duals = self.left_adjoint().duals
-            unit_cx = unit_complex(self.B)
-            field, dimB = self.field, self.B.dim
-            comp = Matrix.zeros(field, t.complex.dim(0), dimB)
-            for i in self.p.complex.degrees():
-                dd = duals[i]
-                if dd.bimodule.dim == 0:
-                    continue
-                td, off = t.slot(0, -i, i)
-                gens = Matrix.stack_columns(field, dd.generators, self.p.complex.dim(i))
-                cogens = Matrix.stack_columns(field, dd.cogenerators, dd.bimodule.dim)
-                # b.h_t^* (x) h_t for every b and t, then summed over t
-                coords = td.coords(
-                    Matrix.stack_columns(field, [dd.bimodule.left_action[b] * cogens
-                                                 for b in range(dimB)], dd.bimodule.dim),
-                    Matrix.stack_columns(field, [gens] * dimB, gens.rows))
-                summed = coords * _sum_runs(field, dimB, gens.cols)
-                comp = comp + summed.pad_rows(off, t.complex.dim(0))
-            return ChainMap(unit_cx, t.complex, {0: comp})
-        return self._get("unit_left", build)
+        return self._get("unit_left", lambda: self._coevaluation(self.B, self.fl(), [
+            (-i, i, dd.cogenerators, dd.generators)
+            for i, dd in self.left_adjoint().duals.items() if dd.bimodule.dim]))
 
     def counit_left(self) -> ChainMap:
         """LF -> id_A, x (x) f |-> f(x)."""
@@ -447,34 +400,20 @@ def left_adjoint_kernel(p: Kernel) -> Kernel:
     return kernel_ops(p).left_adjoint().kernel
 
 
-def unit_right(p: Kernel) -> KernelMap:
-    ops = kernel_ops(p)
-    chain = ops.unit_right()
-    return KernelMap(identity_kernel(p.source_algebra),
-                     Kernel(p.source_algebra, p.source_algebra, chain.target, check=False),
-                     chain)
+def unit_right(p: Kernel) -> ChainMap:
+    return kernel_ops(p).unit_right()
 
 
-def counit_right(p: Kernel) -> KernelMap:
-    ops = kernel_ops(p)
-    chain = ops.counit_right()
-    return KernelMap(Kernel(p.target_algebra, p.target_algebra, chain.source, check=False),
-                     identity_kernel(p.target_algebra), chain)
+def counit_right(p: Kernel) -> ChainMap:
+    return kernel_ops(p).counit_right()
 
 
-def unit_left(p: Kernel) -> KernelMap:
-    ops = kernel_ops(p)
-    chain = ops.unit_left()
-    return KernelMap(identity_kernel(p.target_algebra),
-                     Kernel(p.target_algebra, p.target_algebra, chain.target, check=False),
-                     chain)
+def unit_left(p: Kernel) -> ChainMap:
+    return kernel_ops(p).unit_left()
 
 
-def counit_left(p: Kernel) -> KernelMap:
-    ops = kernel_ops(p)
-    chain = ops.counit_left()
-    return KernelMap(Kernel(p.source_algebra, p.source_algebra, chain.source, check=False),
-                     identity_kernel(p.source_algebra), chain)
+def counit_left(p: Kernel) -> ChainMap:
+    return kernel_ops(p).counit_left()
 
 
 def twist_kernel(p: Kernel) -> TwistData:
@@ -498,23 +437,21 @@ def dual_cotwist_kernel(p: Kernel) -> TwistData:
 # ---------------------------------------------------------------------------
 
 
-def condition4_map(p: Kernel) -> KernelMap:
+def condition4_map(p: Kernel) -> ChainMap:
     """The canonical map R -> RFL -> CL[1] built from the unit of the left
     adjunction and the cotwist triangle."""
     ops = kernel_ops(p)
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
     ct = ops.cotwist()
-    chain = (ops._lunit_inv(r)
-             .then(ops._whisker(ops.unit_left(), r))
-             .then(ops._assoc(l, p.complex, r))
-             .then(ops._whisker(l, ct.gamma))
-             .then(ops._shift_out_right(l, ct.gamma.target, ct.kernel.complex)))
-    tgt = Kernel(ops.B, ops.A, chain.target, check=False)
-    return KernelMap(ops.right_adjoint().kernel, tgt, chain)
+    return (ops._lunit(r).inverse()
+            .then(ops._whisker(ops.unit_left(), r))
+            .then(ops._assoc(l, p.complex, r))
+            .then(ops._whisker(l, ct.gamma))
+            .then(ops._shift_out_right(l, ct.gamma.target, ct.kernel.complex)))
 
 
-def condition3_map(p: Kernel) -> KernelMap:
+def condition3_map(p: Kernel) -> ChainMap:
     """The canonical map LT[-1] -> LFR -> R built from the twist triangle
     and the counit of the left adjunction."""
     ops = kernel_ops(p)
@@ -524,12 +461,10 @@ def condition3_map(p: Kernel) -> KernelMap:
     # (T (x) L)[-1] -> (R(x)P)(x)L
     c_shifted = shift_map(ops._whisker(tw.project, l)
                           .then(ops._shift_out_left(tw.project.target, ops.fr().complex, l)), -1)
-    chain = (c_shifted
-             .then(ops._assoc(r, p.complex, l))
-             .then(ops._whisker(r, ops.counit_left()))
-             .then(ops._runit(r)))
-    src = Kernel(ops.B, ops.A, chain.source, check=False)
-    return KernelMap(src, ops.right_adjoint().kernel, chain)
+    return (c_shifted
+            .then(ops._assoc(r, p.complex, l))
+            .then(ops._whisker(r, ops.counit_left()))
+            .then(ops._runit(r)))
 
 
 def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
@@ -552,7 +487,7 @@ def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
     return {
         "TF": shift_map(ops._whisker(pc, tw.project)
                         .then(ops._shift_out_right(pc, tw.project.target, fr)), -1)
-        .then(ops._assoc_inv(pc, r, pc))
+        .then(ops._assoc(pc, r, pc).inverse())
         .then(ops._whisker(ct.gamma, pc))
         .then(ops._shift_out_left(ct.gamma.target, c, pc)),
         "RT": shift_map(ops._whisker(tw.project, r)
@@ -567,7 +502,7 @@ def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
         .then(ops._shift_out_right(pc, dtw.gamma.target, tp)),
         "C'L": shift_map(ops._whisker(l, dct.project)
                          .then(ops._shift_out_right(l, dct.project.target, lf)), -1)
-        .then(ops._assoc_inv(l, pc, l))
+        .then(ops._assoc(l, pc, l).inverse())
         .then(ops._whisker(dtw.gamma, l))
         .then(ops._shift_out_left(dtw.gamma.target, tp, l)),
     }
@@ -583,16 +518,16 @@ def triangular_identity_composites(p: Kernel) -> dict[str, ChainMap]:
     eta_l, eps_l = ops.unit_left(), ops.counit_left()
     return {
         # F: P -> (P(x)R)(x)P -> P(x)(R(x)P) -> P
-        "F_right": ops._lunit_inv(pc).then(ops._whisker(eta_r, pc))
+        "F_right": ops._lunit(pc).inverse().then(ops._whisker(eta_r, pc))
         .then(ops._assoc(pc, r, pc)).then(ops._whisker(pc, eps_r)).then(ops._runit(pc)),
         # R: R -> R(x)(P(x)R) -> (R(x)P)(x)R -> R
-        "R_right": ops._runit_inv(r).then(ops._whisker(r, eta_r))
-        .then(ops._assoc_inv(r, pc, r)).then(ops._whisker(eps_r, r)).then(ops._lunit(r)),
+        "R_right": ops._runit(r).inverse().then(ops._whisker(r, eta_r))
+        .then(ops._assoc(r, pc, r).inverse()).then(ops._whisker(eps_r, r)).then(ops._lunit(r)),
         # F (left adjunction): P -> P(x)(L(x)P) -> (P(x)L)(x)P -> P
-        "F_left": ops._runit_inv(pc).then(ops._whisker(pc, eta_l))
-        .then(ops._assoc_inv(pc, l, pc)).then(ops._whisker(eps_l, pc)).then(ops._lunit(pc)),
+        "F_left": ops._runit(pc).inverse().then(ops._whisker(pc, eta_l))
+        .then(ops._assoc(pc, l, pc).inverse()).then(ops._whisker(eps_l, pc)).then(ops._lunit(pc)),
         # L: L -> (L(x)P)(x)L -> L(x)(P(x)L) -> L
-        "L_left": ops._lunit_inv(l).then(ops._whisker(eta_l, l))
+        "L_left": ops._lunit(l).inverse().then(ops._whisker(eta_l, l))
         .then(ops._assoc(l, pc, l)).then(ops._whisker(l, eps_l)).then(ops._runit(l)),
     }
 
@@ -609,9 +544,9 @@ def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:
     pc = p.complex
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    map_r = ops._lunit_inv(r).then(ops._whisker(ops.unit_left(), r))
-    map_l = (ops._runit_inv(l).then(ops._whisker(l, ops.unit_right()))
-             .then(ops._assoc_inv(l, pc, r)))
+    map_r = ops._lunit(r).inverse().then(ops._whisker(ops.unit_left(), r))
+    map_l = (ops._runit(l).inverse().then(ops._whisker(l, ops.unit_right()))
+             .then(ops._assoc(l, pc, r).inverse()))
     sum_cx, injs, projs = direct_sum_complexes([r, l])
     into_rfl = projs[0].then(map_r) + projs[1].then(map_l)
     # LFR -> R: id_r (x) eps_L after regrouping; LFR -> L: eps_R (x) id_l
@@ -621,7 +556,7 @@ def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:
     return into_rfl, from_lfr, sum_cx
 
 
-def appendix_map(p: Kernel) -> KernelMap:
+def appendix_map(p: Kernel) -> ChainMap:
     """The canonical composite RF -> RFLF -> CLF[1]."""
     ops = kernel_ops(p)
     pc = p.complex
@@ -630,13 +565,10 @@ def appendix_map(p: Kernel) -> KernelMap:
     lf = ops.lf().complex
     ct = ops.cotwist()
     # P (x) R -> (P(x)B)(x)R -> (P(x)FL)(x)R -> (LF(x)P)(x)R -> LF(x)RF -> LF(x)C[1]
-    into_pflr = ops._whisker(ops._runit_inv(pc), r).then(
+    into_pflr = ops._whisker(ops._runit(pc).inverse(), r).then(
         ops._whisker(ops._whisker(pc, ops.unit_left()), r))
-    chain = (into_pflr
-             .then(ops._whisker(ops._assoc_inv(pc, l, pc), r))
-             .then(ops._assoc(lf, pc, r))
-             .then(ops._whisker(lf, ct.gamma))
-             .then(ops._shift_out_right(lf, ct.gamma.target, ct.kernel.complex)))
-    src = Kernel(ops.A, ops.A, chain.source, check=False)
-    tgt = Kernel(ops.A, ops.A, chain.target, check=False)
-    return KernelMap(src, tgt, chain)
+    return (into_pflr
+            .then(ops._whisker(ops._assoc(pc, l, pc).inverse(), r))
+            .then(ops._assoc(lf, pc, r))
+            .then(ops._whisker(lf, ct.gamma))
+            .then(ops._shift_out_right(lf, ct.gamma.target, ct.kernel.complex)))

@@ -40,9 +40,7 @@ from .complexes import (
 from .kernels import (
     Kernel,
     KernelError,
-    KernelMap,
     compose,
-    identity_kernel,
     kernel_ops,
     twist_kernel,
 )
@@ -670,14 +668,11 @@ def _run_assert_quasi_iso(st: _RunState, args):
 def _run_faithful(st: _RunState, args):
     p = st.kernels[args[0]]
     rf = kernel_ops(p).rf().complex
-    witness_chain = find_quasi_iso(unit_complex(p.source_algebra), rf, st.rng)
-    if witness_chain is None:
+    witness = find_quasi_iso(unit_complex(p.source_algebra), rf, st.rng)
+    if witness is None:
         return "ok", {"witness_found": False, "verdict": "not_applicable",
                       "detail": "no quasi-iso witness id -> RF exists"}
-    wk = KernelMap(identity_kernel(p.source_algebra),
-                   Kernel(p.source_algebra, p.source_algebra, rf, check=False),
-                   witness_chain)
-    v = check_fully_faithful(p, wk)
+    v = check_fully_faithful(p, witness)
     return ("assert-failed" if v.status == "fail" else "ok"), \
         {"witness_found": True, "verdict": v.status}
 

@@ -26,7 +26,7 @@ to the algebra; a direct chain-level witness is searched first.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .algebras import Algebra
 from .bimodules import Bimodule, hom_space, projective_bimodule, regular_bimodule
@@ -37,14 +37,11 @@ from .complexes import (
     homology,
     homology_dims,
     is_quasi_iso,
-    shift,
-    single_term,
     unit_complex,
 )
 from .kernels import (
     Kernel,
     KernelError,
-    KernelMap,
     appendix_map,
     compose,
     condition3_map,
@@ -79,7 +76,7 @@ class ConditionReport:
     cond_3: bool
     cond_4: bool
     homology_profiles: dict[str, dict[int, int]]
-    witnesses: dict[str, KernelMap]
+    witnesses: dict[str, ChainMap]
 
     def flags(self) -> tuple[bool, bool, bool, bool]:
         return (self.cond_T_equiv, self.cond_C_equiv, self.cond_3, self.cond_4)
@@ -113,8 +110,8 @@ def check_conditions(p: Kernel) -> ConditionReport:
     cond2 = is_equivalence_kernel(ct.kernel)
     m3 = condition3_map(p)
     m4 = condition4_map(p)
-    cond3 = is_quasi_iso(m3.chain)
-    cond4 = is_quasi_iso(m4.chain)
+    cond3 = is_quasi_iso(m3)
+    cond4 = is_quasi_iso(m4)
     profiles = {
         "twist": homology_dims(tw.kernel.complex),
         "cotwist": homology_dims(ct.kernel.complex),
@@ -243,17 +240,17 @@ def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None,
     return Verdict("pass")
 
 
-def check_fully_faithful(p: Kernel, witness: KernelMap) -> Verdict:
+def check_fully_faithful(p: Kernel, witness: ChainMap) -> Verdict:
     """Any quasi-isomorphism witness id -> RF forces the unit itself to be
     one (the commutative-monoid argument on endotransformations of the
     identity); the engine re-checks the conclusion."""
     ops = kernel_ops(p)
-    if witness.chain.source.total_dim() != p.source_algebra.dim or \
-            witness.chain.source.degrees() not in ([0], []):
+    if witness.source.total_dim() != p.source_algebra.dim or \
+            witness.source.degrees() not in ([0], []):
         return Verdict("not_applicable", "witness source is not the identity kernel")
-    if witness.chain.target.total_dim() != ops.rf().complex.total_dim():
+    if witness.target.total_dim() != ops.rf().complex.total_dim():
         return Verdict("not_applicable", "witness target is not the monad kernel")
-    if not is_quasi_iso(witness.chain):
+    if not is_quasi_iso(witness):
         return Verdict("not_applicable", "hypothesis unmet: witness is not a quasi-iso")
     if not is_quasi_iso(ops.unit_right()):
         return Verdict("fail", "witness exists but the unit is not a quasi-iso")
@@ -267,7 +264,7 @@ def check_appendix(p: Kernel, report: ConditionReport | None = None) -> Verdict:
     report = report or check_conditions(p)
     if not report.cond_C_equiv:
         return Verdict("not_applicable", "cotwist is not an equivalence")
-    if not is_quasi_iso(appendix_map(p).chain):
+    if not is_quasi_iso(appendix_map(p)):
         return Verdict("fail", "RF -> CLF[1] is not a quasi-iso")
     detail = "canonical map RF -> CLF[1] is a quasi-iso"
     if report.cond_4:

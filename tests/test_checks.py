@@ -57,7 +57,7 @@ def _built_objects(p):
     for ct in (ops.cotwist(), ops.dual_twist()):
         complexes += [ct.kernel.complex, ct.cone_data.cone]
         maps += [ct.delta, ct.gamma, ct.cone_data.include_target, ct.cone_data.project_source]
-    maps += [condition3_map(p).chain, condition4_map(p).chain, appendix_map(p).chain]
+    maps += [condition3_map(p), condition4_map(p), appendix_map(p)]
     maps += list(basic_identity_maps(p).values())
     maps += list(triangular_identity_composites(p).values())
     into_rfl, from_lfr, sum_cx = splitting_maps(p)
