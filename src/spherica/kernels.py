@@ -202,17 +202,22 @@ class KernelOps:
         return self._tensor(f.source, g.source).induced(f, g, self._tensor(f.target, g.target))
 
     def _assoc(self, x: Complex, y: Complex, z: Complex) -> ChainMap:
-        """(x (x) y) (x) z -> x (x) (y (x) z)."""
-        xy, yz = self._tensor(x, y), self._tensor(y, z)
-        return associator(xy, self._tensor(xy.complex, z), yz, self._tensor(x, yz.complex))
+        """(x (x) y) (x) z -> x (x) (y (x) z), built once per triple of complex
+        objects (the cached tensors it is built from hold all three)."""
+        def build():
+            xy, yz = self._tensor(x, y), self._tensor(y, z)
+            return associator(xy, self._tensor(xy.complex, z), yz, self._tensor(x, yz.complex))
+        return self._get(("assoc", id(x), id(y), id(z)), build)
 
     def _lunit(self, x: Complex) -> ChainMap:
-        """id (x) x -> x."""
-        return left_unitor(self._tensor(unit_complex(x.left_algebra), x))
+        """id (x) x -> x, built once per complex."""
+        return self._get(("lunit", id(x)), lambda: left_unitor(
+            self._tensor(unit_complex(x.left_algebra), x)))
 
     def _runit(self, x: Complex) -> ChainMap:
-        """x (x) id -> x."""
-        return right_unitor(self._tensor(x, unit_complex(x.right_algebra)))
+        """x (x) id -> x, built once per complex."""
+        return self._get(("runit", id(x)), lambda: right_unitor(
+            self._tensor(x, unit_complex(x.right_algebra))))
 
     def _shift_out_right(self, x: Complex, y1: Complex, y: Complex) -> ChainMap:
         """x (x) y1 -> (x (x) y)[1], for y1 = y[1]."""

@@ -17,7 +17,16 @@ is computed in one of two exact ways, chosen by its size alone:
   the inner dimension whose partial sums stay below 2^63 when
   k (p-1)^2 would not.
 
-Over Q products stay on Fraction objects.
+Over Q a matrix stores Fraction objects, and caches, the first time it
+is multiplied or reduced, its integer form: the numerators over the lcm
+of the denominators, with the largest absolute numerator.  A product
+A (m x k) times B (k x n) multiplies the numerators, in int64 when
+k max|A| max|B| < 2^63 and on Python ints otherwise, over the product
+of the two denominators; Fractions are built only for the distinct
+entries of the result.  Row reduction over Q runs on integer rows,
+kept primitive (divided by the gcd of their entries), and divides each
+pivot row by its pivot at the end; scaling a row does not change the
+reduced form, so it is the one elimination on Fractions gives.
 
 Matrices are immutable after construction and safe to share between
 threads; all operations return fresh objects.
@@ -25,6 +34,7 @@ threads; all operations return fresh objects.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,8 +104,8 @@ class Field:
             if isinstance(x, str):
                 return self.elem(Fraction(x))
             return int(x) % self.p
-        if isinstance(x, str):
-            return Fraction(x)
+        if isinstance(x, np.integer):
+            x = int(x)  # a Fraction of numpy integers would wrap around silently
         return Fraction(x)
 
     def inv(self, x):
@@ -114,10 +124,9 @@ class Field:
         if self.p is not None:
             return np.asarray(arr, dtype=np.int64) % self.p
         out = np.empty(arr.shape, dtype=object)
-        flat_in = arr.ravel()
         flat_out = out.ravel()
-        for i, v in enumerate(flat_in):
-            flat_out[i] = v if isinstance(v, Fraction) else Fraction(v)
+        for i, v in enumerate(arr.ravel().tolist()):
+            flat_out[i] = v if isinstance(v, Fraction) else self.elem(v)
         return out
 
     def _zeros(self, rows: int, cols: int) -> np.ndarray:
@@ -133,6 +142,97 @@ def _int64_run(p: int) -> int:
     """How many products of residues mod p can be summed onto a residue
     while the sum stays below 2^63."""
     return max(1, (_INT64_MAX - (p - 1)) // max(1, (p - 1) ** 2))
+
+
+def _fractions(nums: list[int], den: int) -> np.ndarray:
+    """The 1-D Fraction array nums / den.  One Fraction is built per
+    distinct numerator and shared by its entries (Fractions are immutable)."""
+    table = {n: Fraction(n, den) for n in set(nums)}
+    return np.fromiter(map(table.__getitem__, nums), dtype=object, count=len(nums))
+
+
+def _fits_int64(terms: int, top_a: int, top_b: int) -> bool:
+    """Whether a sum of `terms` products of integers bounded by top_a and
+    top_b in absolute value stays below 2^63."""
+    return terms * top_a * top_b <= _INT64_MAX
+
+
+def _primitive_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by the gcd of its entries (zero rows stay zero)."""
+    return rows // np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
+
+
+def _rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivots of a matrix of residues mod p."""
+    R = np.array(arr, copy=True)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c] != 0)[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        inv = field.inv(R[r, c])
+        R[r] = (R[r] * inv) % field.p
+        col = R[:, c].copy()
+        col[r] = 0
+        R -= np.outer(col, R[r])
+        R %= field.p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def _rref_rational(nums: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form, as Fractions, and pivots of the rational
+    matrix with integer numerators nums over a common denominator.
+
+    Elimination runs on integer rows: a row r is cleared at pivot (p, c)
+    as R[p, c] R[r] - R[r, c] R[p], then divided by its content unless the
+    pivot is a unit, in int64 while every entry is bounded by sqrt(2^62),
+    on Python ints after that.  Pivoting is the same first-nonzero-column,
+    first-nonzero-row rule as over F_p.
+    """
+    rows, cols = nums.shape
+    out = np.empty((rows, cols), dtype=object)
+    out[...] = Fraction(0)
+    if nums.size == 0:
+        return out, []
+    R = _primitive_rows(nums)
+    top = int(np.abs(R).max())
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = R[r:, c].nonzero()[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        col = R[:, c].copy()
+        col[r] = 0
+        hit = col.nonzero()[0]
+        if len(hit):
+            if R.dtype != object and not _fits_int64(2, top, top):
+                R = R.astype(object)
+            pivot = R[r, c]
+            new = pivot * R[hit] - col[hit, None] * R[r]
+            if abs(pivot) != 1:
+                new = _primitive_rows(new)
+            R[hit] = new
+            top = max(top, int(np.abs(new).max()))
+        pivots.append(c)
+        r += 1
+    for i, c in enumerate(pivots):
+        out[i] = _fractions(R[i].tolist(), int(R[i, c]))
+    return out, pivots
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -154,7 +254,7 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class Matrix:
     """An immutable exact matrix over a Field, stored densely row-major."""
 
-    __slots__ = ("field", "rows", "cols", "arr", "_rref")
+    __slots__ = ("field", "rows", "cols", "arr", "_rref", "_ints")
 
     def __init__(self, field: Field, arr):
         arr = np.asarray(arr)
@@ -165,6 +265,7 @@ class Matrix:
         self.arr.flags.writeable = False
         self.rows, self.cols = self.arr.shape
         self._rref = None
+        self._ints = None
 
     @classmethod
     def _wrap(cls, field: Field, arr: np.ndarray) -> "Matrix":
@@ -176,7 +277,37 @@ class Matrix:
         out.arr = arr
         out.rows, out.cols = arr.shape
         out._rref = None
+        out._ints = None
         return out
+
+    @classmethod
+    def _from_integers(cls, field: Field, nums: np.ndarray, den: int) -> "Matrix":
+        """The Q matrix nums / den, its integer form cached in lowest terms."""
+        vals = nums.ravel().tolist()
+        g = math.gcd(den, *vals)
+        top = max(max(vals, default=0), -min(vals, default=0)) // g
+        out = cls._wrap(field, _fractions(vals, den).reshape(nums.shape))
+        if g != 1:
+            nums = nums // g
+        nums = nums.astype(np.int64 if top <= _INT64_MAX else object, copy=False)
+        nums.flags.writeable = False
+        out._ints = (nums, den // g, top)
+        return out
+
+    def _integers(self) -> tuple[np.ndarray, int, int]:
+        """Over Q: (nums, den, top) with self = nums / den, den the lcm of
+        the denominators and top the largest |numerator|.  nums is int64
+        when top < 2^63 and holds Python ints otherwise.  Computed once."""
+        if self._ints is None:
+            ratios = [x.as_integer_ratio() for x in self.arr.ravel().tolist()]
+            den = math.lcm(*[d for _, d in ratios])
+            nums = [n * (den // d) for n, d in ratios]
+            top = max(max(nums, default=0), -min(nums, default=0))
+            arr = np.array(nums, dtype=np.int64 if top <= _INT64_MAX else object)
+            arr = arr.reshape(self.arr.shape)
+            arr.flags.writeable = False
+            self._ints = (arr, den, top)
+        return self._ints
 
     # construction ---------------------------------------------------
 
@@ -244,9 +375,14 @@ class Matrix:
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
         p = self.field.p
-        if p is None:
-            return Matrix._wrap(self.field, np.dot(self.arr, other.arr))
-        return Matrix._wrap(self.field, _dot_mod(self.arr, other.arr, p))
+        if p is not None:
+            return Matrix._wrap(self.field, _dot_mod(self.arr, other.arr, p))
+        (a, da, ta), (b, db, tb) = self._integers(), other._integers()
+        if ta == 0 or tb == 0:
+            return Matrix.zeros(self.field, self.rows, other.cols)
+        if not _fits_int64(self.cols, ta, tb):
+            a, b = a.astype(object), b.astype(object)
+        return Matrix._from_integers(self.field, np.dot(a, b), da * db)
 
     def scale(self, c) -> "Matrix":
         return Matrix(self.field, self.arr * self.field.elem(c))
@@ -277,11 +413,15 @@ class Matrix:
         r, cols = coeffs.rows, coeffs.cols
         if self.field != coeffs.field or self.cols != cols or r == 0 or self.rows % r:
             raise ValueError("shape or field mismatch in combine_blocks")
-        blocks = self.arr.reshape(r, self.rows // r, cols)
-        weights = coeffs.arr[:, None, :]
         p = self.field.p
         if p is None:
-            return Matrix._wrap(self.field, (blocks * weights).sum(axis=0))
+            (b, db, tb), (w, dw, tw) = self._integers(), coeffs._integers()
+            if not _fits_int64(r, tb, tw):
+                b, w = b.astype(object), w.astype(object)
+            sums = (b.reshape(r, self.rows // r, cols) * w[:, None, :]).sum(axis=0)
+            return Matrix._from_integers(self.field, sums, db * dw)
+        blocks = self.arr.reshape(r, self.rows // r, cols)
+        weights = coeffs.arr[:, None, :]
         run = _int64_run(p)
         out = np.zeros(blocks.shape[1:], dtype=np.int64)
         for s in range(0, r, run):
@@ -352,35 +492,11 @@ class Matrix:
         if self._rref is not None:
             return self._rref
         field = self.field
-        R = np.array(self.arr, copy=True)
-        pivots: list[int] = []
-        r = 0
-        zero = field.elem(0)
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            nz = np.nonzero(R[r:, c] != zero)[0] if field.is_prime_field else \
-                np.nonzero([x != zero for x in R[r:, c]])[0]
-            if len(nz) == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                R[[r, i]] = R[[i, r]]
-            inv = field.inv(R[r, c])
-            if field.is_prime_field:
-                R[r] = (R[r] * inv) % field.p
-                col = R[:, c].copy()
-                col[r] = 0
-                R -= np.outer(col, R[r])
-                R %= field.p
-            else:
-                R[r] = R[r] * inv
-                for i2 in range(self.rows):
-                    if i2 != r and R[i2, c] != zero:
-                        R[i2] = R[i2] - R[i2, c] * R[r]
-            pivots.append(c)
-            r += 1
-        out = Matrix(field, R)
+        if field.is_prime_field:
+            R, pivots = _rref_mod_p(self.arr, field)
+        else:
+            R, pivots = _rref_rational(self._integers()[0])
+        out = Matrix._wrap(field, R)
         result = (out, tuple(pivots))
         self._rref = result
         out._rref = result
@@ -431,7 +547,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("only square matrices are invertible")
         x = self.solve(Matrix.identity(self.field, self.rows))
-        if x is None or (self * x) != Matrix.identity(self.field, self.rows):
+        if x is None:
             raise ValueError("matrix is singular")
         return x
 

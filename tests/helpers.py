@@ -1,6 +1,12 @@
-"""Shared fixtures: the small algebras every suite exercises."""
+"""Shared fixtures: the small algebras every suite exercises, and the
+elimination on Fraction objects that the rational kernels are checked
+against."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
 
 from spherica.algebras import Algebra, Arrow, QuiverPresentation, algebra_from_quiver
 from spherica.bimodules import Bimodule, left_dual
@@ -70,3 +76,59 @@ def left_dual_basis_sum(p: Bimodule) -> Matrix:
                              Matrix.identity(field, n))
         total = total + p.left_act(values, Matrix.stack_columns(field, [h] * n, n))
     return total
+
+
+# Rational linear algebra on Fraction objects, entry by entry: the reference
+# for the integer kernels of spherica.linalg over Q.
+
+def fraction_product(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.field, np.dot(a.arr, b.arr) if a.cols else np.zeros((a.rows, b.cols)))
+
+
+def fraction_combine_blocks(blocks: Matrix, coeffs: Matrix) -> Matrix:
+    r = coeffs.rows
+    stacked = blocks.arr.reshape(r, blocks.rows // r, blocks.cols)
+    return Matrix(blocks.field, (stacked * coeffs.arr[:, None, :]).sum(axis=0))
+
+
+def fraction_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Gauss-Jordan on Fractions, first nonzero column, then first nonzero row."""
+    R = np.array(m.arr, copy=True)
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        nz = [i for i in range(r, m.rows) if R[i, c] != 0]
+        if not nz:
+            continue
+        if nz[0] != r:
+            R[[r, nz[0]]] = R[[nz[0], r]]
+        R[r] = R[r] * (Fraction(1) / R[r, c])
+        for i in range(m.rows):
+            if i != r and R[i, c] != 0:
+                R[i] = R[i] - R[i, c] * R[r]
+        pivots.append(c)
+        r += 1
+    return Matrix(m.field, R), tuple(pivots)
+
+
+def fraction_nullspace(m: Matrix) -> Matrix:
+    R, pivots = fraction_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    out = np.zeros((m.cols, len(free)), dtype=object)
+    for j, fc in enumerate(free):
+        out[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            out[pc, j] = -R.arr[i, fc]
+    return Matrix(m.field, out)
+
+
+def fraction_solve(m: Matrix, b: Matrix) -> Matrix | None:
+    R, pivots = fraction_rref(m.hstack(b))
+    if any(pc >= m.cols for pc in pivots):
+        return None
+    out = np.zeros((m.cols, b.cols), dtype=object)
+    for i, pc in enumerate(pivots):
+        out[pc, :] = R.arr[i, m.cols:]
+    return Matrix(m.field, out)

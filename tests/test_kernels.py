@@ -175,6 +175,17 @@ def test_triangular_identities_strict(PD, PZ):
             assert ch.is_identity(), f"triangular identity {name} failed"
 
 
+def test_associators_and_unitors_are_built_once(PZ):
+    ops = kernel_ops(PZ)
+    p, r = PZ.complex, ops.right_adjoint().kernel.complex
+    assert ops._assoc(p, r, p) is ops._assoc(p, r, p)
+    assert ops._assoc(r, p, r) is ops._assoc(r, p, r)
+    assert ops._assoc(r, p, r) is not ops._assoc(p, r, p)
+    assert ops._lunit(p) is ops._lunit(p)
+    assert ops._runit(r) is ops._runit(r)
+    assert ops._lunit(r) is not ops._runit(r)
+
+
 def test_basic_identities_no_hypothesis(PD, PZ, PX):
     # quasi-isomorphisms for every kernel, spherical or not
     for p in (identity_kernel(D), PD, PZ, PX):

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, Field, Matrix, reduce, solve
+
+from helpers import (
+    fraction_combine_blocks,
+    fraction_nullspace,
+    fraction_product,
+    fraction_rref,
+    fraction_solve,
+)
 
 F101 = Field.prime(101)
 F2 = Field.prime(2)
@@ -240,3 +251,127 @@ def test_combine_blocks_and_column_kron_are_exact(p):
     kron = x.column_kron(y)
     for j in range(4):
         assert kron.column_vec(j) == x.column_vec(j).kron(y.column_vec(j))
+
+
+# Over Q, products and row reduction run on integer numerators over one
+# common denominator (int64 below 2^63, Python ints above).  They must give
+# exactly what the same operations give on Fraction objects.
+
+INT64_MAX = 2 ** 63 - 1
+DENOMINATORS = [1, 1, 1, 2, 3, 4, 6, 7, 12, 2 ** 20 + 7]
+
+
+@st.composite
+def rational_matrices(draw, rows, cols):
+    """Rational matrices with mixed denominators, negative entries, and
+    numerators up to 2^40, with whole rows and columns of zeros."""
+    if rows * cols == 0:
+        return Matrix.zeros(Q, rows, cols)
+    top = 2 ** draw(st.integers(0, 40))
+    entries = draw(st.lists(
+        st.tuples(st.integers(-top, top), st.sampled_from(DENOMINATORS)),
+        min_size=rows * cols, max_size=rows * cols))
+    arr = np.array([Fraction(n, d) for n, d in entries], dtype=object).reshape(rows, cols)
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        arr[i, :] = Fraction(0)
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        arr[:, j] = Fraction(0)
+    return Matrix(Q, arr)
+
+
+def _assert_rational_ops_match_oracle(m: Matrix, rng: random.Random):
+    R, pivots = m.rref()
+    assert (R, pivots) == fraction_rref(m)
+    assert m.rank() == len(pivots)
+    assert m.nullspace() == fraction_nullspace(m)
+    assert m.image_basis() == Matrix(Q, m.arr[:, list(pivots)] if pivots
+                                     else np.zeros((m.rows, 0), dtype=object))
+    b = Matrix(Q, np.array([Fraction(rng.randrange(-9, 10), rng.choice(DENOMINATORS))
+                            for _ in range(2 * m.rows)], dtype=object).reshape(m.rows, 2))
+    x = Matrix(Q, np.array([rng.randrange(-3, 4) for _ in range(m.cols)]).reshape(m.cols, 1))
+    for rhs in (b, m * x):
+        assert m.solve(rhs) == fraction_solve(m, rhs)
+    if m.rows == m.cols:
+        want = fraction_solve(m, Matrix.identity(Q, m.rows))
+        if want is None:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+        else:
+            assert m.inverse() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(0, 6), k=st.integers(0, 64), n=st.integers(0, 6))
+def test_rational_product_equals_fraction_product(data, m, k, n):
+    a = data.draw(rational_matrices(m, k))
+    b = data.draw(rational_matrices(k, n))
+    assert a * b == fraction_product(a, b)
+    assert (a * b) * b.transpose() == fraction_product(fraction_product(a, b), b.transpose())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(1, 64), h=st.integers(0, 4), cols=st.integers(0, 5))
+def test_rational_combine_blocks_equals_fraction_sum(data, r, h, cols):
+    blocks = data.draw(rational_matrices(r * h, cols))
+    coeffs = data.draw(rational_matrices(r, cols))
+    assert blocks.combine_blocks(coeffs) == fraction_combine_blocks(blocks, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 7), cols=st.integers(0, 8), seed=st.integers(0, 10**6))
+def test_rational_elimination_equals_fraction_elimination(data, rows, cols, seed):
+    _assert_rational_ops_match_oracle(data.draw(rational_matrices(rows, cols)),
+                                      random.Random(seed))
+
+
+def _at_the_cutover(k: int) -> list[int]:
+    """Entries t around the largest with k t^2 < 2^63, and 2^31, where
+    k t^2 = 2^63 for k = 2."""
+    t = math.isqrt(INT64_MAX // k)
+    return [t - 1, t, t + 1, t + 2 ** 20, 2 ** 31]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64])
+def test_rational_product_on_both_sides_of_the_int64_cutover(k):
+    for t in _at_the_cutover(k):
+        for den in (1, 3):
+            a = Matrix(Q, [[Fraction(t, den)] * k, [Fraction(-t, den)] * k])
+            b = Matrix(Q, [[Fraction(t)], [Fraction(t - 1)]] * (k // 2) + [[Fraction(t)]] * (k % 2))
+            assert a * b == fraction_product(a, b)
+            square = a * a.transpose()
+            assert square == fraction_product(a, a.transpose())
+            assert square.arr[0, 0] == Fraction(k * t * t, den * den)
+            blocks = Matrix(Q, [[Fraction(t, den)]] * k)
+            weights = Matrix(Q, [[Fraction(t)]] * k)
+            assert blocks.combine_blocks(weights) == Matrix(Q, [[Fraction(k * t * t, den)]])
+
+
+@pytest.mark.parametrize("t", sorted(set(_at_the_cutover(2) + _at_the_cutover(1))))
+def test_rational_elimination_on_both_sides_of_the_int64_cutover(t):
+    # clearing column 0 makes t^2 + (t - 1)^2, near 2 t^2, in row 1
+    rng = random.Random(t)
+    for den in (1, 5):
+        m = Matrix(Q, [[Fraction(t, den), Fraction(t - 1, den), Fraction(1, den)],
+                       [Fraction(-(t - 1)), Fraction(t), Fraction(0)]])
+        _assert_rational_ops_match_oracle(m, rng)
+        _assert_rational_ops_match_oracle(m.transpose(), rng)
+
+
+def test_rational_elimination_fixed_cases():
+    rng = random.Random(0)
+    cases = [
+        [["1/2", "1/3", "-1/6"], ["1/4", "1/6", "-1/12"], ["0", "0", "0"]],
+        [["0", "-3/7", "0", "5/12"], ["0", "2/3", "0", "-1/9"], ["0", "0", "0", "7"]],
+        [["2/3", "4/5"], ["-1/3", "6/7"], ["1", "1/2"]],
+        [["1/2", "1/3"], ["1/4", "1/5"]],
+        [[0, 0], [0, 0]],
+    ]
+    for rows in cases:
+        _assert_rational_ops_match_oracle(Matrix.from_rows(Q, rows), rng)
+
+
+def test_rational_matrix_from_an_int64_array_is_exact():
+    big = Matrix(Q, np.array([[2 ** 62, -(2 ** 62)]], dtype=np.int64))
+    assert all(type(x.numerator) is int for x in big.arr.ravel())
+    assert (big * big.transpose()).arr[0, 0] == Fraction(2 ** 125)
+    assert Q.elem(np.int64(2 ** 62)) * 4 == 2 ** 64

@@ -281,6 +281,18 @@ def test_dual_numbers_over_rationals_cross_check():
     assert check.data["homology"] == {"twist": {"-1": 2}, "cotwist": {"1": 1}}
 
 
+# zigzag_braid is left out for its run length: about 6 s over Q on a 2-vCPU
+# host, against under 1 s over F101, whose report bench/expected/ pins.
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "zigzag_braid"])
+def test_rational_reports_equal_the_f101_reports(name):
+    """F_p against Q: every verdict, dimension and witness of a builtin
+    session comes out the same over both fields."""
+    rational = run_session(builtin_example(name), field=Field.rationals()).to_dict()
+    modular = run_session(builtin_example(name)).to_dict()
+    assert (rational.pop("field"), modular.pop("field")) == ("Q", "F101")
+    assert rational == modular
+
+
 def test_differential_entry_without_image_in_the_field(tmp_path, capsys):
     text = """\
 field F 101
