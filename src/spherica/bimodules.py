@@ -19,12 +19,16 @@ bimodule together with a monomial basis (each basis vector is the
 class of an explicit pure tensor) and a bilinear coordinate map, from
 which induced maps on tensors are computed functorially.
 
-All values are immutable after construction and safe to share.
+All values are immutable and safe to share.  A bimodule may be given its
+action lists as zero-argument builders: the first read of left_action or
+right_action calls the builder and keeps the list, so terms that only
+feed a rank computation never build their action matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,15 +40,20 @@ class BimoduleError(Exception):
     """Raised for invalid bimodule data or incompatible operations."""
 
 
+Actions = list[Matrix] | Callable[[], list[Matrix]]
+
+
 class Bimodule:
     """A finite-dimensional bimodule given by per-basis action matrices.
 
+    Each action is a list of matrices, one per basis element, or a
+    zero-argument function returning that list, called on first read.
     The constructor only checks that the algebras share a field; check()
     verifies the module axioms.
     """
 
     def __init__(self, left_algebra: Algebra, right_algebra: Algebra,
-                 left_action: list[Matrix], right_action: list[Matrix],
+                 left_action: Actions, right_action: Actions,
                  dim: int, label: str = ""):
         if left_algebra.field != right_algebra.field:
             raise BimoduleError("bimodule algebras must share a field")
@@ -52,10 +61,22 @@ class Bimodule:
         self.right_algebra = right_algebra
         self.field = left_algebra.field
         self.dim = dim
-        self.left_action = left_action
-        self.right_action = right_action
+        self._left_action = left_action
+        self._right_action = right_action
         self.label = label
         self._cache: dict = {}
+
+    @property
+    def left_action(self) -> list[Matrix]:
+        if callable(self._left_action):
+            self._left_action = self._left_action()
+        return self._left_action
+
+    @property
+    def right_action(self) -> list[Matrix]:
+        if callable(self._right_action):
+            self._right_action = self._right_action()
+        return self._right_action
 
     # --- validation ---------------------------------------------------
 
@@ -176,7 +197,8 @@ def flip(m: Bimodule) -> Bimodule:
     """
     if "flip" not in m._cache:
         m._cache["flip"] = Bimodule(opposite(m.right_algebra), opposite(m.left_algebra),
-                                    m.right_action, m.left_action, m.dim, label=m.label)
+                                    lambda: m.right_action, lambda: m.left_action,
+                                    m.dim, label=m.label)
     return m._cache["flip"]
 
 
@@ -320,11 +342,12 @@ def direct_sum(summands: list[Bimodule], left: Algebra | None = None,
     b = summands[0].right_algebra
     field = a.field
     total = sum(m.dim for m in summands)
-    lefts = [Matrix.block_diag(field, [m.left_action[i] for m in summands])
-             for i in range(a.dim)]
-    rights = [Matrix.block_diag(field, [m.right_action[i] for m in summands])
-              for i in range(b.dim)]
-    out = Bimodule(a, b, lefts, rights, total, label="(+)".join(m.label or "?" for m in summands))
+    out = Bimodule(a, b,
+                   lambda: [Matrix.block_diag(field, [m.left_action[i] for m in summands])
+                            for i in range(a.dim)],
+                   lambda: [Matrix.block_diag(field, [m.right_action[i] for m in summands])
+                            for i in range(b.dim)],
+                   total, label="(+)".join(m.label or "?" for m in summands))
     injections = []
     projections = []
     offset = 0
@@ -724,7 +747,6 @@ class _SplitTensor(TensorData):
         super().__init__(m, n)
         self.sp = sp
         B = m.right_algebra
-        field = self.field
         self._nblocks = [n.left_block(v_pos) for v_pos in sp.vertex_pos]
         self._nprojs = [n.left_block_proj(v_pos) for v_pos in sp.vertex_pos]
         self._comp = []
@@ -736,29 +758,32 @@ class _SplitTensor(TensorData):
                 slice(0, m.dim))
             self._comp.append(E * rows)
         self._dim = sum(blk.cols for blk in self._nblocks)
-
-        A, C = m.left_algebra, n.right_algebra
-        # right action of C: block diagonal on e_{v_t} n
-        right_action = []
-        for i in range(C.dim):
-            blocks = [self._nprojs[t] * (n.right_action[i] * self._nblocks[t])
-                      for t in range(len(sp.gens))]
-            right_action.append(Matrix.block_diag(field, blocks))
-        # left action of A: a.(p_t (x) y) = (a.p_t) (x) y, for every basis
-        # element a and monomial at once
-        gens = Matrix.stack_columns(field, sp.gens, m.dim)
-        moved = Matrix.stack_columns(field, [m.left_action[i] * gens for i in range(A.dim)], m.dim)
-        acted = self._acted(self.monomial_matrices()[1])
-        every = self._from_coeffs([self._per_monomial(comp * moved) for comp in self._comp],
-                                  Matrix.stack_columns(field, [acted] * A.dim, acted.rows))
-        left_action = [every.submatrix(slice(None), slice(i * self._dim, (i + 1) * self._dim))
-                       for i in range(A.dim)]
-        self._bimodule = Bimodule(A, C, left_action, right_action, self._dim,
+        self._bimodule = Bimodule(m.left_algebra, n.right_algebra,
+                                  self._build_left_action, self._build_right_action, self._dim,
                                   label=f"{m.label or 'M'}(x){n.label or 'N'}")
 
     @property
     def bimodule(self) -> Bimodule:
         return self._bimodule
+
+    def _build_right_action(self) -> list[Matrix]:
+        """The right action of C: block diagonal on the e_{v_t} n."""
+        n = self.n
+        return [Matrix.block_diag(self.field, [proj * (n.right_action[i] * blk)
+                                               for blk, proj in zip(self._nblocks, self._nprojs)])
+                for i in range(n.right_algebra.dim)]
+
+    def _build_left_action(self) -> list[Matrix]:
+        """The left action of A: a.(p_t (x) y) = (a.p_t) (x) y, for every
+        basis element a and monomial at once."""
+        field, m, dim = self.field, self.m, self.m.left_algebra.dim
+        gens = Matrix.stack_columns(field, self.sp.gens, m.dim)
+        moved = Matrix.stack_columns(field, [m.left_action[i] * gens for i in range(dim)], m.dim)
+        acted = self._acted(self.monomial_matrices()[1])
+        every = self._from_coeffs([self._per_monomial(comp * moved) for comp in self._comp],
+                                  Matrix.stack_columns(field, [acted] * dim, acted.rows))
+        return [every.submatrix(slice(None), slice(i * self._dim, (i + 1) * self._dim))
+                for i in range(dim)]
 
     def monomial_matrices(self):
         field = self.field

@@ -483,6 +483,99 @@ def is_quasi_iso(f: ChainMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# minimal models by Gaussian elimination
+# ---------------------------------------------------------------------------
+
+
+def minimal_model(x: Complex) -> Complex:
+    """A complex homotopy equivalent to x, with every invertible component
+    of the differential between coordinate blocks cancelled (Bar-Natan,
+    "Fast Khovanov homology computations", arXiv:math/0606318).
+
+    Every action matrix of a term is block diagonal on its coordinate
+    blocks, so each block spans a bimodule direct summand, and the
+    component b = d[X', X] between blocks X in degree n and X' in degree
+    n+1 is a bimodule map.  When b is invertible,
+      ... -> X (+) D --[[b, delta], [gamma, eps]]--> X' (+) E -> ...
+    is homotopy equivalent to ... -> D --(eps - gamma b^-1 delta)--> E -> ...,
+    with the X rows of d^{n-1} and the X' columns of d^{n+1} dropped.  The
+    terms of the result are direct summands of x's, so they are projective
+    on every side x's terms are.  No homotopy data is kept.
+    """
+    keep = {n: np.arange(t.dim) for n, t in x.terms.items()}
+    blocks = {n: _coordinate_blocks(t) for n, t in x.terms.items()}
+    d = {n: f.matrix for n, f in x.diffs.items()}
+    for n in sorted(d):
+        while pair := _invertible_pair(d[n], keep[n], keep[n + 1], blocks[n], blocks[n + 1]):
+            src, tgt = pair
+            cols = np.isin(keep[n], src)
+            rows = np.isin(keep[n + 1], tgt)
+            b, delta = _part(d[n], rows, cols), _part(d[n], rows, ~cols)
+            gamma, eps = _part(d[n], ~rows, cols), _part(d[n], ~rows, ~cols)
+            d[n] = eps - gamma * (b.inverse() * delta)
+            if n - 1 in d:
+                d[n - 1] = d[n - 1].submatrix(~cols, slice(None))
+            if n + 1 in d:
+                d[n + 1] = d[n + 1].submatrix(slice(None), ~rows)
+            keep[n], keep[n + 1] = keep[n][~cols], keep[n + 1][~rows]
+            blocks[n] = [blk for blk in blocks[n] if blk is not src]
+            blocks[n + 1] = [blk for blk in blocks[n + 1] if blk is not tgt]
+    terms = {n: t if len(keep[n]) == t.dim else _summand(t, keep[n])
+             for n, t in x.terms.items()}
+    diffs = {n: BimoduleMap(terms[n], terms[n + 1], mat) for n, mat in d.items()}
+    return Complex(x.left_algebra, x.right_algebra, terms, diffs)
+
+
+def _coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
+    """The classes of coordinates joined by a nonzero entry of some action
+    matrix, as increasing index arrays: every action is block diagonal on
+    them."""
+    linked = np.zeros((m.dim, m.dim), dtype=bool)
+    for mat in m.left_action + m.right_action:
+        linked |= mat.arr != m.field.elem(0)
+    parent = list(range(m.dim))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for r, c in zip(*np.nonzero(linked)):
+        parent[root(int(r))] = root(int(c))
+    classes: dict[int, list[int]] = {}
+    for i in range(m.dim):
+        classes.setdefault(root(i), []).append(i)
+    return [np.array(c) for c in classes.values()]
+
+
+def _part(m: Matrix, rows, cols) -> Matrix:
+    return m.submatrix(rows, slice(None)).submatrix(slice(None), cols)
+
+
+def _invertible_pair(d: Matrix, keep_src: np.ndarray, keep_tgt: np.ndarray,
+                     src_blocks: list[np.ndarray], tgt_blocks: list[np.ndarray]):
+    """The first blocks (X, X') of equal size with d[X', X] invertible, or
+    None; d acts on the coordinates keep_src and lands in keep_tgt."""
+    for src in src_blocks:
+        cols = np.searchsorted(keep_src, src)
+        for tgt in tgt_blocks:
+            if len(tgt) == len(src):
+                part = _part(d, np.searchsorted(keep_tgt, tgt), cols)
+                if not part.is_zero() and part.is_invertible():
+                    return src, tgt
+    return None
+
+
+def _summand(m: Bimodule, keep: np.ndarray) -> Bimodule:
+    """The direct summand of m on the coordinates keep (a union of blocks)."""
+    return Bimodule(m.left_algebra, m.right_algebra,
+                    lambda: [_part(a, keep, keep) for a in m.left_action],
+                    lambda: [_part(a, keep, keep) for a in m.right_action],
+                    len(keep), label=m.label)
+
+
+# ---------------------------------------------------------------------------
 # hom complexes
 # ---------------------------------------------------------------------------
 

@@ -65,7 +65,13 @@ class KernelError(Exception):
 
 
 class Kernel:
-    """A bounded complex of biprojective (A,B)-bimodules."""
+    """A bounded complex of biprojective (A,B)-bimodules.
+
+    The constructor checks that every term is projective on both sides,
+    unless check=False: the engine passes that for the kernels it builds
+    itself (adjoints, composites, twists and cotwists), whose terms are
+    biprojective by construction.
+    """
 
     def __init__(self, source_algebra: Algebra, target_algebra: Algebra,
                  complex: Complex, check: bool = True):
@@ -98,7 +104,7 @@ def compose(p: Kernel, q: Kernel) -> Kernel:
     if p.target_algebra.mult != q.source_algebra.mult:
         raise KernelError("compose: middle algebras do not match")
     t = tensor_cx(p.complex, q.complex)
-    return Kernel(p.source_algebra, q.target_algebra, t.complex)
+    return Kernel(p.source_algebra, q.target_algebra, t.complex, check=False)
 
 
 def compose_list(kernels: list[Kernel]) -> Kernel:
@@ -166,7 +172,7 @@ def _adjoint_data(p: Kernel, side: str) -> AdjointData:
             raise KernelError("dual differential does not lie in the dual hom space")
         diffs[n] = BimoduleMap(terms[n], terms[n + 1], coords.scale(sign))
     cx = Complex(p.target_algebra, p.source_algebra, terms, diffs)
-    return AdjointData(Kernel(p.target_algebra, p.source_algebra, cx), duals)
+    return AdjointData(Kernel(p.target_algebra, p.source_algebra, cx, check=False), duals)
 
 
 class KernelOps:
@@ -328,7 +334,7 @@ class KernelOps:
         M -> id -> T -> M[1]."""
         cd = cone(eps)
         alg = eps.target.left_algebra
-        return TwistData(Kernel(alg, alg, cd.cone), cd.include_target, cd.project_source, cd)
+        return TwistData(Kernel(alg, alg, cd.cone, check=False), cd.include_target, cd.project_source, cd)
 
     @staticmethod
     def _unit_cocone(eta: ChainMap) -> "CotwistData":
@@ -339,7 +345,7 @@ class KernelOps:
         alg = eta.source.left_algebra
         delta = ChainMap(c_cx, eta.source, shift_map(cd.project_source, -1).components)
         gamma = ChainMap(eta.target, shift(c_cx, 1), cd.include_target.components)
-        return CotwistData(Kernel(alg, alg, c_cx), delta, gamma, cd)
+        return CotwistData(Kernel(alg, alg, c_cx, check=False), delta, gamma, cd)
 
     def twist(self) -> "TwistData":
         """T with its triangle FR -> id_B -> T -> FR[1]."""

@@ -1,6 +1,6 @@
-"""Shared fixtures: the small algebras every suite exercises, and the
-elimination on Fraction objects that the rational kernels are checked
-against."""
+"""Shared fixtures: the small algebras every suite exercises, the
+equivalence test without minimal models, and the elimination on Fraction
+objects that the rational kernels are checked against."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import numpy as np
 
 from spherica.algebras import Algebra, Arrow, QuiverPresentation, algebra_from_quiver
 from spherica.bimodules import Bimodule, left_dual
+from spherica.complexes import is_quasi_iso
+from spherica.kernels import Kernel, kernel_ops
 from spherica.linalg import Field, Matrix
 
 F101 = Field.prime(101)
@@ -63,6 +65,18 @@ def k_times_k(field=F101) -> Algebra:
 # source and target algebras of the random kernels with a non-trivial source
 RANDOM_SHAPES = {"D-X3": (dual_numbers, x_cubed), "D-D": (dual_numbers, dual_numbers),
                  "Z-Z": (zigzag_a2, zigzag_a2)}
+
+
+def term_dims(x) -> dict[int, int]:
+    """Degree -> dimension of each nonzero term of a complex."""
+    return {n: x.dim(n) for n in x.degrees()}
+
+
+def is_equivalence_unminimised(k: Kernel) -> bool:
+    """The equivalence test on the kernel itself, not on its minimal model:
+    the oracle for spherica.spherical.is_equivalence_kernel."""
+    ops = kernel_ops(k)
+    return is_quasi_iso(ops.unit_right()) and is_quasi_iso(ops.counit_right())
 
 
 def left_dual_basis_sum(p: Bimodule) -> Matrix:

@@ -26,6 +26,7 @@ from spherica.complexes import (
     is_acyclic,
     is_quasi_iso,
     left_unitor,
+    minimal_model,
     right_unitor,
     scalar_algebra,
     shift,
@@ -35,7 +36,7 @@ from spherica.complexes import (
 )
 from spherica.linalg import Field, Matrix
 
-from helpers import dual_numbers, zigzag_a2
+from helpers import dual_numbers, term_dims, zigzag_a2
 
 F = Field.prime(101)
 K = scalar_algebra(F)
@@ -364,3 +365,54 @@ def test_find_quasi_iso_between_acyclic_complexes():
     assert f is not None and is_quasi_iso(f)
     g = find_quasi_iso(acyclic, zero_cx, random.Random(0))
     assert g is not None and is_quasi_iso(g)
+
+
+# --- minimal models ---------------------------------------------------------
+
+
+def _scalar_complex(diffs: dict[int, list[list[int]]]) -> Complex:
+    """A complex of (k, k)-bimodules k^m from its differentials; every
+    coordinate of k^m is a block of its own."""
+    dims = {}
+    for n, rows in diffs.items():
+        dims[n + 1], dims[n] = len(rows), len(rows[0])
+    terms = {n: Bimodule(K, K, [Matrix.identity(F, m)], [Matrix.identity(F, m)], m)
+             for n, m in dims.items()}
+    x = Complex(K, K, terms, {n: BimoduleMap(terms[n], terms[n + 1], Matrix.from_rows(F, rows))
+                              for n, rows in diffs.items()})
+    x.check()
+    return x
+
+
+def test_minimal_model_corrects_the_remaining_differential():
+    # cancelling the 1 leaves 6 - 3 * 1^-1 * 2 = 0: k in degrees 0 and 1
+    x = _scalar_complex({0: [[1, 2], [3, 6]]})
+    m = minimal_model(x)
+    m.check()
+    assert term_dims(m) == {0: 1, 1: 1} and not m.diffs
+    assert homology_dims(m) == homology_dims(x) == {0: 1, 1: 1}
+
+
+def test_minimal_model_drops_cancelled_rows_and_columns():
+    # e -> b cancels first, then a -> c: the complex is contractible
+    x = _scalar_complex({-1: [[0], [1]], 0: [[1, 0]]})
+    assert minimal_model(x).is_zero()
+    # e -> b, then a -> c1, then c2 -> f through the d^1 that is left
+    y = _scalar_complex({-1: [[0], [1]], 0: [[1, 0], [2, 0]], 1: [[2, -1]]})
+    assert minimal_model(y).is_zero()
+    # with f dropped, c2 survives in degree 1
+    z = _scalar_complex({-1: [[0], [1]], 0: [[1, 0], [2, 0]]})
+    m = minimal_model(z)
+    assert term_dims(m) == {1: 1} and homology_dims(z) == {1: 1}
+
+
+def test_minimal_model_of_a_cone_of_identity_is_zero():
+    x = dual_numbers_x_complex()
+    assert minimal_model(cone(identity_map(x)).cone).is_zero()
+
+
+def test_minimal_model_keeps_a_complex_without_invertible_components():
+    x = dual_numbers_x_complex()          # D --x--> D: x is not invertible
+    m = minimal_model(x)
+    assert all(m.terms[n] is x.terms[n] for n in x.degrees())
+    assert m.diff_matrix(0) == x.diff_matrix(0)

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from spherica.bimodules import hom_space, left_dual, projective_bimodule, regular_bimodule
+from spherica.bimodules import (
+    Bimodule,
+    hom_space,
+    left_dual,
+    projective_bimodule,
+    regular_bimodule,
+)
 from spherica.complexes import (
     homology_dims,
     is_acyclic,
@@ -40,6 +46,7 @@ from spherica.kernels import (
     appendix_map,
 )
 from spherica.linalg import Field, Matrix
+from spherica.session import _elaborate, builtin_example
 from spherica.spherical import random_kernel
 
 from helpers import RANDOM_SHAPES, dual_numbers, k_times_k, left_dual_basis_sum, x_cubed, zigzag_a2
@@ -301,3 +308,27 @@ def test_left_duals_on_random_kernels_over_rationals(shape):
             assert dual.left_algebra is term.right_algebra
             assert dual.right_algebra is term.left_algebra
             assert dual.dim == len(hom_space(term, regular_bimodule(term.left_algebra), "left"))
+
+
+def test_kernel_rejects_a_term_that_is_not_right_projective():
+    # the simple (k, D)-bimodule: x acts by zero on the right
+    simple = Bimodule(K, D, [Matrix.identity(F, 1)],
+                      [Matrix.identity(F, 1), Matrix.zeros(F, 1, 1)], 1, label="S")
+    simple.check()
+    with pytest.raises(KernelError, match="kernel term at degree 0 is not right-projective"):
+        Kernel(K, D, single_term(simple))
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "zigzag_a2"])
+def test_terms_that_only_feed_ranks_build_no_action_matrices(name):
+    _, kernels = _elaborate(builtin_example(name), F)
+    ops = kernel_ops(kernels["P"])
+    is_quasi_iso(ops.unit_right())      # the cone of the unit only feeds ranks
+    rf = ops.rf()
+    assert rf.complex.terms
+    for t in rf.complex.terms.values():
+        assert callable(t._left_action) and callable(t._right_action)
+    # a first read builds the lists, and later reads return the same ones
+    t = rf.complex.term(0)
+    assert t.left_action is t.left_action and t.right_action is t.right_action
+    t.check()

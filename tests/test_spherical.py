@@ -6,9 +6,12 @@ import random
 
 import pytest
 
-from spherica.bimodules import direct_sum, projective_bimodule
+from spherica.bimodules import BimoduleMap, direct_sum, is_projective, projective_bimodule
 from spherica.complexes import (
+    Complex,
     find_quasi_iso,
+    homology_dims,
+    minimal_model,
     scalar_algebra,
     single_term,
     unit_complex,
@@ -21,7 +24,8 @@ from spherica.kernels import (
     kernel_ops,
     right_adjoint_kernel,
 )
-from spherica.linalg import Field
+from spherica.linalg import Field, Matrix
+from spherica.session import _elaborate, builtin_example, builtin_names
 from spherica.spherical import (
     check_adjoint_spherical,
     check_appendix,
@@ -36,7 +40,16 @@ from spherica.spherical import (
     verify_two_out_of_four,
 )
 
-from helpers import a2_path_algebra, dual_numbers, k_times_k, x_cubed, zigzag_a2
+from helpers import (
+    RANDOM_SHAPES,
+    a2_path_algebra,
+    dual_numbers,
+    is_equivalence_unminimised,
+    k_times_k,
+    term_dims,
+    x_cubed,
+    zigzag_a2,
+)
 
 F = Field.prime(101)
 K = scalar_algebra(F)
@@ -185,3 +198,75 @@ def test_random_kernel_deterministic():
         {n: k2.complex.dim(n) for n in k2.complex.degrees()}
     for n in k1.complex.degrees():
         assert k1.complex.diff_matrix(n) == k2.complex.diff_matrix(n)
+
+
+# --- minimal models: the equivalence test runs on them ----------------------
+
+
+def _check_minimal_model(x: Complex) -> Complex:
+    """The minimal model of x has x's homology, passes check(), and has
+    biprojective terms."""
+    m = minimal_model(x)
+    assert homology_dims(m) == homology_dims(x)
+    m.check()
+    for part in [*m.terms.values(), *m.diffs.values()]:
+        part.check()
+    for t in m.terms.values():
+        assert is_projective(t, "left") and is_projective(t, "right")
+    return m
+
+
+def _check_twist_models(p: Kernel) -> tuple[int, int]:
+    """Check the minimal models of p's twist and cotwist, and the verdicts of
+    check_conditions against the unminimised oracle; returns the total
+    dimensions of the two twists before and after minimising.
+
+    A model that cancels nothing is the complex itself, term for term and
+    matrix for matrix, so the oracle would repeat the same computation; it
+    runs where something was cancelled."""
+    ops = kernel_ops(p)
+    report = check_conditions(p)
+    before = after = 0
+    for k, verdict in ((ops.twist().kernel, report.cond_T_equiv),
+                       (ops.cotwist().kernel, report.cond_C_equiv)):
+        x = k.complex
+        m = _check_minimal_model(x)
+        before += x.total_dim()
+        after += m.total_dim()
+        if m.total_dim() < x.total_dim():
+            assert verdict == is_equivalence_unminimised(k)
+        else:
+            assert all(m.terms[n] is t for n, t in x.terms.items())
+            assert all(m.diff_matrix(n) == x.diff_matrix(n) for n in x.degrees())
+    assert verify_two_out_of_four(p, report).passed
+    return before, after
+
+
+@pytest.mark.parametrize("field", [F, Field.rationals()], ids=["F101", "Q"])
+@pytest.mark.parametrize("name", builtin_names())
+def test_minimal_models_of_builtin_twists(name, field):
+    _, kernels = _elaborate(builtin_example(name), field)
+    for p in kernels.values():
+        _check_twist_models(p)
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F], ids=["F2", "F101"])
+@pytest.mark.parametrize("shape", sorted(RANDOM_SHAPES))
+def test_minimal_models_of_random_twists(field, shape):
+    src, tgt = RANDOM_SHAPES[shape]
+    sizes = [_check_twist_models(random_kernel(src(field), tgt(field), random.Random(seed)))
+             for seed in range(5)]
+    before, after = map(sum, zip(*sizes))
+    assert after < before       # something was cancelled
+
+
+def test_minimal_model_of_a_contractible_kernels_twist():
+    """[P --id--> P] is contractible, so its twist is the identity kernel of
+    X3 up to homotopy, and elimination finds exactly that."""
+    p = projective_bimodule(K, 0, X3, 0)
+    contractible = Kernel(K, X3, Complex(K, X3, {0: p, 1: p},
+                                         {0: BimoduleMap(p, p, Matrix.identity(F, p.dim))}))
+    tw = kernel_ops(contractible).twist().kernel
+    assert term_dims(tw.complex) == {-2: 9, -1: 18, 0: 12}
+    assert term_dims(_check_minimal_model(tw.complex)) == {0: 3}
+    assert is_equivalence_kernel(tw)
