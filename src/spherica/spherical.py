@@ -21,7 +21,8 @@ mathematics.
 Comparisons against the identity kernel use the truncation criterion: a
 complex is quasi-isomorphic to the identity kernel exactly when its
 homology is concentrated in degree zero and isomorphic, as a bimodule,
-to the algebra; a direct chain-level witness is searched first.
+to the algebra; a direct chain-level witness is searched first.  Both
+are decided on the complex's minimal model.
 """
 
 from __future__ import annotations
@@ -181,18 +182,18 @@ def check_splitting(p: Kernel, report: ConditionReport | None = None) -> Verdict
 
 def quasi_iso_to_identity(k: Kernel, rng: random.Random | None = None) -> bool:
     """Is the endokernel isomorphic to the identity kernel in the derived
-    category?  Tries an explicit chain witness, then the truncation
+    category?  Decides on the minimal model of k, which is homotopy
+    equivalent to it: tries an explicit chain witness, then the truncation
     criterion (homology concentrated in degree 0 and isomorphic to the
     algebra as a bimodule)."""
     if not k.is_endokernel():
         raise KernelError("identity comparison expects an endokernel")
     rng = rng or random.Random(0)
     a = k.source_algebra
-    target = unit_complex(a)
-    direct = find_quasi_iso(k.complex, target, rng, attempts=8)
-    if direct is not None:
+    x = minimal_model(k.complex)
+    if find_quasi_iso(x, unit_complex(a), rng, attempts=8) is not None:
         return True
-    h = homology(k.complex)
+    h = homology(x)
     if set(h) != {0}:
         return False
     h0 = h[0][1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -281,9 +282,7 @@ def test_dual_numbers_over_rationals_cross_check():
     assert check.data["homology"] == {"twist": {"-1": 2}, "cotwist": {"1": 1}}
 
 
-# zigzag_braid is left out for its run length: about 6 s over Q on a 2-vCPU
-# host, against under 1 s over F101, whose report bench/expected/ pins.
-@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "zigzag_braid"])
+@pytest.mark.parametrize("name", builtin_names())
 def test_rational_reports_equal_the_f101_reports(name):
     """F_p against Q: every verdict, dimension and witness of a builtin
     session comes out the same over both fields."""
@@ -360,3 +359,56 @@ def test_prime_above_the_limit_is_an_input_error(tmp_path, capsys):
     assert cli_main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "4294967291" in err
+
+
+EXAMPLES = Path(__file__).parent.parent / "examples"
+
+
+@pytest.mark.parametrize("name", ["zigzag_a3", "zigzag_a4"])
+def test_example_files_reproduce_their_reports(name, tmp_path):
+    """The braid-relation sessions in examples/ give their recorded reports,
+    byte for byte."""
+    out = tmp_path / f"{name}.json"
+    assert cli_main(["run", str(EXAMPLES / f"{name}.sph"), "--json", str(out)]) == 0
+    assert out.read_bytes() == (EXAMPLES / f"{name}.json").read_bytes()
+
+
+def test_quasi_iso_search_fails_between_distinct_kernels_with_equal_homology():
+    """Over zigzag A_2 these pairs have equal homology profiles but are not
+    quasi-isomorphic, so the search on their minimal models finds nothing."""
+    text = BUILTIN_TEXTS["zigzag_braid"].split("seed 1")[0] + """\
+twist P1 as T1
+twist P2 as T2
+compose T1 T2 as T12
+compose T2 T1 as T21
+assert-quasi-iso P1 P2
+assert-quasi-iso T1 T2
+assert-quasi-iso T12 T21
+"""
+    asserts = [r for r in run_session(parse_session(text)).results
+               if r.cmd.startswith("assert-quasi-iso")]
+    assert len(asserts) == 3
+    for r in asserts:
+        a, b = r.cmd.split()[1:]
+        assert r.status == "assert-failed", r.cmd
+        assert r.data["witness_found"] is False
+        assert r.data["homology"][a] == r.data["homology"][b]
+
+
+def test_assert_quasi_iso_searches_between_minimal_models(monkeypatch):
+    """zigzag_braid's T121 and T212 have total dimension 78; the search runs
+    on their minimal models, of total dimension 42, and the report keeps the
+    homology of the complexes as given."""
+    import spherica.session as session_module
+    search, seen = session_module.find_quasi_iso, []
+
+    def recording(x, y, rng, *args, **kwargs):
+        seen.append((x.total_dim(), y.total_dim()))
+        return search(x, y, rng, *args, **kwargs)
+
+    monkeypatch.setattr(session_module, "find_quasi_iso", recording)
+    report = run_session(builtin_example("zigzag_braid"))
+    assert seen == [(42, 42)]
+    (result,) = [r for r in report.results if r.cmd == "assert-quasi-iso T121 T212"]
+    assert result.status == "ok" and result.data["witness_found"] is True
+    assert result.data["homology"] == {"T121": {"-2": 6}, "T212": {"-2": 6}}

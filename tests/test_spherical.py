@@ -140,6 +140,25 @@ def test_quasi_iso_to_identity(PD):
     assert not quasi_iso_to_identity(tw)
 
 
+def test_quasi_iso_to_identity_decides_on_the_minimal_model(PD, monkeypatch):
+    """cotwist(adjoint) o twist over the dual numbers has total dimension
+    18; the witness search runs on its minimal model, which is D itself in
+    degree 0."""
+    import spherica.spherical as spherical_module
+    search, seen = spherical_module.find_quasi_iso, []
+
+    def recording(x, y, rng, *args, **kwargs):
+        seen.append(term_dims(x))
+        return search(x, y, rng, *args, **kwargs)
+
+    monkeypatch.setattr(spherical_module, "find_quasi_iso", recording)
+    c_adj = kernel_ops(right_adjoint_kernel(PD)).cotwist().kernel
+    k = compose(c_adj, kernel_ops(PD).twist().kernel)
+    assert term_dims(k.complex) == {-1: 4, 0: 10, 1: 4}
+    assert quasi_iso_to_identity(k)
+    assert seen == [{0: D.dim}]
+
+
 def test_check_appendix(PD, PZ):
     assert check_appendix(PD).status == "pass"
     assert check_appendix(PZ).status == "pass"
