@@ -67,7 +67,7 @@ from .kernels import (
     unit_left,
     unit_right,
 )
-from .linalg import Field, Matrix, reduce, solve
+from .linalg import Field, Matrix
 from .session import (
     Report,
     Session,

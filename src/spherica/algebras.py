@@ -210,8 +210,7 @@ class Algebra:
     def generator_indices(self) -> list[int]:
         """Idempotents plus arrows: a generating set of the algebra.
 
-        Only meaningful for path-basis algebras; other constructions
-        override generators() directly.
+        Without a path basis, the radical basis stands in for the arrows.
         """
         gens = list(self.vertex_idempotents)
         if self.basis_paths is not None:
@@ -219,10 +218,6 @@ class Algebra:
         else:
             gens += self.radical_basis
         return gens
-
-    def generators(self) -> list[Matrix]:
-        """Generating elements as coefficient vectors."""
-        return [Matrix.basis_vector(self.field, self.dim, i) for i in self.generator_indices]
 
     # --- idempotent subspaces (cached) --------------------------------
 

@@ -14,10 +14,12 @@ Everything downstream leans on two pieces of structure:
   generators, which gives dual bases on the nose, duals with explicit
   evaluation maps, and a quotient-free model of M (x)_B N.
 
-Tensor products over a middle algebra come back as TensorData: the
-bimodule together with a monomial basis (each basis vector is the
-class of an explicit pure tensor) and a bilinear coordinate map, from
-which induced maps on tensors are computed functorially.
+Tensor products m (x)_B n over a middle algebra are built from the
+splitting of m, so m must be right-projective; every kernel term is, as
+kernels are biprojective.  They come back as TensorData: the bimodule
+together with a monomial basis (each basis vector is the class of an
+explicit pure tensor) and a bilinear coordinate map, from which induced
+maps on tensors are computed functorially.
 
 All values are immutable and safe to share.  A bimodule may be given its
 action lists as zero-argument builders: the first read of left_action or
@@ -495,15 +497,16 @@ class Splitting:
     """Identification of a right-projective module with ideal summands:
     M = (+)_t  e_{v_t} B  via phi(slot t: g) = p_t . g.
 
-    The left-side splitting of M is the splitting of flip(M).
+    slot_coords[t] is c_t : M -> B, x |-> the slot-t component of
+    phi^-1(x) in e_{v_t} B, written in the basis of B; the dual and the
+    tensor product both read the splitting through these maps.  The
+    left-side splitting of M is the splitting of flip(M).
     """
 
     gens: list[Matrix]
     vertex_pos: list[int]
     phi: Matrix
-    phi_inv: Matrix
-    slot_offsets: list[int]
-    slot_dims: list[int]
+    slot_coords: list[Matrix]
 
 
 def _cover(m: Bimodule) -> tuple[list[Matrix], list[int], list[int]]:
@@ -538,15 +541,16 @@ def _splitting(m: Bimodule) -> Splitting | None:
     if sum(slot_dims) == m.dim:
         # phi: free module -> M, slot t: g |-> p_t.g
         alg = m.right_algebra
-        cols = []
-        for t, v_pos in enumerate(vertex_pos):
-            ideal = alg.right_ideal_basis(alg.vertex_idempotents[v_pos])
-            copies = Matrix.stack_columns(m.field, [gens[t]] * ideal.cols, m.dim)
-            cols.append(m.right_act(copies, ideal))
+        ideals = [alg.right_ideal_basis(alg.vertex_idempotents[v_pos]) for v_pos in vertex_pos]
+        cols = [m.right_act(Matrix.stack_columns(m.field, [g] * ideal.cols, m.dim), ideal)
+                for g, ideal in zip(gens, ideals)]
         phi = Matrix.stack_columns(m.field, cols, m.dim)
         if phi.is_invertible():
-            offsets = [sum(slot_dims[:t]) for t in range(len(slot_dims))]
-            sp = Splitting(gens, vertex_pos, phi, phi.inverse(), offsets, slot_dims)
+            phi_inv = phi.inverse()
+            ends = np.cumsum([0] + slot_dims)
+            slot_coords = [ideal * phi_inv.submatrix(slice(ends[t], ends[t + 1]), slice(0, m.dim))
+                           for t, ideal in enumerate(ideals)]
+            sp = Splitting(gens, vertex_pos, phi, slot_coords)
     m._cache["split"] = sp
     return sp
 
@@ -613,20 +617,11 @@ def right_dual(p: Bimodule) -> DualData:
         dual_offsets.append(off)
         off += g.cols
 
-    # component maps  comp_t : P -> B, x |-> embed(slot t of phi_inv x)
-    comp = []
-    for t, v_pos in enumerate(sp.vertex_pos):
-        v = B.vertex_idempotents[v_pos]
-        E = B.right_ideal_basis(v)  # basis of e_v B
-        rows = sp.phi_inv.submatrix(slice(sp.slot_offsets[t], sp.slot_offsets[t] + sp.slot_dims[t]),
-                                    slice(0, p.dim))
-        comp.append(E * rows)
-
     hom_matrices = []
     for t, G in enumerate(slot_basis):
         for j in range(G.cols):
             beta = G.column_vec(j)
-            hom_matrices.append(B.left_action_of(beta) * comp[t])
+            hom_matrices.append(B.left_action_of(beta) * sp.slot_coords[t])
 
     # actions on the dual
     slot_proj = [_left_inverse(G) for G in slot_basis]
@@ -640,13 +635,9 @@ def right_dual(p: Bimodule) -> DualData:
     for i in range(A.dim):
         mat = field._zeros(dual_dim, dual_dim)
         for s in range(len(sp.gens)):
-            img = sp.phi_inv * (p.left_action[i] * sp.gens[s])
+            img = p.left_action[i] * sp.gens[s]
             for t in range(len(sp.gens)):
-                v_t = B.vertex_idempotents[sp.vertex_pos[t]]
-                E_t = B.right_ideal_basis(v_t)
-                c_ts = E_t * img.submatrix(
-                    slice(sp.slot_offsets[t], sp.slot_offsets[t] + sp.slot_dims[t]),
-                    slice(0, 1))
+                c_ts = sp.slot_coords[t] * img
                 if c_ts.is_zero():
                     continue
                 # beta |-> beta . c_ts maps slot t to slot s
@@ -694,77 +685,37 @@ def left_dual(p: Bimodule) -> DualData:
 
 
 class TensorData:
-    """A concrete model of m (x)_B n with monomial basis and coordinates.
+    """m (x)_B n through the right-projective splitting of m.
+
+    With m = (+)_t p_t.e_{v_t}B, the tensor is (+)_t p_t (x) e_{v_t}n: in
+    slot t, x (x) y has the coordinates of c_t(x).y in e_{v_t}n, where
+    c_t(x) in e_{v_t}B is the slot-t component of phi^-1(x).
 
     Each basis vector of the resulting bimodule is the class of a pure
-    tensor x_j (x) y_j; monomial_matrices() returns the x_j and the y_j
-    as the columns of two matrices.  coords(X, Y) expresses the pure
-    tensors X[:, j] (x) Y[:, j] in that basis, all columns at once, and
-    induced() transports a pair of equivariant maps to a map of tensor
-    products with one such call.
+    tensor p_t (x) y_j; monomial_matrices() returns these factors as the
+    columns of two matrices.  coords(X, Y) expresses the pure tensors
+    X[:, j] (x) Y[:, j] in that basis, all columns at once, and induced()
+    transports a pair of equivariant maps to a map of tensor products
+    with one such call.
     """
 
-    def __init__(self, m: Bimodule, n: Bimodule):
-        if m.right_algebra.mult != n.left_algebra.mult:
-            raise BimoduleError("tensor factors do not share the middle algebra")
+    def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting):
         self.m = m
         self.n = n
         self.field = m.field
-
-    @property
-    def bimodule(self) -> Bimodule:
-        raise NotImplementedError
-
-    def monomial_matrices(self) -> tuple[Matrix, Matrix]:
-        raise NotImplementedError
-
-    def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
-        raise NotImplementedError
-
-    def monomials(self) -> list[tuple[Matrix, Matrix]]:
-        xs, ys = self.monomial_matrices()
-        return [(xs.column_vec(j), ys.column_vec(j)) for j in range(xs.cols)]
-
-    def tensor_coords(self, mv: Matrix, nv: Matrix) -> Matrix:
-        return self.coords(mv, nv)
+        self.sp = sp
+        self._nblocks = [n.left_block(v_pos) for v_pos in sp.vertex_pos]
+        self._nprojs = [n.left_block_proj(v_pos) for v_pos in sp.vertex_pos]
+        self._dim = sum(blk.cols for blk in self._nblocks)
+        self.bimodule = Bimodule(m.left_algebra, n.right_algebra,
+                                 self._build_left_action, self._build_right_action, self._dim,
+                                 label=f"{m.label or 'M'}(x){n.label or 'N'}")
 
     def induced(self, f: BimoduleMap, g: BimoduleMap, target: "TensorData") -> BimoduleMap:
         """The map f (x) g between tensor products (f, g equivariant)."""
         xs, ys = self.monomial_matrices()
         mat = target.coords(f.matrix * xs, g.matrix * ys)
         return BimoduleMap(self.bimodule, target.bimodule, mat)
-
-
-class _SplitTensor(TensorData):
-    """Model of m (x)_B n through a right-projective splitting of m.
-
-    With m = (+)_t p_t.e_{v_t}B, the tensor is (+)_t p_t (x) e_{v_t}n: in
-    slot t, x (x) y has the coordinates of c_t(x).y in e_{v_t}n, where
-    c_t(x) in e_{v_t}B is the slot-t component of phi^-1(x).
-    """
-
-    def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting):
-        super().__init__(m, n)
-        self.sp = sp
-        B = m.right_algebra
-        self._nblocks = [n.left_block(v_pos) for v_pos in sp.vertex_pos]
-        self._nprojs = [n.left_block_proj(v_pos) for v_pos in sp.vertex_pos]
-        self._comp = []
-        for t, v_pos in enumerate(sp.vertex_pos):
-            v = B.vertex_idempotents[v_pos]
-            E = B.right_ideal_basis(v)
-            rows = sp.phi_inv.submatrix(
-                slice(sp.slot_offsets[t], sp.slot_offsets[t] + sp.slot_dims[t]),
-                slice(0, m.dim))
-            self._comp.append(E * rows)
-        self._dim = sum(blk.cols for blk in self._nblocks)
-        self._bimodule = Bimodule(m.left_algebra, n.right_algebra,
-                                  self._build_left_action, self._build_right_action, self._dim,
-                                  label=f"{m.label or 'M'}(x){n.label or 'N'}")
-
-    @property
-    def bimodule(self) -> Bimodule:
-        return self._bimodule
 
     def _build_right_action(self) -> list[Matrix]:
         """The right action of C: block diagonal on the e_{v_t} n."""
@@ -780,12 +731,12 @@ class _SplitTensor(TensorData):
         gens = Matrix.stack_columns(field, self.sp.gens, m.dim)
         moved = Matrix.stack_columns(field, [m.left_action[i] * gens for i in range(dim)], m.dim)
         acted = self._acted(self.monomial_matrices()[1])
-        every = self._from_coeffs([self._per_monomial(comp * moved) for comp in self._comp],
+        every = self._from_coeffs([self._per_monomial(c * moved) for c in self.sp.slot_coords],
                                   Matrix.stack_columns(field, [acted] * dim, acted.rows))
         return [every.submatrix(slice(None), slice(i * self._dim, (i + 1) * self._dim))
                 for i in range(dim)]
 
-    def monomial_matrices(self):
+    def monomial_matrices(self) -> tuple[Matrix, Matrix]:
         field = self.field
         gens = Matrix.stack_columns(field, self.sp.gens, self.m.dim)
         return self._per_monomial(gens), Matrix.stack_columns(field, self._nblocks, self.n.dim)
@@ -798,7 +749,7 @@ class _SplitTensor(TensorData):
         return Matrix(self.field, np.repeat(per_slot.arr, counts * runs, axis=1))
 
     def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
-        return self._from_coeffs([comp * xs for comp in self._comp], self._acted(ys))
+        return self._from_coeffs([c * xs for c in self.sp.slot_coords], self._acted(ys))
 
     def _acted(self, ys: Matrix) -> Matrix:
         """b_i . y for every basis element b_i of B, stacked by i."""
@@ -812,86 +763,17 @@ class _SplitTensor(TensorData):
         return Matrix.stack_rows(self.field, parts, acted.cols)
 
 
-class _QuotientTensor(TensorData):
-    """Generic model: blocks over the middle vertices, arrow relations, rref."""
-
-    def __init__(self, m: Bimodule, n: Bimodule):
-        super().__init__(m, n)
-        B = m.right_algebra
-        field = self.field
-        nverts = len(B.vertex_idempotents)
-        self._mblocks = [m.right_block(v) for v in range(nverts)]
-        self._mprojs = [m.right_block_proj(v) for v in range(nverts)]
-        self._nblocks = [n.left_block(v) for v in range(nverts)]
-        self._nprojs = [n.left_block_proj(v) for v in range(nverts)]
-
-        # relations x.b (x) y - x (x) b.y for arrows b and basis vectors x, y
-        every_x = Matrix.identity(field, m.dim)
-        every_y = Matrix.identity(field, n.dim)
-        rel_cols = []
-        for g in _radical_generator_indices(B):
-            xs, ys = _all_pairs(m.right_action[g], every_y)
-            xs0, ys0 = _all_pairs(every_x, n.left_action[g])
-            rel_cols.append(self._model_coords(xs, ys) - self._model_coords(xs0, ys0))
-        model_dim = sum(mb.cols * nb.cols for mb, nb in zip(self._mblocks, self._nblocks))
-        R, pivots = Matrix.stack_columns(field, rel_cols, model_dim).transpose().rref()
-        self._pivots = list(pivots)
-        pivot_set = set(pivots)
-        self._free = [c for c in range(model_dim) if c not in pivot_set]
-        self._rel_free = R.submatrix(slice(0, len(pivots)), self._free).transpose()
-        self._dim = len(self._free)
-
-        A, C = m.left_algebra, n.right_algebra
-        xs, ys = self.monomial_matrices()
-        left_action = [self.coords(m.left_action[i] * xs, ys) for i in range(A.dim)]
-        right_action = [self.coords(xs, n.right_action[i] * ys) for i in range(C.dim)]
-        self._bimodule = Bimodule(A, C, left_action, right_action, self._dim,
-                                  label=f"{m.label or 'M'}(x){n.label or 'N'}")
-
-    @property
-    def bimodule(self) -> Bimodule:
-        return self._bimodule
-
-    def _model_coords(self, xs: Matrix, ys: Matrix) -> Matrix:
-        """Coordinates of the classes of xs[:, j] (x) ys[:, j] in the block model."""
-        m, n = self.m, self.n
-        blocks = []
-        for v, (mproj, nproj) in enumerate(zip(self._mprojs, self._nprojs)):
-            mc = mproj * (m.right_action[m.right_algebra.vertex_idempotents[v]] * xs)
-            nc = nproj * (n.left_action[n.left_algebra.vertex_idempotents[v]] * ys)
-            blocks.append(mc.column_kron(nc))
-        return Matrix.stack_rows(self.field, blocks, xs.cols)
-
-    def monomial_matrices(self):
-        pairs = [_all_pairs(mb, nb) for mb, nb in zip(self._mblocks, self._nblocks)]
-        xs = Matrix.stack_columns(self.field, [x for x, _ in pairs], self.m.dim)
-        ys = Matrix.stack_columns(self.field, [y for _, y in pairs], self.n.dim)
-        # keep only the free coordinates' monomials
-        return xs.submatrix(slice(None), self._free), ys.submatrix(slice(None), self._free)
-
-    def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
-        # eliminate the pivot coordinates with the relations, keep the free ones
-        model = self._model_coords(xs, ys)
-        free = model.submatrix(self._free, slice(None))
-        if not self._pivots:
-            return free
-        return free - self._rel_free * model.submatrix(self._pivots, slice(None))
-
-
-def _all_pairs(xs: Matrix, ys: Matrix) -> tuple[Matrix, Matrix]:
-    """Columns x_i and y_j of every pair (i, j), in row-major order of (i, j)."""
-    field = xs.field
-    return (Matrix(field, np.repeat(xs.arr, ys.cols, axis=1)),
-            Matrix(field, np.tile(ys.arr, (1, xs.cols))))
-
-
 def tensor_over_middle(m: Bimodule, n: Bimodule) -> TensorData:
-    """The tensor product m (x)_B n as a bimodule with retained projection.
+    """The tensor product m (x)_B n, as TensorData.
 
-    Uses the projective-splitting model when m is right-projective
-    (every kernel term is) and the generic block quotient otherwise.
+    m must be right-projective, so that it splits; every kernel term is,
+    since kernels are biprojective.
     """
+    if m.right_algebra.mult != n.left_algebra.mult:
+        raise BimoduleError("tensor factors do not share the middle algebra")
     sp = _splitting(m)
-    if sp is not None:
-        return _SplitTensor(m, n, sp)
-    return _QuotientTensor(m, n)
+    if sp is None:
+        raise BimoduleError(
+            f"tensor_over_middle needs a right-projective left factor (cover dim "
+            f"{projective_cover_dim(m, 'right')} != dim {m.dim})")
+    return TensorData(m, n, sp)

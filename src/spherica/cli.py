@@ -23,7 +23,7 @@ from .session import (
 def _parse_field_flag(text: str) -> Field:
     if text.lower() == "q":
         return Field.rationals()
-    if text.isdigit():
+    if text.isdecimal():
         return Field.prime(int(text))
     raise ValueError(f"--field expects a prime or 'q', got {text!r}")
 

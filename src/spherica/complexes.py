@@ -198,14 +198,6 @@ class ChainMap:
                 return False
         return True
 
-    def is_degreewise_invertible(self) -> bool:
-        for n in set(self.source.terms) | set(self.target.terms):
-            if self.source.dim(n) != self.target.dim(n):
-                return False
-            if self.source.dim(n) and not self.comp(n).is_invertible():
-                return False
-        return True
-
     def inverse(self) -> "ChainMap":
         """The inverse target -> source, degree by degree; ComplexError when
         a degree has different dimensions on the two sides or is singular."""

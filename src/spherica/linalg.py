@@ -364,9 +364,6 @@ class Matrix:
         self._check_same_shape(other)
         return Matrix(self.field, self.arr - other.arr)
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, -self.arr)
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -396,13 +393,6 @@ class Matrix:
         if 0 in (self.rows, self.cols, other.rows, other.cols):
             return Matrix.zeros(self.field, self.rows * other.rows, self.cols * other.cols)
         return Matrix(self.field, np.kron(self.arr, other.arr))
-
-    def column_kron(self, other: "Matrix") -> "Matrix":
-        """Column j is the Kronecker product of column j of self and of other."""
-        if self.field != other.field or self.cols != other.cols:
-            raise ValueError("shape or field mismatch in column_kron")
-        arr = self.arr[:, None, :] * other.arr[None, :, :]
-        return Matrix(self.field, arr.reshape(self.rows * other.rows, self.cols))
 
     def combine_blocks(self, coeffs: "Matrix") -> "Matrix":
         """Column by column linear combination of equal row blocks.
@@ -554,23 +544,3 @@ class Matrix:
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
-
-def reduce(m: Matrix) -> tuple[int, list[Matrix], list[Matrix]]:
-    """Rank, kernel basis and image basis of a matrix, all exact.
-
-    Returns (rank, kernel_basis, image_basis) where the bases are lists
-    of column vectors; rank + len(kernel_basis) == m.cols.
-    """
-    rank = m.rank()
-    ker = m.nullspace()
-    img = m.image_basis()
-    return (
-        rank,
-        [ker.column_vec(j) for j in range(ker.cols)],
-        [img.column_vec(j) for j in range(img.cols)],
-    )
-
-
-def solve(m: Matrix, b: Matrix) -> Matrix | None:
-    """Deterministic exact solve of m @ x = b (single column)."""
-    return m.solve(b)

@@ -263,7 +263,7 @@ def _parse_algebra_items(items: list[tuple[str, int]], name: str) -> QuiverPrese
         elif head == "relations":
             relations.append(_parse_relation(text[len("relations"):].strip(), line))
         elif head == "bound":
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not toks[1].isdecimal():
                 raise SessionSyntaxError("bound takes a positive integer", line)
             bound = int(toks[1])
         else:
@@ -379,7 +379,7 @@ def parse_session(text: str) -> Session:
         if head == "field":
             if len(toks) == 2 and toks[1] in ("Q", "q"):
                 field = Field.rationals()
-            elif len(toks) == 3 and toks[1] == "F" and toks[2].isdigit():
+            elif len(toks) == 3 and toks[1] == "F" and toks[2].isdecimal():
                 try:
                     field = Field.prime(int(toks[2]))
                 except ValueError as e:
@@ -410,7 +410,7 @@ def parse_session(text: str) -> Session:
         elif head in _COMMAND_KINDS:
             args = toks[1:]
             if head == "seed":
-                if len(args) != 1 or not args[0].lstrip("-").isdigit():
+                if len(args) != 1 or not args[0].removeprefix("-").isdecimal():
                     raise SessionSyntaxError("seed takes an integer", lineno)
             elif head == "compose":
                 if len(args) != 4 or args[2] != "as":

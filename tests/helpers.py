@@ -1,6 +1,7 @@
 """Shared fixtures: the small algebras every suite exercises, the
-equivalence test without minimal models, and the elimination on Fraction
-objects that the rational kernels are checked against."""
+equivalence test without minimal models, the quotient model of a tensor
+product, and the elimination on Fraction objects that the rational
+kernels are checked against."""
 
 from __future__ import annotations
 
@@ -90,6 +91,37 @@ def left_dual_basis_sum(p: Bimodule) -> Matrix:
                              Matrix.identity(field, n))
         total = total + p.left_act(values, Matrix.stack_columns(field, [h] * n, n))
     return total
+
+
+class QuotientTensor:
+    """m (x)_B n as m (x)_k n, built by kron, divided by the balancing
+    relations x.b (x) y - x (x) b.y for every basis element b of B.
+
+    The reference for spherica.bimodules.tensor_over_middle, which works
+    through a projective splitting of m instead; this model needs no
+    projectivity.  There are no vertex blocks, so the relations include
+    the vertex idempotents.  coords(xs, ys) gives the pure tensors
+    xs[:, j] (x) ys[:, j] in the basis of the free (non-pivot) coordinates.
+    """
+
+    def __init__(self, m: Bimodule, n: Bimodule):
+        field, size = m.field, m.dim * n.dim
+        im, in_ = Matrix.identity(field, m.dim), Matrix.identity(field, n.dim)
+        rels = [m.right_action[b].kron(in_) - im.kron(n.left_action[b])
+                for b in range(m.right_algebra.dim)]
+        r, pivots = Matrix.stack_columns(field, rels, size).transpose().rref()
+        self._pivots = list(pivots)
+        self._free = [c for c in range(size) if c not in pivots]
+        self._rel_free = r.submatrix(slice(0, len(pivots)), self._free).transpose()
+        self.dim = len(self._free)
+
+    def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
+        pure = Matrix.stack_columns(
+            xs.field, [xs.column_vec(j).kron(ys.column_vec(j)) for j in range(xs.cols)],
+            xs.rows * ys.rows)
+        # eliminate the pivot coordinates with the relations, keep the free ones
+        return pure.submatrix(self._free, slice(None)) - \
+            self._rel_free * pure.submatrix(self._pivots, slice(None))
 
 
 # Rational linear algebra on Fraction objects, entry by entry: the reference

@@ -22,7 +22,7 @@ from spherica.bimodules import (
 )
 from spherica.linalg import Field, Matrix
 
-from helpers import a2_path_algebra, dual_numbers, zigzag_a2
+from helpers import QuotientTensor, a2_path_algebra, dual_numbers, zigzag_a2
 
 F = Field.prime(101)
 K = trivial_algebra(F)
@@ -216,54 +216,70 @@ def test_tensor_dim_bound_and_assoc_dims():
 
 def test_tensor_coords_and_monomials_consistent():
     t = tensor_over_middle(e1Z(), Ze1())
-    for k, (xv, yv) in enumerate(t.monomials()):
-        coords = t.tensor_coords(xv, yv)
+    xs, ys = t.monomial_matrices()
+    for k in range(xs.cols):
+        coords = t.coords(xs.column_vec(k), ys.column_vec(k))
         assert coords == Matrix.basis_vector(F, t.bimodule.dim, k)
+
+
+def _tensor_cases(field) -> dict[str, tuple[Bimodule, Bimodule]]:
+    """e_1Z (x) Ze_1, D (x) D, and a zigzag case whose left factor splits
+    into several slots."""
+    k, d, z = trivial_algebra(field), dual_numbers(field), zigzag_a2(field)
+    return {"e1Z-Ze1": (projective_bimodule(k, 0, z, 0), projective_bimodule(z, 0, k, 0)),
+            "D-D": (regular_bimodule(d), regular_bimodule(d)),
+            "zigzag": (regular_bimodule(z),
+                       direct_sum([projective_bimodule(z, 0, z, 1), regular_bimodule(z)])[0])}
 
 
 @pytest.mark.parametrize("field", [F, Field.rationals()], ids=["F101", "Q"])
 @pytest.mark.parametrize("model", ["split", "quotient"])
 def test_batched_coords_equal_column_by_column(field, model):
-    """The batched coordinate map on a tensor with several slots agrees
-    with its one-column case and is balanced over the middle algebra."""
+    """split: the batched coordinate map on a tensor with several slots
+    agrees with its one-column case.  quotient: on every case, the tensor
+    has the dimension of the quotient model, and the two coordinate maps
+    differ by one fixed invertible change of basis.  Both: the coordinate
+    map is balanced over the middle algebra."""
     import random
 
-    from spherica.bimodules import _QuotientTensor
-    z = zigzag_a2(field)
-    m = regular_bimodule(z)
-    n = direct_sum([projective_bimodule(z, 0, z, 1), regular_bimodule(z)])[0]
-    t = tensor_over_middle(m, n) if model == "split" else _QuotientTensor(m, n)
-    if model == "split":
-        assert len(t.sp.gens) >= 2
     rng = random.Random(7)
 
     def rand(rows, cols):
         return Matrix.from_rows(field, [[rng.randrange(-50, 51) for _ in range(cols)]
                                         for _ in range(rows)])
 
-    xs, ys = rand(m.dim, 9), rand(n.dim, 9)
-    batched = t.coords(xs, ys)
-    singles = [t.tensor_coords(xs.column_vec(j), ys.column_vec(j)) for j in range(9)]
-    assert batched == Matrix.stack_columns(field, singles, t.bimodule.dim)
-    for g in z.generator_indices:
-        assert t.coords(m.right_action[g] * xs, ys) == t.coords(xs, n.left_action[g] * ys)
-    mx, my = t.monomial_matrices()
-    assert t.coords(mx, my).is_identity()
+    cases = _tensor_cases(field)
+    for m, n in (cases.values() if model == "quotient" else [cases["zigzag"]]):
+        t = tensor_over_middle(m, n)
+        xs, ys = rand(m.dim, 9), rand(n.dim, 9)
+        batched = t.coords(xs, ys)
+        if model == "split":
+            assert len(t.sp.gens) >= 2
+            singles = [t.coords(xs.column_vec(j), ys.column_vec(j)) for j in range(9)]
+            assert batched == Matrix.stack_columns(field, singles, t.bimodule.dim)
+            mx, my = t.monomial_matrices()
+            assert t.coords(mx, my).is_identity()
+        else:
+            oracle = QuotientTensor(m, n)
+            assert t.bimodule.dim == oracle.dim
+            change = oracle.coords(*t.monomial_matrices())
+            assert change.is_invertible()
+            assert oracle.coords(xs, ys) == change * batched
+        for g in m.right_algebra.generator_indices:
+            assert t.coords(m.right_action[g] * xs, ys) == t.coords(xs, n.left_action[g] * ys)
 
 
 def test_tensor_generic_fallback_agrees():
-    # a non-projective left factor exercises the quotient model:
-    # simple module k over D, then k (x)_D D = k.
+    # a left factor that is not right-projective has no splitting, so no
+    # tensor: the simple module k over D, whose projective cover has dim 2
     one = Matrix.identity(F, 1)
     zero_act = Matrix.zeros(F, 1, 1)
     simple = Bimodule(K, D, [one], [one, zero_act], 1, label="S")
-    t = tensor_over_middle(simple, regular_bimodule(D))
-    assert t.bimodule.dim == 1
-    # and on a projective example both models give the same dimension
-    from spherica.bimodules import _QuotientTensor
-    fast = tensor_over_middle(e1Z(), Ze1())
-    slow = _QuotientTensor(e1Z(), Ze1())
-    assert fast.bimodule.dim == slow.bimodule.dim == 2
+    with pytest.raises(BimoduleError, match=r"tensor_over_middle needs a right-projective "
+                                            r"left factor \(cover dim 2 != dim 1\)"):
+        tensor_over_middle(simple, regular_bimodule(D))
+    # the quotient model needs no splitting: k (x)_D D = k
+    assert QuotientTensor(simple, regular_bimodule(D)).dim == 1
 
 
 def test_tensor_middle_mismatch():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, Field, Matrix, reduce, solve
+from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, Field, Matrix
 
 from helpers import (
     fraction_combine_blocks,
@@ -52,54 +52,49 @@ def test_products_at_the_largest_prime():
 
 def test_reduce_identity_f7():
     m = Matrix.identity(F7, 3)
-    rank, ker, img = reduce(m)
-    assert rank == 3
-    assert ker == []
-    assert len(img) == 3
+    assert m.rank() == 3
+    assert m.nullspace().cols == 0
+    assert m.image_basis().cols == 3
 
 
 def test_reduce_zero_matrix():
     m = Matrix.zeros(F7, 2, 4)
-    rank, ker, img = reduce(m)
-    assert rank == 0
-    assert len(ker) == 4
-    assert img == []
+    assert m.rank() == 0
+    assert m.nullspace().cols == 4
+    assert m.image_basis().cols == 0
 
 
 def test_reduce_rank_one_f2():
     # [[1,1],[1,1]] over F_2: hand row reduction gives rank 1, kernel (1,1).
     m = Matrix.from_rows(F2, [[1, 1], [1, 1]])
-    rank, ker, img = reduce(m)
-    assert rank == 1
-    assert len(ker) == 1
-    assert ker[0] == Matrix.column(F2, [1, 1])
-    for v in ker:
-        assert (m * v).is_zero()
+    assert m.rank() == 1
+    assert m.nullspace() == Matrix.column(F2, [1, 1])
+    assert (m * m.nullspace()).is_zero()
 
 
 def test_solve_identity():
     m = Matrix.identity(F7, 2)
     b = Matrix.column(F7, [2, 3])
-    assert solve(m, b) == b
+    assert m.solve(b) == b
 
 
 def test_solve_inconsistent():
     m = Matrix.zeros(F2, 2, 2)
     b = Matrix.column(F2, [1, 0])
-    assert solve(m, b) is None
+    assert m.solve(b) is None
 
 
 def test_solve_free_variable_zeroed():
     # [[1,1],[0,0]] x = (1,0) over F_2: pivot at column 0, free column 1 -> x = (1,0).
     m = Matrix.from_rows(F2, [[1, 1], [0, 0]])
     b = Matrix.column(F2, [1, 0])
-    assert solve(m, b) == Matrix.column(F2, [1, 0])
+    assert m.solve(b) == Matrix.column(F2, [1, 0])
 
 
 def test_solve_dimension_mismatch():
     m = Matrix.identity(F2, 2)
     with pytest.raises(ValueError):
-        solve(m, Matrix.column(F2, [1, 0, 0]))
+        m.solve(Matrix.column(F2, [1, 0, 0]))
 
 
 def test_rationals_exact():
@@ -150,7 +145,7 @@ def test_solve_of_consistent_system(p, rows, cols, seed):
     m = _random_matrix(field, rows, cols, rng)
     x = _random_matrix(field, cols, 1, rng)
     b = m * x
-    x2 = solve(m, b)
+    x2 = m.solve(b)
     assert x2 is not None
     assert m * x2 == b
 
@@ -165,14 +160,11 @@ def test_solve_of_consistent_system(p, rows, cols, seed):
 def test_reduce_postconditions(p, rows, cols, seed):
     rng = random.Random(seed)
     m = _random_matrix(Field.prime(p), rows, cols, rng)
-    rank, ker, img = reduce(m)
-    assert rank + len(ker) == cols
-    for v in ker:
-        assert (m * v).is_zero()
+    rank, ker, img = m.rank(), m.nullspace(), m.image_basis()
+    assert rank + ker.cols == cols
+    assert (m * ker).is_zero()
     # re-reducing the image basis keeps the rank (idempotence in effect)
-    if img:
-        img_mat = Matrix.stack_columns(m.field, img, rows)
-        assert img_mat.rank() == rank
+    assert img.rank() == img.cols == rank
 
 
 def test_rank_transpose_rationals():
@@ -247,10 +239,13 @@ def test_combine_blocks_and_column_kron_are_exact(p):
     want = [[sum(c[i][j] * b[3 * i + h][j] for i in range(25)) % p for j in range(4)]
             for h in range(3)]
     assert blocks.combine_blocks(coeffs).arr.tolist() == want
+    # the Kronecker product of two columns, as the quotient tensor model in
+    # the test helpers forms its pure tensors, at residues near p
     x, y = _residues(field, 3, 4, rng), _residues(field, 2, 4, rng)
-    kron = x.column_kron(y)
     for j in range(4):
-        assert kron.column_vec(j) == x.column_vec(j).kron(y.column_vec(j))
+        xj, yj = x.arr[:, j].tolist(), y.arr[:, j].tolist()
+        assert x.column_vec(j).kron(y.column_vec(j)).arr.ravel().tolist() == \
+            [xi * yk % p for xi in xj for yk in yj]
 
 
 # Over Q, products and row reduction run on integer numerators over one

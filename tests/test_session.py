@@ -361,6 +361,30 @@ def test_prime_above_the_limit_is_an_input_error(tmp_path, capsys):
     assert "line 1" in err and "4294967291" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    (MINIMAL + "seed ²\n", 5),
+    (MINIMAL + "seed --5\n", 5),
+    (MINIMAL.replace("vertices pt }", "vertices pt; bound ² }"), 2),
+    (MINIMAL.replace("field F 101", "field F ²"), 1),
+], ids=["seed-superscript", "seed-two-minus-signs", "bound-superscript", "field-superscript"])
+def test_numbers_that_int_rejects_are_positioned_syntax_errors(tmp_path, capsys, text, line):
+    # '²' is a digit to str.isdigit() but not to int()
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session(text)
+    assert err.value.line == line
+    f = tmp_path / "bad_number.sph"
+    f.write_text(text, encoding="utf-8")
+    assert cli_main(["run", str(f)]) == 2
+    assert f"line {line}" in capsys.readouterr().err
+
+
+def test_field_flag_rejects_superscript_digits(tmp_path, capsys):
+    f = tmp_path / "minimal.sph"
+    f.write_text(MINIMAL)
+    assert cli_main(["run", str(f), "--field", "²"]) == 2
+    assert "--field expects a prime or 'q', got '²'" in capsys.readouterr().err
+
+
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
