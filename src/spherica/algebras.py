@@ -91,6 +91,7 @@ class Algebra:
         self._subspace_cache: dict = {}
         self._opposite: Algebra | None = None
         self._unit_complex = None   # complexes.unit_complex(self), once built
+        self._dual_tables: dict = {}  # the tables bimodules.right_dual reads, once built
         self._validate()
 
     # --- construction-time sanity -----------------------------------
@@ -194,16 +195,6 @@ class Algebra:
             c = vec.arr[i, 0]
             if c != zero:
                 out = out + self.left_mult_matrix(i).scale(c)
-        return out
-
-    def right_action_of(self, vec: Matrix) -> Matrix:
-        """Right multiplication matrix of an arbitrary element."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        zero = self.field.elem(0)
-        for i in range(self.dim):
-            c = vec.arr[i, 0]
-            if c != zero:
-                out = out + self.right_mult_matrix(i).scale(c)
         return out
 
     @property
@@ -499,3 +490,13 @@ def trivial_algebra(field: Field) -> Algebra:
     """The ground field as a one-vertex quiver algebra."""
     q = QuiverPresentation(vertices=("pt",), arrows=(), relations=(), length_bound=1)
     return algebra_from_quiver(q, field, name="k")
+
+
+_scalar_algebras: dict[Field, Algebra] = {}
+
+
+def scalar_algebra(field: Field) -> Algebra:
+    """The ground field as an algebra, shared per field."""
+    if field not in _scalar_algebras:
+        _scalar_algebras[field] = trivial_algebra(field)
+    return _scalar_algebras[field]

@@ -14,6 +14,12 @@ Everything downstream leans on two pieces of structure:
   generators, which gives dual bases on the nose, duals with explicit
   evaluation maps, and a quotient-free model of M (x)_B N.
 
+Composite bimodules record their parts: a direct sum its summands (on
+both sides, so its flip is the sum of the flips), a tensor its slots (on
+the right only).  Their splittings and vertex blocks are assembled from
+the parts' cached ones, which is the same echelon choice with no row
+reduction, since every action matrix is block diagonal on the parts.
+
 Tensor products m (x)_B n over a middle algebra are built from the
 splitting of m, so m must be right-projective; every kernel term is, as
 kernels are biprojective.  They come back as TensorData: the bimodule
@@ -34,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebras import Algebra, opposite
+from .algebras import Algebra, opposite, scalar_algebra
 from .linalg import Matrix
 
 
@@ -67,6 +73,10 @@ class Bimodule:
         self._right_action = right_action
         self.label = label
         self._cache: dict = {}
+        # part records: m is the direct sum of right_parts as a right module,
+        # and of summands as a bimodule, in coordinate order (see _sum)
+        self.right_parts: list[Bimodule] | None = None
+        self.summands: list[Bimodule] | None = None
 
     @property
     def left_action(self) -> list[Matrix]:
@@ -154,11 +164,16 @@ class Bimodule:
         return flip(self).right_block(v_pos)
 
     def right_block(self, w_pos: int) -> Matrix:
-        """Basis of M e_w for the w-th right vertex idempotent."""
+        """Basis of M e_w for the w-th right vertex idempotent; block diagonal
+        on the right parts, which give the same pivots."""
         key = ("rb", w_pos)
         if key not in self._cache:
-            idem = self.right_algebra.vertex_idempotents[w_pos]
-            self._cache[key] = self.right_action[idem].image_basis()
+            if self.right_parts:
+                self._cache[key] = Matrix.block_diag(
+                    self.field, [p.right_block(w_pos) for p in self.right_parts])
+            else:
+                idem = self.right_algebra.vertex_idempotents[w_pos]
+                self._cache[key] = self.right_action[idem].image_basis()
         return self._cache[key]
 
     def left_block_proj(self, v_pos: int) -> Matrix:
@@ -167,7 +182,11 @@ class Bimodule:
     def right_block_proj(self, w_pos: int) -> Matrix:
         key = ("rbp", w_pos)
         if key not in self._cache:
-            self._cache[key] = _left_inverse(self.right_block(w_pos))
+            if self.right_parts:
+                self._cache[key] = Matrix.block_diag(
+                    self.field, [p.right_block_proj(w_pos) for p in self.right_parts])
+            else:
+                self._cache[key] = _left_inverse(self.right_block(w_pos))
         return self._cache[key]
 
     def double_block(self, v_pos: int, w_pos: int) -> Matrix:
@@ -195,12 +214,15 @@ def flip(m: Bimodule) -> Bimodule:
     swapped, so an (A,B)-bimodule becomes a (B^op,A^op)-bimodule.
 
     Cached on m; it satisfies the module axioms exactly when m does.
-    Every left-side construction is the right-side one read through flip.
+    Every left-side construction is the right-side one read through flip,
+    and the flip of a sum is the sum of the flipped summands.
     """
     if "flip" not in m._cache:
-        m._cache["flip"] = Bimodule(opposite(m.right_algebra), opposite(m.left_algebra),
-                                    lambda: m.right_action, lambda: m.left_action,
-                                    m.dim, label=m.label)
+        f = Bimodule(opposite(m.right_algebra), opposite(m.left_algebra),
+                     lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label)
+        if m.summands:
+            f.summands = f.right_parts = [flip(s) for s in m.summands]
+        m._cache["flip"] = f
     return m._cache["flip"]
 
 
@@ -209,6 +231,13 @@ def _right_view(m: Bimodule, side: str) -> Bimodule:
     if side not in ("left", "right"):
         raise BimoduleError("side must be 'left' or 'right'")
     return m if side == "right" else flip(m)
+
+
+def _stacked_left(m: Bimodule) -> Matrix:
+    """The left action matrices of m stacked top to bottom, built once per m."""
+    if "stacked_left" not in m._cache:
+        m._cache["stacked_left"] = Matrix.stack_rows(m.field, m.left_action, m.dim)
+    return m._cache["stacked_left"]
 
 
 def _act(actions: list[Matrix], coeffs: Matrix, xs: Matrix) -> Matrix:
@@ -333,6 +362,23 @@ def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimod
                     label=f"P({v_pos},{w_pos})")
 
 
+def _diagonal(field, parts: list[Bimodule], side: str, count: int) -> Callable[[], list[Matrix]]:
+    """Builder of the block diagonal action matrices of the parts on one side."""
+    return lambda: [Matrix.block_diag(field, [getattr(p, side)[i] for p in parts])
+                    for i in range(count)]
+
+
+def _sum(summands: list[Bimodule], label: str) -> Bimodule:
+    """The direct sum of the summands, which share their algebras, with its
+    part records; both actions are block diagonal."""
+    a, b = summands[0].left_algebra, summands[0].right_algebra
+    out = Bimodule(a, b, _diagonal(a.field, summands, "left_action", a.dim),
+                   _diagonal(a.field, summands, "right_action", b.dim),
+                   sum(m.dim for m in summands), label=label)
+    out.summands = out.right_parts = [m for m in summands if m.dim]
+    return out
+
+
 def direct_sum(summands: list[Bimodule], left: Algebra | None = None,
                right: Algebra | None = None) -> tuple[Bimodule, list[Matrix], list[Matrix]]:
     """Direct sum with injection and projection matrices."""
@@ -340,29 +386,11 @@ def direct_sum(summands: list[Bimodule], left: Algebra | None = None,
         if left is None or right is None:
             raise BimoduleError("empty direct sum needs explicit algebras")
         return zero_bimodule(left, right), [], []
-    a = summands[0].left_algebra
-    b = summands[0].right_algebra
-    field = a.field
-    total = sum(m.dim for m in summands)
-    out = Bimodule(a, b,
-                   lambda: [Matrix.block_diag(field, [m.left_action[i] for m in summands])
-                            for i in range(a.dim)],
-                   lambda: [Matrix.block_diag(field, [m.right_action[i] for m in summands])
-                            for i in range(b.dim)],
-                   total, label="(+)".join(m.label or "?" for m in summands))
-    injections = []
-    projections = []
-    offset = 0
-    for m in summands:
-        inj = field._zeros(total, m.dim)
-        proj = field._zeros(m.dim, total)
-        for i in range(m.dim):
-            inj[offset + i, i] = field.elem(1)
-            proj[i, offset + i] = field.elem(1)
-        injections.append(Matrix(field, inj))
-        projections.append(Matrix(field, proj))
-        offset += m.dim
-    return out, injections, projections
+    out = _sum(summands, "(+)".join(m.label or "?" for m in summands))
+    eye = Matrix.identity(out.field, out.dim)
+    ends = np.cumsum([0] + [m.dim for m in summands])
+    return (out, [eye.submatrix(slice(None), slice(s, e)) for s, e in zip(ends, ends[1:])],
+            [eye.submatrix(slice(s, e), slice(None)) for s, e in zip(ends, ends[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -509,50 +537,81 @@ class Splitting:
     slot_coords: list[Matrix]
 
 
+def _slot_dims(alg: Algebra, vertex_pos: list[int]) -> list[int]:
+    """The dimensions of the ideals e_v B of alg, for v in vertex_pos."""
+    return [alg.right_ideal_basis(alg.vertex_idempotents[v]).cols for v in vertex_pos]
+
+
 def _cover(m: Bimodule) -> tuple[list[Matrix], list[int], list[int]]:
     """Generators of m modulo m.rad, by echelon choice from the vertex blocks
-    m e_v, with their vertices and the dimensions of their slots e_v B."""
+    m e_v, with their vertices and the dimensions of their slots e_v B.
+
+    The pivots come from one rref of [m.rad | m e_0 | m e_1 | ...]: a column
+    is a pivot when the columns before it do not span it, so spanning
+    m.rad by all the radical action columns picks the same generators."""
     field = m.field
     alg = m.right_algebra
     if m.dim == 0:
         return [], [], []
     rad = Matrix.stack_columns(field, [m.right_action[r] for r in alg.radical_basis], m.dim)
-    rad_basis = rad.image_basis()
-    cand_cols = [rad_basis]
-    cand_meta: list[int] = []
-    for v_pos in range(len(alg.vertex_idempotents)):
-        blk = m.right_block(v_pos)
-        cand_cols.append(blk)
-        cand_meta.extend([v_pos] * blk.cols)
-    stacked = Matrix.stack_columns(field, cand_cols, m.dim)
-    _, pivots = stacked.rref()
-    picked = [p for p in pivots if p >= rad_basis.cols]
-    vertex_pos = [cand_meta[p - rad_basis.cols] for p in picked]
-    slot_dims = [alg.right_ideal_basis(alg.vertex_idempotents[v]).cols for v in vertex_pos]
-    return [stacked.column_vec(p) for p in picked], vertex_pos, slot_dims
+    blocks = [m.right_block(v_pos) for v_pos in range(len(alg.vertex_idempotents))]
+    cand_meta = [v_pos for v_pos, blk in enumerate(blocks) for _ in range(blk.cols)]
+    stacked = Matrix.stack_columns(field, [rad] + blocks, m.dim)
+    picked = [p for p in stacked.rref()[1] if p >= rad.cols]
+    vertex_pos = [cand_meta[p - rad.cols] for p in picked]
+    return [stacked.column_vec(p) for p in picked], vertex_pos, _slot_dims(alg, vertex_pos)
 
 
 def _splitting(m: Bimodule) -> Splitting | None:
-    """The right-projective splitting of m, or None when m is not right-projective."""
-    if "split" in m._cache:
-        return m._cache["split"]
+    """The right-projective splitting of m, or None when m is not right-projective.
+
+    A bimodule with right parts assembles it from theirs, with no elimination."""
+    if "split" not in m._cache:
+        m._cache["split"] = _assembled_splitting(m) if m.right_parts else _fresh_splitting(m)
+    return m._cache["split"]
+
+
+def _fresh_splitting(m: Bimodule) -> Splitting | None:
     gens, vertex_pos, slot_dims = _cover(m)
-    sp = None
-    if sum(slot_dims) == m.dim:
-        # phi: free module -> M, slot t: g |-> p_t.g
-        alg = m.right_algebra
-        ideals = [alg.right_ideal_basis(alg.vertex_idempotents[v_pos]) for v_pos in vertex_pos]
-        cols = [m.right_act(Matrix.stack_columns(m.field, [g] * ideal.cols, m.dim), ideal)
-                for g, ideal in zip(gens, ideals)]
-        phi = Matrix.stack_columns(m.field, cols, m.dim)
-        if phi.is_invertible():
-            phi_inv = phi.inverse()
-            ends = np.cumsum([0] + slot_dims)
-            slot_coords = [ideal * phi_inv.submatrix(slice(ends[t], ends[t + 1]), slice(0, m.dim))
-                           for t, ideal in enumerate(ideals)]
-            sp = Splitting(gens, vertex_pos, phi, slot_coords)
-    m._cache["split"] = sp
-    return sp
+    if sum(slot_dims) != m.dim:
+        return None
+    # phi: free module -> M, slot t: g |-> p_t.g; one solve decides invertibility
+    alg = m.right_algebra
+    ideals = [alg.right_ideal_basis(alg.vertex_idempotents[v_pos]) for v_pos in vertex_pos]
+    cols = [m.right_act(Matrix.stack_columns(m.field, [g] * ideal.cols, m.dim), ideal)
+            for g, ideal in zip(gens, ideals)]
+    phi = Matrix.stack_columns(m.field, cols, m.dim)
+    phi_inv = phi.solve(Matrix.identity(m.field, m.dim))
+    if phi_inv is None:
+        return None
+    ends = np.cumsum([0] + slot_dims)
+    slot_coords = [ideal * phi_inv.submatrix(slice(ends[t], ends[t + 1]), slice(0, m.dim))
+                   for t, ideal in enumerate(ideals)]
+    return Splitting(gens, vertex_pos, phi, slot_coords)
+
+
+def _assembled_splitting(m: Bimodule) -> Splitting | None:
+    """The splitting of m read off its right parts' splittings.
+
+    Every column of a block diagonal matrix lies in one block, so _cover's
+    first-pivot choice on m splits into one choice per part: the same
+    generators, ordered by vertex, then part, then position in the part.
+    phi is block diagonal up to that order of its slots, and phi^-1 too."""
+    parts = m.right_parts
+    splits = [_splitting(p) for p in parts]
+    if any(sp is None for sp in splits):
+        return None
+    offsets = np.cumsum([0] + [p.dim for p in parts])
+    slot_starts = [offsets[i] + np.cumsum([0] + _slot_dims(m.right_algebra, sp.vertex_pos))
+                   for i, sp in enumerate(splits)]
+    order = sorted((v, i, k) for i, sp in enumerate(splits) for k, v in enumerate(sp.vertex_pos))
+    phi_cols = [c for _, i, k in order for c in range(slot_starts[i][k], slot_starts[i][k + 1])]
+    return Splitting(
+        [splits[i].gens[k].pad_rows(offsets[i], m.dim) for _, i, k in order],
+        [v for v, _, _ in order],
+        Matrix.block_diag(m.field, [sp.phi for sp in splits]).submatrix(slice(None), phi_cols),
+        [splits[i].slot_coords[k].transpose().pad_rows(offsets[i], m.dim).transpose()
+         for _, i, k in order])
 
 
 def is_projective(m: Bimodule, side: str) -> bool:
@@ -599,72 +658,81 @@ def _require_projective(p: Bimodule, side: str) -> None:
             f"{projective_cover_dim(p, side)} != dim {p.dim})")
 
 
+@dataclass
+class _DualSlot:
+    """The tables of B e_v that right_dual reads, built once per (B, v)."""
+
+    basis: Matrix              # G: columns spanning B e_v in the basis of B
+    proj: Matrix               # the left inverse of G
+    mults: Matrix              # left multiplication matrices of G's columns, stacked
+    left_action: list[Matrix]  # b_i acting on B e_v, in the basis G
+    unit: Matrix               # e_v in the basis G
+
+
+def _dual_slot(B: Algebra, v_pos: int) -> _DualSlot:
+    key = ("slot", v_pos)
+    if key not in B._dual_tables:
+        G = B.left_ideal_basis(B.vertex_idempotents[v_pos])
+        proj = _left_inverse(G)
+        mults = [B.left_action_of(G.column_vec(j)) for j in range(G.cols)]
+        B._dual_tables[key] = _DualSlot(
+            G, proj, Matrix.stack_rows(B.field, mults, B.dim),
+            [proj * (B.left_mult_matrix(i) * G) for i in range(B.dim)],
+            proj * Matrix.basis_vector(B.field, B.dim, B.vertex_idempotents[v_pos]))
+    return B._dual_tables[key]
+
+
+def _move_table(B: Algebra, s_pos: int, t_pos: int) -> Matrix:
+    """Column k is vec(proj_s R_k G_t), G_t spanning B e_t and proj_s the
+    left inverse of G_s: beta |-> beta.c maps B e_t to B e_s by this table
+    applied to the coordinates of c."""
+    key = ("move", s_pos, t_pos)
+    if key not in B._dual_tables:
+        proj, G = _dual_slot(B, s_pos).proj, _dual_slot(B, t_pos).basis
+        vecs = [(proj * (B.right_mult_matrix(k) * G)).arr.reshape(-1, 1) for k in range(B.dim)]
+        B._dual_tables[key] = Matrix(B.field, np.hstack(vecs))
+    return B._dual_tables[key]
+
+
 def right_dual(p: Bimodule) -> DualData:
-    """Maps into the right algebra: an (A,B)-bimodule yields a (B,A)-bimodule."""
+    """Maps into the right algebra: an (A,B)-bimodule yields a (B,A)-bimodule.
+
+    Slot t of the dual is B e_{v_t}; a in A sends beta in slot t to
+    beta.c_t(a.g_s) in slot s, read off the move table for every a at once."""
     _require_projective(p, "right")
     sp = _splitting(p)
     A, B = p.left_algebra, p.right_algebra
-    field = p.field
-    # dual slots: B e_{v_t}
-    slot_basis = []
-    for v_pos in sp.vertex_pos:
-        v = B.vertex_idempotents[v_pos]
-        slot_basis.append(B.left_ideal_basis(v))
-    dual_dim = sum(g.cols for g in slot_basis)
-    dual_offsets = []
-    off = 0
-    for g in slot_basis:
-        dual_offsets.append(off)
-        off += g.cols
+    field, S = p.field, len(sp.gens)
+    slots = [_dual_slot(B, v_pos) for v_pos in sp.vertex_pos]
+    ends = np.cumsum([0] + [slot.basis.cols for slot in slots])
+    dual_dim = int(ends[-1])
 
     hom_matrices = []
-    for t, G in enumerate(slot_basis):
-        for j in range(G.cols):
-            beta = G.column_vec(j)
-            hom_matrices.append(B.left_action_of(beta) * sp.slot_coords[t])
+    for slot, coords in zip(slots, sp.slot_coords):
+        homs = slot.mults * coords
+        hom_matrices += [homs.submatrix(slice(j * B.dim, (j + 1) * B.dim), slice(None))
+                         for j in range(slot.basis.cols)]
+    left_action = [Matrix.block_diag(field, [slot.left_action[i] for slot in slots])
+                   for i in range(B.dim)]
 
-    # actions on the dual
-    slot_proj = [_left_inverse(G) for G in slot_basis]
-    left_action = []
-    for i in range(B.dim):
-        blocks = []
-        for t, G in enumerate(slot_basis):
-            blocks.append(slot_proj[t] * (B.left_mult_matrix(i) * G))
-        left_action.append(Matrix.block_diag(field, blocks))
-    right_action = []
-    for i in range(A.dim):
-        mat = field._zeros(dual_dim, dual_dim)
-        for s in range(len(sp.gens)):
-            img = p.left_action[i] * sp.gens[s]
-            for t in range(len(sp.gens)):
-                c_ts = sp.slot_coords[t] * img
-                if c_ts.is_zero():
-                    continue
-                # beta |-> beta . c_ts maps slot t to slot s
-                move = slot_proj[s] * (B.right_action_of(c_ts) * slot_basis[t]) \
-                    if slot_basis[s].cols else None
-                if move is None:
-                    continue
-                r0, c0 = dual_offsets[s], dual_offsets[t]
-                block = move.arr
-                if block.shape[0] and block.shape[1]:
-                    sub = mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]]
-                    mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = sub + block
-        right_action.append(Matrix(field, mat))
+    # c_t(a_i.g_s) for every t, s and i: row block t, column block s
+    moved = (_stacked_left(p) * Matrix.stack_columns(field, sp.gens, p.dim)).arr
+    moved = moved.reshape(A.dim, p.dim, S).transpose(1, 2, 0).reshape(p.dim, S * A.dim)
+    coeffs = Matrix.stack_rows(field, sp.slot_coords, p.dim) * Matrix(field, moved)
+    right = field._zeros(A.dim * dual_dim, dual_dim).reshape(A.dim, dual_dim, dual_dim)
+    for s in range(S):
+        for t in range(S):
+            c_ts = coeffs.submatrix(slice(t * B.dim, (t + 1) * B.dim),
+                                    slice(s * A.dim, (s + 1) * A.dim))
+            if not c_ts.is_zero():
+                block = _move_table(B, sp.vertex_pos[s], sp.vertex_pos[t]) * c_ts
+                right[:, ends[s]:ends[s + 1], ends[t]:ends[t + 1]] = \
+                    block.arr.T.reshape(A.dim, ends[s + 1] - ends[s], ends[t + 1] - ends[t])
+    right_action = [Matrix(field, right[i]) for i in range(A.dim)]
 
     dual = Bimodule(B, A, left_action, right_action, dual_dim,
                     label=f"{p.label or 'P'}^v")
-    cogens = []
-    for t, v_pos in enumerate(sp.vertex_pos):
-        v = B.vertex_idempotents[v_pos]
-        G = slot_basis[t]
-        coords = G.solve(Matrix.basis_vector(field, B.dim, v))
-        if coords is None:
-            raise BimoduleError("idempotent not in its own ideal (internal error)")
-        vec = field._zeros(dual_dim, 1)
-        for j in range(G.cols):
-            vec[dual_offsets[t] + j, 0] = coords.arr[j, 0]
-        cogens.append(Matrix(field, vec))
+    cogens = [slot.unit.pad_rows(int(ends[t]), dual_dim) for t, slot in enumerate(slots)]
     return DualData(dual, hom_matrices, list(sp.gens), cogens)
 
 
@@ -697,6 +765,10 @@ class TensorData:
     X[:, j] (x) Y[:, j] in that basis, all columns at once, and induced()
     transports a pair of equivariant maps to a map of tensor products
     with one such call.
+
+    As a right module the tensor is the sum of its slots e_{v_t}n, so its
+    right parts are the slot parts of n (see _slot_part); the left action
+    mixes the slots, so it has no summands.
     """
 
     def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting):
@@ -707,22 +779,17 @@ class TensorData:
         self._nblocks = [n.left_block(v_pos) for v_pos in sp.vertex_pos]
         self._nprojs = [n.left_block_proj(v_pos) for v_pos in sp.vertex_pos]
         self._dim = sum(blk.cols for blk in self._nblocks)
-        self.bimodule = Bimodule(m.left_algebra, n.right_algebra,
-                                 self._build_left_action, self._build_right_action, self._dim,
-                                 label=f"{m.label or 'M'}(x){n.label or 'N'}")
+        slots = [_slot_part(n, v_pos) for v_pos in sp.vertex_pos]
+        self.bimodule = Bimodule(m.left_algebra, n.right_algebra, self._build_left_action,
+                                 _diagonal(self.field, slots, "right_action", n.right_algebra.dim),
+                                 self._dim, label=f"{m.label or 'M'}(x){n.label or 'N'}")
+        self.bimodule.right_parts = [part for part in slots if part.dim]
 
     def induced(self, f: BimoduleMap, g: BimoduleMap, target: "TensorData") -> BimoduleMap:
         """The map f (x) g between tensor products (f, g equivariant)."""
         xs, ys = self.monomial_matrices()
         mat = target.coords(f.matrix * xs, g.matrix * ys)
         return BimoduleMap(self.bimodule, target.bimodule, mat)
-
-    def _build_right_action(self) -> list[Matrix]:
-        """The right action of C: block diagonal on the e_{v_t} n."""
-        n = self.n
-        return [Matrix.block_diag(self.field, [proj * (n.right_action[i] * blk)
-                                               for blk, proj in zip(self._nblocks, self._nprojs)])
-                for i in range(n.right_algebra.dim)]
 
     def _build_left_action(self) -> list[Matrix]:
         """The left action of A: a.(p_t (x) y) = (a.p_t) (x) y, for every
@@ -753,7 +820,7 @@ class TensorData:
 
     def _acted(self, ys: Matrix) -> Matrix:
         """b_i . y for every basis element b_i of B, stacked by i."""
-        return Matrix.stack_rows(self.field, self.n.left_action, self.n.dim) * ys
+        return _stacked_left(self.n) * ys
 
     def _from_coeffs(self, coeffs: list[Matrix], acted: Matrix) -> Matrix:
         """Coordinates of the x_j (x) y_j from coeffs[t][:, j] = c_t(x_j)
@@ -761,6 +828,24 @@ class TensorData:
         parts = [proj * acted.combine_blocks(c)
                  for c, proj in zip(coeffs, self._nprojs) if proj.rows]
         return Matrix.stack_rows(self.field, parts, acted.cols)
+
+
+def _slot_part(n: Bimodule, v_pos: int) -> Bimodule:
+    """e_v n as a (k, C)-bimodule in the basis n.left_block(v): the slot of
+    a tensor m (x) n at a generator of m at vertex v.  Built once per (n, v),
+    so its splitting is too; for a sum n it is the sum of the summands'."""
+    key = ("slot", v_pos)
+    if key not in n._cache:
+        if n.summands:
+            part = _sum([_slot_part(s, v_pos) for s in n.summands], n.label)
+        else:
+            blk, proj = n.left_block(v_pos), n.left_block_proj(v_pos)
+            part = Bimodule(scalar_algebra(n.field), n.right_algebra,
+                            [Matrix.identity(n.field, blk.cols)],
+                            lambda: [proj * (a * blk) for a in n.right_action],
+                            blk.cols, label=n.label)
+        n._cache[key] = part
+    return n._cache[key]
 
 
 def tensor_over_middle(m: Bimodule, n: Bimodule) -> TensorData:

@@ -27,7 +27,7 @@ import random
 
 import numpy as np
 
-from .algebras import Algebra, trivial_algebra
+from .algebras import Algebra, scalar_algebra
 from .bimodules import (
     Bimodule,
     BimoduleError,
@@ -40,21 +40,11 @@ from .bimodules import (
     tensor_over_middle,
     zero_bimodule,
 )
-from .linalg import Field, Matrix
+from .linalg import Matrix
 
 
 class ComplexError(Exception):
     """Raised for malformed complexes or chain maps."""
-
-
-_trivial_cache: dict[Field, Algebra] = {}
-
-
-def scalar_algebra(field: Field) -> Algebra:
-    """The ground field as an algebra, shared per field."""
-    if field not in _trivial_cache:
-        _trivial_cache[field] = trivial_algebra(field)
-    return _trivial_cache[field]
 
 
 class Complex:

@@ -319,14 +319,13 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, field._zeros(rows, cols))
+        return Matrix._wrap(field, field._zeros(rows, cols))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         m = field._zeros(n, n)
-        for i in range(n):
-            m[i, i] = field.elem(1)
-        return Matrix(field, m)
+        np.fill_diagonal(m, field.elem(1))
+        return Matrix._wrap(field, m)
 
     @staticmethod
     def column(field: Field, entries) -> "Matrix":
@@ -451,7 +450,7 @@ class Matrix:
                 out[r:r + m.rows, c:c + m.cols] = m.arr
             r += m.rows
             c += m.cols
-        return Matrix(field, out)
+        return Matrix._wrap(field, out)
 
     def pad_rows(self, offset: int, rows: int) -> "Matrix":
         """self placed at row offset in a zero matrix with the given rows."""
@@ -466,7 +465,7 @@ class Matrix:
         return Matrix._wrap(self.field, self.arr[:, j:j + 1])
 
     def is_zero(self) -> bool:
-        return self.rows == 0 or self.cols == 0 or not np.any(self.arr != self.field.elem(0))
+        return not self.arr.any()
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.field, self.rows)

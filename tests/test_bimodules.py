@@ -1,13 +1,19 @@
-"""Bimodules: hom spaces, projectivity, duals with strict dual bases, tensors."""
+"""Bimodules: hom spaces, projectivity, duals with strict dual bases, tensors,
+and splittings assembled from part records."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from spherica import bimodules
 from spherica.algebras import opposite, trivial_algebra
 from spherica.bimodules import (
     Bimodule,
     BimoduleError,
+    _cover,
+    _splitting,
     direct_sum,
     flip,
     hom_space,
@@ -20,9 +26,12 @@ from spherica.bimodules import (
     tensor_over_middle,
     zero_bimodule,
 )
+from spherica.kernels import kernel_ops
 from spherica.linalg import Field, Matrix
+from spherica.session import _elaborate, builtin_example, builtin_names
+from spherica.spherical import random_kernel
 
-from helpers import QuotientTensor, a2_path_algebra, dual_numbers, zigzag_a2
+from helpers import RANDOM_SHAPES, QuotientTensor, a2_path_algebra, dual_numbers, zigzag_a2
 
 F = Field.prime(101)
 K = trivial_algebra(F)
@@ -339,3 +348,91 @@ def test_flip_swaps_sides_over_opposite_algebras():
         assert (back.left_algebra, back.right_algebra) == (m.left_algebra, m.right_algebra)
         assert is_projective(m, "left") == is_projective(f, "right")
         assert projective_cover_dim(m, "left") == projective_cover_dim(f, "right")
+
+
+# --- part records: splittings and vertex blocks assembled from the parts ---
+
+def _without_record(m: Bimodule) -> Bimodule:
+    """m's action matrices in a fresh bimodule with no part records."""
+    return Bimodule(m.left_algebra, m.right_algebra, m.left_action, m.right_action, m.dim)
+
+
+def _recorded_composites(k) -> list[Bimodule]:
+    """The kernel's terms and their flips, the slot tensors and total terms
+    of RF = p (x) R and FR = R (x) p, and the cone terms of the twist and
+    cotwist: every composite that carries a part record."""
+    ops = kernel_ops(k)
+    out = list(k.complex.terms.values())
+    for t in (ops.rf(), ops.fr()):
+        out += [td.bimodule for slots in t.layout.values() for (_, _, td, _) in slots]
+        out += list(t.complex.terms.values())
+    for data in (ops.twist(), ops.cotwist()):
+        out += list(data.kernel.complex.terms.values())
+    out += [flip(m) for m in out if m.summands]
+    return [m for m in out if m.right_parts]
+
+
+def _assert_assembled_equals_fresh(m: Bimodule) -> None:
+    fresh = _without_record(m)
+    for w in range(len(m.right_algebra.vertex_idempotents)):
+        assert m.right_block(w) == fresh.right_block(w)
+        assert m.right_block_proj(w) == fresh.right_block_proj(w)
+    got, want = _splitting(m), _splitting(fresh)
+    assert want is not None and got is not None
+    gens, vertex_pos, _ = _cover(fresh)
+    assert got.gens == want.gens == gens
+    assert got.vertex_pos == want.vertex_pos == vertex_pos
+    assert got.phi == want.phi
+    assert got.slot_coords == want.slot_coords
+
+
+def _record_cases():
+    for field, tag in ((Field.prime(2), "F2"), (F, "F101"), (Field.rationals(), "Q")):
+        for name in builtin_names():
+            yield pytest.param(field, ("builtin", name), id=f"{tag}:builtin:{name}")
+        for shape in sorted(RANDOM_SHAPES):
+            yield pytest.param(field, ("random", shape), id=f"{tag}:random:{shape}")
+
+
+@pytest.mark.parametrize("field, case", _record_cases())
+def test_assembled_splittings_equal_fresh_ones(field, case):
+    """Sums, their flips, tensors, tensor-complex and cone terms: the
+    splitting and vertex blocks read off the parts are the matrices that
+    _cover and _splitting find from scratch on the same actions."""
+    kind, name = case
+    if kind == "builtin":
+        kernels = list(_elaborate(builtin_example(name), field)[1].values())
+    else:
+        src, tgt = RANDOM_SHAPES[name]
+        kernels = [random_kernel(src(field), tgt(field), random.Random(seed)) for seed in (0, 7)]
+    checked = 0
+    for k in kernels:
+        for m in _recorded_composites(k):
+            _assert_assembled_equals_fresh(m)
+            checked += 1
+    assert checked > 0
+
+
+def test_no_cover_runs_on_a_tensor_of_kernel_terms(monkeypatch):
+    """Splitting a tensor of two kernel terms, and a sum of such tensors,
+    reads the parts' splittings: _cover runs only on leaf bimodules, and
+    the composites never build their right actions."""
+    k = random_kernel(zigzag_a2(), zigzag_a2(), random.Random(7))
+    terms = list(k.complex.terms.values())
+    assert all(t.summands for t in terms)
+    covered = []
+    real_cover = bimodules._cover
+
+    def counting_cover(m):
+        covered.append(m)
+        return real_cover(m)
+
+    monkeypatch.setattr(bimodules, "_cover", counting_cover)
+    tensors = [tensor_over_middle(x, y).bimodule for x in terms for y in terms]
+    total = direct_sum(tensors)[0]
+    assert _splitting(total) is not None
+    for t in tensors + [total]:
+        assert _splitting(t) is not None
+        assert callable(t._right_action)
+        assert all(m is not t for m in covered)
+    assert covered and all(m.right_parts is None for m in covered)
