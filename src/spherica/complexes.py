@@ -482,7 +482,8 @@ def minimal_model(x: Complex) -> Complex:
     is homotopy equivalent to ... -> D --(eps - gamma b^-1 delta)--> E -> ...,
     with the X rows of d^{n-1} and the X' columns of d^{n+1} dropped.  The
     terms of the result are direct summands of x's, so they are projective
-    on every side x's terms are.  No homotopy data is kept.
+    on every side x's terms are.  No homotopy data is kept.  When no
+    block cancels, the result is x itself.
     """
     keep = {n: np.arange(t.dim) for n, t in x.terms.items()}
     blocks = {n: _coordinate_blocks(t) for n, t in x.terms.items()}
@@ -502,6 +503,8 @@ def minimal_model(x: Complex) -> Complex:
             keep[n], keep[n + 1] = keep[n][~cols], keep[n + 1][~rows]
             blocks[n] = [blk for blk in blocks[n] if blk is not src]
             blocks[n + 1] = [blk for blk in blocks[n + 1] if blk is not tgt]
+    if all(len(keep[n]) == t.dim for n, t in x.terms.items()):
+        return x
     terms = {n: t if len(keep[n]) == t.dim else _summand(t, keep[n])
              for n, t in x.terms.items()}
     diffs = {n: BimoduleMap(terms[n], terms[n + 1], mat) for n, mat in d.items()}

@@ -51,6 +51,7 @@ from .complexes import (
     interchange_left_shift,
     interchange_right_shift,
     left_unitor,
+    minimal_model,
     right_unitor,
     shift,
     shift_map,
@@ -232,6 +233,17 @@ class KernelOps:
     def _shift_out_left(self, x1: Complex, x: Complex, y: Complex) -> ChainMap:
         """x1 (x) y -> (x (x) y)[1], for x1 = x[1]."""
         return interchange_left_shift(self._tensor(x1, y), self._tensor(x, y), 1)
+
+    # the minimal model ----------------------------------------------------
+
+    def model(self) -> Kernel:
+        """p on the minimal model of its complex: homotopy equivalent to p,
+        so it defines the same functor.  p itself when nothing cancels, so
+        an already minimal kernel shares this workspace."""
+        def build():
+            x = minimal_model(self.p.complex)
+            return self.p if x is self.p.complex else Kernel(self.A, self.B, x, check=False)
+        return self._get("model", build)
 
     # adjoints ---------------------------------------------------------
 

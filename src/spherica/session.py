@@ -657,13 +657,12 @@ def _run_compose(st: _RunState, args):
 
 
 def _run_assert_quasi_iso(st: _RunState, args):
-    x, y = st.kernels[args[0]], st.kernels[args[1]]
-    hx = homology_dims(x.complex)
-    hy = homology_dims(y.complex)
-    # minimal models are homotopy equivalent to the complexes, so a witness
-    # exists between them exactly when one exists between x and y
-    w = find_quasi_iso(minimal_model(x.complex), minimal_model(y.complex), st.rng) \
-        if hx == hy else None
+    # minimal models are homotopy equivalent to the complexes: they have the
+    # same homology, and a witness exists between them exactly when one
+    # exists between x and y
+    mx, my = (minimal_model(st.kernels[a].complex) for a in args[:2])
+    hx, hy = homology_dims(mx), homology_dims(my)
+    w = find_quasi_iso(mx, my, st.rng) if hx == hy else None
     data = {"homology": {args[0]: _profile(hx), args[1]: _profile(hy)},
             "witness_found": w is not None}
     return ("ok" if w is not None else "assert-failed"), data

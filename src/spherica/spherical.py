@@ -3,8 +3,13 @@
 A kernel is declared an equivalence when the unit and counit against
 its right adjoint are both quasi-isomorphisms; this is constructive and
 terminating, and it is exactly the adjunction machinery the rest of the
-engine already exercises.  The test runs on the kernel's minimal model;
-nothing that is reported is minimised.
+engine already exercises.
+
+Every verdict and homology profile is a property of the functor, so it
+is decided on the minimal model of the kernel, kernel_ops(p).model(),
+which is homotopy equivalent to p and p itself when nothing cancels.
+The twist and cotwist kernels that are reported, and the fully faithful
+check on a given witness, come from p itself.
 
 The four conditions tested for a kernel p with twist T and cotwist C:
 
@@ -74,6 +79,10 @@ class Verdict:
 
 @dataclass
 class ConditionReport:
+    """The four flags and homology profiles, computed on the minimal model
+    of the kernel.  The witnesses are the condition maps between the
+    model's complexes; no report or check reads them."""
+
     cond_T_equiv: bool
     cond_C_equiv: bool
     cond_3: bool
@@ -104,20 +113,21 @@ def is_equivalence_kernel(k: Kernel) -> bool:
     smaller."""
     if not k.is_endokernel():
         raise KernelError("is_equivalence_kernel expects an endokernel")
-    ops = kernel_ops(Kernel(k.source_algebra, k.target_algebra,
-                            minimal_model(k.complex), check=False))
+    ops = kernel_ops(kernel_ops(k).model())
     return is_quasi_iso(ops.unit_right()) and is_quasi_iso(ops.counit_right())
 
 
 def check_conditions(p: Kernel) -> ConditionReport:
-    """Evaluate the four conditions and collect homology profiles."""
-    ops = kernel_ops(p)
+    """Evaluate the four conditions and collect homology profiles, all on
+    the minimal model of p."""
+    q = kernel_ops(p).model()
+    ops = kernel_ops(q)
     tw = ops.twist()
     ct = ops.cotwist()
     cond1 = is_equivalence_kernel(tw.kernel)
     cond2 = is_equivalence_kernel(ct.kernel)
-    m3 = condition3_map(p)
-    m4 = condition4_map(p)
+    m3 = condition3_map(q)
+    m4 = condition4_map(q)
     cond3 = is_quasi_iso(m3)
     cond4 = is_quasi_iso(m4)
     profiles = {
@@ -156,8 +166,8 @@ def check_theorem(p: Kernel, report: ConditionReport | None = None) -> Verdict:
         return Verdict("not_applicable", "cotwist is not an equivalence or (4) fails")
     if not report.cond_T_equiv:
         return Verdict("fail", "hypotheses hold but the twist is not an equivalence")
-    tw_ops = kernel_ops(kernel_ops(p).twist().kernel)
-    if not is_quasi_iso(tw_ops.unit_left()):
+    tw = kernel_ops(kernel_ops(p).model()).twist().kernel
+    if not is_quasi_iso(kernel_ops(kernel_ops(tw).model()).unit_left()):
         return Verdict("fail", "unit of the twist adjunction is not a quasi-iso")
     return Verdict("pass")
 
@@ -168,7 +178,7 @@ def check_splitting(p: Kernel, report: ConditionReport | None = None) -> Verdict
     report = report or check_conditions(p)
     if not (report.cond_C_equiv and report.cond_4):
         return Verdict("not_applicable", "kernel is not spherical")
-    into_rfl, from_lfr, sum_cx = splitting_maps(p)
+    into_rfl, from_lfr, sum_cx = splitting_maps(kernel_ops(p).model())
     if not is_quasi_iso(into_rfl):
         return Verdict("fail", "R (+) L -> RFL is not a quasi-iso")
     if not is_quasi_iso(from_lfr):
@@ -230,12 +240,13 @@ def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None,
     report = report or check_conditions(p)
     if not (report.cond_C_equiv and report.cond_4):
         return Verdict("not_applicable", "kernel is not spherical")
-    q = right_adjoint_kernel(p)
+    m = kernel_ops(p).model()
+    q = right_adjoint_kernel(m)
     q_report = check_conditions(q)
     if not (q_report.cond_C_equiv and q_report.cond_4):
         return Verdict("fail", "adjoint kernel is not spherical")
     rng = random.Random(seed)
-    ops = kernel_ops(p)
+    ops = kernel_ops(m)
     t_orig = ops.twist().kernel
     c_orig = ops.cotwist().kernel
     q_ops = kernel_ops(q)
@@ -272,7 +283,7 @@ def check_appendix(p: Kernel, report: ConditionReport | None = None) -> Verdict:
     report = report or check_conditions(p)
     if not report.cond_C_equiv:
         return Verdict("not_applicable", "cotwist is not an equivalence")
-    if not is_quasi_iso(appendix_map(p)):
+    if not is_quasi_iso(appendix_map(kernel_ops(p).model())):
         return Verdict("fail", "RF -> CLF[1] is not a quasi-iso")
     detail = "canonical map RF -> CLF[1] is a quasi-iso"
     if report.cond_4:

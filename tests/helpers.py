@@ -1,7 +1,7 @@
 """Shared fixtures: the small algebras every suite exercises, the
-equivalence test without minimal models, the quotient model of a tensor
-product, and the elimination on Fraction objects that the rational
-kernels are checked against."""
+equivalence test and the four conditions without minimal models, the
+quotient model of a tensor product, and the elimination on Fraction
+objects that the rational kernels are checked against."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import numpy as np
 
 from spherica.algebras import Algebra, Arrow, QuiverPresentation, algebra_from_quiver
 from spherica.bimodules import Bimodule, left_dual
-from spherica.complexes import is_quasi_iso
-from spherica.kernels import Kernel, kernel_ops
+from spherica.complexes import homology_dims, is_quasi_iso
+from spherica.kernels import Kernel, condition3_map, condition4_map, kernel_ops
 from spherica.linalg import Field, Matrix
 
 F101 = Field.prime(101)
@@ -78,6 +78,20 @@ def is_equivalence_unminimised(k: Kernel) -> bool:
     the oracle for spherica.spherical.is_equivalence_kernel."""
     ops = kernel_ops(k)
     return is_quasi_iso(ops.unit_right()) and is_quasi_iso(ops.counit_right())
+
+
+def conditions_unminimised(p: Kernel) -> tuple[tuple[bool, ...], dict[str, dict[int, int]]]:
+    """The four flags and homology profiles on p itself, from its own twist,
+    cotwist, adjoints and condition maps: the oracle for
+    spherica.spherical.check_conditions, which decides on p's minimal model."""
+    ops = kernel_ops(p)
+    tw, ct = ops.twist().kernel, ops.cotwist().kernel
+    flags = (is_equivalence_unminimised(tw), is_equivalence_unminimised(ct),
+             is_quasi_iso(condition3_map(p)), is_quasi_iso(condition4_map(p)))
+    profiles = {"twist": homology_dims(tw.complex), "cotwist": homology_dims(ct.complex),
+                "right_adjoint": homology_dims(ops.right_adjoint().kernel.complex),
+                "left_adjoint": homology_dims(ops.left_adjoint().kernel.complex)}
+    return flags, profiles
 
 
 def left_dual_basis_sum(p: Bimodule) -> Matrix:

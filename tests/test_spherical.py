@@ -9,6 +9,7 @@ import pytest
 from spherica.bimodules import BimoduleMap, direct_sum, is_projective, projective_bimodule
 from spherica.complexes import (
     Complex,
+    direct_sum_complexes,
     find_quasi_iso,
     homology_dims,
     minimal_model,
@@ -23,6 +24,7 @@ from spherica.kernels import (
     identity_kernel,
     kernel_ops,
     right_adjoint_kernel,
+    twist_kernel,
 )
 from spherica.linalg import Field, Matrix
 from spherica.session import _elaborate, builtin_example, builtin_names
@@ -43,6 +45,7 @@ from spherica.spherical import (
 from helpers import (
     RANDOM_SHAPES,
     a2_path_algebra,
+    conditions_unminimised,
     dual_numbers,
     is_equivalence_unminimised,
     k_times_k,
@@ -289,3 +292,57 @@ def test_minimal_model_of_a_contractible_kernels_twist():
     assert term_dims(tw.complex) == {-2: 9, -1: 18, 0: 12}
     assert term_dims(_check_minimal_model(tw.complex)) == {0: 3}
     assert is_equivalence_kernel(tw)
+
+
+# --- verdicts on the minimal model of the kernel ------------------------------
+
+
+def _random_sum(field, shape, seeds) -> Kernel:
+    """The random kernel of seeds[0], or the direct sum of those of all seeds."""
+    src, tgt = RANDOM_SHAPES[shape]
+    a, b = src(field), tgt(field)
+    parts = [random_kernel(a, b, random.Random(seed)) for seed in seeds]
+    if len(parts) == 1:
+        return parts[0]
+    return Kernel(a, b, direct_sum_complexes([k.complex for k in parts])[0])
+
+
+# seed 0 of each shape is contractible, so its model is 0; seed 2 of D-D is
+# a single term, so the sum of the two keeps exactly seed 2's part
+@pytest.mark.parametrize("field, shape, seeds, model_dims", [
+    (Field.prime(2), "Z-Z", (0,), {}),
+    (F, "D-D", (0, 2), {-1: 4}),
+    (Field.rationals(), "D-D", (0,), {}),
+], ids=["F2:Z-Z", "F101:D-D+D-D", "Q:D-D"])
+def test_check_conditions_on_the_model_agrees_with_the_kernel(field, shape, seeds, model_dims):
+    """The flags and homology profiles decided on the minimal model are the
+    ones p itself gives, on kernels that are not minimal."""
+    p = _random_sum(field, shape, seeds)
+    model = kernel_ops(p).model()
+    assert model is not p
+    assert term_dims(model.complex) == model_dims
+    report = check_conditions(p)
+    assert (report.flags(), report.homology_profiles) == conditions_unminimised(p)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_a_minimal_kernel_is_its_own_model(name):
+    """Every builtin kernel is minimal, so its verdicts share its workspace."""
+    _, kernels = _elaborate(builtin_example(name), F)
+    for p in kernels.values():
+        assert kernel_ops(p).model() is p
+
+
+def test_reported_twists_are_not_minimised():
+    """The twist and cotwist a caller gets back are built on p's own terms,
+    not on its model's, though the verdicts are decided on the model."""
+    p = _random_sum(F, "D-D", (0,))
+    model_ops = kernel_ops(kernel_ops(p).model())
+    own = Kernel(p.source_algebra, p.target_algebra, p.complex)
+    verdict = is_spherical(p)
+    for reported, fresh, on_model in (
+            (verdict.twist_kernel, kernel_ops(own).twist(), model_ops.twist()),
+            (verdict.cotwist_kernel, kernel_ops(own).cotwist(), model_ops.cotwist())):
+        assert term_dims(reported.complex) == term_dims(fresh.kernel.complex)
+        assert term_dims(reported.complex) != term_dims(on_model.kernel.complex)
+    assert twist_kernel(p).kernel is verdict.twist_kernel
