@@ -14,8 +14,6 @@ from .algebras import (
     Arrow,
     QuiverPresentation,
     algebra_from_quiver,
-    center_basis,
-    enveloping,
     opposite,
     trivial_algebra,
 )
@@ -40,7 +38,6 @@ from .complexes import (
     chain_map_space,
     cone,
     find_quasi_iso,
-    hom_cx,
     homology,
     homology_dims,
     is_quasi_iso,
@@ -55,17 +52,8 @@ from .kernels import (
     compose_list,
     condition3_map,
     condition4_map,
-    cotwist_kernel,
-    counit_left,
-    counit_right,
-    dual_cotwist_kernel,
-    dual_twist_kernel,
     identity_kernel,
-    left_adjoint_kernel,
-    right_adjoint_kernel,
-    twist_kernel,
-    unit_left,
-    unit_right,
+    kernel_ops,
 )
 from .linalg import Field, Matrix
 from .session import (

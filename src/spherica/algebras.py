@@ -430,60 +430,6 @@ def opposite(a: Algebra) -> Algebra:
     return a._opposite
 
 
-def enveloping(a: Algebra, b: Algebra) -> Algebra:
-    """The algebra A (x) B^op, whose modules are (A,B)-bimodules."""
-    if a.field != b.field:
-        raise AlgebraError("enveloping requires a common field")
-    f = a.field
-    n = a.dim * b.dim
-
-    def idx(i, j):
-        return i * b.dim + j
-
-    labels = [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels]
-    mult: list[list[dict[int, object]]] = [[{} for _ in range(n)] for _ in range(n)]
-    zero = f.elem(0)
-    for i1 in range(a.dim):
-        for i2 in range(b.dim):
-            for j1 in range(a.dim):
-                for j2 in range(b.dim):
-                    out = {}
-                    for k1, c1 in a.mult[i1][j1].items():
-                        for k2, c2 in b.mult[j2][i2].items():
-                            c = f.elem(c1 * c2)
-                            if c != zero:
-                                out[idx(k1, k2)] = c
-                    mult[idx(i1, i2)][idx(j1, j2)] = out
-
-    unit_arr = f._zeros(n, 1)
-    for i in range(a.dim):
-        ci = a.unit.arr[i, 0]
-        if ci == f.elem(0):
-            continue
-        for j in range(b.dim):
-            cj = b.unit.arr[j, 0]
-            if cj != f.elem(0):
-                unit_arr[idx(i, j), 0] = ci * cj
-    idempotents = [idx(v, w) for v in a.vertex_idempotents for w in b.vertex_idempotents]
-    rad_a = set(a.radical_basis)
-    rad_b = set(b.radical_basis)
-    radical = [idx(i, j) for i in range(a.dim) for j in range(b.dim)
-               if i in rad_a or j in rad_b]
-    name = f"{a.name or 'A'}(x){b.name or 'B'}^op"
-    return Algebra(f, labels, mult, Matrix(f, unit_arr), idempotents, radical, name=name)
-
-
-def center_basis(a: Algebra) -> list[Matrix]:
-    """Basis of the center, found by solving the commutator system."""
-    blocks = []
-    for i in range(a.dim):
-        blocks.append(a.left_mult_matrix(i) - a.right_mult_matrix(i))
-    if not blocks:
-        return []
-    null = Matrix.stack_rows(a.field, blocks, a.dim).nullspace()
-    return [null.column_vec(j) for j in range(null.cols)]
-
-
 # small canonical presentations used across the engine and tests ---------
 
 def trivial_algebra(field: Field) -> Algebra:

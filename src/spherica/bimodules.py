@@ -269,16 +269,13 @@ def _left_inverse(m: Matrix) -> Matrix:
 
 
 class BimoduleMap:
-    """A linear map intertwining the actions on the stated sides.
+    """A linear map intertwining both actions.
 
-    The constructor checks sides and the matrix shape; check() verifies
-    that the map intertwines the actions.
+    The constructor checks the matrix shape; check() verifies that the map
+    intertwines the actions.
     """
 
-    def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix,
-                 sides: str = "both"):
-        if sides not in ("both", "left", "right"):
-            raise BimoduleError(f"invalid sides {sides!r}")
+    def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise BimoduleError(
                 f"map matrix is {matrix.rows}x{matrix.cols}, expected "
@@ -286,37 +283,34 @@ class BimoduleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.sides = sides
 
     def check(self):
-        """Raise BimoduleError unless the map intertwines the actions on its sides."""
-        if self.sides in ("both", "left"):
-            if self.source.left_algebra is not self.target.left_algebra and \
-               self.source.left_algebra.mult != self.target.left_algebra.mult:
-                raise BimoduleError("left algebras differ")
-            for g in self.source.left_algebra.generator_indices:
-                if self.matrix * self.source.left_action[g] != \
-                   self.target.left_action[g] * self.matrix:
-                    raise BimoduleError("map does not intertwine the left action")
-        if self.sides in ("both", "right"):
-            if self.source.right_algebra is not self.target.right_algebra and \
-               self.source.right_algebra.mult != self.target.right_algebra.mult:
-                raise BimoduleError("right algebras differ")
-            for g in self.source.right_algebra.generator_indices:
-                if self.matrix * self.source.right_action[g] != \
-                   self.target.right_action[g] * self.matrix:
-                    raise BimoduleError("map does not intertwine the right action")
+        """Raise BimoduleError unless the map intertwines both actions."""
+        if self.source.left_algebra is not self.target.left_algebra and \
+           self.source.left_algebra.mult != self.target.left_algebra.mult:
+            raise BimoduleError("left algebras differ")
+        for g in self.source.left_algebra.generator_indices:
+            if self.matrix * self.source.left_action[g] != \
+               self.target.left_action[g] * self.matrix:
+                raise BimoduleError("map does not intertwine the left action")
+        if self.source.right_algebra is not self.target.right_algebra and \
+           self.source.right_algebra.mult != self.target.right_algebra.mult:
+            raise BimoduleError("right algebras differ")
+        for g in self.source.right_algebra.generator_indices:
+            if self.matrix * self.source.right_action[g] != \
+               self.target.right_action[g] * self.matrix:
+                raise BimoduleError("map does not intertwine the right action")
 
     def then(self, other: "BimoduleMap") -> "BimoduleMap":
         if other.source.dim != self.target.dim:
             raise BimoduleError("maps are not composable")
-        return BimoduleMap(self.source, other.target, other.matrix * self.matrix, self.sides)
+        return BimoduleMap(self.source, other.target, other.matrix * self.matrix)
 
     def __add__(self, other: "BimoduleMap") -> "BimoduleMap":
-        return BimoduleMap(self.source, self.target, self.matrix + other.matrix, self.sides)
+        return BimoduleMap(self.source, self.target, self.matrix + other.matrix)
 
     def scale(self, c) -> "BimoduleMap":
-        return BimoduleMap(self.source, self.target, self.matrix.scale(c), self.sides)
+        return BimoduleMap(self.source, self.target, self.matrix.scale(c))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -404,46 +398,34 @@ def _radical_generator_indices(a: Algebra) -> list[int]:
     return list(a.radical_basis)
 
 
-def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
-    """Basis of the space of maps m -> n equivariant on the given sides.
+def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
+    """Basis of the space of bimodule maps m -> n (equivariant on both sides).
 
-    sides is "left", "right" or "both"; the algebras on each requested
-    side must agree.  Solving is done per vertex block, with constraint
-    rows only for the arrow generators.  Left-equivariant maps are the
-    right-equivariant maps of the flips.
+    The algebras on each side must agree.  Solving is done per vertex
+    block e_v m e_w, with constraint rows only for the arrow generators.
+    A one-sided hom is the two-sided hom of the restrictions to scalars
+    on the other side.
     """
-    if sides not in ("left", "right", "both"):
-        raise BimoduleError(f"invalid sides {sides!r}")
-    if sides in ("left", "both") and m.left_algebra.mult != n.left_algebra.mult:
+    if m.left_algebra.mult != n.left_algebra.mult:
         raise BimoduleError("left algebras differ")
-    if sides == "left":
-        return [BimoduleMap(m, n, f.matrix, sides="left")
-                for f in hom_space(flip(m), flip(n), "right")]
     if m.right_algebra.mult != n.right_algebra.mult:
         raise BimoduleError("right algebras differ")
     field = m.field
     if m.dim == 0 or n.dim == 0:
         return []
 
+    left_idems = m.left_algebra.vertex_idempotents
     right_idems = m.right_algebra.vertex_idempotents
-    constraints = [(m.right_action[g], n.right_action[g])
+    blocks = [(v, w) for v in range(len(left_idems)) for w in range(len(right_idems))]
+    constraints = [(m.left_action[g], n.left_action[g])
+                   for g in _radical_generator_indices(m.left_algebra)] + \
+                  [(m.right_action[g], n.right_action[g])
                    for g in _radical_generator_indices(m.right_algebra)]
-    if sides == "both":
-        left_idems = m.left_algebra.vertex_idempotents
-        blocks = [(v, w) for v in range(len(left_idems)) for w in range(len(right_idems))]
-        constraints = [(m.left_action[g], n.left_action[g])
-                       for g in _radical_generator_indices(m.left_algebra)] + constraints
 
-        def block_data(module: Bimodule, bl):
-            projector = module.left_action[left_idems[bl[0]]] * \
-                module.right_action[right_idems[bl[1]]]
-            return module.double_block(*bl), module.double_block_proj(*bl), projector
-    else:
-        blocks = [(w,) for w in range(len(right_idems))]
-
-        def block_data(module: Bimodule, bl):
-            return (module.right_block(bl[0]), module.right_block_proj(bl[0]),
-                    module.right_action[right_idems[bl[0]]])
+    def block_data(module: Bimodule, bl):
+        projector = module.left_action[left_idems[bl[0]]] * \
+            module.right_action[right_idems[bl[1]]]
+        return module.double_block(*bl), module.double_block_proj(*bl), projector
 
     # per block: its basis, and the map to coordinates of a vector's block component
     src_basis, src_proj, src_coords = {}, {}, {}
@@ -511,7 +493,7 @@ def hom_space(m: Bimodule, n: Bimodule, sides: str) -> list[BimoduleMap]:
             off = offsets[bl]
             block = Matrix(field, null.arr[off:off + nB * mB, j].reshape(nB, mB))
             full = full + tgt_basis[bl] * block * src_proj[bl]
-        maps.append(BimoduleMap(m, n, full, sides=sides))
+        maps.append(BimoduleMap(m, n, full))
     return maps
 
 
@@ -619,11 +601,6 @@ def is_projective(m: Bimodule, side: str) -> bool:
     return _splitting(_right_view(m, side)) is not None
 
 
-def projective_cover_dim(m: Bimodule, side: str) -> int:
-    """Dimension of the projective cover over one side (diagnostic)."""
-    return sum(_cover(_right_view(m, side))[2])
-
-
 # ---------------------------------------------------------------------------
 # one-sided duals with chosen dual bases
 # ---------------------------------------------------------------------------
@@ -655,7 +632,7 @@ def _require_projective(p: Bimodule, side: str) -> None:
     if not is_projective(p, side):
         raise BimoduleError(
             f"{side}_dual needs a {side}-projective bimodule (cover dim "
-            f"{projective_cover_dim(p, side)} != dim {p.dim})")
+            f"{sum(_cover(_right_view(p, side))[2])} != dim {p.dim})")
 
 
 @dataclass
@@ -860,5 +837,5 @@ def tensor_over_middle(m: Bimodule, n: Bimodule) -> TensorData:
     if sp is None:
         raise BimoduleError(
             f"tensor_over_middle needs a right-projective left factor (cover dim "
-            f"{projective_cover_dim(m, 'right')} != dim {m.dim})")
+            f"{sum(_cover(m)[2])} != dim {m.dim})")
     return TensorData(m, n, sp)

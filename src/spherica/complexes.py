@@ -7,9 +7,7 @@ Sign conventions, fixed once and used by every construction:
 * cone(f: X -> Y)^n = X^{n+1} (+) Y^n with differential
   [[-d_X, 0], [f, d_Y]]; the canonical triangle is
   X -f-> Y -include-> cone(f) -project-> X[1];
-* tensor differential d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy;
-* hom complex Hom^n = prod_i Hom(X^i, Y^{i+n}) with
-  d(f) = d_Y f - (-1)^n f d_X.
+* tensor differential d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.
 
 With these choices (X[n]) (x) Y equals (X (x) Y)[n] on the nose, while
 X (x) (Y[n]) needs the sign (-1)^{n |x|}; both interchanges are provided
@@ -19,6 +17,9 @@ cone constructor, never assembled by hand.
 Quasi-isomorphism (acyclic cone) is the engine's equality notion: all
 kernel terms are projective on both sides, so quasi-isomorphic kernels
 induce isomorphic functors on the derived categories.
+
+Witnesses are sampled in one place: first_witness tries each basis
+element, their sum, then random combinations drawn by random_combination.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 
 import numpy as np
 
-from .algebras import Algebra, scalar_algebra
+from .algebras import Algebra, scalar_algebra  # noqa: F401  callers read complexes.scalar_algebra
 from .bimodules import (
     Bimodule,
     BimoduleError,
@@ -35,7 +36,6 @@ from .bimodules import (
     TensorData,
     direct_sum,
     hom_space,
-    is_projective,
     regular_bimodule,
     tensor_over_middle,
     zero_bimodule,
@@ -561,98 +561,6 @@ def _summand(m: Bimodule, keep: np.ndarray) -> Bimodule:
 
 
 # ---------------------------------------------------------------------------
-# hom complexes
-# ---------------------------------------------------------------------------
-
-
-def hom_cx(x: Complex, y: Complex, sides: str) -> Complex:
-    """The hom complex over the stated side structure, as vector spaces.
-
-    For a one-sided structure every term of x must be projective on
-    that side, so the termwise hom computes maps in the derived
-    category: H^n = Hom_D(x, y[n]).  For sides="both" the terms must be
-    biprojective and H^n is the cohomology of the two-sided hom complex
-    (H^0 = chain maps modulo homotopy).
-    """
-    if sides not in ("left", "right", "both"):
-        raise ComplexError("hom side must be 'left', 'right' or 'both'")
-    check_sides = ("left", "right") if sides == "both" else (sides,)
-    for n, t in x.terms.items():
-        for s in check_sides:
-            if not is_projective(t, s):
-                raise ComplexError(f"hom_cx source term at degree {n} is not "
-                                   f"{s}-projective")
-    field = x.field
-    triv = scalar_algebra(field)
-    bases: dict[int, dict[int, list[BimoduleMap]]] = {}
-    degrees = set()
-    for i in x.degrees():
-        for m in y.degrees():
-            degrees.add(m - i)
-    for n in sorted(degrees):
-        slot_homs = {}
-        for i in x.degrees():
-            if y.dim(i + n) == 0:
-                continue
-            homs = hom_space(x.term(i), y.term(i + n), sides)
-            if homs:
-                slot_homs[i] = homs
-        if slot_homs:
-            bases[n] = slot_homs
-
-    def flatten(mat: Matrix) -> Matrix:
-        return Matrix(field, mat.arr.reshape(mat.rows * mat.cols, 1)) if \
-            mat.rows and mat.cols else Matrix.zeros(field, 0, 1)
-
-    terms = {}
-    offsets: dict[int, dict[int, int]] = {}
-    for n, slot_homs in bases.items():
-        total = sum(len(h) for h in slot_homs.values())
-        offs = {}
-        off = 0
-        for i in sorted(slot_homs):
-            offs[i] = off
-            off += len(slot_homs[i])
-        offsets[n] = offs
-        ident = Matrix.identity(field, total)
-        terms[n] = Bimodule(triv, triv, [ident], [ident], total, label=f"Hom^{n}")
-
-    diffs = {}
-    for n in bases:
-        if (n + 1) not in bases:
-            continue
-        arr = field._zeros(terms[n + 1].dim, terms[n].dim)
-        sgn = field.elem((-1) ** n)
-        for i, homs in bases[n].items():
-            for a, F in enumerate(homs):
-                col = offsets[n][i] + a
-                # d_y . F lands in slot i of degree n+1
-                if i in bases.get(n + 1, {}) and y.diffs.get(i + n) is not None:
-                    img = y.diff_matrix(i + n) * F.matrix
-                    tgt = bases[n + 1][i]
-                    V = Matrix.stack_columns(field, [flatten(t.matrix) for t in tgt],
-                                             img.rows * img.cols)
-                    coords = V.solve(flatten(img))
-                    if coords is None:
-                        raise ComplexError("hom differential image not in hom basis span")
-                    for b in range(len(tgt)):
-                        arr[offsets[n + 1][i] + b, col] += coords.arr[b, 0]
-                # -(-1)^n F . d_x lands in slot i-1 of degree n+1
-                if (i - 1) in bases.get(n + 1, {}) and x.diffs.get(i - 1) is not None:
-                    img = (F.matrix * x.diff_matrix(i - 1)).scale(-1).scale(sgn)
-                    tgt = bases[n + 1][i - 1]
-                    V = Matrix.stack_columns(field, [flatten(t.matrix) for t in tgt],
-                                             img.rows * img.cols)
-                    coords = V.solve(flatten(img))
-                    if coords is None:
-                        raise ComplexError("hom differential image not in hom basis span")
-                    for b in range(len(tgt)):
-                        arr[offsets[n + 1][i - 1] + b, col] += coords.arr[b, 0]
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix(field, arr))
-    return Complex(triv, triv, terms, diffs)
-
-
-# ---------------------------------------------------------------------------
 # spaces of chain maps and quasi-isomorphism search
 # ---------------------------------------------------------------------------
 
@@ -663,7 +571,7 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
     degrees = sorted(set(x.terms) & set(y.terms))
     bases = {}
     for n in degrees:
-        homs = hom_space(x.term(n), y.term(n), "both")
+        homs = hom_space(x.term(n), y.term(n))
         if homs:
             bases[n] = homs
     if not bases:
@@ -716,6 +624,35 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
     return out
 
 
+def random_combination(basis: list, field, rng: random.Random):
+    """sum_i c_i basis[i] with one coefficient c_i drawn per element, in
+    order: a residue mod p, or over Q an integer in [-9, 9].  None when
+    every c_i is 0.  The elements are matrices or maps."""
+    f = None
+    for b in basis:
+        c = rng.randrange(field.p) if field.is_prime_field else rng.randrange(-9, 10)
+        if c:
+            f = b.scale(c) if f is None else f + b.scale(c)
+    return f
+
+
+def first_witness(basis: list, accept, field, rng: random.Random, attempts: int):
+    """The first element that accept() takes among: each basis element, then
+    their sum, then up to `attempts` random combinations (all-zero draws are
+    skipped); None when there is none.  basis must not be empty."""
+    total = basis[0]
+    for b in basis[1:]:
+        total = total + b
+    for f in [*basis, total]:
+        if accept(f):
+            return f
+    for _ in range(attempts):
+        f = random_combination(basis, field, rng)
+        if f is not None and accept(f):
+            return f
+    return None
+
+
 def find_quasi_iso(x: Complex, y: Complex, rng: random.Random,
                    attempts: int = 120) -> ChainMap | None:
     """Search the chain-map space for a quasi-isomorphism x -> y.
@@ -732,28 +669,8 @@ def find_quasi_iso(x: Complex, y: Complex, rng: random.Random,
     basis = chain_map_space(x, y)
     if not basis:
         return None
-    # deterministic first guesses: each basis map, then their sum
-    candidates = list(basis)
-    total = basis[0]
-    for b in basis[1:]:
-        total = total + b
-    candidates.append(total)
-    for f in candidates:
-        if not f.is_zero() and is_quasi_iso(f):
-            return f
-    field = x.field
-    p = field.p if field.is_prime_field else None
-    for _ in range(attempts):
-        coeffs = [rng.randrange(p) if p else rng.randrange(-9, 10) for _ in basis]
-        f = None
-        for c, b in zip(coeffs, basis):
-            if c:
-                f = b.scale(c) if f is None else f + b.scale(c)
-        if f is None or f.is_zero():
-            continue
-        if is_quasi_iso(f):
-            return f
-    return None
+    return first_witness(basis, lambda f: not f.is_zero() and is_quasi_iso(f),
+                         x.field, rng, attempts)
 
 
 # ---------------------------------------------------------------------------

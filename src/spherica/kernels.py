@@ -411,51 +411,6 @@ def kernel_ops(p: Kernel) -> KernelOps:
 
 
 # ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-
-def right_adjoint_kernel(p: Kernel) -> Kernel:
-    return kernel_ops(p).right_adjoint().kernel
-
-
-def left_adjoint_kernel(p: Kernel) -> Kernel:
-    return kernel_ops(p).left_adjoint().kernel
-
-
-def unit_right(p: Kernel) -> ChainMap:
-    return kernel_ops(p).unit_right()
-
-
-def counit_right(p: Kernel) -> ChainMap:
-    return kernel_ops(p).counit_right()
-
-
-def unit_left(p: Kernel) -> ChainMap:
-    return kernel_ops(p).unit_left()
-
-
-def counit_left(p: Kernel) -> ChainMap:
-    return kernel_ops(p).counit_left()
-
-
-def twist_kernel(p: Kernel) -> TwistData:
-    return kernel_ops(p).twist()
-
-
-def cotwist_kernel(p: Kernel) -> CotwistData:
-    return kernel_ops(p).cotwist()
-
-
-def dual_twist_kernel(p: Kernel) -> CotwistData:
-    return kernel_ops(p).dual_twist()
-
-
-def dual_cotwist_kernel(p: Kernel) -> TwistData:
-    return kernel_ops(p).dual_cotwist()
-
-
-# ---------------------------------------------------------------------------
 # canonical composite maps
 # ---------------------------------------------------------------------------
 

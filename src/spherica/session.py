@@ -43,7 +43,6 @@ from .kernels import (
     KernelError,
     compose,
     kernel_ops,
-    twist_kernel,
 )
 from .linalg import Field
 from .spherical import (
@@ -644,7 +643,7 @@ def _run_spherical(st: _RunState, args):
 
 
 def _run_twist(st: _RunState, args):
-    tw = twist_kernel(st.kernels[args[0]])
+    tw = kernel_ops(st.kernels[args[0]]).twist()
     if len(args) == 2:
         st.kernels[args[1]] = tw.kernel
     return "ok", {"homology": {"twist": _profile(homology_dims(tw.kernel.complex))}}

@@ -27,7 +27,10 @@ Comparisons against the identity kernel use the truncation criterion: a
 complex is quasi-isomorphic to the identity kernel exactly when its
 homology is concentrated in degree zero and isomorphic, as a bimodule,
 to the algebra; a direct chain-level witness is searched first.  Both
-are decided on the complex's minimal model.
+are decided on the complex's minimal model, and both witnesses (a chain
+map, then a bimodule isomorphism onto H^0) come from the one sampler of
+the complexes layer, complexes.first_witness.  Random kernels draw their
+differentials with the same coefficient rule.
 """
 
 from __future__ import annotations
@@ -36,15 +39,25 @@ import random
 from dataclasses import dataclass
 
 from .algebras import Algebra
-from .bimodules import Bimodule, hom_space, projective_bimodule, regular_bimodule
+from .bimodules import (
+    Bimodule,
+    BimoduleError,
+    BimoduleMap,
+    direct_sum,
+    hom_space,
+    projective_bimodule,
+    regular_bimodule,
+)
 from .complexes import (
     ChainMap,
     Complex,
     find_quasi_iso,
+    first_witness,
     homology,
     homology_dims,
     is_quasi_iso,
     minimal_model,
+    random_combination,
     unit_complex,
 )
 from .kernels import (
@@ -54,11 +67,8 @@ from .kernels import (
     compose,
     condition3_map,
     condition4_map,
-    cotwist_kernel,
     kernel_ops,
-    right_adjoint_kernel,
     splitting_maps,
-    twist_kernel,
 )
 from .linalg import Matrix
 
@@ -210,27 +220,9 @@ def quasi_iso_to_identity(k: Kernel, rng: random.Random | None = None) -> bool:
     if h0.dim != a.dim:
         return False
     reg = regular_bimodule(a)
-    candidates = hom_space(reg, h0, "both")
-    if not candidates:
-        return False
-    for c in candidates:
-        if c.is_invertible():
-            return True
-    total = candidates[0]
-    for c in candidates[1:]:
-        total = total + c
-    if total.is_invertible():
-        return True
-    p = a.field.p
-    for _ in range(60):
-        f = None
-        for c in candidates:
-            coeff = rng.randrange(p) if p else rng.randrange(-9, 10)
-            if coeff:
-                f = c.scale(coeff) if f is None else f + c.scale(coeff)
-        if f is not None and f.is_invertible():
-            return True
-    return False
+    candidates = hom_space(reg, h0)
+    return bool(candidates) and first_witness(
+        candidates, BimoduleMap.is_invertible, a.field, rng, attempts=60) is not None
 
 
 def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None,
@@ -241,7 +233,7 @@ def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None,
     if not (report.cond_C_equiv and report.cond_4):
         return Verdict("not_applicable", "kernel is not spherical")
     m = kernel_ops(p).model()
-    q = right_adjoint_kernel(m)
+    q = kernel_ops(m).right_adjoint().kernel
     q_report = check_conditions(q)
     if not (q_report.cond_C_equiv and q_report.cond_4):
         return Verdict("fail", "adjoint kernel is not spherical")
@@ -306,7 +298,6 @@ def random_kernel(a: Algebra, b: Algebra, rng: random.Random,
     (possible over non-self-injective algebras) are resampled, so both
     adjoints of the returned kernel exist in-engine.
     """
-    from .bimodules import BimoduleError
     for _ in range(attempts):
         k = _random_kernel_once(a, b, rng, max_terms, max_summands)
         try:
@@ -334,50 +325,23 @@ def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random,
             v = rng.randrange(len(a.vertex_idempotents))
             w = rng.randrange(len(b.vertex_idempotents))
             summands.append(projective_bimodule(a, v, b, w))
-        from .bimodules import direct_sum
         total, _, _ = direct_sum(summands)
         terms[deg] = total
 
-    def draw():
-        """A random coefficient: a residue, or over Q a small integer as
-        find_quasi_iso draws them."""
-        return rng.randrange(field.p) if field.is_prime_field else rng.randrange(-9, 10)
-
     def random_hom(src: Bimodule, tgt: Bimodule, after=None):
-        """A random equivariant map, constrained to kill the image of 'after'."""
-        basis = hom_space(src, tgt, "both")
-        if not basis:
-            return None
-        if after is not None and not after.is_zero():
-            kept_rows = []
-            for h in basis:
-                comp = h.matrix * after
-                kept_rows.append(Matrix(field, comp.arr.reshape(-1, 1)))
-            system = Matrix.stack_columns(field, kept_rows, kept_rows[0].rows)
-            null = system.nullspace()
-            if null.cols == 0:
-                return None
-            coeffs = [draw() for _ in range(null.cols)]
-            combo = Matrix.zeros(field, len(basis), 1)
-            for j, c in enumerate(coeffs):
-                if c:
-                    combo = combo + null.column_vec(j).scale(c)
-            mat = Matrix.zeros(field, tgt.dim, src.dim)
-            for i, h in enumerate(basis):
-                if combo.arr[i, 0]:
-                    mat = mat + h.matrix.scale(combo.arr[i, 0])
-            return mat
-        mat = Matrix.zeros(field, tgt.dim, src.dim)
-        for h in basis:
-            c = draw()
-            if c:
-                mat = mat + h.matrix.scale(c)
-        return mat
+        """A random equivariant map, constrained to kill the image of
+        'after'; None when every drawn coefficient is 0."""
+        basis = [h.matrix for h in hom_space(src, tgt)]
+        if basis and after is not None and not after.is_zero():
+            images = [Matrix(field, (h * after).arr.reshape(-1, 1)) for h in basis]
+            null = Matrix.stack_columns(field, images, images[0].rows).nullspace()
+            basis = [sum((h.scale(c) for h, c in zip(basis, null.arr[:, j]) if c),
+                         Matrix.zeros(field, tgt.dim, src.dim)) for j in range(null.cols)]
+        return random_combination(basis, field, rng)
 
     diffs = {}
     prev = None
     degs = sorted(terms)
-    from .bimodules import BimoduleMap
     for i in range(len(degs) - 1):
         n = degs[i]
         mat = random_hom(terms[n], terms[n + 1], after=prev)

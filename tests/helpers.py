@@ -1,7 +1,8 @@
 """Shared fixtures: the small algebras every suite exercises, the
 equivalence test and the four conditions without minimal models, the
-quotient model of a tensor product, and the elimination on Fraction
-objects that the rational kernels are checked against."""
+restriction to scalars, the center of an algebra, the two-sided hom
+complex, the quotient model of a tensor product, and the elimination on
+Fraction objects that the rational kernels are checked against."""
 
 from __future__ import annotations
 
@@ -9,9 +10,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from spherica.algebras import Algebra, Arrow, QuiverPresentation, algebra_from_quiver
-from spherica.bimodules import Bimodule, left_dual
-from spherica.complexes import homology_dims, is_quasi_iso
+from spherica.algebras import (
+    Algebra,
+    Arrow,
+    QuiverPresentation,
+    algebra_from_quiver,
+    scalar_algebra,
+)
+from spherica.bimodules import Bimodule, BimoduleMap, hom_space, is_projective, left_dual
+from spherica.complexes import Complex, ComplexError, homology_dims, is_quasi_iso
 from spherica.kernels import Kernel, condition3_map, condition4_map, kernel_ops
 from spherica.linalg import Field, Matrix
 
@@ -105,6 +112,109 @@ def left_dual_basis_sum(p: Bimodule) -> Matrix:
                              Matrix.identity(field, n))
         total = total + p.left_act(values, Matrix.stack_columns(field, [h] * n, n))
     return total
+
+
+def restrict_to_right(m: Bimodule) -> Bimodule:
+    """m as a (k, B)-bimodule: the same right action, with the ground field
+    acting by scalars on the left.  Two-sided homs between restrictions are
+    the right-module homs; restrict flip(m) for the left-module homs."""
+    return Bimodule(scalar_algebra(m.field), m.right_algebra,
+                    [Matrix.identity(m.field, m.dim)], lambda: m.right_action, m.dim,
+                    label=m.label)
+
+
+def center_basis(a: Algebra) -> list[Matrix]:
+    """Basis of the center, found by solving the commutator system."""
+    blocks = []
+    for i in range(a.dim):
+        blocks.append(a.left_mult_matrix(i) - a.right_mult_matrix(i))
+    if not blocks:
+        return []
+    null = Matrix.stack_rows(a.field, blocks, a.dim).nullspace()
+    return [null.column_vec(j) for j in range(null.cols)]
+
+
+def hom_cx(x: Complex, y: Complex) -> Complex:
+    """The two-sided hom complex, as vector spaces over the scalar algebra:
+    Hom^n = prod_i Hom(X^i, Y^{i+n}) with d(f) = d_Y f - (-1)^n f d_X.
+
+    Every term of x must be biprojective; H^0 is the space of chain maps
+    modulo homotopy.  For (k, B)-bimodules it is the hom complex of right
+    B-modules, and H^n = Hom_D(x, y[n]) in the derived category.
+    """
+    for n, t in x.terms.items():
+        for s in ("left", "right"):
+            if not is_projective(t, s):
+                raise ComplexError(f"hom_cx source term at degree {n} is not "
+                                   f"{s}-projective")
+    field = x.field
+    triv = scalar_algebra(field)
+    bases: dict[int, dict[int, list[BimoduleMap]]] = {}
+    degrees = set()
+    for i in x.degrees():
+        for m in y.degrees():
+            degrees.add(m - i)
+    for n in sorted(degrees):
+        slot_homs = {}
+        for i in x.degrees():
+            if y.dim(i + n) == 0:
+                continue
+            homs = hom_space(x.term(i), y.term(i + n))
+            if homs:
+                slot_homs[i] = homs
+        if slot_homs:
+            bases[n] = slot_homs
+
+    def flatten(mat: Matrix) -> Matrix:
+        return Matrix(field, mat.arr.reshape(mat.rows * mat.cols, 1)) if \
+            mat.rows and mat.cols else Matrix.zeros(field, 0, 1)
+
+    terms = {}
+    offsets: dict[int, dict[int, int]] = {}
+    for n, slot_homs in bases.items():
+        total = sum(len(h) for h in slot_homs.values())
+        offs = {}
+        off = 0
+        for i in sorted(slot_homs):
+            offs[i] = off
+            off += len(slot_homs[i])
+        offsets[n] = offs
+        ident = Matrix.identity(field, total)
+        terms[n] = Bimodule(triv, triv, [ident], [ident], total, label=f"Hom^{n}")
+
+    diffs = {}
+    for n in bases:
+        if (n + 1) not in bases:
+            continue
+        arr = field._zeros(terms[n + 1].dim, terms[n].dim)
+        sgn = field.elem((-1) ** n)
+        for i, homs in bases[n].items():
+            for a, F in enumerate(homs):
+                col = offsets[n][i] + a
+                # d_y . F lands in slot i of degree n+1
+                if i in bases.get(n + 1, {}) and y.diffs.get(i + n) is not None:
+                    img = y.diff_matrix(i + n) * F.matrix
+                    tgt = bases[n + 1][i]
+                    V = Matrix.stack_columns(field, [flatten(t.matrix) for t in tgt],
+                                             img.rows * img.cols)
+                    coords = V.solve(flatten(img))
+                    if coords is None:
+                        raise ComplexError("hom differential image not in hom basis span")
+                    for b in range(len(tgt)):
+                        arr[offsets[n + 1][i] + b, col] += coords.arr[b, 0]
+                # -(-1)^n F . d_x lands in slot i-1 of degree n+1
+                if (i - 1) in bases.get(n + 1, {}) and x.diffs.get(i - 1) is not None:
+                    img = (F.matrix * x.diff_matrix(i - 1)).scale(-1).scale(sgn)
+                    tgt = bases[n + 1][i - 1]
+                    V = Matrix.stack_columns(field, [flatten(t.matrix) for t in tgt],
+                                             img.rows * img.cols)
+                    coords = V.solve(flatten(img))
+                    if coords is None:
+                        raise ComplexError("hom differential image not in hom basis span")
+                    for b in range(len(tgt)):
+                        arr[offsets[n + 1][i - 1] + b, col] += coords.arr[b, 0]
+        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix(field, arr))
+    return Complex(triv, triv, terms, diffs)
 
 
 class QuotientTensor:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from spherica.bimodules import direct_sum, projective_bimodule
+from spherica.bimodules import direct_sum, projective_bimodule, regular_bimodule
 from spherica.complexes import (
     chain_map_space,
     cone,
@@ -34,10 +34,8 @@ from spherica.kernels import (
     kernel_ops,
     splitting_maps,
     triangular_identity_composites,
-    twist_kernel,
-    cotwist_kernel,
 )
-from spherica.linalg import Field, Matrix
+from spherica.linalg import Field
 from spherica.session import builtin_example, run_session
 from spherica.spherical import (
     check_adjoint_spherical,
@@ -51,7 +49,15 @@ from spherica.spherical import (
     verify_two_out_of_four,
 )
 
-from helpers import a2_path_algebra, dual_numbers, k_times_k, x_cubed, zigzag_a2
+from helpers import (
+    a2_path_algebra,
+    dual_numbers,
+    hom_cx,
+    k_times_k,
+    restrict_to_right,
+    x_cubed,
+    zigzag_a2,
+)
 
 F = Field.prime(101)
 K = scalar_algebra(F)
@@ -136,8 +142,8 @@ def test_criterion_3_zigzag_suite():
 
 def test_criterion_4_braid_relation():
     t0 = time.time()
-    t1 = twist_kernel(kernel_over(Z, 0)).kernel
-    t2 = twist_kernel(kernel_over(Z, 1)).kernel
+    t1 = kernel_ops(kernel_over(Z, 0)).twist().kernel
+    t2 = kernel_ops(kernel_over(Z, 1)).twist().kernel
     t121 = compose_list([t1, t2, t1])
     t212 = compose_list([t2, t1, t2])
     ok = homology_dims(t121.complex) == homology_dims(t212.complex)
@@ -237,14 +243,10 @@ def test_criterion_8_infrastructure():
         hsum = sum((-1) ** n * d for n, d in homology_dims(cx).items())
         ok &= chi == hsum
     # adjunction dimension equality on all builtin kernels
-    from spherica.bimodules import Bimodule
-    from spherica.complexes import hom_cx, shift, tensor_cx
+    from spherica.complexes import shift, tensor_cx
 
     def module_of(b):
-        ident = Matrix.identity(F, b.dim)
-        return Bimodule(K, b, [ident],
-                        [b.right_mult_matrix(i) for i in range(b.dim)],
-                        b.dim, label="mod")
+        return restrict_to_right(regular_bimodule(b))
 
     for name, p in kernels.items():
         a, b = p.source_algebra, p.target_algebra
@@ -253,8 +255,8 @@ def test_criterion_8_infrastructure():
         for y in (single_term(module_of(b)), shift(single_term(module_of(b)), 1)):
             fx = tensor_cx(x, p.complex).complex
             ry = tensor_cx(y, r.complex).complex
-            lhs = homology_dims(hom_cx(fx, y, "right")).get(0, 0)
-            rhs = homology_dims(hom_cx(x, ry, "right")).get(0, 0)
+            lhs = homology_dims(hom_cx(fx, y)).get(0, 0)
+            rhs = homology_dims(hom_cx(x, ry)).get(0, 0)
             good = lhs == rhs
             ok &= good
             if not good:

@@ -1,4 +1,4 @@
-"""Quiver algebra construction, opposites, enveloping algebras and centers."""
+"""Quiver algebra construction, opposites, and centers (the test helper)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from spherica.algebras import (
     Arrow,
     QuiverPresentation,
     algebra_from_quiver,
-    center_basis,
-    enveloping,
     opposite,
     trivial_algebra,
 )
@@ -20,7 +18,7 @@ from spherica.linalg import Field, Matrix
 F = Field.prime(101)
 
 
-from helpers import a2_path_algebra, dual_numbers, x_cubed, zigzag_a2
+from helpers import a2_path_algebra, center_basis, dual_numbers, x_cubed, zigzag_a2
 
 
 def test_point_algebra():
@@ -122,27 +120,6 @@ def test_opposite_zigzag_reverses():
     assert zop.mult[ib][ia].get(iab) is not None
 
 
-def test_enveloping_dims_and_unit():
-    k = trivial_algebra(F)
-    d = dual_numbers()
-    assert enveloping(k, k).dim == 1
-    dk = enveloping(d, k)
-    assert dk.dim == 2
-    dd = enveloping(d, d)
-    assert dd.dim == 4
-    assert len(dd.vertex_idempotents) == 1
-    # idempotents of an enveloping algebra are pairwise products of factors'
-    z = zigzag_a2()
-    zz = enveloping(z, z)
-    assert zz.dim == 36
-    assert len(zz.vertex_idempotents) == 4
-
-
-def test_enveloping_field_mismatch():
-    with pytest.raises(AlgebraError):
-        enveloping(trivial_algebra(F), trivial_algebra(Field.prime(7)))
-
-
 def test_center_of_point_and_dual_numbers():
     assert len(center_basis(trivial_algebra(F))) == 1
     assert len(center_basis(dual_numbers())) == 2  # whole algebra (commutative)
@@ -179,28 +156,6 @@ def test_center_elements_commute_pairwise():
 def test_rational_field_algebra():
     zq = zigzag_a2(Field.rationals())
     assert zq.dim == 6
-
-
-def test_enveloping_idempotents_are_pairwise_products():
-    d = dual_numbers()
-    z = zigzag_a2()
-    env = enveloping(z, d)
-    # e_(v,w) must equal (e_v (x) 1) . (1 (x) e_w) in the enveloping algebra
-    for vi, v in enumerate(z.vertex_idempotents):
-        for wi, w in enumerate(d.vertex_idempotents):
-            left = Matrix.zeros(F, env.dim, 1).arr.copy()
-            for j in range(d.dim):
-                c = d.unit.arr[j, 0]
-                if c:
-                    left[v * d.dim + j, 0] = c
-            right = Matrix.zeros(F, env.dim, 1).arr.copy()
-            for i in range(z.dim):
-                c = z.unit.arr[i, 0]
-                if c:
-                    right[i * d.dim + w, 0] = c
-            prod = env.multiply_vec(Matrix(F, left), Matrix(F, right))
-            expected = Matrix.basis_vector(F, env.dim, v * d.dim + w)
-            assert prod == expected
 
 
 def test_radical_is_nilpotent():

@@ -147,8 +147,7 @@ def test_bimodule_map_check_rejects_maps_that_do_not_intertwine():
     with pytest.raises(BimoduleError, match="map does not intertwine the right action"):
         BimoduleMap(p, p, swap).check()
     with pytest.raises(BimoduleError, match="map does not intertwine the left action"):
-        BimoduleMap(flip(p), flip(p), swap, sides="left").check()
-    BimoduleMap(p, p, swap, sides="left").check()        # k acts by scalars only
+        BimoduleMap(flip(p), flip(p), swap).check()
 
 
 def test_chain_map_check_rejects_maps_that_do_not_commute_with_d():

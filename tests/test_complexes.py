@@ -1,4 +1,5 @@
-"""Complexes: cones, homology, tensor totalization, hom complexes, canonical isos."""
+"""Complexes: cones, homology, tensor totalization, hom complexes (the test
+helper), canonical isos."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import random
 
 import pytest
 
-from spherica.algebras import center_basis, trivial_algebra
+from spherica.algebras import trivial_algebra
 from spherica.bimodules import Bimodule, BimoduleMap, projective_bimodule, regular_bimodule
 from spherica.complexes import (
     ChainMap,
@@ -17,7 +18,6 @@ from spherica.complexes import (
     cone,
     direct_sum_complexes,
     find_quasi_iso,
-    hom_cx,
     homology,
     homology_dims,
     identity_map,
@@ -36,7 +36,7 @@ from spherica.complexes import (
 )
 from spherica.linalg import Field, Matrix
 
-from helpers import dual_numbers, term_dims, zigzag_a2
+from helpers import center_basis, dual_numbers, hom_cx, term_dims, zigzag_a2
 
 F = Field.prime(101)
 K = scalar_algebra(F)
@@ -191,14 +191,14 @@ def test_unit_map_not_quasi_iso():
 
 def test_hom_cx_point():
     x = single_term(regular_bimodule(K))
-    h = hom_cx(x, x, "right")
+    h = hom_cx(x, x)
     assert homology_dims(h) == {0: 1}
 
 
 def test_hom_cx_shifted_projective():
     # Hom(P, P[1]) for P projective in a single degree: H^1 = Hom(P,P), H^0 = 0
     p = single_term(projective_bimodule(K, 0, D, 0))
-    h = hom_cx(p, shift(p, -1), "right")   # maps P -> P[-1]... degree +1
+    h = hom_cx(p, shift(p, -1))   # maps P -> P[-1]... degree +1
     dims = homology_dims(h)
     assert dims == {1: 2}   # Hom_D(D, D) = D is 2-dimensional
 
@@ -215,7 +215,7 @@ def test_hom_cx_requires_projective():
     soc = Bimodule(K, D, [Matrix.identity(F, 1)],
                    [Matrix.identity(F, 1), Matrix.zeros(F, 1, 1)], 1)
     with pytest.raises(ComplexError):
-        hom_cx(single_term(soc), single_term(soc), "right")
+        hom_cx(single_term(soc), single_term(soc))
 
 
 def test_direct_sum_complexes():
@@ -350,10 +350,10 @@ def test_quasi_iso_closed_under_composition():
 def test_hom_cx_both_sides_is_center():
     # the two-sided hom complex of the regular bimodule computes the center
     a = single_term(regular_bimodule(D))
-    h = hom_cx(a, a, "both")
+    h = hom_cx(a, a)
     assert homology_dims(h) == {0: 2}
     z = single_term(regular_bimodule(Z))
-    assert homology_dims(hom_cx(z, z, "both")) == {0: 3}
+    assert homology_dims(hom_cx(z, z)) == {0: 3}
 
 
 def test_find_quasi_iso_between_acyclic_complexes():

@@ -8,6 +8,7 @@ import pytest
 
 from spherica.bimodules import (
     Bimodule,
+    flip,
     hom_space,
     left_dual,
     projective_bimodule,
@@ -29,27 +30,26 @@ from spherica.kernels import (
     compose_list,
     condition3_map,
     condition4_map,
-    cotwist_kernel,
-    counit_left,
-    counit_right,
-    dual_cotwist_kernel,
-    dual_twist_kernel,
     identity_kernel,
     kernel_ops,
-    left_adjoint_kernel,
-    right_adjoint_kernel,
     splitting_maps,
     triangular_identity_composites,
-    twist_kernel,
-    unit_left,
-    unit_right,
     appendix_map,
 )
 from spherica.linalg import Field, Matrix
 from spherica.session import _elaborate, builtin_example
 from spherica.spherical import random_kernel
 
-from helpers import RANDOM_SHAPES, dual_numbers, k_times_k, left_dual_basis_sum, x_cubed, zigzag_a2
+from helpers import (
+    RANDOM_SHAPES,
+    dual_numbers,
+    hom_cx,
+    k_times_k,
+    left_dual_basis_sum,
+    restrict_to_right,
+    x_cubed,
+    zigzag_a2,
+)
 
 F = Field.prime(101)
 K = scalar_algebra(F)
@@ -89,7 +89,7 @@ def test_compose_identity_is_canonical(PD):
 
 
 def test_compose_dual_numbers(PD):
-    r = right_adjoint_kernel(PD)
+    r = kernel_ops(PD).right_adjoint().kernel
     rf = compose(PD, r)
     assert rf.complex.dim(0) == 2
     fr = compose(r, PD)
@@ -97,7 +97,7 @@ def test_compose_dual_numbers(PD):
 
 
 def test_compose_zigzag(PZ):
-    r = right_adjoint_kernel(PZ)
+    r = kernel_ops(PZ).right_adjoint().kernel
     rf = compose(PZ, r)
     assert rf.complex.dim(0) == 2   # e_1 Z e_1
     with pytest.raises(KernelError):
@@ -105,72 +105,72 @@ def test_compose_zigzag(PZ):
 
 
 def test_right_adjoint_dims(PD, PZ):
-    assert right_adjoint_kernel(identity_kernel(D)).complex.dim(0) == 2
-    assert right_adjoint_kernel(PD).complex.dim(0) == 2
-    assert right_adjoint_kernel(PZ).complex.dim(0) == 3
+    assert kernel_ops(identity_kernel(D)).right_adjoint().kernel.complex.dim(0) == 2
+    assert kernel_ops(PD).right_adjoint().kernel.complex.dim(0) == 2
+    assert kernel_ops(PZ).right_adjoint().kernel.complex.dim(0) == 3
 
 
 def test_left_adjoint_dims(PD, PZ):
-    assert left_adjoint_kernel(PD).complex.dim(0) == 2
-    assert left_adjoint_kernel(PZ).complex.dim(0) == 3
+    assert kernel_ops(PD).left_adjoint().kernel.complex.dim(0) == 2
+    assert kernel_ops(PZ).left_adjoint().kernel.complex.dim(0) == 3
 
 
 def test_unit_counit_identity_kernel():
     for alg in (K, D, Z):
         i = identity_kernel(alg)
-        assert is_quasi_iso(unit_right(i))
-        assert is_quasi_iso(counit_right(i))
-        assert is_quasi_iso(unit_left(i))
-        assert is_quasi_iso(counit_left(i))
+        assert is_quasi_iso(kernel_ops(i).unit_right())
+        assert is_quasi_iso(kernel_ops(i).counit_right())
+        assert is_quasi_iso(kernel_ops(i).unit_left())
+        assert is_quasi_iso(kernel_ops(i).counit_left())
 
 
 def test_counit_right_dual_numbers_is_multiplication(PD):
-    eps = counit_right(PD)
+    eps = kernel_ops(PD).counit_right()
     assert eps.comp(0).rows == 2
     assert eps.comp(0).cols == 4
     assert eps.comp(0).rank() == 2    # surjective
 
 
 def test_unit_right_dual_numbers(PD):
-    eta = unit_right(PD)
+    eta = kernel_ops(PD).unit_right()
     assert eta.comp(0).rows == 2      # RF is 2-dimensional
     assert eta.comp(0).cols == 1
     assert eta.comp(0).rank() == 1    # injective k -> k^2
 
 
 def test_twist_profiles(PD, PX):
-    assert is_acyclic(twist_kernel(identity_kernel(D)).kernel.complex)
-    assert homology_dims(twist_kernel(PD).kernel.complex) == {-1: 2}
-    assert homology_dims(twist_kernel(PX).kernel.complex) == {-1: 6}
+    assert is_acyclic(kernel_ops(identity_kernel(D)).twist().kernel.complex)
+    assert homology_dims(kernel_ops(PD).twist().kernel.complex) == {-1: 2}
+    assert homology_dims(kernel_ops(PX).twist().kernel.complex) == {-1: 6}
 
 
 def test_cotwist_profiles(PD, PX):
-    assert is_acyclic(cotwist_kernel(identity_kernel(D)).kernel.complex)
-    assert homology_dims(cotwist_kernel(PD).kernel.complex) == {1: 1}
-    assert homology_dims(cotwist_kernel(PX).kernel.complex) == {1: 2}
+    assert is_acyclic(kernel_ops(identity_kernel(D)).cotwist().kernel.complex)
+    assert homology_dims(kernel_ops(PD).cotwist().kernel.complex) == {1: 1}
+    assert homology_dims(kernel_ops(PX).cotwist().kernel.complex) == {1: 2}
 
 
 def test_dual_twists_acyclic_for_identity():
     i = identity_kernel(Z)
-    assert is_acyclic(dual_twist_kernel(i).kernel.complex)
-    assert is_acyclic(dual_cotwist_kernel(i).kernel.complex)
+    assert is_acyclic(kernel_ops(i).dual_twist().kernel.complex)
+    assert is_acyclic(kernel_ops(i).dual_cotwist().kernel.complex)
 
 
 def test_dual_twist_profiles_dual_numbers(PD):
     # hand check: eta_L: B -> FL (dim 4) is injective, so T' = cone[-1] has
     # H^1 of dimension 2; eps_L: LF (dim 2) -> k is onto with 1-dim kernel,
     # so C' has H^{-1} of dimension 1 (the inverses of T and C, shifted)
-    tprime = dual_twist_kernel(PD).kernel
-    cprime = dual_cotwist_kernel(PD).kernel
+    tprime = kernel_ops(PD).dual_twist().kernel
+    cprime = kernel_ops(PD).dual_cotwist().kernel
     assert homology_dims(tprime.complex) == {1: 2}
     assert homology_dims(cprime.complex) == {-1: 1}
 
 
 def test_triangle_composes_to_zero(PD):
     # include then project vanishes on the nose for every cone
-    tw = twist_kernel(PD)
+    tw = kernel_ops(PD).twist()
     assert tw.include.then(tw.project).is_zero()
-    ct = cotwist_kernel(PD)
+    ct = kernel_ops(PD).cotwist()
     from spherica.complexes import shift_map
     assert ct.gamma.then(shift_map(ct.delta, 1)).is_zero()
 
@@ -229,35 +229,26 @@ def test_appendix_map(PD, PZ, PX):
 
 def test_adjunction_dimension_equality(PD, PZ):
     """dim Hom_D(X (x) p, Y) == dim Hom_D(X, Y (x) adjoint) on test objects."""
-    from spherica.complexes import hom_cx, shift
-    from spherica.bimodules import regular_bimodule
+    from spherica.complexes import shift
     for p in (PD, PZ):
         A, B = p.source_algebra, p.target_algebra
-        r = right_adjoint_kernel(p)
-        xs = [single_term(regular_bimodule_as_module(A))]
-        ys = [single_term(regular_bimodule_as_module(B)),
-              shift(single_term(regular_bimodule_as_module(B)), 1)]
+        r = kernel_ops(p).right_adjoint().kernel
+        xs = [single_term(restrict_to_right(regular_bimodule(A)))]
+        ys = [single_term(restrict_to_right(regular_bimodule(B))),
+              shift(single_term(restrict_to_right(regular_bimodule(B))), 1)]
         for x in xs:
             fx = tensor_cx(x, p.complex).complex
             for y in ys:
                 ry = tensor_cx(y, r.complex).complex
-                lhs = homology_dims(hom_cx(fx, y, "right")).get(0, 0)
-                rhs = homology_dims(hom_cx(x, ry, "right")).get(0, 0)
+                lhs = homology_dims(hom_cx(fx, y)).get(0, 0)
+                rhs = homology_dims(hom_cx(x, ry)).get(0, 0)
                 assert lhs == rhs
-
-
-def regular_bimodule_as_module(b):
-    """The algebra as a (k, B)-bimodule: a right module with scalar left action."""
-    from spherica.bimodules import Bimodule
-    ident = Matrix.identity(F, b.dim)
-    return Bimodule(K, b, [ident], [b.right_mult_matrix(i) for i in range(b.dim)],
-                    b.dim, label="B_mod")
 
 
 def test_compose_list_braid_dims(PZ):
     p2 = kernel_over(Z, 1)
-    t1 = twist_kernel(PZ).kernel
-    t2 = twist_kernel(p2).kernel
+    t1 = kernel_ops(PZ).twist().kernel
+    t2 = kernel_ops(p2).twist().kernel
     t121 = compose_list([t1, t2, t1])
     t212 = compose_list([t2, t1, t2])
     assert {n: t121.complex.dim(n) for n in t121.complex.degrees()} == \
@@ -271,14 +262,14 @@ def test_dual_twists_are_the_adjoint_kernels(PD, PZ):
     import random
     from spherica.complexes import find_quasi_iso
     for p in (PD, PZ):
-        t = twist_kernel(p).kernel
-        tprime = dual_twist_kernel(p).kernel
-        tadj = left_adjoint_kernel(t)
+        t = kernel_ops(p).twist().kernel
+        tprime = kernel_ops(p).dual_twist().kernel
+        tadj = kernel_ops(t).left_adjoint().kernel
         w = find_quasi_iso(tprime.complex, tadj.complex, random.Random(0))
         assert w is not None
-        c = cotwist_kernel(p).kernel
-        cprime = dual_cotwist_kernel(p).kernel
-        cadj = left_adjoint_kernel(c)
+        c = kernel_ops(p).cotwist().kernel
+        cprime = kernel_ops(p).dual_cotwist().kernel
+        cadj = kernel_ops(c).left_adjoint().kernel
         w2 = find_quasi_iso(cprime.complex, cadj.complex, random.Random(0))
         assert w2 is not None
 
@@ -307,7 +298,9 @@ def test_left_duals_on_random_kernels_over_rationals(shape):
             dual = left_dual(term).bimodule
             assert dual.left_algebra is term.right_algebra
             assert dual.right_algebra is term.left_algebra
-            assert dual.dim == len(hom_space(term, regular_bimodule(term.left_algebra), "left"))
+            left_homs = hom_space(restrict_to_right(flip(term)),
+                                  restrict_to_right(flip(regular_bimodule(term.left_algebra))))
+            assert dual.dim == len(left_homs)
 
 
 def test_kernel_rejects_a_term_that_is_not_right_projective():

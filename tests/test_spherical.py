@@ -23,8 +23,6 @@ from spherica.kernels import (
     compose,
     identity_kernel,
     kernel_ops,
-    right_adjoint_kernel,
-    twist_kernel,
 )
 from spherica.linalg import Field, Matrix
 from spherica.session import _elaborate, builtin_example, builtin_names
@@ -93,8 +91,7 @@ def test_is_equivalence_identity_and_acyclic():
 
 
 def test_cotwist_of_dual_numbers_is_equivalence(PD):
-    from spherica.kernels import cotwist_kernel
-    assert is_equivalence_kernel(cotwist_kernel(PD).kernel)
+    assert is_equivalence_kernel(kernel_ops(PD).cotwist().kernel)
 
 
 def test_check_conditions_table(PD, PZ):
@@ -155,11 +152,31 @@ def test_quasi_iso_to_identity_decides_on_the_minimal_model(PD, monkeypatch):
         return search(x, y, rng, *args, **kwargs)
 
     monkeypatch.setattr(spherical_module, "find_quasi_iso", recording)
-    c_adj = kernel_ops(right_adjoint_kernel(PD)).cotwist().kernel
+    c_adj = kernel_ops(kernel_ops(PD).right_adjoint().kernel).cotwist().kernel
     k = compose(c_adj, kernel_ops(PD).twist().kernel)
     assert term_dims(k.complex) == {-1: 4, 0: 10, 1: 4}
     assert quasi_iso_to_identity(k)
     assert seen == [{0: D.dim}]
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_quasi_iso_to_identity_truncation_fallback(p, monkeypatch):
+    """With the chain-level search patched to find nothing, the truncation
+    criterion decides, through the sampler's invertibility test on the
+    bimodule maps A -> H^0."""
+    import spherica.spherical as spherical_module
+    field = Field.prime(p)
+    k, d = scalar_algebra(field), dual_numbers(field)
+    pd = Kernel(k, d, single_term(projective_bimodule(k, 0, d, 0)))
+    tw = kernel_ops(pd).twist().kernel
+    c_adj = kernel_ops(kernel_ops(pd).right_adjoint().kernel).cotwist().kernel
+    homology, reached = spherical_module.homology, []
+    monkeypatch.setattr(spherical_module, "find_quasi_iso", lambda *args, **kwargs: None)
+    monkeypatch.setattr(spherical_module, "homology", lambda x: reached.append(x) or homology(x))
+    assert quasi_iso_to_identity(identity_kernel(zigzag_a2(field)))
+    assert quasi_iso_to_identity(compose(c_adj, tw))
+    assert not quasi_iso_to_identity(tw)
+    assert len(reached) == 3
 
 
 def test_check_appendix(PD, PZ):
@@ -345,4 +362,4 @@ def test_reported_twists_are_not_minimised():
             (verdict.cotwist_kernel, kernel_ops(own).cotwist(), model_ops.cotwist())):
         assert term_dims(reported.complex) == term_dims(fresh.kernel.complex)
         assert term_dims(reported.complex) != term_dims(on_model.kernel.complex)
-    assert twist_kernel(p).kernel is verdict.twist_kernel
+    assert kernel_ops(p).twist().kernel is verdict.twist_kernel
