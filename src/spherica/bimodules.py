@@ -756,16 +756,20 @@ class TensorData:
         self._nblocks = [n.left_block(v_pos) for v_pos in sp.vertex_pos]
         self._nprojs = [n.left_block_proj(v_pos) for v_pos in sp.vertex_pos]
         self._dim = sum(blk.cols for blk in self._nblocks)
+        self._monomials = None
         slots = [_slot_part(n, v_pos) for v_pos in sp.vertex_pos]
         self.bimodule = Bimodule(m.left_algebra, n.right_algebra, self._build_left_action,
                                  _diagonal(self.field, slots, "right_action", n.right_algebra.dim),
                                  self._dim, label=f"{m.label or 'M'}(x){n.label or 'N'}")
         self.bimodule.right_parts = [part for part in slots if part.dim]
 
-    def induced(self, f: BimoduleMap, g: BimoduleMap, target: "TensorData") -> BimoduleMap:
-        """The map f (x) g between tensor products (f, g equivariant)."""
+    def induced(self, f: BimoduleMap | None, g: BimoduleMap | None,
+                target: "TensorData") -> BimoduleMap:
+        """The map f (x) g between tensor products (f, g equivariant); None
+        stands for the identity of a factor that self and target share."""
         xs, ys = self.monomial_matrices()
-        mat = target.coords(f.matrix * xs, g.matrix * ys)
+        mat = target.coords(xs if f is None else f.matrix * xs,
+                            ys if g is None else g.matrix * ys)
         return BimoduleMap(self.bimodule, target.bimodule, mat)
 
     def _build_left_action(self) -> list[Matrix]:
@@ -781,9 +785,11 @@ class TensorData:
                 for i in range(dim)]
 
     def monomial_matrices(self) -> tuple[Matrix, Matrix]:
-        field = self.field
-        gens = Matrix.stack_columns(field, self.sp.gens, self.m.dim)
-        return self._per_monomial(gens), Matrix.stack_columns(field, self._nblocks, self.n.dim)
+        if self._monomials is None:
+            gens = Matrix.stack_columns(self.field, self.sp.gens, self.m.dim)
+            self._monomials = (self._per_monomial(gens),
+                               Matrix.stack_columns(self.field, self._nblocks, self.n.dim))
+        return self._monomials
 
     def _per_monomial(self, per_slot: Matrix) -> Matrix:
         """Column t of per_slot repeated once for each monomial of slot t

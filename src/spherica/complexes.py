@@ -205,11 +205,6 @@ class ChainMap:
         return f"ChainMap({self.source!r} -> {self.target!r})"
 
 
-def identity_map(x: Complex) -> ChainMap:
-    return ChainMap(x, x, {n: Matrix.identity(x.field, t.dim)
-                           for n, t in x.terms.items()})
-
-
 def shift(x: Complex, n: int) -> Complex:
     """(X[n])^i = X^{i+n}, differential multiplied by (-1)^n."""
     terms = {i - n: t for i, t in x.terms.items()}
@@ -239,6 +234,9 @@ class ConeData:
 
 
 def cone(f: ChainMap) -> ConeData:
+    """The cone of f: X -> Y with its two triangle maps.  The blocks -d_X, f
+    and d_Y of each differential are placed into one array by slicing, not
+    multiplied by injections and projections."""
     x, y = f.source, f.target
     field = x.field
     degrees = set()
@@ -248,25 +246,25 @@ def cone(f: ChainMap) -> ConeData:
     terms = {}
     parts = {}
     for n in sorted(degrees):
-        xs = x.term(n + 1)
-        ys = y.term(n)
-        total, injs, projs = direct_sum([xs, ys], left=x.left_algebra,
+        total, injs, projs = direct_sum([x.term(n + 1), y.term(n)], left=x.left_algebra,
                                         right=x.right_algebra)
         if total.dim:
             terms[n] = total
-            parts[n] = (injs, projs, xs, ys)
+            parts[n] = (injs, projs)
     diffs = {}
     for n in terms:
         if (n + 1) not in terms:
             continue
-        injs1, _, xs1, ys1 = parts[n + 1]
-        _, projs0, xs0, ys0 = parts[n]
         # d(x, y) = (-dx, fx + dy)
-        mat = Matrix.zeros(field, terms[n + 1].dim, terms[n].dim)
-        mat = mat + injs1[0] * (x.diff_matrix(n + 1).scale(-1)) * projs0[0]
-        mat = mat + injs1[1] * f.comp(n + 1) * projs0[0]
-        mat = mat + injs1[1] * y.diff_matrix(n) * projs0[1]
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat)
+        arr = field._zeros(terms[n + 1].dim, terms[n].dim)
+        top, left = x.dim(n + 2), x.dim(n + 1)
+        if (n + 1) in x.diffs:
+            arr[:top, :left] = x.diffs[n + 1].matrix.scale(-1).arr
+        if (n + 1) in f.components:
+            arr[top:, :left] = f.components[n + 1].arr
+        if n in y.diffs:
+            arr[top:, left:] = y.diffs[n].matrix.arr
+        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix._wrap(field, arr))
     cx = Complex(x.left_algebra, x.right_algebra, terms, diffs)
     include = ChainMap(y, cx, {n: parts[n][0][1] for n in terms})
     sx = shift(x, 1)
@@ -290,14 +288,9 @@ def direct_sum_complexes(xs: list[Complex]) -> tuple[Complex, list[ChainMap], li
         terms[n] = total
         injections[n] = injs
         projections[n] = projs
-    diffs = {}
-    for n in terms:
-        if (n + 1) not in terms:
-            continue
-        mat = Matrix.zeros(field, terms[n + 1].dim, terms[n].dim)
-        for idx, x in enumerate(xs):
-            mat = mat + injections[n + 1][idx] * x.diff_matrix(n) * projections[n][idx]
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat)
+    diffs = {n: BimoduleMap(terms[n], terms[n + 1],
+                            Matrix.block_diag(field, [x.diff_matrix(n) for x in xs]))
+             for n in terms if (n + 1) in terms}
     total_cx = Complex(la, ra, terms, diffs)
     inj_maps = []
     proj_maps = []
@@ -351,22 +344,20 @@ class TensorComplex:
             if (n + 1) not in self.layout:
                 continue
             tgt_slots = {(i, j): (td, off) for (i, j, td, off) in self.layout[n + 1]}
-            mat = Matrix.zeros(field, terms[n + 1].dim, terms[n].dim)
-            arr = mat.arr.copy()
+            arr = field._zeros(terms[n + 1].dim, terms[n].dim)
             for (i, j, td, off) in slots:
                 # d_x (x) id : slot (i,j) -> (i+1, j)
                 if (i + 1, j) in tgt_slots and x.diffs.get(i) is not None:
                     td2, off2 = tgt_slots[(i + 1, j)]
-                    idy = BimoduleMap(y.term(j), y.term(j), Matrix.identity(field, y.dim(j)))
-                    block = td.induced(x.diffs[i], idy, td2).matrix
-                    arr[off2:off2 + block.rows, off:off + block.cols] += block.arr
+                    block = td.induced(x.diffs[i], None, td2).matrix
+                    arr[off2:off2 + block.rows, off:off + block.cols] = block.arr
                 # (-1)^i id (x) d_y : slot (i,j) -> (i, j+1)
                 if (i, j + 1) in tgt_slots and y.diffs.get(j) is not None:
                     td2, off2 = tgt_slots[(i, j + 1)]
-                    idx_map = BimoduleMap(x.term(i), x.term(i), Matrix.identity(field, x.dim(i)))
-                    block = td.induced(idx_map, y.diffs[j], td2).matrix.scale((-1) ** i)
-                    arr[off2:off2 + block.rows, off:off + block.cols] += block.arr
-            diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix(field, arr))
+                    block = td.induced(None, y.diffs[j], td2).matrix
+                    arr[off2:off2 + block.rows, off:off + block.cols] = \
+                        block.scale(-1).arr if i % 2 else block.arr
+            diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix._wrap(field, arr))
         self.complex = Complex(la, ra, terms, diffs)
 
     def slot(self, n: int, i: int, j: int) -> tuple[TensorData, int]:
@@ -375,8 +366,10 @@ class TensorComplex:
                 return td, off
         raise ComplexError(f"no slot ({i},{j}) in degree {n}")
 
-    def induced(self, f: ChainMap, g: ChainMap, target: "TensorComplex") -> ChainMap:
-        """f (x) g for degree-zero chain maps (no Koszul signs needed)."""
+    def induced(self, f: ChainMap | None, g: ChainMap | None,
+                target: "TensorComplex") -> ChainMap:
+        """f (x) g for degree-zero chain maps (no Koszul signs needed); None
+        stands for the identity of the factor that self and target share."""
         comps = {}
         for n, slots in self.layout.items():
             if n not in target.layout and not slots:
@@ -391,11 +384,13 @@ class TensorComplex:
                 if (i, j) not in tgt_slots:
                     continue
                 td2, off2 = tgt_slots[(i, j)]
-                fm = BimoduleMap(self.x.term(i), target.x.term(i), f.comp(i))
-                gm = BimoduleMap(self.y.term(j), target.y.term(j), g.comp(j))
+                fm = None if f is None else BimoduleMap(self.x.term(i), target.x.term(i),
+                                                        f.comp(i))
+                gm = None if g is None else BimoduleMap(self.y.term(j), target.y.term(j),
+                                                        g.comp(j))
                 block = td.induced(fm, gm, td2).matrix
-                arr[off2:off2 + block.rows, off:off + block.cols] += block.arr
-            comps[n] = Matrix(self.complex.field, arr)
+                arr[off2:off2 + block.rows, off:off + block.cols] = block.arr
+            comps[n] = Matrix._wrap(self.complex.field, arr)
         return ChainMap(self.complex, target.complex, comps)
 
 

@@ -47,7 +47,6 @@ from .complexes import (
     associator,
     cone,
     direct_sum_complexes,
-    identity_map,
     interchange_left_shift,
     interchange_right_shift,
     left_unitor,
@@ -203,10 +202,11 @@ class KernelOps:
         return self._get(("tensor", id(x), id(y)), lambda: tensor_cx(x, y))
 
     def _whisker(self, f: ChainMap | Complex, g: ChainMap | Complex) -> ChainMap:
-        """f (x) g, where a complex stands for its identity map."""
-        f = identity_map(f) if isinstance(f, Complex) else f
-        g = identity_map(g) if isinstance(g, Complex) else g
-        return self._tensor(f.source, g.source).induced(f, g, self._tensor(f.target, g.target))
+        """f (x) g, where a complex stands for its identity map (never built)."""
+        sources = [h if isinstance(h, Complex) else h.source for h in (f, g)]
+        targets = [h if isinstance(h, Complex) else h.target for h in (f, g)]
+        maps = [None if isinstance(h, Complex) else h for h in (f, g)]
+        return self._tensor(*sources).induced(*maps, self._tensor(*targets))
 
     def _assoc(self, x: Complex, y: Complex, z: Complex) -> ChainMap:
         """(x (x) y) (x) z -> x (x) (y (x) z), built once per triple of complex

@@ -4,7 +4,9 @@ Every number in the engine lives here: matrices are numpy arrays of
 int64 residues (prime fields) or Fraction objects (rationals), and all
 arithmetic is exact.  Row reduction uses deterministic pivoting (first
 nonzero column, then first nonzero row), so every basis produced
-downstream is reproducible bit for bit.
+downstream is reproducible bit for bit.  A pivot step, over F_p as over
+Q, updates only the rows hit by the pivot: those with a nonzero entry in
+its column.
 
 Prime fields go up to p = 2^31 - 1 (MAX_PRIME), so a product of two
 residues fits in int64.  A product A (m x k) times B (k x n) over F_p
@@ -163,7 +165,11 @@ def _primitive_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivots of a matrix of residues mod p."""
+    """Reduced row echelon form and pivots of a matrix of residues mod p.
+
+    A pivot step updates only the rows with a nonzero entry in the pivot
+    column, and only from that column on: the pivot row is zero left of it.
+    """
     R = np.array(arr, copy=True)
     rows, cols = R.shape
     pivots: list[int] = []
@@ -171,18 +177,20 @@ def _rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c] != 0)[0]
+        nz = R[r:, c].nonzero()[0]
         if len(nz) == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        inv = field.inv(R[r, c])
-        R[r] = (R[r] * inv) % field.p
-        col = R[:, c].copy()
-        col[r] = 0
-        R -= np.outer(col, R[r])
-        R %= field.p
+        row = R[r, c:] * field.inv(R[r, c]) % field.p
+        R[r, c:] = row
+        R[r, c] = 0  # so that the pivot row is not among the rows it clears
+        hit = R[:, c].nonzero()[0]
+        R[r, c] = 1
+        if len(hit):
+            sub = R[hit, c:]
+            R[hit, c:] = (sub - sub[:, :1] * row) % field.p
         pivots.append(c)
         r += 1
     return R, pivots

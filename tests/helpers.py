@@ -1,8 +1,10 @@
 """Shared fixtures: the small algebras every suite exercises, the
 equivalence test and the four conditions without minimal models, the
 restriction to scalars, the center of an algebra, the two-sided hom
-complex, the quotient model of a tensor product, and the elimination on
-Fraction objects that the rational kernels are checked against."""
+complex, the quotient model of a tensor product, identity chain maps,
+cone differentials as sums of products, the dense elimination over F_p
+and the elimination on Fraction objects that the engine's kernels are
+checked against."""
 
 from __future__ import annotations
 
@@ -17,8 +19,15 @@ from spherica.algebras import (
     algebra_from_quiver,
     scalar_algebra,
 )
-from spherica.bimodules import Bimodule, BimoduleMap, hom_space, is_projective, left_dual
-from spherica.complexes import Complex, ComplexError, homology_dims, is_quasi_iso
+from spherica.bimodules import (
+    Bimodule,
+    BimoduleMap,
+    direct_sum,
+    hom_space,
+    is_projective,
+    left_dual,
+)
+from spherica.complexes import ChainMap, Complex, ComplexError, homology_dims, is_quasi_iso
 from spherica.kernels import Kernel, condition3_map, condition4_map, kernel_ops
 from spherica.linalg import Field, Matrix
 
@@ -246,6 +255,60 @@ class QuotientTensor:
         # eliminate the pivot coordinates with the relations, keep the free ones
         return pure.submatrix(self._free, slice(None)) - \
             self._rel_free * pure.submatrix(self._pivots, slice(None))
+
+
+def identity_map(x: Complex) -> ChainMap:
+    return ChainMap(x, x, {n: Matrix.identity(x.field, t.dim)
+                           for n, t in x.terms.items()})
+
+
+def cone_differentials_by_products(f: ChainMap) -> dict[int, Matrix]:
+    """Degree n -> the differential of cone(f) from degree n as the sum of
+    products inj (-d_X) proj + inj f proj + inj d_Y proj: the oracle for
+    the block placement in spherica.complexes.cone."""
+    x, y = f.source, f.target
+    parts = {}
+    for n in {m - 1 for m in x.terms} | set(y.terms):
+        total, injs, projs = direct_sum([x.term(n + 1), y.term(n)], left=x.left_algebra,
+                                        right=x.right_algebra)
+        if total.dim:
+            parts[n] = (injs, projs)
+    out = {}
+    for n in parts:
+        if (n + 1) in parts:
+            injs1, projs0 = parts[n + 1][0], parts[n][1]
+            out[n] = (injs1[0] * (x.diff_matrix(n + 1).scale(-1)) * projs0[0]
+                      + injs1[1] * f.comp(n + 1) * projs0[0]
+                      + injs1[1] * y.diff_matrix(n) * projs0[1])
+    return out
+
+
+def dense_rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivots of a matrix of residues mod p,
+    updating every row at every pivot: the oracle for the sparse pivot
+    updates of spherica.linalg."""
+    R = np.array(arr, copy=True)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c] != 0)[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        inv = field.inv(R[r, c])
+        R[r] = (R[r] * inv) % field.p
+        col = R[:, c].copy()
+        col[r] = 0
+        R -= np.outer(col, R[r])
+        R %= field.p
+        pivots.append(c)
+        r += 1
+    return R, pivots
 
 
 # Rational linear algebra on Fraction objects, entry by entry: the reference

@@ -18,7 +18,6 @@ from spherica.complexes import (
     cone,
     find_quasi_iso,
     homology_dims,
-    identity_map,
     is_acyclic,
     is_quasi_iso,
     scalar_algebra,

@@ -20,7 +20,6 @@ from spherica.complexes import (
     find_quasi_iso,
     homology,
     homology_dims,
-    identity_map,
     interchange_left_shift,
     interchange_right_shift,
     is_acyclic,
@@ -36,7 +35,7 @@ from spherica.complexes import (
 )
 from spherica.linalg import Field, Matrix
 
-from helpers import center_basis, dual_numbers, hom_cx, term_dims, zigzag_a2
+from helpers import center_basis, dual_numbers, hom_cx, identity_map, term_dims, zigzag_a2
 
 F = Field.prime(101)
 K = scalar_algebra(F)

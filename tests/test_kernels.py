@@ -8,6 +8,8 @@ import pytest
 
 from spherica.bimodules import (
     Bimodule,
+    BimoduleMap,
+    TensorData,
     flip,
     hom_space,
     left_dual,
@@ -15,6 +17,8 @@ from spherica.bimodules import (
     regular_bimodule,
 )
 from spherica.complexes import (
+    TensorComplex,
+    cone,
     homology_dims,
     is_acyclic,
     is_quasi_iso,
@@ -37,13 +41,15 @@ from spherica.kernels import (
     appendix_map,
 )
 from spherica.linalg import Field, Matrix
-from spherica.session import _elaborate, builtin_example
+from spherica.session import _elaborate, builtin_example, builtin_names
 from spherica.spherical import random_kernel
 
 from helpers import (
     RANDOM_SHAPES,
+    cone_differentials_by_products,
     dual_numbers,
     hom_cx,
+    identity_map,
     k_times_k,
     left_dual_basis_sum,
     restrict_to_right,
@@ -325,3 +331,58 @@ def test_terms_that_only_feed_ranks_build_no_action_matrices(name):
     t = rf.complex.term(0)
     assert t.left_action is t.left_action and t.right_action is t.right_action
     t.check()
+
+
+def _structure_cases():
+    for field, tag in ((F, "F101"), (Field.rationals(), "Q"), (Field.prime(2), "F2")):
+        for name in builtin_names():
+            yield pytest.param(field, ("builtin", name), id=f"{tag}:builtin:{name}")
+        for shape in sorted(RANDOM_SHAPES):
+            yield pytest.param(field, ("random", shape), id=f"{tag}:random:{shape}")
+
+
+@pytest.mark.parametrize("field, case", _structure_cases())
+def test_structured_maps_equal_their_product_forms(field, case, monkeypatch):
+    """The cones of the units and counits, placed block by block, have the
+    differentials of the sum of products with injections and projections;
+    every tensor map given None for an identity factor, in the tensor
+    differentials and in the whiskers of the triangular identities, equals
+    the map built from that identity."""
+    kind, name = case
+    if kind == "builtin":
+        kernels = list(_elaborate(builtin_example(name), field)[1].values())
+    else:
+        src, tgt = RANDOM_SHAPES[name]
+        kernels = [random_kernel(src(field), tgt(field), random.Random(seed)) for seed in (0, 7)]
+    calls = []
+
+    def recording(cls):
+        real = cls.induced
+
+        def induced(self, f, g, target):
+            out = real(self, f, g, target)
+            if f is None or g is None:
+                calls.append((self, f, g, target, out))
+            return out
+        monkeypatch.setattr(cls, "induced", induced)
+
+    recording(TensorComplex)
+    recording(TensorData)
+    for p in kernels:
+        ops = kernel_ops(p)
+        for eta in (ops.unit_right(), ops.counit_right(), ops.unit_left(), ops.counit_left()):
+            want = cone_differentials_by_products(eta)
+            got = cone(eta).cone
+            assert want and {n: got.diff_matrix(n) for n in want} == want
+        triangular_identity_composites(p)
+    monkeypatch.undo()
+    kinds = set()
+    for t, f, g, target, out in calls:
+        if isinstance(t, TensorComplex):
+            want = t.induced(f or identity_map(t.x), g or identity_map(t.y), target)
+            assert out.components == want.components
+        else:
+            ident = [BimoduleMap(m, m, Matrix.identity(field, m.dim)) for m in (t.m, t.n)]
+            assert out.matrix == t.induced(f or ident[0], g or ident[1], target).matrix
+        kinds.add((type(t), f is None, g is None))
+    assert len(kinds) == 4

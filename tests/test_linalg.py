@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, Field, Matrix
 
 from helpers import (
+    dense_rref_mod_p,
     fraction_combine_blocks,
     fraction_nullspace,
     fraction_product,
@@ -165,6 +166,35 @@ def test_reduce_postconditions(p, rows, cols, seed):
     assert (m * ker).is_zero()
     # re-reducing the image basis keeps the rank (idempotence in effect)
     assert img.rank() == img.cols == rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 101, MAX_PRIME]),
+    long=st.integers(0, 40),
+    short=st.integers(0, 40),
+    form=st.sampled_from(["tall", "wide", "square"]),
+    fill=st.sampled_from(["dense", "sparse", "zero"]),
+    seed=st.integers(0, 10**6),
+)
+def test_elimination_mod_p_equals_dense_elimination(p, long, short, form, fill, seed):
+    """Updating only the rows a pivot hits gives the reduced matrix and
+    pivots of updating every row, bit for bit; at p = 2^31 - 1 the
+    products of residues come close to the int64 bound."""
+    long, short = max(long, short), min(long, short)
+    shape = {"tall": (long, short), "wide": (short, long), "square": (long, long)}[form]
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(0, p, shape)
+    if fill == "sparse":
+        arr *= rng.random(shape) < 0.02
+    elif fill == "zero":
+        arr[...] = 0
+    m = Matrix(Field.prime(p), arr)
+    R, pivots = m.rref()
+    want, want_pivots = dense_rref_mod_p(m.arr, m.field)
+    assert R.arr.dtype == want.dtype
+    assert np.array_equal(R.arr, want)
+    assert pivots == tuple(want_pivots)
 
 
 def test_rank_transpose_rationals():

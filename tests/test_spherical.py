@@ -325,12 +325,15 @@ def _random_sum(field, shape, seeds) -> Kernel:
 
 
 # seed 0 of each shape is contractible, so its model is 0; seed 2 of D-D is
-# a single term, so the sum of the two keeps exactly seed 2's part
+# a single term, so the sum of the two keeps exactly seed 2's part; the sum
+# with seed 1 has an unminimised twist of total dimension 130, whose
+# equivalence test reduces matrices of rank in the hundreds
 @pytest.mark.parametrize("field, shape, seeds, model_dims", [
     (Field.prime(2), "Z-Z", (0,), {}),
     (F, "D-D", (0, 2), {-1: 4}),
     (Field.rationals(), "D-D", (0,), {}),
-], ids=["F2:Z-Z", "F101:D-D+D-D", "Q:D-D"])
+    (F, "D-D", (0, 1), {-1: 8}),
+], ids=["F2:Z-Z", "F101:D-D+D-D", "Q:D-D", "F101:D-D+D-D:twist130"])
 def test_check_conditions_on_the_model_agrees_with_the_kernel(field, shape, seeds, model_dims):
     """The flags and homology profiles decided on the minimal model are the
     ones p itself gives, on kernels that are not minimal."""
