@@ -145,10 +145,9 @@ class Algebra:
 
     def multiply_vec(self, x: Matrix, y: Matrix) -> Matrix:
         """Product of two elements given as dim x 1 coefficient vectors."""
-        f = self.field
         # Python numbers, so that products of residues cannot overflow
-        xs = x.arr[:, 0].tolist()
-        ys = y.arr[:, 0].tolist()
+        xs = [r[0] for r in x.entries()]
+        ys = [r[0] for r in y.entries()]
         acc = [0] * self.dim
         for i, xi in enumerate(xs):
             if not xi:
@@ -158,44 +157,31 @@ class Algebra:
                     continue
                 for k, c in self.mult[i][j].items():
                     acc[k] += xi * yj * c
-        out = f._zeros(self.dim, 1)
-        for k, v in enumerate(acc):
-            out[k, 0] = f.elem(v)
-        return Matrix(f, out)
+        return Matrix.column(self.field, acc)
+
+    def _mult_matrices(self, product) -> list[Matrix]:
+        """For each basis element a, the matrix whose column b holds the
+        coefficients of product(a, b)."""
+        out = []
+        for a in range(self.dim):
+            rows = [[0] * self.dim for _ in range(self.dim)]
+            for b in range(self.dim):
+                for k, c in product(a, b).items():
+                    rows[k][b] = c
+            out.append(Matrix(self.field, rows))
+        return out
 
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of x -> a_i * x on the regular module."""
         if self._left_mats is None:
-            self._left_mats = []
-            for a in range(self.dim):
-                m = self.field._zeros(self.dim, self.dim)
-                for b in range(self.dim):
-                    for k, c in self.mult[a][b].items():
-                        m[k, b] = c
-                self._left_mats.append(Matrix(self.field, m))
+            self._left_mats = self._mult_matrices(lambda a, b: self.mult[a][b])
         return self._left_mats[i]
 
     def right_mult_matrix(self, i: int) -> Matrix:
         """Matrix of x -> x * a_i on the regular module."""
         if self._right_mats is None:
-            self._right_mats = []
-            for a in range(self.dim):
-                m = self.field._zeros(self.dim, self.dim)
-                for b in range(self.dim):
-                    for k, c in self.mult[b][a].items():
-                        m[k, b] = c
-                self._right_mats.append(Matrix(self.field, m))
+            self._right_mats = self._mult_matrices(lambda a, b: self.mult[b][a])
         return self._right_mats[i]
-
-    def left_action_of(self, vec: Matrix) -> Matrix:
-        """Left multiplication matrix of an arbitrary element."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        zero = self.field.elem(0)
-        for i in range(self.dim):
-            c = vec.arr[i, 0]
-            if c != zero:
-                out = out + self.left_mult_matrix(i).scale(c)
-        return out
 
     @property
     def generator_indices(self) -> list[int]:
@@ -402,11 +388,8 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field, name: str = "") -> 
                     out[index[path]] = c
             mult[i][j] = out
 
-    unit_arr = field._zeros(n, 1)
-    for v in range(len(q.vertices)):
-        unit_arr[index[("e", v)], 0] = field.elem(1)
-    unit = Matrix(field, unit_arr)
     idempotents = [index[("e", v)] for v in range(len(q.vertices))]
+    unit = Matrix.column(field, [int(k in idempotents) for k in range(n)])
     radical = [i for i, p in enumerate(basis) if p[0] != "e"]
 
     return Algebra(field, labels, mult, unit, idempotents, radical,

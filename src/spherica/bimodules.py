@@ -105,24 +105,25 @@ class Bimodule:
         if n == 0:
             return
         ident = Matrix.identity(self.field, n)
-        if self.left_action_of(A.unit) != ident:
+        if Matrix.combinations(self.left_action, A.unit)[0] != ident:
             raise BimoduleError("left unit does not act as identity")
-        if self.right_action_of(B.unit) != ident:
+        if Matrix.combinations(self.right_action, B.unit)[0] != ident:
             raise BimoduleError("right unit does not act as identity")
         # homomorphism property, checked on generator x basis pairs:
         # products of generators reach every basis element, so this
-        # propagates to the whole algebra by induction.  The product of
-        # basis elements i and j is the sparse combination A.mult[i][j].
+        # propagates to the whole algebra by induction.  Column j of the
+        # left (right) multiplication matrix of g holds the product g a_j
+        # (a_j g), so it is the combination of actions that must act as it.
         for g in A.generator_indices:
             Lg = self.left_action[g]
-            for j in range(A.dim):
-                if _combination(self.left_action, A.mult[g][j], n) != Lg * self.left_action[j]:
-                    raise BimoduleError("left action is not a homomorphism")
+            products = Matrix.combinations(self.left_action, A.left_mult_matrix(g))
+            if any(prod != Lg * Lj for prod, Lj in zip(products, self.left_action)):
+                raise BimoduleError("left action is not a homomorphism")
         for g in B.generator_indices:
             Rg = self.right_action[g]
-            for j in range(B.dim):
-                if _combination(self.right_action, B.mult[j][g], n) != Rg * self.right_action[j]:
-                    raise BimoduleError("right action is not an anti-homomorphism")
+            products = Matrix.combinations(self.right_action, B.right_mult_matrix(g))
+            if any(prod != Rg * Rj for prod, Rj in zip(products, self.right_action)):
+                raise BimoduleError("right action is not an anti-homomorphism")
         for g in A.generator_indices:
             for h in B.generator_indices:
                 if self.left_action[g] * self.right_action[h] != \
@@ -130,24 +131,6 @@ class Bimodule:
                     raise BimoduleError("left and right actions do not commute")
 
     # --- action helpers -----------------------------------------------
-
-    def left_action_of(self, vec: Matrix) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        zero = self.field.elem(0)
-        for i in range(self.left_algebra.dim):
-            c = vec.arr[i, 0]
-            if c != zero:
-                out = out + self.left_action[i].scale(c)
-        return out
-
-    def right_action_of(self, vec: Matrix) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        zero = self.field.elem(0)
-        for i in range(self.right_algebra.dim):
-            c = vec.arr[i, 0]
-            if c != zero:
-                out = out + self.right_action[i].scale(c)
-        return out
 
     def left_act(self, avs: Matrix, xs: Matrix) -> Matrix:
         """Column j is a_j . x_j, for a_j = avs[:, j] in A and x_j = xs[:, j]."""
@@ -244,18 +227,6 @@ def _act(actions: list[Matrix], coeffs: Matrix, xs: Matrix) -> Matrix:
     """Column j is sum_i coeffs[i, j] actions[i] xs[:, j]."""
     stacked = Matrix.stack_rows(xs.field, actions, xs.rows)
     return (stacked * xs).combine_blocks(coeffs)
-
-
-def _combination(mats: list[Matrix], coeffs: dict, n: int) -> Matrix:
-    """sum_k c_k mats[k] over the n x n matrices, for coeffs {k: c_k}."""
-    if len(coeffs) == 1:
-        (k, c), = coeffs.items()
-        if c == 1:
-            return mats[k]
-    out = Matrix.zeros(mats[0].field, n, n)
-    for k, c in coeffs.items():
-        out = out + mats[k].scale(c)
-    return out
 
 
 def _left_inverse(m: Matrix) -> Matrix:
@@ -373,18 +344,15 @@ def _sum(summands: list[Bimodule], label: str) -> Bimodule:
     return out
 
 
-def direct_sum(summands: list[Bimodule], left: Algebra | None = None,
-               right: Algebra | None = None) -> tuple[Bimodule, list[Matrix], list[Matrix]]:
-    """Direct sum with injection and projection matrices."""
+def direct_sum(summands: list[Bimodule]) -> Bimodule:
+    """The direct sum of a nonempty list of bimodules over the same algebras,
+    their coordinates in order.  It records its summands, so its splittings
+    and vertex blocks are assembled from theirs; the inclusion and
+    projection of summand k are the column and row slices of the identity
+    at the summand's coordinates."""
     if not summands:
-        if left is None or right is None:
-            raise BimoduleError("empty direct sum needs explicit algebras")
-        return zero_bimodule(left, right), [], []
-    out = _sum(summands, "(+)".join(m.label or "?" for m in summands))
-    eye = Matrix.identity(out.field, out.dim)
-    ends = np.cumsum([0] + [m.dim for m in summands])
-    return (out, [eye.submatrix(slice(None), slice(s, e)) for s, e in zip(ends, ends[1:])],
-            [eye.submatrix(slice(s, e), slice(None)) for s, e in zip(ends, ends[1:])])
+        raise BimoduleError("empty direct sum")
+    return _sum(summands, "(+)".join(m.label or "?" for m in summands))
 
 
 # ---------------------------------------------------------------------------
@@ -465,36 +433,30 @@ def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
                 has_n = comp_n is not None and not comp_n.is_zero()
                 if not has_m and not has_n:
                     continue
-                arr = field._zeros(nB_t * mB_s, total)
+                # vec_rm(F_tgt @ comp_m) = (I (x) comp_m^T) vec_rm(F_tgt), minus
+                # vec_rm(comp_n @ F_src) = (comp_n (x) I) vec_rm(F_src); the two
+                # terms of a diagonal block are summed before placing
+                terms = {}
                 if has_m:
-                    # vec_rm(F_tgt @ comp_m) = (I (x) comp_m^T) vec_rm(F_tgt)
-                    term = Matrix.identity(field, nB_t).kron(comp_m.transpose())
-                    off_t = offsets[tgt_bl]
-                    arr[:, off_t:off_t + nB_t * mB_t] += term.arr
+                    terms[tgt_bl] = Matrix.identity(field, nB_t).kron(comp_m.transpose())
                 if has_n:
-                    # vec_rm(comp_n @ F_src) = (comp_n (x) I) vec_rm(F_src)
-                    term = comp_n.kron(Matrix.identity(field, mB_s))
-                    off_s = offsets[src_bl]
-                    arr[:, off_s:off_s + nB_s * mB_s] -= term.arr
-                rows.append(Matrix(field, arr))
+                    neg = comp_n.scale(-1).kron(Matrix.identity(field, mB_s))
+                    terms[src_bl] = terms[src_bl] + neg if src_bl in terms else neg
+                rows.append(Matrix.from_blocks(field, nB_t * mB_s, total,
+                                               [(0, offsets[bl], t) for bl, t in terms.items()]))
 
     if rows:
         null = Matrix.stack_rows(field, rows, total).nullspace()
     else:
         null = Matrix.identity(field, total)
 
-    maps = []
-    for j in range(null.cols):
-        full = Matrix.zeros(field, n.dim, m.dim)
-        for bl in blocks:
-            nB, mB = sizes[bl]
-            if nB == 0 or mB == 0:
-                continue
-            off = offsets[bl]
-            block = Matrix(field, null.arr[off:off + nB * mB, j].reshape(nB, mB))
-            full = full + tgt_basis[bl] * block * src_proj[bl]
-        maps.append(BimoduleMap(m, n, full))
-    return maps
+    # map j is the sum over blocks of basis_n F_bl proj_m, with F_bl read off
+    # null column j: one product through the block diagonal of the F_bl
+    bases = Matrix.stack_columns(field, [tgt_basis[bl] for bl in blocks], n.dim)
+    projs = Matrix.stack_rows(field, [src_proj[bl] for bl in blocks], m.dim)
+    return [BimoduleMap(m, n, bases * Matrix.block_diag(field, [
+        null.submatrix(slice(offsets[bl], offsets[bl] + nB * mB), slice(j, j + 1)).reshape(nB, mB)
+        for bl, (nB, mB) in sizes.items()]) * projs) for j in range(null.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +613,7 @@ def _dual_slot(B: Algebra, v_pos: int) -> _DualSlot:
     if key not in B._dual_tables:
         G = B.left_ideal_basis(B.vertex_idempotents[v_pos])
         proj = _left_inverse(G)
-        mults = [B.left_action_of(G.column_vec(j)) for j in range(G.cols)]
+        mults = Matrix.combinations([B.left_mult_matrix(i) for i in range(B.dim)], G)
         B._dual_tables[key] = _DualSlot(
             G, proj, Matrix.stack_rows(B.field, mults, B.dim),
             [proj * (B.left_mult_matrix(i) * G) for i in range(B.dim)],
@@ -666,8 +628,9 @@ def _move_table(B: Algebra, s_pos: int, t_pos: int) -> Matrix:
     key = ("move", s_pos, t_pos)
     if key not in B._dual_tables:
         proj, G = _dual_slot(B, s_pos).proj, _dual_slot(B, t_pos).basis
-        vecs = [(proj * (B.right_mult_matrix(k) * G)).arr.reshape(-1, 1) for k in range(B.dim)]
-        B._dual_tables[key] = Matrix(B.field, np.hstack(vecs))
+        moved = [proj * (B.right_mult_matrix(k) * G) for k in range(B.dim)]
+        B._dual_tables[key] = Matrix.stack_columns(
+            B.field, [m.reshape(m.rows * m.cols, 1) for m in moved], proj.rows * G.cols)
     return B._dual_tables[key]
 
 
@@ -692,20 +655,26 @@ def right_dual(p: Bimodule) -> DualData:
     left_action = [Matrix.block_diag(field, [slot.left_action[i] for slot in slots])
                    for i in range(B.dim)]
 
-    # c_t(a_i.g_s) for every t, s and i: row block t, column block s
-    moved = (_stacked_left(p) * Matrix.stack_columns(field, sp.gens, p.dim)).arr
-    moved = moved.reshape(A.dim, p.dim, S).transpose(1, 2, 0).reshape(p.dim, S * A.dim)
-    coeffs = Matrix.stack_rows(field, sp.slot_coords, p.dim) * Matrix(field, moved)
-    right = field._zeros(A.dim * dual_dim, dual_dim).reshape(A.dim, dual_dim, dual_dim)
+    # c_t(a_i.g_s) for every t, s and i: row block t, column s * A.dim + i
+    moved = _stacked_left(p) * Matrix.stack_columns(field, sp.gens, p.dim)
+    moved = moved.reshape(A.dim, p.dim * S).transpose().reshape(p.dim, S * A.dim)
+    coeffs = Matrix.stack_rows(field, sp.slot_coords, p.dim) * moved
+    # every right action stacked, slot by slot: rows A.dim * ends[s] + i * size_s + k
+    # hold row ends[s] + k of the action of a_i
+    blocks = []
     for s in range(S):
         for t in range(S):
             c_ts = coeffs.submatrix(slice(t * B.dim, (t + 1) * B.dim),
                                     slice(s * A.dim, (s + 1) * A.dim))
             if not c_ts.is_zero():
                 block = _move_table(B, sp.vertex_pos[s], sp.vertex_pos[t]) * c_ts
-                right[:, ends[s]:ends[s + 1], ends[t]:ends[t + 1]] = \
-                    block.arr.T.reshape(A.dim, ends[s + 1] - ends[s], ends[t + 1] - ends[t])
-    right_action = [Matrix(field, right[i]) for i in range(A.dim)]
+                blocks.append((A.dim * ends[s], ends[t], block.transpose().reshape(
+                    A.dim * (ends[s + 1] - ends[s]), ends[t + 1] - ends[t])))
+    stacked = Matrix.from_blocks(field, A.dim * dual_dim, dual_dim, blocks)
+    sizes = np.diff(ends)
+    right_action = [stacked.submatrix([A.dim * ends[s] + i * sizes[s] + k for s in range(S)
+                                       for k in range(sizes[s])], slice(None))
+                    for i in range(A.dim)]
 
     dual = Bimodule(B, A, left_action, right_action, dual_dim,
                     label=f"{p.label or 'P'}^v")
@@ -796,7 +765,7 @@ class TensorData:
         (columns t + k * #slots likewise, for several runs of slots)."""
         counts = [blk.cols for blk in self._nblocks]
         runs = per_slot.cols // len(counts) if counts else 0
-        return Matrix(self.field, np.repeat(per_slot.arr, counts * runs, axis=1))
+        return per_slot.submatrix(slice(None), np.repeat(np.arange(per_slot.cols), counts * runs))
 
     def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
         return self._from_coeffs([c * xs for c in self.sp.slot_coords], self._acted(ys))

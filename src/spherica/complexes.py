@@ -11,8 +11,15 @@ Sign conventions, fixed once and used by every construction:
 
 With these choices (X[n]) (x) Y equals (X (x) Y)[n] on the nose, while
 X (x) (Y[n]) needs the sign (-1)^{n |x|}; both interchanges are provided
-as explicit chain maps.  Triangle maps are only ever produced by the
-cone constructor, never assembled by hand.
+as explicit chain maps, one signed relabelling of tensor slots.  Triangle
+maps are only ever produced by the cone constructor, never assembled by
+hand.
+
+Maps between direct sums, tensor totalizations included, are assembled
+from blocks placed by offset (Matrix.from_blocks); a tensor complex's
+layout gives the offset of every slot.  The inclusions and projections of
+the summands of a cone or a direct sum are slices of one identity per
+term.
 
 Quasi-isomorphism (acyclic cone) is the engine's equality notion: all
 kernel terms are projective on both sides, so quasi-isomorphic kernels
@@ -235,70 +242,62 @@ class ConeData:
 
 def cone(f: ChainMap) -> ConeData:
     """The cone of f: X -> Y with its two triangle maps.  The blocks -d_X, f
-    and d_Y of each differential are placed into one array by slicing, not
-    multiplied by injections and projections."""
+    and d_Y of each differential are placed by offset, and the triangle maps
+    are slices of one identity per term, not products with injections and
+    projections."""
     x, y = f.source, f.target
     field = x.field
-    degrees = set()
-    for n in x.terms:
-        degrees.add(n - 1)
-    degrees.update(y.terms)
     terms = {}
-    parts = {}
-    for n in sorted(degrees):
-        total, injs, projs = direct_sum([x.term(n + 1), y.term(n)], left=x.left_algebra,
-                                        right=x.right_algebra)
+    for n in sorted({n - 1 for n in x.terms} | set(y.terms)):
+        total = direct_sum([x.term(n + 1), y.term(n)])
         if total.dim:
             terms[n] = total
-            parts[n] = (injs, projs)
     diffs = {}
     for n in terms:
         if (n + 1) not in terms:
             continue
         # d(x, y) = (-dx, fx + dy)
-        arr = field._zeros(terms[n + 1].dim, terms[n].dim)
         top, left = x.dim(n + 2), x.dim(n + 1)
+        blocks = []
         if (n + 1) in x.diffs:
-            arr[:top, :left] = x.diffs[n + 1].matrix.scale(-1).arr
+            blocks.append((0, 0, x.diffs[n + 1].matrix.scale(-1)))
         if (n + 1) in f.components:
-            arr[top:, :left] = f.components[n + 1].arr
+            blocks.append((top, 0, f.components[n + 1]))
         if n in y.diffs:
-            arr[top:, left:] = y.diffs[n].matrix.arr
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix._wrap(field, arr))
+            blocks.append((top, left, y.diffs[n].matrix))
+        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix.from_blocks(
+            field, terms[n + 1].dim, terms[n].dim, blocks))
     cx = Complex(x.left_algebra, x.right_algebra, terms, diffs)
-    include = ChainMap(y, cx, {n: parts[n][0][1] for n in terms})
-    sx = shift(x, 1)
-    project = ChainMap(cx, sx, {n: parts[n][1][0] for n in terms})
+    eyes = {n: Matrix.identity(field, t.dim) for n, t in terms.items()}
+    include = ChainMap(y, cx, {n: eye.submatrix(slice(None), slice(x.dim(n + 1), None))
+                               for n, eye in eyes.items()})
+    project = ChainMap(cx, shift(x, 1), {n: eye.submatrix(slice(0, x.dim(n + 1)), slice(None))
+                                         for n, eye in eyes.items()})
     return ConeData(cx, include, project)
 
 
 def direct_sum_complexes(xs: list[Complex]) -> tuple[Complex, list[ChainMap], list[ChainMap]]:
+    """The direct sum of the complexes, with the inclusion and projection of
+    each summand: slices of one identity per term."""
     if not xs:
         raise ComplexError("empty direct sum of complexes")
     la, ra = xs[0].left_algebra, xs[0].right_algebra
     field = xs[0].field
-    degrees = set()
-    for x in xs:
-        degrees.update(x.terms)
-    terms = {}
-    injections: dict[int, list[Matrix]] = {}
-    projections: dict[int, list[Matrix]] = {}
-    for n in sorted(degrees):
-        total, injs, projs = direct_sum([x.term(n) for x in xs], left=la, right=ra)
-        terms[n] = total
-        injections[n] = injs
-        projections[n] = projs
+    degrees = sorted(set().union(*(x.terms for x in xs)))
+    terms = {n: direct_sum([x.term(n) for x in xs]) for n in degrees}
     diffs = {n: BimoduleMap(terms[n], terms[n + 1],
                             Matrix.block_diag(field, [x.diff_matrix(n) for x in xs]))
              for n in terms if (n + 1) in terms}
     total_cx = Complex(la, ra, terms, diffs)
-    inj_maps = []
-    proj_maps = []
+    eyes = {n: Matrix.identity(field, t.dim) for n, t in terms.items()}
+    ends = {n: np.cumsum([0] + [x.dim(n) for x in xs]) for n in terms}
+    inj_maps, proj_maps = [], []
     for idx, x in enumerate(xs):
-        inj_maps.append(ChainMap(x, total_cx,
-                                 {n: injections[n][idx] for n in terms if x.dim(n)}))
-        proj_maps.append(ChainMap(total_cx, x,
-                                  {n: projections[n][idx] for n in terms if x.dim(n)}))
+        own = {n: slice(ends[n][idx], ends[n][idx + 1]) for n in terms if x.dim(n)}
+        inj_maps.append(ChainMap(x, total_cx, {n: eyes[n].submatrix(slice(None), s)
+                                               for n, s in own.items()}))
+        proj_maps.append(ChainMap(total_cx, x, {n: eyes[n].submatrix(s, slice(None))
+                                                for n, s in own.items()}))
     return total_cx, inj_maps, proj_maps
 
 
@@ -308,7 +307,14 @@ def direct_sum_complexes(xs: list[Complex]) -> tuple[Complex, list[ChainMap], li
 
 
 class TensorComplex:
-    """Total complex of the tensor bicomplex, with per-degree slot layout."""
+    """Total complex of the tensor bicomplex.
+
+    layout[n] maps each slot (i, j) with i + j = n, in increasing i, to
+    (td, offset): the tensor x^i (x) y^j as TensorData and the first
+    coordinate of that slot in the total term of degree n.  Maps between
+    total complexes are assembled slot by slot, each block placed at its
+    offsets.
+    """
 
     def __init__(self, x: Complex, y: Complex):
         if x.right_algebra.mult != y.left_algebra.mult:
@@ -316,55 +322,36 @@ class TensorComplex:
         self.x = x
         self.y = y
         field = x.field
-        la, ra = x.left_algebra, y.right_algebra
-        layout: dict[int, list[tuple[int, int, TensorData, int]]] = {}
-        terms: dict[int, Bimodule] = {}
-        for i in x.degrees():
-            for j in y.degrees():
-                n = i + j
-                layout.setdefault(n, [])
-        for n in sorted(layout):
-            slots = []
-            offset = 0
-            for i in sorted(x.degrees()):
-                j = n - i
-                if y.dim(j) == 0 or x.dim(i) == 0:
-                    continue
-                td = tensor_over_middle(x.term(i), y.term(j))
-                slots.append((i, j, td, offset))
-                offset += td.bimodule.dim
-            layout[n] = slots
-        self.layout = {n: s for n, s in layout.items() if s}
-        for n, slots in self.layout.items():
-            total, _, _ = direct_sum([td.bimodule for (_, _, td, _) in slots],
-                                     left=la, right=ra)
-            terms[n] = total
+        self.layout: dict[int, dict[tuple[int, int], tuple[TensorData, int]]] = {}
+        for n in sorted({i + j for i in x.terms for j in y.terms}):
+            slots, offset = {}, 0
+            for i in x.degrees():
+                if n - i in y.terms:
+                    td = tensor_over_middle(x.term(i), y.term(n - i))
+                    slots[(i, n - i)] = (td, offset)
+                    offset += td.bimodule.dim
+            self.layout[n] = slots
+        terms = {n: direct_sum([td.bimodule for td, _ in slots.values()])
+                 for n, slots in self.layout.items()}
         diffs = {}
         for n, slots in self.layout.items():
-            if (n + 1) not in self.layout:
+            tgt = self.layout.get(n + 1)
+            if tgt is None:
                 continue
-            tgt_slots = {(i, j): (td, off) for (i, j, td, off) in self.layout[n + 1]}
-            arr = field._zeros(terms[n + 1].dim, terms[n].dim)
-            for (i, j, td, off) in slots:
+            blocks = []
+            for (i, j), (td, off) in slots.items():
                 # d_x (x) id : slot (i,j) -> (i+1, j)
-                if (i + 1, j) in tgt_slots and x.diffs.get(i) is not None:
-                    td2, off2 = tgt_slots[(i + 1, j)]
-                    block = td.induced(x.diffs[i], None, td2).matrix
-                    arr[off2:off2 + block.rows, off:off + block.cols] = block.arr
+                if (i + 1, j) in tgt and i in x.diffs:
+                    td2, off2 = tgt[(i + 1, j)]
+                    blocks.append((off2, off, td.induced(x.diffs[i], None, td2).matrix))
                 # (-1)^i id (x) d_y : slot (i,j) -> (i, j+1)
-                if (i, j + 1) in tgt_slots and y.diffs.get(j) is not None:
-                    td2, off2 = tgt_slots[(i, j + 1)]
+                if (i, j + 1) in tgt and j in y.diffs:
+                    td2, off2 = tgt[(i, j + 1)]
                     block = td.induced(None, y.diffs[j], td2).matrix
-                    arr[off2:off2 + block.rows, off:off + block.cols] = \
-                        block.scale(-1).arr if i % 2 else block.arr
-            diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix._wrap(field, arr))
-        self.complex = Complex(la, ra, terms, diffs)
-
-    def slot(self, n: int, i: int, j: int) -> tuple[TensorData, int]:
-        for (si, sj, td, off) in self.layout.get(n, []):
-            if si == i and sj == j:
-                return td, off
-        raise ComplexError(f"no slot ({i},{j}) in degree {n}")
+                    blocks.append((off2, off, block.scale(-1) if i % 2 else block))
+            diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix.from_blocks(
+                field, terms[n + 1].dim, terms[n].dim, blocks))
+        self.complex = Complex(x.left_algebra, y.right_algebra, terms, diffs)
 
     def induced(self, f: ChainMap | None, g: ChainMap | None,
                 target: "TensorComplex") -> ChainMap:
@@ -372,25 +359,20 @@ class TensorComplex:
         stands for the identity of the factor that self and target share."""
         comps = {}
         for n, slots in self.layout.items():
-            if n not in target.layout and not slots:
-                continue
-            tgt_dim = target.complex.dim(n)
-            src_dim = self.complex.dim(n)
-            if tgt_dim == 0 or src_dim == 0:
-                continue
-            arr = self.complex.field._zeros(tgt_dim, src_dim)
-            tgt_slots = {(i, j): (td, off) for (i, j, td, off) in target.layout.get(n, [])}
-            for (i, j, td, off) in slots:
-                if (i, j) not in tgt_slots:
+            tgt = target.layout.get(n, {})
+            blocks = []
+            for (i, j), (td, off) in slots.items():
+                if (i, j) not in tgt:
                     continue
-                td2, off2 = tgt_slots[(i, j)]
+                td2, off2 = tgt[(i, j)]
                 fm = None if f is None else BimoduleMap(self.x.term(i), target.x.term(i),
                                                         f.comp(i))
                 gm = None if g is None else BimoduleMap(self.y.term(j), target.y.term(j),
                                                         g.comp(j))
-                block = td.induced(fm, gm, td2).matrix
-                arr[off2:off2 + block.rows, off:off + block.cols] = block.arr
-            comps[n] = Matrix._wrap(self.complex.field, arr)
+                blocks.append((off2, off, td.induced(fm, gm, td2).matrix))
+            if blocks:
+                comps[n] = Matrix.from_blocks(self.complex.field, target.complex.dim(n),
+                                              self.complex.dim(n), blocks)
         return ChainMap(self.complex, target.complex, comps)
 
 
@@ -512,7 +494,7 @@ def _coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
     them."""
     linked = np.zeros((m.dim, m.dim), dtype=bool)
     for mat in m.left_action + m.right_action:
-        linked |= mat.arr != m.field.elem(0)
+        linked |= mat.nonzero_mask()
     parent = list(range(m.dim))
 
     def root(i: int) -> int:
@@ -577,46 +559,33 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
         offsets[n] = total
         total += len(bases[n])
 
+    # one row block per degree n: d_y F_n - F_{n+1} d_x = 0, each basis
+    # element's image flattened into its own column
     rows = []
-    check_degrees = sorted(set(x.terms) | set(y.terms))
-    for n in check_degrees:
+    for n in sorted(set(x.terms) | set(y.terms)):
         rdim = y.dim(n + 1) * x.dim(n)
         if rdim == 0:
             continue
-        arr = field._zeros(rdim, total)
-        used = False
-        if n in bases and y.diffs.get(n) is not None:
-            for a, F in enumerate(bases[n]):
-                img = y.diff_matrix(n) * F.matrix
-                if not img.is_zero():
-                    arr[:, offsets[n] + a] += img.arr.reshape(rdim)
-                    used = True
-        if (n + 1) in bases and x.diffs.get(n) is not None:
-            for b, G in enumerate(bases[n + 1]):
-                img = G.matrix * x.diff_matrix(n)
-                if not img.is_zero():
-                    arr[:, offsets[n + 1] + b] -= img.arr.reshape(rdim)
-                    used = True
-        if used:
-            rows.append(Matrix(field, arr))
+        cols = []
+        if n in bases and n in y.diffs:
+            cols += [(offsets[n] + a, y.diffs[n].matrix * F.matrix)
+                     for a, F in enumerate(bases[n])]
+        if (n + 1) in bases and n in x.diffs:
+            minus_dx = x.diffs[n].matrix.scale(-1)
+            cols += [(offsets[n + 1] + b, G.matrix * minus_dx)
+                     for b, G in enumerate(bases[n + 1])]
+        cols = [(c, img.reshape(rdim, 1)) for c, img in cols if not img.is_zero()]
+        if cols:
+            rows.append(Matrix.from_blocks(field, rdim, total, [(0, c, v) for c, v in cols]))
 
     if rows:
         null = Matrix.stack_rows(field, rows, total).nullspace()
     else:
         null = Matrix.identity(field, total)
-
-    out = []
-    for c in range(null.cols):
-        comps = {}
-        for n, homs in bases.items():
-            mat = Matrix.zeros(field, y.dim(n), x.dim(n))
-            for a, F in enumerate(homs):
-                coeff = null.arr[offsets[n] + a, c]
-                if coeff != field.elem(0):
-                    mat = mat + F.matrix.scale(coeff)
-            comps[n] = mat
-        out.append(ChainMap(x, y, comps))
-    return out
+    comps = {n: Matrix.combinations([F.matrix for F in homs], null.submatrix(
+        slice(offsets[n], offsets[n] + len(homs)), slice(None))) for n, homs in bases.items()}
+    return [ChainMap(x, y, {n: mats[c] for n, mats in comps.items()})
+            for c in range(null.cols)]
 
 
 def random_combination(basis: list, field, rng: random.Random):
@@ -679,7 +648,7 @@ def left_unitor(t: TensorComplex) -> ChainMap:
     x = t.y
     comps = {}
     for n, slots in t.layout.items():
-        cols = [x.term(j).left_act(*td.monomial_matrices()) for (i, j, td, off) in slots]
+        cols = [x.term(j).left_act(*td.monomial_matrices()) for (i, j), (td, _) in slots.items()]
         comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
     return ChainMap(t.complex, x, comps)
 
@@ -689,7 +658,7 @@ def right_unitor(t: TensorComplex) -> ChainMap:
     x = t.x
     comps = {}
     for n, slots in t.layout.items():
-        cols = [x.term(i).right_act(*td.monomial_matrices()) for (i, j, td, off) in slots]
+        cols = [x.term(i).right_act(*td.monomial_matrices()) for (i, j), (td, _) in slots.items()]
         comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
     return ChainMap(t.complex, x, comps)
 
@@ -703,72 +672,60 @@ def associator(txy: TensorComplex, txy_z: TensorComplex,
     field = txy.complex.field
     comps = {}
     for n, slots in txy_z.layout.items():
-        dim = tx_yz.complex.dim(n)
-        cols = []
-        for (m, k, td_outer, _) in slots:
+        # slot (i, j) of the X (x) Y factor of outer slot (m, k) lands in
+        # slot (i, j + k), a different one for each i
+        blocks = []
+        for (m, k), (td_outer, off_outer) in slots.items():
             # outer monomial c is q_c (x) z_c, with q_c = sum_e S[e, c] x_e (x) y_e
             qs, zs = td_outer.monomial_matrices()
-            out = Matrix.zeros(field, dim, qs.cols)
-            for (i, j, td_xy, off_xy) in txy.layout[m]:
+            for (i, j), (td_xy, off_xy) in txy.layout[m].items():
                 seg = qs.submatrix(slice(off_xy, off_xy + td_xy.bimodule.dim), slice(None))
-                e_idx, c_idx, spread = _nonzero_pairs(seg)
+                # spread sends column r to S[e_r, c_r] times column c_r
+                e_idx, c_idx, spread = seg.nonzero_entries()
                 if not len(e_idx):
                     continue
                 xs, ys = td_xy.monomial_matrices()
-                td_yz, off_yz = tyz.slot(j + k, j, k)
+                td_yz, off_yz = tyz.layout[j + k][(j, k)]
                 inner = td_yz.coords(ys.submatrix(slice(None), e_idx),
                                      zs.submatrix(slice(None), c_idx))
-                td_t, off_t = tx_yz.slot(n, i, j + k)
+                td_t, off_t = tx_yz.layout[n][(i, j + k)]
                 coords = td_t.coords(xs.submatrix(slice(None), e_idx),
                                      inner.pad_rows(off_yz, tyz.complex.dim(j + k)))
-                out = out + (coords * spread).pad_rows(off_t, dim)
-            cols.append(out)
-        comps[n] = Matrix.stack_columns(field, cols, dim)
+                blocks.append((off_t, off_outer, coords * spread))
+        comps[n] = Matrix.from_blocks(field, tx_yz.complex.dim(n), txy_z.complex.dim(n), blocks)
     return ChainMap(txy_z.complex, tx_yz.complex, comps)
-
-
-def _nonzero_pairs(seg: Matrix):
-    """The nonzero entries S[e, c] of seg as index arrays e, c and the
-    r x cols matrix that sends column r to S[e_r, c_r] times column c_r."""
-    e_idx, c_idx = np.nonzero(seg.arr != seg.field.elem(0))
-    spread = seg.field._zeros(len(e_idx), seg.cols)
-    spread[np.arange(len(e_idx)), c_idx] = seg.arr[e_idx, c_idx]
-    return e_idx, c_idx, Matrix(seg.field, spread)
 
 
 def interchange_right_shift(t_shifted: TensorComplex, t_plain: TensorComplex,
                             n: int) -> ChainMap:
     """X (x) (Y[n])  ->  (X (x) Y)[n], with sign (-1)^{n.|x|} per slot."""
-    field = t_shifted.complex.field
-    target = shift(t_plain.complex, n)
-    comps = {}
-    for m, slots in t_shifted.layout.items():
-        src_dim = t_shifted.complex.dim(m)
-        arr = field._zeros(t_plain.complex.dim(m + n), src_dim)
-        for (i, jp, td, off) in slots:
-            td2, off2 = t_plain.slot(m + n, i, jp + n)
-            if td.bimodule.dim != td2.bimodule.dim:
-                raise ComplexError("interchange slots do not match")
-            sign = field.elem((-1) ** (n * i))
-            ident = Matrix.identity(field, td.bimodule.dim).scale(sign)
-            arr[off2:off2 + td2.bimodule.dim, off:off + td.bimodule.dim] += ident.arr
-        comps[m] = Matrix(field, arr)
-    return ChainMap(t_shifted.complex, target, comps)
+    return _relabel(t_shifted, t_plain, n, lambda i, j: ((i, j + n), (-1) ** (n * i)))
 
 
 def interchange_left_shift(t_shifted: TensorComplex, t_plain: TensorComplex,
                            n: int) -> ChainMap:
     """(X[n]) (x) Y  ->  (X (x) Y)[n]: the identity, slots relabelled."""
+    return _relabel(t_shifted, t_plain, n, lambda i, j: ((i + n, j), 1))
+
+
+def _relabel(t_shifted: TensorComplex, t_plain: TensorComplex, n: int, rule) -> ChainMap:
+    """t_shifted -> t_plain[n], sending slot (i, j) of degree m by sign times
+    the identity to slot (i', j') of degree m + n, for ((i', j'), sign) =
+    rule(i, j); ComplexError when that slot is missing or of another size."""
     field = t_shifted.complex.field
-    target = shift(t_plain.complex, n)
     comps = {}
     for m, slots in t_shifted.layout.items():
-        arr = field._zeros(t_plain.complex.dim(m + n), t_shifted.complex.dim(m))
-        for (ip, j, td, off) in slots:
-            td2, off2 = t_plain.slot(m + n, ip + n, j)
+        target = t_plain.layout.get(m + n, {})
+        blocks = []
+        for (i, j), (td, off) in slots.items():
+            label, sign = rule(i, j)
+            if label not in target:
+                raise ComplexError(f"no slot {label} in degree {m + n}")
+            td2, off2 = target[label]
             if td.bimodule.dim != td2.bimodule.dim:
                 raise ComplexError("interchange slots do not match")
             ident = Matrix.identity(field, td.bimodule.dim)
-            arr[off2:off2 + td2.bimodule.dim, off:off + td.bimodule.dim] += ident.arr
-        comps[m] = Matrix(field, arr)
-    return ChainMap(t_shifted.complex, target, comps)
+            blocks.append((off2, off, ident if sign == 1 else ident.scale(-1)))
+        comps[m] = Matrix.from_blocks(field, t_plain.complex.dim(m + n),
+                                      t_shifted.complex.dim(m), blocks)
+    return ChainMap(t_shifted.complex, shift(t_plain.complex, n), comps)

@@ -123,9 +123,7 @@ def compose_list(kernels: list[Kernel]) -> Kernel:
 
 
 def _flatten(mat: Matrix) -> Matrix:
-    if mat.rows == 0 or mat.cols == 0:
-        return Matrix.zeros(mat.field, 0, 1)
-    return Matrix(mat.field, mat.arr.reshape(mat.rows * mat.cols, 1))
+    return mat.reshape(mat.rows * mat.cols, 1)
 
 
 def _sum_runs(field, runs: int, length: int) -> Matrix:
@@ -282,9 +280,9 @@ class KernelOps:
         degree-0 slot (i, j) of t, the x_t in t.x^i and the y_t in t.y^j
         as lists of column vectors."""
         field, dim = self.field, alg.dim
-        comp = Matrix.zeros(field, t.complex.dim(0), dim)
+        blocks = []
         for i, j, x_cols, y_cols in parts:
-            td, off = t.slot(0, i, j)
+            td, off = t.layout[0][(i, j)]
             module = t.x.term(i)
             xs = Matrix.stack_columns(field, x_cols, module.dim)
             # a.x_t (x) y_t for every a and t, then summed over t
@@ -292,9 +290,9 @@ class KernelOps:
                 Matrix.stack_columns(field, [module.left_action[a] * xs
                                              for a in range(dim)], module.dim),
                 Matrix.stack_columns(field, y_cols * dim, t.y.dim(j)))
-            summed = coords * _sum_runs(field, dim, len(x_cols))
-            comp = comp + summed.pad_rows(off, t.complex.dim(0))
-        return ChainMap(unit_complex(alg), t.complex, {0: comp})
+            blocks.append((off, 0, coords * _sum_runs(field, dim, len(x_cols))))
+        return ChainMap(unit_complex(alg), t.complex,
+                        {0: Matrix.from_blocks(field, t.complex.dim(0), dim, blocks)})
 
     def unit_right(self) -> ChainMap:
         """id_A -> RF, the coevaluation a |-> sum a.g_t (x) g_t^*."""
@@ -311,7 +309,7 @@ class KernelOps:
             comps = {}
             if 0 in t.complex.terms:
                 cols = [duals[j].evaluate(*td.monomial_matrices())
-                        for (i, j, td, off) in t.layout[0]]
+                        for (i, j), (td, _) in t.layout[0].items()]
                 comps[0] = Matrix.stack_columns(self.field, cols, self.B.dim)
             return ChainMap(t.complex, unit_cx, comps)
         return self._get("counit_right", build)
@@ -331,7 +329,7 @@ class KernelOps:
             comps = {}
             if 0 in t.complex.terms:
                 cols = []
-                for (i, j, td, off) in t.layout[0]:
+                for (i, j), (td, _) in t.layout[0].items():
                     xs, fs = td.monomial_matrices()
                     cols.append(duals[i].evaluate(fs, xs))
                 comps[0] = Matrix.stack_columns(self.field, cols, self.A.dim)

@@ -2,11 +2,16 @@
 
 Every number in the engine lives here: matrices are numpy arrays of
 int64 residues (prime fields) or Fraction objects (rationals), and all
-arithmetic is exact.  Row reduction uses deterministic pivoting (first
-nonzero column, then first nonzero row), so every basis produced
-downstream is reproducible bit for bit.  A pivot step, over F_p as over
-Q, updates only the rows hit by the pivot: those with a nonzero entry in
-its column.
+arithmetic is exact.  Only this module reads or writes those arrays; the
+rest of the engine builds and reads matrices through Matrix operations:
+from_blocks places blocks in a zero matrix, combinations forms linear
+combinations of equal-shape matrices, reshape regroups the entries row
+by row, entries reads the entries out as Python numbers, nonzero_mask
+says which are nonzero and nonzero_entries reads those out, one per row.
+Row reduction uses deterministic pivoting (first nonzero column, then
+first nonzero row), so every basis produced downstream is reproducible
+bit for bit.  A pivot step, over F_p as over Q, updates only the rows
+hit by the pivot: those with a nonzero entry in its column.
 
 Prime fields go up to p = 2^31 - 1 (MAX_PRIME), so a product of two
 residues fits in int64.  A product A (m x k) times B (k x n) over F_p
@@ -320,6 +325,26 @@ class Matrix:
     # construction ---------------------------------------------------
 
     @staticmethod
+    def from_blocks(field: Field, rows: int, cols: int, blocks) -> "Matrix":
+        """The rows x cols matrix with each m of blocks [(r, c, m), ...]
+        placed with its top left corner at (r, c) and zeros elsewhere; the
+        blocks must not overlap."""
+        out = field._zeros(rows, cols)
+        for r, c, m in blocks:
+            if m.rows and m.cols:
+                out[r:r + m.rows, c:c + m.cols] = m.arr
+        return Matrix._wrap(field, out)
+
+    @staticmethod
+    def combinations(mats: list["Matrix"], coeffs: "Matrix") -> list["Matrix"]:
+        """sum_k coeffs[k, j] mats[k] for each column j of coeffs, as one
+        product; mats is a nonempty list of matrices of one shape."""
+        first = mats[0]
+        flat = Matrix._wrap(first.field, np.stack([m.arr.ravel() for m in mats], axis=1))
+        out = flat * coeffs
+        return [out.column_vec(j).reshape(first.rows, first.cols) for j in range(out.cols)]
+
+    @staticmethod
     def from_rows(field: Field, rows: list, cols: int | None = None) -> "Matrix":
         if not rows:
             return Matrix.zeros(field, 0, cols or 0)
@@ -337,14 +362,11 @@ class Matrix:
 
     @staticmethod
     def column(field: Field, entries) -> "Matrix":
-        return Matrix(field, np.asarray([[field.elem(x)] for x in entries])) \
-            if len(entries) else Matrix.zeros(field, 0, 1)
+        return Matrix.from_rows(field, [[x] for x in entries], 1)
 
     @staticmethod
     def basis_vector(field: Field, n: int, i: int) -> "Matrix":
-        m = field._zeros(n, 1)
-        m[i, 0] = field.elem(1)
-        return Matrix(field, m)
+        return Matrix.identity(field, n).column_vec(i)
 
     # elementary ops -------------------------------------------------
 
@@ -449,28 +471,42 @@ class Matrix:
 
     @staticmethod
     def block_diag(field: Field, mats: list["Matrix"]) -> "Matrix":
-        rows = sum(m.rows for m in mats)
-        cols = sum(m.cols for m in mats)
-        out = field._zeros(rows, cols)
-        r = c = 0
+        blocks, r, c = [], 0, 0
         for m in mats:
-            if m.rows and m.cols:
-                out[r:r + m.rows, c:c + m.cols] = m.arr
-            r += m.rows
-            c += m.cols
-        return Matrix._wrap(field, out)
+            blocks.append((r, c, m))
+            r, c = r + m.rows, c + m.cols
+        return Matrix.from_blocks(field, r, c, blocks)
 
     def pad_rows(self, offset: int, rows: int) -> "Matrix":
         """self placed at row offset in a zero matrix with the given rows."""
-        zeros = self.field._zeros
-        return Matrix._wrap(self.field, np.vstack([
-            zeros(offset, self.cols), self.arr, zeros(rows - offset - self.rows, self.cols)]))
+        return Matrix.from_blocks(self.field, rows, self.cols, [(offset, 0, self)])
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The entries read row by row into a rows x cols matrix."""
+        return Matrix._wrap(self.field, self.arr.reshape(rows, cols))
 
     def submatrix(self, row_slice, col_slice) -> "Matrix":
         return Matrix._wrap(self.field, self.arr[row_slice, col_slice])
 
     def column_vec(self, j: int) -> "Matrix":
         return Matrix._wrap(self.field, self.arr[:, j:j + 1])
+
+    def nonzero_mask(self) -> np.ndarray:
+        """A boolean array, True where an entry is nonzero."""
+        return self.arr != self.field.elem(0)
+
+    def entries(self) -> list[list]:
+        """The entries as rows of Python numbers: ints mod p, or Fractions."""
+        return self.arr.tolist()
+
+    def nonzero_entries(self) -> tuple[np.ndarray, np.ndarray, "Matrix"]:
+        """The nonzero entries in row-major order: their rows e and columns
+        c, and the matrix with one row per entry, holding entry k in column
+        c[k] of row k and zeros elsewhere."""
+        e, c = np.nonzero(self.nonzero_mask())
+        out = self.field._zeros(len(e), self.cols)
+        out[np.arange(len(e)), c] = self.arr[e, c]
+        return e, c, Matrix._wrap(self.field, out)
 
     def is_zero(self) -> bool:
         return not self.arr.any()
@@ -505,15 +541,11 @@ class Matrix:
     def nullspace(self) -> "Matrix":
         """Columns form the canonical basis of the right kernel."""
         R, pivots = self.rref()
-        field = self.field
-        free = [c for c in range(self.cols) if c not in set(pivots)]
-        out = field._zeros(self.cols, len(free))
-        one = field.elem(1)
-        for j, fc in enumerate(free):
-            out[fc, j] = one
-            for i, pc in enumerate(pivots):
-                out[pc, j] = -R.arr[i, fc] if not field.is_prime_field else (-R.arr[i, fc]) % field.p
-        return Matrix(field, out)
+        free = sorted(set(range(self.cols)) - set(pivots))
+        out = self.field._zeros(self.cols, len(free))
+        out[free, range(len(free))] = self.field.elem(1)
+        out[list(pivots)] = -R.arr[:len(pivots)][:, free]
+        return Matrix(self.field, out)
 
     def image_basis(self) -> "Matrix":
         """Original columns at the pivot positions: a basis of the column space."""
@@ -536,8 +568,7 @@ class Matrix:
             if p >= self.cols:
                 return None
         out = field._zeros(self.cols, b.cols)
-        for i, pc in enumerate(pivots):
-            out[pc, :] = R.arr[i, self.cols:]
+        out[list(pivots)] = R.arr[:len(pivots), self.cols:]
         return Matrix(field, out)
 
     def inverse(self) -> "Matrix":

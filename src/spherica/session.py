@@ -478,8 +478,7 @@ def _elaborate(session: Session, field: Field | None = None):
                         f"unknown vertex {w!r} in algebra {decl.target}", decl.line)
                 mods.append(projective_bimodule(a, a_pres.vertices.index(v),
                                                 b, b_pres.vertices.index(w)))
-            total, _, _ = direct_sum(mods)
-            terms[deg] = total
+            terms[deg] = direct_sum(mods)
         diffs = {}
         for deg, rows in decl.diff_rows.items():
             if deg not in terms or (deg + 1) not in terms:

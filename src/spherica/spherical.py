@@ -225,8 +225,7 @@ def quasi_iso_to_identity(k: Kernel, rng: random.Random | None = None) -> bool:
         candidates, BimoduleMap.is_invertible, a.field, rng, attempts=60) is not None
 
 
-def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None,
-                            seed: int = 0) -> Verdict:
+def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None) -> Verdict:
     """The right adjoint of a spherical kernel is spherical, its twist and
     cotwist inverting the original cotwist and twist."""
     report = report or check_conditions(p)
@@ -237,7 +236,7 @@ def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None,
     q_report = check_conditions(q)
     if not (q_report.cond_C_equiv and q_report.cond_4):
         return Verdict("fail", "adjoint kernel is not spherical")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     ops = kernel_ops(m)
     t_orig = ops.twist().kernel
     c_orig = ops.cotwist().kernel
@@ -288,9 +287,12 @@ def check_appendix(p: Kernel, report: ConditionReport | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def random_kernel(a: Algebra, b: Algebra, rng: random.Random,
-                  max_terms: int = 2, max_summands: int = 2,
-                  attempts: int = 25) -> Kernel:
+_MAX_TERMS = 2      # terms of a random kernel, at most
+_MAX_SUMMANDS = 2   # summands of a one-term random kernel, at most
+_ATTEMPTS = 25      # draws before random_kernel gives up
+
+
+def random_kernel(a: Algebra, b: Algebra, rng: random.Random) -> Kernel:
     """A random bounded complex of standard biprojective summands with a
     randomly sampled differential satisfying d^2 = 0.
 
@@ -298,8 +300,8 @@ def random_kernel(a: Algebra, b: Algebra, rng: random.Random,
     (possible over non-self-injective algebras) are resampled, so both
     adjoints of the returned kernel exist in-engine.
     """
-    for _ in range(attempts):
-        k = _random_kernel_once(a, b, rng, max_terms, max_summands)
+    for _ in range(_ATTEMPTS):
+        k = _random_kernel_once(a, b, rng)
         try:
             kernel_ops(k).right_adjoint()
             kernel_ops(k).left_adjoint()
@@ -309,13 +311,12 @@ def random_kernel(a: Algebra, b: Algebra, rng: random.Random,
     raise KernelError("could not sample a kernel with in-engine adjoints")
 
 
-def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random,
-                        max_terms: int, max_summands: int) -> Kernel:
+def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random) -> Kernel:
     field = a.field
-    n_terms = rng.randint(1, max_terms)
+    n_terms = rng.randint(1, _MAX_TERMS)
     # keep the twist-equivalence tensors desk-sized: several summands in a
     # single degree, or one summand per degree in longer complexes
-    per_term = max_summands if n_terms == 1 else 1
+    per_term = _MAX_SUMMANDS if n_terms == 1 else 1
     start = rng.choice([-1, 0])
     terms: dict[int, Bimodule] = {}
     for t in range(n_terms):
@@ -325,18 +326,17 @@ def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random,
             v = rng.randrange(len(a.vertex_idempotents))
             w = rng.randrange(len(b.vertex_idempotents))
             summands.append(projective_bimodule(a, v, b, w))
-        total, _, _ = direct_sum(summands)
-        terms[deg] = total
+        terms[deg] = direct_sum(summands)
 
     def random_hom(src: Bimodule, tgt: Bimodule, after=None):
         """A random equivariant map, constrained to kill the image of
         'after'; None when every drawn coefficient is 0."""
         basis = [h.matrix for h in hom_space(src, tgt)]
         if basis and after is not None and not after.is_zero():
-            images = [Matrix(field, (h * after).arr.reshape(-1, 1)) for h in basis]
-            null = Matrix.stack_columns(field, images, images[0].rows).nullspace()
-            basis = [sum((h.scale(c) for h, c in zip(basis, null.arr[:, j]) if c),
-                         Matrix.zeros(field, tgt.dim, src.dim)) for j in range(null.cols)]
+            images = [h * after for h in basis]
+            null = Matrix.stack_columns(field, [m.reshape(m.rows * m.cols, 1) for m in images],
+                                        images[0].rows * images[0].cols).nullspace()
+            basis = Matrix.combinations(basis, null)
         return random_combination(basis, field, rng)
 
     diffs = {}

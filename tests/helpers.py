@@ -2,9 +2,10 @@
 equivalence test and the four conditions without minimal models, the
 restriction to scalars, the center of an algebra, the two-sided hom
 complex, the quotient model of a tensor product, identity chain maps,
-cone differentials as sums of products, the dense elimination over F_p
-and the elimination on Fraction objects that the engine's kernels are
-checked against."""
+cone differentials as sums of products, the shift interchanges and the
+inclusions and projections of a direct sum written entry by entry, the
+dense elimination over F_p and the elimination on Fraction objects that
+the engine's kernels are checked against."""
 
 from __future__ import annotations
 
@@ -22,12 +23,19 @@ from spherica.algebras import (
 from spherica.bimodules import (
     Bimodule,
     BimoduleMap,
-    direct_sum,
     hom_space,
     is_projective,
     left_dual,
 )
-from spherica.complexes import ChainMap, Complex, ComplexError, homology_dims, is_quasi_iso
+from spherica.complexes import (
+    ChainMap,
+    Complex,
+    ComplexError,
+    TensorComplex,
+    homology_dims,
+    is_quasi_iso,
+    shift,
+)
 from spherica.kernels import Kernel, condition3_map, condition4_map, kernel_ops
 from spherica.linalg import Field, Matrix
 
@@ -269,10 +277,13 @@ def cone_differentials_by_products(f: ChainMap) -> dict[int, Matrix]:
     x, y = f.source, f.target
     parts = {}
     for n in {m - 1 for m in x.terms} | set(y.terms):
-        total, injs, projs = direct_sum([x.term(n + 1), y.term(n)], left=x.left_algebra,
-                                        right=x.right_algebra)
-        if total.dim:
-            parts[n] = (injs, projs)
+        top = x.dim(n + 1)
+        eye = Matrix.identity(f.field, top + y.dim(n))
+        if eye.rows:
+            parts[n] = ([eye.submatrix(slice(None), slice(0, top)),
+                         eye.submatrix(slice(None), slice(top, None))],
+                        [eye.submatrix(slice(0, top), slice(None)),
+                         eye.submatrix(slice(top, None), slice(None))])
     out = {}
     for n in parts:
         if (n + 1) in parts:
@@ -281,6 +292,67 @@ def cone_differentials_by_products(f: ChainMap) -> dict[int, Matrix]:
                       + injs1[1] * f.comp(n + 1) * projs0[0]
                       + injs1[1] * y.diff_matrix(n) * projs0[1])
     return out
+
+
+def _slot(t: TensorComplex, n: int, i: int, j: int):
+    if (i, j) not in t.layout.get(n, {}):
+        raise ComplexError(f"no slot ({i},{j}) in degree {n}")
+    return t.layout[n][(i, j)]
+
+
+def interchange_right_shift_oracle(t_shifted: TensorComplex, t_plain: TensorComplex,
+                                   n: int) -> ChainMap:
+    """X (x) (Y[n]) -> (X (x) Y)[n], with sign (-1)^{n.|x|} per slot, added
+    into one array per degree."""
+    field = t_shifted.complex.field
+    comps = {}
+    for m, slots in t_shifted.layout.items():
+        arr = np.zeros((t_plain.complex.dim(m + n), t_shifted.complex.dim(m)), dtype=object)
+        for (i, jp), (td, off) in slots.items():
+            td2, off2 = _slot(t_plain, m + n, i, jp + n)
+            if td.bimodule.dim != td2.bimodule.dim:
+                raise ComplexError("interchange slots do not match")
+            ident = np.eye(td.bimodule.dim, dtype=int) * (-1) ** (n * i)
+            arr[off2:off2 + td2.bimodule.dim, off:off + td.bimodule.dim] += ident
+        comps[m] = Matrix(field, arr)
+    return ChainMap(t_shifted.complex, shift(t_plain.complex, n), comps)
+
+
+def interchange_left_shift_oracle(t_shifted: TensorComplex, t_plain: TensorComplex,
+                                  n: int) -> ChainMap:
+    """(X[n]) (x) Y -> (X (x) Y)[n]: the identity, slots relabelled, added
+    into one array per degree."""
+    field = t_shifted.complex.field
+    comps = {}
+    for m, slots in t_shifted.layout.items():
+        arr = np.zeros((t_plain.complex.dim(m + n), t_shifted.complex.dim(m)), dtype=object)
+        for (ip, j), (td, off) in slots.items():
+            td2, off2 = _slot(t_plain, m + n, ip + n, j)
+            if td.bimodule.dim != td2.bimodule.dim:
+                raise ComplexError("interchange slots do not match")
+            arr[off2:off2 + td2.bimodule.dim, off:off + td.bimodule.dim] += \
+                np.eye(td.bimodule.dim, dtype=int)
+        comps[m] = Matrix(field, arr)
+    return ChainMap(t_shifted.complex, shift(t_plain.complex, n), comps)
+
+
+def direct_sum_maps_oracle(xs: list[Complex], total: Complex):
+    """The inclusions and projections of the summands xs of total, their
+    components written entry by entry: coordinate r of summand k in degree
+    n is coordinate r + (sum of x.dim(n) before k) of the sum."""
+    injs, projs = [], []
+    for k, x in enumerate(xs):
+        inj, proj = {}, {}
+        for n in x.terms:
+            start = sum(y.dim(n) for y in xs[:k])
+            arr = np.zeros((total.dim(n), x.dim(n)), dtype=object)
+            for r in range(x.dim(n)):
+                arr[start + r, r] = 1
+            inj[n] = Matrix(x.field, arr)
+            proj[n] = Matrix(x.field, arr.T)
+        injs.append(ChainMap(x, total, inj))
+        projs.append(ChainMap(total, x, proj))
+    return injs, projs
 
 
 def dense_rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:

@@ -8,7 +8,13 @@ import random
 import pytest
 
 from spherica.algebras import trivial_algebra
-from spherica.bimodules import Bimodule, BimoduleMap, projective_bimodule, regular_bimodule
+from spherica.bimodules import (
+    Bimodule,
+    BimoduleMap,
+    direct_sum,
+    projective_bimodule,
+    regular_bimodule,
+)
 from spherica.complexes import (
     ChainMap,
     Complex,
@@ -335,6 +341,26 @@ def test_interchange_right_shift_signs():
     f = interchange_right_shift(t_shifted, t_plain, 1)
     f.check()
     assert f.inverse().then(f).is_identity()
+
+
+def test_interchanges_reject_tensors_whose_slots_do_not_match():
+    x = dual_numbers_x_complex()
+    dz = regular_bimodule(D)
+    y = Complex(D, D, {0: dz, 1: dz},
+                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
+    m = x.term(0)
+    # a slot of the shifted tensor with no slot to go to
+    x_short = single_term(m)
+    with pytest.raises(ComplexError, match="no slot"):
+        interchange_left_shift(tensor_cx(shift(x, 1), y), tensor_cx(x_short, y), 1)
+    with pytest.raises(ComplexError, match="no slot"):
+        interchange_right_shift(tensor_cx(x, shift(y, 1)), tensor_cx(x_short, y), 1)
+    # a slot to go to of another size
+    x_wide = Complex(K, D, {0: direct_sum([m, m]), 1: m}, {})
+    with pytest.raises(ComplexError, match="do not match"):
+        interchange_left_shift(tensor_cx(shift(x, 1), y), tensor_cx(x_wide, y), 1)
+    with pytest.raises(ComplexError, match="do not match"):
+        interchange_right_shift(tensor_cx(x, shift(y, 1)), tensor_cx(x_wide, y), 1)
 
 
 def test_quasi_iso_closed_under_composition():

@@ -19,10 +19,14 @@ from spherica.bimodules import (
 from spherica.complexes import (
     TensorComplex,
     cone,
+    direct_sum_complexes,
     homology_dims,
+    interchange_left_shift,
+    interchange_right_shift,
     is_acyclic,
     is_quasi_iso,
     scalar_algebra,
+    shift,
     single_term,
     tensor_cx,
 )
@@ -47,9 +51,12 @@ from spherica.spherical import random_kernel
 from helpers import (
     RANDOM_SHAPES,
     cone_differentials_by_products,
+    direct_sum_maps_oracle,
     dual_numbers,
     hom_cx,
     identity_map,
+    interchange_left_shift_oracle,
+    interchange_right_shift_oracle,
     k_times_k,
     left_dual_basis_sum,
     restrict_to_right,
@@ -339,6 +346,38 @@ def _structure_cases():
             yield pytest.param(field, ("builtin", name), id=f"{tag}:builtin:{name}")
         for shape in sorted(RANDOM_SHAPES):
             yield pytest.param(field, ("random", shape), id=f"{tag}:random:{shape}")
+
+
+@pytest.mark.parametrize("field", [F, Field.rationals(), Field.prime(2)], ids=str)
+@pytest.mark.parametrize("name", builtin_names())
+def test_relabelled_maps_equal_their_entry_by_entry_forms(field, name):
+    """Both shift interchanges on the tensors of each builtin kernel P with
+    its adjoints, of LF with the cotwist, of P with the twist T and of T
+    with R (odd degrees on both sides), and the inclusions and projections
+    of R (+) L and of T (+) T[1], equal the same maps written entry by
+    entry."""
+    for p in _elaborate(builtin_example(name), field)[1].values():
+        ops = kernel_ops(p)
+        pc = p.complex
+        r, l = ops.right_adjoint().kernel.complex, ops.left_adjoint().kernel.complex
+        tw = ops.twist().kernel.complex
+        assert len(tw.terms) > 1
+        for x, y in ((pc, r), (l, pc), (ops.lf().complex, ops.cotwist().kernel.complex),
+                     (pc, tw), (tw, r)):
+            for n in (1, 2, -1):
+                t_plain = tensor_cx(x, y)
+                for ours, oracle, t_shifted in (
+                        (interchange_left_shift, interchange_left_shift_oracle,
+                         tensor_cx(shift(x, n), y)),
+                        (interchange_right_shift, interchange_right_shift_oracle,
+                         tensor_cx(x, shift(y, n)))):
+                    want = oracle(t_shifted, t_plain, n)
+                    assert ours(t_shifted, t_plain, n).components == want.components
+        for xs in ([r, l], [tw, shift(tw, 1)]):
+            total, injs, projs = direct_sum_complexes(xs)
+            want_injs, want_projs = direct_sum_maps_oracle(xs, total)
+            for got, want in zip(injs + projs, want_injs + want_projs):
+                assert got.components == want.components
 
 
 @pytest.mark.parametrize("field, case", _structure_cases())

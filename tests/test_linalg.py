@@ -400,3 +400,98 @@ def test_rational_matrix_from_an_int64_array_is_exact():
     assert all(type(x.numerator) is int for x in big.arr.ravel())
     assert (big * big.transpose()).arr[0, 0] == Fraction(2 ** 125)
     assert Q.elem(np.int64(2 ** 62)) * 4 == 2 ** 64
+
+
+# The operations through which the rest of the engine builds and reads
+# matrices, against plain Python numbers: residues mod p, or Fractions
+# with numerators above 2^63 so that products over Q leave int64.
+
+SHAPE_FIELDS = [F2, F101, Field.prime(MAX_PRIME), Q]
+
+
+def _python_entries(field, rows, cols, rng) -> list[list]:
+    """Entries as Python numbers, about a third of them zero."""
+    def entry():
+        if rng.random() < 0.35:
+            return field.elem(0)
+        if field.is_prime_field:
+            return rng.randrange(field.p)
+        return Fraction(rng.randrange(-2 ** 70, 2 ** 70), rng.choice(DENOMINATORS))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _matrix(field, entries, cols) -> Matrix:
+    return Matrix.from_rows(field, entries, cols)
+
+
+def _cuts(total, rng) -> list[int]:
+    """Sorted cut points 0 = c_0 <= ... <= c_k = total, repeats allowed, so
+    that some bands are empty."""
+    return sorted([0, total] + [rng.randint(0, total) for _ in range(rng.randint(0, 3))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(SHAPE_FIELDS), rows=st.integers(0, 9), cols=st.integers(0, 9),
+       seed=st.integers(0, 10**6))
+def test_from_blocks_places_blocks_in_zeros(field, rows, cols, seed):
+    rng = random.Random(seed)
+    row_cuts, col_cuts = _cuts(rows, rng), _cuts(cols, rng)
+    want = [[field.elem(0)] * cols for _ in range(rows)]
+    blocks = []
+    for r0, r1 in zip(row_cuts, row_cuts[1:]):
+        for c0, c1 in zip(col_cuts, col_cuts[1:]):
+            if rng.random() < 0.6:
+                vals = _python_entries(field, r1 - r0, c1 - c0, rng)
+                blocks.append((r0, c0, _matrix(field, vals, c1 - c0)))
+                for i, row in enumerate(vals):
+                    want[r0 + i][c0:c1] = row
+    got = Matrix.from_blocks(field, rows, cols, blocks)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.entries() == want
+    assert got == _matrix(field, want, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(SHAPE_FIELDS), rows=st.integers(0, 6), cols=st.integers(0, 6),
+       seed=st.integers(0, 10**6))
+def test_reshape_regroups_and_entries_read_out(field, rows, cols, seed):
+    rng = random.Random(seed)
+    vals = _python_entries(field, rows, cols, rng)
+    m = _matrix(field, vals, cols)
+    assert m.entries() == vals
+    assert all(type(x) is (int if field.is_prime_field else Fraction)
+               for row in m.entries() for x in row)
+    assert m.nonzero_mask().tolist() == [[x != 0 for x in row] for row in vals]
+    assert m.nonzero_mask().dtype == bool
+    e, c, spread = m.nonzero_entries()
+    pairs = [(i, j) for i in range(rows) for j in range(cols) if vals[i][j] != 0]
+    assert list(zip(e.tolist(), c.tolist())) == pairs
+    assert spread.entries() == [[vals[i][j] if col == j else field.elem(0) for col in range(cols)]
+                                for i, j in pairs]
+    assert (spread.rows, spread.cols) == (len(pairs), cols)
+    flat = [x for row in vals for x in row]
+    divisors = [d for d in range(1, rows * cols + 1) if (rows * cols) % d == 0] or [0]
+    for r in divisors:
+        width = rows * cols // r if r else rng.randint(0, 3)
+        got = m.reshape(r, width)
+        assert (got.rows, got.cols) == (r, width)
+        assert got.entries() == [flat[i * width:(i + 1) * width] for i in range(r)]
+    assert m.reshape(rows * cols, 1).reshape(rows, cols) == m
+    assert m.transpose().reshape(cols * rows, 1).entries() == \
+        [[vals[i][j]] for j in range(cols) for i in range(rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(SHAPE_FIELDS), k=st.integers(1, 5), rows=st.integers(0, 5),
+       cols=st.integers(0, 5), n=st.integers(0, 4), seed=st.integers(0, 10**6))
+def test_combinations_equal_sums_of_scaled_matrices(field, k, rows, cols, n, seed):
+    rng = random.Random(seed)
+    mats = [_python_entries(field, rows, cols, rng) for _ in range(k)]
+    coeffs = _python_entries(field, k, n, rng)
+    got = Matrix.combinations([_matrix(field, v, cols) for v in mats], _matrix(field, coeffs, n))
+    assert len(got) == n
+    for j, m in enumerate(got):
+        want = [[field.elem(sum(coeffs[t][j] * mats[t][r][c] for t in range(k)))
+                 for c in range(cols)] for r in range(rows)]
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m.entries() == want

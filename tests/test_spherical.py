@@ -68,8 +68,7 @@ def kernel_over(b, vertex=0):
 def full_algebra_kernel(b):
     summands = [projective_bimodule(K, 0, b, w)
                 for w in range(len(b.vertex_idempotents))]
-    total, _, _ = direct_sum(summands)
-    return Kernel(K, b, single_term(total))
+    return Kernel(K, b, single_term(direct_sum(summands)))
 
 
 @pytest.fixture(scope="module")
