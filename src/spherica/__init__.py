@@ -20,7 +20,7 @@ from .algebras import (
 from .bimodules import (
     Bimodule,
     BimoduleError,
-    BimoduleMap,
+    check_map,
     flip,
     hom_space,
     is_projective,

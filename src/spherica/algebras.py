@@ -10,8 +10,11 @@ ties broken by arrow declaration order) rewrites to the remaining
 terms.  The basis is the set of irreducible paths shorter than the
 declared length bound; if an irreducible path reaches the bound the
 presentation is rejected as infinite-dimensional (or the bound as too
-small).  Associativity of the resulting table is checked exhaustively
-on construction, which also catches non-confluent presentations.
+small).  algebra_from_quiver checks the resulting table (Algebra.check):
+associativity exhaustively, which also catches non-confluent
+presentations, the unit and the vertex idempotents.  The Algebra
+constructor does not check, so the opposites the engine derives from
+checked algebras are not checked again.
 
 Algebras are immutable and freely shareable.
 """
@@ -68,15 +71,15 @@ class Algebra:
     Fields follow the construction: ``basis_labels`` name the basis
     elements, ``mult[i][j]`` is the sparse product {k: coeff} of basis
     elements i and j, ``unit`` is the coefficient vector of 1,
-    ``vertex_idempotents`` indexes the trivial paths and
-    ``radical_basis`` the basis elements of path length >= 1.
+    ``vertex_idempotents`` indexes the trivial paths,
+    ``radical_basis`` the basis elements of path length >= 1 and
+    ``arrow_indices`` those of path length 1.  check() verifies the axioms.
     """
 
     def __init__(self, field: Field, basis_labels: list[str],
                  mult: list[list[dict[int, object]]], unit: Matrix,
                  vertex_idempotents: list[int], radical_basis: list[int],
-                 basis_paths: list[tuple] | None = None,
-                 name: str = ""):
+                 basis_paths: list[tuple], name: str = ""):
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
@@ -85,6 +88,7 @@ class Algebra:
         self.vertex_idempotents = list(vertex_idempotents)
         self.radical_basis = list(radical_basis)
         self.basis_paths = basis_paths
+        self.arrow_indices = [i for i, p in enumerate(basis_paths) if len(p) == 1]
         self.name = name
         self._left_mats: list[Matrix] | None = None
         self._right_mats: list[Matrix] | None = None
@@ -92,11 +96,13 @@ class Algebra:
         self._opposite: Algebra | None = None
         self._unit_complex = None   # complexes.unit_complex(self), once built
         self._dual_tables: dict = {}  # the tables bimodules.right_dual reads, once built
-        self._validate()
 
-    # --- construction-time sanity -----------------------------------
+    # --- validation ---------------------------------------------------
 
-    def _validate(self):
+    def check(self):
+        """Raise AlgebraError unless the unit is a two-sided identity, the
+        product is associative and the vertex idempotents are orthogonal
+        idempotents summing to the unit."""
         f = self.field
         zero = f.elem(0)
         # unit is a two-sided identity
@@ -185,16 +191,8 @@ class Algebra:
 
     @property
     def generator_indices(self) -> list[int]:
-        """Idempotents plus arrows: a generating set of the algebra.
-
-        Without a path basis, the radical basis stands in for the arrows.
-        """
-        gens = list(self.vertex_idempotents)
-        if self.basis_paths is not None:
-            gens += [i for i, p in enumerate(self.basis_paths) if len(p) == 1]
-        else:
-            gens += self.radical_basis
-        return gens
+        """Idempotents plus arrows: a generating set of the algebra."""
+        return self.vertex_idempotents + self.arrow_indices
 
     # --- idempotent subspaces (cached) --------------------------------
 
@@ -392,21 +390,22 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field, name: str = "") -> 
     unit = Matrix.column(field, [int(k in idempotents) for k in range(n)])
     radical = [i for i, p in enumerate(basis) if p[0] != "e"]
 
-    return Algebra(field, labels, mult, unit, idempotents, radical,
-                   basis_paths=[real_path(p) if p[0] != "e" else () for p in basis],
-                   name=name)
+    alg = Algebra(field, labels, mult, unit, idempotents, radical,
+                  [real_path(p) for p in basis], name=name)
+    alg.check()
+    return alg
 
 
 def opposite(a: Algebra) -> Algebra:
     """The opposite algebra: multiplication reversed, everything else shared.
 
     Built once per algebra and cached on it, so opposite(opposite(a)) is a.
+    Not checked: the reversed table of an algebra is again an algebra.
     """
     if a._opposite is None:
         mult = [[dict(a.mult[j][i]) for j in range(a.dim)] for i in range(a.dim)]
         op = Algebra(a.field, a.basis_labels, mult, a.unit,
-                     a.vertex_idempotents, a.radical_basis,
-                     basis_paths=a.basis_paths,
+                     a.vertex_idempotents, a.radical_basis, a.basis_paths,
                      name=f"{a.name}^op" if a.name else "op")
         op._opposite = a
         a._opposite = op

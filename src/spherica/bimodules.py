@@ -27,6 +27,10 @@ together with a monomial basis (each basis vector is the class of an
 explicit pure tensor) and a bilinear coordinate map, from which induced
 maps on tensors are computed functorially.
 
+A map between bimodules is a plain Matrix, target.dim x source.dim:
+hom_space returns them and TensorData.induced takes and returns them.
+check_map verifies a hand-built one; the engine trusts those it builds.
+
 All values are immutable and safe to share.  A bimodule may be given its
 action lists as zero-argument builders: the first read of left_action or
 right_action calls the builder and keeps the list, so terms that only
@@ -239,58 +243,25 @@ def _left_inverse(m: Matrix) -> Matrix:
     return x.transpose()
 
 
-class BimoduleMap:
-    """A linear map intertwining both actions.
-
-    The constructor checks the matrix shape; check() verifies that the map
-    intertwines the actions.
-    """
-
-    def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix):
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise BimoduleError(
-                f"map matrix is {matrix.rows}x{matrix.cols}, expected "
-                f"{target.dim}x{source.dim}")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def check(self):
-        """Raise BimoduleError unless the map intertwines both actions."""
-        if self.source.left_algebra is not self.target.left_algebra and \
-           self.source.left_algebra.mult != self.target.left_algebra.mult:
-            raise BimoduleError("left algebras differ")
-        for g in self.source.left_algebra.generator_indices:
-            if self.matrix * self.source.left_action[g] != \
-               self.target.left_action[g] * self.matrix:
-                raise BimoduleError("map does not intertwine the left action")
-        if self.source.right_algebra is not self.target.right_algebra and \
-           self.source.right_algebra.mult != self.target.right_algebra.mult:
-            raise BimoduleError("right algebras differ")
-        for g in self.source.right_algebra.generator_indices:
-            if self.matrix * self.source.right_action[g] != \
-               self.target.right_action[g] * self.matrix:
-                raise BimoduleError("map does not intertwine the right action")
-
-    def then(self, other: "BimoduleMap") -> "BimoduleMap":
-        if other.source.dim != self.target.dim:
-            raise BimoduleError("maps are not composable")
-        return BimoduleMap(self.source, other.target, other.matrix * self.matrix)
-
-    def __add__(self, other: "BimoduleMap") -> "BimoduleMap":
-        return BimoduleMap(self.source, self.target, self.matrix + other.matrix)
-
-    def scale(self, c) -> "BimoduleMap":
-        return BimoduleMap(self.source, self.target, self.matrix.scale(c))
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
-    def is_invertible(self) -> bool:
-        return self.matrix.is_invertible()
-
-    def __repr__(self):
-        return f"BimoduleMap({self.source!r} -> {self.target!r})"
+def check_map(source: Bimodule, target: Bimodule, matrix: Matrix):
+    """Raise BimoduleError unless matrix is a map source -> target (of shape
+    target.dim x source.dim) that intertwines both actions."""
+    if matrix.rows != target.dim or matrix.cols != source.dim:
+        raise BimoduleError(
+            f"map matrix is {matrix.rows}x{matrix.cols}, expected "
+            f"{target.dim}x{source.dim}")
+    if source.left_algebra is not target.left_algebra and \
+       source.left_algebra.mult != target.left_algebra.mult:
+        raise BimoduleError("left algebras differ")
+    for g in source.left_algebra.generator_indices:
+        if matrix * source.left_action[g] != target.left_action[g] * matrix:
+            raise BimoduleError("map does not intertwine the left action")
+    if source.right_algebra is not target.right_algebra and \
+       source.right_algebra.mult != target.right_algebra.mult:
+        raise BimoduleError("right algebras differ")
+    for g in source.right_algebra.generator_indices:
+        if matrix * source.right_action[g] != target.right_action[g] * matrix:
+            raise BimoduleError("map does not intertwine the right action")
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +331,7 @@ def direct_sum(summands: list[Bimodule]) -> Bimodule:
 # ---------------------------------------------------------------------------
 
 
-def _radical_generator_indices(a: Algebra) -> list[int]:
-    if a.basis_paths is not None:
-        return [i for i, p in enumerate(a.basis_paths) if len(p) == 1]
-    return list(a.radical_basis)
-
-
-def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
+def hom_space(m: Bimodule, n: Bimodule) -> list[Matrix]:
     """Basis of the space of bimodule maps m -> n (equivariant on both sides).
 
     The algebras on each side must agree.  Solving is done per vertex
@@ -386,9 +351,9 @@ def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
     right_idems = m.right_algebra.vertex_idempotents
     blocks = [(v, w) for v in range(len(left_idems)) for w in range(len(right_idems))]
     constraints = [(m.left_action[g], n.left_action[g])
-                   for g in _radical_generator_indices(m.left_algebra)] + \
+                   for g in m.left_algebra.arrow_indices] + \
                   [(m.right_action[g], n.right_action[g])
-                   for g in _radical_generator_indices(m.right_algebra)]
+                   for g in m.right_algebra.arrow_indices]
 
     def block_data(module: Bimodule, bl):
         projector = module.left_action[left_idems[bl[0]]] * \
@@ -454,9 +419,9 @@ def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
     # null column j: one product through the block diagonal of the F_bl
     bases = Matrix.stack_columns(field, [tgt_basis[bl] for bl in blocks], n.dim)
     projs = Matrix.stack_rows(field, [src_proj[bl] for bl in blocks], m.dim)
-    return [BimoduleMap(m, n, bases * Matrix.block_diag(field, [
+    return [bases * Matrix.block_diag(field, [
         null.submatrix(slice(offsets[bl], offsets[bl] + nB * mB), slice(j, j + 1)).reshape(nB, mB)
-        for bl, (nB, mB) in sizes.items()]) * projs) for j in range(null.cols)]
+        for bl, (nB, mB) in sizes.items()]) * projs for j in range(null.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -732,14 +697,11 @@ class TensorData:
                                  self._dim, label=f"{m.label or 'M'}(x){n.label or 'N'}")
         self.bimodule.right_parts = [part for part in slots if part.dim]
 
-    def induced(self, f: BimoduleMap | None, g: BimoduleMap | None,
-                target: "TensorData") -> BimoduleMap:
-        """The map f (x) g between tensor products (f, g equivariant); None
-        stands for the identity of a factor that self and target share."""
+    def induced(self, f: Matrix | None, g: Matrix | None, target: "TensorData") -> Matrix:
+        """The matrix of f (x) g between tensor products (f, g equivariant);
+        None stands for the identity of a factor that self and target share."""
         xs, ys = self.monomial_matrices()
-        mat = target.coords(xs if f is None else f.matrix * xs,
-                            ys if g is None else g.matrix * ys)
-        return BimoduleMap(self.bimodule, target.bimodule, mat)
+        return target.coords(xs if f is None else f * xs, ys if g is None else g * ys)
 
     def _build_left_action(self) -> list[Matrix]:
         """The left action of A: a.(p_t (x) y) = (a.p_t) (x) y, for every

@@ -12,6 +12,7 @@ import sys
 
 from .linalg import Field
 from .session import (
+    BUILTIN_TEXTS,
     SessionError,
     builtin_example,
     builtin_names,
@@ -76,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 2
         if not args.run:
-            sys.stdout.write(session.render())
+            sys.stdout.write(BUILTIN_TEXTS[args.name])
             return 0
         report = run_session(session, seed=args.seed)
         return _emit(report, args)

@@ -21,6 +21,9 @@ layout gives the offset of every slot.  The inclusions and projections of
 the summands of a cone or a direct sum are slices of one identity per
 term.
 
+Differentials and chain-map components are plain matrices, one per
+degree; the constructors check their shapes.
+
 Quasi-isomorphism (acyclic cone) is the engine's equality notion: all
 kernel terms are projective on both sides, so quasi-isomorphic kernels
 induce isomorphic functors on the derived categories.
@@ -39,8 +42,8 @@ from .algebras import Algebra, scalar_algebra  # noqa: F401  callers read comple
 from .bimodules import (
     Bimodule,
     BimoduleError,
-    BimoduleMap,
     TensorData,
+    check_map,
     direct_sum,
     hom_space,
     regular_bimodule,
@@ -57,34 +60,41 @@ class ComplexError(Exception):
 class Complex:
     """A bounded cochain complex of (A,B)-bimodules.
 
-    Zero terms and zero differentials are dropped on construction;
-    check() verifies the algebras, the endpoints and d^2 = 0.
+    diffs[n] is the matrix of the differential from terms[n] to terms[n + 1].
+    Zero terms and zero differentials are dropped on construction, and the
+    constructor checks the shape of every differential it keeps; check()
+    verifies the algebras and d^2 = 0, and bimodules.check_map the
+    equivariance of a differential.
     """
 
     def __init__(self, left_algebra: Algebra, right_algebra: Algebra,
-                 terms: dict[int, Bimodule], diffs: dict[int, BimoduleMap]):
+                 terms: dict[int, Bimodule], diffs: dict[int, Matrix]):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.field = left_algebra.field
         self.terms = {n: t for n, t in terms.items() if t.dim > 0}
-        self.diffs = {n: d for n, d in diffs.items()
-                      if n in self.terms and (n + 1) in self.terms and not d.is_zero()}
+        self.diffs = {}
+        for n, d in diffs.items():
+            if n not in self.terms or (n + 1) not in self.terms:
+                continue
+            if d.rows != self.terms[n + 1].dim or d.cols != self.terms[n].dim:
+                raise ComplexError(f"differential {n} has shape {d.rows}x{d.cols}, expected "
+                                   f"{self.terms[n + 1].dim}x{self.terms[n].dim}")
+            if not d.is_zero():
+                self.diffs[n] = d
 
     def check(self):
         """Raise ComplexError unless every term lives over the complex's
-        algebras, every differential joins its terms and d^2 = 0."""
+        algebras and d^2 = 0."""
         for n, t in self.terms.items():
             if t.left_algebra is not self.left_algebra or \
                t.right_algebra is not self.right_algebra:
                 if t.left_algebra.mult != self.left_algebra.mult or \
                    t.right_algebra.mult != self.right_algebra.mult:
                     raise ComplexError(f"term {n} lives over different algebras")
-        for n, d in self.diffs.items():
-            if d.source.dim != self.terms[n].dim or d.target.dim != self.terms[n + 1].dim:
-                raise ComplexError(f"differential {n} has wrong endpoints")
         for n in self.diffs:
             if (n + 1) in self.diffs:
-                comp = self.diffs[n + 1].matrix * self.diffs[n].matrix
+                comp = self.diffs[n + 1] * self.diffs[n]
                 if not comp.is_zero():
                     raise ComplexError(f"d^2 != 0 at degree {n}")
 
@@ -101,7 +111,7 @@ class Complex:
     def diff_matrix(self, n: int) -> Matrix:
         d = self.diffs.get(n)
         if d is not None:
-            return d.matrix
+            return d
         return Matrix.zeros(self.field, self.dim(n + 1), self.dim(n))
 
     def is_zero(self) -> bool:
@@ -160,7 +170,7 @@ class ChainMap:
                 raise ComplexError(f"chain map does not commute with d at degree {n}")
         # equivariance of each component
         for n, mat in self.components.items():
-            BimoduleMap(self.source.term(n), self.target.term(n), mat).check()
+            check_map(self.source.term(n), self.target.term(n), mat)
 
     def comp(self, n: int) -> Matrix:
         mat = self.components.get(n)
@@ -216,9 +226,7 @@ def shift(x: Complex, n: int) -> Complex:
     """(X[n])^i = X^{i+n}, differential multiplied by (-1)^n."""
     terms = {i - n: t for i, t in x.terms.items()}
     sign = x.field.elem((-1) ** n)
-    diffs = {}
-    for i, d in x.diffs.items():
-        diffs[i - n] = BimoduleMap(d.source, d.target, d.matrix.scale(sign))
+    diffs = {i - n: d.scale(sign) for i, d in x.diffs.items()}
     return Complex(x.left_algebra, x.right_algebra, terms, diffs)
 
 
@@ -260,13 +268,12 @@ def cone(f: ChainMap) -> ConeData:
         top, left = x.dim(n + 2), x.dim(n + 1)
         blocks = []
         if (n + 1) in x.diffs:
-            blocks.append((0, 0, x.diffs[n + 1].matrix.scale(-1)))
+            blocks.append((0, 0, x.diffs[n + 1].scale(-1)))
         if (n + 1) in f.components:
             blocks.append((top, 0, f.components[n + 1]))
         if n in y.diffs:
-            blocks.append((top, left, y.diffs[n].matrix))
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix.from_blocks(
-            field, terms[n + 1].dim, terms[n].dim, blocks))
+            blocks.append((top, left, y.diffs[n]))
+        diffs[n] = Matrix.from_blocks(field, terms[n + 1].dim, terms[n].dim, blocks)
     cx = Complex(x.left_algebra, x.right_algebra, terms, diffs)
     eyes = {n: Matrix.identity(field, t.dim) for n, t in terms.items()}
     include = ChainMap(y, cx, {n: eye.submatrix(slice(None), slice(x.dim(n + 1), None))
@@ -285,8 +292,7 @@ def direct_sum_complexes(xs: list[Complex]) -> tuple[Complex, list[ChainMap], li
     field = xs[0].field
     degrees = sorted(set().union(*(x.terms for x in xs)))
     terms = {n: direct_sum([x.term(n) for x in xs]) for n in degrees}
-    diffs = {n: BimoduleMap(terms[n], terms[n + 1],
-                            Matrix.block_diag(field, [x.diff_matrix(n) for x in xs]))
+    diffs = {n: Matrix.block_diag(field, [x.diff_matrix(n) for x in xs])
              for n in terms if (n + 1) in terms}
     total_cx = Complex(la, ra, terms, diffs)
     eyes = {n: Matrix.identity(field, t.dim) for n, t in terms.items()}
@@ -343,14 +349,13 @@ class TensorComplex:
                 # d_x (x) id : slot (i,j) -> (i+1, j)
                 if (i + 1, j) in tgt and i in x.diffs:
                     td2, off2 = tgt[(i + 1, j)]
-                    blocks.append((off2, off, td.induced(x.diffs[i], None, td2).matrix))
+                    blocks.append((off2, off, td.induced(x.diffs[i], None, td2)))
                 # (-1)^i id (x) d_y : slot (i,j) -> (i, j+1)
                 if (i, j + 1) in tgt and j in y.diffs:
                     td2, off2 = tgt[(i, j + 1)]
-                    block = td.induced(None, y.diffs[j], td2).matrix
+                    block = td.induced(None, y.diffs[j], td2)
                     blocks.append((off2, off, block.scale(-1) if i % 2 else block))
-            diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix.from_blocks(
-                field, terms[n + 1].dim, terms[n].dim, blocks))
+            diffs[n] = Matrix.from_blocks(field, terms[n + 1].dim, terms[n].dim, blocks)
         self.complex = Complex(x.left_algebra, y.right_algebra, terms, diffs)
 
     def induced(self, f: ChainMap | None, g: ChainMap | None,
@@ -365,11 +370,8 @@ class TensorComplex:
                 if (i, j) not in tgt:
                     continue
                 td2, off2 = tgt[(i, j)]
-                fm = None if f is None else BimoduleMap(self.x.term(i), target.x.term(i),
-                                                        f.comp(i))
-                gm = None if g is None else BimoduleMap(self.y.term(j), target.y.term(j),
-                                                        g.comp(j))
-                blocks.append((off2, off, td.induced(fm, gm, td2).matrix))
+                blocks.append((off2, off, td.induced(None if f is None else f.comp(i),
+                                                     None if g is None else g.comp(j), td2)))
             if blocks:
                 comps[n] = Matrix.from_blocks(self.complex.field, target.complex.dim(n),
                                               self.complex.dim(n), blocks)
@@ -464,7 +466,7 @@ def minimal_model(x: Complex) -> Complex:
     """
     keep = {n: np.arange(t.dim) for n, t in x.terms.items()}
     blocks = {n: _coordinate_blocks(t) for n, t in x.terms.items()}
-    d = {n: f.matrix for n, f in x.diffs.items()}
+    d = dict(x.diffs)
     for n in sorted(d):
         while pair := _invertible_pair(d[n], keep[n], keep[n + 1], blocks[n], blocks[n + 1]):
             src, tgt = pair
@@ -484,8 +486,7 @@ def minimal_model(x: Complex) -> Complex:
         return x
     terms = {n: t if len(keep[n]) == t.dim else _summand(t, keep[n])
              for n, t in x.terms.items()}
-    diffs = {n: BimoduleMap(terms[n], terms[n + 1], mat) for n, mat in d.items()}
-    return Complex(x.left_algebra, x.right_algebra, terms, diffs)
+    return Complex(x.left_algebra, x.right_algebra, terms, d)
 
 
 def _coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
@@ -568,11 +569,11 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
             continue
         cols = []
         if n in bases and n in y.diffs:
-            cols += [(offsets[n] + a, y.diffs[n].matrix * F.matrix)
+            cols += [(offsets[n] + a, y.diffs[n] * F)
                      for a, F in enumerate(bases[n])]
         if (n + 1) in bases and n in x.diffs:
-            minus_dx = x.diffs[n].matrix.scale(-1)
-            cols += [(offsets[n + 1] + b, G.matrix * minus_dx)
+            minus_dx = x.diffs[n].scale(-1)
+            cols += [(offsets[n + 1] + b, G * minus_dx)
                      for b, G in enumerate(bases[n + 1])]
         cols = [(c, img.reshape(rdim, 1)) for c, img in cols if not img.is_zero()]
         if cols:
@@ -582,7 +583,7 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
         null = Matrix.stack_rows(field, rows, total).nullspace()
     else:
         null = Matrix.identity(field, total)
-    comps = {n: Matrix.combinations([F.matrix for F in homs], null.submatrix(
+    comps = {n: Matrix.combinations(homs, null.submatrix(
         slice(offsets[n], offsets[n] + len(homs)), slice(None))) for n, homs in bases.items()}
     return [ChainMap(x, y, {n: mats[c] for n, mats in comps.items()})
             for c in range(null.cols)]

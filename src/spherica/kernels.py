@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from .algebras import Algebra
 from .bimodules import (
-    BimoduleMap,
     DualData,
     is_projective,
     left_dual,
@@ -163,12 +162,12 @@ def _adjoint_data(p: Kernel, side: str) -> AdjointData:
         V = Matrix.stack_columns(field, [_flatten(H) for H in tgt_dd.hom_matrices],
                                  tgt_dd.hom_matrices[0].rows * tgt_dd.hom_matrices[0].cols
                                  if tgt_dd.hom_matrices else 0)
-        images = [_flatten(H * d_orig.matrix) for H in src_dd.hom_matrices]
+        images = [_flatten(H * d_orig) for H in src_dd.hom_matrices]
         B = Matrix.stack_columns(field, images, V.rows)
         coords = V.solve(B)
         if coords is None:
             raise KernelError("dual differential does not lie in the dual hom space")
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], coords.scale(sign))
+        diffs[n] = coords.scale(sign)
     cx = Complex(p.target_algebra, p.source_algebra, terms, diffs)
     return AdjointData(Kernel(p.target_algebra, p.source_algebra, cx, check=False), duals)
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import __version__
 from .algebras import Algebra, AlgebraError, Arrow, QuiverPresentation, algebra_from_quiver
-from .bimodules import BimoduleError, BimoduleMap, direct_sum, projective_bimodule
+from .bimodules import BimoduleError, check_map, direct_sum, projective_bimodule
 from .complexes import (
     Complex,
     ComplexError,
@@ -44,7 +44,7 @@ from .kernels import (
     compose,
     kernel_ops,
 )
-from .linalg import Field
+from .linalg import Field, Matrix
 from .spherical import (
     check_adjoint_spherical,
     check_appendix,
@@ -93,56 +93,12 @@ class KernelDecl:
     diff_rows: dict[int, list[list[str]]]
     line: int = 0
 
-    def render(self) -> str:
-        parts = []
-        for n in sorted(self.degrees):
-            summands = " ".join(f"P({v},{w})" for v, w in self.degrees[n])
-            parts.append(f"deg {n}: {summands}")
-        for n in sorted(self.diff_rows):
-            rows = " , ".join(" ".join(r) for r in self.diff_rows[n])
-            parts.append(f"d {n}: {rows}")
-        body = "; ".join(parts)
-        return f"kernel {self.name} from {self.source} to {self.target} {{ {body} }}"
-
-    def key(self):
-        return (self.name, self.source, self.target,
-                {n: tuple(v) for n, v in self.degrees.items()},
-                {n: tuple(tuple(r) for r in rows) for n, rows in self.diff_rows.items()})
-
 
 @dataclass
 class AlgebraDecl:
     name: str
     presentation: QuiverPresentation
     line: int = 0
-
-    def render(self) -> str:
-        q = self.presentation
-        items = []
-        if q.vertices:
-            items.append("vertices " + " ".join(q.vertices))
-        for a in q.arrows:
-            items.append(f"arrows {a.name}: {a.source} -> {a.target}")
-        for rel in q.relations:
-            terms = []
-            for i, (coeff, path) in enumerate(rel):
-                c = Fraction(coeff)
-                word = "*".join(path)
-                if c == 1:
-                    term = word
-                elif c == -1:
-                    term = f"-{word}" if i == 0 else word
-                else:
-                    term = f"{c}*{word}"
-                if i == 0:
-                    terms.append(term if c != -1 else f"-{word}")
-                else:
-                    terms.append(("- " if c < 0 else "+ ") +
-                                 (word if abs(c) == 1 else f"{abs(c)}*{word}"))
-            items.append("relations " + " ".join(terms) + " = 0")
-        if q.arrows:
-            items.append(f"bound {q.length_bound}")
-        return f"algebra {self.name} {{ " + "; ".join(items) + " }"
 
 
 @dataclass
@@ -165,28 +121,6 @@ class Session:
     algebras: dict[str, AlgebraDecl]
     kernels: dict[str, KernelDecl]
     commands: list[Command]
-
-    def structural_key(self):
-        return (
-            repr(self.field),
-            tuple((n, d.presentation) for n, d in self.algebras.items()),
-            tuple(d.key() for d in self.kernels.values()),
-            tuple((c.kind, c.args) for c in self.commands),
-        )
-
-    def render(self) -> str:
-        lines = []
-        if self.field.is_prime_field:
-            lines.append(f"field F {self.field.p}")
-        else:
-            lines.append("field Q")
-        for d in self.algebras.values():
-            lines.append(d.render())
-        for d in self.kernels.values():
-            lines.append(d.render())
-        for c in self.commands:
-            lines.append(c.render())
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -489,18 +423,17 @@ def _elaborate(session: Session, field: Field | None = None):
                 raise SessionInvariantError(
                     f"differential at degree {deg} must be {tgt.dim} rows of "
                     f"{src.dim} entries", decl.line)
-            from .linalg import Matrix
             try:
                 mat = Matrix.from_rows(field, [[field.elem(Fraction(x)) for x in r]
                                                for r in rows])
             except ZeroDivisionError as e:
                 raise SessionInvariantError(f"differential at degree {deg}: {e}", decl.line)
-            diffs[deg] = BimoduleMap(src, tgt, mat)
             try:
-                diffs[deg].check()
+                check_map(src, tgt, mat)
             except BimoduleError as e:
                 raise SessionInvariantError(
                     f"differential at degree {deg} is not equivariant: {e}", decl.line)
+            diffs[deg] = mat
         try:
             cx = Complex(a, b, terms, diffs)
             cx.check()

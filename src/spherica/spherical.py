@@ -42,7 +42,6 @@ from .algebras import Algebra
 from .bimodules import (
     Bimodule,
     BimoduleError,
-    BimoduleMap,
     direct_sum,
     hom_space,
     projective_bimodule,
@@ -82,23 +81,17 @@ class Verdict:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    @property
-    def applicable(self) -> bool:
-        return self.status != "not_applicable"
-
 
 @dataclass
 class ConditionReport:
     """The four flags and homology profiles, computed on the minimal model
-    of the kernel.  The witnesses are the condition maps between the
-    model's complexes; no report or check reads them."""
+    of the kernel."""
 
     cond_T_equiv: bool
     cond_C_equiv: bool
     cond_3: bool
     cond_4: bool
     homology_profiles: dict[str, dict[int, int]]
-    witnesses: dict[str, ChainMap]
 
     def flags(self) -> tuple[bool, bool, bool, bool]:
         return (self.cond_T_equiv, self.cond_C_equiv, self.cond_3, self.cond_4)
@@ -136,18 +129,15 @@ def check_conditions(p: Kernel) -> ConditionReport:
     ct = ops.cotwist()
     cond1 = is_equivalence_kernel(tw.kernel)
     cond2 = is_equivalence_kernel(ct.kernel)
-    m3 = condition3_map(q)
-    m4 = condition4_map(q)
-    cond3 = is_quasi_iso(m3)
-    cond4 = is_quasi_iso(m4)
+    cond3 = is_quasi_iso(condition3_map(q))
+    cond4 = is_quasi_iso(condition4_map(q))
     profiles = {
         "twist": homology_dims(tw.kernel.complex),
         "cotwist": homology_dims(ct.kernel.complex),
         "right_adjoint": homology_dims(ops.right_adjoint().kernel.complex),
         "left_adjoint": homology_dims(ops.left_adjoint().kernel.complex),
     }
-    return ConditionReport(cond1, cond2, cond3, cond4, profiles,
-                           {"condition3": m3, "condition4": m4})
+    return ConditionReport(cond1, cond2, cond3, cond4, profiles)
 
 
 def is_spherical(p: Kernel, report: ConditionReport | None = None) -> SphericalVerdict:
@@ -222,7 +212,7 @@ def quasi_iso_to_identity(k: Kernel, rng: random.Random | None = None) -> bool:
     reg = regular_bimodule(a)
     candidates = hom_space(reg, h0)
     return bool(candidates) and first_witness(
-        candidates, BimoduleMap.is_invertible, a.field, rng, attempts=60) is not None
+        candidates, Matrix.is_invertible, a.field, rng, attempts=60) is not None
 
 
 def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None) -> Verdict:
@@ -331,7 +321,7 @@ def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random) -> Kernel:
     def random_hom(src: Bimodule, tgt: Bimodule, after=None):
         """A random equivariant map, constrained to kill the image of
         'after'; None when every drawn coefficient is 0."""
-        basis = [h.matrix for h in hom_space(src, tgt)]
+        basis = hom_space(src, tgt)
         if basis and after is not None and not after.is_zero():
             images = [h * after for h in basis]
             null = Matrix.stack_columns(field, [m.reshape(m.rows * m.cols, 1) for m in images],
@@ -348,7 +338,7 @@ def _random_kernel_once(a: Algebra, b: Algebra, rng: random.Random) -> Kernel:
         if mat is None or mat.is_zero():
             prev = None
             continue
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], mat)
+        diffs[n] = mat
         prev = mat
     cx = Complex(a, b, terms, diffs)
     return Kernel(a, b, cx)

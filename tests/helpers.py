@@ -22,7 +22,6 @@ from spherica.algebras import (
 )
 from spherica.bimodules import (
     Bimodule,
-    BimoduleMap,
     hom_space,
     is_projective,
     left_dual,
@@ -166,7 +165,7 @@ def hom_cx(x: Complex, y: Complex) -> Complex:
                                    f"{s}-projective")
     field = x.field
     triv = scalar_algebra(field)
-    bases: dict[int, dict[int, list[BimoduleMap]]] = {}
+    bases: dict[int, dict[int, list[Matrix]]] = {}
     degrees = set()
     for i in x.degrees():
         for m in y.degrees():
@@ -210,9 +209,9 @@ def hom_cx(x: Complex, y: Complex) -> Complex:
                 col = offsets[n][i] + a
                 # d_y . F lands in slot i of degree n+1
                 if i in bases.get(n + 1, {}) and y.diffs.get(i + n) is not None:
-                    img = y.diff_matrix(i + n) * F.matrix
+                    img = y.diff_matrix(i + n) * F
                     tgt = bases[n + 1][i]
-                    V = Matrix.stack_columns(field, [flatten(t.matrix) for t in tgt],
+                    V = Matrix.stack_columns(field, [flatten(t) for t in tgt],
                                              img.rows * img.cols)
                     coords = V.solve(flatten(img))
                     if coords is None:
@@ -221,16 +220,16 @@ def hom_cx(x: Complex, y: Complex) -> Complex:
                         arr[offsets[n + 1][i] + b, col] += coords.arr[b, 0]
                 # -(-1)^n F . d_x lands in slot i-1 of degree n+1
                 if (i - 1) in bases.get(n + 1, {}) and x.diffs.get(i - 1) is not None:
-                    img = (F.matrix * x.diff_matrix(i - 1)).scale(-1).scale(sgn)
+                    img = (F * x.diff_matrix(i - 1)).scale(-1).scale(sgn)
                     tgt = bases[n + 1][i - 1]
-                    V = Matrix.stack_columns(field, [flatten(t.matrix) for t in tgt],
+                    V = Matrix.stack_columns(field, [flatten(t) for t in tgt],
                                              img.rows * img.cols)
                     coords = V.solve(flatten(img))
                     if coords is None:
                         raise ComplexError("hom differential image not in hom basis span")
                     for b in range(len(tgt)):
                         arr[offsets[n + 1][i - 1] + b, col] += coords.arr[b, 0]
-        diffs[n] = BimoduleMap(terms[n], terms[n + 1], Matrix(field, arr))
+        diffs[n] = Matrix(field, arr)
     return Complex(triv, triv, terms, diffs)
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from spherica.bimodules import direct_sum, projective_bimodule, regular_bimodule
 from spherica.complexes import (
     chain_map_space,
@@ -27,7 +25,6 @@ from spherica.complexes import (
 from spherica.kernels import (
     Kernel,
     basic_identity_maps,
-    compose,
     compose_list,
     identity_kernel,
     kernel_ops,

@@ -18,7 +18,7 @@ from spherica.linalg import Field, Matrix
 F = Field.prime(101)
 
 
-from helpers import a2_path_algebra, center_basis, dual_numbers, x_cubed, zigzag_a2
+from helpers import a2_path_algebra, center_basis, dual_numbers, k_times_k, x_cubed, zigzag_a2
 
 
 def test_point_algebra():
@@ -118,6 +118,51 @@ def test_opposite_zigzag_reverses():
     # in Z: a*b = ab ; in Z^op the product of a and b is b*a composed the other way
     assert z.mult[ia][ib].get(iab) is not None
     assert zop.mult[ib][ia].get(iab) is not None
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_opposites_of_checked_algebras_pass_check(field):
+    for build in (trivial_algebra, dual_numbers, x_cubed, zigzag_a2, a2_path_algebra, k_times_k):
+        opposite(build(field)).check()
+
+
+# --- hand-built tables that check() rejects ---------------------------------
+
+
+def _table(mult: dict[tuple[int, int], dict[int, int]], unit: list[int],
+           idempotents: list[int], paths: list[tuple]) -> Algebra:
+    """The algebra over F with basis b_0, b_1, ... and the products b_i b_j
+    = mult[(i, j)] (0 when absent); the constructor does not check it."""
+    n = len(paths)
+    table = [[{k: F.elem(c) for k, c in mult.get((i, j), {}).items()} for j in range(n)]
+             for i in range(n)]
+    return Algebra(F, [f"b{i}" for i in range(n)], table, Matrix.column(F, unit),
+                   idempotents, [i for i, p in enumerate(paths) if p], paths)
+
+
+def _with_unit(n: int, products: dict[tuple[int, int], dict[int, int]]) -> dict:
+    """products, with b_0 acting as the identity on both sides."""
+    return {**{(0, j): {j: 1} for j in range(n)}, **{(j, 0): {j: 1} for j in range(n)},
+            **products}
+
+
+def test_check_rejects_a_unit_that_is_not_an_identity():
+    with pytest.raises(AlgebraError, match="unit is not a left identity"):
+        _table({(0, 0): {0: 1}}, [2], [0], [()]).check()
+
+
+def test_check_rejects_a_product_that_is_not_associative():
+    # x y = x and y y = 0, so (x y) y = x but x (y y) = 0
+    a = _table(_with_unit(3, {(1, 2): {1: 1}}), [1, 0, 0], [0], [(), (0,), (1,)])
+    with pytest.raises(AlgebraError, match=r"not associative on basis triple \(1,2,2\)"):
+        a.check()
+
+
+def test_check_rejects_idempotents_that_are_not_orthogonal():
+    # k[p]/(p^2 - p) with both 1 and p declared vertex idempotents: 1 p = p != 0
+    a = _table(_with_unit(2, {(1, 1): {1: 1}}), [1, 0], [0, 1], [(), ()])
+    with pytest.raises(AlgebraError, match="vertex idempotents are not orthogonal idempotents"):
+        a.check()
 
 
 def test_center_of_point_and_dual_numbers():

@@ -33,7 +33,6 @@ from spherica.spherical import random_kernel
 from helpers import (
     RANDOM_SHAPES,
     QuotientTensor,
-    a2_path_algebra,
     center_basis,
     dual_numbers,
     restrict_to_right,
@@ -286,11 +285,8 @@ def test_tensor_middle_mismatch():
 
 def test_induced_map_identity():
     t = tensor_over_middle(e1Z(), Ze1())
-    from spherica.bimodules import BimoduleMap
-    idm = BimoduleMap(e1Z(), e1Z(), Matrix.identity(F, 3))
-    idn = BimoduleMap(Ze1(), Ze1(), Matrix.identity(F, 3))
-    ind = t.induced(idm, idn, t)
-    assert ind.matrix.is_identity()
+    ind = t.induced(Matrix.identity(F, 3), Matrix.identity(F, 3), t)
+    assert ind.is_identity()
 
 
 def test_zero_bimodule():

@@ -2,8 +2,9 @@
 
 Constructors only check shapes; the module axioms, equivariance, d^2 = 0
 and commutation with d are checked where session input enters the engine,
-and by calling check().  The engine trusts what it builds itself, so this
-suite checks every complex and chain map of the kernel constructions:
+and by calling check(), or check_map() for a matrix between bimodules.
+The engine trusts what it builds itself, so this suite checks every
+complex, differential and chain map of the kernel constructions:
 adjoints, the four composites, units and counits, the four cones and
 their triangle maps, and the condition, identity, splitting and appendix
 composites, with the complexes at both ends of each map.
@@ -19,7 +20,7 @@ from spherica.algebras import trivial_algebra
 from spherica.bimodules import (
     Bimodule,
     BimoduleError,
-    BimoduleMap,
+    check_map,
     flip,
     projective_bimodule,
 )
@@ -69,20 +70,26 @@ def _built_objects(p):
 
 
 def _check_all(p) -> int:
-    """check() every built complex with its terms and differentials, and
-    every built chain map; returns how many objects were checked."""
+    """check() every built complex with its terms, check_map() its
+    differentials, and check() every built chain map; returns how many
+    objects were checked."""
     complexes, maps = _built_objects(p)
-    seen: set[int] = set()
+    seen: set = set()
     for obj in maps + complexes:
         if id(obj) in seen:
             continue
         seen.add(id(obj))
         obj.check()
         if isinstance(obj, Complex):
-            for part in [*obj.terms.values(), *obj.diffs.values()]:
-                if id(part) not in seen:
-                    seen.add(id(part))
-                    part.check()
+            for t in obj.terms.values():
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    t.check()
+            for n, d in obj.diffs.items():
+                key = (id(d), id(obj.terms[n]), id(obj.terms[n + 1]))
+                if key not in seen:
+                    seen.add(key)
+                    check_map(obj.terms[n], obj.terms[n + 1], d)
     return len(seen)
 
 
@@ -145,14 +152,26 @@ def test_bimodule_map_check_rejects_maps_that_do_not_intertwine():
     p = projective_bimodule(K, 0, D, 0)                  # D as a (k, D)-bimodule
     swap = Matrix.from_rows(F101, [[0, 1], [1, 0]])
     with pytest.raises(BimoduleError, match="map does not intertwine the right action"):
-        BimoduleMap(p, p, swap).check()
+        check_map(p, p, swap)
     with pytest.raises(BimoduleError, match="map does not intertwine the left action"):
-        BimoduleMap(flip(p), flip(p), swap).check()
+        check_map(flip(p), flip(p), swap)
+
+
+def test_check_map_rejects_a_wrongly_shaped_matrix():
+    p = projective_bimodule(K, 0, D, 0)
+    with pytest.raises(BimoduleError, match="map matrix is 1x2, expected 2x2"):
+        check_map(p, p, Matrix.from_rows(F101, [[1, 0]]))
+
+
+def test_complex_rejects_a_wrongly_shaped_differential():
+    p = projective_bimodule(K, 0, D, 0)
+    with pytest.raises(ComplexError, match="differential 0 has shape 2x1, expected 2x2"):
+        Complex(K, D, {0: p, 1: p}, {0: Matrix.from_rows(F101, [[1], [0]])})
 
 
 def test_chain_map_check_rejects_maps_that_do_not_commute_with_d():
     p = projective_bimodule(K, 0, D, 0)
-    x = Complex(K, D, {0: p, 1: p}, {0: BimoduleMap(p, p, p.right_action[X])})
+    x = Complex(K, D, {0: p, 1: p}, {0: p.right_action[X]})
     x.check()
     f = ChainMap(single_term(p, 0), x, {0: _one(2)})
     with pytest.raises(ComplexError, match="chain map does not commute with d at degree 0"):

@@ -7,10 +7,8 @@ import random
 
 import pytest
 
-from spherica.algebras import trivial_algebra
 from spherica.bimodules import (
     Bimodule,
-    BimoduleMap,
     direct_sum,
     projective_bimodule,
     regular_bimodule,
@@ -53,8 +51,7 @@ def dual_numbers_x_complex() -> Complex:
     """[D --x--> D] in degrees 0, 1 over (k, D)."""
     m = projective_bimodule(K, 0, D, 0)
     x_idx = D.radical_basis[0]
-    d = BimoduleMap(m, m, m.right_action[x_idx])
-    return Complex(K, D, {0: m, 1: m}, {0: d})
+    return Complex(K, D, {0: m, 1: m}, {0: m.right_action[x_idx]})
 
 
 def test_shift_composition():
@@ -75,7 +72,7 @@ def test_shift_single_term():
 
 def test_d_squared_enforced():
     m = regular_bimodule(K)
-    one = BimoduleMap(m, m, Matrix.identity(F, 1))
+    one = Matrix.identity(F, 1)
     x = Complex(K, K, {0: m, 1: m, 2: m}, {0: one, 1: one})
     with pytest.raises(ComplexError, match=r"d\^2 != 0 at degree 0"):
         x.check()
@@ -170,7 +167,7 @@ def test_tensor_koszul_d_squared():
     x = dual_numbers_x_complex()
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz, 1: dz},
-                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
+                {0: dz.left_action[D.radical_basis[0]]})
     t = tensor_cx(x, y)   # (k,D) (x)_D (D,D)
     assert t.complex.degrees() == [0, 1, 2]
     assert 1 in t.complex.diffs and 0 in t.complex.diffs
@@ -284,7 +281,7 @@ def test_associator_on_complexes_with_differentials():
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz}, {})          # (D,D)
     z = Complex(D, D, {-1: dz, 0: dz},
-                {-1: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
+                {-1: dz.left_action[D.radical_basis[0]]})
     txy = tensor_cx(x, y)
     txy_z = tensor_cx(txy.complex, z)
     tyz = tensor_cx(y, z)
@@ -321,7 +318,7 @@ def test_interchange_left_shift_is_identity_layout():
     x = dual_numbers_x_complex()
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz, 1: dz},
-                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
+                {0: dz.left_action[D.radical_basis[0]]})
     t_plain = tensor_cx(x, y)
     t_shifted = tensor_cx(shift(x, 2), y)
     f = interchange_left_shift(t_shifted, t_plain, 2)
@@ -335,7 +332,7 @@ def test_interchange_right_shift_signs():
     x = dual_numbers_x_complex()
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz, 1: dz},
-                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
+                {0: dz.left_action[D.radical_basis[0]]})
     t_plain = tensor_cx(x, y)
     t_shifted = tensor_cx(x, shift(y, 1))
     f = interchange_right_shift(t_shifted, t_plain, 1)
@@ -347,7 +344,7 @@ def test_interchanges_reject_tensors_whose_slots_do_not_match():
     x = dual_numbers_x_complex()
     dz = regular_bimodule(D)
     y = Complex(D, D, {0: dz, 1: dz},
-                {0: BimoduleMap(dz, dz, dz.left_action[D.radical_basis[0]])})
+                {0: dz.left_action[D.radical_basis[0]]})
     m = x.term(0)
     # a slot of the shifted tensor with no slot to go to
     x_short = single_term(m)
@@ -402,8 +399,7 @@ def _scalar_complex(diffs: dict[int, list[list[int]]]) -> Complex:
         dims[n + 1], dims[n] = len(rows), len(rows[0])
     terms = {n: Bimodule(K, K, [Matrix.identity(F, m)], [Matrix.identity(F, m)], m)
              for n, m in dims.items()}
-    x = Complex(K, K, terms, {n: BimoduleMap(terms[n], terms[n + 1], Matrix.from_rows(F, rows))
-                              for n, rows in diffs.items()})
+    x = Complex(K, K, terms, {n: Matrix.from_rows(F, rows) for n, rows in diffs.items()})
     x.check()
     return x
 

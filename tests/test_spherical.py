@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spherica.bimodules import BimoduleMap, direct_sum, is_projective, projective_bimodule
+from spherica.bimodules import check_map, direct_sum, is_projective, projective_bimodule
 from spherica.complexes import (
     Complex,
     direct_sum_complexes,
@@ -247,9 +247,10 @@ def _check_minimal_model(x: Complex) -> Complex:
     m = minimal_model(x)
     assert homology_dims(m) == homology_dims(x)
     m.check()
-    for part in [*m.terms.values(), *m.diffs.values()]:
-        part.check()
+    for n, d in m.diffs.items():
+        check_map(m.terms[n], m.terms[n + 1], d)
     for t in m.terms.values():
+        t.check()
         assert is_projective(t, "left") and is_projective(t, "right")
     return m
 
@@ -303,7 +304,7 @@ def test_minimal_model_of_a_contractible_kernels_twist():
     X3 up to homotopy, and elimination finds exactly that."""
     p = projective_bimodule(K, 0, X3, 0)
     contractible = Kernel(K, X3, Complex(K, X3, {0: p, 1: p},
-                                         {0: BimoduleMap(p, p, Matrix.identity(F, p.dim))}))
+                                         {0: Matrix.identity(F, p.dim)}))
     tw = kernel_ops(contractible).twist().kernel
     assert term_dims(tw.complex) == {-2: 9, -1: 18, 0: 12}
     assert term_dims(_check_minimal_model(tw.complex)) == {0: 3}
