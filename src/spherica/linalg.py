@@ -1,21 +1,22 @@
 """Exact dense linear algebra over prime fields F_p and the rationals.
 
-Every number in the engine lives here: matrices are numpy arrays of
-int64 residues (prime fields) or Fraction objects (rationals), and all
-arithmetic is exact.  Only this module reads or writes those arrays; the
-rest of the engine builds and reads matrices through Matrix operations:
-from_blocks places blocks in a zero matrix, combinations forms linear
-combinations of equal-shape matrices, reshape regroups the entries row
-by row, entries reads the entries out as Python numbers, nonzero_mask
-says which are nonzero and nonzero_entries reads those out, one per row.
-Row reduction uses deterministic pivoting (first nonzero column, then
-first nonzero row), so every basis produced downstream is reproducible
-bit for bit.  A pivot step, over F_p as over Q, updates only the rows
-hit by the pivot: those with a nonzero entry in its column.
+Every number in the engine lives here: a matrix is an integer numpy array
+arr over a positive integer den, and all arithmetic is exact.  Only this
+module reads or writes those arrays; the rest of the engine builds and
+reads matrices through Matrix operations: from_blocks places blocks in a
+zero matrix, combinations forms linear combinations of equal-shape
+matrices, reshape regroups the entries row by row, entries reads the
+entries out as Python numbers, nonzero_mask says which are nonzero and
+nonzero_entries reads those out, one per row.  Row reduction uses
+deterministic pivoting (first nonzero column, then first nonzero row), so
+every basis produced downstream is reproducible bit for bit.  A pivot
+step, over F_p as over Q, updates only the rows hit by the pivot: those
+with a nonzero entry in its column.
 
-Prime fields go up to p = 2^31 - 1 (MAX_PRIME), so a product of two
-residues fits in int64.  A product A (m x k) times B (k x n) over F_p
-is computed in one of two exact ways, chosen by its size alone:
+Over F_p, arr holds int64 residues and den is 1.  Prime fields go up to
+p = 2^31 - 1 (MAX_PRIME), so a product of two residues fits in int64.  A
+product A (m x k) times B (k x n) over F_p is computed in one of two
+exact ways, chosen by its size alone:
 
 * float64 BLAS when k (p-1)^2 < 2^53, so every partial sum is an
   integer that a double holds exactly, and m k n >= BLAS_MIN_MACS, a
@@ -24,16 +25,17 @@ is computed in one of two exact ways, chosen by its size alone:
   the inner dimension whose partial sums stay below 2^63 when
   k (p-1)^2 would not.
 
-Over Q a matrix stores Fraction objects, and caches, the first time it
-is multiplied or reduced, its integer form: the numerators over the lcm
-of the denominators, with the largest absolute numerator.  A product
-A (m x k) times B (k x n) multiplies the numerators, in int64 when
-k max|A| max|B| < 2^63 and on Python ints otherwise, over the product
-of the two denominators; Fractions are built only for the distinct
-entries of the result.  Row reduction over Q runs on integer rows,
-kept primitive (divided by the gcd of their entries), and divides each
-pivot row by its pivot at the end; scaling a row does not change the
-reduced form, so it is the one elimination on Fractions gives.
+Over Q the matrix is arr / den in lowest terms (a zero matrix has den 1),
+with arr int64 exactly when every |numerator| < 2^63 and Python ints
+otherwise, so equal matrices have equal arr and den.  Sums, products,
+Kronecker products and scalings run on numerators over the product or
+lcm of the denominators, in int64 when a bound on every result (such as
+k max|A| max|B| for a product) stays below 2^63; blocks and stacks bring
+their parts to the lcm of their denominators.  Row reduction runs on
+integer rows kept primitive (divided by the gcd of their entries) and
+returns them over the lcm of the pivots: the reduced form elimination on
+Fractions gives.  Fractions appear only where numbers come in
+(Field.elem, the Matrix constructor) and go out (entries).
 
 Matrices are immutable after construction and safe to share between
 threads; all operations return fresh objects.
@@ -125,24 +127,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / x
 
-    # array helpers --------------------------------------------------
-
-    def _normalize(self, arr: np.ndarray) -> np.ndarray:
-        if self.p is not None:
-            return np.asarray(arr, dtype=np.int64) % self.p
-        out = np.empty(arr.shape, dtype=object)
-        flat_out = out.ravel()
-        for i, v in enumerate(arr.ravel().tolist()):
-            flat_out[i] = v if isinstance(v, Fraction) else self.elem(v)
-        return out
-
-    def _zeros(self, rows: int, cols: int) -> np.ndarray:
-        if self.p is not None:
-            return np.zeros((rows, cols), dtype=np.int64)
-        out = np.empty((rows, cols), dtype=object)
-        out[...] = Fraction(0)
-        return out
-
 
 @lru_cache(maxsize=None)
 def _int64_run(p: int) -> int:
@@ -151,17 +135,27 @@ def _int64_run(p: int) -> int:
     return max(1, (_INT64_MAX - (p - 1)) // max(1, (p - 1) ** 2))
 
 
-def _fractions(nums: list[int], den: int) -> np.ndarray:
-    """The 1-D Fraction array nums / den.  One Fraction is built per
-    distinct numerator and shared by its entries (Fractions are immutable)."""
-    table = {n: Fraction(n, den) for n in set(nums)}
-    return np.fromiter(map(table.__getitem__, nums), dtype=object, count=len(nums))
+def _top(arr: np.ndarray) -> int:
+    """The largest |entry| of an integer array, 0 when it is empty."""
+    return int(np.maximum.reduce(np.abs(arr), axis=None, initial=0))
 
 
-def _fits_int64(terms: int, top_a: int, top_b: int) -> bool:
-    """Whether a sum of `terms` products of integers bounded by top_a and
-    top_b in absolute value stays below 2^63."""
-    return terms * top_a * top_b <= _INT64_MAX
+def _exact(field: Field, factor: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Over Q, the numerator arrays as Python ints when factor times the
+    product of their largest |entries| (the bound on what the caller forms
+    from them) reaches 2^63, and as they are otherwise.  Over F_p they are
+    returned as they are: residues below 2^31 never overflow."""
+    if field.p is None and factor * math.prod([max(_top(a), 1) for a in arrays]) > _INT64_MAX:
+        return tuple(a.astype(object) for a in arrays)
+    return arrays
+
+
+def _common(field: Field, mats: list["Matrix"]) -> tuple[list[np.ndarray], int]:
+    """The numerator arrays of mats over their least common denominator."""
+    if field.p is not None:
+        return [m.arr for m in mats], 1
+    den = math.lcm(*[m.den for m in mats])
+    return [m._over(den) for m in mats], den
 
 
 def _primitive_rows(rows: np.ndarray) -> np.ndarray:
@@ -201,23 +195,20 @@ def _rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def _rref_rational(nums: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form, as Fractions, and pivots of the rational
-    matrix with integer numerators nums over a common denominator.
+def _rref_rational(nums: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    """Reduced row echelon form, as numerators over a denominator, and
+    pivots of the rational matrix with numerators nums.
 
     Elimination runs on integer rows: a row r is cleared at pivot (p, c)
     as R[p, c] R[r] - R[r, c] R[p], then divided by its content unless the
     pivot is a unit, in int64 while every entry is bounded by sqrt(2^62),
     on Python ints after that.  Pivoting is the same first-nonzero-column,
-    first-nonzero-row rule as over F_p.
+    first-nonzero-row rule as over F_p.  Row i is then R[i] / R[i, c_i],
+    returned over the lcm of the pivot entries.
     """
     rows, cols = nums.shape
-    out = np.empty((rows, cols), dtype=object)
-    out[...] = Fraction(0)
-    if nums.size == 0:
-        return out, []
     R = _primitive_rows(nums)
-    top = int(np.abs(R).max())
+    top = _top(R)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -233,19 +224,23 @@ def _rref_rational(nums: np.ndarray) -> tuple[np.ndarray, list[int]]:
         col[r] = 0
         hit = col.nonzero()[0]
         if len(hit):
-            if R.dtype != object and not _fits_int64(2, top, top):
+            if R.dtype != object and 2 * top * top > _INT64_MAX:
                 R = R.astype(object)
             pivot = R[r, c]
             new = pivot * R[hit] - col[hit, None] * R[r]
             if abs(pivot) != 1:
                 new = _primitive_rows(new)
             R[hit] = new
-            top = max(top, int(np.abs(new).max()))
+            top = max(top, _top(new))
         pivots.append(c)
         r += 1
-    for i, c in enumerate(pivots):
-        out[i] = _fractions(R[i].tolist(), int(R[i, c]))
-    return out, pivots
+    lead = [int(R[i, c]) for i, c in enumerate(pivots)]
+    den = math.lcm(*lead)
+    scales = [den // x for x in lead]
+    if R.dtype != object and top * max(map(abs, scales), default=0) > _INT64_MAX:
+        R = R.astype(object)
+    R[:r] *= np.array(scales, dtype=R.dtype).reshape(r, 1)
+    return R, den, pivots
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -265,62 +260,68 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 class Matrix:
-    """An immutable exact matrix over a Field, stored densely row-major."""
+    """An immutable exact matrix over a Field, stored densely row-major as
+    integers arr over a denominator den (see the module docstring)."""
 
-    __slots__ = ("field", "rows", "cols", "arr", "_rref", "_ints")
+    __slots__ = ("field", "rows", "cols", "arr", "den", "_rref")
 
     def __init__(self, field: Field, arr):
+        """The matrix of arr, a 2-D array or nested list of field elements:
+        ints, and over Q also Fractions or 'a/b' strings."""
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
-        self.field = field
-        self.arr = field._normalize(arr)
-        self.arr.flags.writeable = False
-        self.rows, self.cols = self.arr.shape
-        self._rref = None
-        self._ints = None
+        den = 1
+        if field.p is not None:
+            arr = np.asarray(arr, dtype=np.int64) % field.p
+        elif arr.dtype.kind in "ib":
+            arr = arr.astype(np.int64)
+        else:
+            vals = [field.elem(x) for x in arr.ravel().tolist()]
+            den = math.lcm(*[x.denominator for x in vals])
+            nums = [x.numerator * (den // x.denominator) for x in vals]
+            arr = np.array(nums, dtype=object).reshape(arr.shape)
+        out = Matrix._lowest(field, arr, den)
+        self.field, self.arr, self.den, self._rref = field, out.arr, out.den, None
+        self.rows, self.cols = out.rows, out.cols
 
     @classmethod
-    def _wrap(cls, field: Field, arr: np.ndarray) -> "Matrix":
-        """A matrix around an array already in normal form (reduced
-        residues, or Fractions over Q), without copying it."""
+    def _wrap(cls, field: Field, arr: np.ndarray, den: int = 1) -> "Matrix":
+        """The matrix arr / den, already in normal form, without copying."""
         out = object.__new__(cls)
         arr.flags.writeable = False
         out.field = field
         out.arr = arr
+        out.den = den
         out.rows, out.cols = arr.shape
         out._rref = None
-        out._ints = None
         return out
 
     @classmethod
-    def _from_integers(cls, field: Field, nums: np.ndarray, den: int) -> "Matrix":
-        """The Q matrix nums / den, its integer form cached in lowest terms."""
-        vals = nums.ravel().tolist()
-        g = math.gcd(den, *vals)
-        top = max(max(vals, default=0), -min(vals, default=0)) // g
-        out = cls._wrap(field, _fractions(vals, den).reshape(nums.shape))
-        if g != 1:
-            nums = nums // g
-        nums = nums.astype(np.int64 if top <= _INT64_MAX else object, copy=False)
-        nums.flags.writeable = False
-        out._ints = (nums, den // g, top)
-        return out
+    def _lowest(cls, field: Field, nums: np.ndarray, den: int) -> "Matrix":
+        """nums / den in lowest terms, as int64 when every |numerator| < 2^63;
+        residues over 1 are wrapped as they are."""
+        if den != 1:
+            g = math.gcd(den, int(np.gcd.reduce(nums, axis=None)))
+            if g > _INT64_MAX:
+                nums = nums.astype(object)  # only zeros are int64 multiples of g
+            if g != 1:
+                nums, den = nums // g, den // g
+        if nums.dtype == object and _top(nums) <= _INT64_MAX:
+            nums = nums.astype(np.int64)
+        return cls._wrap(field, nums, den)
 
-    def _integers(self) -> tuple[np.ndarray, int, int]:
-        """Over Q: (nums, den, top) with self = nums / den, den the lcm of
-        the denominators and top the largest |numerator|.  nums is int64
-        when top < 2^63 and holds Python ints otherwise.  Computed once."""
-        if self._ints is None:
-            ratios = [x.as_integer_ratio() for x in self.arr.ravel().tolist()]
-            den = math.lcm(*[d for _, d in ratios])
-            nums = [n * (den // d) for n, d in ratios]
-            top = max(max(nums, default=0), -min(nums, default=0))
-            arr = np.array(nums, dtype=np.int64 if top <= _INT64_MAX else object)
-            arr = arr.reshape(self.arr.shape)
-            arr.flags.writeable = False
-            self._ints = (arr, den, top)
-        return self._ints
+    @classmethod
+    def _normal(cls, field: Field, nums: np.ndarray, den: int = 1) -> "Matrix":
+        """nums / den in normal form: reduced mod p, or over Q in lowest terms."""
+        return cls._lowest(field, nums if field.p is None else nums % field.p, den)
+
+    def _over(self, den: int) -> np.ndarray:
+        """The numerators of self over den, a multiple of self.den."""
+        if den == self.den or not self.arr.any():  # zeros stay int64 whatever den is
+            return self.arr
+        a, = _exact(self.field, den // self.den, self.arr)
+        return a * (den // self.den)
 
     # construction ---------------------------------------------------
 
@@ -329,18 +330,23 @@ class Matrix:
         """The rows x cols matrix with each m of blocks [(r, c, m), ...]
         placed with its top left corner at (r, c) and zeros elsewhere; the
         blocks must not overlap."""
-        out = field._zeros(rows, cols)
+        den = 1 if field.p is not None else math.lcm(*[m.den for _, _, m in blocks])
+        out = np.zeros((rows, cols), dtype=np.int64)
         for r, c, m in blocks:
             if m.rows and m.cols:
-                out[r:r + m.rows, c:c + m.cols] = m.arr
-        return Matrix._wrap(field, out)
+                a = m.arr if m.den == den else m._over(den)
+                if a.dtype == object and out.dtype != object:
+                    out = out.astype(object)
+                out[r:r + m.rows, c:c + m.cols] = a
+        return Matrix._wrap(field, out, den)
 
     @staticmethod
     def combinations(mats: list["Matrix"], coeffs: "Matrix") -> list["Matrix"]:
         """sum_k coeffs[k, j] mats[k] for each column j of coeffs, as one
         product; mats is a nonempty list of matrices of one shape."""
         first = mats[0]
-        flat = Matrix._wrap(first.field, np.stack([m.arr.ravel() for m in mats], axis=1))
+        arrays, den = _common(first.field, mats)
+        flat = Matrix._wrap(first.field, np.stack([a.ravel() for a in arrays], axis=1), den)
         out = flat * coeffs
         return [out.column_vec(j).reshape(first.rows, first.cols) for j in range(out.cols)]
 
@@ -352,13 +358,11 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix._wrap(field, field._zeros(rows, cols))
+        return Matrix._wrap(field, np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        m = field._zeros(n, n)
-        np.fill_diagonal(m, field.elem(1))
-        return Matrix._wrap(field, m)
+        return Matrix._wrap(field, np.eye(n, dtype=np.int64))
 
     @staticmethod
     def column(field: Field, entries) -> "Matrix":
@@ -371,27 +375,27 @@ class Matrix:
     # elementary ops -------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.arr.shape == other.arr.shape
-            and bool(np.all(self.arr == other.arr))
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.arr.tobytes()
-                     if self.field.is_prime_field else tuple(self.arr.ravel())))
+        """Equal entries: in normal form that is equal arr and den."""
+        return (isinstance(other, Matrix) and self.field == other.field and self.den == other.den
+                and self.arr.shape == other.arr.shape and bool(np.all(self.arr == other.arr)))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.field, self.arr + other.arr)
+        return self._termwise(np.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.field, self.arr - other.arr)
+        return self._termwise(np.subtract, other)
+
+    def _termwise(self, op, other: "Matrix") -> "Matrix":
+        if self.field != other.field or self.arr.shape != other.arr.shape:
+            raise ValueError("shape or field mismatch")
+        if self.field.p is not None:
+            return Matrix._wrap(self.field, op(self.arr, other.arr) % self.field.p)
+        den = math.lcm(self.den, other.den)
+        (a,), (b,) = (_exact(self.field, 2, m._over(den)) for m in (self, other))
+        return Matrix._normal(self.field, op(a, b), den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -403,25 +407,24 @@ class Matrix:
         p = self.field.p
         if p is not None:
             return Matrix._wrap(self.field, _dot_mod(self.arr, other.arr, p))
-        (a, da, ta), (b, db, tb) = self._integers(), other._integers()
-        if ta == 0 or tb == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
-        if not _fits_int64(self.cols, ta, tb):
-            a, b = a.astype(object), b.astype(object)
-        return Matrix._from_integers(self.field, np.dot(a, b), da * db)
+        a, b = _exact(self.field, self.cols, self.arr, other.arr)
+        return Matrix._normal(self.field, np.dot(a, b), self.den * other.den)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.field, self.arr * self.field.elem(c))
+        n, d = self.field.elem(c).as_integer_ratio()
+        a, = _exact(self.field, abs(n), self.arr)
+        return Matrix._normal(self.field, a * n, self.den * d)
 
     def transpose(self) -> "Matrix":
-        return Matrix._wrap(self.field, self.arr.T)
+        return Matrix._wrap(self.field, self.arr.T, self.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
         if 0 in (self.rows, self.cols, other.rows, other.cols):
             return Matrix.zeros(self.field, self.rows * other.rows, self.cols * other.cols)
-        return Matrix(self.field, np.kron(self.arr, other.arr))
+        a, b = _exact(self.field, 1, self.arr, other.arr)
+        return Matrix._normal(self.field, np.kron(a, b), self.den * other.den)
 
     def combine_blocks(self, coeffs: "Matrix") -> "Matrix":
         """Column by column linear combination of equal row blocks.
@@ -434,11 +437,9 @@ class Matrix:
             raise ValueError("shape or field mismatch in combine_blocks")
         p = self.field.p
         if p is None:
-            (b, db, tb), (w, dw, tw) = self._integers(), coeffs._integers()
-            if not _fits_int64(r, tb, tw):
-                b, w = b.astype(object), w.astype(object)
+            b, w = _exact(self.field, r, self.arr, coeffs.arr)
             sums = (b.reshape(r, self.rows // r, cols) * w[:, None, :]).sum(axis=0)
-            return Matrix._from_integers(self.field, sums, db * dw)
+            return Matrix._normal(self.field, sums, self.den * coeffs.den)
         blocks = self.arr.reshape(r, self.rows // r, cols)
         weights = coeffs.arr[:, None, :]
         run = _int64_run(p)
@@ -451,7 +452,7 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix._wrap(self.field, np.hstack([self.arr, other.arr]))
+        return Matrix.stack_columns(self.field, [self, other], self.rows)
 
     @staticmethod
     def stack_columns(field: Field, mats: list["Matrix"], rows: int) -> "Matrix":
@@ -459,7 +460,8 @@ class Matrix:
         mats = [m for m in mats if m.cols > 0]
         if not mats:
             return Matrix.zeros(field, rows, 0)
-        return Matrix._wrap(field, np.hstack([m.arr for m in mats]))
+        arrays, den = _common(field, mats)
+        return Matrix._wrap(field, np.hstack(arrays), den)
 
     @staticmethod
     def stack_rows(field: Field, mats: list["Matrix"], cols: int) -> "Matrix":
@@ -467,7 +469,8 @@ class Matrix:
         mats = [m for m in mats if m.rows > 0]
         if not mats:
             return Matrix.zeros(field, 0, cols)
-        return Matrix._wrap(field, np.vstack([m.arr for m in mats]))
+        arrays, den = _common(field, mats)
+        return Matrix._wrap(field, np.vstack(arrays), den)
 
     @staticmethod
     def block_diag(field: Field, mats: list["Matrix"]) -> "Matrix":
@@ -483,40 +486,39 @@ class Matrix:
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The entries read row by row into a rows x cols matrix."""
-        return Matrix._wrap(self.field, self.arr.reshape(rows, cols))
+        return Matrix._wrap(self.field, self.arr.reshape(rows, cols), self.den)
 
     def submatrix(self, row_slice, col_slice) -> "Matrix":
-        return Matrix._wrap(self.field, self.arr[row_slice, col_slice])
+        return Matrix._lowest(self.field, self.arr[row_slice, col_slice], self.den)
 
     def column_vec(self, j: int) -> "Matrix":
-        return Matrix._wrap(self.field, self.arr[:, j:j + 1])
+        return Matrix._lowest(self.field, self.arr[:, j:j + 1], self.den)
 
     def nonzero_mask(self) -> np.ndarray:
         """A boolean array, True where an entry is nonzero."""
-        return self.arr != self.field.elem(0)
+        return self.arr != 0
 
     def entries(self) -> list[list]:
         """The entries as rows of Python numbers: ints mod p, or Fractions."""
-        return self.arr.tolist()
+        rows = self.arr.tolist()
+        if self.field.p is not None:
+            return rows
+        return [[Fraction(n, self.den) for n in row] for row in rows]
 
     def nonzero_entries(self) -> tuple[np.ndarray, np.ndarray, "Matrix"]:
         """The nonzero entries in row-major order: their rows e and columns
         c, and the matrix with one row per entry, holding entry k in column
         c[k] of row k and zeros elsewhere."""
         e, c = np.nonzero(self.nonzero_mask())
-        out = self.field._zeros(len(e), self.cols)
+        out = np.zeros((len(e), self.cols), dtype=self.arr.dtype)
         out[np.arange(len(e)), c] = self.arr[e, c]
-        return e, c, Matrix._wrap(self.field, out)
+        return e, c, Matrix._wrap(self.field, out, self.den)
 
     def is_zero(self) -> bool:
         return not self.arr.any()
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.field, self.rows)
-
-    def _check_same_shape(self, other: "Matrix"):
-        if self.field != other.field or self.arr.shape != other.arr.shape:
-            raise ValueError("shape or field mismatch")
 
     # elimination ----------------------------------------------------
 
@@ -527,9 +529,10 @@ class Matrix:
         field = self.field
         if field.is_prime_field:
             R, pivots = _rref_mod_p(self.arr, field)
+            out = Matrix._wrap(field, R)
         else:
-            R, pivots = _rref_rational(self._integers()[0])
-        out = Matrix._wrap(field, R)
+            R, den, pivots = _rref_rational(self.arr)
+            out = Matrix._normal(field, R, den)
         result = (out, tuple(pivots))
         self._rref = result
         out._rref = result
@@ -542,16 +545,15 @@ class Matrix:
         """Columns form the canonical basis of the right kernel."""
         R, pivots = self.rref()
         free = sorted(set(range(self.cols)) - set(pivots))
-        out = self.field._zeros(self.cols, len(free))
-        out[free, range(len(free))] = self.field.elem(1)
+        out = np.zeros((self.cols, len(free)), dtype=R.arr.dtype)
+        out[free, range(len(free))] = R.den
         out[list(pivots)] = -R.arr[:len(pivots)][:, free]
-        return Matrix(self.field, out)
+        return Matrix._normal(self.field, out, R.den)
 
     def image_basis(self) -> "Matrix":
         """Original columns at the pivot positions: a basis of the column space."""
         _, pivots = self.rref()
-        return Matrix(self.field, self.arr[:, list(pivots)]) if pivots else \
-            Matrix.zeros(self.field, self.rows, 0)
+        return Matrix._lowest(self.field, self.arr[:, list(pivots)], self.den)
 
     def solve(self, b: "Matrix") -> "Matrix | None":
         """Solve self @ x = b exactly (b may have several columns).
@@ -561,15 +563,12 @@ class Matrix:
         """
         if b.rows != self.rows:
             raise ValueError(f"rhs has {b.rows} rows, expected {self.rows}")
-        aug = self.hstack(b)
-        R, pivots = aug.rref()
-        field = self.field
-        for p in pivots:
-            if p >= self.cols:
-                return None
-        out = field._zeros(self.cols, b.cols)
+        R, pivots = self.hstack(b).rref()
+        if pivots and pivots[-1] >= self.cols:
+            return None
+        out = np.zeros((self.cols, b.cols), dtype=R.arr.dtype)
         out[list(pivots)] = R.arr[:len(pivots), self.cols:]
-        return Matrix(field, out)
+        return Matrix._lowest(self.field, out, R.den)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

@@ -182,8 +182,7 @@ def hom_cx(x: Complex, y: Complex) -> Complex:
             bases[n] = slot_homs
 
     def flatten(mat: Matrix) -> Matrix:
-        return Matrix(field, mat.arr.reshape(mat.rows * mat.cols, 1)) if \
-            mat.rows and mat.cols else Matrix.zeros(field, 0, 1)
+        return mat.reshape(mat.rows * mat.cols, 1)
 
     terms = {}
     offsets: dict[int, dict[int, int]] = {}
@@ -202,7 +201,7 @@ def hom_cx(x: Complex, y: Complex) -> Complex:
     for n in bases:
         if (n + 1) not in bases:
             continue
-        arr = field._zeros(terms[n + 1].dim, terms[n].dim)
+        arr = np.zeros((terms[n + 1].dim, terms[n].dim), dtype=object)
         sgn = field.elem((-1) ** n)
         for i, homs in bases[n].items():
             for a, F in enumerate(homs):
@@ -216,8 +215,8 @@ def hom_cx(x: Complex, y: Complex) -> Complex:
                     coords = V.solve(flatten(img))
                     if coords is None:
                         raise ComplexError("hom differential image not in hom basis span")
-                    for b in range(len(tgt)):
-                        arr[offsets[n + 1][i] + b, col] += coords.arr[b, 0]
+                    for b, (c,) in enumerate(coords.entries()):
+                        arr[offsets[n + 1][i] + b, col] += c
                 # -(-1)^n F . d_x lands in slot i-1 of degree n+1
                 if (i - 1) in bases.get(n + 1, {}) and x.diffs.get(i - 1) is not None:
                     img = (F * x.diff_matrix(i - 1)).scale(-1).scale(sgn)
@@ -227,8 +226,8 @@ def hom_cx(x: Complex, y: Complex) -> Complex:
                     coords = V.solve(flatten(img))
                     if coords is None:
                         raise ComplexError("hom differential image not in hom basis span")
-                    for b in range(len(tgt)):
-                        arr[offsets[n + 1][i - 1] + b, col] += coords.arr[b, 0]
+                    for b, (c,) in enumerate(coords.entries()):
+                        arr[offsets[n + 1][i - 1] + b, col] += c
         diffs[n] = Matrix(field, arr)
     return Complex(triv, triv, terms, diffs)
 
@@ -385,19 +384,25 @@ def dense_rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[in
 # Rational linear algebra on Fraction objects, entry by entry: the reference
 # for the integer kernels of spherica.linalg over Q.
 
+def entries_array(m: Matrix) -> np.ndarray:
+    """The entries of m as a 2-D object array of Python numbers."""
+    return np.array(m.entries(), dtype=object).reshape(m.rows, m.cols)
+
+
 def fraction_product(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(a.field, np.dot(a.arr, b.arr) if a.cols else np.zeros((a.rows, b.cols)))
+    return Matrix(a.field, np.dot(entries_array(a), entries_array(b)) if a.cols
+                  else np.zeros((a.rows, b.cols)))
 
 
 def fraction_combine_blocks(blocks: Matrix, coeffs: Matrix) -> Matrix:
     r = coeffs.rows
-    stacked = blocks.arr.reshape(r, blocks.rows // r, blocks.cols)
-    return Matrix(blocks.field, (stacked * coeffs.arr[:, None, :]).sum(axis=0))
+    stacked = entries_array(blocks).reshape(r, blocks.rows // r, blocks.cols)
+    return Matrix(blocks.field, (stacked * entries_array(coeffs)[:, None, :]).sum(axis=0))
 
 
 def fraction_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Gauss-Jordan on Fractions, first nonzero column, then first nonzero row."""
-    R = np.array(m.arr, copy=True)
+    R = entries_array(m)
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
@@ -419,12 +424,13 @@ def fraction_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def fraction_nullspace(m: Matrix) -> Matrix:
     R, pivots = fraction_rref(m)
+    R = entries_array(R)
     free = [c for c in range(m.cols) if c not in pivots]
     out = np.zeros((m.cols, len(free)), dtype=object)
     for j, fc in enumerate(free):
         out[fc, j] = 1
         for i, pc in enumerate(pivots):
-            out[pc, j] = -R.arr[i, fc]
+            out[pc, j] = -R[i, fc]
     return Matrix(m.field, out)
 
 
@@ -432,7 +438,8 @@ def fraction_solve(m: Matrix, b: Matrix) -> Matrix | None:
     R, pivots = fraction_rref(m.hstack(b))
     if any(pc >= m.cols for pc in pivots):
         return None
+    R = entries_array(R)
     out = np.zeros((m.cols, b.cols), dtype=object)
     for i, pc in enumerate(pivots):
-        out[pc, :] = R.arr[i, m.cols:]
+        out[pc, :] = R[i, m.cols:]
     return Matrix(m.field, out)

@@ -42,7 +42,7 @@ def _update(h, label: str, mats) -> None:
     h.update(f"{label}[{len(mats)}]".encode())
     for m in mats:
         h.update(f"{m.rows}x{m.cols}:".encode())
-        h.update(",".join(map(str, m.arr.flat)).encode())
+        h.update(",".join(str(x) for row in m.entries() for x in row).encode())
         h.update(b";")
 
 

@@ -15,6 +15,7 @@ from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, Field, Matrix
 
 from helpers import (
     dense_rref_mod_p,
+    entries_array,
     fraction_combine_blocks,
     fraction_nullspace,
     fraction_product,
@@ -309,8 +310,7 @@ def _assert_rational_ops_match_oracle(m: Matrix, rng: random.Random):
     assert (R, pivots) == fraction_rref(m)
     assert m.rank() == len(pivots)
     assert m.nullspace() == fraction_nullspace(m)
-    assert m.image_basis() == Matrix(Q, m.arr[:, list(pivots)] if pivots
-                                     else np.zeros((m.rows, 0), dtype=object))
+    assert m.image_basis() == Matrix(Q, entries_array(m)[:, list(pivots)])
     b = Matrix(Q, np.array([Fraction(rng.randrange(-9, 10), rng.choice(DENOMINATORS))
                             for _ in range(2 * m.rows)], dtype=object).reshape(m.rows, 2))
     x = Matrix(Q, np.array([rng.randrange(-3, 4) for _ in range(m.cols)]).reshape(m.cols, 1))
@@ -365,7 +365,7 @@ def test_rational_product_on_both_sides_of_the_int64_cutover(k):
             assert a * b == fraction_product(a, b)
             square = a * a.transpose()
             assert square == fraction_product(a, a.transpose())
-            assert square.arr[0, 0] == Fraction(k * t * t, den * den)
+            assert square.entries()[0][0] == Fraction(k * t * t, den * den)
             blocks = Matrix(Q, [[Fraction(t, den)]] * k)
             weights = Matrix(Q, [[Fraction(t)]] * k)
             assert blocks.combine_blocks(weights) == Matrix(Q, [[Fraction(k * t * t, den)]])
@@ -397,9 +397,49 @@ def test_rational_elimination_fixed_cases():
 
 def test_rational_matrix_from_an_int64_array_is_exact():
     big = Matrix(Q, np.array([[2 ** 62, -(2 ** 62)]], dtype=np.int64))
-    assert all(type(x.numerator) is int for x in big.arr.ravel())
-    assert (big * big.transpose()).arr[0, 0] == Fraction(2 ** 125)
+    assert all(type(x.numerator) is int for row in big.entries() for x in row)
+    assert (big * big.transpose()).entries()[0][0] == Fraction(2 ** 125)
     assert Q.elem(np.int64(2 ** 62)) * 4 == 2 ** 64
+
+
+def _near_the_cutover(t: int) -> tuple[Matrix, Matrix]:
+    """Two 2 x 2 rational matrices that mix small fractions with +-t."""
+    a = Matrix(Q, [[Fraction(1, 3), Fraction(t)], [Fraction(-t), Fraction(2)]])
+    b = Matrix(Q, [[Fraction(t), Fraction(-1, 7)], [Fraction(t, 5), Fraction(-t)]])
+    return a, b
+
+
+@pytest.mark.parametrize("t", sorted(set(_at_the_cutover(1) + _at_the_cutover(2)
+                                         + [2 ** 62, 2 ** 63 - 1, 2 ** 63])))
+def test_rational_termwise_ops_on_both_sides_of_the_int64_cutover(t):
+    """Sums, scalings, Kronecker products, blocks, stacks and combinations
+    run on numerators over a common denominator; near 2^62 and 2^63 they
+    must still give what the same operations give on Fraction objects."""
+    a, b = _near_the_cutover(t)
+    x, y = entries_array(a), entries_array(b)
+    results = {"a + b": (a + b, x + y), "a - b": (a - b, x - y), "b - a": (b - a, y - x),
+               "a + a": (a + a, x + x), "kron": (a.kron(b), np.kron(x, y)),
+               "stack_rows": (Matrix.stack_rows(Q, [a, b], 2), np.vstack([x, y])),
+               "stack_columns": (Matrix.stack_columns(Q, [a, b], 2), np.hstack([x, y])),
+               "hstack": (a.hstack(b), np.hstack([x, y]))}
+    for c in (3, -2, Fraction(1, 3), Fraction(-t, 7), t, 0):
+        results[f"scale {c}"] = (a.scale(c), x * Fraction(c))
+    whole = Matrix(Q, [[t, -t, 1]])  # denominator 1: a sum can leave int64 by itself
+    z = entries_array(whole)
+    results["whole + whole"] = (whole + whole, z + z)
+    results["whole - (-whole)"] = (whole - whole.scale(-1), z + z)
+    blocks = np.zeros((4, 5), dtype=object)
+    blocks[:2, :2], blocks[2:, 3:] = x, y
+    results["from_blocks"] = (Matrix.from_blocks(Q, 4, 5, [(0, 0, a), (2, 3, b)]), blocks)
+    coeffs = Matrix(Q, [[Fraction(1, 3), Fraction(t), Fraction(0)],
+                        [Fraction(-t), Fraction(t, 2), Fraction(1)]])
+    w = entries_array(coeffs)
+    for j, m in enumerate(Matrix.combinations([a, b], coeffs)):
+        results[f"combination {j}"] = (m, w[0, j] * x + w[1, j] * y)
+    for name, (got, want) in results.items():
+        assert got.entries() == want.tolist(), name
+        assert got == Matrix(Q, want), name
+        _assert_normal_form(got)
 
 
 # The operations through which the rest of the engine builds and reads
@@ -495,3 +535,79 @@ def test_combinations_equal_sums_of_scaled_matrices(field, k, rows, cols, n, see
                  for c in range(cols)] for r in range(rows)]
         assert (m.rows, m.cols) == (rows, cols)
         assert m.entries() == want
+
+
+# Every matrix is in one normal form, so that equal matrices have equal
+# arrays: over F_p int64 residues over 1; over Q numerators in lowest terms
+# over a positive denominator, int64 exactly when all are below 2^63.
+
+def _assert_normal_form(m: Matrix):
+    nums = m.arr.ravel().tolist()
+    assert m.arr.shape == (m.rows, m.cols)
+    assert m.arr.dtype in (np.dtype(np.int64), np.dtype(object))
+    if m.field.is_prime_field:
+        assert m.den == 1 and m.arr.dtype == np.int64
+        assert all(0 <= n < m.field.p for n in nums)
+        return
+    assert m.den > 0 and math.gcd(m.den, *nums) == 1
+    if not any(nums):
+        assert m.den == 1
+    assert (m.arr.dtype == np.int64) == all(abs(n) < 2 ** 63 for n in nums)
+    assert all(type(n) is int for n in nums)
+
+
+def _mixed_entries(field, rows, cols, rng) -> list[list]:
+    """Zeros, small entries and, over Q, fractions, values near 2^62 and
+    2^63 and denominators above 2^63, so that results land on both sides
+    of int64."""
+    if field.is_prime_field:
+        return [[rng.choice([0, 0, 1, rng.randrange(field.p)]) for _ in range(cols)]
+                for _ in range(rows)]
+    pool = [0, 0, 0, 1, -1, 5, Fraction(1, 3), Fraction(-2, 7), 2 ** 62, -(2 ** 62), 2 ** 63 - 1,
+            -(2 ** 63), Fraction(2 ** 70 + 1, 6), Fraction(1, 2 ** 64 + 13)]
+    return [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(SHAPE_FIELDS), rows=st.integers(0, 4), cols=st.integers(0, 4),
+       seed=st.integers(0, 10**6))
+def test_every_operation_returns_the_normal_form(field, rows, cols, seed):
+    rng = random.Random(seed)
+    a, b = (_matrix(field, _mixed_entries(field, rows, cols, rng), cols) for _ in range(2))
+    square = _matrix(field, _mixed_entries(field, cols, cols, rng), cols)
+    small = _matrix(field, _mixed_entries(field, 2, 3, rng), 3)
+    weights = _matrix(field, _mixed_entries(field, 2, cols, rng), cols)
+    x = _matrix(field, _mixed_entries(field, cols, 1, rng), 1)
+    scalar = rng.choice([0, 1, -1, 3, "1/3", "-5/2"] if not field.is_prime_field else [0, 1, 3])
+    results = [a, b, a + b, a - b, a * square, a.scale(scalar), a.transpose(), a.kron(small),
+               a.reshape(cols, rows), Matrix.zeros(field, rows, cols),
+               Matrix.identity(field, rows), Matrix.block_diag(field, [a, small]),
+               Matrix.from_blocks(field, rows + 2, cols + 3, [(0, 0, a), (rows, cols, small)]),
+               Matrix.stack_rows(field, [a, b], cols), Matrix.stack_columns(field, [a, b], rows),
+               a.hstack(b), a.pad_rows(1, rows + 2), a.nonzero_entries()[2],
+               Matrix.stack_rows(field, [a, b], cols).combine_blocks(weights),
+               *Matrix.combinations([a, b], small),
+               a.rref()[0], a.nullspace(), a.image_basis(), a.solve(a * x)]
+    if rows and cols:
+        results += [a.submatrix(slice(0, 1), slice(None)), a.submatrix([rows - 1], slice(0, 1)),
+                    a.column_vec(cols - 1)]
+    if square.is_invertible():
+        results.append(square.inverse())
+    for m in results:
+        _assert_normal_form(m)
+        assert m == _matrix(field, m.entries(), m.cols)
+
+
+def test_equal_matrices_compare_equal_whatever_built_them():
+    row = Matrix.from_rows(Q, [["1/2", "1/3"]])
+    assert row.column_vec(0) == row.submatrix(slice(None), [0]) == Matrix.from_rows(Q, [["1/2"]])
+    assert row.column_vec(1).scale(3) == Matrix.identity(Q, 1)
+    assert row.scale(6).column_vec(1) == Matrix.from_rows(Q, [[2]])
+    big = Matrix.from_rows(Q, [[2 ** 64, "1/3"]])
+    assert big.arr.dtype == object
+    assert big.column_vec(1) == Matrix.from_rows(Q, [["1/3"]])
+    assert big.column_vec(1).arr.dtype == np.int64
+    assert (big - big).den == 1 and (big - big).is_zero()
+    tiny = Matrix.from_rows(Q, [[Fraction(1, 2 ** 64 + 13)]])
+    joined = Matrix.stack_columns(Q, [Matrix.zeros(Q, 1, 1), tiny], 1)
+    assert joined.arr.dtype == np.int64 and joined.den == 2 ** 64 + 13

@@ -207,15 +207,24 @@ def test_fully_faithful_dual_numbers_unmet(PD):
     assert find_quasi_iso(unit_complex(K), ops.rf().complex, random.Random(0)) is None
 
 
-def test_random_kernels_two_out_of_four():
+def _two_out_of_four_on_random_kernels(field):
     rng = random.Random(2024)
-    algebras = [D, KK, X3, Z]
+    k = scalar_algebra(field)
+    algebras = [make(field) for make in (dual_numbers, k_times_k, x_cubed, zigzag_a2)]
     for i in range(12):
         b = algebras[i % len(algebras)]
-        k = random_kernel(K, b, rng)
-        rep = check_conditions(k)
-        assert verify_two_out_of_four(k, rep).passed, \
+        kernel = random_kernel(k, b, rng)
+        rep = check_conditions(kernel)
+        assert verify_two_out_of_four(kernel, rep).passed, \
             f"count {rep.count()} over {b.name}"
+
+
+def test_random_kernels_two_out_of_four():
+    _two_out_of_four_on_random_kernels(F)
+
+
+def test_random_kernels_two_out_of_four_over_rationals():
+    _two_out_of_four_on_random_kernels(Field.rationals())
 
 
 def test_random_kernel_over_rationals():
@@ -289,7 +298,7 @@ def test_minimal_models_of_builtin_twists(name, field):
         _check_twist_models(p)
 
 
-@pytest.mark.parametrize("field", [Field.prime(2), F], ids=["F2", "F101"])
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
 @pytest.mark.parametrize("shape", sorted(RANDOM_SHAPES))
 def test_minimal_models_of_random_twists(field, shape):
     src, tgt = RANDOM_SHAPES[shape]
