@@ -327,101 +327,76 @@ def direct_sum(summands: list[Bimodule]) -> Bimodule:
 
 
 # ---------------------------------------------------------------------------
-# hom spaces (block-structured linear solve)
+# hom spaces (one equation per arrow and vertex block)
 # ---------------------------------------------------------------------------
+
+
+def _arrow_ends(alg: Algebra, a: int) -> tuple[int, int]:
+    """The positions s and t of the vertex idempotents with e_s a = a = a e_t,
+    for an arrow a of alg: a runs from s to t (from t to s in opposite(alg))."""
+    idems = alg.vertex_idempotents
+    return (next(s for s, e in enumerate(idems) if alg.mult[e][a]),
+            next(t for t, e in enumerate(idems) if alg.mult[a][e]))
 
 
 def hom_space(m: Bimodule, n: Bimodule) -> list[Matrix]:
     """Basis of the space of bimodule maps m -> n (equivariant on both sides).
 
-    The algebras on each side must agree.  Solving is done per vertex
-    block e_v m e_w, with constraint rows only for the arrow generators.
-    A one-sided hom is the two-sided hom of the restrictions to scalars
-    on the other side.
+    The algebras on each side must agree.  A map is block diagonal on the
+    vertex blocks e_v m e_w -> e_v n e_w, one unknown matrix F_(v,w) each,
+    and the idempotents commute with it for free.  An arrow a: s -> t of
+    the left algebra moves block (t, w) of either module into block (s, w),
+    and an arrow of the right algebra from s to t moves (v, s) into (v, t).
+    So each arrow and vertex of the other side gives one equation
+    F_tgt m_a = n_a F_src, with m_a and n_a the arrow's action read in the
+    block bases; the basis is the canonical nullspace of these equations,
+    the unknowns in block order.  A one-sided hom is the two-sided hom of
+    the restrictions to scalars on the other side.
     """
-    if m.left_algebra.mult != n.left_algebra.mult:
+    A, B = m.left_algebra, m.right_algebra
+    if A.mult != n.left_algebra.mult:
         raise BimoduleError("left algebras differ")
-    if m.right_algebra.mult != n.right_algebra.mult:
+    if B.mult != n.right_algebra.mult:
         raise BimoduleError("right algebras differ")
     field = m.field
     if m.dim == 0 or n.dim == 0:
         return []
 
-    left_idems = m.left_algebra.vertex_idempotents
-    right_idems = m.right_algebra.vertex_idempotents
-    blocks = [(v, w) for v in range(len(left_idems)) for w in range(len(right_idems))]
-    constraints = [(m.left_action[g], n.left_action[g])
-                   for g in m.left_algebra.arrow_indices] + \
-                  [(m.right_action[g], n.right_action[g])
-                   for g in m.right_algebra.arrow_indices]
+    nv, nw = len(A.vertex_idempotents), len(B.vertex_idempotents)
+    blocks = [(v, w) for v in range(nv) for w in range(nw)]
+    sizes = {bl: (n.double_block(*bl).cols, m.double_block(*bl).cols) for bl in blocks}
+    ends = np.cumsum([0] + [nb * mb for nb, mb in sizes.values()])
+    offsets, total = dict(zip(blocks, ends)), int(ends[-1])
 
-    def block_data(module: Bimodule, bl):
-        projector = module.left_action[left_idems[bl[0]]] * \
-            module.right_action[right_idems[bl[1]]]
-        return module.double_block(*bl), module.double_block_proj(*bl), projector
-
-    # per block: its basis, and the map to coordinates of a vector's block component
-    src_basis, src_proj, src_coords = {}, {}, {}
-    tgt_basis, tgt_coords = {}, {}
-    for bl in blocks:
-        src_basis[bl], src_proj[bl], projector = block_data(m, bl)
-        src_coords[bl] = src_proj[bl] * projector
-        tgt_basis[bl], proj, projector = block_data(n, bl)
-        tgt_coords[bl] = proj * projector
-
-    sizes = {bl: (tgt_basis[bl].cols, src_basis[bl].cols) for bl in blocks}
-    offsets = {}
-    total = 0
-    for bl in blocks:
-        offsets[bl] = total
-        total += sizes[bl][0] * sizes[bl][1]
-    if total == 0:
-        return []
-
+    # (action on m, action on n, block moved from, block moved into)
+    moves = [(m.left_action[a], n.left_action[a], (t, w), (s, w))
+             for a in A.arrow_indices for s, t in [_arrow_ends(A, a)] for w in range(nw)] + \
+            [(m.right_action[b], n.right_action[b], (v, s), (v, t))
+             for b in B.arrow_indices for s, t in [_arrow_ends(B, b)] for v in range(nv)]
     rows: list[Matrix] = []
-    for Lm, Ln in constraints:
-        # constraint per block pair: F_tgt . (coords of Lm on m-blocks)
-        #                          == (coords of Ln on n-blocks) . F_src
-        for src_bl in blocks:
-            nB_s, mB_s = sizes[src_bl]
-            if mB_s == 0:
-                continue
-            moved_m = Lm * src_basis[src_bl]
-            moved_n = Ln * tgt_basis[src_bl] if nB_s else None
-            for tgt_bl in blocks:
-                nB_t, mB_t = sizes[tgt_bl]
-                if nB_t == 0:
-                    continue
-                comp_m = src_coords[tgt_bl] * moved_m if mB_t else None
-                comp_n = tgt_coords[tgt_bl] * moved_n if nB_s else None
-                has_m = comp_m is not None and not comp_m.is_zero()
-                has_n = comp_n is not None and not comp_n.is_zero()
-                if not has_m and not has_n:
-                    continue
-                # vec_rm(F_tgt @ comp_m) = (I (x) comp_m^T) vec_rm(F_tgt), minus
-                # vec_rm(comp_n @ F_src) = (comp_n (x) I) vec_rm(F_src); the two
-                # terms of a diagonal block are summed before placing
-                terms = {}
-                if has_m:
-                    terms[tgt_bl] = Matrix.identity(field, nB_t).kron(comp_m.transpose())
-                if has_n:
-                    neg = comp_n.scale(-1).kron(Matrix.identity(field, mB_s))
-                    terms[src_bl] = terms[src_bl] + neg if src_bl in terms else neg
-                rows.append(Matrix.from_blocks(field, nB_t * mB_s, total,
-                                               [(0, offsets[bl], t) for bl, t in terms.items()]))
+    for Lm, Ln, src, tgt in moves:
+        nb_t, mb_s = sizes[tgt][0], sizes[src][1]
+        if nb_t * mb_s == 0:
+            continue
+        m_a = m.double_block_proj(*tgt) * Lm * m.double_block(*src)
+        n_a = n.double_block_proj(*tgt) * Ln * n.double_block(*src)
+        # vec_rm(F_tgt m_a) = (I (x) m_a^T) vec_rm(F_tgt), minus
+        # vec_rm(n_a F_src) = (n_a (x) I) vec_rm(F_src), summed for a loop
+        terms = [(tgt, Matrix.identity(field, nb_t).kron(m_a.transpose())),
+                 (src, n_a.scale(-1).kron(Matrix.identity(field, mb_s)))]
+        if src == tgt:
+            terms = [(src, terms[0][1] + terms[1][1])]
+        rows.append(Matrix.from_blocks(field, nb_t * mb_s, total,
+                                       [(0, offsets[bl], t) for bl, t in terms]))
 
-    if rows:
-        null = Matrix.stack_rows(field, rows, total).nullspace()
-    else:
-        null = Matrix.identity(field, total)
-
+    null = Matrix.stack_rows(field, rows, total).nullspace()
     # map j is the sum over blocks of basis_n F_bl proj_m, with F_bl read off
     # null column j: one product through the block diagonal of the F_bl
-    bases = Matrix.stack_columns(field, [tgt_basis[bl] for bl in blocks], n.dim)
-    projs = Matrix.stack_rows(field, [src_proj[bl] for bl in blocks], m.dim)
+    bases = Matrix.stack_columns(field, [n.double_block(*bl) for bl in blocks], n.dim)
+    projs = Matrix.stack_rows(field, [m.double_block_proj(*bl) for bl in blocks], m.dim)
     return [bases * Matrix.block_diag(field, [
-        null.submatrix(slice(offsets[bl], offsets[bl] + nB * mB), slice(j, j + 1)).reshape(nB, mB)
-        for bl, (nB, mB) in sizes.items()]) * projs for j in range(null.cols)]
+        null.submatrix(slice(offsets[bl], offsets[bl] + nb * mb), slice(j, j + 1)).reshape(nb, mb)
+        for bl, (nb, mb) in sizes.items()]) * projs for j in range(null.cols)]
 
 
 # ---------------------------------------------------------------------------

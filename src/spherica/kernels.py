@@ -121,10 +121,6 @@ def compose_list(kernels: list[Kernel]) -> Kernel:
 # ---------------------------------------------------------------------------
 
 
-def _flatten(mat: Matrix) -> Matrix:
-    return mat.reshape(mat.rows * mat.cols, 1)
-
-
 def _sum_runs(field, runs: int, length: int) -> Matrix:
     """The (runs * length) x runs matrix that sums each run of length columns."""
     return Matrix.identity(field, runs).kron(Matrix.from_rows(field, [[1]] * length))
@@ -140,7 +136,13 @@ class AdjointData:
 
 def _adjoint_data(p: Kernel, side: str) -> AdjointData:
     """side "right": termwise right dual, d^n = (-1)^{n+1} (- o d);
-    side "left": termwise left dual, d^n = (-1)^n (- o d)."""
+    side "left": termwise left dual, d^n = (-1)^n (- o d).
+
+    A dual basis reads every hom h out of a term at the generators: h is
+    sum_t h(g_t) . g_t^* on the right side and sum_t g_t^* . h(g_t) on the
+    left.  So the coordinates of f o d, for all basis homs f of the dual
+    at once, are the target dual's action of the values f(d g_t) on the
+    cogenerators g_t^*, summed over t."""
     field = p.complex.field
     pc = p.complex
     duals: dict[int, DualData] = {}
@@ -149,25 +151,21 @@ def _adjoint_data(p: Kernel, side: str) -> AdjointData:
     terms = {-i: dd.bimodule for i, dd in duals.items() if dd.bimodule.dim}
     diffs = {}
     for n in sorted(terms):
-        src_deg = -n
-        tgt_deg = -(n + 1)
-        if tgt_deg not in duals or (n + 1) not in terms:
+        d_orig = pc.diffs.get(-(n + 1))   # term(-(n+1)) -> term(-n)
+        if (n + 1) not in terms or d_orig is None:
             continue
-        d_orig = pc.diffs.get(tgt_deg)   # term(tgt_deg) -> term(src_deg)
-        if d_orig is None:
-            continue
-        src_dd = duals[src_deg]
-        tgt_dd = duals[tgt_deg]
+        src_dd, tgt_dd = duals[-n], duals[-(n + 1)]
+        acts = tgt_dd.bimodule.left_action if side == "right" else tgt_dd.bimodule.right_action
+        gens = Matrix.stack_columns(field, tgt_dd.generators, d_orig.cols)
+        cogens = Matrix.stack_columns(field, tgt_dd.cogenerators, tgt_dd.bimodule.dim)
+        # row j, column i S + t: entry i of f_j(d g_t), for the j-th basis hom
+        # f_j, the S generators g_t and the basis elements b_i of the algebra
+        values = (Matrix.stack_rows(field, src_dd.hom_matrices, d_orig.rows) * (d_orig * gens)
+                  ).reshape(len(src_dd.hom_matrices), len(acts) * gens.cols)
+        # column i S + t: b_i acting on g_t^*
+        acted = Matrix.stack_columns(field, [a * cogens for a in acts], cogens.rows)
         sign = field.elem((-1) ** (n + 1) if side == "right" else (-1) ** n)
-        V = Matrix.stack_columns(field, [_flatten(H) for H in tgt_dd.hom_matrices],
-                                 tgt_dd.hom_matrices[0].rows * tgt_dd.hom_matrices[0].cols
-                                 if tgt_dd.hom_matrices else 0)
-        images = [_flatten(H * d_orig) for H in src_dd.hom_matrices]
-        B = Matrix.stack_columns(field, images, V.rows)
-        coords = V.solve(B)
-        if coords is None:
-            raise KernelError("dual differential does not lie in the dual hom space")
-        diffs[n] = coords.scale(sign)
+        diffs[n] = (acted * values.transpose()).scale(sign)
     cx = Complex(p.target_algebra, p.source_algebra, terms, diffs)
     return AdjointData(Kernel(p.target_algebra, p.source_algebra, cx, check=False), duals)
 

@@ -266,22 +266,24 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "arr", "den", "_rref")
 
     def __init__(self, field: Field, arr):
-        """The matrix of arr, a 2-D array or nested list of field elements:
-        ints, and over Q also Fractions or 'a/b' strings."""
+        """The matrix of arr, a 2-D array or nested list of ints, Fractions
+        or 'a/b' strings.  An array of signed integers or bools is read as
+        it is; any other entry goes through field.elem, so over F_p a
+        Fraction is its numerator times the inverse of its denominator,
+        and one whose denominator p divides raises ZeroDivisionError."""
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
         den = 1
-        if field.p is not None:
-            arr = np.asarray(arr, dtype=np.int64) % field.p
-        elif arr.dtype.kind in "ib":
+        if arr.dtype.kind in "ib":
             arr = arr.astype(np.int64)
         else:
             vals = [field.elem(x) for x in arr.ravel().tolist()]
-            den = math.lcm(*[x.denominator for x in vals])
-            nums = [x.numerator * (den // x.denominator) for x in vals]
-            arr = np.array(nums, dtype=object).reshape(arr.shape)
-        out = Matrix._lowest(field, arr, den)
+            if field.p is None:
+                den = math.lcm(*[x.denominator for x in vals])
+                vals = [x.numerator * (den // x.denominator) for x in vals]
+            arr = np.array(vals, dtype=object).reshape(arr.shape)
+        out = Matrix._normal(field, arr, den)
         self.field, self.arr, self.den, self._rref = field, out.arr, out.den, None
         self.rows, self.cols = out.rows, out.cols
 

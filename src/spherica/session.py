@@ -256,10 +256,6 @@ def _parse_kernel_items(items: list[tuple[str, int]], decl_line: int):
     return degrees, diff_rows
 
 
-_COMMAND_KINDS = {"check", "spherical", "twist", "compose", "assert-quasi-iso",
-                  "faithful", "seed"}
-
-
 def parse_session(text: str) -> Session:
     """Parse and fully validate a session; raises a positioned SessionError."""
     field: Field | None = None
@@ -340,7 +336,7 @@ def parse_session(text: str) -> Session:
                 raise SessionSyntaxError(f"duplicate kernel {name!r}", lineno)
             degrees, diff_rows = _parse_kernel_items(items, lineno)
             kernels[name] = KernelDecl(name, src, tgt, degrees, diff_rows, lineno)
-        elif head in _COMMAND_KINDS:
+        elif head in _HANDLERS:
             args = toks[1:]
             if head == "seed":
                 if len(args) != 1 or not args[0].removeprefix("-").isdecimal():
@@ -632,11 +628,8 @@ def run_session(session: Session, seed: int | None = None,
 
     for c in session.commands:
         t0 = time.perf_counter()
-        handler = _HANDLERS.get(c.kind)
-        if handler is None:
-            raise SessionError(f"unhandled command {c.kind}")
         try:
-            status, data = handler(st, c.args)
+            status, data = _HANDLERS[c.kind](st, c.args)
         except (KernelError, BimoduleError, ComplexError, AlgebraError) as e:
             status, data = "error", {"detail": str(e)}
         results.append(CommandResult(c.render(), status, data, (time.perf_counter() - t0) * 1e3))

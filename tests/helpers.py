@@ -3,9 +3,11 @@ equivalence test and the four conditions without minimal models, the
 restriction to scalars, the center of an algebra, the two-sided hom
 complex, the quotient model of a tensor product, identity chain maps,
 cone differentials as sums of products, the shift interchanges and the
-inclusions and projections of a direct sum written entry by entry, the
-dense elimination over F_p and the elimination on Fraction objects that
-the engine's kernels are checked against."""
+inclusions and projections of a direct sum written entry by entry, hom
+spaces solved over every pair of vertex blocks, adjoint differentials
+solved in the dual hom space, the dense elimination over F_p and the
+elimination on Fraction objects that the engine's kernels are checked
+against."""
 
 from __future__ import annotations
 
@@ -22,9 +24,11 @@ from spherica.algebras import (
 )
 from spherica.bimodules import (
     Bimodule,
+    BimoduleError,
     hom_space,
     is_projective,
     left_dual,
+    right_dual,
 )
 from spherica.complexes import (
     ChainMap,
@@ -84,6 +88,28 @@ def a2_path_algebra(field=F101) -> Algebra:
 def k_times_k(field=F101) -> Algebra:
     q = QuiverPresentation(vertices=("u", "w"), arrows=(), relations=(), length_bound=1)
     return algebra_from_quiver(q, field, name="KK")
+
+
+def kronecker(field=F101) -> Algebra:
+    """Two parallel arrows a, b: 1 -> 2."""
+    q = QuiverPresentation(
+        vertices=("1", "2"),
+        arrows=(Arrow("a", "1", "2"), Arrow("b", "1", "2")),
+        relations=(),
+        length_bound=2,
+    )
+    return algebra_from_quiver(q, field, name="Kr")
+
+
+def loop_with_exit(field=F101) -> Algebra:
+    """A loop x at 1 with x*x = 0 and an arrow y: 1 -> 2 leaving it."""
+    q = QuiverPresentation(
+        vertices=("1", "2"),
+        arrows=(Arrow("x", "1", "1"), Arrow("y", "1", "2")),
+        relations=(((1, ("x", "x")),),),
+        length_bound=3,
+    )
+    return algebra_from_quiver(q, field, name="L")
 
 
 # source and target algebras of the random kernels with a non-trivial source
@@ -230,6 +256,104 @@ def hom_cx(x: Complex, y: Complex) -> Complex:
                         arr[offsets[n + 1][i - 1] + b, col] += c
         diffs[n] = Matrix(field, arr)
     return Complex(triv, triv, terms, diffs)
+
+
+def hom_space_by_block_pairs(m: Bimodule, n: Bimodule) -> list[Matrix]:
+    """The oracle for spherica.bimodules.hom_space: the same unknowns (one
+    matrix F_bl per vertex block, in block order), constrained by every
+    arrow generator on every pair of a source block and a target block,
+    each component read through the idempotent projector of its block
+    and kept when it is nonzero."""
+    if m.left_algebra.mult != n.left_algebra.mult:
+        raise BimoduleError("left algebras differ")
+    if m.right_algebra.mult != n.right_algebra.mult:
+        raise BimoduleError("right algebras differ")
+    field = m.field
+    if m.dim == 0 or n.dim == 0:
+        return []
+    left_idems = m.left_algebra.vertex_idempotents
+    right_idems = m.right_algebra.vertex_idempotents
+    blocks = [(v, w) for v in range(len(left_idems)) for w in range(len(right_idems))]
+    constraints = [(m.left_action[g], n.left_action[g]) for g in m.left_algebra.arrow_indices] + \
+                  [(m.right_action[g], n.right_action[g]) for g in m.right_algebra.arrow_indices]
+
+    def block_data(module: Bimodule, bl):
+        projector = module.left_action[left_idems[bl[0]]] * module.right_action[right_idems[bl[1]]]
+        return module.double_block(*bl), module.double_block_proj(*bl), projector
+
+    src_basis, src_proj, src_coords, tgt_basis, tgt_coords = {}, {}, {}, {}, {}
+    for bl in blocks:
+        src_basis[bl], src_proj[bl], projector = block_data(m, bl)
+        src_coords[bl] = src_proj[bl] * projector
+        tgt_basis[bl], proj, projector = block_data(n, bl)
+        tgt_coords[bl] = proj * projector
+    sizes = {bl: (tgt_basis[bl].cols, src_basis[bl].cols) for bl in blocks}
+    offsets, total = {}, 0
+    for bl in blocks:
+        offsets[bl] = total
+        total += sizes[bl][0] * sizes[bl][1]
+    if total == 0:
+        return []
+
+    rows: list[Matrix] = []
+    for Lm, Ln in constraints:
+        for src_bl in blocks:
+            nB_s, mB_s = sizes[src_bl]
+            if mB_s == 0:
+                continue
+            moved_m = Lm * src_basis[src_bl]
+            moved_n = Ln * tgt_basis[src_bl] if nB_s else None
+            for tgt_bl in blocks:
+                nB_t, mB_t = sizes[tgt_bl]
+                if nB_t == 0:
+                    continue
+                comp_m = src_coords[tgt_bl] * moved_m if mB_t else None
+                comp_n = tgt_coords[tgt_bl] * moved_n if nB_s else None
+                has_m = comp_m is not None and not comp_m.is_zero()
+                has_n = comp_n is not None and not comp_n.is_zero()
+                if not has_m and not has_n:
+                    continue
+                terms = {}
+                if has_m:
+                    terms[tgt_bl] = Matrix.identity(field, nB_t).kron(comp_m.transpose())
+                if has_n:
+                    neg = comp_n.scale(-1).kron(Matrix.identity(field, mB_s))
+                    terms[src_bl] = terms[src_bl] + neg if src_bl in terms else neg
+                rows.append(Matrix.from_blocks(field, nB_t * mB_s, total,
+                                               [(0, offsets[bl], t) for bl, t in terms.items()]))
+    null = Matrix.stack_rows(field, rows, total).nullspace() if rows \
+        else Matrix.identity(field, total)
+    bases = Matrix.stack_columns(field, [tgt_basis[bl] for bl in blocks], n.dim)
+    projs = Matrix.stack_rows(field, [src_proj[bl] for bl in blocks], m.dim)
+    return [bases * Matrix.block_diag(field, [
+        null.submatrix(slice(offsets[bl], offsets[bl] + nB * mB), slice(j, j + 1)).reshape(nB, mB)
+        for bl, (nB, mB) in sizes.items()]) * projs for j in range(null.cols)]
+
+
+def adjoint_differentials_by_solve(p: Kernel, side: str) -> dict[int, Matrix]:
+    """The oracle for the differentials of the adjoint kernels: the dual of
+    d sends f to f o d, whose coordinates in the dual basis of the target
+    term are found by solving against that basis's hom matrices, flattened;
+    the sign is (-1)^{n+1} on the right side and (-1)^n on the left."""
+    field, pc = p.complex.field, p.complex
+    duals = {i: right_dual(pc.term(i)) if side == "right" else left_dual(pc.term(i))
+             for i in pc.degrees()}
+
+    def flatten(mat: Matrix) -> Matrix:
+        return mat.reshape(mat.rows * mat.cols, 1)
+
+    diffs = {}
+    for n in sorted(-i for i, dd in duals.items() if dd.bimodule.dim):
+        d = pc.diffs.get(-(n + 1))
+        if d is None or -(n + 1) not in duals or not duals[-(n + 1)].bimodule.dim:
+            continue
+        src, tgt = duals[-n], duals[-(n + 1)]
+        V = Matrix.stack_columns(field, [flatten(h) for h in tgt.hom_matrices],
+                                 tgt.hom_matrices[0].rows * tgt.hom_matrices[0].cols)
+        coords = V.solve(Matrix.stack_columns(field, [flatten(h * d) for h in src.hom_matrices],
+                                              V.rows))
+        diffs[n] = coords.scale((-1) ** (n + 1) if side == "right" else (-1) ** n)
+    return diffs
 
 
 class QuotientTensor:

@@ -14,6 +14,7 @@ from spherica.bimodules import (
     BimoduleError,
     _cover,
     _splitting,
+    check_map,
     direct_sum,
     flip,
     hom_space,
@@ -35,6 +36,9 @@ from helpers import (
     QuotientTensor,
     center_basis,
     dual_numbers,
+    hom_space_by_block_pairs,
+    kronecker,
+    loop_with_exit,
     restrict_to_right,
     zigzag_a2,
 )
@@ -419,3 +423,77 @@ def test_no_cover_runs_on_a_tensor_of_kernel_terms(monkeypatch):
         assert callable(t._right_action)
         assert all(m is not t for m in covered)
     assert covered and all(m.right_parts is None for m in covered)
+
+
+# --- hom spaces: one equation per arrow, against every pair of blocks ---
+
+FIELDS = ((Field.prime(2), "F2"), (F, "F101"), (Field.rationals(), "Q"))
+
+
+def _hom_cases():
+    for field, tag in FIELDS:
+        for name in builtin_names():
+            yield pytest.param(field, ("builtin", name), id=f"{tag}:builtin:{name}")
+        for shape in sorted(RANDOM_SHAPES):
+            yield pytest.param(field, ("random", shape), id=f"{tag}:random:{shape}")
+        for name in ("kronecker", "loop"):
+            yield pytest.param(field, ("quiver", name), id=f"{tag}:quiver:{name}")
+
+
+def _hom_modules(field, case) -> list[Bimodule]:
+    """Bimodules to take homs between: a builtin's kernel terms with the
+    terms of RF and FR (tensors and sums of them), or two random kernels'
+    terms, and the regular bimodules; for a quiver, its regular bimodule,
+    its standard projectives, a sum and tensors of them and one-sided
+    projectives.  Each with its flip, and a zero bimodule for each pair
+    of algebras."""
+    kind, name = case
+    mods = []
+    if kind == "quiver":
+        alg = {"kronecker": kronecker, "loop": loop_with_exit}[name](field)
+        k, n = trivial_algebra(field), len(alg.vertex_idempotents)
+        ps = [projective_bimodule(alg, v, alg, w) for v in range(n) for w in range(n)]
+        mods = [regular_bimodule(alg), direct_sum(ps[:2]), *ps,
+                *[tensor_over_middle(x, y).bimodule for x in ps[:2] for y in ps[1:3]],
+                *[projective_bimodule(k, 0, alg, w) for w in range(n)],
+                restrict_to_right(regular_bimodule(alg))]
+    elif kind == "random":
+        a, b = (make(field) for make in RANDOM_SHAPES[name])
+        for seed in (0, 7):
+            mods += list(random_kernel(a, b, random.Random(seed)).complex.terms.values())
+        mods += [regular_bimodule(a), regular_bimodule(b)]
+    else:
+        for p in _elaborate(builtin_example(name), field)[1].values():
+            ops = kernel_ops(p)
+            mods += list(p.complex.terms.values())
+            mods += list(ops.rf().complex.terms.values()) + list(ops.fr().complex.terms.values())
+            mods += [regular_bimodule(p.source_algebra), regular_bimodule(p.target_algebra)]
+    mods += [flip(m) for m in mods]
+    sides = {(id(m.left_algebra), id(m.right_algebra)): m for m in mods}
+    return mods + [zero_bimodule(m.left_algebra, m.right_algebra) for m in sides.values()]
+
+
+@pytest.mark.parametrize("field, case", _hom_cases())
+def test_hom_space_equals_the_solve_over_every_block_pair(field, case):
+    """hom_space, with one equation per arrow and vertex, returns the maps
+    that the equations over every pair of a source and a target block
+    give, matrix for matrix: on terms, tensors, sums, regular and
+    zero bimodules and their flips, over quivers with parallel arrows and
+    with loops.  Over the two new quivers every map is also checked to be
+    a bimodule map, and the endomorphisms of the regular bimodule span
+    the center."""
+    mods = _hom_modules(field, case)
+    pairs = [(m, n) for m in mods for n in mods
+             if (m.left_algebra, m.right_algebra) == (n.left_algebra, n.right_algebra)]
+    found = 0
+    for m, n in pairs:
+        homs = hom_space(m, n)
+        assert homs == hom_space_by_block_pairs(m, n)
+        found += len(homs)
+        if case[0] == "quiver":
+            for h in homs:
+                check_map(m, n, h)
+    assert found > 0
+    if case[0] == "quiver":
+        reg = mods[0]
+        assert len(hom_space(reg, reg)) == len(center_basis(reg.left_algebra))

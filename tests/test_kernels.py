@@ -49,6 +49,7 @@ from spherica.spherical import random_kernel
 
 from helpers import (
     RANDOM_SHAPES,
+    adjoint_differentials_by_solve,
     cone_differentials_by_products,
     direct_sum_maps_oracle,
     dual_numbers,
@@ -425,3 +426,26 @@ def test_structured_maps_equal_their_product_forms(field, case, monkeypatch):
                                     ident[1] if g is None else g, target)
         kinds.add((type(t), f is None, g is None))
     assert len(kinds) == 4
+
+
+@pytest.mark.parametrize("field, case", _structure_cases())
+def test_adjoint_differentials_equal_the_solve_in_the_dual_hom_space(field, case):
+    """Both adjoints' differentials, read at the generators, equal the
+    coordinates found by solving for f o d in the dual hom space, on the
+    kernels, their twists and cotwists (terms in several degrees)."""
+    kind, name = case
+    if kind == "builtin":
+        kernels = list(_elaborate(builtin_example(name), field)[1].values())
+    else:
+        src, tgt = RANDOM_SHAPES[name]
+        kernels = [random_kernel(src(field), tgt(field), random.Random(seed)) for seed in (0, 7)]
+    kernels += [kernel_ops(p).twist().kernel for p in kernels] + \
+        [kernel_ops(p).cotwist().kernel for p in kernels]
+    compared = 0
+    for p in kernels:
+        ops = kernel_ops(p)
+        for side, adjoint in (("right", ops.right_adjoint()), ("left", ops.left_adjoint())):
+            want = adjoint_differentials_by_solve(p, side)
+            assert adjoint.kernel.complex.diffs == want
+            compared += sum(not d.is_zero() for d in want.values())
+    assert compared > 0

@@ -402,6 +402,24 @@ def test_rational_matrix_from_an_int64_array_is_exact():
     assert Q.elem(np.int64(2 ** 62)) * 4 == 2 ** 64
 
 
+def test_prime_field_matrix_from_a_fraction_inverts_its_denominator():
+    assert Matrix(F7, [[Fraction(1, 2)]]).entries() == [[4]]
+    assert Matrix(F7, [[Fraction(1, 2)]]) == Matrix.from_rows(F7, [[Fraction(1, 2)]])
+
+
+def test_prime_field_matrix_rejects_a_fraction_over_p():
+    with pytest.raises(ZeroDivisionError):
+        Matrix(F7, [[Fraction(1, 7)]])
+
+
+def test_prime_field_matrix_from_an_integer_beyond_int64():
+    assert Matrix(F7, [[10 ** 20, -(10 ** 20)]]).entries() == [[10 ** 20 % 7, -(10 ** 20) % 7]]
+
+
+def test_prime_field_matrix_from_a_fraction_string():
+    assert Matrix(F7, [["1/2", "3"]]).entries() == [[4, 3]]
+
+
 def _near_the_cutover(t: int) -> tuple[Matrix, Matrix]:
     """Two 2 x 2 rational matrices that mix small fractions with +-t."""
     a = Matrix(Q, [[Fraction(1, 3), Fraction(t)], [Fraction(-t), Fraction(2)]])

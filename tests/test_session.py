@@ -390,7 +390,7 @@ def test_field_flag_rejects_superscript_digits(tmp_path, capsys):
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
-@pytest.mark.parametrize("name", ["zigzag_a3", "zigzag_a4"])
+@pytest.mark.parametrize("name", ["zigzag_a3", "zigzag_a4", "zigzag_a4_braid6"])
 def test_example_files_reproduce_their_reports(name, tmp_path):
     """The braid-relation sessions in examples/ give their recorded reports,
     byte for byte."""
