@@ -16,9 +16,11 @@ Everything downstream leans on two pieces of structure:
 
 Composite bimodules record their parts: a direct sum its summands (on
 both sides, so its flip is the sum of the flips), a tensor its slots (on
-the right only).  Their splittings and vertex blocks are assembled from
-the parts' cached ones, which is the same echelon choice with no row
-reduction, since every action matrix is block diagonal on the parts.
+the right only).  Their splittings, vertex blocks and projectivity are
+read from the parts' cached ones, which is the same echelon choice with
+no row reduction, since every action matrix is block diagonal on the
+parts.  The standard summands P(v,w) are shared, one per algebra pair
+and vertex pair while any of them is in use, so each is split once.
 
 Tensor products m (x)_B n over a middle algebra are built from the
 splitting of m, so m must be right-projective; every kernel term is, as
@@ -39,6 +41,7 @@ feed a rank computation never build their action matrices.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -177,18 +180,26 @@ class Bimodule:
         return self._cache[key]
 
     def double_block(self, v_pos: int, w_pos: int) -> Matrix:
-        """Basis of e_v M e_w."""
+        """Basis of e_v M e_w; block diagonal on the summands, like right_block."""
         key = ("db", v_pos, w_pos)
         if key not in self._cache:
-            li = self.left_algebra.vertex_idempotents[v_pos]
-            ri = self.right_algebra.vertex_idempotents[w_pos]
-            self._cache[key] = (self.left_action[li] * self.right_action[ri]).image_basis()
+            if self.summands:
+                self._cache[key] = Matrix.block_diag(
+                    self.field, [s.double_block(v_pos, w_pos) for s in self.summands])
+            else:
+                li = self.left_algebra.vertex_idempotents[v_pos]
+                ri = self.right_algebra.vertex_idempotents[w_pos]
+                self._cache[key] = (self.left_action[li] * self.right_action[ri]).image_basis()
         return self._cache[key]
 
     def double_block_proj(self, v_pos: int, w_pos: int) -> Matrix:
         key = ("dbp", v_pos, w_pos)
         if key not in self._cache:
-            self._cache[key] = _left_inverse(self.double_block(v_pos, w_pos))
+            if self.summands:
+                self._cache[key] = Matrix.block_diag(
+                    self.field, [s.double_block_proj(v_pos, w_pos) for s in self.summands])
+            else:
+                self._cache[key] = _left_inverse(self.double_block(v_pos, w_pos))
         return self._cache[key]
 
     def __repr__(self):
@@ -281,8 +292,17 @@ def regular_bimodule(a: Algebra) -> Bimodule:
     return Bimodule(a, a, left, right, a.dim, label=a.name or "A")
 
 
+# the standard summands in use, held weakly and keyed by the ids of their
+# algebras (which each summand keeps alive), so none outlives its last use
+_projectives: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimodule:
-    """The standard biprojective summand  A e_v (x) e_w B."""
+    """The standard biprojective summand  A e_v (x) e_w B, one shared object
+    per (a, v, b, w) while any reference to it lives."""
+    key = (id(a), v_pos, id(b), w_pos)
+    if (m := _projectives.get(key)) is not None:
+        return m
     v = a.vertex_idempotents[v_pos]
     w = b.vertex_idempotents[w_pos]
     S = a.left_ideal_basis(v)       # basis of A e_v
@@ -294,8 +314,8 @@ def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimod
     ip = Matrix.identity(a.field, p)
     left = [(sp * a.left_mult_matrix(i) * S).kron(iq) for i in range(a.dim)]
     right = [ip.kron(tp * b.right_mult_matrix(i) * T) for i in range(b.dim)]
-    return Bimodule(a, b, left, right, p * q,
-                    label=f"P({v_pos},{w_pos})")
+    m = _projectives[key] = Bimodule(a, b, left, right, p * q, label=f"P({v_pos},{w_pos})")
+    return m
 
 
 def _diagonal(field, parts: list[Bimodule], side: str, count: int) -> Callable[[], list[Matrix]]:
@@ -499,8 +519,12 @@ def _assembled_splitting(m: Bimodule) -> Splitting | None:
 
 
 def is_projective(m: Bimodule, side: str) -> bool:
-    """Projectivity over one side, decided by the projective cover dimension."""
-    return _splitting(_right_view(m, side)) is not None
+    """Projectivity over one side, decided by the projective cover dimension:
+    a bimodule with right parts is projective when every part is."""
+    m = _right_view(m, side)
+    if m.right_parts:
+        return all(is_projective(p, "right") for p in m.right_parts)
+    return _splitting(m) is not None
 
 
 # ---------------------------------------------------------------------------

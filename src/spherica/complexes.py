@@ -492,7 +492,11 @@ def minimal_model(x: Complex) -> Complex:
 def _coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
     """The classes of coordinates joined by a nonzero entry of some action
     matrix, as increasing index arrays: every action is block diagonal on
-    them."""
+    them.  A sum's are its summands' shifted to their coordinates, in the
+    same order, with no action matrix read."""
+    if m.summands:
+        ends = np.cumsum([0] + [s.dim for s in m.summands])
+        return [blk + end for s, end in zip(m.summands, ends) for blk in _coordinate_blocks(s)]
     linked = np.zeros((m.dim, m.dim), dtype=bool)
     for mat in m.left_action + m.right_action:
         linked |= mat.nonzero_mask()

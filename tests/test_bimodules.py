@@ -3,16 +3,19 @@ and splittings assembled from part records."""
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from spherica import bimodules
-from spherica.algebras import opposite, trivial_algebra
+from spherica.algebras import opposite, scalar_algebra, trivial_algebra
 from spherica.bimodules import (
     Bimodule,
     BimoduleError,
     _cover,
+    _left_inverse,
     _splitting,
     check_map,
     direct_sum,
@@ -26,10 +29,11 @@ from spherica.bimodules import (
     tensor_over_middle,
     zero_bimodule,
 )
+from spherica.complexes import _coordinate_blocks
 from spherica.kernels import kernel_ops
 from spherica.linalg import Field, Matrix
 from spherica.session import _elaborate, builtin_example, builtin_names
-from spherica.spherical import random_kernel
+from spherica.spherical import check_conditions, random_kernel
 
 from helpers import (
     RANDOM_SHAPES,
@@ -74,6 +78,32 @@ def test_projective_bimodule_dims():
     assert e1Z().dim == 3           # e_1 Z = {e1, a, ab}
     assert Ze1().dim == 3           # Z e_1 = {e1, b, ab}
     assert B_as_kD().dim == 2
+
+
+def test_standard_summands_are_shared_while_in_use():
+    assert e1Z() is e1Z() and Ze1() is Ze1()
+    assert projective_bimodule(K, 0, Z, 1) is not e1Z()
+    assert projective_bimodule(K, 0, zigzag_a2(), 0) is not e1Z()
+    # every elaboration builds its own algebras, so its own summands
+    first, second = (_elaborate(builtin_example("zigzag_braid"), F)[1] for _ in range(2))
+    summands = lambda kernels: {id(s) for k in kernels.values()
+                                for t in k.complex.terms.values() for s in t.summands}
+    assert summands(first) and not summands(first) & summands(second)
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+@pytest.mark.parametrize("fresh_source", [False, True], ids=["scalar", "fresh"])
+def test_standard_summands_do_not_keep_their_algebras_alive(field, fresh_source):
+    """Once a target algebra and every kernel over it are dropped, the
+    algebra is collected, also when the source is the shared scalar algebra."""
+    a = dual_numbers(field) if fresh_source else scalar_algebra(field)
+    b = zigzag_a2(field)
+    kernels = [random_kernel(a, b, random.Random(seed)) for seed in range(4)]
+    check_conditions(kernels[0])
+    refs = [weakref.ref(b)] + ([weakref.ref(a)] if fresh_source else [])
+    del a, b, kernels
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_direct_sum_roundtrip():
@@ -381,23 +411,68 @@ def _record_cases():
             yield pytest.param(field, ("random", shape), id=f"{tag}:random:{shape}")
 
 
+def _case_kernels(field, case) -> list:
+    """A builtin session's kernels, or two random kernels of a shape."""
+    kind, name = case
+    if kind == "builtin":
+        return list(_elaborate(builtin_example(name), field)[1].values())
+    src, tgt = RANDOM_SHAPES[name]
+    return [random_kernel(src(field), tgt(field), random.Random(seed)) for seed in (0, 7)]
+
+
 @pytest.mark.parametrize("field, case", _record_cases())
 def test_assembled_splittings_equal_fresh_ones(field, case):
     """Sums, their flips, tensors, tensor-complex and cone terms: the
     splitting and vertex blocks read off the parts are the matrices that
     _cover and _splitting find from scratch on the same actions."""
-    kind, name = case
-    if kind == "builtin":
-        kernels = list(_elaborate(builtin_example(name), field)[1].values())
-    else:
-        src, tgt = RANDOM_SHAPES[name]
-        kernels = [random_kernel(src(field), tgt(field), random.Random(seed)) for seed in (0, 7)]
     checked = 0
-    for k in kernels:
+    for k in _case_kernels(field, case):
         for m in _recorded_composites(k):
             _assert_assembled_equals_fresh(m)
             checked += 1
     assert checked > 0
+
+
+def _recorded_sums(field, case) -> list[Bimodule]:
+    """The sums among the case's recorded composites, with a sum and its
+    flip that have a summand which is not right-projective."""
+    k, d = trivial_algebra(field), dual_numbers(field)
+    one = Matrix.identity(field, 1)
+    simple = Bimodule(k, d, [one], [one, Matrix.zeros(field, 1, 1)], 1, label="S")
+    mixed = direct_sum([projective_bimodule(k, 0, d, 0), simple])
+    sums = [m for kern in _case_kernels(field, case) for m in _recorded_composites(kern)
+            if m.summands]
+    return sums + [mixed, flip(mixed)]
+
+
+@pytest.mark.parametrize("field, case", _record_cases())
+def test_sums_read_double_blocks_and_projectivity_from_their_summands(field, case):
+    """On kernel, cone and tensor terms and their flips, the double blocks
+    read off the summands are the pivot columns of the sum's own actions
+    with their left inverses, and projectivity read off the parts is
+    whether the sum splits from scratch."""
+    sums = _recorded_sums(field, case)
+    for m in sums:
+        for v, li in enumerate(m.left_algebra.vertex_idempotents):
+            for w, ri in enumerate(m.right_algebra.vertex_idempotents):
+                block = (m.left_action[li] * m.right_action[ri]).image_basis()
+                assert m.double_block(v, w) == block
+                assert m.double_block_proj(v, w) == _left_inverse(block)
+        for side, view in (("right", m), ("left", flip(m))):
+            assert is_projective(m, side) == (_splitting(_without_record(view)) is not None)
+    assert [is_projective(m, side) for m in sums[-2:] for side in ("right", "left")] == \
+        [False, True, True, False]
+
+
+@pytest.mark.parametrize("field, case", _record_cases())
+def test_sums_read_coordinate_blocks_from_their_summands(field, case):
+    """minimal_model's coordinate blocks of a sum, read off the summands,
+    are the classes, in order, that the union-find finds on the sum's own
+    action matrices."""
+    for m in _recorded_sums(field, case):
+        want = _coordinate_blocks(_without_record(m))
+        assert [list(b) for b in _coordinate_blocks(m)] == [list(b) for b in want]
+        assert sum(len(b) for b in want) == m.dim
 
 
 def test_no_cover_runs_on_a_tensor_of_kernel_terms(monkeypatch):

@@ -47,6 +47,8 @@ from helpers import (
     dual_numbers,
     is_equivalence_unminimised,
     k_times_k,
+    kronecker,
+    loop_with_exit,
     term_dims,
     x_cubed,
     zigzag_a2,
@@ -236,6 +238,29 @@ def test_random_kernel_over_rationals():
         assert kernel.complex.field == field
         for n in kernel.complex.degrees():
             assert kernel.complex.diff_matrix(n) == again.complex.diff_matrix(n)
+
+
+def _adjoint_pairs(field) -> list[tuple]:
+    """The RANDOM_SHAPES pairs, and the A_2 path, Kronecker and loop-with-exit
+    algebras, none of them self-injective, as source, target and both."""
+    pairs = [(src(field), tgt(field)) for src, tgt in RANDOM_SHAPES.values()]
+    for make in (a2_path_algebra, kronecker, loop_with_exit):
+        n, z = make(field), zigzag_a2(field)
+        pairs += [(n, z), (z, n), (n, n)]
+    return pairs
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_random_kernels_have_both_adjoints(field):
+    """random_kernel keeps its first draw: the Kernel check on it is the
+    one-sided projectivity that both duals need, so every kernel it returns
+    has both adjoints."""
+    for a, b in _adjoint_pairs(field):
+        for seed in range(6):
+            k = random_kernel(a, b, random.Random(seed))
+            for data in (kernel_ops(k).right_adjoint(), kernel_ops(k).left_adjoint()):
+                assert data.kernel.source_algebra is b and data.kernel.target_algebra is a
+                data.kernel.complex.check()
 
 
 def test_random_kernel_deterministic():
