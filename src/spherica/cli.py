@@ -30,13 +30,14 @@ def _parse_field_flag(text: str) -> Field:
 
 
 def _emit(report, args) -> int:
-    out = report.to_json(include_timings=args.timings)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(out)
-        sys.stdout.write(report.render_text())
-    else:
-        sys.stdout.write(report.render_text())
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(report.to_json(include_timings=args.timings))
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+    sys.stdout.write(report.render_text())
     return 0 if report.all_passed else 1
 
 
@@ -84,9 +85,9 @@ def main(argv: list[str] | None = None) -> int:
 
     # run
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

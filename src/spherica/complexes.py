@@ -9,11 +9,12 @@ Sign conventions, fixed once and used by every construction:
   X -f-> Y -include-> cone(f) -project-> X[1];
 * tensor differential d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.
 
-With these choices (X[n]) (x) Y equals (X (x) Y)[n] on the nose, while
-X (x) (Y[n]) needs the sign (-1)^{n |x|}; both interchanges are provided
-as explicit chain maps, one signed relabelling of tensor slots.  Triangle
-maps are only ever produced by the cone constructor, never assembled by
-hand.
+With these choices (X[n]) (x) Y equals (X (x) Y)[n] on the nose: the
+same terms, slots in the same order, and the same differentials, so no
+map is needed between them.  X (x) (Y[n]) needs the sign (-1)^{n |x|}, and
+interchange_right_shift is that chain map, a signed relabelling of tensor
+slots.  Triangle maps are only ever produced by the cone constructor,
+never assembled by hand.
 
 Maps between direct sums, tensor totalizations included, are assembled
 from blocks placed by offset (Matrix.from_blocks); a tensor complex's
@@ -643,7 +644,7 @@ def find_quasi_iso(x: Complex, y: Complex, rng: random.Random,
 
 
 # ---------------------------------------------------------------------------
-# canonical isomorphisms: unitors, associator, shift interchange
+# canonical isomorphisms: unitors, associator, right-shift interchange
 # (each is built in one direction; its inverse is ChainMap.inverse())
 # ---------------------------------------------------------------------------
 
@@ -703,34 +704,22 @@ def associator(txy: TensorComplex, txy_z: TensorComplex,
 
 def interchange_right_shift(t_shifted: TensorComplex, t_plain: TensorComplex,
                             n: int) -> ChainMap:
-    """X (x) (Y[n])  ->  (X (x) Y)[n], with sign (-1)^{n.|x|} per slot."""
-    return _relabel(t_shifted, t_plain, n, lambda i, j: ((i, j + n), (-1) ** (n * i)))
-
-
-def interchange_left_shift(t_shifted: TensorComplex, t_plain: TensorComplex,
-                           n: int) -> ChainMap:
-    """(X[n]) (x) Y  ->  (X (x) Y)[n]: the identity, slots relabelled."""
-    return _relabel(t_shifted, t_plain, n, lambda i, j: ((i + n, j), 1))
-
-
-def _relabel(t_shifted: TensorComplex, t_plain: TensorComplex, n: int, rule) -> ChainMap:
-    """t_shifted -> t_plain[n], sending slot (i, j) of degree m by sign times
-    the identity to slot (i', j') of degree m + n, for ((i', j'), sign) =
-    rule(i, j); ComplexError when that slot is missing or of another size."""
+    """X (x) (Y[n])  ->  (X (x) Y)[n]: slot (i, j) of degree m goes by
+    (-1)^{n.i} times the identity to slot (i, j + n) of degree m + n;
+    ComplexError when that slot is missing or of another size."""
     field = t_shifted.complex.field
     comps = {}
     for m, slots in t_shifted.layout.items():
         target = t_plain.layout.get(m + n, {})
         blocks = []
         for (i, j), (td, off) in slots.items():
-            label, sign = rule(i, j)
-            if label not in target:
-                raise ComplexError(f"no slot {label} in degree {m + n}")
-            td2, off2 = target[label]
+            if (i, j + n) not in target:
+                raise ComplexError(f"no slot {(i, j + n)} in degree {m + n}")
+            td2, off2 = target[(i, j + n)]
             if td.bimodule.dim != td2.bimodule.dim:
                 raise ComplexError("interchange slots do not match")
             ident = Matrix.identity(field, td.bimodule.dim)
-            blocks.append((off2, off, ident if sign == 1 else ident.scale(-1)))
+            blocks.append((off2, off, ident.scale(-1) if n * i % 2 else ident))
         comps[m] = Matrix.from_blocks(field, t_plain.complex.dim(m + n),
                                       t_shifted.complex.dim(m), blocks)
     return ChainMap(t_shifted.complex, shift(t_plain.complex, n), comps)

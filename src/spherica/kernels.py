@@ -21,6 +21,14 @@ other way are their ChainMap.inverse().  Every canonical map below
 these pieces, with the cone constructor as the only source of triangle
 maps.
 
+Each twist and cotwist is one Triangle record: the kernel with the
+ConeData of the counit or unit it comes from.  A counit eps: M -> id
+gives T = cone(eps) and the triangle M -> id -> T -> M[1]; a unit
+eta: id -> M gives C = cone(eta)[-1] and the triangle C -> id -> M -> C[1],
+whose last map is the cone's include_target, as C[1] is cone(eta) itself.
+A shift of a tensor's left factor is the shifted tensor on the nose, so
+only shifts of the right factor go through an interchange map.
+
 Adjoints: the right adjoint kernel takes the termwise right dual with
 differentials dualised with sign (-1)^{n+1}; the left adjoint uses the
 termwise left dual and sign (-1)^n.  With the deterministic dual bases
@@ -46,7 +54,6 @@ from .complexes import (
     associator,
     cone,
     direct_sum_complexes,
-    interchange_left_shift,
     interchange_right_shift,
     left_unitor,
     minimal_model,
@@ -132,6 +139,23 @@ class AdjointData:
     def __init__(self, kernel: Kernel, duals: dict[int, DualData]):
         self.kernel = kernel
         self.duals = duals
+
+
+class Triangle:
+    """A twist or cotwist kernel with the cone of the counit or unit it
+    comes from: T = cone(eps) ends its triangle in cone.project_source,
+    C = cone(eta)[-1] in cone.include_target."""
+
+    def __init__(self, kernel: Kernel, cone: ConeData):
+        self.kernel = kernel
+        self.cone = cone
+
+    @staticmethod
+    def of(f: ChainMap, n: int) -> Triangle:
+        """The triangle of cone(f), with kernel cone(f)[n] (n is 0 or -1)."""
+        cd = cone(f)
+        cx = shift(cd.cone, n) if n else cd.cone
+        return Triangle(Kernel(cx.left_algebra, cx.right_algebra, cx, check=False), cd)
 
 
 def _adjoint_data(p: Kernel, side: str) -> AdjointData:
@@ -225,10 +249,6 @@ class KernelOps:
         """x (x) y1 -> (x (x) y)[1], for y1 = y[1]."""
         return interchange_right_shift(self._tensor(x, y1), self._tensor(x, y), 1)
 
-    def _shift_out_left(self, x1: Complex, x: Complex, y: Complex) -> ChainMap:
-        """x1 (x) y -> (x (x) y)[1], for x1 = x[1]."""
-        return interchange_left_shift(self._tensor(x1, y), self._tensor(x, y), 1)
-
     # the minimal model ----------------------------------------------------
 
     def model(self) -> Kernel:
@@ -297,19 +317,23 @@ class KernelOps:
             (i, -i, dd.generators, dd.cogenerators)
             for i, dd in self.right_adjoint().duals.items() if dd.bimodule.dim]))
 
+    def _evaluation(self, alg: Algebra, t: TensorComplex, duals: dict[int, DualData],
+                    dual_first: bool) -> ChainMap:
+        """t -> id_alg, f (x) x |-> f(x), for t = dual (x) p when dual_first
+        and t = p (x) dual otherwise; duals[i] is the dual basis of p's term i."""
+        comps = {}
+        if 0 in t.complex.terms:
+            cols = []
+            for (i, j), (td, _) in t.layout[0].items():
+                xs, ys = td.monomial_matrices()
+                cols.append(duals[j].evaluate(xs, ys) if dual_first else duals[i].evaluate(ys, xs))
+            comps[0] = Matrix.stack_columns(self.field, cols, alg.dim)
+        return ChainMap(t.complex, unit_complex(alg), comps)
+
     def counit_right(self) -> ChainMap:
         """FR -> id_B, the evaluation f (x) x |-> f(x)."""
-        def build():
-            t = self.fr()
-            duals = self.right_adjoint().duals
-            unit_cx = unit_complex(self.B)
-            comps = {}
-            if 0 in t.complex.terms:
-                cols = [duals[j].evaluate(*td.monomial_matrices())
-                        for (i, j), (td, _) in t.layout[0].items()]
-                comps[0] = Matrix.stack_columns(self.field, cols, self.B.dim)
-            return ChainMap(t.complex, unit_cx, comps)
-        return self._get("counit_right", build)
+        return self._get("counit_right", lambda: self._evaluation(
+            self.B, self.fr(), self.right_adjoint().duals, dual_first=True))
 
     def unit_left(self) -> ChainMap:
         """id_B -> FL, b |-> sum (b.h_t^*) (x) h_t."""
@@ -319,84 +343,26 @@ class KernelOps:
 
     def counit_left(self) -> ChainMap:
         """LF -> id_A, x (x) f |-> f(x)."""
-        def build():
-            t = self.lf()
-            duals = self.left_adjoint().duals
-            unit_cx = unit_complex(self.A)
-            comps = {}
-            if 0 in t.complex.terms:
-                cols = []
-                for (i, j), (td, _) in t.layout[0].items():
-                    xs, fs = td.monomial_matrices()
-                    cols.append(duals[i].evaluate(fs, xs))
-                comps[0] = Matrix.stack_columns(self.field, cols, self.A.dim)
-            return ChainMap(t.complex, unit_cx, comps)
-        return self._get("counit_left", build)
+        return self._get("counit_left", lambda: self._evaluation(
+            self.A, self.lf(), self.left_adjoint().duals, dual_first=False))
 
     # twists ---------------------------------------------------------------
 
-    @staticmethod
-    def _counit_cone(eps: ChainMap) -> "TwistData":
-        """The cone T of a counit eps: M -> id, with its triangle
-        M -> id -> T -> M[1]."""
-        cd = cone(eps)
-        alg = eps.target.left_algebra
-        return TwistData(Kernel(alg, alg, cd.cone, check=False), cd.include_target, cd.project_source, cd)
+    def twist(self) -> Triangle:
+        """T = cone(eps_R), with its triangle FR -> id_B -> T -> FR[1]."""
+        return self._get("twist", lambda: Triangle.of(self.counit_right(), 0))
 
-    @staticmethod
-    def _unit_cocone(eta: ChainMap) -> "CotwistData":
-        """The shifted cone C = cone(eta)[-1] of a unit eta: id -> M, with
-        its triangle C -> id -> M -> C[1]."""
-        cd = cone(eta)
-        c_cx = shift(cd.cone, -1)
-        alg = eta.source.left_algebra
-        delta = ChainMap(c_cx, eta.source, shift_map(cd.project_source, -1).components)
-        gamma = ChainMap(eta.target, shift(c_cx, 1), cd.include_target.components)
-        return CotwistData(Kernel(alg, alg, c_cx, check=False), delta, gamma, cd)
+    def cotwist(self) -> Triangle:
+        """C = cone(eta_R)[-1], with its triangle C -> id_A -> RF -> C[1]."""
+        return self._get("cotwist", lambda: Triangle.of(self.unit_right(), -1))
 
-    def twist(self) -> "TwistData":
-        """T with its triangle FR -> id_B -> T -> FR[1]."""
-        return self._get("twist", lambda: self._counit_cone(self.counit_right()))
+    def dual_twist(self) -> Triangle:
+        """T' = cone(eta_L)[-1], with its triangle T' -> id_B -> FL -> T'[1]."""
+        return self._get("dual_twist", lambda: Triangle.of(self.unit_left(), -1))
 
-    def cotwist(self) -> "CotwistData":
-        """C with its triangle C -> id_A -> RF -> C[1]."""
-        return self._get("cotwist", lambda: self._unit_cocone(self.unit_right()))
-
-    def dual_twist(self) -> "CotwistData":
-        """T' with its triangle T' -> id_B -> FL -> T'[1]."""
-        return self._get("dual_twist", lambda: self._unit_cocone(self.unit_left()))
-
-    def dual_cotwist(self) -> "TwistData":
-        """C' with its triangle LF -> id_A -> C' -> LF[1]."""
-        return self._get("dual_cotwist", lambda: self._counit_cone(self.counit_left()))
-
-
-class TwistData:
-    """A cone-type triangle: FR -> id -> T -> FR[1] (or LF -> id -> C' -> LF[1]).
-
-    include is the map id -> T, project the map T -> FR[1].
-    """
-
-    def __init__(self, kernel: Kernel, include: ChainMap, project: ChainMap,
-                 cone_data: ConeData):
-        self.kernel = kernel
-        self.include = include
-        self.project = project
-        self.cone_data = cone_data
-
-
-class CotwistData:
-    """A shifted-cone triangle: C -> id -> RF -> C[1] (or T' -> id -> FL -> T'[1]).
-
-    delta is the map C -> id, gamma the map RF -> C[1].
-    """
-
-    def __init__(self, kernel: Kernel, delta: ChainMap, gamma: ChainMap,
-                 cone_data: ConeData):
-        self.kernel = kernel
-        self.delta = delta
-        self.gamma = gamma
-        self.cone_data = cone_data
+    def dual_cotwist(self) -> Triangle:
+        """C' = cone(eps_L), with its triangle LF -> id_A -> C' -> LF[1]."""
+        return self._get("dual_cotwist", lambda: Triangle.of(self.counit_left(), 0))
 
 
 def kernel_ops(p: Kernel) -> KernelOps:
@@ -417,11 +383,12 @@ def condition4_map(p: Kernel) -> ChainMap:
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
     ct = ops.cotwist()
+    gamma = ct.cone.include_target     # RF -> C[1]
     return (ops._lunit(r).inverse()
             .then(ops._whisker(ops.unit_left(), r))
             .then(ops._assoc(l, p.complex, r))
-            .then(ops._whisker(l, ct.gamma))
-            .then(ops._shift_out_right(l, ct.gamma.target, ct.kernel.complex)))
+            .then(ops._whisker(l, gamma))
+            .then(ops._shift_out_right(l, gamma.target, ct.kernel.complex)))
 
 
 def condition3_map(p: Kernel) -> ChainMap:
@@ -430,10 +397,8 @@ def condition3_map(p: Kernel) -> ChainMap:
     ops = kernel_ops(p)
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    tw = ops.twist()
-    # (T (x) L)[-1] -> (R(x)P)(x)L
-    c_shifted = shift_map(ops._whisker(tw.project, l)
-                          .then(ops._shift_out_left(tw.project.target, ops.fr().complex, l)), -1)
+    # (T (x) L)[-1] -> (FR[1] (x) L)[-1], which is (R(x)P)(x)L on the nose
+    c_shifted = shift_map(ops._whisker(ops.twist().cone.project_source, l), -1)
     return (c_shifted
             .then(ops._assoc(r, p.complex, l))
             .then(ops._whisker(r, ops.counit_left()))
@@ -452,32 +417,31 @@ def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
     fr, lf = ops.fr().complex, ops.lf().complex
-    tw = ops.twist()
-    ct = ops.cotwist()
-    dtw = ops.dual_twist()      # T'
-    dct = ops.dual_cotwist()    # C'
+    ct, dtw = ops.cotwist(), ops.dual_twist()         # C, T'
     c, tp = ct.kernel.complex, dtw.kernel.complex
+    proj_t = ops.twist().cone.project_source          # T -> FR[1]
+    proj_cp = ops.dual_cotwist().cone.project_source  # C' -> LF[1]
+    gamma_c = ct.cone.include_target                  # RF -> C[1]
+    gamma_tp = dtw.cone.include_target                # FL -> T'[1]
+    # a shift of the left factor of a tensor is a shift of the tensor on the
+    # nose, so only shifts of the right factor are relabelled
     return {
-        "TF": shift_map(ops._whisker(pc, tw.project)
-                        .then(ops._shift_out_right(pc, tw.project.target, fr)), -1)
+        "TF": shift_map(ops._whisker(pc, proj_t)
+                        .then(ops._shift_out_right(pc, proj_t.target, fr)), -1)
         .then(ops._assoc(pc, r, pc).inverse())
-        .then(ops._whisker(ct.gamma, pc))
-        .then(ops._shift_out_left(ct.gamma.target, c, pc)),
-        "RT": shift_map(ops._whisker(tw.project, r)
-                        .then(ops._shift_out_left(tw.project.target, fr, r)), -1)
+        .then(ops._whisker(gamma_c, pc)),
+        "RT": shift_map(ops._whisker(proj_t, r), -1)
         .then(ops._assoc(r, pc, r))
-        .then(ops._whisker(r, ct.gamma))
-        .then(ops._shift_out_right(r, ct.gamma.target, c)),
-        "FC'": shift_map(ops._whisker(dct.project, pc)
-                         .then(ops._shift_out_left(dct.project.target, lf, pc)), -1)
+        .then(ops._whisker(r, gamma_c))
+        .then(ops._shift_out_right(r, gamma_c.target, c)),
+        "FC'": shift_map(ops._whisker(proj_cp, pc), -1)
         .then(ops._assoc(pc, l, pc))
-        .then(ops._whisker(pc, dtw.gamma))
-        .then(ops._shift_out_right(pc, dtw.gamma.target, tp)),
-        "C'L": shift_map(ops._whisker(l, dct.project)
-                         .then(ops._shift_out_right(l, dct.project.target, lf)), -1)
+        .then(ops._whisker(pc, gamma_tp))
+        .then(ops._shift_out_right(pc, gamma_tp.target, tp)),
+        "C'L": shift_map(ops._whisker(l, proj_cp)
+                         .then(ops._shift_out_right(l, proj_cp.target, lf)), -1)
         .then(ops._assoc(l, pc, l).inverse())
-        .then(ops._whisker(dtw.gamma, l))
-        .then(ops._shift_out_left(dtw.gamma.target, tp, l)),
+        .then(ops._whisker(gamma_tp, l)),
     }
 
 
@@ -537,11 +501,12 @@ def appendix_map(p: Kernel) -> ChainMap:
     l = ops.left_adjoint().kernel.complex
     lf = ops.lf().complex
     ct = ops.cotwist()
+    gamma = ct.cone.include_target     # RF -> C[1]
     # P (x) R -> (P(x)B)(x)R -> (P(x)FL)(x)R -> (LF(x)P)(x)R -> LF(x)RF -> LF(x)C[1]
     into_pflr = ops._whisker(ops._runit(pc).inverse(), r).then(
         ops._whisker(ops._whisker(pc, ops.unit_left()), r))
     return (into_pflr
             .then(ops._whisker(ops._assoc(pc, l, pc).inverse(), r))
             .then(ops._assoc(lf, pc, r))
-            .then(ops._whisker(lf, ct.gamma))
-            .then(ops._shift_out_right(lf, ct.gamma.target, ct.kernel.complex)))
+            .then(ops._whisker(lf, gamma))
+            .then(ops._shift_out_right(lf, gamma.target, ct.kernel.complex)))

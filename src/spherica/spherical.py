@@ -8,8 +8,8 @@ engine already exercises.
 Every verdict and homology profile is a property of the functor, so it
 is decided on the minimal model of the kernel, kernel_ops(p).model(),
 which is homotopy equivalent to p and p itself when nothing cancels.
-The twist and cotwist kernels that are reported, and the fully faithful
-check on a given witness, come from p itself.
+The twist and cotwist kernels that are reported come from p itself, and
+check_fully_faithful checks the kernel it is given.
 
 The four conditions tested for a kernel p with twist T and cotwist C:
 
@@ -54,7 +54,6 @@ from .complexes import (
     homology,
     homology_dims,
     is_quasi_iso,
-    minimal_model,
     random_combination,
     unit_complex,
 )
@@ -199,7 +198,7 @@ def quasi_iso_to_identity(k: Kernel, rng: random.Random | None = None) -> bool:
         raise KernelError("identity comparison expects an endokernel")
     rng = rng or random.Random(0)
     a = k.source_algebra
-    x = minimal_model(k.complex)
+    x = kernel_ops(k).model().complex
     if find_quasi_iso(x, unit_complex(a), rng, attempts=8) is not None:
         return True
     h = homology(x)

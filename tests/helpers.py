@@ -3,11 +3,12 @@ equivalence test and the four conditions without minimal models, the
 restriction to scalars, the center of an algebra, the two-sided hom
 complex, the quotient model of a tensor product, identity chain maps,
 cone differentials as sums of products, the shift interchanges and the
-inclusions and projections of a direct sum written entry by entry, hom
-spaces solved over every pair of vertex blocks, adjoint differentials
-solved in the dual hom space, the dense elimination over F_p and the
-elimination on Fraction objects that the engine's kernels are checked
-against."""
+inclusions and projections of a direct sum written entry by entry, the
+canonical condition and identity maps chained through the left-shift
+interchange, hom spaces solved over every pair of vertex blocks, adjoint
+differentials solved in the dual hom space, the dense elimination over
+F_p and the elimination on Fraction objects that the engine's kernels
+are checked against."""
 
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from spherica.complexes import (
     homology_dims,
     is_quasi_iso,
     shift,
+    shift_map,
 )
 from spherica.kernels import Kernel, condition3_map, condition4_map, kernel_ops
 from spherica.linalg import Field, Matrix
@@ -456,6 +458,57 @@ def interchange_left_shift_oracle(t_shifted: TensorComplex, t_plain: TensorCompl
                 np.eye(td.bimodule.dim, dtype=int)
         comps[m] = Matrix(field, arr)
     return ChainMap(t_shifted.complex, shift(t_plain.complex, n), comps)
+
+
+def canonical_maps_oracle(p: Kernel) -> dict[str, ChainMap]:
+    """condition3_map, condition4_map, appendix_map and the four
+    basic_identity_maps of p, chained as they were before the engine
+    dropped its left-shift interchanges: a shift of a tensor's left factor
+    goes through interchange_left_shift_oracle, and each unit triangle's
+    map RF -> C[1] (or FL -> T'[1]) is re-typed onto shift(C, 1)."""
+    ops = kernel_ops(p)
+    pc = p.complex
+    r, l = ops.right_adjoint().kernel.complex, ops.left_adjoint().kernel.complex
+    fr, lf = ops.fr().complex, ops.lf().complex
+
+    def out_left(x1: Complex, x: Complex, y: Complex) -> ChainMap:
+        return interchange_left_shift_oracle(ops._tensor(x1, y), ops._tensor(x, y), 1)
+
+    def out_right(x: Complex, y1: Complex, y: Complex) -> ChainMap:
+        return interchange_right_shift_oracle(ops._tensor(x, y1), ops._tensor(x, y), 1)
+
+    def retyped_gamma(triangle) -> ChainMap:
+        gamma = triangle.cone.include_target
+        return ChainMap(gamma.source, shift(triangle.kernel.complex, 1), gamma.components)
+
+    proj_t = ops.twist().cone.project_source
+    proj_cp = ops.dual_cotwist().cone.project_source
+    c, tp = ops.cotwist().kernel.complex, ops.dual_twist().kernel.complex
+    gamma_c, gamma_tp = retyped_gamma(ops.cotwist()), retyped_gamma(ops.dual_twist())
+    into_pflr = ops._whisker(ops._runit(pc).inverse(), r).then(
+        ops._whisker(ops._whisker(pc, ops.unit_left()), r))
+    return {
+        "condition3": shift_map(ops._whisker(proj_t, l).then(out_left(proj_t.target, fr, l)), -1)
+        .then(ops._assoc(r, pc, l)).then(ops._whisker(r, ops.counit_left())).then(ops._runit(r)),
+        "condition4": ops._lunit(r).inverse().then(ops._whisker(ops.unit_left(), r))
+        .then(ops._assoc(l, pc, r)).then(ops._whisker(l, gamma_c))
+        .then(out_right(l, gamma_c.target, c)),
+        "appendix": into_pflr.then(ops._whisker(ops._assoc(pc, l, pc).inverse(), r))
+        .then(ops._assoc(lf, pc, r)).then(ops._whisker(lf, gamma_c))
+        .then(out_right(lf, gamma_c.target, c)),
+        "TF": shift_map(ops._whisker(pc, proj_t).then(out_right(pc, proj_t.target, fr)), -1)
+        .then(ops._assoc(pc, r, pc).inverse()).then(ops._whisker(gamma_c, pc))
+        .then(out_left(gamma_c.target, c, pc)),
+        "RT": shift_map(ops._whisker(proj_t, r).then(out_left(proj_t.target, fr, r)), -1)
+        .then(ops._assoc(r, pc, r)).then(ops._whisker(r, gamma_c))
+        .then(out_right(r, gamma_c.target, c)),
+        "FC'": shift_map(ops._whisker(proj_cp, pc).then(out_left(proj_cp.target, lf, pc)), -1)
+        .then(ops._assoc(pc, l, pc)).then(ops._whisker(pc, gamma_tp))
+        .then(out_right(pc, gamma_tp.target, tp)),
+        "C'L": shift_map(ops._whisker(l, proj_cp).then(out_right(l, proj_cp.target, lf)), -1)
+        .then(ops._assoc(l, pc, l).inverse()).then(ops._whisker(gamma_tp, l))
+        .then(out_left(gamma_tp.target, tp, l)),
+    }
 
 
 def direct_sum_maps_oracle(xs: list[Complex], total: Complex):

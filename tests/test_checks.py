@@ -24,7 +24,7 @@ from spherica.bimodules import (
     flip,
     projective_bimodule,
 )
-from spherica.complexes import ChainMap, Complex, ComplexError, single_term
+from spherica.complexes import ChainMap, Complex, ComplexError, shift_map, single_term
 from spherica.kernels import (
     appendix_map,
     basic_identity_maps,
@@ -52,12 +52,11 @@ def _built_objects(p):
                  ops.left_adjoint().kernel.complex]
     complexes += [t.complex for t in (ops.rf(), ops.fr(), ops.fl(), ops.lf())]
     maps = [ops.unit_right(), ops.counit_right(), ops.unit_left(), ops.counit_left()]
-    for tw in (ops.twist(), ops.dual_cotwist()):
-        complexes.append(tw.kernel.complex)
-        maps += [tw.include, tw.project]
-    for ct in (ops.cotwist(), ops.dual_twist()):
-        complexes += [ct.kernel.complex, ct.cone_data.cone]
-        maps += [ct.delta, ct.gamma, ct.cone_data.include_target, ct.cone_data.project_source]
+    for tri in (ops.twist(), ops.dual_cotwist(), ops.cotwist(), ops.dual_twist()):
+        complexes += [tri.kernel.complex, tri.cone.cone]
+        maps += [tri.cone.include_target, tri.cone.project_source]
+    # the cotwists' first triangle maps C -> id and T' -> id
+    maps += [shift_map(tri.cone.project_source, -1) for tri in (ops.cotwist(), ops.dual_twist())]
     maps += [condition3_map(p), condition4_map(p), appendix_map(p)]
     maps += list(basic_identity_maps(p).values())
     maps += list(triangular_identity_composites(p).values())

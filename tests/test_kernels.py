@@ -20,7 +20,6 @@ from spherica.complexes import (
     cone,
     direct_sum_complexes,
     homology_dims,
-    interchange_left_shift,
     interchange_right_shift,
     is_acyclic,
     is_quasi_iso,
@@ -50,16 +49,17 @@ from spherica.spherical import random_kernel
 from helpers import (
     RANDOM_SHAPES,
     adjoint_differentials_by_solve,
+    canonical_maps_oracle,
     cone_differentials_by_products,
     direct_sum_maps_oracle,
     dual_numbers,
     hom_cx,
     identity_map,
-    interchange_left_shift_oracle,
     interchange_right_shift_oracle,
     k_times_k,
     left_dual_basis_sum,
     restrict_to_right,
+    term_dims,
     x_cubed,
     zigzag_a2,
 )
@@ -180,12 +180,16 @@ def test_dual_twist_profiles_dual_numbers(PD):
 
 
 def test_triangle_composes_to_zero(PD):
-    # include then project vanishes on the nose for every cone
+    # include then project vanishes on the nose for every cone; the twist is
+    # its counit's cone, and the cotwist C is its unit's cone shifted by -1,
+    # so the cone is C[1] on the nose
     tw = kernel_ops(PD).twist()
-    assert tw.include.then(tw.project).is_zero()
+    assert tw.kernel.complex is tw.cone.cone
+    assert tw.cone.include_target.then(tw.cone.project_source).is_zero()
     ct = kernel_ops(PD).cotwist()
-    from spherica.complexes import shift_map
-    assert ct.gamma.then(shift_map(ct.delta, 1)).is_zero()
+    c1 = shift(ct.kernel.complex, 1)
+    assert c1.terms == ct.cone.cone.terms and c1.diffs == ct.cone.cone.diffs
+    assert ct.cone.include_target.then(ct.cone.project_source).is_zero()
 
 
 def test_triangular_identities_strict(PD, PZ):
@@ -348,13 +352,42 @@ def _structure_cases():
             yield pytest.param(field, ("random", shape), id=f"{tag}:random:{shape}")
 
 
+def _case_kernels(field, case) -> list[Kernel]:
+    """The kernels of a builtin session, or two random kernels of a shape."""
+    kind, name = case
+    if kind == "builtin":
+        return list(_elaborate(builtin_example(name), field)[1].values())
+    src, tgt = RANDOM_SHAPES[name]
+    return [random_kernel(src(field), tgt(field), random.Random(seed)) for seed in (0, 7)]
+
+
+@pytest.mark.parametrize("field, case", _structure_cases())
+def test_canonical_maps_equal_their_chains_through_the_left_shift_interchange(field, case):
+    """The condition, appendix and basic identity maps, which read a shift
+    of a tensor's left factor as the shifted tensor, equal component by
+    component the same chains with every such shift relabelled by the
+    interchange and each unit's triangle map re-typed onto shift(C, 1)."""
+    for p in _case_kernels(field, case):
+        got = {"condition3": condition3_map(p), "condition4": condition4_map(p),
+               "appendix": appendix_map(p), **basic_identity_maps(p)}
+        want = canonical_maps_oracle(p)
+        assert got.keys() == want.keys()
+        for name, f in want.items():
+            g = got[name]
+            assert term_dims(g.source) == term_dims(f.source), name
+            assert term_dims(g.target) == term_dims(f.target), name
+            assert g.components == f.components, name
+
+
 @pytest.mark.parametrize("field", [F, Field.rationals(), Field.prime(2)], ids=str)
 @pytest.mark.parametrize("name", builtin_names())
 def test_relabelled_maps_equal_their_entry_by_entry_forms(field, name):
-    """Both shift interchanges on the tensors of each builtin kernel P with
-    its adjoints, of LF with the cotwist, of P with the twist T and of T
-    with R (odd degrees on both sides), and the inclusions and projections
-    of R (+) L and of T (+) T[1], equal the same maps written entry by
+    """On the tensors of each builtin kernel P with its adjoints, of LF with
+    the cotwist, of P with the twist T and of T with R (odd degrees on both
+    sides): a shift of the left factor is the shifted tensor on the nose,
+    with equal terms and differentials, and the right-shift interchange
+    equals the same map written entry by entry.  The inclusions and
+    projections of R (+) L and of T (+) T[1] equal theirs written entry by
     entry."""
     for p in _elaborate(builtin_example(name), field)[1].values():
         ops = kernel_ops(p)
@@ -366,13 +399,12 @@ def test_relabelled_maps_equal_their_entry_by_entry_forms(field, name):
                      (pc, tw), (tw, r)):
             for n in (1, 2, -1):
                 t_plain = tensor_cx(x, y)
-                for ours, oracle, t_shifted in (
-                        (interchange_left_shift, interchange_left_shift_oracle,
-                         tensor_cx(shift(x, n), y)),
-                        (interchange_right_shift, interchange_right_shift_oracle,
-                         tensor_cx(x, shift(y, n)))):
-                    want = oracle(t_shifted, t_plain, n)
-                    assert ours(t_shifted, t_plain, n).components == want.components
+                left, plain = tensor_cx(shift(x, n), y).complex, shift(t_plain.complex, n)
+                assert term_dims(left) == term_dims(plain) and left.diffs == plain.diffs
+                t_shifted = tensor_cx(x, shift(y, n))
+                want = interchange_right_shift_oracle(t_shifted, t_plain, n)
+                assert interchange_right_shift(t_shifted, t_plain, n).components == \
+                    want.components
         for xs in ([r, l], [tw, shift(tw, 1)]):
             total, injs, projs = direct_sum_complexes(xs)
             want_injs, want_projs = direct_sum_maps_oracle(xs, total)
@@ -387,12 +419,7 @@ def test_structured_maps_equal_their_product_forms(field, case, monkeypatch):
     every tensor map given None for an identity factor, in the tensor
     differentials and in the whiskers of the triangular identities, equals
     the map built from that identity."""
-    kind, name = case
-    if kind == "builtin":
-        kernels = list(_elaborate(builtin_example(name), field)[1].values())
-    else:
-        src, tgt = RANDOM_SHAPES[name]
-        kernels = [random_kernel(src(field), tgt(field), random.Random(seed)) for seed in (0, 7)]
+    kernels = _case_kernels(field, case)
     calls = []
 
     def recording(cls):
@@ -433,12 +460,7 @@ def test_adjoint_differentials_equal_the_solve_in_the_dual_hom_space(field, case
     """Both adjoints' differentials, read at the generators, equal the
     coordinates found by solving for f o d in the dual hom space, on the
     kernels, their twists and cotwists (terms in several degrees)."""
-    kind, name = case
-    if kind == "builtin":
-        kernels = list(_elaborate(builtin_example(name), field)[1].values())
-    else:
-        src, tgt = RANDOM_SHAPES[name]
-        kernels = [random_kernel(src(field), tgt(field), random.Random(seed)) for seed in (0, 7)]
+    kernels = _case_kernels(field, case)
     kernels += [kernel_ops(p).twist().kernel for p in kernels] + \
         [kernel_ops(p).cotwist().kernel for p in kernels]
     compared = 0

@@ -234,6 +234,26 @@ assert-quasi-iso P QQ
     capsys.readouterr()
 
 
+def test_cli_unwritable_json_path_is_an_input_error(tmp_path, capsys):
+    """A --json path in a missing directory prints an error and exits 2, for
+    run and for example --run, without a traceback."""
+    f = tmp_path / "session.sph"
+    f.write_text(MINIMAL)
+    out_json = tmp_path / "missing" / "report.json"
+    assert cli_main(["run", str(f), "--json", str(out_json)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli_main(["example", "identity", "--run", "--json", str(out_json)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_json.parent.exists()
+
+
+def test_cli_session_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "latin1.sph"
+    f.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+    assert cli_main(["run", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_list_and_example(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
