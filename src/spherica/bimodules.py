@@ -527,6 +527,37 @@ def is_projective(m: Bimodule, side: str) -> bool:
     return _splitting(m) is not None
 
 
+def right_multiplicities(m: Bimodule) -> np.ndarray | None:
+    """Entry (u, w) is the multiplicity of e_w B in e_u m, for the vertices u
+    of the left and w of the right algebra, as Python ints; None when m is
+    not right-projective.  Cached on m; a sum adds its summands'.
+
+    The multiplicity is dim e_u (m / m.rad) e_w, the top of e_u m at w.  The
+    projective cover with these multiplicities maps onto e_u m (Nakayama),
+    so m is right-projective exactly when the covers' dimensions add up to
+    m.dim.  Each entry is one rank: e_u m e_w is a cached vertex block, and
+    e_u m.rad is spanned by the radical's actions on the image of e_u."""
+    if "mult" not in m._cache:
+        if m.summands:
+            parts = [right_multiplicities(s) for s in m.summands]
+            m._cache["mult"] = None if any(p is None for p in parts) else sum(parts)
+        else:
+            m._cache["mult"] = _fresh_multiplicities(m)
+    return m._cache["mult"]
+
+
+def _fresh_multiplicities(m: Bimodule) -> np.ndarray | None:
+    A, B, field = m.left_algebra, m.right_algebra, m.field
+    out = np.zeros((len(A.vertex_idempotents), len(B.vertex_idempotents)), dtype=object)
+    for u, e in enumerate(A.vertex_idempotents):
+        rad = Matrix.stack_columns(field, [m.right_action[r] * m.left_action[e]
+                                           for r in B.radical_basis], m.dim)
+        for w, f in enumerate(B.vertex_idempotents):
+            out[u, w] = m.double_block(u, w).cols - (m.right_action[f] * rad).rank()
+    covers = out @ np.array(_slot_dims(B, range(len(B.vertex_idempotents))), dtype=object)
+    return out if sum(covers) == m.dim else None
+
+
 # ---------------------------------------------------------------------------
 # one-sided duals with chosen dual bases
 # ---------------------------------------------------------------------------

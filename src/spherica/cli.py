@@ -8,6 +8,7 @@ bad flags).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .linalg import Field
@@ -29,14 +30,22 @@ def _parse_field_flag(text: str) -> Field:
     raise ValueError(f"--field expects a prime or 'q', got {text!r}")
 
 
-def _emit(report, args) -> int:
-    if args.json:
-        try:
-            with open(args.json, "w") as fh:
+def _run(args, session, field: Field | None = None) -> int:
+    """Run the session and emit its report.  The --json file is opened
+    before the run, so a path that cannot be written costs no work."""
+    try:
+        out = open(args.json, "w") if args.json else contextlib.nullcontext()
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    try:
+        with out as fh:
+            report = run_session(session, seed=args.seed, field=field)
+            if fh is not None:
                 fh.write(report.to_json(include_timings=args.timings))
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+    except (SessionError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     sys.stdout.write(report.render_text())
     return 0 if report.all_passed else 1
 
@@ -80,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.run:
             sys.stdout.write(BUILTIN_TEXTS[args.name])
             return 0
-        report = run_session(session, seed=args.seed)
-        return _emit(report, args)
+        return _run(args, session)
 
     # run
     try:
@@ -96,12 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SessionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        report = run_session(session, seed=args.seed, field=field)
-    except SessionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return _emit(report, args)
+    return _run(args, session, field)
 
 
 if __name__ == "__main__":

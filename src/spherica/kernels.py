@@ -34,10 +34,17 @@ differentials dualised with sign (-1)^{n+1}; the left adjoint uses the
 termwise left dual and sign (-1)^n.  With the deterministic dual bases
 of the bimodule layer the triangular identities hold strictly, i.e. as
 equalities of matrices, not merely up to homotopy.
+
+Each kernel has an integer K_0 class, KernelOps.k0_class, read off the
+multiplicities of the projectives e_w B in its terms.  Quasi-isomorphic
+kernels have equal classes, and the class of a tensor, cone, shift or
+identity kernel follows from the classes of its pieces, so the theorem
+layer can rule conditions out without building their complexes.
 """
 
 from __future__ import annotations
 
+import numpy as np
 
 from .algebras import Algebra
 from .bimodules import (
@@ -45,6 +52,7 @@ from .bimodules import (
     is_projective,
     left_dual,
     right_dual,
+    right_multiplicities,
 )
 from .complexes import (
     ChainMap,
@@ -75,8 +83,12 @@ class Kernel:
 
     The constructor checks that every term is projective on both sides,
     unless check=False: the engine passes that for the kernels it builds
-    itself (adjoints, composites, twists and cotwists), whose terms are
-    biprojective by construction.
+    itself.  Composites, twists and cotwists of biprojective kernels are
+    biprojective by construction.  An adjoint is projective on one side by
+    construction, R on the left and L on the right; on the other side its
+    terms are duals of the algebra's projectives, which are projective over
+    a self-injective algebra but need not be otherwise, so check_conditions
+    checks R's right side before it tensors with R.
     """
 
     def __init__(self, source_algebra: Algebra, target_algebra: Algebra,
@@ -259,6 +271,31 @@ class KernelOps:
             x = minimal_model(self.p.complex)
             return self.p if x is self.p.complex else Kernel(self.A, self.B, x, check=False)
         return self._get("model", build)
+
+    # the K_0 class -------------------------------------------------------
+
+    def k0_class(self) -> np.ndarray:
+        """The integer class M[u, w] = sum_n (-1)^n (multiplicity of e_w B in
+        e_u X^n) of the kernel's complex X, as Python ints; KernelError when
+        a term is not right-projective, as the class then is not defined.
+
+        It is the class in K_0(proj B) of the complex of right modules
+        e_u X, so quasi-isomorphic kernels have equal classes: bounded
+        complexes of projectives that are quasi-isomorphic are homotopy
+        equivalent.  Composites follow from four rules without building a
+        complex: X (x) Y has M_X M_Y, cone(f: X -> Y) has M_Y - M_X, X[k]
+        has (-1)^k M_X, and the identity kernel has the identity matrix."""
+        def build():
+            out = np.zeros((len(self.A.vertex_idempotents), len(self.B.vertex_idempotents)),
+                           dtype=object)
+            for n, t in self.p.complex.terms.items():
+                mult = right_multiplicities(t)
+                if mult is None:
+                    raise KernelError(f"kernel term at degree {n} is not right-projective, "
+                                      f"so it has no K_0 class")
+                out += mult if n % 2 == 0 else -mult
+            return out
+        return self._get("k0", build)
 
     # adjoints ---------------------------------------------------------
 

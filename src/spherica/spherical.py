@@ -23,6 +23,14 @@ the number of satisfied conditions can never be 2 or 3; the consistency
 checker treats a count of 2 or 3 as falsifying the engine, not the
 mathematics.
 
+Before any condition is built, the integer K_0 classes of the kernel
+and its adjoints (KernelOps.k0_class) may already rule it out: a derived
+equivalence induces an automorphism of the Grothendieck group (Rickard,
+"Derived equivalences as derived functors", 1991) and a
+quasi-isomorphism preserves classes.  class_refutations tests these
+necessary conditions in integer arithmetic; a refuted condition is
+false, exactly, and every other one is decided by its construction.
+
 Comparisons against the identity kernel use the truncation criterion: a
 complex is quasi-isomorphic to the identity kernel exactly when its
 homology is concentrated in degree zero and isomorphic, as a bimodule,
@@ -38,11 +46,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebras import Algebra
 from .bimodules import (
     Bimodule,
     direct_sum,
     hom_space,
+    is_projective,
     projective_bimodule,
     regular_bimodule,
 )
@@ -118,23 +129,83 @@ def is_equivalence_kernel(k: Kernel) -> bool:
     return is_quasi_iso(ops.unit_right()) and is_quasi_iso(ops.counit_right())
 
 
+def condition_classes(p: Kernel) -> dict[str, np.ndarray]:
+    """The K_0 classes (KernelOps.k0_class) of p's adjoints R and L, its
+    twist T and its cotwist C, keyed like the homology profiles.
+
+    p, R and L are read off their terms.  T = cone(FR -> id_B) and
+    C = cone(id_A -> RF)[-1] follow from the rules, with FR = R (x) p and
+    RF = p (x) R, so no complex is built: M_T = I - M_R M_P and
+    M_C = -(M_P M_R - I)."""
+    ops = kernel_ops(p)
+    m_p = ops.k0_class()
+    m_r = kernel_ops(ops.right_adjoint().kernel).k0_class()
+    m_l = kernel_ops(ops.left_adjoint().kernel).k0_class()
+    id_a, id_b = (np.identity(len(alg.vertex_idempotents), dtype=object)
+                  for alg in (ops.A, ops.B))
+    return {"right_adjoint": m_r, "left_adjoint": m_l,
+            "twist": id_b - m_r @ m_p, "cotwist": -(m_p @ m_r - id_a)}
+
+
+def _det(m: np.ndarray) -> int:
+    """The determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination: every division is exact, so it stays in Python ints."""
+    a = [list(row) for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def class_refutations(p: Kernel) -> tuple[bool, bool, bool, bool]:
+    """Which of the four conditions the K_0 classes of p rule out.
+
+    Each test is a necessary condition, so a True is an exact "no":
+    an equivalence induces an automorphism of K_0, so (1) and (2) need
+    |det M_T| = |det M_C| = 1, and a quasi-isomorphism preserves classes,
+    so (3) needs M_{LT[-1]} = -M_T M_L to equal M_R and (4) needs
+    M_{CL[1]} = -M_L M_C to equal M_R."""
+    cls = condition_classes(p)
+    m_t, m_c, m_r, m_l = (cls[k] for k in ("twist", "cotwist", "right_adjoint", "left_adjoint"))
+    return (abs(_det(m_t)) != 1, abs(_det(m_c)) != 1,
+            not np.array_equal(-(m_t @ m_l), m_r), not np.array_equal(-(m_l @ m_c), m_r))
+
+
 def check_conditions(p: Kernel) -> ConditionReport:
     """Evaluate the four conditions and collect homology profiles, all on
-    the minimal model of p."""
+    the minimal model of p.
+
+    A condition that class_refutations rules out is false with no further
+    work; the others are decided by building their tensors and cones.  The
+    right adjoint must be right-projective, as FR = R (x) p is built from
+    its splitting; KernelError names the first degree where it is not."""
     q = kernel_ops(p).model()
     ops = kernel_ops(q)
+    for n, t in ops.right_adjoint().kernel.complex.terms.items():
+        if not is_projective(t, "right"):
+            raise KernelError(f"the four conditions need a biprojective right adjoint, "
+                              f"but its term at degree {n} is not right-projective")
     tw = ops.twist()
     ct = ops.cotwist()
-    cond1 = is_equivalence_kernel(tw.kernel)
-    cond2 = is_equivalence_kernel(ct.kernel)
-    cond3 = is_quasi_iso(condition3_map(q))
-    cond4 = is_quasi_iso(condition4_map(q))
     profiles = {
         "twist": homology_dims(tw.kernel.complex),
         "cotwist": homology_dims(ct.kernel.complex),
         "right_adjoint": homology_dims(ops.right_adjoint().kernel.complex),
         "left_adjoint": homology_dims(ops.left_adjoint().kernel.complex),
     }
+    refuted = class_refutations(q)
+    cond1 = not refuted[0] and is_equivalence_kernel(tw.kernel)
+    cond2 = not refuted[1] and is_equivalence_kernel(ct.kernel)
+    cond3 = not refuted[2] and is_quasi_iso(condition3_map(q))
+    cond4 = not refuted[3] and is_quasi_iso(condition4_map(q))
     return ConditionReport(cond1, cond2, cond3, cond4, profiles)
 
 

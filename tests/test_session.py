@@ -234,9 +234,14 @@ assert-quasi-iso P QQ
     capsys.readouterr()
 
 
-def test_cli_unwritable_json_path_is_an_input_error(tmp_path, capsys):
+def test_cli_unwritable_json_path_is_an_input_error(tmp_path, capsys, monkeypatch):
     """A --json path in a missing directory prints an error and exits 2, for
-    run and for example --run, without a traceback."""
+    run and for example --run, without a traceback and before the session
+    runs."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_session was called before the report path was opened")
+
+    monkeypatch.setattr("spherica.cli.run_session", must_not_run)
     f = tmp_path / "session.sph"
     f.write_text(MINIMAL)
     out_json = tmp_path / "missing" / "report.json"

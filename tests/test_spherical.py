@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from spherica.bimodules import check_map, direct_sum, is_projective, projective_bimodule
+from spherica.bimodules import (
+    check_map,
+    direct_sum,
+    is_projective,
+    projective_bimodule,
+    right_multiplicities,
+)
 from spherica.complexes import (
     Complex,
     direct_sum_complexes,
@@ -25,7 +31,7 @@ from spherica.kernels import (
     kernel_ops,
 )
 from spherica.linalg import Field, Matrix
-from spherica.session import _elaborate, builtin_example, builtin_names
+from spherica.session import _elaborate, builtin_example, builtin_names, parse_session, run_session
 from spherica.spherical import (
     check_adjoint_spherical,
     check_appendix,
@@ -33,6 +39,8 @@ from spherica.spherical import (
     check_fully_faithful,
     check_splitting,
     check_theorem,
+    class_refutations,
+    condition_classes,
     is_equivalence_kernel,
     is_spherical,
     quasi_iso_to_identity,
@@ -400,3 +408,134 @@ def test_reported_twists_are_not_minimised():
         assert term_dims(reported.complex) == term_dims(fresh.kernel.complex)
         assert term_dims(reported.complex) != term_dims(on_model.kernel.complex)
     assert kernel_ops(p).twist().kernel is verdict.twist_kernel
+
+
+# --- K_0 classes: exact refutations of the four conditions --------------------
+
+
+def _oracle_pairs(field) -> dict[str, tuple]:
+    """The RANDOM_SHAPES pairs, and k to each of D, KK, X3 and Z."""
+    pairs = {shape: (src(field), tgt(field)) for shape, (src, tgt) in RANDOM_SHAPES.items()}
+    for make in (dual_numbers, k_times_k, x_cubed, zigzag_a2):
+        b = make(field)
+        pairs[f"k-{b.name}"] = (scalar_algebra(field), b)
+    return pairs
+
+
+# seed 0 of each RANDOM_SHAPES pair is contractible, and its unminimised
+# twists are the slowest to decide, so those pairs start at seed 1; over F2
+# and Q the class cannot refute some of the kernels whose flags are all false
+@pytest.mark.parametrize("field", [Field.prime(2), Field.prime(3), F, Field.rationals()],
+                         ids=["F2", "F3", "F101", "Q"])
+def test_class_refutations_agree_with_the_full_constructions(field):
+    """check_conditions, which skips what the classes refute, gives the flags
+    of the four constructions run in full on the unminimised kernel; every
+    refuted condition is false there."""
+    seen = {"refuted": 0, "unrefuted false": 0, "true": 0}
+    for name, (a, b) in _oracle_pairs(field).items():
+        for seed in (1, 2) if name in RANDOM_SHAPES else range(4):
+            p = random_kernel(a, b, random.Random(seed))
+            flags = check_conditions(p).flags()
+            assert flags == conditions_unminimised(p)[0], (name, seed)
+            for refuted, holds in zip(class_refutations(kernel_ops(p).model()), flags):
+                assert not (refuted and holds), (name, seed)
+                seen["refuted" if refuted else "true" if holds else "unrefuted false"] += 1
+    assert seen["refuted"] and seen["true"]
+    if field.is_prime_field and field.p == 2:
+        assert seen["unrefuted false"]
+
+
+@pytest.mark.parametrize("name, twist, cotwist, flags", [
+    ("dual_numbers", [[-1]], [[-1]], (True,) * 4),
+    ("x_cubed", [[-2]], [[-2]], (False,) * 4),
+    ("identity", [[0]], [[0]], (False,) * 4),
+    ("kxk", [[0, -1], [-1, 0]], [[-1]], (True,) * 4),
+    ("zigzag_a2", [[-1, 0], [-1, 1]], [[-1]], (True,) * 4),
+])
+def test_builtin_classes(name, twist, cotwist, flags):
+    """The rules' classes of the builtin twists and cotwists, which are the
+    classes read off the built complexes."""
+    _, kernels = _elaborate(builtin_example(name), F)
+    (p,) = kernels.values()
+    ops = kernel_ops(p)
+    classes = condition_classes(p)
+    assert classes["twist"].tolist() == twist
+    assert classes["cotwist"].tolist() == cotwist
+    assert kernel_ops(ops.twist().kernel).k0_class().tolist() == twist
+    assert kernel_ops(ops.cotwist().kernel).k0_class().tolist() == cotwist
+    assert check_conditions(p).flags() == flags
+    assert class_refutations(p) == tuple(not f for f in flags)
+
+
+@pytest.mark.parametrize("field, shape, seeds", [
+    (Field.prime(2), "Z-Z", (0, 1)),
+    (F, "D-D", (0, 2)),
+    (F, "D-D", (0, 1)),
+    (Field.rationals(), "Z-Z", (0, 3)),
+], ids=["F2:Z-Z", "F101:D-D:0+2", "F101:D-D:0+1", "Q:Z-Z"])
+def test_class_of_a_kernel_is_the_class_of_its_model(field, shape, seeds):
+    """On sums of two random kernels, partly cancellable, the class read off
+    p's terms is the one read off its minimal model's."""
+    p = _random_sum(field, shape, seeds)
+    model = kernel_ops(p).model()
+    assert term_dims(model.complex) != term_dims(p.complex)
+    assert (kernel_ops(p).k0_class() == kernel_ops(model).k0_class()).all()
+
+
+def test_braid_words_have_equal_classes():
+    """T121 and T212 of zigzag_braid are quasi-isomorphic, so their classes
+    agree, and each is the product of its letters' classes."""
+    _, kernels = _elaborate(builtin_example("zigzag_braid"), F)
+    t1, t2 = (kernel_ops(kernels[n]).twist().kernel for n in ("P1", "P2"))
+    m1, m2 = (kernel_ops(t).k0_class() for t in (t1, t2))
+    t121 = compose(compose(t1, t2), t1)
+    t212 = compose(compose(t2, t1), t2)
+    assert kernel_ops(t121).k0_class().tolist() == kernel_ops(t212).k0_class().tolist() \
+        == (m1 @ m2 @ m1).tolist() == (m2 @ m1 @ m2).tolist()
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_class_rules_match_the_built_complexes(field):
+    """The product, cone and shift rules give the classes read off the terms
+    of a built compose(p, q), twist and cotwist."""
+    d, x3, z = dual_numbers(field), x_cubed(field), zigzag_a2(field)
+    k = scalar_algebra(field)
+    for (a, b, c) in ((d, d, x3), (k, z, z), (z, z, z)):
+        for seed in range(3):
+            p = random_kernel(a, b, random.Random(seed))
+            q = random_kernel(b, c, random.Random(seed + 10))
+            pq = kernel_ops(compose(p, q)).k0_class()
+            assert pq.tolist() == (kernel_ops(p).k0_class() @ kernel_ops(q).k0_class()).tolist()
+            ops, classes = kernel_ops(p), condition_classes(p)
+            assert kernel_ops(ops.twist().kernel).k0_class().tolist() == classes["twist"].tolist()
+            assert kernel_ops(ops.cotwist().kernel).k0_class().tolist() == \
+                classes["cotwist"].tolist()
+
+
+def test_conditions_need_a_right_projective_right_adjoint():
+    """Over the A_2 path, Kronecker and loop-with-exit algebras the right
+    adjoint of these endokernels is not right-projective: check_conditions
+    says so before it builds a tensor, and a session reports it."""
+    cases = [(a2_path_algebra, (1, 3)), (kronecker, (1, 2, 3)), (loop_with_exit, (1, 2, 3))]
+    for make, seeds in cases:
+        a = make(F)
+        for seed in seeds:
+            p = random_kernel(a, a, random.Random(seed))
+            with pytest.raises(KernelError, match=r"biprojective right adjoint.* degree -?\d"):
+                check_conditions(p)
+            r = kernel_ops(p).right_adjoint().kernel
+            assert [right_multiplicities(t) is None for t in r.complex.terms.values()] == \
+                [not is_projective(t, "right") for t in r.complex.terms.values()]
+            with pytest.raises(KernelError, match="no K_0 class"):
+                kernel_ops(r).k0_class()
+    report = run_session(parse_session("""\
+field F 101
+algebra A2 { vertices 1 2; arrows a: 1 -> 2; bound 2 }
+kernel X from A2 to A2 { deg 0: P(1,2) }
+check X
+spherical X
+"""))
+    for r in report.results:
+        assert r.status == "error"
+        assert r.data["detail"] == ("the four conditions need a biprojective right adjoint, "
+                                    "but its term at degree 0 is not right-projective")
