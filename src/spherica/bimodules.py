@@ -20,14 +20,17 @@ the right only).  Their splittings, vertex blocks and projectivity are
 read from the parts' cached ones, which is the same echelon choice with
 no row reduction, since every action matrix is block diagonal on the
 parts.  The standard summands P(v,w) are shared, one per algebra pair
-and vertex pair while any of them is in use, so each is split once.
+and vertex pair while any of them is in use, so each is split once and
+builds its right dual once; the dual of a sum of them is the sum of their
+duals, so the adjoints' terms carry summand records too.
 
 Tensor products m (x)_B n over a middle algebra are built from the
 splitting of m, so m must be right-projective; every kernel term is, as
 kernels are biprojective.  They come back as TensorData: the bimodule
 together with a monomial basis (each basis vector is the class of an
-explicit pure tensor) and a bilinear coordinate map, from which induced
-maps on tensors are computed functorially.
+explicit pure tensor) and a bilinear coordinate map, one batched
+Matrix.combine_slots over all slots, from which induced maps on tensors
+are computed functorially.
 
 A map between bimodules is a plain Matrix, target.dim x source.dim:
 hom_space returns them and TensorData.induced takes and returns them.
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -84,6 +88,7 @@ class Bimodule:
         # and of summands as a bimodule, in coordinate order (see _sum)
         self.right_parts: list[Bimodule] | None = None
         self.summands: list[Bimodule] | None = None
+        self.shared = False  # P(v,w), or a flip or dual of a shared one: keeps its dual
 
     @property
     def left_action(self) -> list[Matrix]:
@@ -220,6 +225,7 @@ def flip(m: Bimodule) -> Bimodule:
                      lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label)
         if m.summands:
             f.summands = f.right_parts = [flip(s) for s in m.summands]
+        f.shared = m.shared
         m._cache["flip"] = f
     return m._cache["flip"]
 
@@ -315,6 +321,7 @@ def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimod
     left = [(sp * a.left_mult_matrix(i) * S).kron(iq) for i in range(a.dim)]
     right = [ip.kron(tp * b.right_mult_matrix(i) * T) for i in range(b.dim)]
     m = _projectives[key] = Bimodule(a, b, left, right, p * q, label=f"P({v_pos},{w_pos})")
+    m.shared = True
     return m
 
 
@@ -443,7 +450,8 @@ class Splitting:
 
 def _slot_dims(alg: Algebra, vertex_pos: list[int]) -> list[int]:
     """The dimensions of the ideals e_v B of alg, for v in vertex_pos."""
-    return [alg.right_ideal_basis(alg.vertex_idempotents[v]).cols for v in vertex_pos]
+    dims = [alg.right_ideal_basis(e).cols for e in alg.vertex_idempotents]
+    return [dims[v] for v in vertex_pos]
 
 
 def _cover(m: Bimodule) -> tuple[list[Matrix], list[int], list[int]]:
@@ -514,8 +522,8 @@ def _assembled_splitting(m: Bimodule) -> Splitting | None:
         [splits[i].gens[k].pad_rows(offsets[i], m.dim) for _, i, k in order],
         [v for v, _, _ in order],
         Matrix.block_diag(m.field, [sp.phi for sp in splits]).submatrix(slice(None), phi_cols),
-        [splits[i].slot_coords[k].transpose().pad_rows(offsets[i], m.dim).transpose()
-         for _, i, k in order])
+        [Matrix.from_blocks(m.field, c.rows, m.dim, [(0, offsets[i], c)])
+         for _, i, k in order for c in [splits[i].slot_coords[k]]])
 
 
 def is_projective(m: Bimodule, side: str) -> bool:
@@ -632,9 +640,43 @@ def _move_table(B: Algebra, s_pos: int, t_pos: int) -> Matrix:
 def right_dual(p: Bimodule) -> DualData:
     """Maps into the right algebra: an (A,B)-bimodule yields a (B,A)-bimodule.
 
+    A shared bimodule builds its dual once and keeps it, and a sum of shared
+    summands whose generators each lie at one vertex assembles its dual from
+    theirs (_dual_of_sum); any other bimodule builds it from its splitting."""
+    _require_projective(p, "right")
+    if p.shared:
+        return p._cache.get("rdual") or p._cache.setdefault("rdual", _fresh_dual(p))
+    if p.summands and all(s.shared and len(set(_splitting(s).vertex_pos)) == 1
+                          for s in p.summands):
+        return _dual_of_sum(p)
+    return _fresh_dual(p)
+
+
+def _dual_of_sum(p: Bimodule) -> DualData:
+    """The right dual of a sum of shared summands, each with its generators
+    at one vertex: the sum of their duals, in the order of the sum's
+    splitting (by vertex, then summand: see _assembled_splitting), with
+    each hom matrix, generator and cogenerator at its summand's place."""
+    parts = p.summands
+    offsets = np.cumsum([0] + [s.dim for s in parts])
+    order = sorted(range(len(parts)), key=lambda i: _splitting(parts[i]).vertex_pos[0])
+    duals = [right_dual(parts[i]) for i in order]
+    ends = np.cumsum([0] + [dd.bimodule.dim for dd in duals])
+    dual = _sum([dd.bimodule for dd in duals], f"{p.label or 'P'}^v")
+    homs, gens, cogens = [], [], []
+    for i, dd, end in zip(order, duals, ends):
+        homs += [Matrix.from_blocks(p.field, h.rows, p.dim, [(0, offsets[i], h)])
+                 for h in dd.hom_matrices]
+        gens += [g.pad_rows(offsets[i], p.dim) for g in dd.generators]
+        cogens += [c.pad_rows(end, dual.dim) for c in dd.cogenerators]
+    return DualData(dual, homs, gens, cogens)
+
+
+def _fresh_dual(p: Bimodule) -> DualData:
+    """The right dual read off the splitting of p.
+
     Slot t of the dual is B e_{v_t}; a in A sends beta in slot t to
     beta.c_t(a.g_s) in slot s, read off the move table for every a at once."""
-    _require_projective(p, "right")
     sp = _splitting(p)
     A, B = p.left_algebra, p.right_algebra
     field, S = p.field, len(sp.gens)
@@ -673,6 +715,7 @@ def right_dual(p: Bimodule) -> DualData:
 
     dual = Bimodule(B, A, left_action, right_action, dual_dim,
                     label=f"{p.label or 'P'}^v")
+    dual.shared = p.shared
     cogens = [slot.unit.pad_rows(int(ends[t]), dual_dim) for t, slot in enumerate(slots)]
     return DualData(dual, hom_matrices, list(sp.gens), cogens)
 
@@ -740,8 +783,8 @@ class TensorData:
         gens = Matrix.stack_columns(field, self.sp.gens, m.dim)
         moved = Matrix.stack_columns(field, [m.left_action[i] * gens for i in range(dim)], m.dim)
         acted = self._acted(self.monomial_matrices()[1])
-        every = self._from_coeffs([self._per_monomial(c * moved) for c in self.sp.slot_coords],
-                                  Matrix.stack_columns(field, [acted] * dim, acted.rows))
+        every = Matrix.stack_columns(field, [acted] * dim, acted.rows).combine_slots(
+            self._per_monomial(self._stacked_coords * moved), self._nprojs)
         return [every.submatrix(slice(None), slice(i * self._dim, (i + 1) * self._dim))
                 for i in range(dim)]
 
@@ -760,18 +803,18 @@ class TensorData:
         return per_slot.submatrix(slice(None), np.repeat(np.arange(per_slot.cols), counts * runs))
 
     def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
-        return self._from_coeffs([c * xs for c in self.sp.slot_coords], self._acted(ys))
+        """Slot t of x_j (x) y_j is the projection onto e_{v_t}n of
+        sum_i c_t(x_j)_i b_i.y_j: every slot and column in one combine_slots."""
+        return self._acted(ys).combine_slots(self._stacked_coords * xs, self._nprojs)
+
+    @cached_property
+    def _stacked_coords(self) -> Matrix:
+        """The slot coordinate maps c_t stacked top to bottom."""
+        return Matrix.stack_rows(self.field, self.sp.slot_coords, self.m.dim)
 
     def _acted(self, ys: Matrix) -> Matrix:
         """b_i . y for every basis element b_i of B, stacked by i."""
         return _stacked_left(self.n) * ys
-
-    def _from_coeffs(self, coeffs: list[Matrix], acted: Matrix) -> Matrix:
-        """Coordinates of the x_j (x) y_j from coeffs[t][:, j] = c_t(x_j)
-        and acted = self._acted(ys)."""
-        parts = [proj * acted.combine_blocks(c)
-                 for c, proj in zip(coeffs, self._nprojs) if proj.rows]
-        return Matrix.stack_rows(self.field, parts, acted.cols)
 
 
 def _slot_part(n: Bimodule, v_pos: int) -> Bimodule:

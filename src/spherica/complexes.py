@@ -14,7 +14,7 @@ same terms, slots in the same order, and the same differentials, so no
 map is needed between them.  X (x) (Y[n]) needs the sign (-1)^{n |x|}, and
 interchange_right_shift is that chain map, a signed relabelling of tensor
 slots.  Triangle maps are only ever produced by the cone constructor,
-never assembled by hand.
+never assembled by hand, and only on first read.
 
 Maps between direct sums, tensor totalizations included, are assembled
 from blocks placed by offset (Matrix.from_blocks); a tensor complex's
@@ -36,6 +36,7 @@ element, their sum, then random combinations drawn by random_combination.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -240,20 +241,32 @@ class ConeData:
     """A cone with its two canonical triangle maps.
 
     For f: X -> Y the triangle is X -> Y -include_target-> cone
-    -project_source-> X[1]; include then project is zero.
+    -project_source-> X[1]; include then project is zero.  Each map is
+    built on first read, as slices of one identity per term: most cones
+    only feed is_quasi_iso, which reads the cone complex alone.
     """
 
-    def __init__(self, cone: Complex, include_target: ChainMap, project_source: ChainMap):
+    def __init__(self, f: ChainMap, cone: Complex):
+        self.f = f
         self.cone = cone
-        self.include_target = include_target
-        self.project_source = project_source
+
+    @cached_property
+    def include_target(self) -> ChainMap:
+        x, eye = self.f.source, Matrix.identity
+        return ChainMap(self.f.target, self.cone, {n: eye(x.field, t.dim).submatrix(
+            slice(None), slice(x.dim(n + 1), None)) for n, t in self.cone.terms.items()})
+
+    @cached_property
+    def project_source(self) -> ChainMap:
+        x, eye = self.f.source, Matrix.identity
+        return ChainMap(self.cone, shift(x, 1), {n: eye(x.field, t.dim).submatrix(
+            slice(0, x.dim(n + 1)), slice(None)) for n, t in self.cone.terms.items()})
 
 
 def cone(f: ChainMap) -> ConeData:
-    """The cone of f: X -> Y with its two triangle maps.  The blocks -d_X, f
-    and d_Y of each differential are placed by offset, and the triangle maps
-    are slices of one identity per term, not products with injections and
-    projections."""
+    """The cone of f: X -> Y with its two triangle maps, which are built on
+    first read.  The blocks -d_X, f and d_Y of each differential are placed
+    by offset."""
     x, y = f.source, f.target
     field = x.field
     terms = {}
@@ -275,13 +288,7 @@ def cone(f: ChainMap) -> ConeData:
         if n in y.diffs:
             blocks.append((top, left, y.diffs[n]))
         diffs[n] = Matrix.from_blocks(field, terms[n + 1].dim, terms[n].dim, blocks)
-    cx = Complex(x.left_algebra, x.right_algebra, terms, diffs)
-    eyes = {n: Matrix.identity(field, t.dim) for n, t in terms.items()}
-    include = ChainMap(y, cx, {n: eye.submatrix(slice(None), slice(x.dim(n + 1), None))
-                               for n, eye in eyes.items()})
-    project = ChainMap(cx, shift(x, 1), {n: eye.submatrix(slice(0, x.dim(n + 1)), slice(None))
-                                         for n, eye in eyes.items()})
-    return ConeData(cx, include, project)
+    return ConeData(f, Complex(x.left_algebra, x.right_algebra, terms, diffs))
 
 
 def direct_sum_complexes(xs: list[Complex]) -> tuple[Complex, list[ChainMap], list[ChainMap]]:
@@ -390,12 +397,10 @@ def tensor_cx(x: Complex, y: Complex) -> TensorComplex:
 
 def homology_dims(x: Complex) -> dict[int, int]:
     """Degree -> dimension of cohomology, by exact rank computations."""
+    ranks = {n: d.rank() for n, d in x.diffs.items()}
     out = {}
     for n in x.degrees():
-        d_n = x.diff_matrix(n)
-        d_prev = x.diff_matrix(n - 1)
-        dim_ker = x.dim(n) - d_n.rank()
-        h = dim_ker - d_prev.rank()
+        h = x.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
         if h:
             out[n] = h
     return out

@@ -3,15 +3,19 @@
 Every number in the engine lives here: a matrix is an integer numpy array
 arr over a positive integer den, and all arithmetic is exact.  Only this
 module reads or writes those arrays; the rest of the engine builds and
-reads matrices through Matrix operations: from_blocks places blocks in a
-zero matrix, combinations forms linear combinations of equal-shape
-matrices, reshape regroups the entries row by row, entries reads the
-entries out as Python numbers, nonzero_mask says which are nonzero and
-nonzero_entries reads those out, one per row.  Row reduction uses
-deterministic pivoting (first nonzero column, then first nonzero row), so
-every basis produced downstream is reproducible bit for bit.  A pivot
-step, over F_p as over Q, updates only the rows hit by the pivot: those
-with a nonzero entry in its column.
+reads matrices through Matrix operations such as from_blocks (blocks
+placed in zeros), combinations (linear combinations of equal-shape
+matrices), reshape, entries and nonzero_entries.  combine_blocks forms
+column-by-column combinations of row blocks, and combine_slots does so
+for several coefficient blocks in one batched product, projecting each
+result: one call gives every slot of a tensor's coordinates.
+
+Row reduction uses deterministic pivoting (first nonzero column, then
+first nonzero row), so every basis produced downstream is reproducible
+bit for bit.  A pivot step, over F_p as over Q, updates only the rows hit
+by the pivot: those with a nonzero entry in its column.  F_p matrices of
+at most SMALL_RREF entries are reduced on Python ints instead, with no
+numpy call per pivot; the reduced form is unique, so nothing changes.
 
 Over F_p, arr holds int64 residues and den is 1.  Prime fields go up to
 p = 2^31 - 1 (MAX_PRIME), so a product of two residues fits in int64.  A
@@ -23,16 +27,16 @@ exact ways, chosen by its size alone:
   measured size below which converting costs about what BLAS saves;
 * int64 otherwise, reducing mod p once at the end, or after each run of
   the inner dimension whose partial sums stay below 2^63 when
-  k (p-1)^2 would not.
+  k (p-1)^2 would not.  Batched combinations run the same way.
 
 Over Q the matrix is arr / den in lowest terms (a zero matrix has den 1),
 with arr int64 exactly when every |numerator| < 2^63 and Python ints
 otherwise, so equal matrices have equal arr and den.  Sums, products,
 Kronecker products and scalings run on numerators over the product or
 lcm of the denominators, in int64 when a bound on every result (such as
-k max|A| max|B| for a product) stays below 2^63; blocks and stacks bring
-their parts to the lcm of their denominators.  Row reduction runs on
-integer rows kept primitive (divided by the gcd of their entries) and
+k max|A| max|B| for a product, each matrix's max computed once) stays
+below 2^63; blocks and stacks bring their parts to the lcm of their
+denominators.  Row reduction runs on integer rows kept primitive and
 returns them over the lcm of the pivots: the reduced form elimination on
 Fractions gives.  Fractions appear only where numbers come in
 (Field.elem, the Matrix constructor) and go out (entries).
@@ -40,7 +44,6 @@ Fractions gives.  Fractions appear only where numbers come in
 Matrices are immutable after construction and safe to share between
 threads; all operations return fresh objects.
 """
-
 from __future__ import annotations
 
 import math
@@ -51,6 +54,7 @@ import numpy as np
 
 MAX_PRIME = 2 ** 31 - 1
 BLAS_MIN_MACS = 32 ** 3
+SMALL_RREF = 128  # F_p matrices with at most this many entries are row-reduced on Python ints
 _FLOAT_EXACT = 2 ** 53
 _INT64_MAX = 2 ** 63 - 1
 
@@ -93,7 +97,7 @@ class Field:
         return self.p is not None
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.p == other.p
+        return self is other or (isinstance(other, Field) and self.p == other.p)
 
     def __hash__(self):
         return hash(("Field", self.p))
@@ -122,7 +126,7 @@ class Field:
             x = int(x) % self.p
             if x == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return pow(x, self.p - 2, self.p)
+            return pow(x, -1, self.p)
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / x
@@ -140,14 +144,15 @@ def _top(arr: np.ndarray) -> int:
     return int(np.maximum.reduce(np.abs(arr), axis=None, initial=0))
 
 
-def _exact(field: Field, factor: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Over Q, the numerator arrays as Python ints when factor times the
-    product of their largest |entries| (the bound on what the caller forms
-    from them) reaches 2^63, and as they are otherwise.  Over F_p they are
-    returned as they are: residues below 2^31 never overflow."""
-    if field.p is None and factor * math.prod([max(_top(a), 1) for a in arrays]) > _INT64_MAX:
-        return tuple(a.astype(object) for a in arrays)
-    return arrays
+def _exact(factor: int, *mats: "Matrix") -> tuple[np.ndarray, ...]:
+    """Over Q, the numerator arrays of mats as Python ints when factor times
+    the product of their largest |numerators| (the bound on what the caller
+    forms from them) reaches 2^63, and as they are otherwise.  Over F_p they
+    are returned as they are: residues below 2^31 never overflow."""
+    if mats[0].field.p is None and \
+            factor * math.prod([max(m._largest(), 1) for m in mats]) > _INT64_MAX:
+        return tuple(m.arr.astype(object) for m in mats)
+    return tuple(m.arr for m in mats)
 
 
 def _common(field: Field, mats: list["Matrix"]) -> tuple[list[np.ndarray], int]:
@@ -161,6 +166,29 @@ def _common(field: Field, mats: list["Matrix"]) -> tuple[list[np.ndarray], int]:
 def _primitive_rows(rows: np.ndarray) -> np.ndarray:
     """Each row divided by the gcd of its entries (zero rows stay zero)."""
     return rows // np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
+
+
+def _rref_small(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """_rref_mod_p on Python int rows, for matrices too small to repay a numpy
+    call per pivot; the reduced form is unique, so R and the pivots agree."""
+    rows, cols = arr.shape
+    R = arr.tolist()
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        for i in range(r, rows):
+            if R[i][c]:
+                break
+        else:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], -1, p)
+        row = R[r] = [x * inv % p for x in R[r]]
+        for k in range(rows):
+            if k != r and (f := R[k][c]):
+                R[k] = [(x - f * y) % p for x, y in zip(R[k], row)]
+        pivots.append(c)
+    return np.array(R, dtype=np.int64).reshape(rows, cols), pivots
 
 
 def _rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
@@ -263,7 +291,7 @@ class Matrix:
     """An immutable exact matrix over a Field, stored densely row-major as
     integers arr over a denominator den (see the module docstring)."""
 
-    __slots__ = ("field", "rows", "cols", "arr", "den", "_rref")
+    __slots__ = ("field", "rows", "cols", "arr", "den", "_rref", "_max")
 
     def __init__(self, field: Field, arr):
         """The matrix of arr, a 2-D array or nested list of ints, Fractions
@@ -284,19 +312,19 @@ class Matrix:
                 vals = [x.numerator * (den // x.denominator) for x in vals]
             arr = np.array(vals, dtype=object).reshape(arr.shape)
         out = Matrix._normal(field, arr, den)
-        self.field, self.arr, self.den, self._rref = field, out.arr, out.den, None
+        self.field, self.arr, self.den, self._rref, self._max = field, out.arr, out.den, None, None
         self.rows, self.cols = out.rows, out.cols
 
     @classmethod
     def _wrap(cls, field: Field, arr: np.ndarray, den: int = 1) -> "Matrix":
         """The matrix arr / den, already in normal form, without copying."""
         out = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         out.field = field
         out.arr = arr
         out.den = den
         out.rows, out.cols = arr.shape
-        out._rref = None
+        out._rref = out._max = None
         return out
 
     @classmethod
@@ -318,12 +346,20 @@ class Matrix:
         """nums / den in normal form: reduced mod p, or over Q in lowest terms."""
         return cls._lowest(field, nums if field.p is None else nums % field.p, den)
 
-    def _over(self, den: int) -> np.ndarray:
-        """The numerators of self over den, a multiple of self.den."""
-        if den == self.den or not self.arr.any():  # zeros stay int64 whatever den is
+    def _largest(self) -> int:
+        """The largest |numerator|, computed once per matrix."""
+        if self._max is None:
+            self._max = _top(self.arr)
+        return self._max
+
+    def _over(self, den: int, factor: int = 1) -> np.ndarray:
+        """The numerators of self over den, a multiple of self.den, as Python
+        ints when factor times their largest |value| reaches 2^63."""
+        scale = den // self.den
+        if (scale == factor == 1) or not self._largest():  # zeros stay int64 whatever den is
             return self.arr
-        a, = _exact(self.field, den // self.den, self.arr)
-        return a * (den // self.den)
+        a, = _exact(factor * scale, self)
+        return a * scale if scale != 1 else a
 
     # construction ---------------------------------------------------
 
@@ -396,8 +432,7 @@ class Matrix:
         if self.field.p is not None:
             return Matrix._wrap(self.field, op(self.arr, other.arr) % self.field.p)
         den = math.lcm(self.den, other.den)
-        (a,), (b,) = (_exact(self.field, 2, m._over(den)) for m in (self, other))
-        return Matrix._normal(self.field, op(a, b), den)
+        return Matrix._normal(self.field, op(self._over(den, 2), other._over(den, 2)), den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -409,12 +444,12 @@ class Matrix:
         p = self.field.p
         if p is not None:
             return Matrix._wrap(self.field, _dot_mod(self.arr, other.arr, p))
-        a, b = _exact(self.field, self.cols, self.arr, other.arr)
+        a, b = _exact(self.cols, self, other)
         return Matrix._normal(self.field, np.dot(a, b), self.den * other.den)
 
     def scale(self, c) -> "Matrix":
         n, d = self.field.elem(c).as_integer_ratio()
-        a, = _exact(self.field, abs(n), self.arr)
+        a, = _exact(abs(n), self)
         return Matrix._normal(self.field, a * n, self.den * d)
 
     def transpose(self) -> "Matrix":
@@ -425,7 +460,7 @@ class Matrix:
             raise ValueError("field mismatch")
         if 0 in (self.rows, self.cols, other.rows, other.cols):
             return Matrix.zeros(self.field, self.rows * other.rows, self.cols * other.cols)
-        a, b = _exact(self.field, 1, self.arr, other.arr)
+        a, b = _exact(1, self, other)
         return Matrix._normal(self.field, np.kron(a, b), self.den * other.den)
 
     def combine_blocks(self, coeffs: "Matrix") -> "Matrix":
@@ -434,22 +469,49 @@ class Matrix:
         self stacks coeffs.rows blocks of equal height h; column j of the
         h x coeffs.cols result is sum_i coeffs[i, j] * (block i)[:, j].
         """
-        r, cols = coeffs.rows, coeffs.cols
-        if self.field != coeffs.field or self.cols != cols or r == 0 or self.rows % r:
+        sums, den = self._combined(coeffs, 1)
+        return Matrix._lowest(self.field, sums[:, 0].T, den)
+
+    def combine_slots(self, coeffs: "Matrix", projs: list["Matrix"]) -> "Matrix":
+        """Row block t is projs[t] * self.combine_blocks(row block t of coeffs),
+        for coeffs stacking len(projs) blocks: all blocks combined in one
+        batched product, then one product per distinct projection object."""
+        field = self.field
+        sums, den = self._combined(coeffs, len(projs))
+        cols, _, h = sums.shape
+        groups: dict[int, tuple[Matrix, list[int]]] = {}
+        for t, proj in enumerate(projs):
+            groups.setdefault(id(proj), (proj, []))[1].append(t)
+        # row j * len(ts) + k of a group's product is slot ts[k] at column j
+        parts = [Matrix._wrap(field, (sums if len(ts) == len(projs) else sums[:, ts]).reshape(-1, h),
+                              den) * proj.transpose() for proj, ts in groups.values()]
+        arrays, den = _common(field, parts)
+        slots = {}
+        for a, (proj, ts) in zip(arrays, groups.values()):
+            slots.update(zip(ts, a.reshape(cols, len(ts), proj.rows).transpose(1, 2, 0)))
+        return Matrix._lowest(field, np.concatenate([slots[t] for t in range(len(projs))]), den)
+
+    def _combined(self, coeffs: "Matrix", slots: int) -> tuple[np.ndarray, int]:
+        """combine_blocks by each of the slots row blocks of coeffs, as an array
+        (cols, slots, h) of numerators over a denominator: [j, t] is column j
+        by block t.  Over F_p the sums run as _dot_mod's products do."""
+        cols = coeffs.cols
+        r = coeffs.rows // slots if slots else 0
+        if self.field != coeffs.field or self.cols != cols or r == 0 or \
+                coeffs.rows != r * slots or self.rows % r:
             raise ValueError("shape or field mismatch in combine_blocks")
         p = self.field.p
+        b, w = _exact(r, self, coeffs)
+        b = b.reshape(r, self.rows // r, cols).transpose(2, 0, 1)
+        w = w.reshape(slots, r, cols).transpose(2, 0, 1)
         if p is None:
-            b, w = _exact(self.field, r, self.arr, coeffs.arr)
-            sums = (b.reshape(r, self.rows // r, cols) * w[:, None, :]).sum(axis=0)
-            return Matrix._normal(self.field, sums, self.den * coeffs.den)
-        blocks = self.arr.reshape(r, self.rows // r, cols)
-        weights = coeffs.arr[:, None, :]
+            return np.matmul(w, b), self.den * coeffs.den
+        if r * (p - 1) ** 2 < _FLOAT_EXACT and b.size * slots >= BLAS_MIN_MACS:
+            out = np.matmul(w.astype(np.float64), b.astype(np.float64))
+            return np.fmod(out, p, out=out).astype(np.int64), 1
         run = _int64_run(p)
-        out = np.zeros(blocks.shape[1:], dtype=np.int64)
-        for s in range(0, r, run):
-            out += (blocks[s:s + run] * weights[s:s + run]).sum(axis=0)
-            out %= p
-        return Matrix._wrap(self.field, out)
+        parts = (np.matmul(w[:, :, s:s + run], b[:, s:s + run]) % p for s in range(0, r, run))
+        return sum(parts) % p, 1
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -463,7 +525,7 @@ class Matrix:
         if not mats:
             return Matrix.zeros(field, rows, 0)
         arrays, den = _common(field, mats)
-        return Matrix._wrap(field, np.hstack(arrays), den)
+        return Matrix._wrap(field, np.concatenate(arrays, axis=1), den)
 
     @staticmethod
     def stack_rows(field: Field, mats: list["Matrix"], cols: int) -> "Matrix":
@@ -472,7 +534,7 @@ class Matrix:
         if not mats:
             return Matrix.zeros(field, 0, cols)
         arrays, den = _common(field, mats)
-        return Matrix._wrap(field, np.vstack(arrays), den)
+        return Matrix._wrap(field, np.concatenate(arrays), den)
 
     @staticmethod
     def block_diag(field: Field, mats: list["Matrix"]) -> "Matrix":
@@ -530,7 +592,8 @@ class Matrix:
             return self._rref
         field = self.field
         if field.is_prime_field:
-            R, pivots = _rref_mod_p(self.arr, field)
+            small = self.rows * self.cols <= SMALL_RREF
+            R, pivots = _rref_small(self.arr, field.p) if small else _rref_mod_p(self.arr, field)
             out = Matrix._wrap(field, R)
         else:
             R, den, pivots = _rref_rational(self.arr)

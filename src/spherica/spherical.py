@@ -8,6 +8,8 @@ engine already exercises.
 Every verdict and homology profile is a property of the functor, so it
 is decided on the minimal model of the kernel, kernel_ops(p).model(),
 which is homotopy equivalent to p and p itself when nothing cancels.
+check_conditions builds one report per kernel and keeps it in
+kernel_ops(p), so a check and a sphericalness test of p share it.
 The twist and cotwist kernels that are reported come from p itself, and
 check_fully_faithful checks the kernel it is given.
 
@@ -181,12 +183,16 @@ def class_refutations(p: Kernel) -> tuple[bool, bool, bool, bool]:
 
 def check_conditions(p: Kernel) -> ConditionReport:
     """Evaluate the four conditions and collect homology profiles, all on
-    the minimal model of p.
+    the minimal model of p, once per kernel (the report is kept).
 
     A condition that class_refutations rules out is false with no further
     work; the others are decided by building their tensors and cones.  The
     right adjoint must be right-projective, as FR = R (x) p is built from
     its splitting; KernelError names the first degree where it is not."""
+    return kernel_ops(p)._get("report", lambda: _conditions(p))
+
+
+def _conditions(p: Kernel) -> ConditionReport:
     q = kernel_ops(p).model()
     ops = kernel_ops(q)
     for n, t in ops.right_adjoint().kernel.complex.terms.items():

@@ -1,5 +1,5 @@
-"""Shared fixtures: the small algebras every suite exercises, the
-equivalence test and the four conditions without minimal models, the
+"""Shared fixtures: the small algebras every suite exercises, partly
+cancellable kernels, the equivalence test and the four conditions without minimal models, the
 restriction to scalars, the center of an algebra, the two-sided hom
 complex, the quotient model of a tensor product, identity chain maps,
 cone differentials as sums of products, the shift interchanges and the
@@ -12,6 +12,7 @@ are checked against."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,9 +27,11 @@ from spherica.algebras import (
 from spherica.bimodules import (
     Bimodule,
     BimoduleError,
+    direct_sum,
     hom_space,
     is_projective,
     left_dual,
+    projective_bimodule,
     right_dual,
 )
 from spherica.complexes import (
@@ -36,6 +39,7 @@ from spherica.complexes import (
     Complex,
     ComplexError,
     TensorComplex,
+    direct_sum_complexes,
     homology_dims,
     is_quasi_iso,
     shift,
@@ -43,6 +47,7 @@ from spherica.complexes import (
 )
 from spherica.kernels import Kernel, condition3_map, condition4_map, kernel_ops
 from spherica.linalg import Field, Matrix
+from spherica.spherical import random_kernel
 
 F101 = Field.prime(101)
 
@@ -117,6 +122,26 @@ def loop_with_exit(field=F101) -> Algebra:
 # source and target algebras of the random kernels with a non-trivial source
 RANDOM_SHAPES = {"D-X3": (dual_numbers, x_cubed), "D-D": (dual_numbers, dual_numbers),
                  "Z-Z": (zigzag_a2, zigzag_a2)}
+
+
+def partly_cancellable_kernel(a: Algebra, b: Algebra, rng: random.Random) -> tuple[Kernel, Kernel]:
+    """A kernel that is neither minimal nor contractible, and the minimal
+    kernel it reduces to: a random kernel that is its own minimal model,
+    summed with a contractible two-term kernel P --c--> P on a random
+    standard summand P, for a random scalar c != 0.  random_kernel alone
+    never draws one: every non-minimal kernel it draws is contractible."""
+    field = a.field
+    minimal = random_kernel(a, b, rng)
+    while kernel_ops(minimal).model() is not minimal:
+        minimal = random_kernel(a, b, rng)
+    p = projective_bimodule(a, rng.randrange(len(a.vertex_idempotents)),
+                            b, rng.randrange(len(b.vertex_idempotents)))
+    c = rng.randrange(1, field.p) if field.is_prime_field else rng.choice([1, -2, 3])
+    deg = rng.choice([-2, -1, 0])
+    contractible = Complex(a, b, {deg: direct_sum([p]), deg + 1: direct_sum([p])},
+                           {deg: Matrix.identity(field, p.dim).scale(c)})
+    total = direct_sum_complexes([contractible, minimal.complex])[0]
+    return Kernel(a, b, total), minimal
 
 
 def term_dims(x) -> dict[int, int]:

@@ -32,7 +32,7 @@ from spherica.bimodules import (
 from spherica.complexes import _coordinate_blocks
 from spherica.kernels import kernel_ops
 from spherica.linalg import Field, Matrix
-from spherica.session import _elaborate, builtin_example, builtin_names
+from spherica.session import _elaborate, builtin_example, builtin_names, run_session
 from spherica.spherical import check_conditions, random_kernel
 
 from helpers import (
@@ -371,15 +371,19 @@ def test_flip_swaps_sides_over_opposite_algebras():
 
 def _without_record(m: Bimodule) -> Bimodule:
     """m's action matrices in a fresh bimodule with no part records."""
-    return Bimodule(m.left_algebra, m.right_algebra, m.left_action, m.right_action, m.dim)
+    return Bimodule(m.left_algebra, m.right_algebra, m.left_action, m.right_action, m.dim,
+                    label=m.label)
 
 
 def _recorded_composites(k) -> list[Bimodule]:
-    """The kernel's terms and their flips, the slot tensors and total terms
-    of RF = p (x) R and FR = R (x) p, and the cone terms of the twist and
-    cotwist: every composite that carries a part record."""
+    """The kernel's terms and their flips, the terms of its adjoints R and L
+    (sums of the kept duals of standard summands), the slot tensors and
+    total terms of RF = p (x) R and FR = R (x) p, and the cone terms of the
+    twist and cotwist: every composite that carries a part record."""
     ops = kernel_ops(k)
     out = list(k.complex.terms.values())
+    for adj in (ops.right_adjoint(), ops.left_adjoint()):
+        out += list(adj.kernel.complex.terms.values())
     for t in (ops.rf(), ops.fr()):
         out += [td.bimodule for slots in t.layout.values() for td, _ in slots.values()]
         out += list(t.complex.terms.values())
@@ -572,3 +576,96 @@ def test_hom_space_equals_the_solve_over_every_block_pair(field, case):
     if case[0] == "quiver":
         reg = mods[0]
         assert len(hom_space(reg, reg)) == len(center_basis(reg.left_algebra))
+
+
+# --- duals of sums of standard summands, assembled from the kept ones ---
+
+
+def _standard_sums(field) -> list[Bimodule]:
+    """Sums of standard summands whose vertices are out of order, with a
+    repeated summand, over the source algebras k, D and Z."""
+    k, d, z = trivial_algebra(field), dual_numbers(field), zigzag_a2(field)
+    P = projective_bimodule
+    return [direct_sum([P(k, 0, z, 1), P(k, 0, z, 0)]),
+            direct_sum([P(d, 0, z, 1), P(d, 0, z, 0), P(d, 0, z, 1)]),
+            direct_sum([P(z, 0, z, 1), P(z, 1, z, 0), P(z, 0, z, 0)]),
+            direct_sum([P(k, 0, d, 0)])]
+
+
+def _assert_same_dual(got, want) -> None:
+    assert (got.bimodule.label, got.bimodule.dim) == (want.bimodule.label, want.bimodule.dim)
+    assert got.bimodule.left_action == want.bimodule.left_action
+    assert got.bimodule.right_action == want.bimodule.right_action
+    assert got.hom_matrices == want.hom_matrices
+    assert got.generators == want.generators
+    assert got.cogenerators == want.cogenerators
+
+
+def _assert_same_slot_parts(m: Bimodule, fresh: Bimodule) -> None:
+    for v in range(len(m.left_algebra.vertex_idempotents)):
+        got, want = bimodules._slot_part(m, v), bimodules._slot_part(fresh, v)
+        assert got.right_action == want.right_action
+        a, b = _splitting(got), _splitting(want)
+        assert (a.gens, a.vertex_pos, a.phi, a.slot_coords) == \
+            (b.gens, b.vertex_pos, b.phi, b.slot_coords)
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_duals_of_sums_of_standard_summands_equal_fresh_ones(field):
+    """right_dual and left_dual of a sum of standard summands are sums of
+    the duals each summand keeps, in the order of the sum's splitting.
+    They are, matrix for matrix, the duals built from the sum's own
+    splitting: actions, hom matrices, generators and cogenerators; and the
+    splittings, vertex blocks and slot parts read off their summands are
+    the fresh ones.  The dual of such a dual is assembled the same way."""
+    for p in _standard_sums(field):
+        fresh = _without_record(p)
+        for dual in (right_dual, left_dual):
+            got, want = dual(p), dual(fresh)
+            assert got.bimodule.summands and not want.bimodule.summands
+            _assert_same_dual(got, want)
+            _assert_assembled_equals_fresh(got.bimodule)
+            _assert_same_slot_parts(got.bimodule, want.bimodule)
+        twice, once = right_dual(right_dual(p).bimodule), right_dual(fresh).bimodule
+        assert twice.bimodule.summands
+        _assert_same_dual(twice, right_dual(_without_record(once)))
+        for s in p.summands:
+            assert right_dual(s) is right_dual(s)
+            assert right_dual(flip(s)) is right_dual(flip(s))
+
+
+def _random_matrix(field, rows: int, cols: int, rng: random.Random) -> Matrix:
+    if field.is_prime_field:
+        return Matrix(field, [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)])
+    return Matrix.from_rows(field, [[f"{rng.randrange(-9, 10)}/{rng.choice([1, 2, 3, 7])}"
+                                     for _ in range(cols)] for _ in range(rows)], cols)
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.prime(2 ** 31 - 1), Field.rationals()],
+                         ids=["F2", "F101", "F2147483647", "Q"])
+def test_stacked_tensor_coordinates_equal_a_per_slot_loop(field, monkeypatch):
+    """On every tensor that the builtin sessions build, the coordinates of
+    pure tensors x_j (x) y_j from one stacked product, one batched
+    combination and one projection per vertex group are those of the loop
+    over slots t: c_t(x_j), combined with the b_i . y_j, projected onto
+    e_{v_t} n."""
+    tensors = []
+    init = bimodules.TensorData.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        tensors.append(self)
+
+    monkeypatch.setattr(bimodules.TensorData, "__init__", recording_init)
+    for name in builtin_names():
+        run_session(builtin_example(name), field=field)
+    monkeypatch.undo()
+    assert len(tensors) > 100
+    rng = random.Random(0)
+    for td in tensors:
+        xs, ys = (_random_matrix(field, m.dim, 3, rng) for m in (td.m, td.n))
+        acted = Matrix.stack_rows(field, td.n.left_action, td.n.dim) * ys
+        want = Matrix.stack_rows(field, [
+            td.n.left_block_proj(v) * acted.combine_blocks(c * xs)
+            for c, v in zip(td.sp.slot_coords, td.sp.vertex_pos)], 3)
+        assert td.coords(xs, ys) == want

@@ -10,6 +10,7 @@ import pytest
 from spherica.bimodules import (
     Bimodule,
     direct_sum,
+    is_projective,
     projective_bimodule,
     regular_bimodule,
 )
@@ -36,9 +37,19 @@ from spherica.complexes import (
     tensor_cx,
     unit_complex,
 )
+from spherica.kernels import kernel_ops
 from spherica.linalg import Field, Matrix
+from spherica.session import _elaborate, builtin_example, builtin_names
 
-from helpers import center_basis, dual_numbers, hom_cx, identity_map, term_dims, zigzag_a2
+from helpers import (
+    center_basis,
+    direct_sum_maps_oracle,
+    dual_numbers,
+    hom_cx,
+    identity_map,
+    term_dims,
+    zigzag_a2,
+)
 
 F = Field.prime(101)
 K = scalar_algebra(F)
@@ -430,3 +441,31 @@ def test_minimal_model_keeps_a_complex_without_invertible_components():
     m = minimal_model(x)
     assert all(m.terms[n] is x.terms[n] for n in x.degrees())
     assert m.diff_matrix(0) == x.diff_matrix(0)
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_cone_maps_are_built_on_first_read(field):
+    """cone() builds the cone complex alone.  The triangle maps are built on
+    first read and kept: the inclusion of Y and the projection onto X[1],
+    equal, entry by entry, to the inclusion and projection of the summands
+    Y^n and X^{n+1} of each cone term, on the units and counits of the
+    builtin kernels and of those of their twists (which have two terms)
+    whose right adjoint is right-projective."""
+    kernels = [k for name in builtin_names()
+               for p in _elaborate(builtin_example(name), field)[1].values()
+               for k in (p, kernel_ops(p).twist().kernel)
+               if all(is_projective(t, "right")
+                      for t in kernel_ops(k).right_adjoint().kernel.complex.terms.values())]
+    for k in kernels:
+        ops = kernel_ops(k)
+        for f in (ops.unit_right(), ops.counit_right(), ops.unit_left(), ops.counit_left()):
+            cd = cone(f)
+            assert "include_target" not in vars(cd) and "project_source" not in vars(cd)
+            injs, projs = direct_sum_maps_oracle([shift(f.source, 1), f.target], cd.cone)
+            include, project = cd.include_target, cd.project_source
+            assert include is cd.include_target and project is cd.project_source
+            assert (include.source, include.target, project.source) == (f.target, cd.cone, cd.cone)
+            assert include.components == injs[1].components
+            assert project.components == projs[0].components
+            assert project.target.terms == shift(f.source, 1).terms
+    assert len(kernels) > 10

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, Field, Matrix
+from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, SMALL_RREF, Field, Matrix, _rref_mod_p, _rref_small
 
 from helpers import (
     dense_rref_mod_p,
@@ -197,6 +197,36 @@ def test_elimination_mod_p_equals_dense_elimination(p, long, short, form, fill, 
     assert np.array_equal(R.arr, want)
     assert pivots == tuple(want_pivots)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 101, MAX_PRIME]),
+    rows=st.integers(0, 12),
+    cols=st.integers(0, 12),
+    fill=st.sampled_from(["dense", "sparse", "zero"]),
+    seed=st.integers(0, 10**6),
+)
+def test_small_elimination_equals_the_numpy_elimination(p, rows, cols, fill, seed):
+    """Matrices of at most SMALL_RREF entries are row-reduced on Python ints.
+    The reduced form is unique, so R and the pivots are those of the numpy
+    elimination, bit for bit; shapes run from 0 x 0 to 12 x 12, past the
+    threshold, so Matrix.rref takes both paths."""
+    assert 11 * 12 > SMALL_RREF
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(0, p, (rows, cols))
+    if fill == "sparse":
+        arr *= rng.random((rows, cols)) < 0.2
+    elif fill == "zero":
+        arr[...] = 0
+    field = Field.prime(p)
+    R, pivots = _rref_small(arr, p)
+    want, want_pivots = _rref_mod_p(arr, field)
+    assert R.dtype == want.dtype and R.shape == want.shape
+    assert np.array_equal(R, want)
+    assert pivots == want_pivots
+    got = Matrix(field, arr).rref()
+    assert np.array_equal(got[0].arr, want) and got[1] == tuple(want_pivots)
 
 def test_rank_transpose_rationals():
     m = Matrix.from_rows(Q, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
@@ -629,3 +659,25 @@ def test_equal_matrices_compare_equal_whatever_built_them():
     tiny = Matrix.from_rows(Q, [[Fraction(1, 2 ** 64 + 13)]])
     joined = Matrix.stack_columns(Q, [Matrix.zeros(Q, 1, 1), tiny], 1)
     assert joined.arr.dtype == np.int64 and joined.den == 2 ** 64 + 13
+
+
+@pytest.mark.parametrize("field", SHAPE_FIELDS, ids=["F2", "F101", "F2147483647", "Q"])
+@pytest.mark.parametrize("r, h, cols, slots", [(2, 3, 4, 3), (6, 8, 60, 12)],
+                         ids=["small", "past-the-blas-cutover"])
+def test_combine_slots_equals_a_python_loop(field, r, h, cols, slots):
+    """Row block t of combine_slots is projs[t] times sum_i coeffs[t r + i, j]
+    (block i)[:, j], column by column, computed here on Python numbers; the
+    slots share projection objects, one of no rows.  Over F_p the sums run
+    on float64 BLAS past BLAS_MIN_MACS multiply-adds when r (p-1)^2 < 2^53,
+    in int64 stretches at p = 2^31 - 1; over Q on numerators past 2^63."""
+    rng = random.Random(r * cols)
+    acted, coeffs = (_matrix(field, _python_entries(field, n, cols, rng), cols)
+                     for n in (r * h, slots * r))
+    shared = [_matrix(field, _python_entries(field, d, h, rng), h) for d in (3, 5)]
+    projs = [([Matrix.zeros(field, 0, h)] + shared)[t % 3] for t in range(slots)]
+    a, c = acted.entries(), coeffs.entries()
+    want = [proj * _matrix(field, [[sum(c[t * r + i][j] * a[i * h + k][j] for i in range(r))
+                                    for j in range(cols)] for k in range(h)], cols)
+            for t, proj in enumerate(projs)]
+    assert acted.combine_slots(coeffs, projs) == Matrix.stack_rows(field, want, cols)
+    assert (r * h * cols * slots >= BLAS_MIN_MACS) == (cols > 4)

@@ -31,6 +31,7 @@ from spherica.kernels import (
     kernel_ops,
 )
 from spherica.linalg import Field, Matrix
+from spherica import spherical
 from spherica.session import _elaborate, builtin_example, builtin_names, parse_session, run_session
 from spherica.spherical import (
     check_adjoint_spherical,
@@ -57,6 +58,7 @@ from helpers import (
     k_times_k,
     kronecker,
     loop_with_exit,
+    partly_cancellable_kernel,
     term_dims,
     x_cubed,
     zigzag_a2,
@@ -385,6 +387,55 @@ def test_check_conditions_on_the_model_agrees_with_the_kernel(field, shape, seed
     assert term_dims(model.complex) == model_dims
     report = check_conditions(p)
     assert (report.flags(), report.homology_profiles) == conditions_unminimised(p)
+
+
+_CANCELLABLE_SHAPES = {"k-D": (scalar_algebra, dual_numbers), "k-Z": (scalar_algebra, zigzag_a2),
+                       "D-D": (dual_numbers, dual_numbers), "D-X3": (dual_numbers, x_cubed)}
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+@pytest.mark.parametrize("shape", sorted(_CANCELLABLE_SHAPES))
+def test_partly_cancellable_kernels_reduce_to_their_minimal_part(field, shape):
+    """On partly cancellable kernels (helpers.partly_cancellable_kernel),
+    seeds 0-2: the minimal model is the minimal part, of smaller total
+    dimension, with the kernel's homology, and the four flags and profiles
+    decided on it are the minimal part's.  From k to D they are also those
+    that the kernel itself gives, unminimised (elsewhere its twist is too
+    large for a test)."""
+    src, tgt = _CANCELLABLE_SHAPES[shape]
+    a, b = src(field), tgt(field)
+    for seed in range(3):
+        p, minimal = partly_cancellable_kernel(a, b, random.Random(seed))
+        model = kernel_ops(p).model()
+        assert term_dims(model.complex) == term_dims(minimal.complex)
+        assert 0 < model.complex.total_dim() < p.complex.total_dim()
+        assert homology_dims(model.complex) == homology_dims(p.complex)
+        report, want = check_conditions(p), check_conditions(minimal)
+        assert (report.flags(), report.homology_profiles) == (want.flags(), want.homology_profiles)
+        if shape == "k-D":
+            assert (report.flags(), report.homology_profiles) == conditions_unminimised(p)
+
+
+def test_a_check_and_spherical_session_builds_each_report_once(monkeypatch):
+    """check P and spherical P read one report of P, and the adjoint
+    sphericalness check builds one report of the right adjoint: each
+    kernel's four conditions are decided once."""
+    built = []
+    conditions = spherical._conditions
+
+    def counting(p):
+        built.append(p)
+        return conditions(p)
+
+    monkeypatch.setattr(spherical, "_conditions", counting)
+    for name in ("dual_numbers", "kxk", "zigzag_a2"):
+        built.clear()
+        report = run_session(builtin_example(name))
+        assert [r.cmd.split()[0] for r in report.results].count("spherical") == 1
+        assert all(r.status == "ok" for r in report.results)
+        assert len(built) == 2 and len({id(p) for p in built}) == 2
+        p = built[0]
+        assert built[1] is kernel_ops(kernel_ops(p).model()).right_adjoint().kernel
 
 
 @pytest.mark.parametrize("name", builtin_names())
