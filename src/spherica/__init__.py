@@ -42,7 +42,6 @@ from .complexes import (
     homology_dims,
     is_quasi_iso,
     shift,
-    single_term,
     tensor_cx,
 )
 from .kernels import (
@@ -52,7 +51,6 @@ from .kernels import (
     compose_list,
     condition3_map,
     condition4_map,
-    identity_kernel,
     kernel_ops,
 )
 from .linalg import Field, Matrix

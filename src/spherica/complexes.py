@@ -18,7 +18,9 @@ never assembled by hand, and only on first read.
 
 Maps between direct sums, tensor totalizations included, are assembled
 from blocks placed by offset (Matrix.from_blocks); a tensor complex's
-layout gives the offset of every slot.  The inclusions and projections of
+layout gives the offset of every slot.  A term of a cone or a tensor is
+the direct sum of the terms that exist in its degree, so no zero
+bimodule stands in for a missing one.  The inclusions and projections of
 the summands of a cone or a direct sum are slices of one identity per
 term.
 
@@ -30,7 +32,8 @@ kernel terms are projective on both sides, so quasi-isomorphic kernels
 induce isomorphic functors on the derived categories.
 
 Witnesses are sampled in one place: first_witness tries each basis
-element, their sum, then random combinations drawn by random_combination.
+element, their sum when there are several, then random combinations
+drawn by random_combination.
 """
 
 from __future__ import annotations
@@ -116,9 +119,6 @@ class Complex:
             return d
         return Matrix.zeros(self.field, self.dim(n + 1), self.dim(n))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * t.dim for n, t in self.terms.items())
 
@@ -128,10 +128,6 @@ class Complex:
     def __repr__(self):
         parts = ", ".join(f"{n}:{self.terms[n].dim}" for n in self.degrees())
         return f"Complex({parts or 'zero'})"
-
-
-def single_term(m: Bimodule, degree: int = 0) -> Complex:
-    return Complex(m.left_algebra, m.right_algebra, {degree: m}, {})
 
 
 def unit_complex(a: Algebra) -> Complex:
@@ -199,14 +195,6 @@ class ChainMap:
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
 
-    def is_identity(self) -> bool:
-        if set(self.source.terms) != set(self.target.terms):
-            return False
-        for n in self.source.terms:
-            if self.source.dim(n) != self.target.dim(n) or not self.comp(n).is_identity():
-                return False
-        return True
-
     def inverse(self) -> "ChainMap":
         """The inverse target -> source, degree by degree; ComplexError when
         a degree has different dimensions on the two sides or is singular."""
@@ -269,11 +257,8 @@ def cone(f: ChainMap) -> ConeData:
     by offset."""
     x, y = f.source, f.target
     field = x.field
-    terms = {}
-    for n in sorted({n - 1 for n in x.terms} | set(y.terms)):
-        total = direct_sum([x.term(n + 1), y.term(n)])
-        if total.dim:
-            terms[n] = total
+    terms = {n: direct_sum([t for t in (x.terms.get(n + 1), y.terms.get(n)) if t is not None])
+             for n in sorted({n - 1 for n in x.terms} | set(y.terms))}
     diffs = {}
     for n in terms:
         if (n + 1) not in terms:
@@ -613,12 +598,11 @@ def random_combination(basis: list, field, rng: random.Random):
 
 def first_witness(basis: list, accept, field, rng: random.Random, attempts: int):
     """The first element that accept() takes among: each basis element, then
-    their sum, then up to `attempts` random combinations (all-zero draws are
-    skipped); None when there is none.  basis must not be empty."""
-    total = basis[0]
-    for b in basis[1:]:
-        total = total + b
-    for f in [*basis, total]:
+    their sum when there are several, then up to `attempts` random
+    combinations (all-zero draws are skipped); None when there is none.
+    basis must not be empty."""
+    candidates = [*basis, sum(basis[1:], basis[0])] if len(basis) > 1 else basis
+    for f in candidates:
         if accept(f):
             return f
     for _ in range(attempts):

@@ -29,6 +29,13 @@ whose last map is the cone's include_target, as C[1] is cone(eta) itself.
 A shift of a tensor's left factor is the shifted tensor on the nose, so
 only shifts of the right factor go through an interchange map.
 
+Only what the theorem layer reads is built here: the twist T, the
+cotwist C, and the condition, splitting and appendix maps.  The dual
+twists T' = cone(eta_L)[-1] and C' = cone(eps_L), the four triangular
+identities and the four standard composites such as TF[-1] -> FRF -> FC[1]
+are built from the same pieces by the test suite (tests/helpers.py),
+which checks them against the engine.
+
 Adjoints: the right adjoint kernel takes the termwise right dual with
 differentials dualised with sign (-1)^{n+1}; the left adjoint uses the
 termwise left dual and sign (-1)^n.  With the deterministic dual bases
@@ -111,10 +118,6 @@ class Kernel:
     def __repr__(self):
         return (f"Kernel({self.source_algebra.name or 'A'} -> "
                 f"{self.target_algebra.name or 'B'}; {self.complex!r})")
-
-
-def identity_kernel(a: Algebra) -> Kernel:
-    return Kernel(a, a, unit_complex(a))
 
 
 def compose(p: Kernel, q: Kernel) -> Kernel:
@@ -393,14 +396,6 @@ class KernelOps:
         """C = cone(eta_R)[-1], with its triangle C -> id_A -> RF -> C[1]."""
         return self._get("cotwist", lambda: Triangle.of(self.unit_right(), -1))
 
-    def dual_twist(self) -> Triangle:
-        """T' = cone(eta_L)[-1], with its triangle T' -> id_B -> FL -> T'[1]."""
-        return self._get("dual_twist", lambda: Triangle.of(self.unit_left(), -1))
-
-    def dual_cotwist(self) -> Triangle:
-        """C' = cone(eps_L), with its triangle LF -> id_A -> C' -> LF[1]."""
-        return self._get("dual_cotwist", lambda: Triangle.of(self.counit_left(), 0))
-
 
 def kernel_ops(p: Kernel) -> KernelOps:
     if p._ops is None:
@@ -440,70 +435,6 @@ def condition3_map(p: Kernel) -> ChainMap:
             .then(ops._assoc(r, p.complex, l))
             .then(ops._whisker(r, ops.counit_left()))
             .then(ops._runit(r)))
-
-
-def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
-    """The four standard composites relating twists to the adjoints, with
-    no hypothesis on the kernel; each is a quasi-isomorphism:
-
-      TF[-1] -> FRF -> FC[1],     RT[-1] -> RFR -> CR[1],
-      FC'[-1] -> FLF -> T'F[1],   C'L[-1] -> LFL -> LT'[1].
-    """
-    ops = kernel_ops(p)
-    pc = p.complex
-    r = ops.right_adjoint().kernel.complex
-    l = ops.left_adjoint().kernel.complex
-    fr, lf = ops.fr().complex, ops.lf().complex
-    ct, dtw = ops.cotwist(), ops.dual_twist()         # C, T'
-    c, tp = ct.kernel.complex, dtw.kernel.complex
-    proj_t = ops.twist().cone.project_source          # T -> FR[1]
-    proj_cp = ops.dual_cotwist().cone.project_source  # C' -> LF[1]
-    gamma_c = ct.cone.include_target                  # RF -> C[1]
-    gamma_tp = dtw.cone.include_target                # FL -> T'[1]
-    # a shift of the left factor of a tensor is a shift of the tensor on the
-    # nose, so only shifts of the right factor are relabelled
-    return {
-        "TF": shift_map(ops._whisker(pc, proj_t)
-                        .then(ops._shift_out_right(pc, proj_t.target, fr)), -1)
-        .then(ops._assoc(pc, r, pc).inverse())
-        .then(ops._whisker(gamma_c, pc)),
-        "RT": shift_map(ops._whisker(proj_t, r), -1)
-        .then(ops._assoc(r, pc, r))
-        .then(ops._whisker(r, gamma_c))
-        .then(ops._shift_out_right(r, gamma_c.target, c)),
-        "FC'": shift_map(ops._whisker(proj_cp, pc), -1)
-        .then(ops._assoc(pc, l, pc))
-        .then(ops._whisker(pc, gamma_tp))
-        .then(ops._shift_out_right(pc, gamma_tp.target, tp)),
-        "C'L": shift_map(ops._whisker(l, proj_cp)
-                         .then(ops._shift_out_right(l, proj_cp.target, lf)), -1)
-        .then(ops._assoc(l, pc, l).inverse())
-        .then(ops._whisker(gamma_tp, l)),
-    }
-
-
-def triangular_identity_composites(p: Kernel) -> dict[str, ChainMap]:
-    """The four unit/counit composites that must be identity chain maps."""
-    ops = kernel_ops(p)
-    pc = p.complex
-    r = ops.right_adjoint().kernel.complex
-    l = ops.left_adjoint().kernel.complex
-    eta_r, eps_r = ops.unit_right(), ops.counit_right()
-    eta_l, eps_l = ops.unit_left(), ops.counit_left()
-    return {
-        # F: P -> (P(x)R)(x)P -> P(x)(R(x)P) -> P
-        "F_right": ops._lunit(pc).inverse().then(ops._whisker(eta_r, pc))
-        .then(ops._assoc(pc, r, pc)).then(ops._whisker(pc, eps_r)).then(ops._runit(pc)),
-        # R: R -> R(x)(P(x)R) -> (R(x)P)(x)R -> R
-        "R_right": ops._runit(r).inverse().then(ops._whisker(r, eta_r))
-        .then(ops._assoc(r, pc, r).inverse()).then(ops._whisker(eps_r, r)).then(ops._lunit(r)),
-        # F (left adjunction): P -> P(x)(L(x)P) -> (P(x)L)(x)P -> P
-        "F_left": ops._runit(pc).inverse().then(ops._whisker(pc, eta_l))
-        .then(ops._assoc(pc, l, pc).inverse()).then(ops._whisker(eps_l, pc)).then(ops._lunit(pc)),
-        # L: L -> (L(x)P)(x)L -> L(x)(P(x)L) -> L
-        "L_left": ops._lunit(l).inverse().then(ops._whisker(eta_l, l))
-        .then(ops._assoc(l, pc, l)).then(ops._whisker(l, eps_l)).then(ops._runit(l)),
-    }
 
 
 def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:

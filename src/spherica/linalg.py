@@ -581,9 +581,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self.arr.any()
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.field, self.rows)
-
     # elimination ----------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:

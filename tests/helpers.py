@@ -1,7 +1,10 @@
 """Shared fixtures: the small algebras every suite exercises, partly
 cancellable kernels, the equivalence test and the four conditions without minimal models, the
 restriction to scalars, the center of an algebra, the two-sided hom
-complex, the quotient model of a tensor product, identity chain maps,
+complex, the quotient model of a tensor product, single-term complexes,
+the identity kernel, identity chain maps and the tests for identity
+matrices and maps, the dual twists T' and C', the four triangular
+identities and the four standard composites such as TF[-1] -> FRF -> FC[1],
 cone differentials as sums of products, the shift interchanges and the
 inclusions and projections of a direct sum written entry by entry, the
 canonical condition and identity maps chained through the left-shift
@@ -44,8 +47,9 @@ from spherica.complexes import (
     is_quasi_iso,
     shift,
     shift_map,
+    unit_complex,
 )
-from spherica.kernels import Kernel, condition3_map, condition4_map, kernel_ops
+from spherica.kernels import Kernel, Triangle, condition3_map, condition4_map, kernel_ops
 from spherica.linalg import Field, Matrix
 from spherica.spherical import random_kernel
 
@@ -414,9 +418,109 @@ class QuotientTensor:
             self._rel_free * pure.submatrix(self._pivots, slice(None))
 
 
+def single_term(m: Bimodule, degree: int = 0) -> Complex:
+    """m as a complex concentrated in one degree."""
+    return Complex(m.left_algebra, m.right_algebra, {degree: m}, {})
+
+
+def identity_kernel(a: Algebra) -> Kernel:
+    """The diagonal kernel: a as an (a,a)-bimodule in degree 0."""
+    return Kernel(a, a, unit_complex(a))
+
+
 def identity_map(x: Complex) -> ChainMap:
     return ChainMap(x, x, {n: Matrix.identity(x.field, t.dim)
                            for n, t in x.terms.items()})
+
+
+def is_identity_matrix(m: Matrix) -> bool:
+    return m.rows == m.cols and m == Matrix.identity(m.field, m.rows)
+
+
+def is_identity_map(f: ChainMap) -> bool:
+    """Whether f has the same degrees and dimensions on both sides and the
+    identity matrix in every degree."""
+    return set(f.source.terms) == set(f.target.terms) and all(
+        f.source.dim(n) == f.target.dim(n) and is_identity_matrix(f.comp(n))
+        for n in f.source.terms)
+
+
+def dual_twist(p: Kernel) -> Triangle:
+    """T' = cone(eta_L)[-1], with its triangle T' -> id_B -> FL -> T'[1],
+    built once per kernel in its workspace."""
+    ops = kernel_ops(p)
+    return ops._get("dual_twist", lambda: Triangle.of(ops.unit_left(), -1))
+
+
+def dual_cotwist(p: Kernel) -> Triangle:
+    """C' = cone(eps_L), with its triangle LF -> id_A -> C' -> LF[1], built
+    once per kernel in its workspace."""
+    ops = kernel_ops(p)
+    return ops._get("dual_cotwist", lambda: Triangle.of(ops.counit_left(), 0))
+
+
+def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
+    """The four standard composites relating twists to the adjoints, with
+    no hypothesis on the kernel; each is a quasi-isomorphism:
+
+      TF[-1] -> FRF -> FC[1],     RT[-1] -> RFR -> CR[1],
+      FC'[-1] -> FLF -> T'F[1],   C'L[-1] -> LFL -> LT'[1].
+    """
+    ops = kernel_ops(p)
+    pc = p.complex
+    r = ops.right_adjoint().kernel.complex
+    l = ops.left_adjoint().kernel.complex
+    fr, lf = ops.fr().complex, ops.lf().complex
+    ct, dtw = ops.cotwist(), dual_twist(p)            # C, T'
+    c, tp = ct.kernel.complex, dtw.kernel.complex
+    proj_t = ops.twist().cone.project_source          # T -> FR[1]
+    proj_cp = dual_cotwist(p).cone.project_source     # C' -> LF[1]
+    gamma_c = ct.cone.include_target                  # RF -> C[1]
+    gamma_tp = dtw.cone.include_target                # FL -> T'[1]
+    # a shift of the left factor of a tensor is a shift of the tensor on the
+    # nose, so only shifts of the right factor are relabelled
+    return {
+        "TF": shift_map(ops._whisker(pc, proj_t)
+                        .then(ops._shift_out_right(pc, proj_t.target, fr)), -1)
+        .then(ops._assoc(pc, r, pc).inverse())
+        .then(ops._whisker(gamma_c, pc)),
+        "RT": shift_map(ops._whisker(proj_t, r), -1)
+        .then(ops._assoc(r, pc, r))
+        .then(ops._whisker(r, gamma_c))
+        .then(ops._shift_out_right(r, gamma_c.target, c)),
+        "FC'": shift_map(ops._whisker(proj_cp, pc), -1)
+        .then(ops._assoc(pc, l, pc))
+        .then(ops._whisker(pc, gamma_tp))
+        .then(ops._shift_out_right(pc, gamma_tp.target, tp)),
+        "C'L": shift_map(ops._whisker(l, proj_cp)
+                         .then(ops._shift_out_right(l, proj_cp.target, lf)), -1)
+        .then(ops._assoc(l, pc, l).inverse())
+        .then(ops._whisker(gamma_tp, l)),
+    }
+
+
+def triangular_identity_composites(p: Kernel) -> dict[str, ChainMap]:
+    """The four unit/counit composites that must be identity chain maps."""
+    ops = kernel_ops(p)
+    pc = p.complex
+    r = ops.right_adjoint().kernel.complex
+    l = ops.left_adjoint().kernel.complex
+    eta_r, eps_r = ops.unit_right(), ops.counit_right()
+    eta_l, eps_l = ops.unit_left(), ops.counit_left()
+    return {
+        # F: P -> (P(x)R)(x)P -> P(x)(R(x)P) -> P
+        "F_right": ops._lunit(pc).inverse().then(ops._whisker(eta_r, pc))
+        .then(ops._assoc(pc, r, pc)).then(ops._whisker(pc, eps_r)).then(ops._runit(pc)),
+        # R: R -> R(x)(P(x)R) -> (R(x)P)(x)R -> R
+        "R_right": ops._runit(r).inverse().then(ops._whisker(r, eta_r))
+        .then(ops._assoc(r, pc, r).inverse()).then(ops._whisker(eps_r, r)).then(ops._lunit(r)),
+        # F (left adjunction): P -> P(x)(L(x)P) -> (P(x)L)(x)P -> P
+        "F_left": ops._runit(pc).inverse().then(ops._whisker(pc, eta_l))
+        .then(ops._assoc(pc, l, pc).inverse()).then(ops._whisker(eps_l, pc)).then(ops._lunit(pc)),
+        # L: L -> (L(x)P)(x)L -> L(x)(P(x)L) -> L
+        "L_left": ops._lunit(l).inverse().then(ops._whisker(eta_l, l))
+        .then(ops._assoc(l, pc, l)).then(ops._whisker(l, eps_l)).then(ops._runit(l)),
+    }
 
 
 def cone_differentials_by_products(f: ChainMap) -> dict[int, Matrix]:
@@ -507,9 +611,9 @@ def canonical_maps_oracle(p: Kernel) -> dict[str, ChainMap]:
         return ChainMap(gamma.source, shift(triangle.kernel.complex, 1), gamma.components)
 
     proj_t = ops.twist().cone.project_source
-    proj_cp = ops.dual_cotwist().cone.project_source
-    c, tp = ops.cotwist().kernel.complex, ops.dual_twist().kernel.complex
-    gamma_c, gamma_tp = retyped_gamma(ops.cotwist()), retyped_gamma(ops.dual_twist())
+    proj_cp = dual_cotwist(p).cone.project_source
+    c, tp = ops.cotwist().kernel.complex, dual_twist(p).kernel.complex
+    gamma_c, gamma_tp = retyped_gamma(ops.cotwist()), retyped_gamma(dual_twist(p))
     into_pflr = ops._whisker(ops._runit(pc).inverse(), r).then(
         ops._whisker(ops._whisker(pc, ops.unit_left()), r))
     return {

@@ -19,17 +19,13 @@ from spherica.complexes import (
     is_acyclic,
     is_quasi_iso,
     scalar_algebra,
-    single_term,
     unit_complex,
 )
 from spherica.kernels import (
     Kernel,
-    basic_identity_maps,
     compose_list,
-    identity_kernel,
     kernel_ops,
     splitting_maps,
-    triangular_identity_composites,
 )
 from spherica.linalg import Field
 from spherica.session import builtin_example, run_session
@@ -47,10 +43,15 @@ from spherica.spherical import (
 
 from helpers import (
     a2_path_algebra,
+    basic_identity_maps,
     dual_numbers,
     hom_cx,
+    identity_kernel,
+    is_identity_map,
     k_times_k,
     restrict_to_right,
+    single_term,
+    triangular_identity_composites,
     x_cubed,
     zigzag_a2,
 )
@@ -216,7 +217,7 @@ def test_criterion_8_infrastructure():
     # triangular identities strict on every builtin kernel
     for name, p in kernels.items():
         for tname, ch in triangular_identity_composites(p).items():
-            good = ch.is_identity()
+            good = is_identity_map(ch)
             ok &= good
             if not good:
                 print(f"  triangular identity {tname} not strict on {name}")

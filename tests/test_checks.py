@@ -24,21 +24,27 @@ from spherica.bimodules import (
     flip,
     projective_bimodule,
 )
-from spherica.complexes import ChainMap, Complex, ComplexError, shift_map, single_term
+from spherica.complexes import ChainMap, Complex, ComplexError, shift_map
 from spherica.kernels import (
     appendix_map,
-    basic_identity_maps,
     condition3_map,
     condition4_map,
     kernel_ops,
     splitting_maps,
-    triangular_identity_composites,
 )
 from spherica.linalg import Field, Matrix
 from spherica.session import _elaborate, builtin_example, builtin_names
 from spherica.spherical import random_kernel
 
-from helpers import RANDOM_SHAPES, dual_numbers
+from helpers import (
+    RANDOM_SHAPES,
+    basic_identity_maps,
+    dual_cotwist,
+    dual_numbers,
+    dual_twist,
+    single_term,
+    triangular_identity_composites,
+)
 
 F2 = Field.prime(2)
 F101 = Field.prime(101)
@@ -52,11 +58,11 @@ def _built_objects(p):
                  ops.left_adjoint().kernel.complex]
     complexes += [t.complex for t in (ops.rf(), ops.fr(), ops.fl(), ops.lf())]
     maps = [ops.unit_right(), ops.counit_right(), ops.unit_left(), ops.counit_left()]
-    for tri in (ops.twist(), ops.dual_cotwist(), ops.cotwist(), ops.dual_twist()):
+    for tri in (ops.twist(), dual_cotwist(p), ops.cotwist(), dual_twist(p)):
         complexes += [tri.kernel.complex, tri.cone.cone]
         maps += [tri.cone.include_target, tri.cone.project_source]
     # the cotwists' first triangle maps C -> id and T' -> id
-    maps += [shift_map(tri.cone.project_source, -1) for tri in (ops.cotwist(), ops.dual_twist())]
+    maps += [shift_map(tri.cone.project_source, -1) for tri in (ops.cotwist(), dual_twist(p))]
     maps += [condition3_map(p), condition4_map(p), appendix_map(p)]
     maps += list(basic_identity_maps(p).values())
     maps += list(triangular_identity_composites(p).values())

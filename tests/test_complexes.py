@@ -7,12 +7,14 @@ import random
 
 import pytest
 
+from spherica import complexes
 from spherica.bimodules import (
     Bimodule,
     direct_sum,
     is_projective,
     projective_bimodule,
     regular_bimodule,
+    zero_bimodule,
 )
 from spherica.complexes import (
     ChainMap,
@@ -23,6 +25,7 @@ from spherica.complexes import (
     cone,
     direct_sum_complexes,
     find_quasi_iso,
+    first_witness,
     homology,
     homology_dims,
     interchange_right_shift,
@@ -33,13 +36,12 @@ from spherica.complexes import (
     right_unitor,
     scalar_algebra,
     shift,
-    single_term,
     tensor_cx,
     unit_complex,
 )
 from spherica.kernels import kernel_ops
 from spherica.linalg import Field, Matrix
-from spherica.session import _elaborate, builtin_example, builtin_names
+from spherica.session import _elaborate, builtin_example, builtin_names, run_session
 
 from helpers import (
     center_basis,
@@ -47,6 +49,8 @@ from helpers import (
     dual_numbers,
     hom_cx,
     identity_map,
+    is_identity_map,
+    single_term,
     term_dims,
     zigzag_a2,
 )
@@ -102,7 +106,7 @@ def test_cone_of_zero_map_into():
     zero_cx = Complex(K, D, {}, {})
     f = ChainMap(zero_cx, y, {})
     c = cone(f)
-    assert c.include_target.inverse().then(c.include_target).is_identity()
+    assert is_identity_map(c.include_target.inverse().then(c.include_target))
 
 
 def test_cone_socle_inclusion():
@@ -236,7 +240,7 @@ def test_direct_sum_complexes():
     assert s.dim(0) == 4
     assert is_quasi_iso(injs[0].then(projs[0]).then(injs[0]).then(projs[0]))
     comp = injs[0].then(projs[0])
-    assert comp.is_identity()
+    assert is_identity_map(comp)
     assert injs[1].then(projs[0]).is_zero()
     assert not is_quasi_iso(projs[0].then(injs[0]))
 
@@ -258,8 +262,8 @@ def test_left_unitor_roundtrip():
     lam_inv = lam.inverse()
     for f in (lam, lam_inv):
         f.check()
-    assert lam_inv.then(lam).is_identity()
-    assert lam.then(lam_inv).is_identity()
+    assert is_identity_map(lam_inv.then(lam))
+    assert is_identity_map(lam.then(lam_inv))
 
 
 def test_right_unitor_roundtrip():
@@ -269,8 +273,8 @@ def test_right_unitor_roundtrip():
     rho_inv = rho.inverse()
     for f in (rho, rho_inv):
         f.check()
-    assert rho_inv.then(rho).is_identity()
-    assert rho.then(rho_inv).is_identity()
+    assert is_identity_map(rho_inv.then(rho))
+    assert is_identity_map(rho.then(rho_inv))
 
 
 def test_associator_invertible():
@@ -283,7 +287,7 @@ def test_associator_invertible():
     tx_yz = tensor_cx(p, tyz.complex)
     a = associator(txy, txy_z, tyz, tx_yz)
     a.check()
-    assert a.inverse().then(a).is_identity()
+    assert is_identity_map(a.inverse().then(a))
 
 
 def test_associator_on_complexes_with_differentials():
@@ -300,8 +304,8 @@ def test_associator_on_complexes_with_differentials():
     a_inv = a.inverse()
     for f in (a, a_inv):
         f.check()
-    assert a_inv.then(a).is_identity()
-    assert a.then(a_inv).is_identity()
+    assert is_identity_map(a_inv.then(a))
+    assert is_identity_map(a.then(a_inv))
 
 
 def test_chain_map_inverse():
@@ -315,7 +319,7 @@ def test_chain_map_inverse():
     g = f.inverse()
     g.check()
     assert g.comp(0) != one_plus_x.transpose()
-    assert f.then(g).is_identity() and g.then(f).is_identity()
+    assert is_identity_map(f.then(g)) and is_identity_map(g.then(f))
     with pytest.raises(ComplexError, match="singular"):
         ChainMap(x, x, {}).inverse()
     # x -> x (+) x has different dimensions on the two sides in degree 0
@@ -346,7 +350,7 @@ def test_interchange_right_shift_signs():
     t_shifted = tensor_cx(x, shift(y, 1))
     f = interchange_right_shift(t_shifted, t_plain, 1)
     f.check()
-    assert f.inverse().then(f).is_identity()
+    assert is_identity_map(f.inverse().then(f))
 
 
 def test_interchanges_reject_tensors_whose_slots_do_not_match():
@@ -421,10 +425,10 @@ def test_minimal_model_corrects_the_remaining_differential():
 def test_minimal_model_drops_cancelled_rows_and_columns():
     # e -> b cancels first, then a -> c: the complex is contractible
     x = _scalar_complex({-1: [[0], [1]], 0: [[1, 0]]})
-    assert minimal_model(x).is_zero()
+    assert not minimal_model(x).terms
     # e -> b, then a -> c1, then c2 -> f through the d^1 that is left
     y = _scalar_complex({-1: [[0], [1]], 0: [[1, 0], [2, 0]], 1: [[2, -1]]})
-    assert minimal_model(y).is_zero()
+    assert not minimal_model(y).terms
     # with f dropped, c2 survives in degree 1
     z = _scalar_complex({-1: [[0], [1]], 0: [[1, 0], [2, 0]]})
     m = minimal_model(z)
@@ -433,7 +437,7 @@ def test_minimal_model_drops_cancelled_rows_and_columns():
 
 def test_minimal_model_of_a_cone_of_identity_is_zero():
     x = dual_numbers_x_complex()
-    assert minimal_model(cone(identity_map(x)).cone).is_zero()
+    assert not minimal_model(cone(identity_map(x)).cone).terms
 
 
 def test_minimal_model_keeps_a_complex_without_invertible_components():
@@ -469,3 +473,38 @@ def test_cone_maps_are_built_on_first_read(field):
             assert project.components == projs[0].components
             assert project.target.terms == shift(f.source, 1).terms
     assert len(kernels) > 10
+
+
+def test_first_witness_tries_a_one_element_basis_once():
+    """Each basis element is tried, then their sum when there are several:
+    a one-element basis is its own sum, so its element is tried once.
+    With no random attempts nothing is drawn from the rng."""
+    m = Matrix.identity(F, 2)
+    for basis, want in (([m], [m]), ([m, m.scale(2)], [m, m.scale(2), m.scale(3)])):
+        tried = []
+
+        def accept(f):
+            tried.append(f)
+            return False
+
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert first_witness(basis, accept, F, rng, attempts=0) is None
+        assert tried == want
+        assert rng.getstate() == state
+
+
+def test_cone_terms_sum_only_the_terms_that_exist(monkeypatch):
+    """A cone term is the direct sum of the terms X^{n+1} and Y^n that
+    exist, so no builtin session builds a zero bimodule."""
+    built = []
+    monkeypatch.setattr(complexes, "zero_bimodule",
+                        lambda a, b: built.append((a, b)) or zero_bimodule(a, b))
+    for name in builtin_names():
+        assert run_session(builtin_example(name)).all_passed
+    assert built == []
+    x = dual_numbers_x_complex()
+    y = single_term(x.terms[0])
+    cn = cone(ChainMap(x, y, {})).cone
+    assert {n: t.summands for n, t in cn.terms.items()} == \
+        {-1: [x.terms[0]], 0: [x.terms[1], y.terms[0]]}

@@ -25,21 +25,17 @@ from spherica.complexes import (
     is_quasi_iso,
     scalar_algebra,
     shift,
-    single_term,
     tensor_cx,
 )
 from spherica.kernels import (
     Kernel,
     KernelError,
-    basic_identity_maps,
     compose,
     compose_list,
     condition3_map,
     condition4_map,
-    identity_kernel,
     kernel_ops,
     splitting_maps,
-    triangular_identity_composites,
     appendix_map,
 )
 from spherica.linalg import Field, Matrix
@@ -49,17 +45,25 @@ from spherica.spherical import random_kernel
 from helpers import (
     RANDOM_SHAPES,
     adjoint_differentials_by_solve,
+    basic_identity_maps,
     canonical_maps_oracle,
     cone_differentials_by_products,
     direct_sum_maps_oracle,
+    dual_cotwist,
     dual_numbers,
+    dual_twist,
     hom_cx,
+    identity_kernel,
     identity_map,
     interchange_right_shift_oracle,
+    is_identity_map,
+    is_identity_matrix,
     k_times_k,
     left_dual_basis_sum,
     restrict_to_right,
+    single_term,
     term_dims,
+    triangular_identity_composites,
     x_cubed,
     zigzag_a2,
 )
@@ -165,16 +169,16 @@ def test_cotwist_profiles(PD, PX):
 
 def test_dual_twists_acyclic_for_identity():
     i = identity_kernel(Z)
-    assert is_acyclic(kernel_ops(i).dual_twist().kernel.complex)
-    assert is_acyclic(kernel_ops(i).dual_cotwist().kernel.complex)
+    assert is_acyclic(dual_twist(i).kernel.complex)
+    assert is_acyclic(dual_cotwist(i).kernel.complex)
 
 
 def test_dual_twist_profiles_dual_numbers(PD):
     # hand check: eta_L: B -> FL (dim 4) is injective, so T' = cone[-1] has
     # H^1 of dimension 2; eps_L: LF (dim 2) -> k is onto with 1-dim kernel,
     # so C' has H^{-1} of dimension 1 (the inverses of T and C, shifted)
-    tprime = kernel_ops(PD).dual_twist().kernel
-    cprime = kernel_ops(PD).dual_cotwist().kernel
+    tprime = dual_twist(PD).kernel
+    cprime = dual_cotwist(PD).kernel
     assert homology_dims(tprime.complex) == {1: 2}
     assert homology_dims(cprime.complex) == {-1: 1}
 
@@ -196,7 +200,7 @@ def test_triangular_identities_strict(PD, PZ):
     for p in (identity_kernel(D), PD, PZ, kernel_over(k_times_k())):
         comps = triangular_identity_composites(p)
         for name, ch in comps.items():
-            assert ch.is_identity(), f"triangular identity {name} failed"
+            assert is_identity_map(ch), f"triangular identity {name} failed"
 
 
 def test_associators_and_unitors_are_built_once(PZ):
@@ -280,12 +284,12 @@ def test_dual_twists_are_the_adjoint_kernels(PD, PZ):
     from spherica.complexes import find_quasi_iso
     for p in (PD, PZ):
         t = kernel_ops(p).twist().kernel
-        tprime = kernel_ops(p).dual_twist().kernel
+        tprime = dual_twist(p).kernel
         tadj = kernel_ops(t).left_adjoint().kernel
         w = find_quasi_iso(tprime.complex, tadj.complex, random.Random(0))
         assert w is not None
         c = kernel_ops(p).cotwist().kernel
-        cprime = kernel_ops(p).dual_cotwist().kernel
+        cprime = dual_cotwist(p).kernel
         cadj = kernel_ops(c).left_adjoint().kernel
         w2 = find_quasi_iso(cprime.complex, cadj.complex, random.Random(0))
         assert w2 is not None
@@ -298,9 +302,9 @@ def test_left_side_on_random_kernels_with_nontrivial_source(field, shape):
     for seed in (0, 5, 7):
         k = random_kernel(src(field), tgt(field), random.Random(seed))
         for n in k.complex.degrees():
-            assert left_dual_basis_sum(k.complex.term(n)).is_identity()
+            assert is_identity_matrix(left_dual_basis_sum(k.complex.term(n)))
         for name, comp in triangular_identity_composites(k).items():
-            assert comp.is_identity(), f"{name} is not strict for seed {seed}"
+            assert is_identity_map(comp), f"{name} is not strict for seed {seed}"
 
 
 @pytest.mark.parametrize("shape", sorted(RANDOM_SHAPES))
@@ -311,7 +315,7 @@ def test_left_duals_on_random_kernels_over_rationals(shape):
         k = random_kernel(src(field), tgt(field), random.Random(seed))
         for n in k.complex.degrees():
             term = k.complex.term(n)
-            assert left_dual_basis_sum(term).is_identity()
+            assert is_identity_matrix(left_dual_basis_sum(term))
             dual = left_dual(term).bimodule
             assert dual.left_algebra is term.right_algebra
             assert dual.right_algebra is term.left_algebra

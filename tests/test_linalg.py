@@ -21,6 +21,7 @@ from helpers import (
     fraction_product,
     fraction_rref,
     fraction_solve,
+    is_identity_matrix,
 )
 
 F101 = Field.prime(101)
@@ -102,7 +103,7 @@ def test_solve_dimension_mismatch():
 def test_rationals_exact():
     m = Matrix.from_rows(Q, [["1/2", "1/3"], ["1/4", "1/5"]])
     inv = m.inverse()
-    assert (m * inv).is_identity()
+    assert is_identity_matrix(m * inv)
 
 
 def test_inverse_singular():

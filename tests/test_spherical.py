@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -20,14 +21,12 @@ from spherica.complexes import (
     homology_dims,
     minimal_model,
     scalar_algebra,
-    single_term,
     unit_complex,
 )
 from spherica.kernels import (
     Kernel,
     KernelError,
     compose,
-    identity_kernel,
     kernel_ops,
 )
 from spherica.linalg import Field, Matrix
@@ -54,11 +53,13 @@ from helpers import (
     a2_path_algebra,
     conditions_unminimised,
     dual_numbers,
+    identity_kernel,
     is_equivalence_unminimised,
     k_times_k,
     kronecker,
     loop_with_exit,
     partly_cancellable_kernel,
+    single_term,
     term_dims,
     x_cubed,
     zigzag_a2,
@@ -590,3 +591,45 @@ spherical X
         assert r.status == "error"
         assert r.data["detail"] == ("the four conditions need a biprojective right adjoint, "
                                     "but its term at degree 0 is not right-projective")
+
+
+# sha256 prefixes of 30 random_kernel draws from random.Random(0) per
+# field and algebra pair: the term dimensions, the differentials entry by
+# entry, and the rng state after the last draw
+RANDOM_KERNEL_DIGESTS = {
+    "F2": {"D-D": "94721008dd9d392a", "D-X3": "82ea38dc6d61ce5e", "Z-Z": "2aa42dbedcf8b01a",
+           "k-D": "8a87e10e410787b9", "k-KK": "7cdc3efc89d02f17", "k-X3": "348f9647c59f67ec",
+           "k-Z": "02d28c4fa875b795"},
+    "F101": {"D-D": "738ed1384b99231a", "D-X3": "5ff2300f48fbf238", "Z-Z": "a2299b37a444952f",
+             "k-D": "f9db435364633f88", "k-KK": "a43cca4d78baceef", "k-X3": "61bb26aa2ac92cda",
+             "k-Z": "58d50f816869de57"},
+    "Q": {"D-D": "9cbbb1cb94a9c02b", "D-X3": "ff4cf59a02b721c5", "Z-Z": "d17a7af644d055a9",
+          "k-D": "64b4158ad0794922", "k-KK": "ed1a9b79c95800c7", "k-X3": "d88f9b76012ed4f4",
+          "k-Z": "c874105bd33734cd"},
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(RANDOM_KERNEL_DIGESTS))
+def test_random_kernel_streams_match_their_recorded_digests(field_name):
+    """random_kernel draws the same kernels, and leaves the rng in the same
+    state, as when the digests were recorded, over F2, F101 and Q on every
+    random shape and on k -> D, KK, X3 and Z."""
+    field = Field.rationals() if field_name == "Q" else Field.prime(int(field_name[1:]))
+    pairs = {**RANDOM_SHAPES, "k-D": (scalar_algebra, dual_numbers),
+             "k-KK": (scalar_algebra, k_times_k), "k-X3": (scalar_algebra, x_cubed),
+             "k-Z": (scalar_algebra, zigzag_a2)}
+    got = {}
+    for name, (src, tgt) in pairs.items():
+        a, b = src(field), tgt(field)
+        rng = random.Random(0)
+        h = hashlib.sha256()
+        for _ in range(30):
+            cx = random_kernel(a, b, rng).complex
+            h.update(repr(sorted((n, t.dim) for n, t in cx.terms.items())).encode())
+            for n in sorted(cx.diffs):
+                d = cx.diffs[n]
+                h.update(f"d{n}:{d.rows}x{d.cols}:".encode())
+                h.update(",".join(str(x) for row in d.entries() for x in row).encode())
+        h.update(repr(rng.getstate()).encode())
+        got[name] = h.hexdigest()[:16]
+    assert got == RANDOM_KERNEL_DIGESTS[field_name]
