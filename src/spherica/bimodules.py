@@ -286,11 +286,6 @@ def check_map(source: Bimodule, target: Bimodule, matrix: Matrix):
 # ---------------------------------------------------------------------------
 
 
-def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
-    return Bimodule(a, b, [Matrix.zeros(a.field, 0, 0)] * a.dim,
-                    [Matrix.zeros(a.field, 0, 0)] * b.dim, 0, label="0")
-
-
 def regular_bimodule(a: Algebra) -> Bimodule:
     """The algebra as a bimodule over itself (the diagonal kernel's term)."""
     left = [a.left_mult_matrix(i) for i in range(a.dim)]

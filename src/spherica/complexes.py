@@ -53,7 +53,6 @@ from .bimodules import (
     hom_space,
     regular_bimodule,
     tensor_over_middle,
-    zero_bimodule,
 )
 from .linalg import Matrix
 
@@ -107,7 +106,7 @@ class Complex:
         return sorted(self.terms)
 
     def term(self, n: int) -> Bimodule:
-        return self.terms.get(n) or zero_bimodule(self.left_algebra, self.right_algebra)
+        return self.terms[n]
 
     def dim(self, n: int) -> int:
         t = self.terms.get(n)
@@ -284,7 +283,7 @@ def direct_sum_complexes(xs: list[Complex]) -> tuple[Complex, list[ChainMap], li
     la, ra = xs[0].left_algebra, xs[0].right_algebra
     field = xs[0].field
     degrees = sorted(set().union(*(x.terms for x in xs)))
-    terms = {n: direct_sum([x.term(n) for x in xs]) for n in degrees}
+    terms = {n: direct_sum([x.terms[n] for x in xs if n in x.terms]) for n in degrees}
     diffs = {n: Matrix.block_diag(field, [x.diff_matrix(n) for x in xs])
              for n in terms if (n + 1) in terms}
     total_cx = Complex(la, ra, terms, diffs)

@@ -8,8 +8,10 @@ engine already exercises.
 Every verdict and homology profile is a property of the functor, so it
 is decided on the minimal model of the kernel, kernel_ops(p).model(),
 which is homotopy equivalent to p and p itself when nothing cancels.
-check_conditions builds one report per kernel and keeps it in
-kernel_ops(p), so a check and a sphericalness test of p share it.
+Each of the four conditions is decided when first asked and kept in
+kernel_ops(p), and so is the report check_conditions builds from them:
+a check and a sphericalness test of p share one report, and the adjoint
+check decides only the two conditions of R that sphericalness reads.
 The twist and cotwist kernels that are reported come from p itself, and
 check_fully_faithful checks the kernel it is given.
 
@@ -182,37 +184,55 @@ def class_refutations(p: Kernel) -> tuple[bool, bool, bool, bool]:
 
 
 def check_conditions(p: Kernel) -> ConditionReport:
-    """Evaluate the four conditions and collect homology profiles, all on
-    the minimal model of p, once per kernel (the report is kept).
-
-    A condition that class_refutations rules out is false with no further
-    work; the others are decided by building their tensors and cones.  The
-    right adjoint must be right-projective, as FR = R (x) p is built from
-    its splitting; KernelError names the first degree where it is not."""
+    """The four flags and the homology profiles of p, all on its minimal
+    model, built once per kernel (the report is kept) from the four
+    conditions as _condition decides them."""
     return kernel_ops(p)._get("report", lambda: _conditions(p))
 
 
 def _conditions(p: Kernel) -> ConditionReport:
-    q = kernel_ops(p).model()
-    ops = kernel_ops(q)
-    for n, t in ops.right_adjoint().kernel.complex.terms.items():
-        if not is_projective(t, "right"):
-            raise KernelError(f"the four conditions need a biprojective right adjoint, "
-                              f"but its term at degree {n} is not right-projective")
-    tw = ops.twist()
-    ct = ops.cotwist()
+    flags = [_condition(p, i) for i in (1, 2, 3, 4)]
+    ops = kernel_ops(kernel_ops(p).model())
     profiles = {
-        "twist": homology_dims(tw.kernel.complex),
-        "cotwist": homology_dims(ct.kernel.complex),
+        "twist": homology_dims(ops.twist().kernel.complex),
+        "cotwist": homology_dims(ops.cotwist().kernel.complex),
         "right_adjoint": homology_dims(ops.right_adjoint().kernel.complex),
         "left_adjoint": homology_dims(ops.left_adjoint().kernel.complex),
     }
-    refuted = class_refutations(q)
-    cond1 = not refuted[0] and is_equivalence_kernel(tw.kernel)
-    cond2 = not refuted[1] and is_equivalence_kernel(ct.kernel)
-    cond3 = not refuted[2] and is_quasi_iso(condition3_map(q))
-    cond4 = not refuted[3] and is_quasi_iso(condition4_map(q))
-    return ConditionReport(cond1, cond2, cond3, cond4, profiles)
+    return ConditionReport(*flags, profiles)
+
+
+def _condition(p: Kernel, i: int) -> bool:
+    """Condition (i) of p, i = 1..4, decided on its minimal model when first
+    asked and kept in kernel_ops(p), so a verdict decides only the
+    conditions it reads, each once per kernel.
+
+    Whichever is asked first runs, once, what every condition needs: the
+    right adjoint must be right-projective, as FR = R (x) p is built from
+    its splitting (KernelError names the first degree where it is not), and
+    class_refutations rules conditions out before any tensor is built.  A
+    refuted condition is false with no further work."""
+    ops = kernel_ops(p)
+    q = ops.model()
+
+    def refutations():
+        for n, t in kernel_ops(q).right_adjoint().kernel.complex.terms.items():
+            if not is_projective(t, "right"):
+                raise KernelError(f"the four conditions need a biprojective right adjoint, "
+                                  f"but its term at degree {n} is not right-projective")
+        return class_refutations(q)
+
+    def decide():
+        if ops._get("refutations", refutations)[i - 1]:
+            return False
+        q_ops = kernel_ops(q)
+        if i == 1:
+            return is_equivalence_kernel(q_ops.twist().kernel)
+        if i == 2:
+            return is_equivalence_kernel(q_ops.cotwist().kernel)
+        return is_quasi_iso(condition3_map(q) if i == 3 else condition4_map(q))
+
+    return ops._get(("condition", i), decide)
 
 
 def is_spherical(p: Kernel, report: ConditionReport | None = None) -> SphericalVerdict:
@@ -291,27 +311,39 @@ def quasi_iso_to_identity(k: Kernel, rng: random.Random | None = None) -> bool:
 
 
 def check_adjoint_spherical(p: Kernel, report: ConditionReport | None = None) -> Verdict:
-    """The right adjoint of a spherical kernel is spherical, its twist and
-    cotwist inverting the original cotwist and twist."""
+    """The right adjoint R of a spherical kernel is spherical, its twist and
+    cotwist inverting the original cotwist and twist.
+
+    Only what the verdict reads is decided: R's conditions (2) and (4);
+    then the K_0 classes, as a composite isomorphic to the identity kernel
+    has class I, so M_{C_R} M_T != I or M_{T_R} M_C != I is an exact "fail";
+    and last the two identity tests, each on the tensor of its factors'
+    cached minimal models, which is homotopy equivalent to the tensor of
+    the factors."""
     report = report or check_conditions(p)
     if not (report.cond_C_equiv and report.cond_4):
         return Verdict("not_applicable", "kernel is not spherical")
     m = kernel_ops(p).model()
     q = kernel_ops(m).right_adjoint().kernel
-    q_report = check_conditions(q)
-    if not (q_report.cond_C_equiv and q_report.cond_4):
+    if not (_condition(q, 2) and _condition(q, 4)):
         return Verdict("fail", "adjoint kernel is not spherical")
+    qm = kernel_ops(q).model()
+    ops, q_ops = kernel_ops(m), kernel_ops(qm)
+    # (the adjoint's triangle, the original's, the composite's name), in
+    # application order: C_R acts on the target side, as T does
+    pairs = (("cotwist", "twist", "cotwist(adjoint) o twist"),
+             ("twist", "cotwist", "twist(adjoint) o cotwist"))
+    classes, q_classes = condition_classes(m), condition_classes(qm)
+    for adj, orig, name in pairs:
+        product = q_classes[adj] @ classes[orig]
+        if not np.array_equal(product, np.identity(len(product), dtype=object)):
+            return Verdict("fail", f"{name} is not the identity kernel")
     rng = random.Random(0)
-    ops = kernel_ops(m)
-    t_orig = ops.twist().kernel
-    c_orig = ops.cotwist().kernel
-    q_ops = kernel_ops(q)
-    c_adj = q_ops.cotwist().kernel     # endokernel of the target side
-    t_adj = q_ops.twist().kernel       # endokernel of the source side
-    if not quasi_iso_to_identity(compose(c_adj, t_orig), rng):
-        return Verdict("fail", "cotwist(adjoint) o twist is not the identity kernel")
-    if not quasi_iso_to_identity(compose(t_adj, c_orig), rng):
-        return Verdict("fail", "twist(adjoint) o cotwist is not the identity kernel")
+    for adj, orig, name in pairs:
+        first, then = getattr(q_ops, adj)().kernel, getattr(ops, orig)().kernel
+        if not quasi_iso_to_identity(
+                compose(kernel_ops(first).model(), kernel_ops(then).model()), rng):
+            return Verdict("fail", f"{name} is not the identity kernel")
     return Verdict("pass")
 
 

@@ -1,17 +1,18 @@
 """Shared fixtures: the small algebras every suite exercises, partly
-cancellable kernels, the equivalence test and the four conditions without minimal models, the
-restriction to scalars, the center of an algebra, the two-sided hom
-complex, the quotient model of a tensor product, single-term complexes,
-the identity kernel, identity chain maps and the tests for identity
-matrices and maps, the dual twists T' and C', the four triangular
-identities and the four standard composites such as TF[-1] -> FRF -> FC[1],
-cone differentials as sums of products, the shift interchanges and the
-inclusions and projections of a direct sum written entry by entry, the
-canonical condition and identity maps chained through the left-shift
-interchange, hom spaces solved over every pair of vertex blocks, adjoint
-differentials solved in the dual hom space, the dense elimination over
-F_p and the elimination on Fraction objects that the engine's kernels
-are checked against."""
+cancellable kernels, the equivalence test, the four conditions and the
+adjoint check's two composites without minimal models, the restriction
+to scalars, the center of an algebra, the two-sided hom complex, the
+quotient model of a tensor product, single-term complexes, the zero
+bimodule, the identity kernel, identity chain maps and the tests for
+identity matrices and maps, the dual twists T' and C', the four
+triangular identities and the four standard composites such as TF[-1] ->
+FRF -> FC[1], cone differentials as sums of products, the shift
+interchanges and the inclusions and projections of a direct sum written
+entry by entry, the canonical condition and identity maps chained
+through the left-shift interchange, hom spaces solved over every pair of
+vertex blocks, adjoint differentials solved in the dual hom space, the
+dense elimination over F_p and the elimination on Fraction objects that
+the engine's kernels are checked against."""
 
 from __future__ import annotations
 
@@ -49,7 +50,14 @@ from spherica.complexes import (
     shift_map,
     unit_complex,
 )
-from spherica.kernels import Kernel, Triangle, condition3_map, condition4_map, kernel_ops
+from spherica.kernels import (
+    Kernel,
+    Triangle,
+    compose,
+    condition3_map,
+    condition4_map,
+    kernel_ops,
+)
 from spherica.linalg import Field, Matrix
 from spherica.spherical import random_kernel
 
@@ -172,6 +180,18 @@ def conditions_unminimised(p: Kernel) -> tuple[tuple[bool, ...], dict[str, dict[
                 "right_adjoint": homology_dims(ops.right_adjoint().kernel.complex),
                 "left_adjoint": homology_dims(ops.left_adjoint().kernel.complex)}
     return flags, profiles
+
+
+def adjoint_composites_unminimised(p: Kernel) -> tuple[Kernel, Kernel]:
+    """compose(C_R, T) and compose(T_R, C) for the twist T and cotwist C of
+    p's minimal model and the twist T_R and cotwist C_R of its right adjoint
+    R, tensored from the triangles themselves: the oracle for
+    spherica.spherical.check_adjoint_spherical, which tensors their
+    minimal models."""
+    ops = kernel_ops(kernel_ops(p).model())
+    r_ops = kernel_ops(ops.right_adjoint().kernel)
+    return (compose(r_ops.cotwist().kernel, ops.twist().kernel),
+            compose(r_ops.twist().kernel, ops.cotwist().kernel))
 
 
 def left_dual_basis_sum(p: Bimodule) -> Matrix:
@@ -416,6 +436,12 @@ class QuotientTensor:
         # eliminate the pivot coordinates with the relations, keep the free ones
         return pure.submatrix(self._free, slice(None)) - \
             self._rel_free * pure.submatrix(self._pivots, slice(None))
+
+
+def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
+    """The zero (a, b)-bimodule."""
+    return Bimodule(a, b, [Matrix.zeros(a.field, 0, 0)] * a.dim,
+                    [Matrix.zeros(a.field, 0, 0)] * b.dim, 0, label="0")
 
 
 def single_term(m: Bimodule, degree: int = 0) -> Complex:

@@ -27,7 +27,6 @@ from spherica.bimodules import (
     regular_bimodule,
     right_dual,
     tensor_over_middle,
-    zero_bimodule,
 )
 from spherica.complexes import _coordinate_blocks
 from spherica.kernels import kernel_ops
@@ -45,6 +44,7 @@ from helpers import (
     kronecker,
     loop_with_exit,
     restrict_to_right,
+    zero_bimodule,
     zigzag_a2,
 )
 

@@ -44,7 +44,6 @@ ALLOWED = {
     "bimodules.py:Bimodule.check": "the validation API: checks the engine's objects on request",
     "complexes.py:ChainMap.check": "the validation API: checks the engine's objects on request",
     "complexes.py:Complex.diff_matrix": "read by ChainMap.check and homology",
-    "bimodules.py:zero_bimodule": "Complex.term's answer in a degree with no term",
     "complexes.py:ChainMap.scale": "first_witness's random phase scales chain maps; "
                                    "these paths find every witness before it",
     "complexes.py:homology": "the complete identity test behind quasi_iso_to_identity's "

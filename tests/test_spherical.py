@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from spherica.bimodules import (
@@ -51,6 +52,7 @@ from spherica.spherical import (
 from helpers import (
     RANDOM_SHAPES,
     a2_path_algebra,
+    adjoint_composites_unminimised,
     conditions_unminimised,
     dual_numbers,
     identity_kernel,
@@ -417,26 +419,137 @@ def test_partly_cancellable_kernels_reduce_to_their_minimal_part(field, shape):
             assert (report.flags(), report.homology_profiles) == conditions_unminimised(p)
 
 
-def test_a_check_and_spherical_session_builds_each_report_once(monkeypatch):
-    """check P and spherical P read one report of P, and the adjoint
-    sphericalness check builds one report of the right adjoint: each
-    kernel's four conditions are decided once."""
-    built = []
+def test_a_spherical_session_decides_only_the_conditions_it_reads(monkeypatch):
+    """check P and spherical P read one report of P, built once, and the
+    adjoint sphericalness check decides the right adjoint's conditions (2)
+    and (4), once each, and never (1) or (3): each condition a verdict
+    reads is built once, and no other."""
+    reports, decided = [], []
     conditions = spherical._conditions
-
-    def counting(p):
-        built.append(p)
-        return conditions(p)
-
-    monkeypatch.setattr(spherical, "_conditions", counting)
-    for name in ("dual_numbers", "kxk", "zigzag_a2"):
-        built.clear()
-        report = run_session(builtin_example(name))
+    monkeypatch.setattr(spherical, "_conditions", lambda p: reports.append(p) or conditions(p))
+    for name in ("is_equivalence_kernel", "condition3_map", "condition4_map"):
+        def recording(k, name=name, f=getattr(spherical, name)):
+            decided.append((name, k))
+            return f(k)
+        monkeypatch.setattr(spherical, name, recording)
+    for session in ("dual_numbers", "kxk", "zigzag_a2"):
+        reports.clear()
+        decided.clear()
+        report = run_session(builtin_example(session))
         assert [r.cmd.split()[0] for r in report.results].count("spherical") == 1
         assert all(r.status == "ok" for r in report.results)
-        assert len(built) == 2 and len({id(p) for p in built}) == 2
-        p = built[0]
-        assert built[1] is kernel_ops(kernel_ops(p).model()).right_adjoint().kernel
+        (p,) = reports
+        ops = kernel_ops(kernel_ops(p).model())
+        q = ops.right_adjoint().kernel
+        q_ops = kernel_ops(kernel_ops(q).model())
+        assert [(name, id(k)) for name, k in decided] == [
+            ("is_equivalence_kernel", id(ops.twist().kernel)),
+            ("is_equivalence_kernel", id(ops.cotwist().kernel)),
+            ("condition3_map", id(ops.p)),
+            ("condition4_map", id(ops.p)),
+            ("is_equivalence_kernel", id(q_ops.cotwist().kernel)),
+            ("condition4_map", id(q_ops.p)),
+        ]
+        assert {key[1] for key in kernel_ops(q)._cache if key[0] == "condition"} == {2, 4}
+
+
+def _fresh_kernels(field) -> list:
+    """Makers of fresh kernels, whose workspaces start empty: every builtin
+    kernel, and random kernels of seeds 0-3 on every RANDOM_SHAPES pair."""
+    makers = []
+    for name in builtin_names():
+        for key in _elaborate(builtin_example(name), field)[1]:
+            makers.append(lambda name=name, key=key: _elaborate(builtin_example(name), field)[1][key])
+    for src, tgt in RANDOM_SHAPES.values():
+        a, b = src(field), tgt(field)
+        for seed in range(4):
+            makers.append(lambda a=a, b=b, seed=seed: random_kernel(a, b, random.Random(seed)))
+    return makers
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_a_condition_asked_first_is_the_reports_flag(field):
+    """_condition(p, i) gives flag i of check_conditions(p) when it is the
+    first thing asked of a fresh kernel, for each i, and after the report
+    every condition reads its flag."""
+    for make in _fresh_kernels(field):
+        for i in (1, 2, 3, 4):
+            p = make()
+            first = spherical._condition(p, i)
+            flags = check_conditions(p).flags()
+            assert first == flags[i - 1], (p, i)
+            assert tuple(spherical._condition(p, j) for j in (1, 2, 3, 4)) == flags
+
+
+def _spherical_kernels(field) -> list[Kernel]:
+    """The builtin kernels that are spherical, and the spherical random
+    kernels of seeds 0-11 on every RANDOM_SHAPES pair."""
+    kernels = [p for name in builtin_names()
+               for p in _elaborate(builtin_example(name), field)[1].values()]
+    for src, tgt in RANDOM_SHAPES.values():
+        a, b = src(field), tgt(field)
+        kernels += [random_kernel(a, b, random.Random(seed)) for seed in range(12)]
+    return [p for p in kernels if is_spherical(p).is_spherical]
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_adjoint_twists_invert_the_twists_in_k0(field):
+    """On every spherical kernel, M_{C_R} M_T = I and M_{T_R} M_C = I, as the
+    adjoint check's exact "fail" requires of a verdict that passes."""
+    kernels = _spherical_kernels(field)
+    assert len(kernels) >= 8
+    for p in kernels:
+        m = kernel_ops(p).model()
+        classes = condition_classes(m)
+        r_classes = condition_classes(kernel_ops(m).right_adjoint().kernel)
+        for adj, orig in (("cotwist", "twist"), ("twist", "cotwist")):
+            product = r_classes[adj] @ classes[orig]
+            assert product.tolist() == np.identity(len(product), dtype=int).tolist(), (p, adj)
+
+
+def test_a_wrong_class_fails_the_adjoint_check_before_any_composite(monkeypatch):
+    """With condition_classes patched to give the adjoint a wrong twist
+    class, check_adjoint_spherical says "fail" from the classes alone: it
+    never calls compose."""
+    for p in (kernel_over(D), kernel_over(Z)):
+        report = check_conditions(p)
+        assert check_adjoint_spherical(p, report).status == "pass"
+        q = kernel_ops(kernel_ops(p).model()).right_adjoint().kernel
+        classes, composed = spherical.condition_classes, []
+
+        def wrong(k):
+            out = classes(k)
+            return {**out, "twist": 2 * out["twist"]} if k is q else out
+
+        monkeypatch.setattr(spherical, "condition_classes", wrong)
+        monkeypatch.setattr(spherical, "compose", lambda *args: composed.append(args))
+        verdict = check_adjoint_spherical(p, report)
+        assert (verdict.status, verdict.detail) == \
+            ("fail", "twist(adjoint) o cotwist is not the identity kernel")
+        assert composed == []
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_identity_tests_on_model_composites_agree_with_plain_composites(field, monkeypatch):
+    """The two composites check_adjoint_spherical tensors from cached
+    minimal models get the answer of quasi_iso_to_identity that the
+    composites of the triangles themselves get
+    (helpers.adjoint_composites_unminimised), with the same homology and
+    K_0 class, on every spherical kernel."""
+    tested = []
+    identity_test = spherical.quasi_iso_to_identity
+    monkeypatch.setattr(spherical, "quasi_iso_to_identity",
+                        lambda k, rng=None: tested.append(k) or identity_test(k, rng))
+    for p in _spherical_kernels(field):
+        tested.clear()
+        assert check_adjoint_spherical(p).status == "pass"
+        assert len(tested) == 2
+        for on_models, plain in zip(tested, adjoint_composites_unminimised(p)):
+            assert identity_test(on_models) == identity_test(plain)
+            assert homology_dims(on_models.complex) == homology_dims(plain.complex)
+            assert kernel_ops(on_models).k0_class().tolist() == \
+                kernel_ops(plain).k0_class().tolist()
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -566,12 +679,16 @@ def test_class_rules_match_the_built_complexes(field):
 
 def test_conditions_need_a_right_projective_right_adjoint():
     """Over the A_2 path, Kronecker and loop-with-exit algebras the right
-    adjoint of these endokernels is not right-projective: check_conditions
-    says so before it builds a tensor, and a session reports it."""
+    adjoint of these endokernels is not right-projective: check_conditions,
+    and each condition asked first, says so before it builds a tensor, and
+    a session reports it."""
     cases = [(a2_path_algebra, (1, 3)), (kronecker, (1, 2, 3)), (loop_with_exit, (1, 2, 3))]
     for make, seeds in cases:
         a = make(F)
         for seed in seeds:
+            for i in (1, 2, 3, 4):
+                with pytest.raises(KernelError, match=r"biprojective right adjoint.* degree -?\d"):
+                    spherical._condition(random_kernel(a, a, random.Random(seed)), i)
             p = random_kernel(a, a, random.Random(seed))
             with pytest.raises(KernelError, match=r"biprojective right adjoint.* degree -?\d"):
                 check_conditions(p)
