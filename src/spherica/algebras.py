@@ -4,17 +4,19 @@ Paths compose left to right: in the product ``p*q`` the path ``p`` is
 traversed first, so ``e_v * p = p`` exactly when ``p`` starts at ``v``
 and ``p * e_w = p`` exactly when ``p`` ends at ``w``.
 
-A presentation is turned into an algebra by length-lexicographic
-rewriting: each relation is oriented so its largest path (longest,
-ties broken by arrow declaration order) rewrites to the remaining
-terms.  The basis is the set of irreducible paths shorter than the
-declared length bound; if an irreducible path reaches the bound the
-presentation is rejected as infinite-dimensional (or the bound as too
-small).  algebra_from_quiver checks the resulting table (Algebra.check):
-associativity exhaustively, which also catches non-confluent
-presentations, the unit and the vertex idempotents.  The Algebra
-constructor does not check, so the opposites the engine derives from
-checked algebras are not checked again.
+A presentation with length bound N is the algebra kQ/(I + paths longer
+than N), I the ideal of its relations, built by one echelon form: its
+rows are the products u*r*v of each relation r with paths u and v, cut
+at length N, and its columns the paths of length 2 to N, longest first
+(ties broken by arrow declaration order), so each row's pivot is its
+leading path.  For this path order the paths that are no pivot form the
+one standard basis of the quotient, ordered by length and then
+declaration order, and the reduced row of a pivot path is its normal
+form.  A path of length N that is no pivot does not reduce to shorter
+paths, so the presentation is rejected as infinite-dimensional (or the
+bound as too small).  The table is the quotient's by construction,
+associative and unital; Algebra.check() verifies a table on request.
+The Algebra constructor does not check either.
 
 Algebras are immutable and freely shareable.
 """
@@ -131,8 +133,7 @@ class Algebra:
                     rf = {n: f.elem(c) for n, c in right.items() if f.elem(c) != zero}
                     if lf != rf:
                         raise AlgebraError(
-                            f"multiplication not associative on basis triple ({i},{j},{k}); "
-                            "the presentation is likely not confluent")
+                            f"multiplication not associative on basis triple ({i},{j},{k})")
         # vertex idempotents: orthogonal, sum to the unit
         total = Matrix.zeros(f, self.dim, 1)
         for v in self.vertex_idempotents:
@@ -216,184 +217,100 @@ class Algebra:
 
 
 # ---------------------------------------------------------------------------
-# path rewriting
+# presentations
 # ---------------------------------------------------------------------------
 
 
-def _path_key(path: tuple[int, ...]) -> tuple:
-    return (len(path), path)
-
-
-class _Rewriter:
-    """Length-lexicographic rewriting for paths in a quiver."""
-
-    def __init__(self, field: Field, rules: dict[tuple[int, ...], list[tuple[object, tuple[int, ...]]]]):
-        self.field = field
-        self.rules = rules
-        self.leads = sorted(rules, key=_path_key)
-
-    def find_redex(self, path: tuple[int, ...]):
-        best = None
-        for lead in self.leads:
-            ln = len(lead)
-            if ln > len(path):
-                continue
-            for start in range(len(path) - ln + 1):
-                if path[start:start + ln] == lead:
-                    if best is None or start < best[0]:
-                        best = (start, lead)
-                    break
-        return best
-
-    def normal_form(self, combo: dict[tuple[int, ...], object], bound: int):
-        """Rewrite a linear combination of paths to irreducible form."""
-        f = self.field
-        zero = f.elem(0)
-        work = {p: c for p, c in combo.items() if c != zero}
-        while True:
-            target = None
-            for p in sorted(work, key=_path_key, reverse=True):
-                redex = self.find_redex(p)
-                if redex is not None:
-                    target = (p, redex)
-                    break
-            if target is None:
-                break
-            p, (start, lead) = target
-            c = work.pop(p)
-            for coeff, rhs in self.rules[lead]:
-                q = p[:start] + rhs + p[start + len(lead):]
-                work[q] = f.elem(work.get(q, zero) + c * coeff)
-                if work[q] == zero:
-                    del work[q]
-        for p in work:
-            if len(p) >= bound:
-                raise AlgebraError(
-                    "infinite-dimensional or bound too small: irreducible path "
-                    f"of length {len(p)} survives rewriting")
-        return work
-
-
 def algebra_from_quiver(q: QuiverPresentation, field: Field, name: str = "") -> Algebra:
-    """Build the path algebra of ``q`` modulo its relations over ``field``."""
+    """Build the path algebra of ``q`` over ``field`` modulo its relations
+    and the paths longer than its length bound."""
+    bound = q.length_bound
     arrow_index = {a.name: i for i, a in enumerate(q.arrows)}
     src = [q.vertices.index(a.source) for a in q.arrows]
     tgt = [q.vertices.index(a.target) for a in q.arrows]
 
-    def composable(path: tuple[int, ...]) -> bool:
-        return all(tgt[path[i]] == src[path[i + 1]] for i in range(len(path) - 1))
+    def label(path: tuple[int, ...]) -> str:
+        return "*".join(q.arrows[a].name for a in path)
 
-    # relations -> rewrite rules
-    rules: dict[tuple[int, ...], list[tuple[object, tuple[int, ...]]]] = {}
-    pending = []
+    # the paths of length 1..bound, ordered by length and then
+    # lexicographically, and for each vertex the paths (the trivial one
+    # first) that start or end there
+    paths: list[tuple[int, ...]] = []
+    layer = [(a,) for a in range(len(q.arrows))]
+    while layer and len(layer[0]) <= bound:
+        paths.extend(layer)
+        layer = [p + (a,) for p in layer for a in range(len(q.arrows)) if tgt[p[-1]] == src[a]]
+    starting = [[()] + [p for p in paths if src[p[0]] == v] for v in range(len(q.vertices))]
+    ending = [[()] + [p for p in paths if tgt[p[-1]] == v] for v in range(len(q.vertices))]
+
+    # one row u*r*v per relation r and paths u, v, cut at length bound; the
+    # columns are the paths of length >= 2, longest first, so each row's
+    # pivot is its leading path
+    columns = [p for p in reversed(paths) if len(p) >= 2]
+    column = {p: j for j, p in enumerate(columns)}
+    rows = []
     for rel in q.relations:
-        terms = []
+        terms: dict[tuple[int, ...], object] = {}
         endpoints = None
         for coeff, path_names in rel:
             try:
                 path = tuple(arrow_index[n] for n in path_names)
             except KeyError as e:
                 raise AlgebraError(f"relation uses unknown arrow {e.args[0]!r}")
-            if not composable(path):
+            if any(tgt[a] != src[b] for a, b in zip(path, path[1:])):
                 raise AlgebraError(f"relation path {'*'.join(path_names)} is not composable")
             if len(path) < 2:
                 raise AlgebraError("relations must be admissible (paths of length >= 2)")
-            ends = (src[path[0]], tgt[path[-1]])
-            if endpoints is None:
-                endpoints = ends
-            elif endpoints != ends:
+            if endpoints not in (None, (src[path[0]], tgt[path[-1]])):
                 raise AlgebraError("relation mixes paths with different endpoints")
-            c = field.elem(coeff)
-            if c != field.elem(0):
-                terms.append((c, path))
-        if terms:
-            pending.append(terms)
-
-    rewriter = _Rewriter(field, rules)
-    for terms in sorted(pending, key=lambda t: _path_key(max(p for _, p in t))):
-        combo = {}
-        for c, p in terms:
-            combo[p] = combo.get(p, field.elem(0)) + c
-        combo = rewriter.normal_form(combo, q.length_bound + 1)
-        if not combo:
+            endpoints = (src[path[0]], tgt[path[-1]])
+            terms[path] = terms.get(path, 0) + field.elem(coeff)
+        if endpoints is None:
             continue
-        lead = max(combo, key=_path_key)
-        c_lead = combo.pop(lead)
-        inv = field.inv(c_lead)
-        rhs = [(field.elem(-1) * inv * c, p) for p, c in sorted(combo.items(), key=lambda kv: _path_key(kv[0]))]
-        rules[lead] = rhs
-        rewriter = _Rewriter(field, rules)
+        room = bound - min(map(len, terms))
+        for u in ending[endpoints[0]]:
+            for v in starting[endpoints[1]]:
+                if len(u) + len(v) <= room:
+                    row = [0] * len(columns)
+                    for path, c in terms.items():
+                        if len(u) + len(path) + len(v) <= bound:
+                            row[column[u + path + v]] = c
+                    rows.append(row)
+    reduced, pivots = Matrix.from_rows(field, rows, len(columns)).rref()
+    leading = {columns[j]: row for j, row in zip(pivots, reduced.entries())}
 
-    # enumerate irreducible paths breadth-first by length
-    basis: list[tuple] = [("e", v) for v in range(len(q.vertices))]
-    current = [(a,) for a in range(len(q.arrows))]
-    length = 1
-    while current:
-        irreducible = [p for p in current if rewriter.find_redex(p) is None]
-        if irreducible and length >= q.length_bound:
+    standard = [p for p in paths if p not in leading]
+    for p in standard:
+        if len(p) == bound:
             raise AlgebraError(
-                "infinite-dimensional or bound too small: irreducible path of "
-                f"length {length} exists")
-        basis.extend(irreducible)
-        nxt = []
-        for p in irreducible:
-            for a in range(len(q.arrows)):
-                if tgt[p[-1]] == src[a]:
-                    nxt.append(p + (a,))
-        current = nxt
-        length += 1
-        if length > q.length_bound:
-            break
-    if current and any(rewriter.find_redex(p) is None for p in current):
-        raise AlgebraError("infinite-dimensional or bound too small")
+                "infinite-dimensional or bound too small: the relations do not reduce "
+                f"the path {label(p)} of length {bound}")
+    n_vertices = len(q.vertices)
+    index = {p: n_vertices + i for i, p in enumerate(standard)}
 
-    index = {p: i for i, p in enumerate(basis)}
-    n = len(basis)
+    def normal_form(path: tuple[int, ...]) -> dict[int, object]:
+        if path in index:
+            return {index[path]: field.elem(1)}
+        if len(path) > bound:
+            return {}
+        return {index[columns[j]]: field.elem(-c) for j, c in enumerate(leading[path])
+                if c and columns[j] != path}
 
-    def path_src(p) -> int:
-        return p[1] if p[0] == "e" else src[p[0]]
-
-    def path_tgt(p) -> int:
-        return p[1] if p[0] == "e" else tgt[p[-1]]
-
-    def real_path(p):
-        return () if p[0] == "e" else p
-
-    labels = []
-    for p in basis:
-        if p[0] == "e":
-            labels.append(f"e_{q.vertices[p[1]]}")
-        else:
-            labels.append("*".join(q.arrows[a].name for a in p))
-
-    zero = field.elem(0)
+    ends = [(v, v) for v in range(n_vertices)] + [(src[p[0]], tgt[p[-1]]) for p in standard]
+    basis_paths = [()] * n_vertices + standard
+    n = len(basis_paths)
     mult: list[list[dict[int, object]]] = [[{} for _ in range(n)] for _ in range(n)]
-    for i, p in enumerate(basis):
-        for j, r in enumerate(basis):
-            if path_tgt(p) != path_src(r):
-                continue
-            concat = real_path(p) + real_path(r)
-            if concat == ():
-                mult[i][j] = {i: field.elem(1)}
-                continue
-            nf = rewriter.normal_form({concat: field.elem(1)}, q.length_bound)
-            out = {}
-            for path, c in nf.items():
-                if c != zero:
-                    key = path if path else None
-                    if key is None:
-                        raise AlgebraError("rewriting produced a trivial path")
-                    out[index[path]] = c
-            mult[i][j] = out
+    for i in range(n):
+        for j in range(n):
+            if ends[i][1] == ends[j][0]:
+                concat = basis_paths[i] + basis_paths[j]
+                mult[i][j] = normal_form(concat) if concat else {i: field.elem(1)}
 
-    idempotents = [index[("e", v)] for v in range(len(q.vertices))]
-    unit = Matrix.column(field, [int(k in idempotents) for k in range(n)])
-    radical = [i for i, p in enumerate(basis) if p[0] != "e"]
-
-    alg = Algebra(field, labels, mult, unit, idempotents, radical,
-                  [real_path(p) for p in basis], name=name)
-    alg.check()
-    return alg
+    labels = [f"e_{v}" for v in q.vertices] + [label(p) for p in standard]
+    idempotents = list(range(n_vertices))
+    unit = Matrix.column(field, [int(k < n_vertices) for k in range(n)])
+    return Algebra(field, labels, mult, unit, idempotents, list(range(n_vertices, n)),
+                   basis_paths, name=name)
 
 
 def opposite(a: Algebra) -> Algebra:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from spherica.algebras import (
@@ -14,11 +19,21 @@ from spherica.algebras import (
     trivial_algebra,
 )
 from spherica.linalg import Field, Matrix
+from spherica.session import BUILTIN_TEXTS, parse_session
 
 F = Field.prime(101)
 
 
-from helpers import a2_path_algebra, center_basis, dual_numbers, k_times_k, x_cubed, zigzag_a2
+from helpers import (
+    a2_path_algebra,
+    center_basis,
+    dual_numbers,
+    k_times_k,
+    kronecker,
+    loop_with_exit,
+    x_cubed,
+    zigzag_a2,
+)
 
 
 def test_point_algebra():
@@ -204,8 +219,17 @@ def test_rational_field_algebra():
 
 
 def test_radical_is_nilpotent():
-    # the span of the positive-length basis paths is a nilpotent ideal
-    for alg in (dual_numbers(), x_cubed(), zigzag_a2(), a2_path_algebra()):
+    # the span of the positive-length basis paths is a nilpotent ideal; in
+    # k[x]/(x^3 - x^2) the path x^2 is idempotent, but bound 3 makes x^3 and
+    # with it x^2 vanish
+    x3_is_x2 = QuiverPresentation(
+        vertices=("v",),
+        arrows=(Arrow("x", "v", "v"),),
+        relations=(((1, ("x", "x", "x")), (-1, ("x", "x"))),),
+        length_bound=3,
+    )
+    for alg in (dual_numbers(), x_cubed(), zigzag_a2(), a2_path_algebra(),
+                algebra_from_quiver(x3_is_x2, F)):
         layer = [Matrix.basis_vector(alg.field, alg.dim, i) for i in alg.radical_basis]
         power = 1
         while layer and power <= alg.dim + 1:
@@ -218,3 +242,114 @@ def test_radical_is_nilpotent():
             layer = nxt
             power += 1
         assert not layer, f"radical of {alg.name} not nilpotent within dim+1 steps"
+
+
+# --- the tables of every presentation the repo ships, pinned by digest -------
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGEST_FIELDS = {"F2": Field.prime(2), "F3": Field.prime(3), "F101": F,
+                 "F2147483647": Field.prime(2147483647), "Q": Field.rationals()}
+
+
+def _session_presentations(text: str) -> dict[str, QuiverPresentation]:
+    return {name: decl.presentation for name, decl in parse_session(text).algebras.items()}
+
+
+def _shipped_algebras() -> dict[str, object]:
+    """name -> a builder of the algebra over a given field, for every
+    presentation of the builtin sessions, the examples, tests/helpers.py
+    and the benchmark's random-kernel targets."""
+    builders = {}
+    sessions = {f"builtin {n}": t for n, t in BUILTIN_TEXTS.items()}
+    sessions.update({f"example {p.stem}": p.read_text()
+                     for p in sorted((ROOT / "examples").glob("*.sph"))})
+    for source, text in sessions.items():
+        for name, q in _session_presentations(text).items():
+            builders[f"{source} {name}"] = \
+                lambda field, q=q, name=name: algebra_from_quiver(q, field, name=name)
+    for make in (trivial_algebra, dual_numbers, x_cubed, zigzag_a2, a2_path_algebra,
+                 k_times_k, kronecker, loop_with_exit):
+        builders[f"helpers {make.__name__}"] = make
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, make in workloads.TARGETS.items():
+        builders[f"bench {name}"] = \
+            lambda field, make=make, name=name: algebra_from_quiver(make(), field, name=name)
+    return builders
+
+
+def _table_digest(alg: Algebra) -> str:
+    table = [sorted((k, str(c)) for k, c in row.items()) for rows in alg.mult for row in rows]
+    return hashlib.sha256(repr((alg.basis_labels, table)).encode()).hexdigest()[:16]
+
+
+# every table holds only the coefficient 1, so the digests are the same over
+# each field
+ALGEBRA_DIGESTS = {
+    "builtin identity k": "06ef76cc7c935398",
+    "builtin dual_numbers k": "06ef76cc7c935398",
+    "builtin dual_numbers D": "3fba2463c8754610",
+    "builtin kxk k": "06ef76cc7c935398",
+    "builtin kxk KK": "d0485d285b40c4c6",
+    "builtin x_cubed k": "06ef76cc7c935398",
+    "builtin x_cubed X3": "5e057a78fde1900b",
+    "builtin zigzag_a2 k": "06ef76cc7c935398",
+    "builtin zigzag_a2 Z": "da7fc603383a6821",
+    "builtin zigzag_braid k": "06ef76cc7c935398",
+    "builtin zigzag_braid Z": "da7fc603383a6821",
+    "builtin morita_2x2 k": "06ef76cc7c935398",
+    "builtin morita_2x2 M2": "f1832be85c96beef",
+    "example zigzag_a3 k": "06ef76cc7c935398",
+    "example zigzag_a3 Z3": "b170d3b26cbc80bd",
+    "example zigzag_a4 k": "06ef76cc7c935398",
+    "example zigzag_a4 Z4": "28a6d6b30bc557a4",
+    "example zigzag_a4_braid6 k": "06ef76cc7c935398",
+    "example zigzag_a4_braid6 Z4": "28a6d6b30bc557a4",
+    "helpers trivial_algebra": "06ef76cc7c935398",
+    "helpers dual_numbers": "3fba2463c8754610",
+    "helpers x_cubed": "5e057a78fde1900b",
+    "helpers zigzag_a2": "da7fc603383a6821",
+    "helpers a2_path_algebra": "f1832be85c96beef",
+    "helpers k_times_k": "d0485d285b40c4c6",
+    "helpers kronecker": "073b115a11c45381",
+    "helpers loop_with_exit": "31cf9306a3c5fd08",
+    "bench D": "3fba2463c8754610",
+    "bench KK": "d0485d285b40c4c6",
+    "bench X3": "5e057a78fde1900b",
+    "bench Z": "da7fc603383a6821",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(DIGEST_FIELDS))
+def test_shipped_algebras_match_their_recorded_digests(field_name):
+    """Every shipped presentation builds the basis labels and product table
+    it built when the digests were recorded, and the table passes check()."""
+    got = {}
+    for name, build in _shipped_algebras().items():
+        alg = build(DIGEST_FIELDS[field_name])
+        alg.check()
+        got[name] = _table_digest(alg)
+    assert got == ALGEBRA_DIGESTS
+
+
+def test_coefficients_that_cancel_mod_p_sum_to_zero():
+    # 1 + 100 = 0 in F101, so the first relation is zero
+    q = _session_presentations(
+        "algebra D { vertices v; arrows x: v -> v; "
+        "relations x*x + 100*x*x = 0; relations x*x = 0; bound 2 }")["D"]
+    assert _table_digest(algebra_from_quiver(q, F)) == _table_digest(dual_numbers())
+
+
+@pytest.mark.parametrize("field_name", ["F2", "F101", "Q"])
+@pytest.mark.parametrize("example, algebra", [("zigzag_a3", "Z3"), ("zigzag_a4", "Z4")])
+def test_zigzag_length3_zero_relations_are_derived(example, algebra, field_name):
+    """The zigzag examples without their length-3 zero relations present
+    the same algebras: the other relations imply them."""
+    q = _session_presentations((ROOT / "examples" / f"{example}.sph").read_text())[algebra]
+    short = dataclasses.replace(q, relations=tuple(
+        r for r in q.relations if len(r) > 1 or len(r[0][1]) < 3))
+    assert len(q.relations) - len(short.relations) == 2 * (len(q.vertices) - 1)
+    field = DIGEST_FIELDS[field_name]
+    full, derived = algebra_from_quiver(q, field), algebra_from_quiver(short, field)
+    assert (derived.basis_labels, derived.mult) == (full.basis_labels, full.mult)

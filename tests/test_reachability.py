@@ -41,6 +41,8 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 # "module.py:qualified name" -> why it stays although no user path enters it;
 # reprs are left out of the scan, as they are there for debugging
 ALLOWED = {
+    "algebras.py:Algebra.check": "the validation API: checks the engine's objects on request",
+    "algebras.py:Algebra.multiply_vec": "the validation API: Algebra.check multiplies with it",
     "bimodules.py:Bimodule.check": "the validation API: checks the engine's objects on request",
     "complexes.py:ChainMap.check": "the validation API: checks the engine's objects on request",
     "complexes.py:Complex.diff_matrix": "read by ChainMap.check and homology",
