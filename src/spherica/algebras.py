@@ -97,7 +97,7 @@ class Algebra:
         self._subspace_cache: dict = {}
         self._opposite: Algebra | None = None
         self._unit_complex = None   # complexes.unit_complex(self), once built
-        self._dual_tables: dict = {}  # the tables bimodules.right_dual reads, once built
+        self._tables: dict = {}  # what spherica.bimodules builds once per algebra
 
     # --- validation ---------------------------------------------------
 

@@ -14,15 +14,22 @@ Everything downstream leans on two pieces of structure:
   generators, which gives dual bases on the nose, duals with explicit
   evaluation maps, and a quotient-free model of M (x)_B N.
 
-Composite bimodules record their parts: a direct sum its summands (on
-both sides, so its flip is the sum of the flips), a tensor its slots (on
-the right only).  Their splittings, vertex blocks and projectivity are
-read from the parts' cached ones, which is the same echelon choice with
-no row reduction, since every action matrix is block diagonal on the
-parts.  The standard summands P(v,w) are shared, one per algebra pair
-and vertex pair while any of them is in use, so each is split once and
-builds its right dual once; the dual of a sum of them is the sum of their
-duals, so the adjoints' terms carry summand records too.
+Composite bimodules record the pieces they are the direct sum of: each
+piece is a leaf bimodule with the increasing array of the coordinates it
+sits at, and every action matrix is the pieces' scattered to their
+coordinates.  Three constructions make records: a direct sum, whose
+pieces sit at consecutive ranges; a tensor m (x)_B n, one pair tensor
+m_i (x) n_j per pair of pieces, whose coordinates interleave; and a
+right dual, the sum of its pieces' duals.  A cut of a minimal model keeps
+the records it holds whole.  Vertex blocks, splittings, multiplicities,
+coordinate blocks and duals are read off the pieces' cached ones, which
+is the same echelon choice with no row reduction; leaves alone build
+them from scratch.  The standard summands P(v,w) = Ae_v (x) e_wB are
+shared per algebra, the diagonal A per algebra (complexes.unit_complex)
+and the pair tensors while in use, so each splits once and keeps its
+right dual.  A pair tensor of standard summands, and of the kept duals of
+standard summands, is recorded as a sum of standard summands again, so
+tensors of kernel terms need no left action to be split, dualised or cut.
 
 Tensor products m (x)_B n over a middle algebra are built from the
 splitting of m, so m must be right-projective; every kernel term is, as
@@ -37,16 +44,15 @@ hom_space returns them and TensorData.induced takes and returns them.
 check_map verifies a hand-built one; the engine trusts those it builds.
 
 All values are immutable and safe to share.  A bimodule may be given its
-action lists as zero-argument builders: the first read of left_action or
-right_action calls the builder and keeps the list, so terms that only
-feed a rank computation never build their action matrices.
+action lists and its records as zero-argument builders: the first read
+calls the builder and keeps the list, so terms that only feed a rank
+computation never build their action matrices.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -60,20 +66,23 @@ class BimoduleError(Exception):
 
 
 Actions = list[Matrix] | Callable[[], list[Matrix]]
+# a piece of a bimodule and the increasing array of the coordinates it sits at
+Record = tuple["Bimodule", np.ndarray]
+Records = list[Record] | Callable[[], list[Record]]
 
 
 class Bimodule:
     """A finite-dimensional bimodule given by per-basis action matrices.
 
     Each action is a list of matrices, one per basis element, or a
-    zero-argument function returning that list, called on first read.
-    The constructor only checks that the algebras share a field; check()
-    verifies the module axioms.
+    zero-argument function returning that list, called on first read;
+    the records likewise (see records).  The constructor only checks that
+    the algebras share a field; check() verifies the module axioms.
     """
 
     def __init__(self, left_algebra: Algebra, right_algebra: Algebra,
                  left_action: Actions, right_action: Actions,
-                 dim: int, label: str = ""):
+                 dim: int, label: str = "", records: Records | None = None):
         if left_algebra.field != right_algebra.field:
             raise BimoduleError("bimodule algebras must share a field")
         self.left_algebra = left_algebra
@@ -82,13 +91,12 @@ class Bimodule:
         self.dim = dim
         self._left_action = left_action
         self._right_action = right_action
+        self._records = records
         self.label = label
         self._cache: dict = {}
-        # part records: m is the direct sum of right_parts as a right module,
-        # and of summands as a bimodule, in coordinate order (see _sum)
-        self.right_parts: list[Bimodule] | None = None
-        self.summands: list[Bimodule] | None = None
-        self.shared = False  # P(v,w), or a flip or dual of a shared one: keeps its dual
+        # P(v,w), the diagonal, a pair tensor or its piece, or a flip or dual of one: keeps its dual
+        self.shared = False
+        self.diagonal = False  # the regular bimodule of its algebra
 
     @property
     def left_action(self) -> list[Matrix]:
@@ -101,6 +109,16 @@ class Bimodule:
         if callable(self._right_action):
             self._right_action = self._right_action()
         return self._right_action
+
+    @property
+    def records(self) -> list[Record] | None:
+        """The leaf pieces this bimodule is the direct sum of, each with the
+        increasing array of its coordinates, or None for a leaf.  Every
+        action matrix restricted to a piece's coordinates is the piece's,
+        and it has no entry between two pieces."""
+        if callable(self._records):
+            self._records = self._records()
+        return self._records
 
     # --- validation ---------------------------------------------------
 
@@ -159,53 +177,69 @@ class Bimodule:
         return flip(self).right_block(v_pos)
 
     def right_block(self, w_pos: int) -> Matrix:
-        """Basis of M e_w for the w-th right vertex idempotent; block diagonal
-        on the right parts, which give the same pivots."""
-        key = ("rb", w_pos)
-        if key not in self._cache:
-            if self.right_parts:
-                self._cache[key] = Matrix.block_diag(
-                    self.field, [p.right_block(w_pos) for p in self.right_parts])
-            else:
-                idem = self.right_algebra.vertex_idempotents[w_pos]
-                self._cache[key] = self.right_action[idem].image_basis()
-        return self._cache[key]
+        """Basis of M e_w for the w-th right vertex idempotent."""
+        return self._block(("r", w_pos))[0]
 
     def left_block_proj(self, v_pos: int) -> Matrix:
         return flip(self).right_block_proj(v_pos)
 
     def right_block_proj(self, w_pos: int) -> Matrix:
-        key = ("rbp", w_pos)
-        if key not in self._cache:
-            if self.right_parts:
-                self._cache[key] = Matrix.block_diag(
-                    self.field, [p.right_block_proj(w_pos) for p in self.right_parts])
-            else:
-                self._cache[key] = _left_inverse(self.right_block(w_pos))
-        return self._cache[key]
+        return self._block_proj(("r", w_pos))
 
     def double_block(self, v_pos: int, w_pos: int) -> Matrix:
-        """Basis of e_v M e_w; block diagonal on the summands, like right_block."""
-        key = ("db", v_pos, w_pos)
-        if key not in self._cache:
-            if self.summands:
-                self._cache[key] = Matrix.block_diag(
-                    self.field, [s.double_block(v_pos, w_pos) for s in self.summands])
-            else:
-                li = self.left_algebra.vertex_idempotents[v_pos]
-                ri = self.right_algebra.vertex_idempotents[w_pos]
-                self._cache[key] = (self.left_action[li] * self.right_action[ri]).image_basis()
-        return self._cache[key]
+        """Basis of e_v M e_w."""
+        return self._block(("d", v_pos, w_pos))[0]
 
     def double_block_proj(self, v_pos: int, w_pos: int) -> Matrix:
-        key = ("dbp", v_pos, w_pos)
+        return self._block_proj(("d", v_pos, w_pos))
+
+    def _block(self, key) -> tuple[Matrix, np.ndarray, list[np.ndarray] | None]:
+        """(basis, pivots, places) of the vertex block ("r", w), M e_w, or
+        ("d", v, w), e_v M e_w: the basis is the pivot columns of the
+        idempotents' action, which are at pivots.
+
+        With records it is read off the pieces: a column is a pivot exactly
+        when it is one in its piece, as the action is block diagonal on the
+        pieces' increasing coordinates.  So the basis is the pieces' bases
+        scattered to their coordinates, columns in the order of their
+        pivots, and places[k] lists the columns that piece k's go to."""
         if key not in self._cache:
-            if self.summands:
-                self._cache[key] = Matrix.block_diag(
-                    self.field, [s.double_block_proj(v_pos, w_pos) for s in self.summands])
+            if (whole := _whole(self)) is not None:
+                basis, pivots, _ = whole._block(key)
+                self._cache[key] = (basis, pivots, [np.arange(len(pivots))])
+            elif self.records:
+                parts = [p._block(key) for p, _ in self.records]
+                pivots = np.concatenate([idx[piv] for (_, idx), (_, piv, _) in
+                                         zip(self.records, parts)])
+                rank = np.empty(len(pivots), dtype=int)
+                rank[np.argsort(pivots)] = np.arange(len(pivots))
+                ends = np.cumsum([0] + [len(piv) for _, piv, _ in parts])
+                places = [rank[s:e] for s, e in zip(ends, ends[1:])]
+                basis = Matrix.from_blocks(self.field, self.dim, len(pivots), [
+                    (idx, pl, b) for (_, idx), (b, _, _), pl in zip(self.records, parts, places)])
+                self._cache[key] = (basis, np.sort(pivots), places)
             else:
-                self._cache[key] = _left_inverse(self.double_block(v_pos, w_pos))
+                act = self.right_action[self.right_algebra.vertex_idempotents[key[-1]]]
+                if key[0] == "d":
+                    act = self.left_action[self.left_algebra.vertex_idempotents[key[1]]] * act
+                pivots = list(act.rref()[1])
+                self._cache[key] = (act.submatrix(slice(None), pivots),
+                                    np.array(pivots, dtype=int), None)
         return self._cache[key]
+
+    def _block_proj(self, key) -> Matrix:
+        """The left inverse of the basis of _block(key); the pieces' scattered."""
+        pkey = ("proj",) + key
+        if pkey not in self._cache:
+            basis, _, places = self._block(key)
+            if (whole := _whole(self)) is not None:
+                self._cache[pkey] = whole._block_proj(key)
+            elif self.records:
+                self._cache[pkey] = Matrix.from_blocks(self.field, basis.cols, self.dim, [
+                    (pl, idx, p._block_proj(key)) for (p, idx), pl in zip(self.records, places)])
+            else:
+                self._cache[pkey] = _left_inverse(basis)
+        return self._cache[pkey]
 
     def __repr__(self):
         lbl = self.label or "Bimodule"
@@ -218,15 +252,15 @@ def flip(m: Bimodule) -> Bimodule:
 
     Cached on m; it satisfies the module axioms exactly when m does.
     Every left-side construction is the right-side one read through flip,
-    and the flip of a sum is the sum of the flipped summands.
+    and the flip of a bimodule with records has the flipped pieces at the
+    same coordinates.
     """
     if "flip" not in m._cache:
-        f = Bimodule(opposite(m.right_algebra), opposite(m.left_algebra),
-                     lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label)
-        if m.summands:
-            f.summands = f.right_parts = [flip(s) for s in m.summands]
+        m._cache["flip"] = f = Bimodule(
+            opposite(m.right_algebra), opposite(m.left_algebra),
+            lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label,
+            records=lambda: m.records and [(flip(p), idx) for p, idx in m.records])
         f.shared = m.shared
-        m._cache["flip"] = f
     return m._cache["flip"]
 
 
@@ -287,37 +321,68 @@ def check_map(source: Bimodule, target: Bimodule, matrix: Matrix):
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:
-    """The algebra as a bimodule over itself (the diagonal kernel's term)."""
+    """The algebra as a bimodule over itself: the diagonal kernel's term,
+    built once per algebra by complexes.unit_complex, so it keeps its dual."""
     left = [a.left_mult_matrix(i) for i in range(a.dim)]
     right = [a.right_mult_matrix(i) for i in range(a.dim)]
-    return Bimodule(a, a, left, right, a.dim, label=a.name or "A")
+    m = Bimodule(a, a, left, right, a.dim, label=a.name or "A")
+    m.shared = m.diagonal = True
+    return m
 
 
-# the standard summands in use, held weakly and keyed by the ids of their
-# algebras (which each summand keeps alive), so none outlives its last use
-_projectives: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+def _standard_left(a: Algebra, v_pos: int) -> list[Matrix]:
+    """The left action of a on A e_v, in the basis left_ideal_basis."""
+    key = ("left", v_pos)
+    if key not in a._tables:
+        S = a.left_ideal_basis(a.vertex_idempotents[v_pos])
+        sp = _left_inverse(S)
+        a._tables[key] = [sp * a.left_mult_matrix(i) * S for i in range(a.dim)]
+    return a._tables[key]
+
+
+def _standard_right(b: Algebra, w_pos: int) -> list[Matrix]:
+    """The right action of b on e_w B, in the basis right_ideal_basis."""
+    key = ("right", w_pos)
+    if key not in b._tables:
+        T = b.right_ideal_basis(b.vertex_idempotents[w_pos])
+        tp = _left_inverse(T)
+        b._tables[key] = [tp * b.right_mult_matrix(i) * T for i in range(b.dim)]
+    return b._tables[key]
+
+
+def _product(a: Algebra, b: Algebra, left: list[Matrix], right: list[Matrix],
+             label: str) -> Bimodule:
+    """X (x) Y for a left a-module X and a right b-module Y given by their
+    action matrices: x_i (x) y_j at coordinate i dim Y + j.  It is one
+    coordinate block when X and Y are."""
+    p, q = left[0].rows, right[0].rows
+    ip, iq = Matrix.identity(a.field, p), Matrix.identity(a.field, q)
+    return Bimodule(a, b, lambda: [x.kron(iq) for x in left], lambda: [ip.kron(y) for y in right],
+                    p * q, label=label)
 
 
 def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimodule:
     """The standard biprojective summand  A e_v (x) e_w B, one shared object
-    per (a, v, b, w) while any reference to it lives."""
-    key = (id(a), v_pos, id(b), w_pos)
-    if (m := _projectives.get(key)) is not None:
-        return m
-    v = a.vertex_idempotents[v_pos]
-    w = b.vertex_idempotents[w_pos]
-    S = a.left_ideal_basis(v)       # basis of A e_v
-    T = b.right_ideal_basis(w)      # basis of e_w B
-    sp = _left_inverse(S)
-    tp = _left_inverse(T)
-    p, q = S.cols, T.cols
-    iq = Matrix.identity(a.field, q)
-    ip = Matrix.identity(a.field, p)
-    left = [(sp * a.left_mult_matrix(i) * S).kron(iq) for i in range(a.dim)]
-    right = [ip.kron(tp * b.right_mult_matrix(i) * T) for i in range(b.dim)]
-    m = _projectives[key] = Bimodule(a, b, left, right, p * q, label=f"P({v_pos},{w_pos})")
-    m.shared = True
-    return m
+    per (a, v, b, w) kept by b (by a when b is the shared scalar algebra),
+    so it splits and builds its dual once for as long as b lives.  It keeps
+    a, which therefore lives as long as b."""
+    home = a if b is scalar_algebra(b.field) else b
+    key = ("P", id(a), v_pos, id(b), w_pos)
+    if key not in home._tables:
+        m = home._tables[key] = _product(a, b, _standard_left(a, v_pos),
+                                         _standard_right(b, w_pos), f"P({v_pos},{w_pos})")
+        m.shared = True
+    return home._tables[key]
+
+
+def _standard_vertex(alg: Algebra, table, mats: list[Matrix]) -> int | None:
+    """The vertex v with table(alg, v) == mats, if there is one: table is
+    _standard_left or _standard_right."""
+    for v in range(len(alg.vertex_idempotents)):
+        std = table(alg, v)
+        if std[0].rows == mats[0].rows and std == mats:
+            return v
+    return None
 
 
 def _diagonal(field, parts: list[Bimodule], side: str, count: int) -> Callable[[], list[Matrix]]:
@@ -326,26 +391,115 @@ def _diagonal(field, parts: list[Bimodule], side: str, count: int) -> Callable[[
                     for i in range(count)]
 
 
-def _sum(summands: list[Bimodule], label: str) -> Bimodule:
-    """The direct sum of the summands, which share their algebras, with its
-    part records; both actions are block diagonal."""
-    a, b = summands[0].left_algebra, summands[0].right_algebra
-    out = Bimodule(a, b, _diagonal(a.field, summands, "left_action", a.dim),
-                   _diagonal(a.field, summands, "right_action", b.dim),
-                   sum(m.dim for m in summands), label=label)
-    out.summands = out.right_parts = [m for m in summands if m.dim]
+def _whole(m: Bimodule) -> Bimodule | None:
+    """m's one piece when it sits at every coordinate of m, so that m's
+    matrices, and everything read off them, are the piece's; else None.
+    A tensor of two leaves and a cut that keeps one piece are such sums;
+    reading the piece's cached data spares their scatter, and their dual
+    is the piece's kept one."""
+    return m.records[0][0] if m.records and len(m.records[0][1]) == m.dim else None
+
+
+def _pieces(m: Bimodule) -> list[Record]:
+    """m's records, or m itself at all its coordinates for a nonzero leaf."""
+    return m.records or ([(m, np.arange(m.dim))] if m.dim else [])
+
+
+def _recorded(a: Algebra, b: Algebra, records: Records, dim: int, label: str) -> Bimodule:
+    """The bimodule that is the sum of the records' pieces at their
+    coordinates; each action matrix is theirs, scattered."""
+    out = Bimodule(a, b, lambda: _scattered(out, "left_action", a.dim),
+                   lambda: _scattered(out, "right_action", b.dim), dim, label=label,
+                   records=records)
     return out
+
+
+def _scattered(m: Bimodule, side: str, count: int) -> list[Matrix]:
+    return [Matrix.from_blocks(m.field, m.dim, m.dim, [
+        (idx, idx, getattr(p, side)[i]) for p, idx in m.records]) for i in range(count)]
 
 
 def direct_sum(summands: list[Bimodule]) -> Bimodule:
     """The direct sum of a nonempty list of bimodules over the same algebras,
-    their coordinates in order.  It records its summands, so its splittings
-    and vertex blocks are assembled from theirs; the inclusion and
-    projection of summand k are the column and row slices of the identity
-    at the summand's coordinates."""
+    their coordinates in order; one summand is its own sum.  Its records
+    are the summands' pieces, shifted to the summands' ranges; the
+    inclusion and projection of summand k are the column and row slices of
+    the identity at the summand's coordinates."""
     if not summands:
         raise BimoduleError("empty direct sum")
-    return _sum(summands, "(+)".join(m.label or "?" for m in summands))
+    if len(summands) == 1:
+        return summands[0]
+    a, b = summands[0].left_algebra, summands[0].right_algebra
+
+    def records() -> list[Record]:
+        out, end = [], 0
+        for m in summands:
+            out += [(p, idx + end) for p, idx in _pieces(m)]
+            end += m.dim
+        return out
+
+    return Bimodule(a, b, _diagonal(a.field, summands, "left_action", a.dim),
+                    _diagonal(a.field, summands, "right_action", b.dim),
+                    sum(m.dim for m in summands),
+                    label="(+)".join(m.label or "?" for m in summands), records=records)
+
+
+def summand(m: Bimodule, keep: np.ndarray) -> Bimodule:
+    """The direct summand of m on the increasing coordinates keep, a union
+    of coordinate blocks.  It keeps the records that keep holds whole, and
+    cuts the pieces it holds in part to leaves."""
+    if m.records:
+        records = []
+        for p, idx in m.records:
+            inside = np.isin(idx, keep)
+            if inside.all():
+                records.append((p, np.searchsorted(keep, idx)))
+            elif inside.any():
+                records.append((summand(p, np.flatnonzero(inside)),
+                                np.searchsorted(keep, idx[inside])))
+        return _recorded(m.left_algebra, m.right_algebra, records, len(keep), m.label)
+    return Bimodule(m.left_algebra, m.right_algebra,
+                    lambda: [_restricted(a, keep) for a in m.left_action],
+                    lambda: [_restricted(a, keep) for a in m.right_action],
+                    len(keep), label=m.label)
+
+
+def coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
+    """The classes of coordinates joined by a nonzero entry of some action
+    matrix, as increasing index arrays in the order of their first
+    coordinates: every action is block diagonal on them.  Cached on m.
+
+    With records they are the pieces' blocks at the pieces' coordinates,
+    read with no action matrix, and a reordered copy of a leaf (_permuted)
+    reads its base's.  Other leaves join the entries of their actions."""
+    if "blocks" not in m._cache:
+        if m.records:
+            found = [idx[blk] for p, idx in m.records for blk in coordinate_blocks(p)]
+        elif "base" in m._cache:
+            base, moved = m._cache["base"]
+            found = [np.sort(moved[blk]) for blk in coordinate_blocks(base)]
+        else:
+            found = _classes(_support(m.left_action + m.right_action))
+        m._cache["blocks"] = sorted(found, key=lambda blk: blk[0])
+    return m._cache["blocks"]
+
+
+def _classes(linked: np.ndarray) -> list[np.ndarray]:
+    """The classes of the indices that linked[r, c] joins, by union-find."""
+    parent = list(range(len(linked)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for r, c in zip(*np.nonzero(linked)):
+        parent[root(int(r))] = root(int(c))
+    classes: dict[int, list[int]] = {}
+    for i in range(len(linked)):
+        classes.setdefault(root(i), []).append(i)
+    return [np.array(c) for c in classes.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +585,21 @@ class Splitting:
     """Identification of a right-projective module with ideal summands:
     M = (+)_t  e_{v_t} B  via phi(slot t: g) = p_t . g.
 
-    slot_coords[t] is c_t : M -> B, x |-> the slot-t component of
-    phi^-1(x) in e_{v_t} B, written in the basis of B; the dual and the
-    tensor product both read the splitting through these maps.  The
+    The generators p_t are the columns of generators; p_t is the pivot
+    column pivots[t] of the action of e_{v_t}.  Row block t of coords is
+    c_t : M -> B, x |-> the slot-t component of phi^-1(x) in e_{v_t} B,
+    written in the basis of B; the dual and the tensor product both read
+    the splitting through these maps.  For a bimodule with records,
+    owners[t] is (k, s): slot t is slot s of piece k's splitting.  The
     left-side splitting of M is the splitting of flip(M).
     """
 
-    gens: list[Matrix]
+    generators: Matrix
     vertex_pos: list[int]
     phi: Matrix
-    slot_coords: list[Matrix]
+    coords: Matrix
+    pivots: list[int]
+    owners: list[tuple[int, int]] | None = None
 
 
 def _slot_dims(alg: Algebra, vertex_pos: list[int]) -> list[int]:
@@ -451,7 +610,8 @@ def _slot_dims(alg: Algebra, vertex_pos: list[int]) -> list[int]:
 
 def _cover(m: Bimodule) -> tuple[list[Matrix], list[int], list[int]]:
     """Generators of m modulo m.rad, by echelon choice from the vertex blocks
-    m e_v, with their vertices and the dimensions of their slots e_v B.
+    m e_v, with their vertices and the pivot columns they are in the
+    actions of the vertex idempotents.
 
     The pivots come from one rref of [m.rad | m e_0 | m e_1 | ...]: a column
     is a pivot when the columns before it do not span it, so spanning
@@ -461,25 +621,26 @@ def _cover(m: Bimodule) -> tuple[list[Matrix], list[int], list[int]]:
     if m.dim == 0:
         return [], [], []
     rad = Matrix.stack_columns(field, [m.right_action[r] for r in alg.radical_basis], m.dim)
-    blocks = [m.right_block(v_pos) for v_pos in range(len(alg.vertex_idempotents))]
-    cand_meta = [v_pos for v_pos, blk in enumerate(blocks) for _ in range(blk.cols)]
-    stacked = Matrix.stack_columns(field, [rad] + blocks, m.dim)
+    blocks = [m._block(("r", v_pos)) for v_pos in range(len(alg.vertex_idempotents))]
+    cand_meta = [(v_pos, int(piv)) for v_pos, (_, pivots, _) in enumerate(blocks) for piv in pivots]
+    stacked = Matrix.stack_columns(field, [rad] + [blk for blk, _, _ in blocks], m.dim)
     picked = [p for p in stacked.rref()[1] if p >= rad.cols]
-    vertex_pos = [cand_meta[p - rad.cols] for p in picked]
-    return [stacked.column_vec(p) for p in picked], vertex_pos, _slot_dims(alg, vertex_pos)
+    meta = [cand_meta[p - rad.cols] for p in picked]
+    return [stacked.column_vec(p) for p in picked], [v for v, _ in meta], [c for _, c in meta]
 
 
 def _splitting(m: Bimodule) -> Splitting | None:
     """The right-projective splitting of m, or None when m is not right-projective.
 
-    A bimodule with right parts assembles it from theirs, with no elimination."""
+    A bimodule with records assembles it from its pieces', with no elimination."""
     if "split" not in m._cache:
-        m._cache["split"] = _assembled_splitting(m) if m.right_parts else _fresh_splitting(m)
+        m._cache["split"] = _assembled_splitting(m) if m.records else _fresh_splitting(m)
     return m._cache["split"]
 
 
 def _fresh_splitting(m: Bimodule) -> Splitting | None:
-    gens, vertex_pos, slot_dims = _cover(m)
+    gens, vertex_pos, pivots = _cover(m)
+    slot_dims = _slot_dims(m.right_algebra, vertex_pos)
     if sum(slot_dims) != m.dim:
         return None
     # phi: free module -> M, slot t: g |-> p_t.g; one solve decides invertibility
@@ -491,49 +652,68 @@ def _fresh_splitting(m: Bimodule) -> Splitting | None:
     phi_inv = phi.solve(Matrix.identity(m.field, m.dim))
     if phi_inv is None:
         return None
-    ends = np.cumsum([0] + slot_dims)
-    slot_coords = [ideal * phi_inv.submatrix(slice(ends[t], ends[t + 1]), slice(0, m.dim))
-                   for t, ideal in enumerate(ideals)]
-    return Splitting(gens, vertex_pos, phi, slot_coords)
+    coords = Matrix.block_diag(m.field, ideals) * phi_inv
+    return Splitting(Matrix.stack_columns(m.field, gens, m.dim), vertex_pos, phi, coords, pivots)
 
 
 def _assembled_splitting(m: Bimodule) -> Splitting | None:
-    """The splitting of m read off its right parts' splittings.
+    """The splitting of m read off its pieces' splittings.
 
     Every column of a block diagonal matrix lies in one block, so _cover's
-    first-pivot choice on m splits into one choice per part: the same
-    generators, ordered by vertex, then part, then position in the part.
+    first-pivot choice on m splits into one choice per piece: the same
+    generators, ordered by vertex, then by the coordinate of their pivot.
+    As the pieces' coordinates increase, that keeps each piece's own order.
     phi is block diagonal up to that order of its slots, and phi^-1 too."""
-    parts = m.right_parts
-    splits = [_splitting(p) for p in parts]
+    splits = [_splitting(p) for p, _ in m.records]
     if any(sp is None for sp in splits):
         return None
-    offsets = np.cumsum([0] + [p.dim for p in parts])
-    slot_starts = [offsets[i] + np.cumsum([0] + _slot_dims(m.right_algebra, sp.vertex_pos))
-                   for i, sp in enumerate(splits)]
-    order = sorted((v, i, k) for i, sp in enumerate(splits) for k, v in enumerate(sp.vertex_pos))
-    phi_cols = [c for _, i, k in order for c in range(slot_starts[i][k], slot_starts[i][k + 1])]
+    if _whole(m) is not None:
+        return replace(splits[0], owners=[(0, t) for t in range(len(splits[0].vertex_pos))])
+    order = sorted((v, idx[piv], k, t) for k, ((_, idx), sp) in enumerate(zip(m.records, splits))
+                   for t, (v, piv) in enumerate(zip(sp.vertex_pos, sp.pivots)))
+    owners = [(k, t) for _, _, k, t in order]
+    vertex_pos = [v for v, _, _, _ in order]
+    starts = np.cumsum([0] + _slot_dims(m.right_algebra, vertex_pos))
+    rows = np.arange(len(order) + 1) * m.right_algebra.dim
+    parts = list(zip((idx for _, idx in m.records), splits, _owned(owners, len(splits))))
+    field = m.field
     return Splitting(
-        [splits[i].gens[k].pad_rows(offsets[i], m.dim) for _, i, k in order],
-        [v for v, _, _ in order],
-        Matrix.block_diag(m.field, [sp.phi for sp in splits]).submatrix(slice(None), phi_cols),
-        [Matrix.from_blocks(m.field, c.rows, m.dim, [(0, offsets[i], c)])
-         for _, i, k in order for c in [splits[i].slot_coords[k]]])
+        Matrix.from_blocks(field, m.dim, len(order), [(idx, sl, sp.generators)
+                                                      for idx, sp, sl in parts]),
+        vertex_pos,
+        Matrix.from_blocks(field, m.dim, int(starts[-1]), [(idx, _runs(starts, sl), sp.phi)
+                                                           for idx, sp, sl in parts]),
+        Matrix.from_blocks(field, int(rows[-1]), m.dim, [(_runs(rows, sl), idx, sp.coords)
+                                                         for idx, sp, sl in parts]),
+        [int(p) for _, p, _, _ in order], owners)
+
+
+def _owned(owners: list[tuple[int, int]], count: int) -> list[np.ndarray]:
+    """The slots that each of count pieces owns, in the piece's own order."""
+    out = [[] for _ in range(count)]
+    for s, (k, _) in enumerate(owners):
+        out[k].append(s)
+    return [np.array(slots) for slots in out]
+
+
+def _runs(ends: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The coordinates ends[s] to ends[s + 1] of each of the slots, in order."""
+    return np.concatenate([np.arange(ends[s], ends[s + 1]) for s in slots])
 
 
 def is_projective(m: Bimodule, side: str) -> bool:
     """Projectivity over one side, decided by the projective cover dimension:
-    a bimodule with right parts is projective when every part is."""
+    a bimodule with records is projective when every piece is."""
     m = _right_view(m, side)
-    if m.right_parts:
-        return all(is_projective(p, "right") for p in m.right_parts)
+    if m.records:
+        return all(is_projective(p, "right") for p, _ in m.records)
     return _splitting(m) is not None
 
 
 def right_multiplicities(m: Bimodule) -> np.ndarray | None:
     """Entry (u, w) is the multiplicity of e_w B in e_u m, for the vertices u
     of the left and w of the right algebra, as Python ints; None when m is
-    not right-projective.  Cached on m; a sum adds its summands'.
+    not right-projective.  Cached on m; with records it adds the pieces'.
 
     The multiplicity is dim e_u (m / m.rad) e_w, the top of e_u m at w.  The
     projective cover with these multiplicities maps onto e_u m (Nakayama),
@@ -541,8 +721,8 @@ def right_multiplicities(m: Bimodule) -> np.ndarray | None:
     m.dim.  Each entry is one rank: e_u m e_w is a cached vertex block, and
     e_u m.rad is spanned by the radical's actions on the image of e_u."""
     if "mult" not in m._cache:
-        if m.summands:
-            parts = [right_multiplicities(s) for s in m.summands]
+        if m.records:
+            parts = [right_multiplicities(p) for p, _ in m.records]
             m._cache["mult"] = None if any(p is None for p in parts) else sum(parts)
         else:
             m._cache["mult"] = _fresh_multiplicities(m)
@@ -570,29 +750,31 @@ def _fresh_multiplicities(m: Bimodule) -> np.ndarray | None:
 class DualData:
     """A dual bimodule with its evaluation and chosen dual basis.
 
-    hom_matrices[i] is the map P -> B (or P -> A for left duals)
-    realised by the i-th basis vector of the dual; generators g_t and
-    cogenerators g_t^* satisfy sum_t g_t . g_t^*(x) = x (right side)
-    or sum_t h_t^*(x) . h_t = x (left side).
+    Row block i of homs is the map P -> B (or P -> A for left duals)
+    realised by the i-th basis vector of the dual.  The generators g_t and
+    cogenerators g_t^* are the columns of gens and cogens, and satisfy
+    sum_t g_t . g_t^*(x) = x (right side) or sum_t h_t^*(x) . h_t = x
+    (left side).
     """
 
     bimodule: Bimodule
-    hom_matrices: list[Matrix]
-    generators: list[Matrix]
-    cogenerators: list[Matrix]
+    homs: Matrix
+    gens: Matrix
+    cogens: Matrix
 
     def evaluate(self, f_coords: Matrix, x: Matrix) -> Matrix:
         """Column j is f_j(x_j), for f_j = f_coords[:, j] and x_j = x[:, j]."""
-        if not self.hom_matrices:
+        if not self.bimodule.dim:
             return Matrix.zeros(f_coords.field, 0, x.cols)
-        return _act(self.hom_matrices, f_coords, x)
+        return (self.homs * x).combine_blocks(f_coords)
 
 
 def _require_projective(p: Bimodule, side: str) -> None:
     if not is_projective(p, side):
+        m = _right_view(p, side)
         raise BimoduleError(
             f"{side}_dual needs a {side}-projective bimodule (cover dim "
-            f"{sum(_cover(_right_view(p, side))[2])} != dim {p.dim})")
+            f"{sum(_slot_dims(m.right_algebra, _cover(m)[1]))} != dim {p.dim})")
 
 
 @dataclass
@@ -608,15 +790,15 @@ class _DualSlot:
 
 def _dual_slot(B: Algebra, v_pos: int) -> _DualSlot:
     key = ("slot", v_pos)
-    if key not in B._dual_tables:
+    if key not in B._tables:
         G = B.left_ideal_basis(B.vertex_idempotents[v_pos])
         proj = _left_inverse(G)
         mults = Matrix.combinations([B.left_mult_matrix(i) for i in range(B.dim)], G)
-        B._dual_tables[key] = _DualSlot(
+        B._tables[key] = _DualSlot(
             G, proj, Matrix.stack_rows(B.field, mults, B.dim),
-            [proj * (B.left_mult_matrix(i) * G) for i in range(B.dim)],
+            _standard_left(B, v_pos),
             proj * Matrix.basis_vector(B.field, B.dim, B.vertex_idempotents[v_pos]))
-    return B._dual_tables[key]
+    return B._tables[key]
 
 
 def _move_table(B: Algebra, s_pos: int, t_pos: int) -> Matrix:
@@ -624,47 +806,68 @@ def _move_table(B: Algebra, s_pos: int, t_pos: int) -> Matrix:
     left inverse of G_s: beta |-> beta.c maps B e_t to B e_s by this table
     applied to the coordinates of c."""
     key = ("move", s_pos, t_pos)
-    if key not in B._dual_tables:
+    if key not in B._tables:
         proj, G = _dual_slot(B, s_pos).proj, _dual_slot(B, t_pos).basis
         moved = [proj * (B.right_mult_matrix(k) * G) for k in range(B.dim)]
-        B._dual_tables[key] = Matrix.stack_columns(
+        B._tables[key] = Matrix.stack_columns(
             B.field, [m.reshape(m.rows * m.cols, 1) for m in moved], proj.rows * G.cols)
-    return B._dual_tables[key]
+    return B._tables[key]
 
 
 def right_dual(p: Bimodule) -> DualData:
     """Maps into the right algebra: an (A,B)-bimodule yields a (B,A)-bimodule.
 
-    A shared bimodule builds its dual once and keeps it, and a sum of shared
-    summands whose generators each lie at one vertex assembles its dual from
-    theirs (_dual_of_sum); any other bimodule builds it from its splitting."""
+    A bimodule with records assembles its dual from its pieces' duals
+    (_dual_of_sum), a shared leaf builds its dual once and keeps it, and
+    any other leaf builds it from its splitting."""
     _require_projective(p, "right")
+    if p.records:
+        return _dual_of_sum(p)
     if p.shared:
         return p._cache.get("rdual") or p._cache.setdefault("rdual", _fresh_dual(p))
-    if p.summands and all(s.shared and len(set(_splitting(s).vertex_pos)) == 1
-                          for s in p.summands):
-        return _dual_of_sum(p)
     return _fresh_dual(p)
 
 
 def _dual_of_sum(p: Bimodule) -> DualData:
-    """The right dual of a sum of shared summands, each with its generators
-    at one vertex: the sum of their duals, in the order of the sum's
-    splitting (by vertex, then summand: see _assembled_splitting), with
-    each hom matrix, generator and cogenerator at its summand's place."""
-    parts = p.summands
-    offsets = np.cumsum([0] + [s.dim for s in parts])
-    order = sorted(range(len(parts)), key=lambda i: _splitting(parts[i]).vertex_pos[0])
-    duals = [right_dual(parts[i]) for i in order]
-    ends = np.cumsum([0] + [dd.bimodule.dim for dd in duals])
-    dual = _sum([dd.bimodule for dd in duals], f"{p.label or 'P'}^v")
-    homs, gens, cogens = [], [], []
-    for i, dd, end in zip(order, duals, ends):
-        homs += [Matrix.from_blocks(p.field, h.rows, p.dim, [(0, offsets[i], h)])
-                 for h in dd.hom_matrices]
-        gens += [g.pad_rows(offsets[i], p.dim) for g in dd.generators]
-        cogens += [c.pad_rows(end, dual.dim) for c in dd.cogenerators]
-    return DualData(dual, homs, gens, cogens)
+    """The right dual of a bimodule with records: the sum of its pieces'
+    duals, or the kept dual of its one piece (_whole).  The dual of p has
+    one run of coordinates per slot of p's splitting, and the slots of a
+    piece keep their order in it, so each piece's dual sits at the runs of
+    its slots; its hom matrices, generators and cogenerators are scattered
+    to its coordinates and slots.  This is _fresh_dual's result matrix for
+    matrix: the coefficients c_t(a.g_s) between the slots of two pieces
+    are zero."""
+    if (whole := _whole(p)) is not None:
+        return right_dual(whole)
+    sp = _splitting(p)
+    B, field = p.right_algebra, p.field
+    duals = [right_dual(q) for q, _ in p.records]
+    ends = np.cumsum([0] + [_dual_slot(B, v).basis.cols for v in sp.vertex_pos])
+    parts = [(idx, dd, slots, _runs(ends, slots)) for (_, idx), dd, slots
+             in zip(p.records, duals, _owned(sp.owners, len(duals)))]
+    dim, S = int(ends[-1]), len(sp.owners)
+    dual = _recorded(B, p.left_algebra, [(dd.bimodule, run) for _, dd, _, run in parts], dim,
+                     f"{p.label or 'P'}^v")
+    rows = np.arange(dim + 1) * B.dim
+    return DualData(
+        dual,
+        Matrix.from_blocks(field, int(rows[-1]), p.dim, [(_runs(rows, run), idx, dd.homs)
+                                                         for idx, dd, _, run in parts]),
+        Matrix.from_blocks(field, p.dim, S, [(idx, slots, dd.gens) for idx, dd, slots, _ in parts]),
+        Matrix.from_blocks(field, dim, S, [(run, slots, dd.cogens) for _, dd, slots, run in parts]))
+
+
+def _generator_coeffs(p: Bimodule) -> Matrix:
+    """c_t(a_i.g_s) for every slot t and s of p's splitting and basis
+    element a_i of the left algebra: row block t, column s * A.dim + i.
+    Built once per p."""
+    if "coeffs" not in p._cache:
+        sp = _splitting(p)
+        moved = _stacked_left(p) * sp.generators
+        S, n = sp.generators.cols, p.left_algebra.dim
+        moved = moved.reshape(n, p.dim * S).transpose().reshape(p.dim, S * n)
+        p._cache["coeffs"] = sp.coords * moved
+    return p._cache["coeffs"]
 
 
 def _fresh_dual(p: Bimodule) -> DualData:
@@ -674,23 +877,18 @@ def _fresh_dual(p: Bimodule) -> DualData:
     beta.c_t(a.g_s) in slot s, read off the move table for every a at once."""
     sp = _splitting(p)
     A, B = p.left_algebra, p.right_algebra
-    field, S = p.field, len(sp.gens)
+    field, S = p.field, len(sp.vertex_pos)
     slots = [_dual_slot(B, v_pos) for v_pos in sp.vertex_pos]
     ends = np.cumsum([0] + [slot.basis.cols for slot in slots])
     dual_dim = int(ends[-1])
 
-    hom_matrices = []
-    for slot, coords in zip(slots, sp.slot_coords):
-        homs = slot.mults * coords
-        hom_matrices += [homs.submatrix(slice(j * B.dim, (j + 1) * B.dim), slice(None))
-                         for j in range(slot.basis.cols)]
+    homs = Matrix.stack_rows(field, [
+        slot.mults * sp.coords.submatrix(slice(t * B.dim, (t + 1) * B.dim), slice(None))
+        for t, slot in enumerate(slots)], p.dim)
     left_action = [Matrix.block_diag(field, [slot.left_action[i] for slot in slots])
                    for i in range(B.dim)]
 
-    # c_t(a_i.g_s) for every t, s and i: row block t, column s * A.dim + i
-    moved = _stacked_left(p) * Matrix.stack_columns(field, sp.gens, p.dim)
-    moved = moved.reshape(A.dim, p.dim * S).transpose().reshape(p.dim, S * A.dim)
-    coeffs = Matrix.stack_rows(field, sp.slot_coords, p.dim) * moved
+    coeffs = _generator_coeffs(p)
     # every right action stacked, slot by slot: rows A.dim * ends[s] + i * size_s + k
     # hold row ends[s] + k of the action of a_i
     blocks = []
@@ -711,8 +909,8 @@ def _fresh_dual(p: Bimodule) -> DualData:
     dual = Bimodule(B, A, left_action, right_action, dual_dim,
                     label=f"{p.label or 'P'}^v")
     dual.shared = p.shared
-    cogens = [slot.unit.pad_rows(int(ends[t]), dual_dim) for t, slot in enumerate(slots)]
-    return DualData(dual, hom_matrices, list(sp.gens), cogens)
+    return DualData(dual, homs, sp.generators,
+                    Matrix.block_diag(field, [slot.unit for slot in slots]))
 
 
 def left_dual(p: Bimodule) -> DualData:
@@ -723,7 +921,7 @@ def left_dual(p: Bimodule) -> DualData:
     """
     _require_projective(p, "left")
     dd = right_dual(flip(p))
-    return DualData(flip(dd.bimodule), dd.hom_matrices, dd.generators, dd.cogenerators)
+    return DualData(flip(dd.bimodule), dd.homs, dd.gens, dd.cogens)
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +943,18 @@ class TensorData:
     transports a pair of equivariant maps to a map of tensor products
     with one such call.
 
-    As a right module the tensor is the sum of its slots e_{v_t}n, so its
-    right parts are the slot parts of n (see _slot_part); the left action
-    mixes the slots, so it has no summands.
+    As a right module the tensor is the sum of its slots e_{v_t}n (see
+    _slot_part), and its left action is read off the splitting of m.  As a
+    bimodule it is the sum of one pair tensor m_i (x) n_j for each piece
+    m_i of m and n_j of n, each at the coordinates of its monomials: the
+    slots of m that m_i owns, times the columns of e_v n that n_j places
+    (see _records).  Its records are the pair tensors' pieces there, so
+    its splitting, vertex blocks, coordinate blocks and dual need neither
+    action.  A leaf tensor, a pair tensor that _pair_tensor finds no
+    pieces for, has no records.
     """
 
-    def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting):
+    def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting, leaf: bool = False):
         self.m = m
         self.n = n
         self.field = m.field
@@ -762,8 +966,8 @@ class TensorData:
         slots = [_slot_part(n, v_pos) for v_pos in sp.vertex_pos]
         self.bimodule = Bimodule(m.left_algebra, n.right_algebra, self._build_left_action,
                                  _diagonal(self.field, slots, "right_action", n.right_algebra.dim),
-                                 self._dim, label=f"{m.label or 'M'}(x){n.label or 'N'}")
-        self.bimodule.right_parts = [part for part in slots if part.dim]
+                                 self._dim, label=f"{m.label or 'M'}(x){n.label or 'N'}",
+                                 records=None if leaf else self._records)
 
     def induced(self, f: Matrix | None, g: Matrix | None, target: "TensorData") -> Matrix:
         """The matrix of f (x) g between tensor products (f, g equivariant);
@@ -775,18 +979,38 @@ class TensorData:
         """The left action of A: a.(p_t (x) y) = (a.p_t) (x) y, for every
         basis element a and monomial at once."""
         field, m, dim = self.field, self.m, self.m.left_algebra.dim
-        gens = Matrix.stack_columns(field, self.sp.gens, m.dim)
+        gens = self.sp.generators
         moved = Matrix.stack_columns(field, [m.left_action[i] * gens for i in range(dim)], m.dim)
         acted = self._acted(self.monomial_matrices()[1])
         every = Matrix.stack_columns(field, [acted] * dim, acted.rows).combine_slots(
-            self._per_monomial(self._stacked_coords * moved), self._nprojs)
+            self._per_monomial(self.sp.coords * moved), self._nprojs)
         return [every.submatrix(slice(None), slice(i * self._dim, (i + 1) * self._dim))
                 for i in range(dim)]
 
+    def _records(self) -> list[Record]:
+        """The pieces of every pair tensor m_i (x) n_j at the coordinates of
+        its monomials: slot t of m_i is the slot of m that owns it, and
+        column r of e_v n_j the column of e_v n that n places it at, as the
+        pieces' coordinates increase.  Restricted there, both actions are
+        the pair tensor's: c_s(a.g_t) is m_i's own, and so is the block of
+        n's vertex blocks and their projections."""
+        m, n, sp = self.m, self.n, self.sp
+        starts = np.cumsum([0] + [blk.cols for blk in self._nblocks])
+        owned = _owned(sp.owners, len(m.records)) if m.records else [np.arange(len(sp.vertex_pos))]
+        # where each piece of n places its columns of e_v n
+        places = {v: flip(n)._block(("r", v))[2] or [np.arange(n.left_block(v).cols)]
+                  for v in set(sp.vertex_pos)}
+        out = []
+        for (mi, _), slots in zip(_pieces(m), owned):
+            for j, (nj, _) in enumerate(_pieces(n)):
+                coords = np.concatenate([starts[s] + places[sp.vertex_pos[s]][j] for s in slots])
+                if len(coords):
+                    out += [(q, coords[idx]) for q, idx in _pieces(_pair(mi, nj))]
+        return out
+
     def monomial_matrices(self) -> tuple[Matrix, Matrix]:
         if self._monomials is None:
-            gens = Matrix.stack_columns(self.field, self.sp.gens, self.m.dim)
-            self._monomials = (self._per_monomial(gens),
+            self._monomials = (self._per_monomial(self.sp.generators),
                                Matrix.stack_columns(self.field, self._nblocks, self.n.dim))
         return self._monomials
 
@@ -800,12 +1024,7 @@ class TensorData:
     def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
         """Slot t of x_j (x) y_j is the projection onto e_{v_t}n of
         sum_i c_t(x_j)_i b_i.y_j: every slot and column in one combine_slots."""
-        return self._acted(ys).combine_slots(self._stacked_coords * xs, self._nprojs)
-
-    @cached_property
-    def _stacked_coords(self) -> Matrix:
-        """The slot coordinate maps c_t stacked top to bottom."""
-        return Matrix.stack_rows(self.field, self.sp.slot_coords, self.m.dim)
+        return self._acted(ys).combine_slots(self.sp.coords * xs, self._nprojs)
 
     def _acted(self, ys: Matrix) -> Matrix:
         """b_i . y for every basis element b_i of B, stacked by i."""
@@ -814,20 +1033,161 @@ class TensorData:
 
 def _slot_part(n: Bimodule, v_pos: int) -> Bimodule:
     """e_v n as a (k, C)-bimodule in the basis n.left_block(v): the slot of
-    a tensor m (x) n at a generator of m at vertex v.  Built once per (n, v),
-    so its splitting is too; for a sum n it is the sum of the summands'."""
+    a tensor m (x) n at a generator of m at vertex v.  Built once per (n, v)."""
     key = ("slot", v_pos)
     if key not in n._cache:
-        if n.summands:
-            part = _sum([_slot_part(s, v_pos) for s in n.summands], n.label)
-        else:
-            blk, proj = n.left_block(v_pos), n.left_block_proj(v_pos)
-            part = Bimodule(scalar_algebra(n.field), n.right_algebra,
-                            [Matrix.identity(n.field, blk.cols)],
-                            lambda: [proj * (a * blk) for a in n.right_action],
-                            blk.cols, label=n.label)
-        n._cache[key] = part
+        blk, proj = n.left_block(v_pos), n.left_block_proj(v_pos)
+        n._cache[key] = Bimodule(scalar_algebra(n.field), n.right_algebra,
+                                 [Matrix.identity(n.field, blk.cols)],
+                                 lambda: [proj * (a * blk) for a in n.right_action],
+                                 blk.cols, label=n.label)
     return n._cache[key]
+
+
+# the pair tensors in use, held weakly and keyed by the ids of their two
+# factors (which each pair tensor keeps alive), so none outlives its last use
+_pairs: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _pair(m: Bimodule, n: Bimodule) -> Bimodule:
+    """m (x)_B n for two leaves in the monomial basis, one shared object per
+    pair while any reference to it lives, so its pieces are found once; it
+    keeps m and n as its factors, so the ids in its key stay theirs."""
+    key = (id(m), id(n))
+    if (t := _pairs.get(key)) is not None:
+        return t
+    t = _pairs[key] = _pair_tensor(m, n)
+    t.factors = (m, n)
+    t.shared = True
+    return t
+
+
+def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
+    """m (x)_B n for two leaves, with records where its structure gives them.
+
+    * m is the diagonal B, its coordinates perhaps reordered: g_t = e_t,
+      and b (x) y |-> b.y is an isomorphism onto n, which sends the
+      monomial e_t (x) y_r to y_r, column r of n.left_block(t).  When those
+      columns are unit vectors, the tensor is n with its coordinates
+      reordered.
+    * The left action of A maps generators of m to combinations of
+      generators (_left_classes): a.(g_t (x) y) = sum_s L_a[s, t] g_s (x) y.
+      Then the tensor is the sum, over the classes c of slots that L links
+      and the coordinate blocks beta of e_v n, of X_c (x) Y_beta: L_a on c,
+      and the right action of e_v n on beta.  When X_c is A e_u and Y_beta
+      is e_y C, each in its standard basis, that piece is P(u, y).
+
+    Otherwise the tensor is a leaf."""
+    sp = _splitting(m)
+    A, C, field = m.left_algebra, n.right_algebra, m.field
+    label = f"{m.label or 'M'}(x){n.label or 'N'}"
+    vertices = range(len(m.right_algebra.vertex_idempotents))
+    if _reordered_diagonal(m) and sp.vertex_pos == list(vertices):
+        order = _unit_columns(Matrix.stack_columns(field, [n.left_block(v) for v in vertices],
+                                                   n.dim))
+        if order is not None:
+            return _permuted(n, order, label)
+    classes = _left_classes(m)
+    if classes is None:
+        return TensorData(m, n, sp, leaf=True).bimodule
+    starts = np.cumsum([0] + [n.left_block(v).cols for v in sp.vertex_pos])
+    records = []
+    for slots, x, u in classes:
+        for beta, y, w in _right_blocks(n, sp.vertex_pos[slots[0]]):
+            if u is not None and w is not None:
+                piece = projective_bimodule(A, u, C, w)
+            else:
+                piece = _product(A, C, x, y, label)
+                piece.shared = True
+                piece._cache["blocks"] = [np.arange(piece.dim)]  # x and y are one block each
+            records.append((piece, np.concatenate([starts[t] + beta for t in slots])))
+    return _recorded(A, C, records, int(starts[-1]), label)
+
+
+def _reordered_diagonal(m: Bimodule) -> bool:
+    """Whether m is the diagonal, or the diagonal with its coordinates
+    reordered: its generators are then the images of the idempotents."""
+    while "base" in m._cache:
+        m = m._cache["base"][0]
+    return m.diagonal
+
+
+def _left_classes(m: Bimodule) -> list[tuple[np.ndarray, list[Matrix], int | None]] | None:
+    """When the left action maps the generators g_t of m's splitting to
+    combinations of generators, a.g_t = sum_s L_a[s, t] g_s: the classes of
+    slots that L links, each with L_a on it and the vertex u when that is
+    A e_u in its standard basis.  None when some c_s(a.g_t) is not a
+    multiple of e_{v_s}.  Built once per m."""
+    if "left classes" not in m._cache:
+        sp, B = _splitting(m), m.right_algebra
+        coeffs, S = _generator_coeffs(m), len(sp.vertex_pos)
+        at_idem = [t * B.dim + B.vertex_idempotents[v] for t, v in enumerate(sp.vertex_pos)]
+        rest = np.setdiff1d(np.arange(S * B.dim), at_idem)
+        if coeffs.submatrix(rest, slice(None)).is_zero():
+            rows = coeffs.submatrix(at_idem, slice(None))
+            lam = [rows.submatrix(slice(None), np.arange(S) * m.left_algebra.dim + i)
+                   for i in range(m.left_algebra.dim)]
+            m._cache["left classes"] = _identified(m.left_algebra, _standard_left, lam)
+        else:
+            m._cache["left classes"] = None
+    return m._cache["left classes"]
+
+
+def _right_blocks(n: Bimodule, v_pos: int) -> list[tuple[np.ndarray, list[Matrix], int | None]]:
+    """The coordinate blocks of e_v n in the basis n.left_block(v), each with
+    the right action on it and the vertex w when that is e_w C in its
+    standard basis: those of _slot_part.  Built once per (n, v)."""
+    key = ("right blocks", v_pos)
+    if key not in n._cache:
+        part = _slot_part(n, v_pos)
+        n._cache[key] = _identified(n.right_algebra, _standard_right, part.right_action,
+                                    coordinate_blocks(part))
+    return n._cache[key]
+
+
+def _support(mats: list[Matrix]) -> np.ndarray:
+    """Where some of the matrices has a nonzero entry."""
+    return np.any([a.nonzero_mask() for a in mats], axis=0)
+
+
+def _identified(alg: Algebra, table, mats: list[Matrix], blocks: list[np.ndarray] | None = None):
+    """Each block of the matrices (by default the classes their entries
+    join), the matrices on it, and the vertex v with table(alg, v) equal
+    to them, or None."""
+    if blocks is None:
+        blocks = _classes(_support(mats))
+    return [(c, x, _standard_vertex(alg, table, x))
+            for c in blocks for x in [[_restricted(a, c) for a in mats]]]
+
+
+def _restricted(a: Matrix, idx: np.ndarray) -> Matrix:
+    """a on the coordinates idx: its rows and columns there."""
+    return a.submatrix(idx, slice(None)).submatrix(slice(None), idx)
+
+
+def _unit_columns(mat: Matrix) -> np.ndarray | None:
+    """The rows r with column q of the square mat the unit vector at r[q],
+    or None when mat is not a permutation matrix."""
+    rows, cols = np.nonzero(mat.nonzero_mask())
+    if mat.rows != mat.cols or len(cols) != mat.cols:
+        return None
+    order = rows[np.argsort(cols)]
+    return order if mat == Matrix.identity(mat.field, mat.rows).submatrix(slice(None), order) \
+        else None
+
+
+def _permuted(base: Bimodule, order: np.ndarray, label: str) -> Bimodule:
+    """base with coordinate q moved from order[q]: the sum of base alone
+    when order is the identity, else a leaf that reads its coordinate
+    blocks off base's."""
+    if (order == np.arange(len(order))).all():
+        return _recorded(base.left_algebra, base.right_algebra, [(base, order)], base.dim, label)
+    reorder = lambda mats: [a.submatrix(order, slice(None)).submatrix(slice(None), order)
+                            for a in mats]
+    out = Bimodule(base.left_algebra, base.right_algebra, lambda: reorder(base.left_action),
+                   lambda: reorder(base.right_action), base.dim, label=label)
+    out._cache["base"] = (base, np.argsort(order))
+    return out
 
 
 def tensor_over_middle(m: Bimodule, n: Bimodule) -> TensorData:
@@ -842,5 +1202,5 @@ def tensor_over_middle(m: Bimodule, n: Bimodule) -> TensorData:
     if sp is None:
         raise BimoduleError(
             f"tensor_over_middle needs a right-projective left factor (cover dim "
-            f"{sum(_cover(m)[2])} != dim {m.dim})")
+            f"{sum(_slot_dims(m.right_algebra, _cover(m)[1]))} != dim {m.dim})")
     return TensorData(m, n, sp)

@@ -49,9 +49,11 @@ from .bimodules import (
     BimoduleError,
     TensorData,
     check_map,
+    coordinate_blocks,
     direct_sum,
     hom_space,
     regular_bimodule,
+    summand,
     tensor_over_middle,
 )
 from .linalg import Matrix
@@ -130,7 +132,8 @@ class Complex:
 
 
 def unit_complex(a: Algebra) -> Complex:
-    """The diagonal kernel's complex, built once per algebra and cached on it."""
+    """The diagonal kernel's complex, built once per algebra and cached on
+    it, so its one term, the diagonal, splits and builds its dual once."""
     if a._unit_complex is None:
         a._unit_complex = Complex(a, a, {0: regular_bimodule(a)}, {})
     return a._unit_complex
@@ -444,18 +447,21 @@ def minimal_model(x: Complex) -> Complex:
     "Fast Khovanov homology computations", arXiv:math/0606318).
 
     Every action matrix of a term is block diagonal on its coordinate
-    blocks, so each block spans a bimodule direct summand, and the
-    component b = d[X', X] between blocks X in degree n and X' in degree
-    n+1 is a bimodule map.  When b is invertible,
+    blocks (bimodules.coordinate_blocks), so each block spans a bimodule
+    direct summand, and the component b = d[X', X] between blocks X in
+    degree n and X' in degree n+1 is a bimodule map.  When b is invertible,
       ... -> X (+) D --[[b, delta], [gamma, eps]]--> X' (+) E -> ...
     is homotopy equivalent to ... -> D --(eps - gamma b^-1 delta)--> E -> ...,
     with the X rows of d^{n-1} and the X' columns of d^{n+1} dropped.  The
-    terms of the result are direct summands of x's, so they are projective
-    on every side x's terms are.  No homotopy data is kept.  When no
-    block cancels, the result is x itself.
+    blocks are tried in the order of their first coordinates; a term with
+    records reads them off its pieces, so no action matrix of a tensor is
+    built.  The terms of the result are direct summands of x's
+    (bimodules.summand), so they are projective on every side x's terms
+    are, and they keep the records they hold whole.  No homotopy data is
+    kept.  When no block cancels, the result is x itself.
     """
     keep = {n: np.arange(t.dim) for n, t in x.terms.items()}
-    blocks = {n: _coordinate_blocks(t) for n, t in x.terms.items()}
+    blocks = {n: coordinate_blocks(t) for n, t in x.terms.items()}
     d = dict(x.diffs)
     for n in sorted(d):
         while pair := _invertible_pair(d[n], keep[n], keep[n + 1], blocks[n], blocks[n + 1]):
@@ -474,36 +480,9 @@ def minimal_model(x: Complex) -> Complex:
             blocks[n + 1] = [blk for blk in blocks[n + 1] if blk is not tgt]
     if all(len(keep[n]) == t.dim for n, t in x.terms.items()):
         return x
-    terms = {n: t if len(keep[n]) == t.dim else _summand(t, keep[n])
+    terms = {n: t if len(keep[n]) == t.dim else summand(t, keep[n])
              for n, t in x.terms.items()}
     return Complex(x.left_algebra, x.right_algebra, terms, d)
-
-
-def _coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
-    """The classes of coordinates joined by a nonzero entry of some action
-    matrix, as increasing index arrays: every action is block diagonal on
-    them.  A sum's are its summands' shifted to their coordinates, in the
-    same order, with no action matrix read."""
-    if m.summands:
-        ends = np.cumsum([0] + [s.dim for s in m.summands])
-        return [blk + end for s, end in zip(m.summands, ends) for blk in _coordinate_blocks(s)]
-    linked = np.zeros((m.dim, m.dim), dtype=bool)
-    for mat in m.left_action + m.right_action:
-        linked |= mat.nonzero_mask()
-    parent = list(range(m.dim))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for r, c in zip(*np.nonzero(linked)):
-        parent[root(int(r))] = root(int(c))
-    classes: dict[int, list[int]] = {}
-    for i in range(m.dim):
-        classes.setdefault(root(i), []).append(i)
-    return [np.array(c) for c in classes.values()]
 
 
 def _part(m: Matrix, rows, cols) -> Matrix:
@@ -522,14 +501,6 @@ def _invertible_pair(d: Matrix, keep_src: np.ndarray, keep_tgt: np.ndarray,
                 if not part.is_zero() and part.is_invertible():
                     return src, tgt
     return None
-
-
-def _summand(m: Bimodule, keep: np.ndarray) -> Bimodule:
-    """The direct summand of m on the coordinates keep (a union of blocks)."""
-    return Bimodule(m.left_algebra, m.right_algebra,
-                    lambda: [_part(a, keep, keep) for a in m.left_action],
-                    lambda: [_part(a, keep, keep) for a in m.right_action],
-                    len(keep), label=m.label)
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,11 @@ def _adjoint_data(p: Kernel, side: str) -> AdjointData:
             continue
         src_dd, tgt_dd = duals[-n], duals[-(n + 1)]
         acts = tgt_dd.bimodule.left_action if side == "right" else tgt_dd.bimodule.right_action
-        gens = Matrix.stack_columns(field, tgt_dd.generators, d_orig.cols)
-        cogens = Matrix.stack_columns(field, tgt_dd.cogenerators, tgt_dd.bimodule.dim)
+        gens, cogens = tgt_dd.gens, tgt_dd.cogens
         # row j, column i S + t: entry i of f_j(d g_t), for the j-th basis hom
         # f_j, the S generators g_t and the basis elements b_i of the algebra
-        values = (Matrix.stack_rows(field, src_dd.hom_matrices, d_orig.rows) * (d_orig * gens)
-                  ).reshape(len(src_dd.hom_matrices), len(acts) * gens.cols)
+        values = (src_dd.homs * (d_orig * gens)).reshape(src_dd.bimodule.dim,
+                                                         len(acts) * gens.cols)
         # column i S + t: b_i acting on g_t^*
         acted = Matrix.stack_columns(field, [a * cogens for a in acts], cogens.rows)
         sign = field.elem((-1) ** (n + 1) if side == "right" else (-1) ** n)
@@ -335,26 +334,25 @@ class KernelOps:
     def _coevaluation(self, alg: Algebra, t: TensorComplex, parts) -> ChainMap:
         """id_alg -> t, a |-> sum a.x_t (x) y_t.  parts lists, for each
         degree-0 slot (i, j) of t, the x_t in t.x^i and the y_t in t.y^j
-        as lists of column vectors."""
+        as the columns of two matrices."""
         field, dim = self.field, alg.dim
         blocks = []
-        for i, j, x_cols, y_cols in parts:
+        for i, j, xs, ys in parts:
             td, off = t.layout[0][(i, j)]
             module = t.x.term(i)
-            xs = Matrix.stack_columns(field, x_cols, module.dim)
             # a.x_t (x) y_t for every a and t, then summed over t
             coords = td.coords(
                 Matrix.stack_columns(field, [module.left_action[a] * xs
                                              for a in range(dim)], module.dim),
-                Matrix.stack_columns(field, y_cols * dim, t.y.dim(j)))
-            blocks.append((off, 0, coords * _sum_runs(field, dim, len(x_cols))))
+                Matrix.stack_columns(field, [ys] * dim, t.y.dim(j)))
+            blocks.append((off, 0, coords * _sum_runs(field, dim, xs.cols)))
         return ChainMap(unit_complex(alg), t.complex,
                         {0: Matrix.from_blocks(field, t.complex.dim(0), dim, blocks)})
 
     def unit_right(self) -> ChainMap:
         """id_A -> RF, the coevaluation a |-> sum a.g_t (x) g_t^*."""
         return self._get("unit_right", lambda: self._coevaluation(self.A, self.rf(), [
-            (i, -i, dd.generators, dd.cogenerators)
+            (i, -i, dd.gens, dd.cogens)
             for i, dd in self.right_adjoint().duals.items() if dd.bimodule.dim]))
 
     def _evaluation(self, alg: Algebra, t: TensorComplex, duals: dict[int, DualData],
@@ -378,7 +376,7 @@ class KernelOps:
     def unit_left(self) -> ChainMap:
         """id_B -> FL, b |-> sum (b.h_t^*) (x) h_t."""
         return self._get("unit_left", lambda: self._coevaluation(self.B, self.fl(), [
-            (-i, i, dd.cogenerators, dd.generators)
+            (-i, i, dd.cogens, dd.gens)
             for i, dd in self.left_adjoint().duals.items() if dd.bimodule.dim]))
 
     def counit_left(self) -> ChainMap:

@@ -367,7 +367,8 @@ class Matrix:
     def from_blocks(field: Field, rows: int, cols: int, blocks) -> "Matrix":
         """The rows x cols matrix with each m of blocks [(r, c, m), ...]
         placed with its top left corner at (r, c) and zeros elsewhere; the
-        blocks must not overlap."""
+        blocks must not overlap.  r (or c) may also be an index array: row
+        i of m then goes to row r[i] (column likewise)."""
         den = 1 if field.p is not None else math.lcm(*[m.den for _, _, m in blocks])
         out = np.zeros((rows, cols), dtype=np.int64)
         for r, c, m in blocks:
@@ -375,7 +376,11 @@ class Matrix:
                 a = m.arr if m.den == den else m._over(den)
                 if a.dtype == object and out.dtype != object:
                     out = out.astype(object)
-                out[r:r + m.rows, c:c + m.cols] = a
+                rs = r if isinstance(r, np.ndarray) else slice(r, r + m.rows)
+                if isinstance(c, np.ndarray):
+                    out[rs if isinstance(rs, slice) else rs[:, None], c] = a
+                else:
+                    out[rs, c:c + m.cols] = a
         return Matrix._wrap(field, out, den)
 
     @staticmethod

@@ -94,6 +94,22 @@ def zigzag_a2(field=F101) -> Algebra:
     return algebra_from_quiver(q, field, name="Z")
 
 
+def zigzag_a4(field=F101) -> Algebra:
+    """The zigzag algebra of A_4, as in examples/zigzag_a4.sph."""
+    a = [Arrow(f"a{i}", str(i), str(i + 1)) for i in (1, 2, 3)]
+    b = [Arrow(f"b{i}", str(i + 1), str(i)) for i in (1, 2, 3)]
+    zero = [(f"a{i}", f"a{i + 1}") for i in (1, 2)] + [(f"b{i + 1}", f"b{i}") for i in (1, 2)]
+    zero += [(x, y, x) for i in (1, 2, 3) for x, y in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}"))]
+    swap = [((1, (f"b{i}", f"a{i}")), (-1, (f"a{i + 1}", f"b{i + 1}"))) for i in (1, 2)]
+    q = QuiverPresentation(
+        vertices=("1", "2", "3", "4"),
+        arrows=tuple(a + b),
+        relations=tuple(((1, path),) for path in zero) + tuple(swap),
+        length_bound=3,
+    )
+    return algebra_from_quiver(q, field, name="Z4")
+
+
 def a2_path_algebra(field=F101) -> Algebra:
     q = QuiverPresentation(
         vertices=("1", "2"),
@@ -194,13 +210,27 @@ def adjoint_composites_unminimised(p: Kernel) -> tuple[Kernel, Kernel]:
             compose(r_ops.twist().kernel, ops.cotwist().kernel))
 
 
+def columns(m: Matrix) -> list[Matrix]:
+    """The columns of m, one column matrix each: the generators or
+    cogenerators of a DualData, or the generators of a Splitting."""
+    return [m.column_vec(j) for j in range(m.cols)]
+
+
+def hom_matrices(dd) -> list[Matrix]:
+    """The hom matrices of a DualData, one per basis vector of the dual:
+    the row blocks of dd.homs."""
+    n = dd.homs.rows // max(dd.bimodule.dim, 1)
+    return [dd.homs.submatrix(slice(i * n, (i + 1) * n), slice(None))
+            for i in range(dd.bimodule.dim)]
+
+
 def left_dual_basis_sum(p: Bimodule) -> Matrix:
     """Column j is sum_t h_t^*(x_j) . h_t for the j-th basis vector x_j of p,
     over the left dual basis; the identity exactly when it is a dual basis."""
     dd = left_dual(p)
     field, n = p.field, p.dim
     total = Matrix.zeros(field, n, n)
-    for h, hstar in zip(dd.generators, dd.cogenerators):
+    for h, hstar in zip(columns(dd.gens), columns(dd.cogens)):
         values = dd.evaluate(Matrix.stack_columns(field, [hstar] * n, hstar.rows),
                              Matrix.identity(field, n))
         total = total + p.left_act(values, Matrix.stack_columns(field, [h] * n, n))
@@ -399,9 +429,9 @@ def adjoint_differentials_by_solve(p: Kernel, side: str) -> dict[int, Matrix]:
         if d is None or -(n + 1) not in duals or not duals[-(n + 1)].bimodule.dim:
             continue
         src, tgt = duals[-n], duals[-(n + 1)]
-        V = Matrix.stack_columns(field, [flatten(h) for h in tgt.hom_matrices],
-                                 tgt.hom_matrices[0].rows * tgt.hom_matrices[0].cols)
-        coords = V.solve(Matrix.stack_columns(field, [flatten(h * d) for h in src.hom_matrices],
+        V = Matrix.stack_columns(field, [flatten(h) for h in hom_matrices(tgt)],
+                                 hom_matrices(tgt)[0].rows * hom_matrices(tgt)[0].cols)
+        coords = V.solve(Matrix.stack_columns(field, [flatten(h * d) for h in hom_matrices(src)],
                                               V.rows))
         diffs[n] = coords.scale((-1) ** (n + 1) if side == "right" else (-1) ** n)
     return diffs

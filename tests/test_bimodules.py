@@ -4,12 +4,16 @@ and splittings assembled from part records."""
 from __future__ import annotations
 
 import gc
+import importlib
+import itertools
 import random
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from spherica import bimodules
+from spherica import bimodules, kernels
 from spherica.algebras import opposite, scalar_algebra, trivial_algebra
 from spherica.bimodules import (
     Bimodule,
@@ -18,6 +22,7 @@ from spherica.bimodules import (
     _left_inverse,
     _splitting,
     check_map,
+    coordinate_blocks,
     direct_sum,
     flip,
     hom_space,
@@ -26,30 +31,41 @@ from spherica.bimodules import (
     projective_bimodule,
     regular_bimodule,
     right_dual,
+    right_multiplicities,
     tensor_over_middle,
 )
-from spherica.complexes import _coordinate_blocks
-from spherica.kernels import kernel_ops
+from spherica.complexes import unit_complex
+from spherica.kernels import Kernel, kernel_ops
 from spherica.linalg import Field, Matrix
-from spherica.session import _elaborate, builtin_example, builtin_names, run_session
-from spherica.spherical import check_conditions, random_kernel
+from spherica.session import _elaborate, builtin_example, builtin_names, parse_session, run_session
+from spherica.spherical import (
+    check_adjoint_spherical,
+    check_conditions,
+    random_kernel,
+    verify_two_out_of_four,
+)
 
 from helpers import (
     RANDOM_SHAPES,
     QuotientTensor,
     center_basis,
+    columns,
     dual_numbers,
+    hom_matrices,
     hom_space_by_block_pairs,
     is_identity_matrix,
     kronecker,
     loop_with_exit,
     restrict_to_right,
+    x_cubed,
     zero_bimodule,
     zigzag_a2,
+    zigzag_a4,
 )
 
 F = Field.prime(101)
 K = trivial_algebra(F)
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 D = dual_numbers()
 Z = zigzag_a2()
 
@@ -88,7 +104,7 @@ def test_standard_summands_are_shared_while_in_use():
     # every elaboration builds its own algebras, so its own summands
     first, second = (_elaborate(builtin_example("zigzag_braid"), F)[1] for _ in range(2))
     summands = lambda kernels: {id(s) for k in kernels.values()
-                                for t in k.complex.terms.values() for s in t.summands}
+                                for t in k.complex.terms.values() for s, _ in bimodules._pieces(t)}
     assert summands(first) and not summands(first) & summands(second)
 
 
@@ -109,9 +125,10 @@ def test_standard_summands_do_not_keep_their_algebras_alive(field, fresh_source)
 
 def test_direct_sum_roundtrip():
     m = e1Z()
+    assert direct_sum([m]) is m
     s = direct_sum([m, m])
     assert s.dim == 6
-    assert s.summands == [m, m]
+    assert [(p, list(idx)) for p, idx in s.records] == [(m, [0, 1, 2]), (m, [3, 4, 5])]
 
 
 def test_hom_space_free_module():
@@ -180,8 +197,8 @@ def test_dual_basis_identity_right():
     for p in (e1Z(), B_as_kD(), regular_bimodule(Z), regular_bimodule(D)):
         dd = right_dual(p)
         total = Matrix.zeros(F, p.dim, p.dim)
-        for g, gstar in zip(dd.generators, dd.cogenerators):
-            Hmat = Matrix.combinations(dd.hom_matrices, gstar)[0]
+        for g, gstar in zip(columns(dd.gens), columns(dd.cogens)):
+            Hmat = Matrix.combinations(hom_matrices(dd), gstar)[0]
             total = total + _act_cols(p, g, Hmat)
         assert is_identity_matrix(total)
 
@@ -199,8 +216,8 @@ def test_dual_basis_identity_left():
     for p in (e1Z(), B_as_kD(), regular_bimodule(Z)):
         dd = left_dual(p)
         total = Matrix.zeros(F, p.dim, p.dim)
-        for h, hstar in zip(dd.generators, dd.cogenerators):
-            Hmat = Matrix.combinations(dd.hom_matrices, hstar)[0]
+        for h, hstar in zip(columns(dd.gens), columns(dd.cogens)):
+            Hmat = Matrix.combinations(hom_matrices(dd), hstar)[0]
             cols = []
             for j in range(p.dim):
                 cols.append(Matrix.combinations(p.left_action, Hmat.column_vec(j))[0] * h)
@@ -285,7 +302,7 @@ def test_batched_coords_equal_column_by_column(field, model):
         xs, ys = rand(m.dim, 9), rand(n.dim, 9)
         batched = t.coords(xs, ys)
         if model == "split":
-            assert len(t.sp.gens) >= 2
+            assert t.sp.generators.cols >= 2
             singles = [t.coords(xs.column_vec(j), ys.column_vec(j)) for j in range(9)]
             assert batched == Matrix.stack_columns(field, singles, t.bimodule.dim)
             mx, my = t.monomial_matrices()
@@ -368,19 +385,148 @@ def test_flip_swaps_sides_over_opposite_algebras():
         assert is_projective(m, "left") == is_projective(f, "right")
 
 
-# --- part records: splittings and vertex blocks assembled from the parts ---
+# --- records: every reader against the fresh construction on the same actions ---
 
 def _without_record(m: Bimodule) -> Bimodule:
-    """m's action matrices in a fresh bimodule with no part records."""
+    """m's action matrices in a fresh bimodule with no records."""
     return Bimodule(m.left_algebra, m.right_algebra, m.left_action, m.right_action, m.dim,
                     label=m.label)
+
+
+def _assert_same_splitting(got, want) -> None:
+    assert want is not None and got is not None
+    assert got.generators == want.generators
+    assert got.vertex_pos == want.vertex_pos
+    assert got.phi == want.phi
+    assert got.coords == want.coords
+
+
+def _assert_assembled_equals_fresh(m: Bimodule) -> None:
+    fresh = _without_record(m)
+    for w in range(len(m.right_algebra.vertex_idempotents)):
+        assert m.right_block(w) == fresh.right_block(w)
+        assert m.right_block_proj(w) == fresh.right_block_proj(w)
+    got, want = _splitting(m), _splitting(fresh)
+    _assert_same_splitting(got, want)
+    assert (columns(want.generators), want.vertex_pos) == tuple(_cover(fresh)[:2])
+
+
+def _assert_readers_equal_fresh(m: Bimodule) -> None:
+    """Every reader of m's records gives, matrix for matrix, what the fresh
+    construction gives on m's own actions: coordinate blocks in the same
+    order, vertex blocks on both sides and their projections, double
+    blocks, projectivity, splittings on both sides, multiplicities and the
+    right dual."""
+    fresh = _without_record(m)
+    assert [list(b) for b in coordinate_blocks(m)] == [list(b) for b in coordinate_blocks(fresh)]
+    for v in range(len(m.left_algebra.vertex_idempotents)):
+        assert m.left_block(v) == fresh.left_block(v)
+        assert m.left_block_proj(v) == fresh.left_block_proj(v)
+        for w in range(len(m.right_algebra.vertex_idempotents)):
+            assert m.double_block(v, w) == fresh.double_block(v, w)
+            assert m.double_block_proj(v, w) == fresh.double_block_proj(v, w)
+    for w in range(len(m.right_algebra.vertex_idempotents)):
+        assert m.right_block(w) == fresh.right_block(w)
+        assert m.right_block_proj(w) == fresh.right_block_proj(w)
+    for view, fresh_view in ((m, fresh), (flip(m), _without_record(flip(m)))):
+        got, want = _splitting(view), _splitting(fresh_view)
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_same_splitting(got, want)
+    got, want = right_multiplicities(m), right_multiplicities(fresh)
+    assert (got is None and want is None) or (got == want).all()
+    if _splitting(fresh) is not None:
+        _assert_same_dual(right_dual(m), right_dual(fresh))
+
+
+def _built_with_records(monkeypatch, run) -> tuple[list[Bimodule], set[int]]:
+    """Every bimodule with records that run() builds, flips included, and
+    the ids of those whose right dual it builds."""
+    made, dualised = [], set()
+    init, dual = Bimodule.__init__, bimodules._dual_of_sum
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Bimodule, "__init__", recording_init)
+    monkeypatch.setattr(bimodules, "_dual_of_sum", lambda p: dualised.add(id(p)) or dual(p))
+    run()
+    monkeypatch.undo()
+    return [m for m in made if m.records], dualised
+
+
+def _assert_used_readers_equal_fresh(m: Bimodule, dualised: bool) -> None:
+    """What the engine read off m's records, against the fresh construction
+    on m's own actions: each of the coordinate blocks, vertex blocks and
+    their projections, splitting and multiplicities that it cached, and
+    the right dual when it built one."""
+    fresh = _without_record(m)
+    for key, got in list(m._cache.items()):
+        if key == "blocks":
+            assert [list(b) for b in got] == [list(b) for b in coordinate_blocks(fresh)]
+        elif key[0] in ("r", "d"):
+            assert got[0] == fresh._block(key)[0]
+        elif key[0] == "proj":
+            assert got == fresh._block_proj(key[1:])
+        elif key == "split":
+            want = _splitting(fresh)
+            assert (got is None) == (want is None)
+            if want is not None:
+                _assert_same_splitting(got, want)
+        elif key == "mult":
+            want = right_multiplicities(fresh)
+            assert (got is None and want is None) or (got == want).all()
+    if dualised:
+        # a sum that is one piece at every coordinate has that piece's dual
+        _assert_same_dual(right_dual(m), right_dual(_without_record(bimodules._whole(m) or m)))
+
+
+def _oracle_cases():
+    for field, tag in ((Field.prime(2), "F2"), (F, "F101"), (Field.rationals(), "Q")):
+        yield pytest.param(field, ("builtins", None), id=f"{tag}:builtins")
+        for shape in sorted(RANDOM_SHAPES):
+            yield pytest.param(field, ("random", shape), id=f"{tag}:random:{shape}")
+        for name in sorted(p.stem for p in EXAMPLES.glob("*.sph")):
+            yield pytest.param(field, ("example", name), id=f"{tag}:example:{name}")
+
+
+def _run_case(field, case) -> None:
+    kind, name = case
+    if kind == "builtins":
+        for n in builtin_names():
+            run_session(builtin_example(n), field=field)
+    elif kind == "example":
+        run_session(parse_session((EXAMPLES / f"{name}.sph").read_text()), field=field)
+    else:
+        src, tgt = RANDOM_SHAPES[name]
+        for seed in range(4):
+            k = random_kernel(src(field), tgt(field), random.Random(seed))
+            report = check_conditions(k)
+            verify_two_out_of_four(k, report)
+            check_adjoint_spherical(k, report)
+
+
+@pytest.mark.parametrize("field, case", _oracle_cases())
+def test_records_read_what_the_fresh_constructions_find(field, case, monkeypatch):
+    """Every sum, tensor, pair tensor, cone term, model term and adjoint term
+    with records that the builtin sessions, the braid examples and the
+    checks of random kernels build, and their flips: the blocks read off
+    the records are the union-find classes in the same order, and the
+    vertex blocks, splittings, multiplicities and duals read off them are
+    the fresh constructions on the same actions, matrix for matrix,
+    wherever the engine read them."""
+    recorded, dualised = _built_with_records(monkeypatch, lambda: _run_case(field, case))
+    assert recorded
+    for m in recorded:
+        _assert_used_readers_equal_fresh(m, id(m) in dualised)
 
 
 def _recorded_composites(k) -> list[Bimodule]:
     """The kernel's terms and their flips, the terms of its adjoints R and L
     (sums of the kept duals of standard summands), the slot tensors and
     total terms of RF = p (x) R and FR = R (x) p, and the cone terms of the
-    twist and cotwist: every composite that carries a part record."""
+    twist and cotwist: every composite that carries records."""
     ops = kernel_ops(k)
     out = list(k.complex.terms.values())
     for adj in (ops.right_adjoint(), ops.left_adjoint()):
@@ -390,22 +536,8 @@ def _recorded_composites(k) -> list[Bimodule]:
         out += list(t.complex.terms.values())
     for data in (ops.twist(), ops.cotwist()):
         out += list(data.kernel.complex.terms.values())
-    out += [flip(m) for m in out if m.summands]
-    return [m for m in out if m.right_parts]
-
-
-def _assert_assembled_equals_fresh(m: Bimodule) -> None:
-    fresh = _without_record(m)
-    for w in range(len(m.right_algebra.vertex_idempotents)):
-        assert m.right_block(w) == fresh.right_block(w)
-        assert m.right_block_proj(w) == fresh.right_block_proj(w)
-    got, want = _splitting(m), _splitting(fresh)
-    assert want is not None and got is not None
-    gens, vertex_pos, _ = _cover(fresh)
-    assert got.gens == want.gens == gens
-    assert got.vertex_pos == want.vertex_pos == vertex_pos
-    assert got.phi == want.phi
-    assert got.slot_coords == want.slot_coords
+    out += [flip(m) for m in out]
+    return [m for m in out if m.records]
 
 
 def _record_cases():
@@ -428,7 +560,7 @@ def _case_kernels(field, case) -> list:
 @pytest.mark.parametrize("field, case", _record_cases())
 def test_assembled_splittings_equal_fresh_ones(field, case):
     """Sums, their flips, tensors, tensor-complex and cone terms: the
-    splitting and vertex blocks read off the parts are the matrices that
+    splitting and vertex blocks read off the pieces are the matrices that
     _cover and _splitting find from scratch on the same actions."""
     checked = 0
     for k in _case_kernels(field, case):
@@ -439,22 +571,21 @@ def test_assembled_splittings_equal_fresh_ones(field, case):
 
 
 def _recorded_sums(field, case) -> list[Bimodule]:
-    """The sums among the case's recorded composites, with a sum and its
-    flip that have a summand which is not right-projective."""
+    """The case's recorded composites, with a sum and its flip that have a
+    summand which is not right-projective."""
     k, d = trivial_algebra(field), dual_numbers(field)
     one = Matrix.identity(field, 1)
     simple = Bimodule(k, d, [one], [one, Matrix.zeros(field, 1, 1)], 1, label="S")
     mixed = direct_sum([projective_bimodule(k, 0, d, 0), simple])
-    sums = [m for kern in _case_kernels(field, case) for m in _recorded_composites(kern)
-            if m.summands]
+    sums = [m for kern in _case_kernels(field, case) for m in _recorded_composites(kern)]
     return sums + [mixed, flip(mixed)]
 
 
 @pytest.mark.parametrize("field, case", _record_cases())
 def test_sums_read_double_blocks_and_projectivity_from_their_summands(field, case):
     """On kernel, cone and tensor terms and their flips, the double blocks
-    read off the summands are the pivot columns of the sum's own actions
-    with their left inverses, and projectivity read off the parts is
+    read off the pieces are the pivot columns of the sum's own actions
+    with their left inverses, and projectivity read off the pieces is
     whether the sum splits from scratch."""
     sums = _recorded_sums(field, case)
     for m in sums:
@@ -471,22 +602,22 @@ def test_sums_read_double_blocks_and_projectivity_from_their_summands(field, cas
 
 @pytest.mark.parametrize("field, case", _record_cases())
 def test_sums_read_coordinate_blocks_from_their_summands(field, case):
-    """minimal_model's coordinate blocks of a sum, read off the summands,
-    are the classes, in order, that the union-find finds on the sum's own
-    action matrices."""
+    """minimal_model's coordinate blocks of a sum or tensor, read off the
+    pieces, are the classes, in order, that the union-find finds on its
+    own action matrices."""
     for m in _recorded_sums(field, case):
-        want = _coordinate_blocks(_without_record(m))
-        assert [list(b) for b in _coordinate_blocks(m)] == [list(b) for b in want]
+        want = coordinate_blocks(_without_record(m))
+        assert [list(b) for b in coordinate_blocks(m)] == [list(b) for b in want]
         assert sum(len(b) for b in want) == m.dim
 
 
 def test_no_cover_runs_on_a_tensor_of_kernel_terms(monkeypatch):
     """Splitting a tensor of two kernel terms, and a sum of such tensors,
-    reads the parts' splittings: _cover runs only on leaf bimodules, and
-    the composites never build their right actions."""
+    reads the pieces' splittings: _cover runs only on leaf bimodules, and
+    the composites never build their actions."""
     k = random_kernel(zigzag_a2(), zigzag_a2(), random.Random(7))
-    terms = list(k.complex.terms.values())
-    assert all(t.summands for t in terms)
+    terms = [direct_sum([t, t]) for t in k.complex.terms.values()]
+    assert all(t.records for t in terms)
     covered = []
     real_cover = bimodules._cover
 
@@ -500,9 +631,133 @@ def test_no_cover_runs_on_a_tensor_of_kernel_terms(monkeypatch):
     assert _splitting(total) is not None
     for t in tensors + [total]:
         assert _splitting(t) is not None
-        assert callable(t._right_action)
+        assert callable(t._right_action) and callable(t._left_action)
         assert all(m is not t for m in covered)
-    assert covered and all(m.right_parts is None for m in covered)
+    assert all(m.records is None for m in covered)
+
+
+# --- pair tensors: standard summands again, shared while in use ---
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+@pytest.mark.parametrize("make", [zigzag_a4, dual_numbers, x_cubed], ids=["A4", "D", "X3"])
+def test_pair_tensors_of_standard_summands_are_standard_summands(field, make):
+    """P(v,w) (x)_B P(x,y) is dim e_w B e_x copies of P(v,y), for every
+    (v, w, x, y): its records are the shared P(v,y), each at coordinates on
+    which the tensor's own actions are P(v,y)'s matrices, and they are the
+    union-find classes of those actions.  Sums of them likewise."""
+    b = make(field)
+    n = range(len(b.vertex_idempotents))
+    P = lambda v, w: projective_bimodule(b, v, b, w)
+    diagonal = regular_bimodule(b)
+    for v, w, x, y in itertools.product(n, n, n, n):
+        t = tensor_over_middle(P(v, w), P(x, y)).bimodule
+        assert [p for p, _ in t.records] == [P(v, y)] * diagonal.double_block(w, x).cols
+        fresh = _without_record(t)
+        for p, idx in t.records:
+            cut = lambda a: a.submatrix(idx, slice(None)).submatrix(slice(None), idx)
+            assert [cut(a) for a in fresh.left_action] == p.left_action
+            assert [cut(a) for a in fresh.right_action] == p.right_action
+        assert sorted(list(idx) for _, idx in t.records) == \
+            [list(blk) for blk in coordinate_blocks(fresh)]
+    rng = random.Random(0)
+    for _ in range(10):
+        sums = [direct_sum([P(rng.choice(n), rng.choice(n)) for _ in range(2)]) for _ in range(2)]
+        t = tensor_over_middle(*sums).bimodule
+        assert all(p.shared and p.label.startswith("P(") for p, _ in t.records)
+        _assert_readers_equal_fresh(t)
+
+
+def test_pair_tensors_are_shared_while_in_use():
+    """The pair tensor of two pieces is one object while any tensor holds
+    it, so its pieces are found once, and it is collected with its last
+    user."""
+    first, second = tensor_over_middle(e1Z(), Ze1()), tensor_over_middle(e1Z(), Ze1())
+    pair = bimodules._pair(e1Z(), Ze1())
+    assert bimodules._pair(e1Z(), Ze1()) is pair
+    assert [p for p, _ in first.bimodule.records] == [p for p, _ in second.bimodule.records] == \
+        [p for p, _ in pair.records]
+    ref = weakref.ref(pair)
+    del first, second, pair
+    gc.collect()
+    assert ref() is None
+
+
+# --- what records save: left actions of tensors, covers, fresh duals ---
+
+def _braid6():
+    return parse_session((EXAMPLES / "zigzag_a4_braid6.sph").read_text())
+
+
+def _forced_in_minimal_models(monkeypatch, run) -> int:
+    """The tensor left actions that minimal_model builds while run() runs."""
+    inside, forced = [0], [0]
+    build, model = bimodules.TensorData._build_left_action, kernels.minimal_model
+
+    def counting_build(self):
+        forced[0] += inside[0] > 0
+        return build(self)
+
+    def counting_model(x):
+        inside[0] += 1
+        try:
+            return model(x)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(bimodules.TensorData, "_build_left_action", counting_build)
+    monkeypatch.setattr(kernels, "minimal_model", counting_model)
+    run()
+    monkeypatch.undo()
+    return forced[0]
+
+
+def test_minimal_models_force_no_tensor_left_action(monkeypatch):
+    """minimal_model reads the coordinate blocks of tensors off their
+    records: on the length-6 braid session (68 left actions before records)
+    and on random kernels of every shape, it builds no tensor's left
+    action."""
+    assert _forced_in_minimal_models(monkeypatch, lambda: run_session(_braid6())) == 0
+
+    def random_kernels():
+        for src, tgt in RANDOM_SHAPES.values():
+            for seed in range(4):
+                check_conditions(random_kernel(src(F), tgt(F), random.Random(seed)))
+
+    assert _forced_in_minimal_models(monkeypatch, random_kernels) == 0
+
+
+def test_a_random_pass_covers_and_dualises_only_leaves(monkeypatch):
+    """On a warm pass of the random-kernel benchmark stream (seed 20240809),
+    fewer than 120 _cover calls run (128 before tensors, cuts and duals
+    kept records), _fresh_dual never runs on a bimodule with records, and
+    the right dual of an algebra's diagonal is built once per algebra."""
+    sys.path.insert(0, str(EXAMPLES.parent / "bench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    stream = workloads.draw_kernels(20240809)
+
+    def one_pass():
+        for entry in stream:
+            k = Kernel(entry["source"], entry["algebra"], entry["complex"], check=False)
+            verify_two_out_of_four(k, check_conditions(k))
+
+    covers, fresh_duals = [], []
+    cover, fresh_dual = bimodules._cover, bimodules._fresh_dual
+    monkeypatch.setattr(bimodules, "_cover", lambda m: covers.append(m) or cover(m))
+    monkeypatch.setattr(bimodules, "_fresh_dual",
+                        lambda p: fresh_duals.append(p) or fresh_dual(p))
+    one_pass()
+    covers.clear()
+    one_pass()
+    assert len(covers) < 120
+    assert all(p.records is None for p in fresh_duals)
+    diagonals = [id(p.left_algebra) for p in fresh_duals if p.diagonal]
+    assert diagonals and len(diagonals) == len(set(diagonals))
+    for entry in stream:
+        reg = unit_complex(entry["algebra"]).term(0)
+        assert reg.diagonal and right_dual(reg) is right_dual(reg)
 
 
 # --- hom spaces: one equation per arrow, against every pair of blocks ---
@@ -589,17 +844,17 @@ def _standard_sums(field) -> list[Bimodule]:
     P = projective_bimodule
     return [direct_sum([P(k, 0, z, 1), P(k, 0, z, 0)]),
             direct_sum([P(d, 0, z, 1), P(d, 0, z, 0), P(d, 0, z, 1)]),
-            direct_sum([P(z, 0, z, 1), P(z, 1, z, 0), P(z, 0, z, 0)]),
-            direct_sum([P(k, 0, d, 0)])]
+            direct_sum([P(z, 0, z, 1), P(z, 1, z, 0), P(z, 0, z, 0)])]
 
 
 def _assert_same_dual(got, want) -> None:
-    assert (got.bimodule.label, got.bimodule.dim) == (want.bimodule.label, want.bimodule.dim)
+    assert got.bimodule.label == want.bimodule.label
+    assert got.bimodule.dim == want.bimodule.dim
     assert got.bimodule.left_action == want.bimodule.left_action
     assert got.bimodule.right_action == want.bimodule.right_action
-    assert got.hom_matrices == want.hom_matrices
-    assert got.generators == want.generators
-    assert got.cogenerators == want.cogenerators
+    assert hom_matrices(got) == hom_matrices(want)
+    assert columns(got.gens) == columns(want.gens)
+    assert columns(got.cogens) == columns(want.cogens)
 
 
 def _assert_same_slot_parts(m: Bimodule, fresh: Bimodule) -> None:
@@ -607,8 +862,7 @@ def _assert_same_slot_parts(m: Bimodule, fresh: Bimodule) -> None:
         got, want = bimodules._slot_part(m, v), bimodules._slot_part(fresh, v)
         assert got.right_action == want.right_action
         a, b = _splitting(got), _splitting(want)
-        assert (a.gens, a.vertex_pos, a.phi, a.slot_coords) == \
-            (b.gens, b.vertex_pos, b.phi, b.slot_coords)
+        _assert_same_splitting(a, b)
 
 
 @pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
@@ -623,14 +877,14 @@ def test_duals_of_sums_of_standard_summands_equal_fresh_ones(field):
         fresh = _without_record(p)
         for dual in (right_dual, left_dual):
             got, want = dual(p), dual(fresh)
-            assert got.bimodule.summands and not want.bimodule.summands
+            assert got.bimodule.records and not want.bimodule.records
             _assert_same_dual(got, want)
             _assert_assembled_equals_fresh(got.bimodule)
             _assert_same_slot_parts(got.bimodule, want.bimodule)
         twice, once = right_dual(right_dual(p).bimodule), right_dual(fresh).bimodule
-        assert twice.bimodule.summands
+        assert twice.bimodule.records
         _assert_same_dual(twice, right_dual(_without_record(once)))
-        for s in p.summands:
+        for s, _ in p.records:
             assert right_dual(s) is right_dual(s)
             assert right_dual(flip(s)) is right_dual(flip(s))
 
@@ -653,8 +907,8 @@ def test_stacked_tensor_coordinates_equal_a_per_slot_loop(field, monkeypatch):
     tensors = []
     init = bimodules.TensorData.__init__
 
-    def recording_init(self, *args):
-        init(self, *args)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         tensors.append(self)
 
     monkeypatch.setattr(bimodules.TensorData, "__init__", recording_init)
@@ -666,7 +920,9 @@ def test_stacked_tensor_coordinates_equal_a_per_slot_loop(field, monkeypatch):
     for td in tensors:
         xs, ys = (_random_matrix(field, m.dim, 3, rng) for m in (td.m, td.n))
         acted = Matrix.stack_rows(field, td.n.left_action, td.n.dim) * ys
+        n = td.m.right_algebra.dim  # the rows of each slot's coordinate map c_t
         want = Matrix.stack_rows(field, [
             td.n.left_block_proj(v) * acted.combine_blocks(c * xs)
-            for c, v in zip(td.sp.slot_coords, td.sp.vertex_pos)], 3)
+            for t, v in enumerate(td.sp.vertex_pos)
+            for c in [td.sp.coords.submatrix(slice(t * n, (t + 1) * n), slice(None))]], 3)
         assert td.coords(xs, ys) == want

@@ -9,6 +9,7 @@ import pytest
 
 from spherica.bimodules import (
     Bimodule,
+    _pieces,
     direct_sum,
     is_projective,
     projective_bimodule,
@@ -499,10 +500,11 @@ def test_cone_terms_sum_only_the_terms_that_exist():
     x = dual_numbers_x_complex()
     y = single_term(x.terms[0])
     cn = cone(ChainMap(x, y, {})).cone
-    assert {n: t.summands for n, t in cn.terms.items()} == \
-        {-1: [x.terms[0]], 0: [x.terms[1], y.terms[0]]}
+    pieces = lambda cx: {n: [(p, list(idx)) for p, idx in _pieces(t)] for n, t in cx.terms.items()}
+    assert pieces(cn) == {-1: [(x.terms[0], [0, 1])],
+                          0: [(x.terms[1], [0, 1]), (y.terms[0], [2, 3])]}
     total = direct_sum_complexes([x, shift(y, -1)])[0]
-    assert {n: t.summands for n, t in total.terms.items()} == \
-        {0: [x.terms[0]], 1: [x.terms[1], y.terms[0]]}
+    assert pieces(total) == {0: [(x.terms[0], [0, 1])],
+                             1: [(x.terms[1], [0, 1]), (y.terms[0], [2, 3])]}
     with pytest.raises(KeyError):
         total.term(2)

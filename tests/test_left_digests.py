@@ -20,7 +20,7 @@ from spherica.linalg import Field
 from spherica.session import _elaborate, builtin_example, builtin_names
 from spherica.spherical import random_kernel
 
-from helpers import RANDOM_SHAPES
+from helpers import RANDOM_SHAPES, columns, hom_matrices
 
 F2 = Field.prime(2)
 F101 = Field.prime(101)
@@ -54,9 +54,9 @@ def _digest(kernel, kernel_level: bool) -> str:
         dd = left_dual(term)
         _update(h, f"dual{n}.left", dd.bimodule.left_action)
         _update(h, f"dual{n}.right", dd.bimodule.right_action)
-        _update(h, f"dual{n}.hom", dd.hom_matrices)
-        _update(h, f"dual{n}.gens", dd.generators)
-        _update(h, f"dual{n}.cogens", dd.cogenerators)
+        _update(h, f"dual{n}.hom", hom_matrices(dd))
+        _update(h, f"dual{n}.gens", columns(dd.gens))
+        _update(h, f"dual{n}.cogens", columns(dd.cogens))
         _update(h, f"phi{n}", [_left_splitting(term).phi])
     if kernel_level:
         ops = kernel_ops(kernel)
