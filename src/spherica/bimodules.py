@@ -18,18 +18,20 @@ Composite bimodules record the pieces they are the direct sum of: each
 piece is a leaf bimodule with the increasing array of the coordinates it
 sits at, and every action matrix is the pieces' scattered to their
 coordinates.  Three constructions make records: a direct sum, whose
-pieces sit at consecutive ranges; a tensor m (x)_B n, one pair tensor
-m_i (x) n_j per pair of pieces, whose coordinates interleave; and a
-right dual, the sum of its pieces' duals.  A cut of a minimal model keeps
-the records it holds whole.  Vertex blocks, splittings, multiplicities,
-coordinate blocks and duals are read off the pieces' cached ones, which
-is the same echelon choice with no row reduction; leaves alone build
-them from scratch.  The standard summands P(v,w) = Ae_v (x) e_wB are
-shared per algebra, the diagonal A per algebra (complexes.unit_complex)
-and the pair tensors while in use, so each splits once and keeps its
-right dual.  A pair tensor of standard summands, and of the kept duals of
-standard summands, is recorded as a sum of standard summands again, so
-tensors of kernel terms need no left action to be split, dualised or cut.
+pieces sit at consecutive ranges; a tensor m (x)_B n, the pieces of one
+pair tensor m_i (x) n_j per pair of pieces, whose coordinates
+interleave; and a right dual, the sum of its pieces' duals.  A cut of a
+minimal model keeps the records it holds whole.  A sum built from
+records that is one piece at every coordinate is that piece.  Vertex
+blocks, splittings, multiplicities, coordinate blocks and duals are read
+off the pieces' cached ones, which is the same echelon choice with no
+row reduction; leaves alone build them from scratch, and every leaf
+keeps its right dual.  The standard summands P(v,w) = Ae_v (x) e_wB are
+shared per algebra and the diagonal A per algebra
+(complexes.unit_complex), so each splits and builds its dual once.  A
+pair tensor of standard summands, and of the kept duals of standard
+summands, is recorded as a sum of standard summands again, so tensors of
+kernel terms need no left action to be split, dualised or cut.
 
 Tensor products m (x)_B n over a middle algebra are built from the
 splitting of m, so m must be right-projective; every kernel term is, as
@@ -51,8 +53,7 @@ computation never build their action matrices.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -93,9 +94,8 @@ class Bimodule:
         self._right_action = right_action
         self._records = records
         self.label = label
+        # read off the actions and kept from the first read: blocks, splitting, a leaf's dual
         self._cache: dict = {}
-        # P(v,w), the diagonal, a pair tensor or its piece, or a flip or dual of one: keeps its dual
-        self.shared = False
         self.diagonal = False  # the regular bimodule of its algebra
 
     @property
@@ -204,10 +204,7 @@ class Bimodule:
         scattered to their coordinates, columns in the order of their
         pivots, and places[k] lists the columns that piece k's go to."""
         if key not in self._cache:
-            if (whole := _whole(self)) is not None:
-                basis, pivots, _ = whole._block(key)
-                self._cache[key] = (basis, pivots, [np.arange(len(pivots))])
-            elif self.records:
+            if self.records:
                 parts = [p._block(key) for p, _ in self.records]
                 pivots = np.concatenate([idx[piv] for (_, idx), (_, piv, _) in
                                          zip(self.records, parts)])
@@ -232,9 +229,7 @@ class Bimodule:
         pkey = ("proj",) + key
         if pkey not in self._cache:
             basis, _, places = self._block(key)
-            if (whole := _whole(self)) is not None:
-                self._cache[pkey] = whole._block_proj(key)
-            elif self.records:
+            if self.records:
                 self._cache[pkey] = Matrix.from_blocks(self.field, basis.cols, self.dim, [
                     (pl, idx, p._block_proj(key)) for (p, idx), pl in zip(self.records, places)])
             else:
@@ -256,11 +251,10 @@ def flip(m: Bimodule) -> Bimodule:
     same coordinates.
     """
     if "flip" not in m._cache:
-        m._cache["flip"] = f = Bimodule(
+        m._cache["flip"] = Bimodule(
             opposite(m.right_algebra), opposite(m.left_algebra),
             lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label,
             records=lambda: m.records and [(flip(p), idx) for p, idx in m.records])
-        f.shared = m.shared
     return m._cache["flip"]
 
 
@@ -326,7 +320,7 @@ def regular_bimodule(a: Algebra) -> Bimodule:
     left = [a.left_mult_matrix(i) for i in range(a.dim)]
     right = [a.right_mult_matrix(i) for i in range(a.dim)]
     m = Bimodule(a, a, left, right, a.dim, label=a.name or "A")
-    m.shared = m.diagonal = True
+    m.diagonal = True
     return m
 
 
@@ -369,9 +363,8 @@ def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimod
     home = a if b is scalar_algebra(b.field) else b
     key = ("P", id(a), v_pos, id(b), w_pos)
     if key not in home._tables:
-        m = home._tables[key] = _product(a, b, _standard_left(a, v_pos),
-                                         _standard_right(b, w_pos), f"P({v_pos},{w_pos})")
-        m.shared = True
+        home._tables[key] = _product(a, b, _standard_left(a, v_pos), _standard_right(b, w_pos),
+                                     f"P({v_pos},{w_pos})")
     return home._tables[key]
 
 
@@ -391,32 +384,26 @@ def _diagonal(field, parts: list[Bimodule], side: str, count: int) -> Callable[[
                     for i in range(count)]
 
 
-def _whole(m: Bimodule) -> Bimodule | None:
-    """m's one piece when it sits at every coordinate of m, so that m's
-    matrices, and everything read off them, are the piece's; else None.
-    A tensor of two leaves and a cut that keeps one piece are such sums;
-    reading the piece's cached data spares their scatter, and their dual
-    is the piece's kept one."""
-    return m.records[0][0] if m.records and len(m.records[0][1]) == m.dim else None
-
-
 def _pieces(m: Bimodule) -> list[Record]:
     """m's records, or m itself at all its coordinates for a nonzero leaf."""
     return m.records or ([(m, np.arange(m.dim))] if m.dim else [])
 
 
-def _recorded(a: Algebra, b: Algebra, records: Records, dim: int, label: str) -> Bimodule:
+def _recorded(a: Algebra, b: Algebra, records: list[Record], dim: int, label: str) -> Bimodule:
     """The bimodule that is the sum of the records' pieces at their
-    coordinates; each action matrix is theirs, scattered."""
-    out = Bimodule(a, b, lambda: _scattered(out, "left_action", a.dim),
-                   lambda: _scattered(out, "right_action", b.dim), dim, label=label,
-                   records=records)
-    return out
+    coordinates, each action matrix theirs scattered; a piece at every
+    coordinate is its own sum.  The builders close over the records, not
+    over the bimodule, so it makes no reference cycle."""
+    if len(records) == 1 and len(records[0][1]) == dim:
+        return records[0][0]
+    return Bimodule(a, b, lambda: _scattered(a.field, records, dim, "left_action", a.dim),
+                    lambda: _scattered(a.field, records, dim, "right_action", b.dim), dim,
+                    label=label, records=records)
 
 
-def _scattered(m: Bimodule, side: str, count: int) -> list[Matrix]:
-    return [Matrix.from_blocks(m.field, m.dim, m.dim, [
-        (idx, idx, getattr(p, side)[i]) for p, idx in m.records]) for i in range(count)]
+def _scattered(field, records: list[Record], dim: int, side: str, count: int) -> list[Matrix]:
+    return [Matrix.from_blocks(field, dim, dim, [
+        (idx, idx, getattr(p, side)[i]) for p, idx in records]) for i in range(count)]
 
 
 def direct_sum(summands: list[Bimodule]) -> Bimodule:
@@ -667,8 +654,6 @@ def _assembled_splitting(m: Bimodule) -> Splitting | None:
     splits = [_splitting(p) for p, _ in m.records]
     if any(sp is None for sp in splits):
         return None
-    if _whole(m) is not None:
-        return replace(splits[0], owners=[(0, t) for t in range(len(splits[0].vertex_pos))])
     order = sorted((v, idx[piv], k, t) for k, ((_, idx), sp) in enumerate(zip(m.records, splits))
                    for t, (v, piv) in enumerate(zip(sp.vertex_pos, sp.pivots)))
     owners = [(k, t) for _, _, k, t in order]
@@ -703,11 +688,8 @@ def _runs(ends: np.ndarray, slots: np.ndarray) -> np.ndarray:
 
 def is_projective(m: Bimodule, side: str) -> bool:
     """Projectivity over one side, decided by the projective cover dimension:
-    a bimodule with records is projective when every piece is."""
-    m = _right_view(m, side)
-    if m.records:
-        return all(is_projective(p, "right") for p, _ in m.records)
-    return _splitting(m) is not None
+    whether m splits, which a bimodule with records is when every piece is."""
+    return _splitting(_right_view(m, side)) is not None
 
 
 def right_multiplicities(m: Bimodule) -> np.ndarray | None:
@@ -818,27 +800,26 @@ def right_dual(p: Bimodule) -> DualData:
     """Maps into the right algebra: an (A,B)-bimodule yields a (B,A)-bimodule.
 
     A bimodule with records assembles its dual from its pieces' duals
-    (_dual_of_sum), a shared leaf builds its dual once and keeps it, and
-    any other leaf builds it from its splitting."""
+    (_dual_of_sum); a leaf builds its dual from its splitting on first
+    read and keeps it."""
     _require_projective(p, "right")
     if p.records:
         return _dual_of_sum(p)
-    if p.shared:
-        return p._cache.get("rdual") or p._cache.setdefault("rdual", _fresh_dual(p))
-    return _fresh_dual(p)
+    if "rdual" not in p._cache:
+        p._cache["rdual"] = _fresh_dual(p)
+    return p._cache["rdual"]
 
 
 def _dual_of_sum(p: Bimodule) -> DualData:
     """The right dual of a bimodule with records: the sum of its pieces'
-    duals, or the kept dual of its one piece (_whole).  The dual of p has
-    one run of coordinates per slot of p's splitting, and the slots of a
-    piece keep their order in it, so each piece's dual sits at the runs of
-    its slots; its hom matrices, generators and cogenerators are scattered
-    to its coordinates and slots.  This is _fresh_dual's result matrix for
+    duals, which is the kept dual of its one piece when that sits at every
+    coordinate of p.  The dual of p has one run of coordinates per slot of
+    p's splitting, and the slots of a piece keep their order in it, so
+    each piece's dual sits at the runs of its slots; its hom matrices,
+    generators and cogenerators are scattered to its coordinates and
+    slots.  This is _fresh_dual's result matrix for
     matrix: the coefficients c_t(a.g_s) between the slots of two pieces
     are zero."""
-    if (whole := _whole(p)) is not None:
-        return right_dual(whole)
     sp = _splitting(p)
     B, field = p.right_algebra, p.field
     duals = [right_dual(q) for q, _ in p.records]
@@ -908,7 +889,6 @@ def _fresh_dual(p: Bimodule) -> DualData:
 
     dual = Bimodule(B, A, left_action, right_action, dual_dim,
                     label=f"{p.label or 'P'}^v")
-    dual.shared = p.shared
     return DualData(dual, homs, sp.generators,
                     Matrix.block_diag(field, [slot.unit for slot in slots]))
 
@@ -950,8 +930,9 @@ class TensorData:
     slots of m that m_i owns, times the columns of e_v n that n_j places
     (see _records).  Its records are the pair tensors' pieces there, so
     its splitting, vertex blocks, coordinate blocks and dual need neither
-    action.  A leaf tensor, a pair tensor that _pair_tensor finds no
-    pieces for, has no records.
+    action; a tensor of two leaves has one record at every coordinate
+    when their pair tensor is one piece.  The leaf tensor that
+    _pair_tensor makes when it finds no pieces has no records.
     """
 
     def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting, leaf: bool = False):
@@ -1005,7 +986,7 @@ class TensorData:
             for j, (nj, _) in enumerate(_pieces(n)):
                 coords = np.concatenate([starts[s] + places[sp.vertex_pos[s]][j] for s in slots])
                 if len(coords):
-                    out += [(q, coords[idx]) for q, idx in _pieces(_pair(mi, nj))]
+                    out += [(q, coords[idx]) for q, idx in _pieces(_pair_tensor(mi, nj))]
         return out
 
     def monomial_matrices(self) -> tuple[Matrix, Matrix]:
@@ -1044,24 +1025,6 @@ def _slot_part(n: Bimodule, v_pos: int) -> Bimodule:
     return n._cache[key]
 
 
-# the pair tensors in use, held weakly and keyed by the ids of their two
-# factors (which each pair tensor keeps alive), so none outlives its last use
-_pairs: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _pair(m: Bimodule, n: Bimodule) -> Bimodule:
-    """m (x)_B n for two leaves in the monomial basis, one shared object per
-    pair while any reference to it lives, so its pieces are found once; it
-    keeps m and n as its factors, so the ids in its key stay theirs."""
-    key = (id(m), id(n))
-    if (t := _pairs.get(key)) is not None:
-        return t
-    t = _pairs[key] = _pair_tensor(m, n)
-    t.factors = (m, n)
-    t.shared = True
-    return t
-
-
 def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
     """m (x)_B n for two leaves, with records where its structure gives them.
 
@@ -1098,7 +1061,6 @@ def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
                 piece = projective_bimodule(A, u, C, w)
             else:
                 piece = _product(A, C, x, y, label)
-                piece.shared = True
                 piece._cache["blocks"] = [np.arange(piece.dim)]  # x and y are one block each
             records.append((piece, np.concatenate([starts[t] + beta for t in slots])))
     return _recorded(A, C, records, int(starts[-1]), label)
@@ -1177,11 +1139,11 @@ def _unit_columns(mat: Matrix) -> np.ndarray | None:
 
 
 def _permuted(base: Bimodule, order: np.ndarray, label: str) -> Bimodule:
-    """base with coordinate q moved from order[q]: the sum of base alone
-    when order is the identity, else a leaf that reads its coordinate
-    blocks off base's."""
+    """base with coordinate q moved from order[q]: base itself when order
+    is the identity, else a leaf that reads its coordinate blocks off
+    base's."""
     if (order == np.arange(len(order))).all():
-        return _recorded(base.left_algebra, base.right_algebra, [(base, order)], base.dim, label)
+        return base
     reorder = lambda mats: [a.submatrix(order, slice(None)).submatrix(slice(None), order)
                             for a in mats]
     out = Bimodule(base.left_algebra, base.right_algebra, lambda: reorder(base.left_action),

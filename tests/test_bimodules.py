@@ -11,6 +11,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spherica import bimodules, kernels
@@ -479,7 +480,8 @@ def _assert_used_readers_equal_fresh(m: Bimodule, dualised: bool) -> None:
             assert (got is None and want is None) or (got == want).all()
     if dualised:
         # a sum that is one piece at every coordinate has that piece's dual
-        _assert_same_dual(right_dual(m), right_dual(_without_record(bimodules._whole(m) or m)))
+        piece = m.records[0][0] if len(m.records) == 1 and len(m.records[0][1]) == m.dim else m
+        _assert_same_dual(right_dual(m), right_dual(_without_record(piece)))
 
 
 def _oracle_cases():
@@ -636,7 +638,7 @@ def test_no_cover_runs_on_a_tensor_of_kernel_terms(monkeypatch):
     assert all(m.records is None for m in covered)
 
 
-# --- pair tensors: standard summands again, shared while in use ---
+# --- pair tensors: standard summands again; a one-piece sum is its piece ---
 
 @pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
 @pytest.mark.parametrize("make", [zigzag_a4, dual_numbers, x_cubed], ids=["A4", "D", "X3"])
@@ -663,23 +665,46 @@ def test_pair_tensors_of_standard_summands_are_standard_summands(field, make):
     for _ in range(10):
         sums = [direct_sum([P(rng.choice(n), rng.choice(n)) for _ in range(2)]) for _ in range(2)]
         t = tensor_over_middle(*sums).bimodule
-        assert all(p.shared and p.label.startswith("P(") for p, _ in t.records)
+        assert all(p.label.startswith("P(") for p, _ in t.records)
         _assert_readers_equal_fresh(t)
 
 
-def test_pair_tensors_are_shared_while_in_use():
-    """The pair tensor of two pieces is one object while any tensor holds
-    it, so its pieces are found once, and it is collected with its last
-    user."""
-    first, second = tensor_over_middle(e1Z(), Ze1()), tensor_over_middle(e1Z(), Ze1())
-    pair = bimodules._pair(e1Z(), Ze1())
-    assert bimodules._pair(e1Z(), Ze1()) is pair
-    assert [p for p, _ in first.bimodule.records] == [p for p, _ in second.bimodule.records] == \
-        [p for p, _ in pair.records]
-    ref = weakref.ref(pair)
-    del first, second, pair
-    gc.collect()
-    assert ref() is None
+def test_a_sum_of_one_whole_piece_is_that_piece():
+    """A cut that keeps one piece whole, a pair tensor that is one P(v,y)
+    and a reordering by the identity are the piece itself, not a sum of
+    it; a tensor of two leaves whose pair tensor is one P(v,y) records
+    that shared P(v,y) at every coordinate.  A leaf that is no standard
+    summand keeps its right dual too."""
+    P = lambda v, w: projective_bimodule(Z, v, Z, w)
+    total = direct_sum([P(0, 0), P(0, 1), P(1, 0)])
+    start = P(0, 0).dim
+    assert bimodules.summand(total, np.arange(start, start + P(0, 1).dim)) is P(0, 1)
+    assert regular_bimodule(Z).double_block(0, 1).cols == 1
+    assert bimodules._pair_tensor(P(0, 0), P(1, 1)) is P(0, 1)
+    t = tensor_over_middle(P(0, 0), P(1, 1)).bimodule
+    assert len(t.records) == 1 and t.records[0][0] is P(0, 1)
+    assert list(t.records[0][1]) == list(range(t.dim))
+    assert bimodules._permuted(P(1, 0), np.arange(P(1, 0).dim), "P(1,0)") is P(1, 0)
+    twice = bimodules._product(K, Z, [Matrix.identity(F, 2)], bimodules._standard_right(Z, 0),
+                               "k^2(x)e_1Z")
+    assert twice.records is None and right_dual(twice) is right_dual(twice)
+
+
+def test_an_unread_cut_is_freed_by_reference_counting():
+    """The action builders of a sum made from records close over the
+    records, not over the sum, so a cut that keeps two pieces of three
+    whole is freed as soon as its last reference goes, with no collector."""
+    P = lambda v, w: projective_bimodule(Z, v, Z, w)
+    total = direct_sum([P(0, 0), P(0, 1), P(1, 0)])
+    cut = bimodules.summand(total, np.arange(P(0, 0).dim + P(0, 1).dim))
+    assert [p for p, _ in cut.records] == [P(0, 0), P(0, 1)]
+    ref = weakref.ref(cut)
+    gc.disable()
+    try:
+        del cut
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # --- what records save: left actions of tensors, covers, fresh duals ---
