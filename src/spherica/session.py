@@ -21,6 +21,7 @@ for a fixed session, seed and engine version.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import time
@@ -120,6 +121,10 @@ class Session:
     algebras: dict[str, AlgebraDecl]
     kernels: dict[str, KernelDecl]
     commands: list[Command]
+    # what parse_session built and checked: (field, algebras, kernels); a
+    # Session made by hand or by dataclasses.replace starts without it
+    _built: tuple | None = dataclasses.field(default=None, init=False, repr=False,
+                                             compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,12 @@ def _parse_kernel_items(items: list[tuple[str, int]], decl_line: int):
 
 
 def parse_session(text: str) -> Session:
-    """Parse and fully validate a session; raises a positioned SessionError."""
+    """Parse and fully validate a session; raises a positioned SessionError.
+
+    Validating elaborates the session once: its algebras are built and its
+    kernels checked.  The session keeps that elaboration, so run_session
+    over the session's own field reuses it.
+    """
     field: Field | None = None
     algebras: dict[str, AlgebraDecl] = {}
     kernels: dict[str, KernelDecl] = {}
@@ -362,7 +372,7 @@ def parse_session(text: str) -> Session:
     if field is None:
         field = Field.prime(101)
     session = Session(field, algebras, kernels, commands)
-    _elaborate(session)     # full validation: names, invariants
+    session._built = (field, *_elaborate(session))     # full validation: names, invariants
     return session
 
 
@@ -376,7 +386,9 @@ def _elaborate(session: Session, field: Field | None = None):
 
     This is where outside input enters the engine, so each differential
     and each kernel complex is checked here; the objects the engine builds
-    from them later are not checked again.
+    from them later are not checked again.  Each call builds fresh
+    algebras: parse_session calls it once and keeps the result, and
+    run_session calls it again only for a field other than the one kept.
     """
     field = field or session.field
     built_algebras: dict[str, Algebra] = {}
@@ -620,9 +632,20 @@ _HANDLERS = {
 
 def run_session(session: Session, seed: int | None = None,
                 field: Field | None = None) -> Report:
-    """Execute the commands in order; engine errors are captured per command."""
+    """Execute the commands in order; engine errors are captured per command.
+
+    Over the field parse_session elaborated the session in, the run reuses
+    that elaboration's algebras and checked complexes, each complex in a
+    fresh Kernel, so no report or model carries over from another run.
+    Any other field, or a session that parse_session did not make, is
+    elaborated anew.
+    """
     eff_field = field or session.field
-    _, kernels = _elaborate(session, eff_field)
+    if session._built and session._built[0] == eff_field:
+        kernels = {n: Kernel(k.source_algebra, k.target_algebra, k.complex, check=False)
+                   for n, k in session._built[2].items()}
+    else:
+        _, kernels = _elaborate(session, eff_field)
     st = _RunState(kernels, seed if seed is not None else 0)
     results: list[CommandResult] = []
 

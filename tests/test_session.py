@@ -463,3 +463,61 @@ def test_assert_quasi_iso_searches_between_minimal_models(monkeypatch):
     (result,) = [r for r in report.results if r.cmd == "assert-quasi-iso T121 T212"]
     assert result.status == "ok" and result.data["witness_found"] is True
     assert result.data["homology"] == {"T121": {"-2": 6}, "T212": {"-2": 6}}
+
+
+SESSION_TEXTS = {**BUILTIN_TEXTS, **{f"examples/{path.stem}": path.read_text()
+                                    for path in sorted(EXAMPLES.glob("*.sph"))}}
+
+
+@pytest.mark.parametrize("name", sorted(SESSION_TEXTS))
+def test_each_declared_algebra_is_built_once(name, monkeypatch):
+    """Parsing elaborates a session; runs over its own field reuse that
+    elaboration instead of building the algebras again."""
+    import spherica.session as session_module
+    build, built = session_module.algebra_from_quiver, []
+
+    def counting(presentation, field, name=None):
+        built.append(name)
+        return build(presentation, field, name=name)
+
+    monkeypatch.setattr(session_module, "algebra_from_quiver", counting)
+    s = parse_session(SESSION_TEXTS[name])
+    for _ in range(2):
+        assert run_session(s).all_passed
+    assert sorted(built) == sorted(s.algebras)
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "zigzag_a2"])
+def test_runs_of_one_parsed_session_stay_independent(name, monkeypatch):
+    """Two runs of one parsed session share its algebras and standard
+    summands, but each run gets fresh kernels and builds its own reports."""
+    import spherica.spherical as spherical_module
+    from spherica import bimodules
+    conditions, checked = spherical_module._conditions, []
+
+    def recording(p):
+        checked[-1].append(p)
+        return conditions(p)
+
+    monkeypatch.setattr(spherical_module, "_conditions", recording)
+    s = parse_session(BUILTIN_TEXTS[name])
+    for seed in (None, 7):
+        reports = []
+        for _ in range(2):
+            checked.append([])
+            reports.append(run_session(s, seed=seed).to_json())
+        assert reports[0] == reports[1]
+    assert [len(c) for c in checked] == [1, 1, 1, 1]
+    kernels = [p for (p,) in checked]
+    assert len({id(p) for p in kernels}) == 4
+    summands = lambda k: [id(s) for t in k.complex.terms.values() for s, _ in bimodules._pieces(t)]
+    assert summands(kernels[0]) and all(summands(p) == summands(kernels[0]) for p in kernels)
+
+
+def test_an_override_field_is_elaborated_anew():
+    golden = (Path(__file__).parent / "golden" / "dual_numbers.json").read_text()
+    s = parse_session(BUILTIN_TEXTS["dual_numbers"])
+    rational = run_session(s, field=Field.rationals())
+    assert rational.to_dict() == {**json.loads(golden), "field": "Q"}
+    assert run_session(s).to_json() == golden
+    assert s == parse_session(BUILTIN_TEXTS["dual_numbers"])
