@@ -121,10 +121,11 @@ class Session:
     algebras: dict[str, AlgebraDecl]
     kernels: dict[str, KernelDecl]
     commands: list[Command]
-    # what parse_session built and checked: (field, algebras, kernels); a
-    # Session made by hand or by dataclasses.replace starts without it
-    _built: tuple | None = dataclasses.field(default=None, init=False, repr=False,
-                                             compare=False)
+    # each field's elaboration, Field -> (algebras, checked kernels), built on
+    # the first run over that field and kept; parse_session fills the
+    # declared field's entry, and dataclasses.replace starts with none
+    _built: dict[Field, tuple] = dataclasses.field(default_factory=dict, init=False,
+                                                   repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +264,10 @@ def _parse_kernel_items(items: list[tuple[str, int]], decl_line: int):
 def parse_session(text: str) -> Session:
     """Parse and fully validate a session; raises a positioned SessionError.
 
-    Validating elaborates the session once: its algebras are built and its
-    kernels checked.  The session keeps that elaboration, so run_session
-    over the session's own field reuses it.
+    Validating elaborates the session over its declared field: its
+    algebras are built, its kernels checked and its command names
+    resolved.  The session keeps that elaboration, so run_session over the
+    declared field reuses it.
     """
     field: Field | None = None
     algebras: dict[str, AlgebraDecl] = {}
@@ -372,7 +374,7 @@ def parse_session(text: str) -> Session:
     if field is None:
         field = Field.prime(101)
     session = Session(field, algebras, kernels, commands)
-    session._built = (field, *_elaborate(session))     # full validation: names, invariants
+    _elaborated(session, field)                  # full validation: names, invariants
     return session
 
 
@@ -381,16 +383,30 @@ def parse_session(text: str) -> Session:
 # ---------------------------------------------------------------------------
 
 
-def _elaborate(session: Session, field: Field | None = None):
-    """Build algebras and kernels, raising positioned errors.
+def _elaborated(session: Session, field: Field) -> dict[str, Kernel]:
+    """The session's checked kernels over field, its command names resolved.
+
+    The session's elaboration over field is built on the first call for
+    that field and kept in session._built; a failed one keeps nothing.
+    The commands are resolved on every call, so a command added to a
+    parsed session is checked too.
+    """
+    if field not in session._built:
+        session._built[field] = _elaborate(session, field)
+    kernels = session._built[field][1]
+    _resolve_commands(session, kernels)
+    return kernels
+
+
+def _elaborate(session: Session, field: Field):
+    """Build algebras and kernels over field, raising positioned errors.
 
     This is where outside input enters the engine, so each differential
     and each kernel complex is checked here; the objects the engine builds
     from them later are not checked again.  Each call builds fresh
-    algebras: parse_session calls it once and keeps the result, and
-    run_session calls it again only for a field other than the one kept.
+    algebras; parse_session and run_session call it through _elaborated,
+    once per session and field.
     """
-    field = field or session.field
     built_algebras: dict[str, Algebra] = {}
     for name, decl in session.algebras.items():
         try:
@@ -447,7 +463,12 @@ def _elaborate(session: Session, field: Field | None = None):
             built_kernels[name] = Kernel(a, b, cx)
         except (ComplexError, KernelError) as e:
             raise SessionInvariantError(f"kernel {name}: {e}", decl.line)
-    known = set(built_kernels)
+    return built_algebras, built_kernels
+
+
+def _resolve_commands(session: Session, kernels: dict[str, Kernel]):
+    """Raise UnresolvedNameError at the first command naming no kernel."""
+    known = set(kernels)
     for c in session.commands:
         if c.kind == "seed":
             continue
@@ -465,7 +486,6 @@ def _elaborate(session: Session, field: Field | None = None):
             for n in c.args:
                 if n not in known:
                     raise UnresolvedNameError(f"unknown kernel {n!r}", c.line)
-    return built_algebras, built_kernels
 
 
 # ---------------------------------------------------------------------------
@@ -634,18 +654,15 @@ def run_session(session: Session, seed: int | None = None,
                 field: Field | None = None) -> Report:
     """Execute the commands in order; engine errors are captured per command.
 
-    Over the field parse_session elaborated the session in, the run reuses
-    that elaboration's algebras and checked complexes, each complex in a
-    fresh Kernel, so no report or model carries over from another run.
-    Any other field, or a session that parse_session did not make, is
-    elaborated anew.
+    The session is elaborated once per field: the first run over a field
+    (parse_session's, for the declared field) builds its algebras and
+    checks its complexes, and later runs over that field reuse them, each
+    complex in a fresh Kernel, so no report or model carries over from
+    another run.  Command names are resolved on every run.
     """
     eff_field = field or session.field
-    if session._built and session._built[0] == eff_field:
-        kernels = {n: Kernel(k.source_algebra, k.target_algebra, k.complex, check=False)
-                   for n, k in session._built[2].items()}
-    else:
-        _, kernels = _elaborate(session, eff_field)
+    kernels = {n: Kernel(k.source_algebra, k.target_algebra, k.complex, check=False)
+               for n, k in _elaborated(session, eff_field).items()}
     st = _RunState(kernels, seed if seed is not None else 0)
     results: list[CommandResult] = []
 

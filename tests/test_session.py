@@ -514,10 +514,62 @@ def test_runs_of_one_parsed_session_stay_independent(name, monkeypatch):
     assert summands(kernels[0]) and all(summands(p) == summands(kernels[0]) for p in kernels)
 
 
-def test_an_override_field_is_elaborated_anew():
-    golden = (Path(__file__).parent / "golden" / "dual_numbers.json").read_text()
+def _reference_report(name: str) -> dict:
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    if not golden.exists():
+        golden = Path(__file__).parent.parent / "bench" / "expected" / f"session_{name}.json"
+    return json.loads(golden.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TEXTS))
+def test_each_algebra_is_built_once_per_field(name, monkeypatch):
+    """Runs that alternate between fields on one parsed session build each
+    algebra once per field, and each report is the declared field's."""
+    import collections
+    import spherica.session as session_module
+    build, built = session_module.algebra_from_quiver, collections.Counter()
+
+    def counting(presentation, field, name=None):
+        built[name, field] += 1
+        return build(presentation, field, name=name)
+
+    monkeypatch.setattr(session_module, "algebra_from_quiver", counting)
+    s = parse_session(BUILTIN_TEXTS[name])
+    reference = _reference_report(name)
+    fields = [Field.rationals(), None, Field.rationals(), None, Field.prime(2)]
+    for field in fields:
+        want = reference if field is None else {**reference, "field": repr(field)}
+        assert run_session(s, field=field).to_dict() == want
+    assert built == {(a, f): 1 for a in s.algebras
+                     for f in (Field.prime(101), Field.rationals(), Field.prime(2))}
+    assert s == parse_session(BUILTIN_TEXTS[name])
+
+
+def test_a_failed_elaboration_over_an_override_field_keeps_nothing():
+    text = """\
+field F 101
+algebra k { vertices pt }
+algebra D { vertices v; arrows x: v -> v; relations x*x = 0; bound 2 }
+kernel X from k to D { deg 0: P(pt,v); deg 1: P(pt,v); d 0: 0 0 , 1/7 0 }
+check X
+"""
+    s = parse_session(text)
+    f7 = Field.prime(7)
+    for _ in range(2):
+        with pytest.raises(SessionInvariantError) as err:
+            run_session(s, field=f7)
+        assert err.value.line == 4 and "1/7" in str(err.value)
+        assert f7 not in s._built
+    assert run_session(s).results[0].status in ("ok", "assert-failed")
+
+
+def test_a_command_added_after_parsing_is_resolved_on_every_run():
+    import dataclasses
+    from spherica.session import Command
     s = parse_session(BUILTIN_TEXTS["dual_numbers"])
-    rational = run_session(s, field=Field.rationals())
-    assert rational.to_dict() == {**json.loads(golden), "field": "Q"}
-    assert run_session(s).to_json() == golden
-    assert s == parse_session(BUILTIN_TEXTS["dual_numbers"])
+    s.commands.append(Command("check", ("NOPE",), 99))
+    for session in (s, dataclasses.replace(s)):
+        for field in (None, Field.rationals()):
+            with pytest.raises(UnresolvedNameError) as err:
+                run_session(session, field=field)
+            assert err.value.line == 99 and "NOPE" in str(err.value)
