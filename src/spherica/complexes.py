@@ -11,10 +11,12 @@ Sign conventions, fixed once and used by every construction:
 
 With these choices (X[n]) (x) Y equals (X (x) Y)[n] on the nose: the
 same terms, slots in the same order, and the same differentials, so no
-map is needed between them.  X (x) (Y[n]) needs the sign (-1)^{n |x|}, and
-interchange_right_shift is that chain map, a signed relabelling of tensor
-slots.  Triangle maps are only ever produced by the cone constructor,
-never assembled by hand, and only on first read.
+map is needed between them.  X (x) (Y[n]) is (X (x) Y)[n] up to the
+sign (-1)^{n |x|} on each slot, and a map into a tensor with a shifted
+right factor is written straight into the shifted tensor with that sign
+(kernels.condition4_map), so no interchange map is built.  Triangle maps
+are only ever produced by the cone constructor, never assembled by hand,
+and only on first read.
 
 Maps between direct sums, tensor totalizations included, are assembled
 from blocks placed by offset (Matrix.from_blocks); a tensor complex's
@@ -178,12 +180,6 @@ class ChainMap:
             return mat
         return Matrix.zeros(self.field, self.target.dim(n), self.source.dim(n))
 
-    def then(self, other: "ChainMap") -> "ChainMap":
-        comps = {}
-        for n in set(self.components) | set(other.components):
-            comps[n] = other.comp(n) * self.comp(n)
-        return ChainMap(self.source, other.target, comps)
-
     def __add__(self, other: "ChainMap") -> "ChainMap":
         comps = {}
         for n in set(self.components) | set(other.components):
@@ -197,19 +193,6 @@ class ChainMap:
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
 
-    def inverse(self) -> "ChainMap":
-        """The inverse target -> source, degree by degree; ComplexError when
-        a degree has different dimensions on the two sides or is singular."""
-        comps = {}
-        for n in set(self.source.terms) | set(self.target.terms):
-            if self.source.dim(n) != self.target.dim(n):
-                raise ComplexError(f"component {n} is not square")
-            try:
-                comps[n] = self.comp(n).inverse()
-            except ValueError:
-                raise ComplexError(f"component {n} is singular") from None
-        return ChainMap(self.target, self.source, comps)
-
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
 
@@ -220,11 +203,6 @@ def shift(x: Complex, n: int) -> Complex:
     sign = x.field.elem((-1) ** n)
     diffs = {i - n: d.scale(sign) for i, d in x.diffs.items()}
     return Complex(x.left_algebra, x.right_algebra, terms, diffs)
-
-
-def shift_map(f: ChainMap, n: int) -> ChainMap:
-    return ChainMap(shift(f.source, n), shift(f.target, n),
-                    {i - n: m for i, m in f.components.items()})
 
 
 class ConeData:
@@ -352,26 +330,6 @@ class TensorComplex:
                     blocks.append((off2, off, block.scale(-1) if i % 2 else block))
             diffs[n] = Matrix.from_blocks(field, terms[n + 1].dim, terms[n].dim, blocks)
         self.complex = Complex(x.left_algebra, y.right_algebra, terms, diffs)
-
-    def induced(self, f: ChainMap | None, g: ChainMap | None,
-                target: "TensorComplex") -> ChainMap:
-        """f (x) g for degree-zero chain maps (no Koszul signs needed); None
-        stands for the identity of the factor that self and target share."""
-        comps = {}
-        for n, slots in self.layout.items():
-            tgt = target.layout.get(n, {})
-            blocks = []
-            for (i, j), (td, off) in slots.items():
-                if (i, j) not in tgt:
-                    continue
-                td2, off2 = tgt[(i, j)]
-                blocks.append((off2, off, td.induced(None if f is None else f.comp(i),
-                                                     None if g is None else g.comp(j), td2)))
-            if blocks:
-                comps[n] = Matrix.from_blocks(self.complex.field, target.complex.dim(n),
-                                              self.complex.dim(n), blocks)
-        return ChainMap(self.complex, target.complex, comps)
-
 
 def tensor_cx(x: Complex, y: Complex) -> TensorComplex:
     return TensorComplex(x, y)
@@ -600,85 +558,3 @@ def find_quasi_iso(x: Complex, y: Complex, rng: random.Random,
         return None
     return first_witness(basis, lambda f: not f.is_zero() and is_quasi_iso(f),
                          x.field, rng, attempts)
-
-
-# ---------------------------------------------------------------------------
-# canonical isomorphisms: unitors, associator, right-shift interchange
-# (each is built in one direction; its inverse is ChainMap.inverse())
-# ---------------------------------------------------------------------------
-
-
-def left_unitor(t: TensorComplex) -> ChainMap:
-    """unit_complex(A) (x) X -> X, a (x) m |-> a.m."""
-    x = t.y
-    comps = {}
-    for n, slots in t.layout.items():
-        cols = [x.term(j).left_act(*td.monomial_matrices()) for (i, j), (td, _) in slots.items()]
-        comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
-    return ChainMap(t.complex, x, comps)
-
-
-def right_unitor(t: TensorComplex) -> ChainMap:
-    """X (x) unit_complex(B) -> X, m (x) b |-> m.b."""
-    x = t.x
-    comps = {}
-    for n, slots in t.layout.items():
-        cols = [x.term(i).right_act(*td.monomial_matrices()) for (i, j), (td, _) in slots.items()]
-        comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
-    return ChainMap(t.complex, x, comps)
-
-
-def associator(txy: TensorComplex, txy_z: TensorComplex,
-               tyz: TensorComplex, tx_yz: TensorComplex) -> ChainMap:
-    """((X (x) Y) (x) Z  ->  X (x) (Y (x) Z), no signs.
-
-    txy = X(x)Y, txy_z = (X(x)Y)(x)Z, tyz = Y(x)Z, tx_yz = X(x)(Y(x)Z).
-    """
-    field = txy.complex.field
-    comps = {}
-    for n, slots in txy_z.layout.items():
-        # slot (i, j) of the X (x) Y factor of outer slot (m, k) lands in
-        # slot (i, j + k), a different one for each i
-        blocks = []
-        for (m, k), (td_outer, off_outer) in slots.items():
-            # outer monomial c is q_c (x) z_c, with q_c = sum_e S[e, c] x_e (x) y_e
-            qs, zs = td_outer.monomial_matrices()
-            for (i, j), (td_xy, off_xy) in txy.layout[m].items():
-                seg = qs.submatrix(slice(off_xy, off_xy + td_xy.bimodule.dim), slice(None))
-                # spread sends column r to S[e_r, c_r] times column c_r
-                e_idx, c_idx, spread = seg.nonzero_entries()
-                if not len(e_idx):
-                    continue
-                xs, ys = td_xy.monomial_matrices()
-                td_yz, off_yz = tyz.layout[j + k][(j, k)]
-                inner = td_yz.coords(ys.submatrix(slice(None), e_idx),
-                                     zs.submatrix(slice(None), c_idx))
-                td_t, off_t = tx_yz.layout[n][(i, j + k)]
-                coords = td_t.coords(xs.submatrix(slice(None), e_idx),
-                                     inner.pad_rows(off_yz, tyz.complex.dim(j + k)))
-                blocks.append((off_t, off_outer, coords * spread))
-        comps[n] = Matrix.from_blocks(field, tx_yz.complex.dim(n), txy_z.complex.dim(n), blocks)
-    return ChainMap(txy_z.complex, tx_yz.complex, comps)
-
-
-def interchange_right_shift(t_shifted: TensorComplex, t_plain: TensorComplex,
-                            n: int) -> ChainMap:
-    """X (x) (Y[n])  ->  (X (x) Y)[n]: slot (i, j) of degree m goes by
-    (-1)^{n.i} times the identity to slot (i, j + n) of degree m + n;
-    ComplexError when that slot is missing or of another size."""
-    field = t_shifted.complex.field
-    comps = {}
-    for m, slots in t_shifted.layout.items():
-        target = t_plain.layout.get(m + n, {})
-        blocks = []
-        for (i, j), (td, off) in slots.items():
-            if (i, j + n) not in target:
-                raise ComplexError(f"no slot {(i, j + n)} in degree {m + n}")
-            td2, off2 = target[(i, j + n)]
-            if td.bimodule.dim != td2.bimodule.dim:
-                raise ComplexError("interchange slots do not match")
-            ident = Matrix.identity(field, td.bimodule.dim)
-            blocks.append((off2, off, ident.scale(-1) if n * i % 2 else ident))
-        comps[m] = Matrix.from_blocks(field, t_plain.complex.dim(m + n),
-                                      t_shifted.complex.dim(m), blocks)
-    return ChainMap(t_shifted.complex, shift(t_plain.complex, n), comps)

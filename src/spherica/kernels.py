@@ -12,29 +12,33 @@ kernel(G)); all multi-letter composites in this module are assembled by
 compose_list with the kernels listed in application order, folded to
 the left, so ((k1 (x) k2) (x) k3) ... is the canonical bracketing.
 
-A map of kernels is a ChainMap between their complexes.  Whiskering it
-by a kernel is tensoring it with an identity chain map; regrouping
-between bracketings goes through the associator, and the unitors absorb
-identity kernels.  Both are built in one direction, and the maps the
-other way are their ChainMap.inverse().  Every canonical map below
-(units, counits, twist triangles, the condition maps) is assembled from
-these pieces, with the cone constructor as the only source of triangle
-maps.
+A map of kernels is a ChainMap between their complexes.  The units and
+counits are the coevaluations a |-> sum a.g_t (x) g_t^* and the
+evaluations f (x) x |-> f(x) of the adjoints' dual bases.  The
+condition, splitting and appendix maps are written straight into the
+tensors at their two ends from the same generators, cogenerators and
+evaluations, term by term: no whisker, unitor, associator or interchange
+is built, and no tensor of three or four kernels but those ends.  The
+cone constructor is the only source of triangle maps, and these maps
+read the twist's T -> FR[1] and the cotwist's RF -> C[1] off it.  The
+chains of whiskers, unitors and associators the maps equal are kept by
+the test suite (tests/helpers.py), which checks them against the engine.
 
 Each twist and cotwist is one Triangle record: the kernel with the
 ConeData of the counit or unit it comes from.  A counit eps: M -> id
 gives T = cone(eps) and the triangle M -> id -> T -> M[1]; a unit
 eta: id -> M gives C = cone(eta)[-1] and the triangle C -> id -> M -> C[1],
 whose last map is the cone's include_target, as C[1] is cone(eta) itself.
-A shift of a tensor's left factor is the shifted tensor on the nose, so
-only shifts of the right factor go through an interchange map.
+A shift of a tensor's left factor is the shifted tensor on the nose; a
+shift of its right factor is it up to the sign (-1)^{|x|} on x (x) y,
+which condition4_map and appendix_map write into (X (x) C)[1] directly.
 
 Only what the theorem layer reads is built here: the twist T, the
-cotwist C, and the condition, splitting and appendix maps.  The dual
-twists T' = cone(eta_L)[-1] and C' = cone(eps_L), the four triangular
-identities and the four standard composites such as TF[-1] -> FRF -> FC[1]
-are built from the same pieces by the test suite (tests/helpers.py),
-which checks them against the engine.
+cotwist C, and the condition, splitting and appendix maps.  The left
+counit eps_L, the dual twists T' = cone(eta_L)[-1] and C' = cone(eps_L),
+the four triangular identities and the four standard composites such as
+TF[-1] -> FRF -> FC[1] are built from the same pieces by the test suite
+(tests/helpers.py), which checks them against the engine.
 
 Adjoints: the right adjoint kernel takes the termwise right dual with
 differentials dualised with sign (-1)^{n+1}; the left adjoint uses the
@@ -56,6 +60,7 @@ import numpy as np
 from .algebras import Algebra
 from .bimodules import (
     DualData,
+    TensorData,
     is_projective,
     left_dual,
     right_dual,
@@ -66,15 +71,10 @@ from .complexes import (
     Complex,
     ConeData,
     TensorComplex,
-    associator,
     cone,
     direct_sum_complexes,
-    interchange_right_shift,
-    left_unitor,
     minimal_model,
-    right_unitor,
     shift,
-    shift_map,
     tensor_cx,
     unit_complex,
 )
@@ -143,9 +143,29 @@ def compose_list(kernels: list[Kernel]) -> Kernel:
 # ---------------------------------------------------------------------------
 
 
-def _sum_runs(field, runs: int, length: int) -> Matrix:
-    """The (runs * length) x runs matrix that sums each run of length columns."""
-    return Matrix.identity(field, runs).kron(Matrix.from_rows(field, [[1]] * length))
+def _repeated(m: Matrix, k: int) -> Matrix:
+    """Each column of m k times over: column c * k + t is column c of m."""
+    return m.submatrix(slice(None), np.repeat(np.arange(m.cols), k))
+
+
+def _tiled(m: Matrix, k: int) -> Matrix:
+    """m k times side by side: column c * m.cols + t is column t of m."""
+    return m.submatrix(slice(None), np.tile(np.arange(m.cols), k))
+
+
+def _in_term(t: TensorComplex, i: int, j: int, xs: Matrix, ys: Matrix) -> Matrix:
+    """The pure tensors xs[:, c] (x) ys[:, c] of slot (i, j) of t, in the
+    coordinates of t's term of degree i + j."""
+    td, off = t.layout[i + j][(i, j)]
+    return td.coords(xs, ys).pad_rows(off, t.complex.dim(i + j))
+
+
+def _coevaluated(td: TensorData, xs: Matrix, ys: Matrix, runs: int) -> Matrix:
+    """Column c is sum_t x_ct (x) y_ct in td's coordinates, for x_ct and
+    y_ct in column c * S + t of xs and ys: a coevaluation sum_t g_t (x) g_t^*
+    with a factor put on each side of every term."""
+    ones = Matrix.from_rows(td.field, [[1]] * (xs.cols // runs))
+    return td.coords(xs, ys) * Matrix.identity(td.field, runs).kron(ones)
 
 
 class AdjointData:
@@ -234,35 +254,6 @@ class KernelOps:
         both, so their ids stay theirs while it is cached)."""
         return self._get(("tensor", id(x), id(y)), lambda: tensor_cx(x, y))
 
-    def _whisker(self, f: ChainMap | Complex, g: ChainMap | Complex) -> ChainMap:
-        """f (x) g, where a complex stands for its identity map (never built)."""
-        sources = [h if isinstance(h, Complex) else h.source for h in (f, g)]
-        targets = [h if isinstance(h, Complex) else h.target for h in (f, g)]
-        maps = [None if isinstance(h, Complex) else h for h in (f, g)]
-        return self._tensor(*sources).induced(*maps, self._tensor(*targets))
-
-    def _assoc(self, x: Complex, y: Complex, z: Complex) -> ChainMap:
-        """(x (x) y) (x) z -> x (x) (y (x) z), built once per triple of complex
-        objects (the cached tensors it is built from hold all three)."""
-        def build():
-            xy, yz = self._tensor(x, y), self._tensor(y, z)
-            return associator(xy, self._tensor(xy.complex, z), yz, self._tensor(x, yz.complex))
-        return self._get(("assoc", id(x), id(y), id(z)), build)
-
-    def _lunit(self, x: Complex) -> ChainMap:
-        """id (x) x -> x, built once per complex."""
-        return self._get(("lunit", id(x)), lambda: left_unitor(
-            self._tensor(unit_complex(x.left_algebra), x)))
-
-    def _runit(self, x: Complex) -> ChainMap:
-        """x (x) id -> x, built once per complex."""
-        return self._get(("runit", id(x)), lambda: right_unitor(
-            self._tensor(x, unit_complex(x.right_algebra))))
-
-    def _shift_out_right(self, x: Complex, y1: Complex, y: Complex) -> ChainMap:
-        """x (x) y1 -> (x (x) y)[1], for y1 = y[1]."""
-        return interchange_right_shift(self._tensor(x, y1), self._tensor(x, y), 1)
-
     # the minimal model ----------------------------------------------------
 
     def model(self) -> Kernel:
@@ -341,11 +332,9 @@ class KernelOps:
             td, off = t.layout[0][(i, j)]
             module = t.x.term(i)
             # a.x_t (x) y_t for every a and t, then summed over t
-            coords = td.coords(
-                Matrix.stack_columns(field, [module.left_action[a] * xs
-                                             for a in range(dim)], module.dim),
-                Matrix.stack_columns(field, [ys] * dim, t.y.dim(j)))
-            blocks.append((off, 0, coords * _sum_runs(field, dim, xs.cols)))
+            acted = Matrix.stack_columns(field, [module.left_action[a] * xs
+                                                 for a in range(dim)], module.dim)
+            blocks.append((off, 0, _coevaluated(td, acted, _tiled(ys, dim), dim)))
         return ChainMap(unit_complex(alg), t.complex,
                         {0: Matrix.from_blocks(field, t.complex.dim(0), dim, blocks)})
 
@@ -373,16 +362,54 @@ class KernelOps:
         return self._get("counit_right", lambda: self._evaluation(
             self.B, self.fr(), self.right_adjoint().duals, dual_first=True))
 
+    def _left_duals(self) -> list[tuple[int, DualData]]:
+        """(i, the left dual of P^i) for every term P^i with a nonzero dual."""
+        return [(i, dd) for i, dd in self.left_adjoint().duals.items() if dd.bimodule.dim]
+
     def unit_left(self) -> ChainMap:
         """id_B -> FL, b |-> sum (b.h_t^*) (x) h_t."""
         return self._get("unit_left", lambda: self._coevaluation(self.B, self.fl(), [
-            (-i, i, dd.cogens, dd.gens)
-            for i, dd in self.left_adjoint().duals.items() if dd.bimodule.dim]))
+            (-i, i, dd.cogens, dd.gens) for i, dd in self._left_duals()]))
 
-    def counit_left(self) -> ChainMap:
-        """LF -> id_A, x (x) f |-> f(x)."""
-        return self._get("counit_left", lambda: self._evaluation(
-            self.A, self.lf(), self.left_adjoint().duals, dual_first=False))
+    # the pieces of the canonical maps -------------------------------------
+
+    def _contracted(self, vs: Matrix, m: int, ls: Matrix, j: int) -> Matrix | None:
+        """f.l_c(x) in R^{m+j} for every column c, where column c of vs is
+        sum_e S[e, c] f_e (x) x_e in FR^m and l_c is column c of ls in L^j:
+        the left counit x (x) l |-> l(x) on (R (x) P) (x) L, regrouped.  None
+        when FR^m has no slot R^{m+j} (x) P^{-j} or vs has no entry there."""
+        fr = self.fr()
+        slot = fr.layout.get(m, {}).get((m + j, -j))
+        if slot is None:
+            return None
+        td, off = slot
+        e, c, spread = vs.submatrix(slice(off, off + td.bimodule.dim),
+                                    slice(None)).nonzero_entries()
+        if not len(e):
+            return None
+        fs, xs = td.monomial_matrices()
+        values = self.left_adjoint().duals[-j].evaluate(ls.submatrix(slice(None), c),
+                                                         xs.submatrix(slice(None), e))
+        return fr.x.term(m + j).right_act(fs.submatrix(slice(None), e), values) * spread
+
+    def _into_cotwist(self, t: TensorComplex, rs: Matrix, n: int,
+                      left) -> list[tuple[int, Matrix]]:
+        """The blocks of sum_i (-1)^k sum_t u_ct (x) gamma(h_t (x) r_c) in
+        t = X (x) C, as (row offset, block), for the columns r_c of rs in R^n.
+        For the left dual dd of P^i, with generators h_t, left(i, dd) gives
+        k and the matrix whose column c * S + t is u_ct in X^k.  gamma:
+        RF -> C[1] is the cotwist triangle's map."""
+        gamma = self.cotwist().cone.include_target
+        out = []
+        for i, dd in self._left_duals():
+            k, us = left(i, dd)
+            slot = t.layout.get(k + n + i + 1, {}).get((k, n + i + 1))
+            if slot is not None:
+                hr = _in_term(self.rf(), i, n, _tiled(dd.gens, rs.cols),
+                              _repeated(rs, dd.gens.cols))
+                block = _coevaluated(slot[0], us, gamma.comp(n + i) * hr, rs.cols)
+                out.append((slot[1], block.scale(-1) if k % 2 else block))
+        return out
 
     # twists ---------------------------------------------------------------
 
@@ -402,77 +429,115 @@ def kernel_ops(p: Kernel) -> KernelOps:
 
 
 # ---------------------------------------------------------------------------
-# canonical composite maps
+# canonical composite maps, written straight into their endpoint tensors
 # ---------------------------------------------------------------------------
 
 
 def condition4_map(p: Kernel) -> ChainMap:
-    """The canonical map R -> RFL -> CL[1] built from the unit of the left
-    adjunction and the cotwist triangle."""
+    """The canonical map R -> RFL -> CL[1] from the unit of the left
+    adjunction and the cotwist triangle: r in R^n goes to
+    sum_i (-1)^i sum_t h_t^* (x) gamma(h_t (x) r) in slot (-i, n+i+1) of
+    L (x) C, shifted by 1, for the generators h_t of P^i and the
+    cogenerators h_t^* of its left dual L^{-i}."""
     ops = kernel_ops(p)
     r = ops.right_adjoint().kernel.complex
-    l = ops.left_adjoint().kernel.complex
-    ct = ops.cotwist()
-    gamma = ct.cone.include_target     # RF -> C[1]
-    return (ops._lunit(r).inverse()
-            .then(ops._whisker(ops.unit_left(), r))
-            .then(ops._assoc(l, p.complex, r))
-            .then(ops._whisker(l, gamma))
-            .then(ops._shift_out_right(l, gamma.target, ct.kernel.complex)))
+    lc = ops._tensor(ops.left_adjoint().kernel.complex, ops.cotwist().kernel.complex)
+    target = shift(lc.complex, 1)
+    comps = {}
+    for n, t in r.terms.items():
+        blocks = ops._into_cotwist(lc, Matrix.identity(ops.field, t.dim), n,
+                                   lambda i, dd: (-i, _tiled(dd.cogens, t.dim)))
+        comps[n] = Matrix.from_blocks(ops.field, target.dim(n), t.dim,
+                                      [(off, 0, block) for off, block in blocks])
+    return ChainMap(r, target, comps)
 
 
 def condition3_map(p: Kernel) -> ChainMap:
-    """The canonical map LT[-1] -> LFR -> R built from the twist triangle
-    and the counit of the left adjunction."""
+    """The canonical map LT[-1] -> LFR -> R from the twist triangle and the
+    counit of the left adjunction: a monomial (f (x) x) (x) l in the FR^{m+1}
+    part of T^m (x) L^j goes to f.l(x), and the B^m part goes to 0."""
     ops = kernel_ops(p)
     r = ops.right_adjoint().kernel.complex
-    l = ops.left_adjoint().kernel.complex
-    # (T (x) L)[-1] -> (FR[1] (x) L)[-1], which is (R(x)P)(x)L on the nose
-    c_shifted = shift_map(ops._whisker(ops.twist().cone.project_source, l), -1)
-    return (c_shifted
-            .then(ops._assoc(r, p.complex, l))
-            .then(ops._whisker(r, ops.counit_left()))
-            .then(ops._runit(r)))
+    tw = ops.twist()
+    tl = ops._tensor(tw.kernel.complex, ops.left_adjoint().kernel.complex)
+    comps = {}
+    for n, slots in tl.layout.items():
+        blocks = []
+        for (m, j), (td, off) in slots.items():
+            xs, ls = td.monomial_matrices()
+            # the triangle's T -> FR[1] keeps the FR^{m+1} part of T^m
+            block = ops._contracted(tw.cone.project_source.comp(m) * xs, m + 1, ls, j)
+            if block is not None:
+                blocks.append((0, off, block))
+        comps[n + 1] = Matrix.from_blocks(ops.field, r.dim(n + 1), tl.complex.dim(n), blocks)
+    return ChainMap(shift(tl.complex, -1), r, comps)
 
 
 def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:
     """The two canonical comparison maps that split the double composites:
 
-    (R eta_L, eta_R L): R (+) L -> RFL and
-    (eps_L R; L eps_R): LFR -> R (+) L.
+    (R eta_L, eta_R L): R (+) L -> RFL, r |-> sum_t (h_t^* (x) h_t) (x) r and
+    l |-> sum_t (l (x) g_t) (x) g_t^*, for the generators g_t of P's terms
+    and the cogenerators g_t^* of their right duals; and
+    (eps_L R; L eps_R): LFR -> R (+) L, (f (x) x) (x) l |-> (f.l(x), f(x).l).
 
     Returns (into_rfl, from_lfr, sum_complex).
     """
     ops = kernel_ops(p)
-    pc = p.complex
+    field = ops.field
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    map_r = ops._lunit(r).inverse().then(ops._whisker(ops.unit_left(), r))
-    map_l = (ops._runit(l).inverse().then(ops._whisker(l, ops.unit_right()))
-             .then(ops._assoc(l, pc, r).inverse()))
-    sum_cx, injs, projs = direct_sum_complexes([r, l])
-    into_rfl = projs[0].then(map_r) + projs[1].then(map_l)
-    # LFR -> R: id_r (x) eps_L after regrouping; LFR -> L: eps_R (x) id_l
-    g1 = ops._assoc(r, pc, l).then(ops._whisker(r, ops.counit_left())).then(ops._runit(r))
-    g2 = ops._whisker(ops.counit_right(), l).then(ops._lunit(l))
-    from_lfr = g1.then(injs[0]) + g2.then(injs[1])
-    return into_rfl, from_lfr, sum_cx
+    fl = ops.fl()
+    sum_cx = direct_sum_complexes([r, l])[0]
+    rfl = ops._tensor(fl.complex, r)
+    unit = ops.unit_left().comp(0) * ops.B.unit    # sum_t h_t^* (x) h_t in FL^0
+    into = {}
+    for n in sum_cx.terms:
+        rs, ls = Matrix.identity(field, r.dim(n)), Matrix.identity(field, l.dim(n))
+        blocks = []
+        if (0, n) in rfl.layout.get(n, {}):
+            td, off = rfl.layout[n][(0, n)]
+            blocks.append((off, 0, td.coords(_tiled(unit, rs.cols), rs)))
+        for i, dd in ops.right_adjoint().duals.items():
+            slot = rfl.layout.get(n, {}).get((n + i, -i))
+            if dd.bimodule.dim and ls.cols and slot:
+                us = _in_term(fl, n, i, _repeated(ls, dd.gens.cols), _tiled(dd.gens, ls.cols))
+                blocks.append((slot[1], rs.cols, _coevaluated(
+                    slot[0], us, _tiled(dd.cogens, ls.cols), ls.cols)))
+        into[n] = Matrix.from_blocks(field, rfl.complex.dim(n), sum_cx.dim(n), blocks)
+    lfr = ops._tensor(ops.fr().complex, l)
+    out = {}
+    for n, slots in lfr.layout.items():
+        blocks = []
+        for (m, j), (td, off) in slots.items():
+            vs, ls = td.monomial_matrices()
+            block = ops._contracted(vs, m, ls, j)
+            if block is not None:
+                blocks.append((0, off, block))
+            if m == 0 and vs.cols:
+                # eps_R (x) L: f(x) . l
+                blocks.append((r.dim(n), off, l.term(j).left_act(
+                    ops.counit_right().comp(0) * vs, ls)))
+        out[n] = Matrix.from_blocks(field, sum_cx.dim(n), lfr.complex.dim(n), blocks)
+    return ChainMap(sum_cx, rfl.complex, into), ChainMap(lfr.complex, sum_cx, out), sum_cx
 
 
 def appendix_map(p: Kernel) -> ChainMap:
-    """The canonical composite RF -> RFLF -> CLF[1]."""
+    """The canonical composite RF -> RFLF -> CLF[1]: x (x) r goes to
+    sum_i (-1)^{|x (x) h^*|} sum_t (x (x) h_t^*) (x) gamma(h_t (x) r) in
+    LF (x) C, shifted by 1, for h_t and h_t^* as in condition4_map."""
     ops = kernel_ops(p)
-    pc = p.complex
-    r = ops.right_adjoint().kernel.complex
-    l = ops.left_adjoint().kernel.complex
-    lf = ops.lf().complex
-    ct = ops.cotwist()
-    gamma = ct.cone.include_target     # RF -> C[1]
-    # P (x) R -> (P(x)B)(x)R -> (P(x)FL)(x)R -> (LF(x)P)(x)R -> LF(x)RF -> LF(x)C[1]
-    into_pflr = ops._whisker(ops._runit(pc).inverse(), r).then(
-        ops._whisker(ops._whisker(pc, ops.unit_left()), r))
-    return (into_pflr
-            .then(ops._whisker(ops._assoc(pc, l, pc).inverse(), r))
-            .then(ops._assoc(lf, pc, r))
-            .then(ops._whisker(lf, gamma))
-            .then(ops._shift_out_right(lf, gamma.target, ct.kernel.complex)))
+    rf, lf = ops.rf(), ops.lf()
+    lfc = ops._tensor(lf.complex, ops.cotwist().kernel.complex)
+    target = shift(lfc.complex, 1)
+    comps = {}
+    for n, slots in rf.layout.items():
+        blocks = []
+        for (a, m), (td, off) in slots.items():
+            xs, rs = td.monomial_matrices()
+            if xs.cols:
+                blocks += [(row, off, block) for row, block in ops._into_cotwist(
+                    lfc, rs, m, lambda i, dd: (a - i, _in_term(
+                        lf, a, -i, _repeated(xs, dd.gens.cols), _tiled(dd.cogens, xs.cols))))]
+        comps[n] = Matrix.from_blocks(ops.field, target.dim(n), rf.complex.dim(n), blocks)
+    return ChainMap(rf.complex, target, comps)

@@ -4,12 +4,16 @@ adjoint check's two composites without minimal models, the restriction
 to scalars, the center of an algebra, the two-sided hom complex, the
 quotient model of a tensor product, single-term complexes, the zero
 bimodule, the identity kernel, identity chain maps and the tests for
-identity matrices and maps, the dual twists T' and C', the four
-triangular identities and the four standard composites such as TF[-1] ->
-FRF -> FC[1], cone differentials as sums of products, the shift
-interchanges and the inclusions and projections of a direct sum written
-entry by entry, the canonical condition and identity maps chained
-through the left-shift interchange, hom spaces solved over every pair of
+identity matrices and maps, the chained calculus (composites, inverses
+and shifts of chain maps, induced maps of tensor complexes, whiskers,
+unitors, associators and the right-shift interchange, in a kernel's
+workspace), the condition, splitting and appendix maps chained through
+it, the left counit, the dual twists T' and C', the four triangular
+identities and the four standard composites such as TF[-1] -> FRF ->
+FC[1], cone differentials as sums of products, the shift interchanges
+and the inclusions and projections of a direct sum written entry by
+entry, the canonical condition and identity maps chained through the
+left-shift interchange, hom spaces solved over every pair of
 vertex blocks, adjoint differentials solved in the dual hom space, the
 dense elimination over F_p and the elimination on Fraction objects that
 the engine's kernels are checked against."""
@@ -47,11 +51,11 @@ from spherica.complexes import (
     homology_dims,
     is_quasi_iso,
     shift,
-    shift_map,
     unit_complex,
 )
 from spherica.kernels import (
     Kernel,
+    KernelOps,
     Triangle,
     compose,
     condition3_map,
@@ -501,6 +505,217 @@ def is_identity_map(f: ChainMap) -> bool:
         for n in f.source.terms)
 
 
+# ---------------------------------------------------------------------------
+# the chained calculus: composites, inverses, whiskers, unitors, associators
+# and the right-shift interchange, each built in one direction with the
+# maps the other way their inverse_map
+# ---------------------------------------------------------------------------
+
+
+def composite(*maps: ChainMap) -> ChainMap:
+    """The maps applied in the order given: composite(f, g) is g o f."""
+    out = maps[0]
+    for g in maps[1:]:
+        out = ChainMap(out.source, g.target, {n: g.comp(n) * out.comp(n)
+                                              for n in set(out.components) | set(g.components)})
+    return out
+
+
+def inverse_map(f: ChainMap) -> ChainMap:
+    """The inverse target -> source, degree by degree; ComplexError when
+    a degree has different dimensions on the two sides or is singular."""
+    comps = {}
+    for n in set(f.source.terms) | set(f.target.terms):
+        if f.source.dim(n) != f.target.dim(n):
+            raise ComplexError(f"component {n} is not square")
+        try:
+            comps[n] = f.comp(n).inverse()
+        except ValueError:
+            raise ComplexError(f"component {n} is singular") from None
+    return ChainMap(f.target, f.source, comps)
+
+
+def shift_map(f: ChainMap, n: int) -> ChainMap:
+    return ChainMap(shift(f.source, n), shift(f.target, n),
+                    {i - n: m for i, m in f.components.items()})
+
+
+def tensor_induced(t: TensorComplex, f: ChainMap | None, g: ChainMap | None,
+                   target: TensorComplex) -> ChainMap:
+    """f (x) g for degree-zero chain maps (no Koszul signs needed); None
+    stands for the identity of the factor that t and target share."""
+    comps = {}
+    for n, slots in t.layout.items():
+        tgt = target.layout.get(n, {})
+        blocks = []
+        for (i, j), (td, off) in slots.items():
+            if (i, j) not in tgt:
+                continue
+            td2, off2 = tgt[(i, j)]
+            blocks.append((off2, off, td.induced(None if f is None else f.comp(i),
+                                                 None if g is None else g.comp(j), td2)))
+        if blocks:
+            comps[n] = Matrix.from_blocks(t.complex.field, target.complex.dim(n),
+                                          t.complex.dim(n), blocks)
+    return ChainMap(t.complex, target.complex, comps)
+
+
+def left_unitor(t: TensorComplex) -> ChainMap:
+    """unit_complex(A) (x) X -> X, a (x) m |-> a.m."""
+    x = t.y
+    comps = {}
+    for n, slots in t.layout.items():
+        cols = [x.term(j).left_act(*td.monomial_matrices()) for (i, j), (td, _) in slots.items()]
+        comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
+    return ChainMap(t.complex, x, comps)
+
+
+def right_unitor(t: TensorComplex) -> ChainMap:
+    """X (x) unit_complex(B) -> X, m (x) b |-> m.b."""
+    x = t.x
+    comps = {}
+    for n, slots in t.layout.items():
+        cols = [x.term(i).right_act(*td.monomial_matrices()) for (i, j), (td, _) in slots.items()]
+        comps[n] = Matrix.stack_columns(t.complex.field, cols, x.dim(n))
+    return ChainMap(t.complex, x, comps)
+
+
+def associator(txy: TensorComplex, txy_z: TensorComplex,
+               tyz: TensorComplex, tx_yz: TensorComplex) -> ChainMap:
+    """((X (x) Y) (x) Z  ->  X (x) (Y (x) Z), no signs.
+
+    txy = X(x)Y, txy_z = (X(x)Y)(x)Z, tyz = Y(x)Z, tx_yz = X(x)(Y(x)Z).
+    """
+    field = txy.complex.field
+    comps = {}
+    for n, slots in txy_z.layout.items():
+        # slot (i, j) of the X (x) Y factor of outer slot (m, k) lands in
+        # slot (i, j + k), a different one for each i
+        blocks = []
+        for (m, k), (td_outer, off_outer) in slots.items():
+            # outer monomial c is q_c (x) z_c, with q_c = sum_e S[e, c] x_e (x) y_e
+            qs, zs = td_outer.monomial_matrices()
+            for (i, j), (td_xy, off_xy) in txy.layout[m].items():
+                seg = qs.submatrix(slice(off_xy, off_xy + td_xy.bimodule.dim), slice(None))
+                # spread sends column r to S[e_r, c_r] times column c_r
+                e_idx, c_idx, spread = seg.nonzero_entries()
+                if not len(e_idx):
+                    continue
+                xs, ys = td_xy.monomial_matrices()
+                td_yz, off_yz = tyz.layout[j + k][(j, k)]
+                inner = td_yz.coords(ys.submatrix(slice(None), e_idx),
+                                     zs.submatrix(slice(None), c_idx))
+                td_t, off_t = tx_yz.layout[n][(i, j + k)]
+                coords = td_t.coords(xs.submatrix(slice(None), e_idx),
+                                     inner.pad_rows(off_yz, tyz.complex.dim(j + k)))
+                blocks.append((off_t, off_outer, coords * spread))
+        comps[n] = Matrix.from_blocks(field, tx_yz.complex.dim(n), txy_z.complex.dim(n), blocks)
+    return ChainMap(txy_z.complex, tx_yz.complex, comps)
+
+
+def interchange_right_shift(t_shifted: TensorComplex, t_plain: TensorComplex,
+                            n: int) -> ChainMap:
+    """X (x) (Y[n])  ->  (X (x) Y)[n]: slot (i, j) of degree m goes by
+    (-1)^{n.i} times the identity to slot (i, j + n) of degree m + n;
+    ComplexError when that slot is missing or of another size."""
+    field = t_shifted.complex.field
+    comps = {}
+    for m, slots in t_shifted.layout.items():
+        target = t_plain.layout.get(m + n, {})
+        blocks = []
+        for (i, j), (td, off) in slots.items():
+            if (i, j + n) not in target:
+                raise ComplexError(f"no slot {(i, j + n)} in degree {m + n}")
+            td2, off2 = target[(i, j + n)]
+            if td.bimodule.dim != td2.bimodule.dim:
+                raise ComplexError("interchange slots do not match")
+            ident = Matrix.identity(field, td.bimodule.dim)
+            blocks.append((off2, off, ident.scale(-1) if n * i % 2 else ident))
+        comps[m] = Matrix.from_blocks(field, t_plain.complex.dim(m + n),
+                                      t_shifted.complex.dim(m), blocks)
+    return ChainMap(t_shifted.complex, shift(t_plain.complex, n), comps)
+
+
+def whisker(ops: KernelOps, f: ChainMap | Complex, g: ChainMap | Complex) -> ChainMap:
+    """f (x) g over the tensors of the kernel's workspace, where a complex
+    stands for its identity map (never built)."""
+    sources = [h if isinstance(h, Complex) else h.source for h in (f, g)]
+    targets = [h if isinstance(h, Complex) else h.target for h in (f, g)]
+    maps = [None if isinstance(h, Complex) else h for h in (f, g)]
+    return tensor_induced(ops._tensor(*sources), *maps, ops._tensor(*targets))
+
+
+def assoc(ops: KernelOps, x: Complex, y: Complex, z: Complex) -> ChainMap:
+    """(x (x) y) (x) z -> x (x) (y (x) z), built once per triple of complex
+    objects in the kernel's workspace (the cached tensors it is built from
+    hold all three)."""
+    def build():
+        xy, yz = ops._tensor(x, y), ops._tensor(y, z)
+        return associator(xy, ops._tensor(xy.complex, z), yz, ops._tensor(x, yz.complex))
+    return ops._get(("assoc", id(x), id(y), id(z)), build)
+
+
+def lunit(ops: KernelOps, x: Complex) -> ChainMap:
+    """id (x) x -> x, built once per complex in the kernel's workspace."""
+    return ops._get(("lunit", id(x)), lambda: left_unitor(
+        ops._tensor(unit_complex(x.left_algebra), x)))
+
+
+def runit(ops: KernelOps, x: Complex) -> ChainMap:
+    """x (x) id -> x, built once per complex in the kernel's workspace."""
+    return ops._get(("runit", id(x)), lambda: right_unitor(
+        ops._tensor(x, unit_complex(x.right_algebra))))
+
+
+def shift_out_right(ops: KernelOps, x: Complex, y1: Complex, y: Complex) -> ChainMap:
+    """x (x) y1 -> (x (x) y)[1], for y1 = y[1]."""
+    return interchange_right_shift(ops._tensor(x, y1), ops._tensor(x, y), 1)
+
+
+def chained_maps(p: Kernel) -> dict[str, ChainMap]:
+    """The condition, splitting and appendix maps chained through whiskers,
+    unitors, associators and the right-shift interchange over the 3- and
+    4-fold tensors: the oracle for the engine's maps, which it writes
+    straight into their endpoint tensors."""
+    ops = kernel_ops(p)
+    pc = p.complex
+    r, l = ops.right_adjoint().kernel.complex, ops.left_adjoint().kernel.complex
+    lf = ops.lf().complex
+    ct = ops.cotwist()
+    gamma = ct.cone.include_target     # RF -> C[1]
+    _, injs, projs = direct_sum_complexes([r, l])
+    map_r = composite(inverse_map(lunit(ops, r)), whisker(ops, ops.unit_left(), r))
+    map_l = composite(inverse_map(runit(ops, l)), whisker(ops, l, ops.unit_right()),
+                      inverse_map(assoc(ops, l, pc, r)))
+    # LFR -> R: id_r (x) eps_L after regrouping; LFR -> L: eps_R (x) id_l
+    g1 = composite(assoc(ops, r, pc, l), whisker(ops, r, counit_left(p)), runit(ops, r))
+    g2 = composite(whisker(ops, ops.counit_right(), l), lunit(ops, l))
+    # P (x) R -> (P(x)B)(x)R -> (P(x)FL)(x)R -> (LF(x)P)(x)R -> LF(x)RF -> LF(x)C[1]
+    into_pflr = composite(whisker(ops, inverse_map(runit(ops, pc)), r),
+                          whisker(ops, whisker(ops, pc, ops.unit_left()), r))
+    return {
+        # (T (x) L)[-1] -> (FR[1] (x) L)[-1], which is (R(x)P)(x)L on the nose
+        "condition3": composite(shift_map(whisker(ops, ops.twist().cone.project_source, l), -1),
+                                g1),
+        "condition4": composite(inverse_map(lunit(ops, r)), whisker(ops, ops.unit_left(), r),
+                                assoc(ops, l, pc, r), whisker(ops, l, gamma),
+                                shift_out_right(ops, l, gamma.target, ct.kernel.complex)),
+        "into_rfl": composite(projs[0], map_r) + composite(projs[1], map_l),
+        "from_lfr": composite(g1, injs[0]) + composite(g2, injs[1]),
+        "appendix": composite(into_pflr, whisker(ops, inverse_map(assoc(ops, pc, l, pc)), r),
+                              assoc(ops, lf, pc, r), whisker(ops, lf, gamma),
+                              shift_out_right(ops, lf, gamma.target, ct.kernel.complex)),
+    }
+
+
+def counit_left(p: Kernel) -> ChainMap:
+    """LF -> id_A, x (x) f |-> f(x), built once per kernel in its workspace
+    by the evaluation the engine's counit_right shares."""
+    ops = kernel_ops(p)
+    return ops._get("counit_left", lambda: ops._evaluation(
+        ops.A, ops.lf(), ops.left_adjoint().duals, dual_first=False))
+
+
 def dual_twist(p: Kernel) -> Triangle:
     """T' = cone(eta_L)[-1], with its triangle T' -> id_B -> FL -> T'[1],
     built once per kernel in its workspace."""
@@ -512,7 +727,7 @@ def dual_cotwist(p: Kernel) -> Triangle:
     """C' = cone(eps_L), with its triangle LF -> id_A -> C' -> LF[1], built
     once per kernel in its workspace."""
     ops = kernel_ops(p)
-    return ops._get("dual_cotwist", lambda: Triangle.of(ops.counit_left(), 0))
+    return ops._get("dual_cotwist", lambda: Triangle.of(counit_left(p), 0))
 
 
 def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
@@ -536,22 +751,22 @@ def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
     # a shift of the left factor of a tensor is a shift of the tensor on the
     # nose, so only shifts of the right factor are relabelled
     return {
-        "TF": shift_map(ops._whisker(pc, proj_t)
-                        .then(ops._shift_out_right(pc, proj_t.target, fr)), -1)
-        .then(ops._assoc(pc, r, pc).inverse())
-        .then(ops._whisker(gamma_c, pc)),
-        "RT": shift_map(ops._whisker(proj_t, r), -1)
-        .then(ops._assoc(r, pc, r))
-        .then(ops._whisker(r, gamma_c))
-        .then(ops._shift_out_right(r, gamma_c.target, c)),
-        "FC'": shift_map(ops._whisker(proj_cp, pc), -1)
-        .then(ops._assoc(pc, l, pc))
-        .then(ops._whisker(pc, gamma_tp))
-        .then(ops._shift_out_right(pc, gamma_tp.target, tp)),
-        "C'L": shift_map(ops._whisker(l, proj_cp)
-                         .then(ops._shift_out_right(l, proj_cp.target, lf)), -1)
-        .then(ops._assoc(l, pc, l).inverse())
-        .then(ops._whisker(gamma_tp, l)),
+        "TF": composite(shift_map(composite(whisker(ops, pc, proj_t),
+                                            shift_out_right(ops, pc, proj_t.target, fr)), -1),
+                        inverse_map(assoc(ops, pc, r, pc)),
+                        whisker(ops, gamma_c, pc)),
+        "RT": composite(shift_map(whisker(ops, proj_t, r), -1),
+                        assoc(ops, r, pc, r),
+                        whisker(ops, r, gamma_c),
+                        shift_out_right(ops, r, gamma_c.target, c)),
+        "FC'": composite(shift_map(whisker(ops, proj_cp, pc), -1),
+                         assoc(ops, pc, l, pc),
+                         whisker(ops, pc, gamma_tp),
+                         shift_out_right(ops, pc, gamma_tp.target, tp)),
+        "C'L": composite(shift_map(composite(whisker(ops, l, proj_cp),
+                                             shift_out_right(ops, l, proj_cp.target, lf)), -1),
+                         inverse_map(assoc(ops, l, pc, l)),
+                         whisker(ops, gamma_tp, l)),
     }
 
 
@@ -562,20 +777,22 @@ def triangular_identity_composites(p: Kernel) -> dict[str, ChainMap]:
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
     eta_r, eps_r = ops.unit_right(), ops.counit_right()
-    eta_l, eps_l = ops.unit_left(), ops.counit_left()
+    eta_l, eps_l = ops.unit_left(), counit_left(p)
     return {
         # F: P -> (P(x)R)(x)P -> P(x)(R(x)P) -> P
-        "F_right": ops._lunit(pc).inverse().then(ops._whisker(eta_r, pc))
-        .then(ops._assoc(pc, r, pc)).then(ops._whisker(pc, eps_r)).then(ops._runit(pc)),
+        "F_right": composite(inverse_map(lunit(ops, pc)), whisker(ops, eta_r, pc),
+                             assoc(ops, pc, r, pc), whisker(ops, pc, eps_r), runit(ops, pc)),
         # R: R -> R(x)(P(x)R) -> (R(x)P)(x)R -> R
-        "R_right": ops._runit(r).inverse().then(ops._whisker(r, eta_r))
-        .then(ops._assoc(r, pc, r).inverse()).then(ops._whisker(eps_r, r)).then(ops._lunit(r)),
+        "R_right": composite(inverse_map(runit(ops, r)), whisker(ops, r, eta_r),
+                             inverse_map(assoc(ops, r, pc, r)), whisker(ops, eps_r, r),
+                             lunit(ops, r)),
         # F (left adjunction): P -> P(x)(L(x)P) -> (P(x)L)(x)P -> P
-        "F_left": ops._runit(pc).inverse().then(ops._whisker(pc, eta_l))
-        .then(ops._assoc(pc, l, pc).inverse()).then(ops._whisker(eps_l, pc)).then(ops._lunit(pc)),
+        "F_left": composite(inverse_map(runit(ops, pc)), whisker(ops, pc, eta_l),
+                            inverse_map(assoc(ops, pc, l, pc)), whisker(ops, eps_l, pc),
+                            lunit(ops, pc)),
         # L: L -> (L(x)P)(x)L -> L(x)(P(x)L) -> L
-        "L_left": ops._lunit(l).inverse().then(ops._whisker(eta_l, l))
-        .then(ops._assoc(l, pc, l)).then(ops._whisker(l, eps_l)).then(ops._runit(l)),
+        "L_left": composite(inverse_map(lunit(ops, l)), whisker(ops, eta_l, l),
+                            assoc(ops, l, pc, l), whisker(ops, l, eps_l), runit(ops, l)),
     }
 
 
@@ -670,29 +887,32 @@ def canonical_maps_oracle(p: Kernel) -> dict[str, ChainMap]:
     proj_cp = dual_cotwist(p).cone.project_source
     c, tp = ops.cotwist().kernel.complex, dual_twist(p).kernel.complex
     gamma_c, gamma_tp = retyped_gamma(ops.cotwist()), retyped_gamma(dual_twist(p))
-    into_pflr = ops._whisker(ops._runit(pc).inverse(), r).then(
-        ops._whisker(ops._whisker(pc, ops.unit_left()), r))
+    into_pflr = composite(whisker(ops, inverse_map(runit(ops, pc)), r),
+                          whisker(ops, whisker(ops, pc, ops.unit_left()), r))
     return {
-        "condition3": shift_map(ops._whisker(proj_t, l).then(out_left(proj_t.target, fr, l)), -1)
-        .then(ops._assoc(r, pc, l)).then(ops._whisker(r, ops.counit_left())).then(ops._runit(r)),
-        "condition4": ops._lunit(r).inverse().then(ops._whisker(ops.unit_left(), r))
-        .then(ops._assoc(l, pc, r)).then(ops._whisker(l, gamma_c))
-        .then(out_right(l, gamma_c.target, c)),
-        "appendix": into_pflr.then(ops._whisker(ops._assoc(pc, l, pc).inverse(), r))
-        .then(ops._assoc(lf, pc, r)).then(ops._whisker(lf, gamma_c))
-        .then(out_right(lf, gamma_c.target, c)),
-        "TF": shift_map(ops._whisker(pc, proj_t).then(out_right(pc, proj_t.target, fr)), -1)
-        .then(ops._assoc(pc, r, pc).inverse()).then(ops._whisker(gamma_c, pc))
-        .then(out_left(gamma_c.target, c, pc)),
-        "RT": shift_map(ops._whisker(proj_t, r).then(out_left(proj_t.target, fr, r)), -1)
-        .then(ops._assoc(r, pc, r)).then(ops._whisker(r, gamma_c))
-        .then(out_right(r, gamma_c.target, c)),
-        "FC'": shift_map(ops._whisker(proj_cp, pc).then(out_left(proj_cp.target, lf, pc)), -1)
-        .then(ops._assoc(pc, l, pc)).then(ops._whisker(pc, gamma_tp))
-        .then(out_right(pc, gamma_tp.target, tp)),
-        "C'L": shift_map(ops._whisker(l, proj_cp).then(out_right(l, proj_cp.target, lf)), -1)
-        .then(ops._assoc(l, pc, l).inverse()).then(ops._whisker(gamma_tp, l))
-        .then(out_left(gamma_tp.target, tp, l)),
+        "condition3": composite(
+            shift_map(composite(whisker(ops, proj_t, l), out_left(proj_t.target, fr, l)), -1),
+            assoc(ops, r, pc, l), whisker(ops, r, counit_left(p)), runit(ops, r)),
+        "condition4": composite(
+            inverse_map(lunit(ops, r)), whisker(ops, ops.unit_left(), r), assoc(ops, l, pc, r),
+            whisker(ops, l, gamma_c), out_right(l, gamma_c.target, c)),
+        "appendix": composite(
+            into_pflr, whisker(ops, inverse_map(assoc(ops, pc, l, pc)), r), assoc(ops, lf, pc, r),
+            whisker(ops, lf, gamma_c), out_right(lf, gamma_c.target, c)),
+        "TF": composite(
+            shift_map(composite(whisker(ops, pc, proj_t), out_right(pc, proj_t.target, fr)), -1),
+            inverse_map(assoc(ops, pc, r, pc)), whisker(ops, gamma_c, pc),
+            out_left(gamma_c.target, c, pc)),
+        "RT": composite(
+            shift_map(composite(whisker(ops, proj_t, r), out_left(proj_t.target, fr, r)), -1),
+            assoc(ops, r, pc, r), whisker(ops, r, gamma_c), out_right(r, gamma_c.target, c)),
+        "FC'": composite(
+            shift_map(composite(whisker(ops, proj_cp, pc), out_left(proj_cp.target, lf, pc)), -1),
+            assoc(ops, pc, l, pc), whisker(ops, pc, gamma_tp), out_right(pc, gamma_tp.target, tp)),
+        "C'L": composite(
+            shift_map(composite(whisker(ops, l, proj_cp), out_right(l, proj_cp.target, lf)), -1),
+            inverse_map(assoc(ops, l, pc, l)), whisker(ops, gamma_tp, l),
+            out_left(gamma_tp.target, tp, l)),
     }
 
 

@@ -24,7 +24,7 @@ from spherica.bimodules import (
     flip,
     projective_bimodule,
 )
-from spherica.complexes import ChainMap, Complex, ComplexError, shift_map
+from spherica.complexes import ChainMap, Complex, ComplexError
 from spherica.kernels import (
     appendix_map,
     condition3_map,
@@ -39,9 +39,11 @@ from spherica.spherical import random_kernel
 from helpers import (
     RANDOM_SHAPES,
     basic_identity_maps,
+    counit_left,
     dual_cotwist,
     dual_numbers,
     dual_twist,
+    shift_map,
     single_term,
     triangular_identity_composites,
 )
@@ -57,7 +59,7 @@ def _built_objects(p):
     complexes = [p.complex, ops.right_adjoint().kernel.complex,
                  ops.left_adjoint().kernel.complex]
     complexes += [t.complex for t in (ops.rf(), ops.fr(), ops.fl(), ops.lf())]
-    maps = [ops.unit_right(), ops.counit_right(), ops.unit_left(), ops.counit_left()]
+    maps = [ops.unit_right(), ops.counit_right(), ops.unit_left(), counit_left(p)]
     for tri in (ops.twist(), dual_cotwist(p), ops.cotwist(), dual_twist(p)):
         complexes += [tri.kernel.complex, tri.cone.cone]
         maps += [tri.cone.include_target, tri.cone.project_source]

@@ -7,9 +7,8 @@ The cases are the builtin kernels over F101 and Q, and seeded random
 kernels with source D or Z over F2 and F101.  Random kernels over Q are
 left out: their associators take minutes over Fractions.
 
-The inverses are ChainMap.inverse() of the forward maps.  On an engine
-without it the hand-built inverse builders are digested instead, so the
-recorded digests can be checked again on an engine from before it.
+The inverses are inverse_map of the forward maps, which tests/helpers.py
+builds in the kernel's workspace as the engine once did.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from spherica.linalg import Field
 from spherica.session import _elaborate, builtin_example, builtin_names
 from spherica.spherical import random_kernel
 
-from helpers import RANDOM_SHAPES
+from helpers import RANDOM_SHAPES, assoc, inverse_map, lunit, runit
 
 F2 = Field.prime(2)
 F101 = Field.prime(101)
@@ -32,10 +31,8 @@ Q = Field.rationals()
 TRIPLES = ("PRP", "RPR", "PLP", "LPL", "LPR", "RPL")
 
 
-def _inverse(ops, forward: str, *args) -> ChainMap:
-    if hasattr(ChainMap, "inverse"):
-        return getattr(ops, forward)(*args).inverse()
-    return getattr(ops, forward + "_inv")(*args)
+def _inverse(ops, forward, *args) -> ChainMap:
+    return inverse_map(forward(ops, *args))
 
 
 def _update(h, label: str, mats) -> None:
@@ -59,11 +56,11 @@ def _digest(kernel) -> str:
           "R": ops.right_adjoint().kernel.complex,
           "L": ops.left_adjoint().kernel.complex}
     for name, x in cx.items():
-        _update_map(h, f"lunit^-1({name})", _inverse(ops, "_lunit", x))
-        _update_map(h, f"runit^-1({name})", _inverse(ops, "_runit", x))
+        _update_map(h, f"lunit^-1({name})", _inverse(ops, lunit, x))
+        _update_map(h, f"runit^-1({name})", _inverse(ops, runit, x))
     for triple in TRIPLES:
         _update_map(h, f"assoc^-1({triple})",
-                    _inverse(ops, "_assoc", *(cx[c] for c in triple)))
+                    _inverse(ops, assoc, *(cx[c] for c in triple)))
     return h.hexdigest()
 
 

@@ -16,11 +16,9 @@ from spherica.bimodules import (
     regular_bimodule,
 )
 from spherica.complexes import (
-    TensorComplex,
     cone,
     direct_sum_complexes,
     homology_dims,
-    interchange_right_shift,
     is_acyclic,
     is_quasi_iso,
     scalar_algebra,
@@ -42,12 +40,17 @@ from spherica.linalg import Field, Matrix
 from spherica.session import _elaborate, builtin_example, builtin_names
 from spherica.spherical import random_kernel
 
+import helpers
 from helpers import (
     RANDOM_SHAPES,
     adjoint_differentials_by_solve,
+    assoc,
     basic_identity_maps,
     canonical_maps_oracle,
+    chained_maps,
+    composite,
     cone_differentials_by_products,
+    counit_left,
     direct_sum_maps_oracle,
     dual_cotwist,
     dual_numbers,
@@ -55,13 +58,18 @@ from helpers import (
     hom_cx,
     identity_kernel,
     identity_map,
+    interchange_right_shift,
     interchange_right_shift_oracle,
     is_identity_map,
     is_identity_matrix,
     k_times_k,
     left_dual_basis_sum,
+    lunit,
+    partly_cancellable_kernel,
     restrict_to_right,
+    runit,
     single_term,
+    tensor_induced,
     term_dims,
     triangular_identity_composites,
     x_cubed,
@@ -138,7 +146,7 @@ def test_unit_counit_identity_kernel():
         assert is_quasi_iso(kernel_ops(i).unit_right())
         assert is_quasi_iso(kernel_ops(i).counit_right())
         assert is_quasi_iso(kernel_ops(i).unit_left())
-        assert is_quasi_iso(kernel_ops(i).counit_left())
+        assert is_quasi_iso(counit_left(i))
 
 
 def test_counit_right_dual_numbers_is_multiplication(PD):
@@ -189,11 +197,11 @@ def test_triangle_composes_to_zero(PD):
     # so the cone is C[1] on the nose
     tw = kernel_ops(PD).twist()
     assert tw.kernel.complex is tw.cone.cone
-    assert tw.cone.include_target.then(tw.cone.project_source).is_zero()
+    assert composite(tw.cone.include_target, tw.cone.project_source).is_zero()
     ct = kernel_ops(PD).cotwist()
     c1 = shift(ct.kernel.complex, 1)
     assert c1.terms == ct.cone.cone.terms and c1.diffs == ct.cone.cone.diffs
-    assert ct.cone.include_target.then(ct.cone.project_source).is_zero()
+    assert composite(ct.cone.include_target, ct.cone.project_source).is_zero()
 
 
 def test_triangular_identities_strict(PD, PZ):
@@ -206,12 +214,12 @@ def test_triangular_identities_strict(PD, PZ):
 def test_associators_and_unitors_are_built_once(PZ):
     ops = kernel_ops(PZ)
     p, r = PZ.complex, ops.right_adjoint().kernel.complex
-    assert ops._assoc(p, r, p) is ops._assoc(p, r, p)
-    assert ops._assoc(r, p, r) is ops._assoc(r, p, r)
-    assert ops._assoc(r, p, r) is not ops._assoc(p, r, p)
-    assert ops._lunit(p) is ops._lunit(p)
-    assert ops._runit(r) is ops._runit(r)
-    assert ops._lunit(r) is not ops._runit(r)
+    assert assoc(ops, p, r, p) is assoc(ops, p, r, p)
+    assert assoc(ops, r, p, r) is assoc(ops, r, p, r)
+    assert assoc(ops, r, p, r) is not assoc(ops, p, r, p)
+    assert lunit(ops, p) is lunit(ops, p)
+    assert runit(ops, r) is runit(ops, r)
+    assert lunit(ops, r) is not runit(ops, r)
 
 
 def test_basic_identities_no_hypothesis(PD, PZ, PX):
@@ -383,6 +391,45 @@ def test_canonical_maps_equal_their_chains_through_the_left_shift_interchange(fi
             assert g.components == f.components, name
 
 
+def _assert_rebuilt_maps_equal_their_chains(p: Kernel) -> None:
+    """The condition, splitting and appendix maps, written straight into
+    their endpoint tensors, equal component by component the chains of
+    whiskers, unitors, associators and interchanges, with the same
+    complexes at both ends."""
+    into_rfl, from_lfr, sum_cx = splitting_maps(p)
+    got = {"condition3": condition3_map(p), "condition4": condition4_map(p),
+           "into_rfl": into_rfl, "from_lfr": from_lfr, "appendix": appendix_map(p)}
+    want = chained_maps(p)
+    assert got.keys() == want.keys()
+    assert into_rfl.source is sum_cx and from_lfr.target is sum_cx
+    for name, f in want.items():
+        g = got[name]
+        for x, y in ((g.source, f.source), (g.target, f.target)):
+            assert term_dims(x) == term_dims(y) and x.diffs == y.diffs, name
+        assert g.components == f.components, name
+
+
+@pytest.mark.parametrize("field, case", _structure_cases())
+def test_rebuilt_maps_equal_their_chains(field, case):
+    for p in _case_kernels(field, case):
+        _assert_rebuilt_maps_equal_their_chains(p)
+
+
+@pytest.mark.parametrize("field", [F, Field.prime(2)], ids=str)
+def test_rebuilt_maps_equal_their_chains_on_the_random_stream(field):
+    """On the kernels the criterion-5 stream decides: random kernels from
+    the one-vertex algebra into D, KK, X3 and Z, each on its minimal model,
+    and the model of a partly cancellable kernel, which differs from it."""
+    k = scalar_algebra(field)
+    models = [kernel_ops(random_kernel(k, b(field), random.Random(seed))).model()
+              for b in (dual_numbers, k_times_k, x_cubed, zigzag_a2) for seed in range(4)]
+    p, _ = partly_cancellable_kernel(k, zigzag_a2(field), random.Random(3))
+    models.append(kernel_ops(p).model())
+    assert models[-1] is not p
+    for q in models:
+        _assert_rebuilt_maps_equal_their_chains(q)
+
+
 @pytest.mark.parametrize("field", [F, Field.rationals(), Field.prime(2)], ids=str)
 @pytest.mark.parametrize("name", builtin_names())
 def test_relabelled_maps_equal_their_entry_by_entry_forms(field, name):
@@ -426,21 +473,21 @@ def test_structured_maps_equal_their_product_forms(field, case, monkeypatch):
     kernels = _case_kernels(field, case)
     calls = []
 
-    def recording(cls):
-        real = cls.induced
+    def recording(owner, name):
+        real = getattr(owner, name)
 
-        def induced(self, f, g, target):
-            out = real(self, f, g, target)
+        def induced(t, f, g, target):
+            out = real(t, f, g, target)
             if f is None or g is None:
-                calls.append((self, f, g, target, out))
+                calls.append((t, f, g, target, out))
             return out
-        monkeypatch.setattr(cls, "induced", induced)
+        monkeypatch.setattr(owner, name, induced)
 
-    recording(TensorComplex)
-    recording(TensorData)
+    recording(helpers, "tensor_induced")
+    recording(TensorData, "induced")
     for p in kernels:
         ops = kernel_ops(p)
-        for eta in (ops.unit_right(), ops.counit_right(), ops.unit_left(), ops.counit_left()):
+        for eta in (ops.unit_right(), ops.counit_right(), ops.unit_left(), counit_left(p)):
             want = cone_differentials_by_products(eta)
             got = cone(eta).cone
             assert want and {n: got.diff_matrix(n) for n in want} == want
@@ -448,8 +495,8 @@ def test_structured_maps_equal_their_product_forms(field, case, monkeypatch):
     monkeypatch.undo()
     kinds = set()
     for t, f, g, target, out in calls:
-        if isinstance(t, TensorComplex):
-            want = t.induced(f or identity_map(t.x), g or identity_map(t.y), target)
+        if not isinstance(t, TensorData):
+            want = tensor_induced(t, f or identity_map(t.x), g or identity_map(t.y), target)
             assert out.components == want.components
         else:
             ident = [Matrix.identity(field, m.dim) for m in (t.m, t.n)]

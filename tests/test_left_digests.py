@@ -20,7 +20,7 @@ from spherica.linalg import Field
 from spherica.session import _elaborate, builtin_example, builtin_names
 from spherica.spherical import random_kernel
 
-from helpers import RANDOM_SHAPES, columns, hom_matrices
+from helpers import RANDOM_SHAPES, columns, counit_left, hom_matrices
 
 F2 = Field.prime(2)
 F101 = Field.prime(101)
@@ -62,8 +62,8 @@ def _digest(kernel, kernel_level: bool) -> str:
         ops = kernel_ops(kernel)
         adj = ops.left_adjoint().kernel.complex
         _update(h, "ladj.d", [adj.diffs[n] for n in sorted(adj.diffs)])
-        for name in ("unit_left", "counit_left"):
-            comps = getattr(ops, name)().components
+        for name, f in (("unit_left", ops.unit_left()), ("counit_left", counit_left(kernel))):
+            comps = f.components
             _update(h, name, [comps[n] for n in sorted(comps)])
     return h.hexdigest()
 
