@@ -16,22 +16,23 @@ Everything downstream leans on two pieces of structure:
 
 Composite bimodules record the pieces they are the direct sum of: each
 piece is a leaf bimodule with the increasing array of the coordinates it
-sits at, and every action matrix is the pieces' scattered to their
-coordinates.  Three constructions make records: a direct sum, whose
-pieces sit at consecutive ranges; a tensor m (x)_B n, the pieces of one
-pair tensor m_i (x) n_j per pair of pieces, whose coordinates
-interleave; and a right dual, the sum of its pieces' duals.  A cut of a
-minimal model keeps the records it holds whole.  A sum built from
-records that is one piece at every coordinate is that piece.  Vertex
-blocks, splittings, multiplicities, coordinate blocks and duals are read
-off the pieces' cached ones, which is the same echelon choice with no
-row reduction; leaves alone build them from scratch, and every leaf
-keeps its right dual.  The standard summands P(v,w) = Ae_v (x) e_wB are
-shared per algebra and the diagonal A per algebra
-(complexes.unit_complex), so each splits and builds its dual once.  A
-pair tensor of standard summands, and of the kept duals of standard
-summands, is recorded as a sum of standard summands again, so tensors of
-kernel terms need no left action to be split, dualised or cut.
+sits at.  Leaves are given their action matrices; a composite scatters
+its pieces' to their coordinates on first read.  Three constructions
+make records: a direct sum, whose pieces sit at consecutive ranges; a
+tensor m (x)_B n, the pieces of one pair tensor m_i (x) n_j per pair of
+pieces, whose coordinates interleave; and a right dual, the sum of its
+pieces' duals.  A cut of a minimal model keeps the records it holds
+whole.  A sum built from records that is one piece at every coordinate
+is that piece.  Vertex blocks, splittings, multiplicities, coordinate
+blocks and duals are read off the pieces' cached ones, which is the same
+echelon choice with no row reduction; leaves alone build them from
+scratch, and every leaf keeps its right dual.  The standard summands
+P(v,w) = Ae_v (x) e_wB are shared per algebra and the diagonal A per
+algebra (complexes.unit_complex), so each splits and builds its dual
+once.  A pair tensor of standard summands, and of the kept duals of
+standard summands, is recorded as a sum of standard summands again, so
+tensors of kernel terms need no action matrix to be split, dualised or
+cut.
 
 Tensor products m (x)_B n over a middle algebra are built from the
 splitting of m, so m must be right-projective; every kernel term is, as
@@ -39,7 +40,8 @@ kernels are biprojective.  They come back as TensorData: the bimodule
 together with a monomial basis (each basis vector is the class of an
 explicit pure tensor) and a bilinear coordinate map, one batched
 Matrix.combine_slots over all slots, from which induced maps on tensors
-are computed functorially.
+are computed functorially.  This split model gives coordinates only; the
+tensor's actions are its records'.
 
 A map between bimodules is a plain Matrix, target.dim x source.dim:
 hom_space returns them and TensorData.induced takes and returns them.
@@ -47,8 +49,9 @@ check_map verifies a hand-built one; the engine trusts those it builds.
 
 All values are immutable and safe to share.  A bimodule may be given its
 action lists and its records as zero-argument builders: the first read
-calls the builder and keeps the list, so terms that only feed a rank
-computation never build their action matrices.
+calls the builder, or scatters the pieces' actions, and keeps the list,
+so terms that only feed a rank computation never build their action
+matrices.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class BimoduleError(Exception):
     """Raised for invalid bimodule data or incompatible operations."""
 
 
-Actions = list[Matrix] | Callable[[], list[Matrix]]
+Actions = list[Matrix] | Callable[[], list[Matrix]] | None
 # a piece of a bimodule and the increasing array of the coordinates it sits at
 Record = tuple["Bimodule", np.ndarray]
 Records = list[Record] | Callable[[], list[Record]]
@@ -77,8 +80,10 @@ class Bimodule:
 
     Each action is a list of matrices, one per basis element, or a
     zero-argument function returning that list, called on first read;
-    the records likewise (see records).  The constructor only checks that
-    the algebras share a field; check() verifies the module axioms.
+    the records likewise (see records).  A bimodule with records may be
+    given None for its actions: the first read scatters its pieces'.  The
+    constructor only checks that the algebras share a field; check()
+    verifies the module axioms.
     """
 
     def __init__(self, left_algebra: Algebra, right_algebra: Algebra,
@@ -100,15 +105,23 @@ class Bimodule:
 
     @property
     def left_action(self) -> list[Matrix]:
-        if callable(self._left_action):
-            self._left_action = self._left_action()
+        if not isinstance(self._left_action, list):
+            self._left_action = self._built(self._left_action, "left_action", self.left_algebra)
         return self._left_action
 
     @property
     def right_action(self) -> list[Matrix]:
-        if callable(self._right_action):
-            self._right_action = self._right_action()
+        if not isinstance(self._right_action, list):
+            self._right_action = self._built(self._right_action, "right_action", self.right_algebra)
         return self._right_action
+
+    def _built(self, builder, side: str, alg: Algebra) -> list[Matrix]:
+        """What builder returns, or for None the pieces' actions on one side
+        scattered to their coordinates."""
+        if builder is not None:
+            return builder()
+        return [Matrix.from_blocks(self.field, self.dim, self.dim, [
+            (idx, idx, getattr(p, side)[i]) for p, idx in self.records]) for i in range(alg.dim)]
 
     @property
     def records(self) -> list[Record] | None:
@@ -325,23 +338,15 @@ def regular_bimodule(a: Algebra) -> Bimodule:
 
 
 def _standard_left(a: Algebra, v_pos: int) -> list[Matrix]:
-    """The left action of a on A e_v, in the basis left_ideal_basis."""
+    """The left action of a on A e_v, in the basis left_ideal_basis; for
+    opposite(b) it is the right action of b on e_v B in the basis
+    right_ideal_basis."""
     key = ("left", v_pos)
     if key not in a._tables:
         S = a.left_ideal_basis(a.vertex_idempotents[v_pos])
         sp = _left_inverse(S)
         a._tables[key] = [sp * a.left_mult_matrix(i) * S for i in range(a.dim)]
     return a._tables[key]
-
-
-def _standard_right(b: Algebra, w_pos: int) -> list[Matrix]:
-    """The right action of b on e_w B, in the basis right_ideal_basis."""
-    key = ("right", w_pos)
-    if key not in b._tables:
-        T = b.right_ideal_basis(b.vertex_idempotents[w_pos])
-        tp = _left_inverse(T)
-        b._tables[key] = [tp * b.right_mult_matrix(i) * T for i in range(b.dim)]
-    return b._tables[key]
 
 
 def _product(a: Algebra, b: Algebra, left: list[Matrix], right: list[Matrix],
@@ -363,25 +368,18 @@ def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimod
     home = a if b is scalar_algebra(b.field) else b
     key = ("P", id(a), v_pos, id(b), w_pos)
     if key not in home._tables:
-        home._tables[key] = _product(a, b, _standard_left(a, v_pos), _standard_right(b, w_pos),
-                                     f"P({v_pos},{w_pos})")
+        home._tables[key] = _product(a, b, _standard_left(a, v_pos),
+                                     _standard_left(opposite(b), w_pos), f"P({v_pos},{w_pos})")
     return home._tables[key]
 
 
-def _standard_vertex(alg: Algebra, table, mats: list[Matrix]) -> int | None:
-    """The vertex v with table(alg, v) == mats, if there is one: table is
-    _standard_left or _standard_right."""
+def _standard_vertex(alg: Algebra, mats: list[Matrix]) -> int | None:
+    """The vertex v with _standard_left(alg, v) == mats, if there is one."""
     for v in range(len(alg.vertex_idempotents)):
-        std = table(alg, v)
+        std = _standard_left(alg, v)
         if std[0].rows == mats[0].rows and std == mats:
             return v
     return None
-
-
-def _diagonal(field, parts: list[Bimodule], side: str, count: int) -> Callable[[], list[Matrix]]:
-    """Builder of the block diagonal action matrices of the parts on one side."""
-    return lambda: [Matrix.block_diag(field, [getattr(p, side)[i] for p in parts])
-                    for i in range(count)]
 
 
 def _pieces(m: Bimodule) -> list[Record]:
@@ -391,19 +389,10 @@ def _pieces(m: Bimodule) -> list[Record]:
 
 def _recorded(a: Algebra, b: Algebra, records: list[Record], dim: int, label: str) -> Bimodule:
     """The bimodule that is the sum of the records' pieces at their
-    coordinates, each action matrix theirs scattered; a piece at every
-    coordinate is its own sum.  The builders close over the records, not
-    over the bimodule, so it makes no reference cycle."""
+    coordinates; a piece at every coordinate is its own sum."""
     if len(records) == 1 and len(records[0][1]) == dim:
         return records[0][0]
-    return Bimodule(a, b, lambda: _scattered(a.field, records, dim, "left_action", a.dim),
-                    lambda: _scattered(a.field, records, dim, "right_action", b.dim), dim,
-                    label=label, records=records)
-
-
-def _scattered(field, records: list[Record], dim: int, side: str, count: int) -> list[Matrix]:
-    return [Matrix.from_blocks(field, dim, dim, [
-        (idx, idx, getattr(p, side)[i]) for p, idx in records]) for i in range(count)]
+    return Bimodule(a, b, None, None, dim, label=label, records=records)
 
 
 def direct_sum(summands: list[Bimodule]) -> Bimodule:
@@ -425,9 +414,7 @@ def direct_sum(summands: list[Bimodule]) -> Bimodule:
             end += m.dim
         return out
 
-    return Bimodule(a, b, _diagonal(a.field, summands, "left_action", a.dim),
-                    _diagonal(a.field, summands, "right_action", b.dim),
-                    sum(m.dim for m in summands),
+    return Bimodule(a, b, None, None, sum(m.dim for m in summands),
                     label="(+)".join(m.label or "?" for m in summands), records=records)
 
 
@@ -583,7 +570,6 @@ class Splitting:
 
     generators: Matrix
     vertex_pos: list[int]
-    phi: Matrix
     coords: Matrix
     pivots: list[int]
     owners: list[tuple[int, int]] | None = None
@@ -640,7 +626,7 @@ def _fresh_splitting(m: Bimodule) -> Splitting | None:
     if phi_inv is None:
         return None
     coords = Matrix.block_diag(m.field, ideals) * phi_inv
-    return Splitting(Matrix.stack_columns(m.field, gens, m.dim), vertex_pos, phi, coords, pivots)
+    return Splitting(Matrix.stack_columns(m.field, gens, m.dim), vertex_pos, coords, pivots)
 
 
 def _assembled_splitting(m: Bimodule) -> Splitting | None:
@@ -650,7 +636,7 @@ def _assembled_splitting(m: Bimodule) -> Splitting | None:
     first-pivot choice on m splits into one choice per piece: the same
     generators, ordered by vertex, then by the coordinate of their pivot.
     As the pieces' coordinates increase, that keeps each piece's own order.
-    phi is block diagonal up to that order of its slots, and phi^-1 too."""
+    phi is block diagonal up to that order of its slots, so phi^-1 too."""
     splits = [_splitting(p) for p, _ in m.records]
     if any(sp is None for sp in splits):
         return None
@@ -658,7 +644,6 @@ def _assembled_splitting(m: Bimodule) -> Splitting | None:
                    for t, (v, piv) in enumerate(zip(sp.vertex_pos, sp.pivots)))
     owners = [(k, t) for _, _, k, t in order]
     vertex_pos = [v for v, _, _, _ in order]
-    starts = np.cumsum([0] + _slot_dims(m.right_algebra, vertex_pos))
     rows = np.arange(len(order) + 1) * m.right_algebra.dim
     parts = list(zip((idx for _, idx in m.records), splits, _owned(owners, len(splits))))
     field = m.field
@@ -666,8 +651,6 @@ def _assembled_splitting(m: Bimodule) -> Splitting | None:
         Matrix.from_blocks(field, m.dim, len(order), [(idx, sl, sp.generators)
                                                       for idx, sp, sl in parts]),
         vertex_pos,
-        Matrix.from_blocks(field, m.dim, int(starts[-1]), [(idx, _runs(starts, sl), sp.phi)
-                                                           for idx, sp, sl in parts]),
         Matrix.from_blocks(field, int(rows[-1]), m.dim, [(_runs(rows, sl), idx, sp.coords)
                                                          for idx, sp, sl in parts]),
         [int(p) for _, p, _, _ in order], owners)
@@ -923,19 +906,18 @@ class TensorData:
     transports a pair of equivariant maps to a map of tensor products
     with one such call.
 
-    As a right module the tensor is the sum of its slots e_{v_t}n (see
-    _slot_part), and its left action is read off the splitting of m.  As a
-    bimodule it is the sum of one pair tensor m_i (x) n_j for each piece
-    m_i of m and n_j of n, each at the coordinates of its monomials: the
-    slots of m that m_i owns, times the columns of e_v n that n_j places
-    (see _records).  Its records are the pair tensors' pieces there, so
-    its splitting, vertex blocks, coordinate blocks and dual need neither
-    action; a tensor of two leaves has one record at every coordinate
-    when their pair tensor is one piece.  The leaf tensor that
-    _pair_tensor makes when it finds no pieces has no records.
+    This split model gives coordinates only.  As a bimodule the tensor is
+    the sum of one pair tensor m_i (x) n_j for each piece m_i of m and n_j
+    of n, each at the coordinates of its monomials: the slots of m that
+    m_i owns, times the columns of e_v n that n_j places (see _records).
+    Its records are the pair tensors' pieces there, and its actions are
+    theirs scattered, the matrices that induced() gives for the actions
+    of m and of n; its splitting, vertex blocks, coordinate blocks and
+    dual need neither action.  A tensor of two leaves has one record at
+    every coordinate when their pair tensor is one piece.
     """
 
-    def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting, leaf: bool = False):
+    def __init__(self, m: Bimodule, n: Bimodule, sp: Splitting):
         self.m = m
         self.n = n
         self.field = m.field
@@ -944,29 +926,15 @@ class TensorData:
         self._nprojs = [n.left_block_proj(v_pos) for v_pos in sp.vertex_pos]
         self._dim = sum(blk.cols for blk in self._nblocks)
         self._monomials = None
-        slots = [_slot_part(n, v_pos) for v_pos in sp.vertex_pos]
-        self.bimodule = Bimodule(m.left_algebra, n.right_algebra, self._build_left_action,
-                                 _diagonal(self.field, slots, "right_action", n.right_algebra.dim),
-                                 self._dim, label=f"{m.label or 'M'}(x){n.label or 'N'}",
-                                 records=None if leaf else self._records)
+        self.bimodule = Bimodule(m.left_algebra, n.right_algebra, None, None, self._dim,
+                                 label=f"{m.label or 'M'}(x){n.label or 'N'}",
+                                 records=self._records)
 
     def induced(self, f: Matrix | None, g: Matrix | None, target: "TensorData") -> Matrix:
         """The matrix of f (x) g between tensor products (f, g equivariant);
         None stands for the identity of a factor that self and target share."""
         xs, ys = self.monomial_matrices()
         return target.coords(xs if f is None else f * xs, ys if g is None else g * ys)
-
-    def _build_left_action(self) -> list[Matrix]:
-        """The left action of A: a.(p_t (x) y) = (a.p_t) (x) y, for every
-        basis element a and monomial at once."""
-        field, m, dim = self.field, self.m, self.m.left_algebra.dim
-        gens = self.sp.generators
-        moved = Matrix.stack_columns(field, [m.left_action[i] * gens for i in range(dim)], m.dim)
-        acted = self._acted(self.monomial_matrices()[1])
-        every = Matrix.stack_columns(field, [acted] * dim, acted.rows).combine_slots(
-            self._per_monomial(self.sp.coords * moved), self._nprojs)
-        return [every.submatrix(slice(None), slice(i * self._dim, (i + 1) * self._dim))
-                for i in range(dim)]
 
     def _records(self) -> list[Record]:
         """The pieces of every pair tensor m_i (x) n_j at the coordinates of
@@ -991,38 +959,18 @@ class TensorData:
 
     def monomial_matrices(self) -> tuple[Matrix, Matrix]:
         if self._monomials is None:
-            self._monomials = (self._per_monomial(self.sp.generators),
-                               Matrix.stack_columns(self.field, self._nblocks, self.n.dim))
+            # generator t once for each monomial of slot t
+            counts = [blk.cols for blk in self._nblocks]
+            self._monomials = (
+                self.sp.generators.submatrix(slice(None), np.repeat(np.arange(len(counts)), counts)),
+                Matrix.stack_columns(self.field, self._nblocks, self.n.dim))
         return self._monomials
-
-    def _per_monomial(self, per_slot: Matrix) -> Matrix:
-        """Column t of per_slot repeated once for each monomial of slot t
-        (columns t + k * #slots likewise, for several runs of slots)."""
-        counts = [blk.cols for blk in self._nblocks]
-        runs = per_slot.cols // len(counts) if counts else 0
-        return per_slot.submatrix(slice(None), np.repeat(np.arange(per_slot.cols), counts * runs))
 
     def coords(self, xs: Matrix, ys: Matrix) -> Matrix:
         """Slot t of x_j (x) y_j is the projection onto e_{v_t}n of
-        sum_i c_t(x_j)_i b_i.y_j: every slot and column in one combine_slots."""
-        return self._acted(ys).combine_slots(self.sp.coords * xs, self._nprojs)
-
-    def _acted(self, ys: Matrix) -> Matrix:
-        """b_i . y for every basis element b_i of B, stacked by i."""
-        return _stacked_left(self.n) * ys
-
-
-def _slot_part(n: Bimodule, v_pos: int) -> Bimodule:
-    """e_v n as a (k, C)-bimodule in the basis n.left_block(v): the slot of
-    a tensor m (x) n at a generator of m at vertex v.  Built once per (n, v)."""
-    key = ("slot", v_pos)
-    if key not in n._cache:
-        blk, proj = n.left_block(v_pos), n.left_block_proj(v_pos)
-        n._cache[key] = Bimodule(scalar_algebra(n.field), n.right_algebra,
-                                 [Matrix.identity(n.field, blk.cols)],
-                                 lambda: [proj * (a * blk) for a in n.right_action],
-                                 blk.cols, label=n.label)
-    return n._cache[key]
+        sum_i c_t(x_j)_i b_i.y_j, with b_i . y_j stacked by i: every slot
+        and column in one combine_slots."""
+        return (_stacked_left(self.n) * ys).combine_slots(self.sp.coords * xs, self._nprojs)
 
 
 def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
@@ -1040,7 +988,8 @@ def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
       and the right action of e_v n on beta.  When X_c is A e_u and Y_beta
       is e_y C, each in its standard basis, that piece is P(u, y).
 
-    Otherwise the tensor is a leaf."""
+    Otherwise the tensor is a leaf, and its actions are the maps that the
+    split model induces from the actions of m and of n."""
     sp = _splitting(m)
     A, C, field = m.left_algebra, n.right_algebra, m.field
     label = f"{m.label or 'M'}(x){n.label or 'N'}"
@@ -1052,7 +1001,10 @@ def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
             return _permuted(n, order, label)
     classes = _left_classes(m)
     if classes is None:
-        return TensorData(m, n, sp, leaf=True).bimodule
+        td = TensorData(m, n, sp)
+        return Bimodule(A, C, lambda: [td.induced(a, None, td) for a in m.left_action],
+                        lambda: [td.induced(None, c, td) for c in n.right_action],
+                        td.bimodule.dim, label=label)
     starts = np.cumsum([0] + [n.left_block(v).cols for v in sp.vertex_pos])
     records = []
     for slots, x, u in classes:
@@ -1089,21 +1041,29 @@ def _left_classes(m: Bimodule) -> list[tuple[np.ndarray, list[Matrix], int | Non
             rows = coeffs.submatrix(at_idem, slice(None))
             lam = [rows.submatrix(slice(None), np.arange(S) * m.left_algebra.dim + i)
                    for i in range(m.left_algebra.dim)]
-            m._cache["left classes"] = _identified(m.left_algebra, _standard_left, lam)
+            m._cache["left classes"] = _identified(m.left_algebra, lam)
         else:
             m._cache["left classes"] = None
     return m._cache["left classes"]
 
 
+def _slot_action(n: Bimodule, v_pos: int) -> list[Matrix]:
+    """The right action on e_v n in the basis n.left_block(v): the slot of a
+    tensor m (x) n at a generator of m at vertex v.  Built once per (n, v)."""
+    key = ("slot", v_pos)
+    if key not in n._cache:
+        blk, proj = n.left_block(v_pos), n.left_block_proj(v_pos)
+        n._cache[key] = [proj * (a * blk) for a in n.right_action]
+    return n._cache[key]
+
+
 def _right_blocks(n: Bimodule, v_pos: int) -> list[tuple[np.ndarray, list[Matrix], int | None]]:
     """The coordinate blocks of e_v n in the basis n.left_block(v), each with
     the right action on it and the vertex w when that is e_w C in its
-    standard basis: those of _slot_part.  Built once per (n, v)."""
+    standard basis.  Built once per (n, v)."""
     key = ("right blocks", v_pos)
     if key not in n._cache:
-        part = _slot_part(n, v_pos)
-        n._cache[key] = _identified(n.right_algebra, _standard_right, part.right_action,
-                                    coordinate_blocks(part))
+        n._cache[key] = _identified(opposite(n.right_algebra), _slot_action(n, v_pos))
     return n._cache[key]
 
 
@@ -1112,14 +1072,13 @@ def _support(mats: list[Matrix]) -> np.ndarray:
     return np.any([a.nonzero_mask() for a in mats], axis=0)
 
 
-def _identified(alg: Algebra, table, mats: list[Matrix], blocks: list[np.ndarray] | None = None):
-    """Each block of the matrices (by default the classes their entries
-    join), the matrices on it, and the vertex v with table(alg, v) equal
-    to them, or None."""
-    if blocks is None:
-        blocks = _classes(_support(mats))
-    return [(c, x, _standard_vertex(alg, table, x))
-            for c in blocks for x in [[_restricted(a, c) for a in mats]]]
+def _identified(alg: Algebra, mats: list[Matrix]):
+    """Each class of coordinates that the matrices' entries join, the
+    matrices on it, and the vertex v with _standard_left(alg, v) equal to
+    them, or None: the right action of C on e_w C is the left action of
+    opposite(C) on it."""
+    return [(c, x, _standard_vertex(alg, x))
+            for c in _classes(_support(mats)) for x in [[_restricted(a, c) for a in mats]]]
 
 
 def _restricted(a: Matrix, idx: np.ndarray) -> Matrix:

@@ -23,8 +23,8 @@ from blocks placed by offset (Matrix.from_blocks); a tensor complex's
 layout gives the offset of every slot.  A term of a cone or a tensor is
 the direct sum of the terms that exist in its degree, so no zero
 bimodule stands in for a missing one.  The inclusions and projections of
-the summands of a cone or a direct sum are slices of one identity per
-term.
+the summands of a cone are slices of one identity per term; a direct sum
+of complexes builds none, as the engine reads only the sum.
 
 Differentials and chain-map components are plain matrices, one per
 degree; the constructors check their shapes.
@@ -256,28 +256,17 @@ def cone(f: ChainMap) -> ConeData:
     return ConeData(f, Complex(x.left_algebra, x.right_algebra, terms, diffs))
 
 
-def direct_sum_complexes(xs: list[Complex]) -> tuple[Complex, list[ChainMap], list[ChainMap]]:
-    """The direct sum of the complexes, with the inclusion and projection of
-    each summand: slices of one identity per term."""
+def direct_sum_complexes(xs: list[Complex]) -> Complex:
+    """The direct sum of the complexes, the summands' coordinates in order
+    in every term."""
     if not xs:
         raise ComplexError("empty direct sum of complexes")
-    la, ra = xs[0].left_algebra, xs[0].right_algebra
     field = xs[0].field
     degrees = sorted(set().union(*(x.terms for x in xs)))
     terms = {n: direct_sum([x.terms[n] for x in xs if n in x.terms]) for n in degrees}
     diffs = {n: Matrix.block_diag(field, [x.diff_matrix(n) for x in xs])
              for n in terms if (n + 1) in terms}
-    total_cx = Complex(la, ra, terms, diffs)
-    eyes = {n: Matrix.identity(field, t.dim) for n, t in terms.items()}
-    ends = {n: np.cumsum([0] + [x.dim(n) for x in xs]) for n in terms}
-    inj_maps, proj_maps = [], []
-    for idx, x in enumerate(xs):
-        own = {n: slice(ends[n][idx], ends[n][idx + 1]) for n in terms if x.dim(n)}
-        inj_maps.append(ChainMap(x, total_cx, {n: eyes[n].submatrix(slice(None), s)
-                                               for n, s in own.items()}))
-        proj_maps.append(ChainMap(total_cx, x, {n: eyes[n].submatrix(s, slice(None))
-                                                for n, s in own.items()}))
-    return total_cx, inj_maps, proj_maps
+    return Complex(xs[0].left_algebra, xs[0].right_algebra, terms, diffs)
 
 
 # ---------------------------------------------------------------------------

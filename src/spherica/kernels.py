@@ -488,7 +488,7 @@ def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
     fl = ops.fl()
-    sum_cx = direct_sum_complexes([r, l])[0]
+    sum_cx = direct_sum_complexes([r, l])
     rfl = ops._tensor(fl.complex, r)
     unit = ops.unit_left().comp(0) * ops.B.unit    # sum_t h_t^* (x) h_t in FL^0
     into = {}

@@ -3,20 +3,21 @@ cancellable kernels, the equivalence test, the four conditions and the
 adjoint check's two composites without minimal models, the restriction
 to scalars, the center of an algebra, the two-sided hom complex, the
 quotient model of a tensor product, single-term complexes, the zero
-bimodule, the identity kernel, identity chain maps and the tests for
-identity matrices and maps, the chained calculus (composites, inverses
-and shifts of chain maps, induced maps of tensor complexes, whiskers,
-unitors, associators and the right-shift interchange, in a kernel's
-workspace), the condition, splitting and appendix maps chained through
-it, the left counit, the dual twists T' and C', the four triangular
-identities and the four standard composites such as TF[-1] -> FRF ->
-FC[1], cone differentials as sums of products, the shift interchanges
-and the inclusions and projections of a direct sum written entry by
-entry, the canonical condition and identity maps chained through the
-left-shift interchange, hom spaces solved over every pair of
-vertex blocks, adjoint differentials solved in the dual hom space, the
-dense elimination over F_p and the elimination on Fraction objects that
-the engine's kernels are checked against."""
+bimodule, the map phi of a splitting, the inclusions and projections of
+a direct sum of complexes, the identity kernel, identity chain maps and
+the tests for identity matrices and maps, the chained calculus
+(composites, inverses and shifts of chain maps, induced maps of tensor
+complexes, whiskers, unitors, associators and the right-shift
+interchange, in a kernel's workspace), the condition, splitting and
+appendix maps chained through it, the left counit, the dual twists T'
+and C', the four triangular identities and the four standard composites
+such as TF[-1] -> FRF -> FC[1], cone differentials as sums of products,
+the shift interchanges and the inclusions and projections of a direct
+sum written entry by entry, the canonical condition and identity maps
+chained through the left-shift interchange, hom spaces solved over every
+pair of vertex blocks, adjoint differentials solved in the dual hom
+space, the dense elimination over F_p and the elimination on Fraction
+objects that the engine's kernels are checked against."""
 
 from __future__ import annotations
 
@@ -172,7 +173,7 @@ def partly_cancellable_kernel(a: Algebra, b: Algebra, rng: random.Random) -> tup
     deg = rng.choice([-2, -1, 0])
     contractible = Complex(a, b, {deg: direct_sum([p]), deg + 1: direct_sum([p])},
                            {deg: Matrix.identity(field, p.dim).scale(c)})
-    total = direct_sum_complexes([contractible, minimal.complex])[0]
+    total = direct_sum_complexes([contractible, minimal.complex])
     return Kernel(a, b, total), minimal
 
 
@@ -218,6 +219,17 @@ def columns(m: Matrix) -> list[Matrix]:
     """The columns of m, one column matrix each: the generators or
     cogenerators of a DualData, or the generators of a Splitting."""
     return [m.column_vec(j) for j in range(m.cols)]
+
+
+def splitting_phi(m: Bimodule, sp) -> Matrix:
+    """phi of a splitting sp of m, from the free module onto m: slot t,
+    g |-> p_t . g for the generator p_t, rebuilt from sp.generators and
+    sp.vertex_pos as the engine builds it for its one solve."""
+    alg = m.right_algebra
+    ideals = [alg.right_ideal_basis(alg.vertex_idempotents[v]) for v in sp.vertex_pos]
+    return Matrix.stack_columns(m.field, [
+        m.right_act(Matrix.stack_columns(m.field, [g] * ideal.cols, m.dim), ideal)
+        for g, ideal in zip(columns(sp.generators), ideals)], m.dim)
 
 
 def hom_matrices(dd) -> list[Matrix]:
@@ -683,7 +695,7 @@ def chained_maps(p: Kernel) -> dict[str, ChainMap]:
     lf = ops.lf().complex
     ct = ops.cotwist()
     gamma = ct.cone.include_target     # RF -> C[1]
-    _, injs, projs = direct_sum_complexes([r, l])
+    injs, projs = direct_sum_maps([r, l], direct_sum_complexes([r, l]))
     map_r = composite(inverse_map(lunit(ops, r)), whisker(ops, ops.unit_left(), r))
     map_l = composite(inverse_map(runit(ops, l)), whisker(ops, l, ops.unit_right()),
                       inverse_map(assoc(ops, l, pc, r)))
@@ -914,6 +926,22 @@ def canonical_maps_oracle(p: Kernel) -> dict[str, ChainMap]:
             inverse_map(assoc(ops, l, pc, l)), whisker(ops, gamma_tp, l),
             out_left(gamma_tp.target, tp, l)),
     }
+
+
+def direct_sum_maps(xs: list[Complex], total: Complex) -> tuple[list[ChainMap], list[ChainMap]]:
+    """The inclusion and projection of each summand xs[k] of
+    total = direct_sum_complexes(xs): slices of one identity per term."""
+    field = total.field
+    eyes = {n: Matrix.identity(field, t.dim) for n, t in total.terms.items()}
+    ends = {n: np.cumsum([0] + [x.dim(n) for x in xs]) for n in total.terms}
+    injs, projs = [], []
+    for k, x in enumerate(xs):
+        own = {n: slice(ends[n][k], ends[n][k + 1]) for n in total.terms if x.dim(n)}
+        injs.append(ChainMap(x, total, {n: eyes[n].submatrix(slice(None), s)
+                                        for n, s in own.items()}))
+        projs.append(ChainMap(total, x, {n: eyes[n].submatrix(s, slice(None))
+                                         for n, s in own.items()}))
+    return injs, projs
 
 
 def direct_sum_maps_oracle(xs: list[Complex], total: Complex):

@@ -58,6 +58,7 @@ from helpers import (
     kronecker,
     loop_with_exit,
     restrict_to_right,
+    splitting_phi,
     x_cubed,
     zero_bimodule,
     zigzag_a2,
@@ -394,12 +395,34 @@ def _without_record(m: Bimodule) -> Bimodule:
                     label=m.label)
 
 
-def _assert_same_splitting(got, want) -> None:
+def _assert_same_splitting(m: Bimodule, got, want) -> None:
+    """Two splittings of m, or of bimodules with m's actions, are the same."""
     assert want is not None and got is not None
     assert got.generators == want.generators
     assert got.vertex_pos == want.vertex_pos
-    assert got.phi == want.phi
+    assert splitting_phi(m, got) == splitting_phi(m, want)
     assert got.coords == want.coords
+
+
+def _assert_split_model_actions(td) -> None:
+    """The actions of a tensor, scattered from its records, are the maps
+    that its split model induces from the actions of its factors, matrix
+    for matrix: a.(x (x) y) = (a.x) (x) y and (x (x) y).c = x (x) (y.c)."""
+    t = td.bimodule
+    assert t.left_action == [td.induced(a, None, td) for a in td.m.left_action]
+    assert t.right_action == [td.induced(None, c, td) for c in td.n.right_action]
+
+
+def _recording_tensors(monkeypatch) -> list:
+    """A list that collects every TensorData built until monkeypatch.undo()."""
+    made, init = [], bimodules.TensorData.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(bimodules.TensorData, "__init__", recording_init)
+    return made
 
 
 def _assert_assembled_equals_fresh(m: Bimodule) -> None:
@@ -408,7 +431,7 @@ def _assert_assembled_equals_fresh(m: Bimodule) -> None:
         assert m.right_block(w) == fresh.right_block(w)
         assert m.right_block_proj(w) == fresh.right_block_proj(w)
     got, want = _splitting(m), _splitting(fresh)
-    _assert_same_splitting(got, want)
+    _assert_same_splitting(m, got, want)
     assert (columns(want.generators), want.vertex_pos) == tuple(_cover(fresh)[:2])
 
 
@@ -433,7 +456,7 @@ def _assert_readers_equal_fresh(m: Bimodule) -> None:
         got, want = _splitting(view), _splitting(fresh_view)
         assert (got is None) == (want is None)
         if want is not None:
-            _assert_same_splitting(got, want)
+            _assert_same_splitting(view, got, want)
     got, want = right_multiplicities(m), right_multiplicities(fresh)
     assert (got is None and want is None) or (got == want).all()
     if _splitting(fresh) is not None:
@@ -474,7 +497,7 @@ def _assert_used_readers_equal_fresh(m: Bimodule, dualised: bool) -> None:
             want = _splitting(fresh)
             assert (got is None) == (want is None)
             if want is not None:
-                _assert_same_splitting(got, want)
+                _assert_same_splitting(m, got, want)
         elif key == "mult":
             want = right_multiplicities(fresh)
             assert (got is None and want is None) or (got == want).all()
@@ -517,11 +540,15 @@ def test_records_read_what_the_fresh_constructions_find(field, case, monkeypatch
     the records are the union-find classes in the same order, and the
     vertex blocks, splittings, multiplicities and duals read off them are
     the fresh constructions on the same actions, matrix for matrix,
-    wherever the engine read them."""
+    wherever the engine read them.  Those actions are the records' own,
+    so every tensor's are checked against its split model too."""
+    tensors = _recording_tensors(monkeypatch)
     recorded, dualised = _built_with_records(monkeypatch, lambda: _run_case(field, case))
-    assert recorded
+    assert recorded and tensors
     for m in recorded:
         _assert_used_readers_equal_fresh(m, id(m) in dualised)
+    for td in tensors:
+        _assert_split_model_actions(td)
 
 
 def _recorded_composites(k) -> list[Bimodule]:
@@ -560,16 +587,19 @@ def _case_kernels(field, case) -> list:
 
 
 @pytest.mark.parametrize("field, case", _record_cases())
-def test_assembled_splittings_equal_fresh_ones(field, case):
+def test_assembled_splittings_equal_fresh_ones(field, case, monkeypatch):
     """Sums, their flips, tensors, tensor-complex and cone terms: the
     splitting and vertex blocks read off the pieces are the matrices that
-    _cover and _splitting find from scratch on the same actions."""
-    checked = 0
-    for k in _case_kernels(field, case):
-        for m in _recorded_composites(k):
-            _assert_assembled_equals_fresh(m)
-            checked += 1
-    assert checked > 0
+    _cover and _splitting find from scratch on the same actions, and the
+    actions of every tensor built on the way are its split model's."""
+    tensors = _recording_tensors(monkeypatch)
+    composites = [m for k in _case_kernels(field, case) for m in _recorded_composites(k)]
+    monkeypatch.undo()
+    assert composites and tensors
+    for m in composites:
+        _assert_assembled_equals_fresh(m)
+    for td in tensors:
+        _assert_split_model_actions(td)
 
 
 def _recorded_sums(field, case) -> list[Bimodule]:
@@ -633,7 +663,7 @@ def test_no_cover_runs_on_a_tensor_of_kernel_terms(monkeypatch):
     assert _splitting(total) is not None
     for t in tensors + [total]:
         assert _splitting(t) is not None
-        assert callable(t._right_action) and callable(t._left_action)
+        assert not isinstance(t._right_action, list) and not isinstance(t._left_action, list)
         assert all(m is not t for m in covered)
     assert all(m.records is None for m in covered)
 
@@ -652,7 +682,9 @@ def test_pair_tensors_of_standard_summands_are_standard_summands(field, make):
     P = lambda v, w: projective_bimodule(b, v, b, w)
     diagonal = regular_bimodule(b)
     for v, w, x, y in itertools.product(n, n, n, n):
-        t = tensor_over_middle(P(v, w), P(x, y)).bimodule
+        td = tensor_over_middle(P(v, w), P(x, y))
+        _assert_split_model_actions(td)
+        t = td.bimodule
         assert [p for p, _ in t.records] == [P(v, y)] * diagonal.double_block(w, x).cols
         fresh = _without_record(t)
         for p, idx in t.records:
@@ -685,8 +717,8 @@ def test_a_sum_of_one_whole_piece_is_that_piece():
     assert len(t.records) == 1 and t.records[0][0] is P(0, 1)
     assert list(t.records[0][1]) == list(range(t.dim))
     assert bimodules._permuted(P(1, 0), np.arange(P(1, 0).dim), "P(1,0)") is P(1, 0)
-    twice = bimodules._product(K, Z, [Matrix.identity(F, 2)], bimodules._standard_right(Z, 0),
-                               "k^2(x)e_1Z")
+    twice = bimodules._product(K, Z, [Matrix.identity(F, 2)],
+                               bimodules._standard_left(opposite(Z), 0), "k^2(x)e_1Z")
     assert twice.records is None and right_dual(twice) is right_dual(twice)
 
 
@@ -707,20 +739,21 @@ def test_an_unread_cut_is_freed_by_reference_counting():
         gc.enable()
 
 
-# --- what records save: left actions of tensors, covers, fresh duals ---
+# --- what records save: actions of composites, covers, fresh duals ---
 
 def _braid6():
     return parse_session((EXAMPLES / "zigzag_a4_braid6.sph").read_text())
 
 
 def _forced_in_minimal_models(monkeypatch, run) -> int:
-    """The tensor left actions that minimal_model builds while run() runs."""
+    """The action lists of bimodules with records that minimal_model builds
+    while run() runs."""
     inside, forced = [0], [0]
-    build, model = bimodules.TensorData._build_left_action, kernels.minimal_model
+    build, model = Bimodule._built, kernels.minimal_model
 
-    def counting_build(self):
-        forced[0] += inside[0] > 0
-        return build(self)
+    def counting_build(self, *args):
+        forced[0] += inside[0] > 0 and bool(self.records)
+        return build(self, *args)
 
     def counting_model(x):
         inside[0] += 1
@@ -729,7 +762,7 @@ def _forced_in_minimal_models(monkeypatch, run) -> int:
         finally:
             inside[0] -= 1
 
-    monkeypatch.setattr(bimodules.TensorData, "_build_left_action", counting_build)
+    monkeypatch.setattr(Bimodule, "_built", counting_build)
     monkeypatch.setattr(kernels, "minimal_model", counting_model)
     run()
     monkeypatch.undo()
@@ -738,9 +771,9 @@ def _forced_in_minimal_models(monkeypatch, run) -> int:
 
 def test_minimal_models_force_no_tensor_left_action(monkeypatch):
     """minimal_model reads the coordinate blocks of tensors off their
-    records: on the length-6 braid session (68 left actions before records)
-    and on random kernels of every shape, it builds no tensor's left
-    action."""
+    records: on the length-6 braid session (68 tensor left actions before
+    records) and on random kernels of every shape, it builds no action of
+    a tensor, a sum or any other bimodule with records."""
     assert _forced_in_minimal_models(monkeypatch, lambda: run_session(_braid6())) == 0
 
     def random_kernels():
@@ -884,10 +917,7 @@ def _assert_same_dual(got, want) -> None:
 
 def _assert_same_slot_parts(m: Bimodule, fresh: Bimodule) -> None:
     for v in range(len(m.left_algebra.vertex_idempotents)):
-        got, want = bimodules._slot_part(m, v), bimodules._slot_part(fresh, v)
-        assert got.right_action == want.right_action
-        a, b = _splitting(got), _splitting(want)
-        _assert_same_splitting(a, b)
+        assert bimodules._slot_action(m, v) == bimodules._slot_action(fresh, v)
 
 
 @pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
@@ -896,7 +926,7 @@ def test_duals_of_sums_of_standard_summands_equal_fresh_ones(field):
     the duals each summand keeps, in the order of the sum's splitting.
     They are, matrix for matrix, the duals built from the sum's own
     splitting: actions, hom matrices, generators and cogenerators; and the
-    splittings, vertex blocks and slot parts read off their summands are
+    splittings, vertex blocks and slot actions read off their summands are
     the fresh ones.  The dual of such a dual is assembled the same way."""
     for p in _standard_sums(field):
         fresh = _without_record(p)
@@ -929,14 +959,7 @@ def test_stacked_tensor_coordinates_equal_a_per_slot_loop(field, monkeypatch):
     combination and one projection per vertex group are those of the loop
     over slots t: c_t(x_j), combined with the b_i . y_j, projected onto
     e_{v_t} n."""
-    tensors = []
-    init = bimodules.TensorData.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        tensors.append(self)
-
-    monkeypatch.setattr(bimodules.TensorData, "__init__", recording_init)
+    tensors = _recording_tensors(monkeypatch)
     for name in builtin_names():
         run_session(builtin_example(name), field=field)
     monkeypatch.undo()

@@ -51,6 +51,7 @@ from helpers import (
     composite,
     cone_differentials_by_products,
     counit_left,
+    direct_sum_maps,
     direct_sum_maps_oracle,
     dual_cotwist,
     dual_numbers,
@@ -349,7 +350,7 @@ def test_terms_that_only_feed_ranks_build_no_action_matrices(name):
     rf = ops.rf()
     assert rf.complex.terms
     for t in rf.complex.terms.values():
-        assert callable(t._left_action) and callable(t._right_action)
+        assert not isinstance(t._left_action, list) and not isinstance(t._right_action, list)
     # a first read builds the lists, and later reads return the same ones
     t = rf.complex.term(0)
     assert t.left_action is t.left_action and t.right_action is t.right_action
@@ -457,7 +458,8 @@ def test_relabelled_maps_equal_their_entry_by_entry_forms(field, name):
                 assert interchange_right_shift(t_shifted, t_plain, n).components == \
                     want.components
         for xs in ([r, l], [tw, shift(tw, 1)]):
-            total, injs, projs = direct_sum_complexes(xs)
+            total = direct_sum_complexes(xs)
+            injs, projs = direct_sum_maps(xs, total)
             want_injs, want_projs = direct_sum_maps_oracle(xs, total)
             for got, want in zip(injs + projs, want_injs + want_projs):
                 assert got.components == want.components

@@ -20,21 +20,18 @@ from spherica.linalg import Field
 from spherica.session import _elaborate, builtin_example, builtin_names
 from spherica.spherical import random_kernel
 
-from helpers import RANDOM_SHAPES, columns, counit_left, hom_matrices
+from helpers import RANDOM_SHAPES, columns, counit_left, hom_matrices, splitting_phi
 
 F2 = Field.prime(2)
 F101 = Field.prime(101)
 Q = Field.rationals()
 
 
-def _left_splitting(m):
-    """The splitting of m as a left module: the right splitting of its flip.
-
-    Falls back to _splitting(m, "left") where bimodules has no flip(), so
-    the recorded digests can be checked again on an engine from before it.
-    """
-    flip = getattr(bimodules, "flip", None)
-    return bimodules._splitting(flip(m)) if flip else bimodules._splitting(m, "left")
+def _left_phi(m):
+    """phi of the splitting of m as a left module: of the right splitting
+    of its flip."""
+    view = bimodules.flip(m)
+    return splitting_phi(view, bimodules._splitting(view))
 
 
 def _update(h, label: str, mats) -> None:
@@ -57,7 +54,7 @@ def _digest(kernel, kernel_level: bool) -> str:
         _update(h, f"dual{n}.hom", hom_matrices(dd))
         _update(h, f"dual{n}.gens", columns(dd.gens))
         _update(h, f"dual{n}.cogens", columns(dd.cogens))
-        _update(h, f"phi{n}", [_left_splitting(term).phi])
+        _update(h, f"phi{n}", [_left_phi(term)])
     if kernel_level:
         ops = kernel_ops(kernel)
         adj = ops.left_adjoint().kernel.complex

@@ -368,7 +368,7 @@ def _random_sum(field, shape, seeds) -> Kernel:
     parts = [random_kernel(a, b, random.Random(seed)) for seed in seeds]
     if len(parts) == 1:
         return parts[0]
-    return Kernel(a, b, direct_sum_complexes([k.complex for k in parts])[0])
+    return Kernel(a, b, direct_sum_complexes([k.complex for k in parts]))
 
 
 # seed 0 of each shape is contractible, so its model is 0; seed 2 of D-D is
