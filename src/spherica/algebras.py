@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Field, Matrix
+from .linalg import Field, Matrix, kept
 
 
 class AlgebraError(Exception):
@@ -92,12 +92,8 @@ class Algebra:
         self.basis_paths = basis_paths
         self.arrow_indices = [i for i, p in enumerate(basis_paths) if len(p) == 1]
         self.name = name
-        self._left_mats: list[Matrix] | None = None
-        self._right_mats: list[Matrix] | None = None
-        self._subspace_cache: dict = {}
         self._opposite: Algebra | None = None
-        self._unit_complex = None   # complexes.unit_complex(self), once built
-        self._tables: dict = {}  # what spherica.bimodules builds once per algebra
+        self._tables: dict = {}  # all the engine derives from the algebra, kept
 
     # --- validation ---------------------------------------------------
 
@@ -180,36 +176,28 @@ class Algebra:
 
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of x -> a_i * x on the regular module."""
-        if self._left_mats is None:
-            self._left_mats = self._mult_matrices(lambda a, b: self.mult[a][b])
-        return self._left_mats[i]
+        return kept(self._tables, "left mults",
+                    lambda: self._mult_matrices(lambda a, b: self.mult[a][b]))[i]
 
     def right_mult_matrix(self, i: int) -> Matrix:
         """Matrix of x -> x * a_i on the regular module."""
-        if self._right_mats is None:
-            self._right_mats = self._mult_matrices(lambda a, b: self.mult[b][a])
-        return self._right_mats[i]
+        return kept(self._tables, "right mults",
+                    lambda: self._mult_matrices(lambda a, b: self.mult[b][a]))[i]
 
     @property
     def generator_indices(self) -> list[int]:
         """Idempotents plus arrows: a generating set of the algebra."""
         return self.vertex_idempotents + self.arrow_indices
 
-    # --- idempotent subspaces (cached) --------------------------------
+    # --- idempotent subspaces (kept) ---------------------------------
 
     def left_ideal_basis(self, v: int) -> Matrix:
         """Basis (columns) of A*e_v inside the regular module."""
-        key = ("Ae", v)
-        if key not in self._subspace_cache:
-            self._subspace_cache[key] = self.right_mult_matrix(v).image_basis()
-        return self._subspace_cache[key]
+        return kept(self._tables, ("Ae", v), lambda: self.right_mult_matrix(v).image_basis())
 
     def right_ideal_basis(self, v: int) -> Matrix:
         """Basis (columns) of e_v*A inside the regular module."""
-        key = ("eA", v)
-        if key not in self._subspace_cache:
-            self._subspace_cache[key] = self.left_mult_matrix(v).image_basis()
-        return self._subspace_cache[key]
+        return kept(self._tables, ("eA", v), lambda: self.left_mult_matrix(v).image_basis())
 
     def __repr__(self):
         label = self.name or "Algebra"
@@ -313,17 +301,33 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field, name: str = "") -> 
                    basis_paths, name=name)
 
 
+class _Opposite(Algebra):
+    """opposite(a), reading a's multiplication matrices and ideal bases, sides swapped."""
+
+    def left_mult_matrix(self, i: int) -> Matrix:
+        return self._opposite.right_mult_matrix(i)
+
+    def right_mult_matrix(self, i: int) -> Matrix:
+        return self._opposite.left_mult_matrix(i)
+
+    def left_ideal_basis(self, v: int) -> Matrix:
+        return self._opposite.right_ideal_basis(v)
+
+    def right_ideal_basis(self, v: int) -> Matrix:
+        return self._opposite.left_ideal_basis(v)
+
+
 def opposite(a: Algebra) -> Algebra:
     """The opposite algebra: multiplication reversed, everything else shared.
 
-    Built once per algebra and cached on it, so opposite(opposite(a)) is a.
+    Built once per algebra and kept on it, so opposite(opposite(a)) is a.
     Not checked: the reversed table of an algebra is again an algebra.
     """
     if a._opposite is None:
         mult = [[dict(a.mult[j][i]) for j in range(a.dim)] for i in range(a.dim)]
-        op = Algebra(a.field, a.basis_labels, mult, a.unit,
-                     a.vertex_idempotents, a.radical_basis, a.basis_paths,
-                     name=f"{a.name}^op" if a.name else "op")
+        op = _Opposite(a.field, a.basis_labels, mult, a.unit,
+                       a.vertex_idempotents, a.radical_basis, a.basis_paths,
+                       name=f"{a.name}^op" if a.name else "op")
         op._opposite = a
         a._opposite = op
     return a._opposite
@@ -342,6 +346,4 @@ _scalar_algebras: dict[Field, Algebra] = {}
 
 def scalar_algebra(field: Field) -> Algebra:
     """The ground field as an algebra, shared per field."""
-    if field not in _scalar_algebras:
-        _scalar_algebras[field] = trivial_algebra(field)
-    return _scalar_algebras[field]
+    return kept(_scalar_algebras, field, lambda: trivial_algebra(field))

@@ -24,9 +24,9 @@ pieces, whose coordinates interleave; and a right dual, the sum of its
 pieces' duals.  A cut of a minimal model keeps the records it holds
 whole.  A sum built from records that is one piece at every coordinate
 is that piece.  Vertex blocks, splittings, multiplicities, coordinate
-blocks and duals are read off the pieces' cached ones, which is the same
+blocks and duals are read off the pieces' kept ones, which is the same
 echelon choice with no row reduction; leaves alone build them from
-scratch, and every leaf keeps its right dual.  The standard summands
+scratch.  The standard summands
 P(v,w) = Ae_v (x) e_wB are shared per algebra and the diagonal A per
 algebra (complexes.unit_complex), so each splits and builds its dual
 once.  A pair tensor of standard summands, and of the kept duals of
@@ -47,7 +47,11 @@ A map between bimodules is a plain Matrix, target.dim x source.dim:
 hom_space returns them and TensorData.induced takes and returns them.
 check_map verifies a hand-built one; the engine trusts those it builds.
 
-All values are immutable and safe to share.  A bimodule may be given its
+All values are immutable and safe to share.  What a bimodule derives
+(vertex blocks, splitting, multiplicities, coordinate blocks, its flip, a
+leaf's dual) is kept in its _cache, and what an algebra's bimodules
+share (standard summands, dual slots) in the algebra's _tables, both
+through linalg.kept on the first read.  A bimodule may be given its
 action lists and its records as zero-argument builders: the first read
 calls the builder, or scatters the pieces' actions, and keeps the list,
 so terms that only feed a rank computation never build their action
@@ -62,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .algebras import Algebra, opposite, scalar_algebra
-from .linalg import Matrix
+from .linalg import Matrix, kept
 
 
 class BimoduleError(Exception):
@@ -183,7 +187,7 @@ class Bimodule:
         """Column j is x_j . b_j, for x_j = xs[:, j] and b_j = bvs[:, j] in B."""
         return _act(self.right_action, bvs, xs)
 
-    # --- vertex blocks (cached) ----------------------------------------
+    # --- vertex blocks (kept) ------------------------------------------
 
     def left_block(self, v_pos: int) -> Matrix:
         """Basis of e_v M for the v-th left vertex idempotent."""
@@ -216,38 +220,34 @@ class Bimodule:
         pieces' increasing coordinates.  So the basis is the pieces' bases
         scattered to their coordinates, columns in the order of their
         pivots, and places[k] lists the columns that piece k's go to."""
-        if key not in self._cache:
-            if self.records:
-                parts = [p._block(key) for p, _ in self.records]
-                pivots = np.concatenate([idx[piv] for (_, idx), (_, piv, _) in
-                                         zip(self.records, parts)])
-                rank = np.empty(len(pivots), dtype=int)
-                rank[np.argsort(pivots)] = np.arange(len(pivots))
-                ends = np.cumsum([0] + [len(piv) for _, piv, _ in parts])
-                places = [rank[s:e] for s, e in zip(ends, ends[1:])]
-                basis = Matrix.from_blocks(self.field, self.dim, len(pivots), [
-                    (idx, pl, b) for (_, idx), (b, _, _), pl in zip(self.records, parts, places)])
-                self._cache[key] = (basis, np.sort(pivots), places)
-            else:
+        def build():
+            if not self.records:
                 act = self.right_action[self.right_algebra.vertex_idempotents[key[-1]]]
                 if key[0] == "d":
                     act = self.left_action[self.left_algebra.vertex_idempotents[key[1]]] * act
                 pivots = list(act.rref()[1])
-                self._cache[key] = (act.submatrix(slice(None), pivots),
-                                    np.array(pivots, dtype=int), None)
-        return self._cache[key]
+                return act.submatrix(slice(None), pivots), np.array(pivots, dtype=int), None
+            parts = [p._block(key) for p, _ in self.records]
+            pivots = np.concatenate([idx[piv] for (_, idx), (_, piv, _) in
+                                     zip(self.records, parts)])
+            rank = np.empty(len(pivots), dtype=int)
+            rank[np.argsort(pivots)] = np.arange(len(pivots))
+            ends = np.cumsum([0] + [len(piv) for _, piv, _ in parts])
+            places = [rank[s:e] for s, e in zip(ends, ends[1:])]
+            basis = Matrix.from_blocks(self.field, self.dim, len(pivots), [
+                (idx, pl, b) for (_, idx), (b, _, _), pl in zip(self.records, parts, places)])
+            return basis, np.sort(pivots), places
+        return kept(self._cache, key, build)
 
     def _block_proj(self, key) -> Matrix:
         """The left inverse of the basis of _block(key); the pieces' scattered."""
-        pkey = ("proj",) + key
-        if pkey not in self._cache:
+        def build():
             basis, _, places = self._block(key)
-            if self.records:
-                self._cache[pkey] = Matrix.from_blocks(self.field, basis.cols, self.dim, [
-                    (pl, idx, p._block_proj(key)) for (p, idx), pl in zip(self.records, places)])
-            else:
-                self._cache[pkey] = _left_inverse(basis)
-        return self._cache[pkey]
+            if not self.records:
+                return _left_inverse(basis)
+            return Matrix.from_blocks(self.field, basis.cols, self.dim, [
+                (pl, idx, p._block_proj(key)) for (p, idx), pl in zip(self.records, places)])
+        return kept(self._cache, ("proj",) + key, build)
 
     def __repr__(self):
         lbl = self.label or "Bimodule"
@@ -258,17 +258,15 @@ def flip(m: Bimodule) -> Bimodule:
     """m read the other way round: the same action matrices with the sides
     swapped, so an (A,B)-bimodule becomes a (B^op,A^op)-bimodule.
 
-    Cached on m; it satisfies the module axioms exactly when m does.
+    Kept on m; it satisfies the module axioms exactly when m does.
     Every left-side construction is the right-side one read through flip,
     and the flip of a bimodule with records has the flipped pieces at the
     same coordinates.
     """
-    if "flip" not in m._cache:
-        m._cache["flip"] = Bimodule(
-            opposite(m.right_algebra), opposite(m.left_algebra),
-            lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label,
-            records=lambda: m.records and [(flip(p), idx) for p, idx in m.records])
-    return m._cache["flip"]
+    return kept(m._cache, "flip", lambda: Bimodule(
+        opposite(m.right_algebra), opposite(m.left_algebra),
+        lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label,
+        records=lambda: m.records and [(flip(p), idx) for p, idx in m.records]))
 
 
 def _right_view(m: Bimodule, side: str) -> Bimodule:
@@ -280,9 +278,7 @@ def _right_view(m: Bimodule, side: str) -> Bimodule:
 
 def _stacked_left(m: Bimodule) -> Matrix:
     """The left action matrices of m stacked top to bottom, built once per m."""
-    if "stacked_left" not in m._cache:
-        m._cache["stacked_left"] = Matrix.stack_rows(m.field, m.left_action, m.dim)
-    return m._cache["stacked_left"]
+    return kept(m._cache, "stacked_left", lambda: Matrix.stack_rows(m.field, m.left_action, m.dim))
 
 
 def _act(actions: list[Matrix], coeffs: Matrix, xs: Matrix) -> Matrix:
@@ -341,12 +337,11 @@ def _standard_left(a: Algebra, v_pos: int) -> list[Matrix]:
     """The left action of a on A e_v, in the basis left_ideal_basis; for
     opposite(b) it is the right action of b on e_v B in the basis
     right_ideal_basis."""
-    key = ("left", v_pos)
-    if key not in a._tables:
+    def build():
         S = a.left_ideal_basis(a.vertex_idempotents[v_pos])
         sp = _left_inverse(S)
-        a._tables[key] = [sp * a.left_mult_matrix(i) * S for i in range(a.dim)]
-    return a._tables[key]
+        return [sp * a.left_mult_matrix(i) * S for i in range(a.dim)]
+    return kept(a._tables, ("left", v_pos), build)
 
 
 def _product(a: Algebra, b: Algebra, left: list[Matrix], right: list[Matrix],
@@ -366,11 +361,8 @@ def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimod
     so it splits and builds its dual once for as long as b lives.  It keeps
     a, which therefore lives as long as b."""
     home = a if b is scalar_algebra(b.field) else b
-    key = ("P", id(a), v_pos, id(b), w_pos)
-    if key not in home._tables:
-        home._tables[key] = _product(a, b, _standard_left(a, v_pos),
-                                     _standard_left(opposite(b), w_pos), f"P({v_pos},{w_pos})")
-    return home._tables[key]
+    return kept(home._tables, ("P", id(a), v_pos, id(b), w_pos), lambda: _product(
+        a, b, _standard_left(a, v_pos), _standard_left(opposite(b), w_pos), f"P({v_pos},{w_pos})"))
 
 
 def _standard_vertex(alg: Algebra, mats: list[Matrix]) -> int | None:
@@ -441,12 +433,12 @@ def summand(m: Bimodule, keep: np.ndarray) -> Bimodule:
 def coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
     """The classes of coordinates joined by a nonzero entry of some action
     matrix, as increasing index arrays in the order of their first
-    coordinates: every action is block diagonal on them.  Cached on m.
+    coordinates: every action is block diagonal on them.  Kept on m.
 
     With records they are the pieces' blocks at the pieces' coordinates,
     read with no action matrix, and a reordered copy of a leaf (_permuted)
     reads its base's.  Other leaves join the entries of their actions."""
-    if "blocks" not in m._cache:
+    def build():
         if m.records:
             found = [idx[blk] for p, idx in m.records for blk in coordinate_blocks(p)]
         elif "base" in m._cache:
@@ -454,8 +446,8 @@ def coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
             found = [np.sort(moved[blk]) for blk in coordinate_blocks(base)]
         else:
             found = _classes(_support(m.left_action + m.right_action))
-        m._cache["blocks"] = sorted(found, key=lambda blk: blk[0])
-    return m._cache["blocks"]
+        return sorted(found, key=lambda blk: blk[0])
+    return kept(m._cache, "blocks", build)
 
 
 def _classes(linked: np.ndarray) -> list[np.ndarray]:
@@ -606,9 +598,8 @@ def _splitting(m: Bimodule) -> Splitting | None:
     """The right-projective splitting of m, or None when m is not right-projective.
 
     A bimodule with records assembles it from its pieces', with no elimination."""
-    if "split" not in m._cache:
-        m._cache["split"] = _assembled_splitting(m) if m.records else _fresh_splitting(m)
-    return m._cache["split"]
+    return kept(m._cache, "split",
+                lambda: _assembled_splitting(m) if m.records else _fresh_splitting(m))
 
 
 def _fresh_splitting(m: Bimodule) -> Splitting | None:
@@ -678,20 +669,19 @@ def is_projective(m: Bimodule, side: str) -> bool:
 def right_multiplicities(m: Bimodule) -> np.ndarray | None:
     """Entry (u, w) is the multiplicity of e_w B in e_u m, for the vertices u
     of the left and w of the right algebra, as Python ints; None when m is
-    not right-projective.  Cached on m; with records it adds the pieces'.
+    not right-projective.  Kept on m; with records it adds the pieces'.
 
     The multiplicity is dim e_u (m / m.rad) e_w, the top of e_u m at w.  The
     projective cover with these multiplicities maps onto e_u m (Nakayama),
     so m is right-projective exactly when the covers' dimensions add up to
-    m.dim.  Each entry is one rank: e_u m e_w is a cached vertex block, and
+    m.dim.  Each entry is one rank: e_u m e_w is a kept vertex block, and
     e_u m.rad is spanned by the radical's actions on the image of e_u."""
-    if "mult" not in m._cache:
-        if m.records:
-            parts = [right_multiplicities(p) for p, _ in m.records]
-            m._cache["mult"] = None if any(p is None for p in parts) else sum(parts)
-        else:
-            m._cache["mult"] = _fresh_multiplicities(m)
-    return m._cache["mult"]
+    def build():
+        if not m.records:
+            return _fresh_multiplicities(m)
+        parts = [right_multiplicities(p) for p, _ in m.records]
+        return None if any(p is None for p in parts) else sum(parts)
+    return kept(m._cache, "mult", build)
 
 
 def _fresh_multiplicities(m: Bimodule) -> np.ndarray | None:
@@ -754,29 +744,26 @@ class _DualSlot:
 
 
 def _dual_slot(B: Algebra, v_pos: int) -> _DualSlot:
-    key = ("slot", v_pos)
-    if key not in B._tables:
+    def build():
         G = B.left_ideal_basis(B.vertex_idempotents[v_pos])
         proj = _left_inverse(G)
         mults = Matrix.combinations([B.left_mult_matrix(i) for i in range(B.dim)], G)
-        B._tables[key] = _DualSlot(
-            G, proj, Matrix.stack_rows(B.field, mults, B.dim),
-            _standard_left(B, v_pos),
-            proj * Matrix.basis_vector(B.field, B.dim, B.vertex_idempotents[v_pos]))
-    return B._tables[key]
+        return _DualSlot(G, proj, Matrix.stack_rows(B.field, mults, B.dim),
+                         _standard_left(B, v_pos),
+                         proj * Matrix.basis_vector(B.field, B.dim, B.vertex_idempotents[v_pos]))
+    return kept(B._tables, ("slot", v_pos), build)
 
 
 def _move_table(B: Algebra, s_pos: int, t_pos: int) -> Matrix:
     """Column k is vec(proj_s R_k G_t), G_t spanning B e_t and proj_s the
     left inverse of G_s: beta |-> beta.c maps B e_t to B e_s by this table
     applied to the coordinates of c."""
-    key = ("move", s_pos, t_pos)
-    if key not in B._tables:
+    def build():
         proj, G = _dual_slot(B, s_pos).proj, _dual_slot(B, t_pos).basis
         moved = [proj * (B.right_mult_matrix(k) * G) for k in range(B.dim)]
-        B._tables[key] = Matrix.stack_columns(
-            B.field, [m.reshape(m.rows * m.cols, 1) for m in moved], proj.rows * G.cols)
-    return B._tables[key]
+        return Matrix.stack_columns(B.field, [m.reshape(m.rows * m.cols, 1) for m in moved],
+                                    proj.rows * G.cols)
+    return kept(B._tables, ("move", s_pos, t_pos), build)
 
 
 def right_dual(p: Bimodule) -> DualData:
@@ -786,11 +773,7 @@ def right_dual(p: Bimodule) -> DualData:
     (_dual_of_sum); a leaf builds its dual from its splitting on first
     read and keeps it."""
     _require_projective(p, "right")
-    if p.records:
-        return _dual_of_sum(p)
-    if "rdual" not in p._cache:
-        p._cache["rdual"] = _fresh_dual(p)
-    return p._cache["rdual"]
+    return _dual_of_sum(p) if p.records else kept(p._cache, "rdual", lambda: _fresh_dual(p))
 
 
 def _dual_of_sum(p: Bimodule) -> DualData:
@@ -825,13 +808,12 @@ def _generator_coeffs(p: Bimodule) -> Matrix:
     """c_t(a_i.g_s) for every slot t and s of p's splitting and basis
     element a_i of the left algebra: row block t, column s * A.dim + i.
     Built once per p."""
-    if "coeffs" not in p._cache:
+    def build():
         sp = _splitting(p)
         moved = _stacked_left(p) * sp.generators
         S, n = sp.generators.cols, p.left_algebra.dim
-        moved = moved.reshape(n, p.dim * S).transpose().reshape(p.dim, S * n)
-        p._cache["coeffs"] = sp.coords * moved
-    return p._cache["coeffs"]
+        return sp.coords * moved.reshape(n, p.dim * S).transpose().reshape(p.dim, S * n)
+    return kept(p._cache, "coeffs", build)
 
 
 def _fresh_dual(p: Bimodule) -> DualData:
@@ -1032,39 +1014,32 @@ def _left_classes(m: Bimodule) -> list[tuple[np.ndarray, list[Matrix], int | Non
     slots that L links, each with L_a on it and the vertex u when that is
     A e_u in its standard basis.  None when some c_s(a.g_t) is not a
     multiple of e_{v_s}.  Built once per m."""
-    if "left classes" not in m._cache:
+    def build():
         sp, B = _splitting(m), m.right_algebra
         coeffs, S = _generator_coeffs(m), len(sp.vertex_pos)
         at_idem = [t * B.dim + B.vertex_idempotents[v] for t, v in enumerate(sp.vertex_pos)]
         rest = np.setdiff1d(np.arange(S * B.dim), at_idem)
-        if coeffs.submatrix(rest, slice(None)).is_zero():
-            rows = coeffs.submatrix(at_idem, slice(None))
-            lam = [rows.submatrix(slice(None), np.arange(S) * m.left_algebra.dim + i)
-                   for i in range(m.left_algebra.dim)]
-            m._cache["left classes"] = _identified(m.left_algebra, lam)
-        else:
-            m._cache["left classes"] = None
-    return m._cache["left classes"]
+        if not coeffs.submatrix(rest, slice(None)).is_zero():
+            return None
+        rows, n = coeffs.submatrix(at_idem, slice(None)), m.left_algebra.dim
+        return _identified(m.left_algebra, [rows.submatrix(slice(None), np.arange(S) * n + i)
+                                            for i in range(n)])
+    return kept(m._cache, "left classes", build)
 
 
 def _slot_action(n: Bimodule, v_pos: int) -> list[Matrix]:
     """The right action on e_v n in the basis n.left_block(v): the slot of a
-    tensor m (x) n at a generator of m at vertex v.  Built once per (n, v)."""
-    key = ("slot", v_pos)
-    if key not in n._cache:
-        blk, proj = n.left_block(v_pos), n.left_block_proj(v_pos)
-        n._cache[key] = [proj * (a * blk) for a in n.right_action]
-    return n._cache[key]
+    tensor m (x) n at a generator of m at vertex v."""
+    blk, proj = n.left_block(v_pos), n.left_block_proj(v_pos)
+    return [proj * (a * blk) for a in n.right_action]
 
 
 def _right_blocks(n: Bimodule, v_pos: int) -> list[tuple[np.ndarray, list[Matrix], int | None]]:
     """The coordinate blocks of e_v n in the basis n.left_block(v), each with
     the right action on it and the vertex w when that is e_w C in its
     standard basis.  Built once per (n, v)."""
-    key = ("right blocks", v_pos)
-    if key not in n._cache:
-        n._cache[key] = _identified(opposite(n.right_algebra), _slot_action(n, v_pos))
-    return n._cache[key]
+    return kept(n._cache, ("right blocks", v_pos),
+                lambda: _identified(opposite(n.right_algebra), _slot_action(n, v_pos)))
 
 
 def _support(mats: list[Matrix]) -> np.ndarray:

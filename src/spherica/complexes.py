@@ -58,7 +58,7 @@ from .bimodules import (
     summand,
     tensor_over_middle,
 )
-from .linalg import Matrix
+from .linalg import Matrix, kept
 
 
 class ComplexError(Exception):
@@ -134,11 +134,9 @@ class Complex:
 
 
 def unit_complex(a: Algebra) -> Complex:
-    """The diagonal kernel's complex, built once per algebra and cached on
-    it, so its one term, the diagonal, splits and builds its dual once."""
-    if a._unit_complex is None:
-        a._unit_complex = Complex(a, a, {0: regular_bimodule(a)}, {})
-    return a._unit_complex
+    """The diagonal kernel's complex, built once per algebra and kept on it,
+    so its one term, the diagonal, splits and builds its dual once."""
+    return kept(a._tables, "unit complex", lambda: Complex(a, a, {0: regular_bimodule(a)}, {}))
 
 
 class ChainMap:

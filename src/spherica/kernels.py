@@ -78,7 +78,7 @@ from .complexes import (
     tensor_cx,
     unit_complex,
 )
-from .linalg import Matrix
+from .linalg import Matrix, kept
 
 
 class KernelError(Exception):
@@ -231,8 +231,11 @@ def _adjoint_data(p: Kernel, side: str) -> AdjointData:
 class KernelOps:
     """Lazy workspace of the canonical constructions attached to one kernel.
 
-    Everything here is a deterministic function of the kernel, so the
-    cached pieces can be shared by every check that needs them.
+    Everything here is a deterministic function of the kernel.  What more
+    than one check reads is kept in _cache through linalg.kept: the model,
+    the K_0 class, the adjoints, RF, FR, FL, eps_R, the twist and cotwist,
+    and spherical's report and conditions.  The user paths read the units
+    and LF once per workspace, so each call builds them afresh.
     """
 
     def __init__(self, p: Kernel):
@@ -241,18 +244,6 @@ class KernelOps:
         self.B = p.target_algebra
         self.field = p.complex.field
         self._cache: dict = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    # tensor workspace: the pieces every canonical composite is built from
-
-    def _tensor(self, x: Complex, y: Complex) -> TensorComplex:
-        """x (x) y, built once per pair of complex objects (the tensor holds
-        both, so their ids stay theirs while it is cached)."""
-        return self._get(("tensor", id(x), id(y)), lambda: tensor_cx(x, y))
 
     # the minimal model ----------------------------------------------------
 
@@ -263,7 +254,7 @@ class KernelOps:
         def build():
             x = minimal_model(self.p.complex)
             return self.p if x is self.p.complex else Kernel(self.A, self.B, x, check=False)
-        return self._get("model", build)
+        return kept(self._cache, "model", build)
 
     # the K_0 class -------------------------------------------------------
 
@@ -288,37 +279,36 @@ class KernelOps:
                                       f"so it has no K_0 class")
                 out += mult if n % 2 == 0 else -mult
             return out
-        return self._get("k0", build)
+        return kept(self._cache, "k0", build)
 
     # adjoints ---------------------------------------------------------
 
     def right_adjoint(self) -> AdjointData:
-        return self._get("radj", lambda: _adjoint_data(self.p, "right"))
+        return kept(self._cache, "radj", lambda: _adjoint_data(self.p, "right"))
 
     def left_adjoint(self) -> AdjointData:
-        return self._get("ladj", lambda: _adjoint_data(self.p, "left"))
+        return kept(self._cache, "ladj", lambda: _adjoint_data(self.p, "left"))
 
     # the four composite tensors ----------------------------------------
 
     def rf(self) -> TensorComplex:
         """RF = compose(p, R): the monad kernel on the source side."""
-        return self._get("rf", lambda: self._tensor(self.p.complex,
-                                                    self.right_adjoint().kernel.complex))
+        return kept(self._cache, "rf", lambda: tensor_cx(self.p.complex,
+                                                         self.right_adjoint().kernel.complex))
 
     def fr(self) -> TensorComplex:
         """FR = compose(R, p): the comonad kernel on the target side."""
-        return self._get("fr", lambda: self._tensor(self.right_adjoint().kernel.complex,
-                                                    self.p.complex))
+        return kept(self._cache, "fr", lambda: tensor_cx(self.right_adjoint().kernel.complex,
+                                                         self.p.complex))
 
     def fl(self) -> TensorComplex:
         """FL = compose(L, p)."""
-        return self._get("fl", lambda: self._tensor(self.left_adjoint().kernel.complex,
-                                                    self.p.complex))
+        return kept(self._cache, "fl", lambda: tensor_cx(self.left_adjoint().kernel.complex,
+                                                         self.p.complex))
 
     def lf(self) -> TensorComplex:
         """LF = compose(p, L)."""
-        return self._get("lf", lambda: self._tensor(self.p.complex,
-                                                    self.left_adjoint().kernel.complex))
+        return tensor_cx(self.p.complex, self.left_adjoint().kernel.complex)
 
     # units and counits ---------------------------------------------------
 
@@ -340,9 +330,9 @@ class KernelOps:
 
     def unit_right(self) -> ChainMap:
         """id_A -> RF, the coevaluation a |-> sum a.g_t (x) g_t^*."""
-        return self._get("unit_right", lambda: self._coevaluation(self.A, self.rf(), [
+        return self._coevaluation(self.A, self.rf(), [
             (i, -i, dd.gens, dd.cogens)
-            for i, dd in self.right_adjoint().duals.items() if dd.bimodule.dim]))
+            for i, dd in self.right_adjoint().duals.items() if dd.bimodule.dim])
 
     def _evaluation(self, alg: Algebra, t: TensorComplex, duals: dict[int, DualData],
                     dual_first: bool) -> ChainMap:
@@ -359,7 +349,7 @@ class KernelOps:
 
     def counit_right(self) -> ChainMap:
         """FR -> id_B, the evaluation f (x) x |-> f(x)."""
-        return self._get("counit_right", lambda: self._evaluation(
+        return kept(self._cache, "counit_right", lambda: self._evaluation(
             self.B, self.fr(), self.right_adjoint().duals, dual_first=True))
 
     def _left_duals(self) -> list[tuple[int, DualData]]:
@@ -368,8 +358,8 @@ class KernelOps:
 
     def unit_left(self) -> ChainMap:
         """id_B -> FL, b |-> sum (b.h_t^*) (x) h_t."""
-        return self._get("unit_left", lambda: self._coevaluation(self.B, self.fl(), [
-            (-i, i, dd.cogens, dd.gens) for i, dd in self._left_duals()]))
+        return self._coevaluation(self.B, self.fl(), [
+            (-i, i, dd.cogens, dd.gens) for i, dd in self._left_duals()])
 
     # the pieces of the canonical maps -------------------------------------
 
@@ -415,11 +405,11 @@ class KernelOps:
 
     def twist(self) -> Triangle:
         """T = cone(eps_R), with its triangle FR -> id_B -> T -> FR[1]."""
-        return self._get("twist", lambda: Triangle.of(self.counit_right(), 0))
+        return kept(self._cache, "twist", lambda: Triangle.of(self.counit_right(), 0))
 
     def cotwist(self) -> Triangle:
         """C = cone(eta_R)[-1], with its triangle C -> id_A -> RF -> C[1]."""
-        return self._get("cotwist", lambda: Triangle.of(self.unit_right(), -1))
+        return kept(self._cache, "cotwist", lambda: Triangle.of(self.unit_right(), -1))
 
 
 def kernel_ops(p: Kernel) -> KernelOps:
@@ -441,7 +431,7 @@ def condition4_map(p: Kernel) -> ChainMap:
     cogenerators h_t^* of its left dual L^{-i}."""
     ops = kernel_ops(p)
     r = ops.right_adjoint().kernel.complex
-    lc = ops._tensor(ops.left_adjoint().kernel.complex, ops.cotwist().kernel.complex)
+    lc = tensor_cx(ops.left_adjoint().kernel.complex, ops.cotwist().kernel.complex)
     target = shift(lc.complex, 1)
     comps = {}
     for n, t in r.terms.items():
@@ -459,7 +449,7 @@ def condition3_map(p: Kernel) -> ChainMap:
     ops = kernel_ops(p)
     r = ops.right_adjoint().kernel.complex
     tw = ops.twist()
-    tl = ops._tensor(tw.kernel.complex, ops.left_adjoint().kernel.complex)
+    tl = tensor_cx(tw.kernel.complex, ops.left_adjoint().kernel.complex)
     comps = {}
     for n, slots in tl.layout.items():
         blocks = []
@@ -489,7 +479,7 @@ def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:
     l = ops.left_adjoint().kernel.complex
     fl = ops.fl()
     sum_cx = direct_sum_complexes([r, l])
-    rfl = ops._tensor(fl.complex, r)
+    rfl = tensor_cx(fl.complex, r)
     unit = ops.unit_left().comp(0) * ops.B.unit    # sum_t h_t^* (x) h_t in FL^0
     into = {}
     for n in sum_cx.terms:
@@ -505,7 +495,7 @@ def splitting_maps(p: Kernel) -> tuple[ChainMap, ChainMap, Complex]:
                 blocks.append((slot[1], rs.cols, _coevaluated(
                     slot[0], us, _tiled(dd.cogens, ls.cols), ls.cols)))
         into[n] = Matrix.from_blocks(field, rfl.complex.dim(n), sum_cx.dim(n), blocks)
-    lfr = ops._tensor(ops.fr().complex, l)
+    lfr = tensor_cx(ops.fr().complex, l)
     out = {}
     for n, slots in lfr.layout.items():
         blocks = []
@@ -528,7 +518,7 @@ def appendix_map(p: Kernel) -> ChainMap:
     LF (x) C, shifted by 1, for h_t and h_t^* as in condition4_map."""
     ops = kernel_ops(p)
     rf, lf = ops.rf(), ops.lf()
-    lfc = ops._tensor(lf.complex, ops.cotwist().kernel.complex)
+    lfc = tensor_cx(lf.complex, ops.cotwist().kernel.complex)
     target = shift(lfc.complex, 1)
     comps = {}
     for n, slots in rf.layout.items():

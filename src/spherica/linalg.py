@@ -57,6 +57,16 @@ BLAS_MIN_MACS = 32 ** 3
 SMALL_RREF = 128  # F_p matrices with at most this many entries are row-reduced on Python ints
 _FLOAT_EXACT = 2 ** 53
 _INT64_MAX = 2 ** 63 - 1
+_UNBUILT = object()
+
+
+def kept(cache: dict, key, build):
+    """cache[key], made by build() on the first read and kept, None too: the
+    one way the engine keeps what it derives from its immutable objects."""
+    out = cache.get(key, _UNBUILT)
+    if out is _UNBUILT:
+        out = cache[key] = build()
+    return out
 
 
 def _is_prime(n: int) -> bool:

@@ -44,7 +44,7 @@ from .kernels import (
     compose,
     kernel_ops,
 )
-from .linalg import Field, Matrix
+from .linalg import Field, Matrix, kept
 from .spherical import (
     check_adjoint_spherical,
     check_appendix,
@@ -391,9 +391,7 @@ def _elaborated(session: Session, field: Field) -> dict[str, Kernel]:
     The commands are resolved on every call, so a command added to a
     parsed session is checked too.
     """
-    if field not in session._built:
-        session._built[field] = _elaborate(session, field)
-    kernels = session._built[field][1]
+    kernels = kept(session._built, field, lambda: _elaborate(session, field))[1]
     _resolve_commands(session, kernels)
     return kernels
 

@@ -82,7 +82,7 @@ from .kernels import (
     kernel_ops,
     splitting_maps,
 )
-from .linalg import Matrix
+from .linalg import Matrix, kept
 
 
 @dataclass
@@ -187,7 +187,7 @@ def check_conditions(p: Kernel) -> ConditionReport:
     """The four flags and the homology profiles of p, all on its minimal
     model, built once per kernel (the report is kept) from the four
     conditions as _condition decides them."""
-    return kernel_ops(p)._get("report", lambda: _conditions(p))
+    return kept(kernel_ops(p)._cache, "report", lambda: _conditions(p))
 
 
 def _conditions(p: Kernel) -> ConditionReport:
@@ -223,7 +223,7 @@ def _condition(p: Kernel, i: int) -> bool:
         return class_refutations(q)
 
     def decide():
-        if ops._get("refutations", refutations)[i - 1]:
+        if kept(ops._cache, "refutations", refutations)[i - 1]:
             return False
         q_ops = kernel_ops(q)
         if i == 1:
@@ -232,7 +232,7 @@ def _condition(p: Kernel, i: int) -> bool:
             return is_equivalence_kernel(q_ops.cotwist().kernel)
         return is_quasi_iso(condition3_map(q) if i == 3 else condition4_map(q))
 
-    return ops._get(("condition", i), decide)
+    return kept(ops._cache, ("condition", i), decide)
 
 
 def is_spherical(p: Kernel, report: ConditionReport | None = None) -> SphericalVerdict:

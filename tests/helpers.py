@@ -52,6 +52,7 @@ from spherica.complexes import (
     homology_dims,
     is_quasi_iso,
     shift,
+    tensor_cx,
     unit_complex,
 )
 from spherica.kernels import (
@@ -63,7 +64,7 @@ from spherica.kernels import (
     condition4_map,
     kernel_ops,
 )
-from spherica.linalg import Field, Matrix
+from spherica.linalg import Field, Matrix, kept
 from spherica.spherical import random_kernel
 
 F101 = Field.prime(101)
@@ -648,13 +649,30 @@ def interchange_right_shift(t_shifted: TensorComplex, t_plain: TensorComplex,
     return ChainMap(t_shifted.complex, shift(t_plain.complex, n), comps)
 
 
+def tensor(ops: KernelOps, x: Complex, y: Complex) -> TensorComplex:
+    """x (x) y, built once per pair of complex objects in the kernel's
+    workspace (the tensor holds both, so their ids stay theirs while it is
+    kept), so that the chains below meet at one object per pair.  For the
+    kernel's complex P with its adjoints R or L it is the engine's RF, FR
+    or FL, between which the engine's units and counits map."""
+    def build():
+        pc = ops.p.complex
+        if x is pc or y is pc:
+            r, l = ops.right_adjoint().kernel.complex, ops.left_adjoint().kernel.complex
+            for a, b, engine in ((pc, r, ops.rf), (r, pc, ops.fr), (l, pc, ops.fl)):
+                if x is a and y is b:
+                    return engine()
+        return tensor_cx(x, y)
+    return kept(ops._cache, ("tensor", id(x), id(y)), build)
+
+
 def whisker(ops: KernelOps, f: ChainMap | Complex, g: ChainMap | Complex) -> ChainMap:
     """f (x) g over the tensors of the kernel's workspace, where a complex
     stands for its identity map (never built)."""
     sources = [h if isinstance(h, Complex) else h.source for h in (f, g)]
     targets = [h if isinstance(h, Complex) else h.target for h in (f, g)]
     maps = [None if isinstance(h, Complex) else h for h in (f, g)]
-    return tensor_induced(ops._tensor(*sources), *maps, ops._tensor(*targets))
+    return tensor_induced(tensor(ops, *sources), *maps, tensor(ops, *targets))
 
 
 def assoc(ops: KernelOps, x: Complex, y: Complex, z: Complex) -> ChainMap:
@@ -662,26 +680,26 @@ def assoc(ops: KernelOps, x: Complex, y: Complex, z: Complex) -> ChainMap:
     objects in the kernel's workspace (the cached tensors it is built from
     hold all three)."""
     def build():
-        xy, yz = ops._tensor(x, y), ops._tensor(y, z)
-        return associator(xy, ops._tensor(xy.complex, z), yz, ops._tensor(x, yz.complex))
-    return ops._get(("assoc", id(x), id(y), id(z)), build)
+        xy, yz = tensor(ops, x, y), tensor(ops, y, z)
+        return associator(xy, tensor(ops, xy.complex, z), yz, tensor(ops, x, yz.complex))
+    return kept(ops._cache, ("assoc", id(x), id(y), id(z)), build)
 
 
 def lunit(ops: KernelOps, x: Complex) -> ChainMap:
     """id (x) x -> x, built once per complex in the kernel's workspace."""
-    return ops._get(("lunit", id(x)), lambda: left_unitor(
-        ops._tensor(unit_complex(x.left_algebra), x)))
+    return kept(ops._cache, ("lunit", id(x)), lambda: left_unitor(
+        tensor(ops, unit_complex(x.left_algebra), x)))
 
 
 def runit(ops: KernelOps, x: Complex) -> ChainMap:
     """x (x) id -> x, built once per complex in the kernel's workspace."""
-    return ops._get(("runit", id(x)), lambda: right_unitor(
-        ops._tensor(x, unit_complex(x.right_algebra))))
+    return kept(ops._cache, ("runit", id(x)), lambda: right_unitor(
+        tensor(ops, x, unit_complex(x.right_algebra))))
 
 
 def shift_out_right(ops: KernelOps, x: Complex, y1: Complex, y: Complex) -> ChainMap:
     """x (x) y1 -> (x (x) y)[1], for y1 = y[1]."""
-    return interchange_right_shift(ops._tensor(x, y1), ops._tensor(x, y), 1)
+    return interchange_right_shift(tensor(ops, x, y1), tensor(ops, x, y), 1)
 
 
 def chained_maps(p: Kernel) -> dict[str, ChainMap]:
@@ -692,7 +710,7 @@ def chained_maps(p: Kernel) -> dict[str, ChainMap]:
     ops = kernel_ops(p)
     pc = p.complex
     r, l = ops.right_adjoint().kernel.complex, ops.left_adjoint().kernel.complex
-    lf = ops.lf().complex
+    lf = tensor(ops, pc, l).complex
     ct = ops.cotwist()
     gamma = ct.cone.include_target     # RF -> C[1]
     injs, projs = direct_sum_maps([r, l], direct_sum_complexes([r, l]))
@@ -724,22 +742,23 @@ def counit_left(p: Kernel) -> ChainMap:
     """LF -> id_A, x (x) f |-> f(x), built once per kernel in its workspace
     by the evaluation the engine's counit_right shares."""
     ops = kernel_ops(p)
-    return ops._get("counit_left", lambda: ops._evaluation(
-        ops.A, ops.lf(), ops.left_adjoint().duals, dual_first=False))
+    return kept(ops._cache, "counit_left", lambda: ops._evaluation(
+        ops.A, tensor(ops, p.complex, ops.left_adjoint().kernel.complex),
+        ops.left_adjoint().duals, dual_first=False))
 
 
 def dual_twist(p: Kernel) -> Triangle:
     """T' = cone(eta_L)[-1], with its triangle T' -> id_B -> FL -> T'[1],
     built once per kernel in its workspace."""
     ops = kernel_ops(p)
-    return ops._get("dual_twist", lambda: Triangle.of(ops.unit_left(), -1))
+    return kept(ops._cache, "dual_twist", lambda: Triangle.of(ops.unit_left(), -1))
 
 
 def dual_cotwist(p: Kernel) -> Triangle:
     """C' = cone(eps_L), with its triangle LF -> id_A -> C' -> LF[1], built
     once per kernel in its workspace."""
     ops = kernel_ops(p)
-    return ops._get("dual_cotwist", lambda: Triangle.of(counit_left(p), 0))
+    return kept(ops._cache, "dual_cotwist", lambda: Triangle.of(counit_left(p), 0))
 
 
 def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
@@ -753,7 +772,7 @@ def basic_identity_maps(p: Kernel) -> dict[str, ChainMap]:
     pc = p.complex
     r = ops.right_adjoint().kernel.complex
     l = ops.left_adjoint().kernel.complex
-    fr, lf = ops.fr().complex, ops.lf().complex
+    fr, lf = ops.fr().complex, tensor(ops, pc, l).complex
     ct, dtw = ops.cotwist(), dual_twist(p)            # C, T'
     c, tp = ct.kernel.complex, dtw.kernel.complex
     proj_t = ops.twist().cone.project_source          # T -> FR[1]
@@ -883,13 +902,13 @@ def canonical_maps_oracle(p: Kernel) -> dict[str, ChainMap]:
     ops = kernel_ops(p)
     pc = p.complex
     r, l = ops.right_adjoint().kernel.complex, ops.left_adjoint().kernel.complex
-    fr, lf = ops.fr().complex, ops.lf().complex
+    fr, lf = ops.fr().complex, tensor(ops, pc, l).complex
 
     def out_left(x1: Complex, x: Complex, y: Complex) -> ChainMap:
-        return interchange_left_shift_oracle(ops._tensor(x1, y), ops._tensor(x, y), 1)
+        return interchange_left_shift_oracle(tensor(ops, x1, y), tensor(ops, x, y), 1)
 
     def out_right(x: Complex, y1: Complex, y: Complex) -> ChainMap:
-        return interchange_right_shift_oracle(ops._tensor(x, y1), ops._tensor(x, y), 1)
+        return interchange_right_shift_oracle(tensor(ops, x, y1), tensor(ops, x, y), 1)
 
     def retyped_gamma(triangle) -> ChainMap:
         gamma = triangle.cone.include_target

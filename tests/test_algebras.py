@@ -141,6 +141,25 @@ def test_opposites_of_checked_algebras_pass_check(field):
         opposite(build(field)).check()
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_TEXTS))
+def test_opposites_read_their_algebras_tables(name):
+    """opposite(a) reads a's multiplication matrices and ideal bases, sides
+    swapped, and they are the ones its own table gives."""
+    for q in _session_presentations(BUILTIN_TEXTS[name]).values():
+        a = algebra_from_quiver(q, F)
+        op = opposite(a)
+        left = Algebra._mult_matrices(op, lambda x, y: op.mult[x][y])
+        right = Algebra._mult_matrices(op, lambda x, y: op.mult[y][x])
+        for i in range(a.dim):
+            assert op.left_mult_matrix(i) is a.right_mult_matrix(i) == left[i]
+            assert op.right_mult_matrix(i) is a.left_mult_matrix(i) == right[i]
+        for e in a.vertex_idempotents:
+            assert op.left_ideal_basis(e) is a.right_ideal_basis(e)
+            assert op.right_ideal_basis(e) is a.left_ideal_basis(e)
+            assert op.left_ideal_basis(e) == right[e].image_basis()
+            assert op.right_ideal_basis(e) == left[e].image_basis()
+
+
 # --- hand-built tables that check() rejects ---------------------------------
 
 

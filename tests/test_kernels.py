@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from spherica import bimodules
 from spherica.bimodules import (
     Bimodule,
     TensorData,
     flip,
     hom_space,
+    is_projective,
     left_dual,
     projective_bimodule,
     regular_bimodule,
@@ -70,9 +72,11 @@ from helpers import (
     restrict_to_right,
     runit,
     single_term,
+    tensor,
     tensor_induced,
     term_dims,
     triangular_identity_composites,
+    whisker,
     x_cubed,
     zigzag_a2,
 )
@@ -223,6 +227,22 @@ def test_associators_and_unitors_are_built_once(PZ):
     assert lunit(ops, r) is not runit(ops, r)
 
 
+def test_oracle_chains_meet_at_one_tensor_per_pair(PZ):
+    """The chained oracles keep one tensor per pair of complex objects in
+    the kernel's workspace; for P with R or L it is the engine's own RF,
+    FR or FL, between which the engine's units and counits map."""
+    ops = kernel_ops(PZ)
+    p, r, l = PZ.complex, ops.right_adjoint().kernel.complex, ops.left_adjoint().kernel.complex
+    assert tensor(ops, p, r) is ops.rf() and tensor(ops, r, p) is ops.fr()
+    assert tensor(ops, l, p) is ops.fl() and tensor(ops, p, l) is tensor(ops, p, l)
+    chained_maps(PZ)
+    canonical_maps_oracle(PZ)
+    triangular_identity_composites(PZ)
+    kept_tensors = [t for key, t in ops._cache.items() if key[0] == "tensor"]
+    assert len({(id(t.x), id(t.y)) for t in kept_tensors}) == len(kept_tensors) > 10
+    assert whisker(ops, ops.unit_right(), p).target is tensor(ops, ops.rf().complex, p).complex
+
+
 def test_basic_identities_no_hypothesis(PD, PZ, PX):
     # quasi-isomorphisms for every kernel, spherical or not
     for p in (identity_kernel(D), PD, PZ, PX):
@@ -333,13 +353,27 @@ def test_left_duals_on_random_kernels_over_rationals(shape):
             assert dual.dim == len(left_homs)
 
 
+def _simple() -> Bimodule:
+    """The simple (k, D)-bimodule: x acts by zero on the right."""
+    return Bimodule(K, D, [Matrix.identity(F, 1)],
+                    [Matrix.identity(F, 1), Matrix.zeros(F, 1, 1)], 1, label="S")
+
+
 def test_kernel_rejects_a_term_that_is_not_right_projective():
-    # the simple (k, D)-bimodule: x acts by zero on the right
-    simple = Bimodule(K, D, [Matrix.identity(F, 1)],
-                      [Matrix.identity(F, 1), Matrix.zeros(F, 1, 1)], 1, label="S")
+    simple = _simple()
     simple.check()
     with pytest.raises(KernelError, match="kernel term at degree 0 is not right-projective"):
         Kernel(K, D, single_term(simple))
+
+
+def test_a_missing_splitting_is_kept(monkeypatch):
+    """A bimodule that is not right-projective has no splitting, and that
+    None is kept like any other result: asking twice covers it once."""
+    simple, covers, cover = _simple(), [], bimodules._cover
+    monkeypatch.setattr(bimodules, "_cover", lambda m: covers.append(m) or cover(m))
+    assert not is_projective(simple, "right")
+    assert not is_projective(simple, "right")
+    assert covers == [simple]
 
 
 @pytest.mark.parametrize("name", ["dual_numbers", "zigzag_a2"])
