@@ -411,15 +411,8 @@ def minimal_model(x: Complex) -> Complex:
     for n in sorted(d):
         while pair := _invertible_pair(d[n], keep[n], keep[n + 1], blocks[n], blocks[n + 1]):
             src, tgt = pair
-            cols = np.isin(keep[n], src)
-            rows = np.isin(keep[n + 1], tgt)
-            b, delta = _part(d[n], rows, cols), _part(d[n], rows, ~cols)
-            gamma, eps = _part(d[n], ~rows, cols), _part(d[n], ~rows, ~cols)
-            d[n] = eps - gamma * (b.inverse() * delta)
-            if n - 1 in d:
-                d[n - 1] = d[n - 1].submatrix(~cols, slice(None))
-            if n + 1 in d:
-                d[n + 1] = d[n + 1].submatrix(slice(None), ~rows)
+            cols, rows = np.isin(keep[n], src), np.isin(keep[n + 1], tgt)
+            eliminate(d, n, cols, rows)
             keep[n], keep[n + 1] = keep[n][~cols], keep[n + 1][~rows]
             blocks[n] = [blk for blk in blocks[n] if blk is not src]
             blocks[n + 1] = [blk for blk in blocks[n + 1] if blk is not tgt]
@@ -428,6 +421,28 @@ def minimal_model(x: Complex) -> Complex:
     terms = {n: t if len(keep[n]) == t.dim else summand(t, keep[n])
              for n, t in x.terms.items()}
     return Complex(x.left_algebra, x.right_algebra, terms, d)
+
+
+def eliminate(d: dict[int, Matrix], n: int, cols: np.ndarray, rows: np.ndarray) -> None:
+    """One step of Gaussian elimination, in place: for the invertible
+    component b = d[n][rows, cols] of d[n] = [[b, delta], [gamma, eps]],
+    d[n] becomes eps - gamma b^-1 delta, d[n - 1] loses the rows cols and
+    d[n + 1] the columns rows.  cols and rows are boolean masks of leading
+    columns and rows: a matrix longer than a mask keeps its trailing rows
+    or columns, which a caller uses to carry maps along with d."""
+    def mask(m: np.ndarray, length: int) -> np.ndarray:
+        out = np.zeros(length, dtype=bool)
+        out[:len(m)] = m
+        return out
+
+    c, r = mask(cols, d[n].cols), mask(rows, d[n].rows)
+    top, rest = d[n].submatrix(r, slice(None)), d[n].submatrix(~r, slice(None))
+    b, delta = top.submatrix(slice(None), c), top.submatrix(slice(None), ~c)
+    d[n] = rest.submatrix(slice(None), ~c) - rest.submatrix(slice(None), c) * (b.inverse() * delta)
+    if n - 1 in d:
+        d[n - 1] = d[n - 1].submatrix(~mask(cols, d[n - 1].rows), slice(None))
+    if n + 1 in d:
+        d[n + 1] = d[n + 1].submatrix(slice(None), ~mask(rows, d[n + 1].cols))
 
 
 def _part(m: Matrix, rows, cols) -> Matrix:

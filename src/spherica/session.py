@@ -614,14 +614,28 @@ def _run_compose(st: _RunState, args):
 
 def _run_assert_quasi_iso(st: _RunState, args):
     # minimal models are homotopy equivalent to the complexes: they have the
-    # same homology, and a witness exists between them exactly when one
-    # exists between x and y
-    mx, my = (kernel_ops(st.kernels[a]).model().complex for a in args[:2])
-    hx, hy = homology_dims(mx), homology_dims(my)
-    w = find_quasi_iso(mx, my, st.rng) if hx == hy else None
+    # same homology and K_0 class, and a witness exists between them exactly
+    # when one exists between x and y
+    x, y = (kernel_ops(st.kernels[a]).model() for a in args[:2])
+    hx, hy = homology_dims(x.complex), homology_dims(y.complex)
+    w = find_quasi_iso(x.complex, y.complex, st.rng) \
+        if hx == hy and not _classes_differ(x, y) else None
     data = {"homology": {args[0]: _profile(hx), args[1]: _profile(hy)},
             "witness_found": w is not None}
     return ("ok" if w is not None else "assert-failed"), data
+
+
+def _classes_differ(x: Kernel, y: Kernel) -> bool:
+    """Whether kernels x and y between the same algebras both have a K_0
+    class and the classes differ: then no quasi-isomorphism joins them, and
+    the search is not run, so it draws nothing from the session's rng."""
+    if (x.source_algebra.mult, x.target_algebra.mult) != \
+            (y.source_algebra.mult, y.target_algebra.mult):
+        return False
+    try:
+        return bool((kernel_ops(x).k0_class() != kernel_ops(y).k0_class()).any())
+    except KernelError:
+        return False
 
 
 def _run_faithful(st: _RunState, args):

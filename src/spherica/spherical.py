@@ -1,9 +1,15 @@
 """The theorem layer: equivalence tests, the four conditions, and the verdicts.
 
-A kernel is declared an equivalence when the unit and counit against
-its right adjoint are both quasi-isomorphisms; this is constructive and
-terminating, and it is exactly the adjunction machinery the rest of the
-engine already exercises.
+An endokernel X over A is declared an equivalence when its left action
+A -> Hom_A(X_A, X_A) and its right action A^op -> Hom_A^op(_A X, _A X)
+are both quasi-isomorphisms (the two-sided tilting criterion; Rickard,
+"Derived equivalences as derived functors", 1991).  These are the units
+id -> RF and id -> FL at the generator A, and testing there suffices:
+the value at A of a functor given by a kernel is the kernel itself, so a
+map of kernels is a quasi-isomorphism exactly when its value at A is one.
+With both units invertible, F and L are fully faithful and FL = id, so F
+is an equivalence.  spherica.tilting decides each action on the one-sided
+minimal model of X's terms, with no adjoint, tensor or cone.
 
 Every verdict and homology profile is a property of the functor, so it
 is decided on the minimal model of the kernel, kernel_ops(p).model(),
@@ -83,6 +89,7 @@ from .kernels import (
     splitting_maps,
 )
 from .linalg import Matrix, kept
+from .tilting import left_action_is_quasi_iso, right_action_is_quasi_iso
 
 
 @dataclass
@@ -122,15 +129,18 @@ class SphericalVerdict:
 
 
 def is_equivalence_kernel(k: Kernel) -> bool:
-    """True iff the kernel is invertible against its right adjoint.
-
-    Decided on the minimal model of the kernel: being an equivalence is
-    invariant under homotopy equivalence, and the model's tensors are
-    smaller."""
+    """True iff the endokernel X over A is invertible: its left action
+    A -> Hom_A(X_A, X_A) and its right action A^op -> Hom_A^op(_A X, _A X)
+    are both quasi-isomorphisms.  They are the units id -> RF and id -> FL
+    of its functor F at the generator A, and a map of kernels is a
+    quasi-isomorphism exactly when its value at A, the map itself, is one;
+    with both invertible, F and L are fully faithful and FL = id.  Each
+    action is decided on the one-sided minimal model of the kernel's terms
+    as given (spherica.tilting): no model, adjoint, tensor or cone of the
+    kernel is built."""
     if not k.is_endokernel():
         raise KernelError("is_equivalence_kernel expects an endokernel")
-    ops = kernel_ops(kernel_ops(k).model())
-    return is_quasi_iso(ops.unit_right()) and is_quasi_iso(ops.counit_right())
+    return left_action_is_quasi_iso(k.complex) and right_action_is_quasi_iso(k.complex)
 
 
 def condition_classes(p: Kernel) -> dict[str, np.ndarray]:

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherica.linalg import BLAS_MIN_MACS, MAX_PRIME, SMALL_RREF, Field, Matrix, _rref_mod_p, _rref_small
+from spherica.linalg import (
+    BLAS_MIN_MACS,
+    MAX_PRIME,
+    SMALL_RREF,
+    Field,
+    Matrix,
+    _exact,
+    _rref_mod_p,
+    _rref_small,
+)
 
 from helpers import (
     dense_rref_mod_p,
@@ -660,6 +669,37 @@ def test_equal_matrices_compare_equal_whatever_built_them():
     tiny = Matrix.from_rows(Q, [[Fraction(1, 2 ** 64 + 13)]])
     joined = Matrix.stack_columns(Q, [Matrix.zeros(Q, 1, 1), tiny], 1)
     assert joined.arr.dtype == np.int64 and joined.den == 2 ** 64 + 13
+
+
+@pytest.mark.parametrize("field", SHAPE_FIELDS, ids=["F2", "F101", "F2147483647", "Q"])
+@pytest.mark.parametrize("left, right", [((4, 4), (5, 5)), ((2, 3), (3, 1)), ((0, 3), (2, 2)),
+                                         ((3, 2), (2, 0)), ((0, 0), (1, 1))])
+def test_kron_equals_numpy_kron(field, left, right):
+    """Matrix.kron, one broadcast product of the entries, is np.kron of the
+    numerators over the product of the denominators, entry for entry and
+    in dtype: int64 over F_p, and over Q Python ints where numerators pass
+    2^63; empty shapes give the empty product of the right shape."""
+    rng = random.Random(sum(left) * 10 + sum(right))
+    a, b = (_matrix(field, _python_entries(field, r, c, rng), c) for r, c in (left, right))
+    x, y = _exact(1, a, b)
+    want = Matrix._normal(field, np.kron(x, y), a.den * b.den)
+    got = a.kron(b)
+    assert got == want and got.arr.dtype == want.arr.dtype
+    assert (got.rows, got.cols) == (left[0] * right[0], left[1] * right[1])
+    if field.p is None and a.rows * b.rows * a.cols * b.cols:
+        assert got.arr.dtype == object
+
+
+@pytest.mark.parametrize("field", SHAPE_FIELDS, ids=["F2", "F101", "F2147483647", "Q"])
+def test_block_combinations_equal_placed_combinations(field):
+    """Block (t, s) of Matrix.block_combinations is sum_k coeffs[t K + k, s]
+    mats[k], the combinations placed block by block."""
+    rng = random.Random(7)
+    mats = [_matrix(field, _python_entries(field, 2, 3, rng), 3) for _ in range(4)]
+    coeffs = _matrix(field, _python_entries(field, 3 * 4, 5, rng), 5)
+    blocks = [(2 * t, 3 * s, Matrix.combinations(mats, coeffs.submatrix(
+        slice(4 * t, 4 * t + 4), slice(s, s + 1)))[0]) for t in range(3) for s in range(5)]
+    assert Matrix.block_combinations(mats, coeffs) == Matrix.from_blocks(field, 6, 15, blocks)
 
 
 @pytest.mark.parametrize("field", SHAPE_FIELDS, ids=["F2", "F101", "F2147483647", "Q"])

@@ -446,6 +446,38 @@ assert-quasi-iso T12 T21
         assert r.data["homology"][a] == r.data["homology"][b]
 
 
+@pytest.mark.parametrize("field", [Field.prime(2), Field.prime(101)], ids=["F2", "F101"])
+def test_differing_classes_answer_assert_quasi_iso_without_a_search(field, monkeypatch):
+    """Over zigzag A_2, T1T2 and T2T1 have equal homology but different K_0
+    classes, so they are not quasi-isomorphic: the report is the one the
+    search gives, but no chain map space is built and find_quasi_iso, the
+    only reader of the session's rng here, is not called."""
+    import spherica.complexes as complexes_module
+    import spherica.session as session_module
+    text = BUILTIN_TEXTS["zigzag_braid"].split("seed 1")[0] + """\
+twist P1 as T1
+twist P2 as T2
+compose T1 T2 as T12
+compose T2 T1 as T21
+assert-quasi-iso T12 T21
+"""
+    spaces, searches = [], []
+    space, search = complexes_module.chain_map_space, session_module.find_quasi_iso
+    monkeypatch.setattr(complexes_module, "chain_map_space",
+                        lambda *args: spaces.append(args) or space(*args))
+    monkeypatch.setattr(session_module, "find_quasi_iso",
+                        lambda *args: searches.append(args) or search(*args))
+    report = run_session(parse_session(text), field=field)
+    assert spaces == [] and searches == []
+    (result,) = [r for r in report.results if r.cmd == "assert-quasi-iso T12 T21"]
+    assert result.status == "assert-failed" and result.data["witness_found"] is False
+    assert result.data["homology"]["T12"] == result.data["homology"]["T21"]
+    # the same report as the search gave before classes were compared
+    monkeypatch.setattr(session_module, "_classes_differ", lambda x, y: False)
+    searched = run_session(parse_session(text), field=field)
+    assert searches and report.to_dict() == searched.to_dict()
+
+
 def test_assert_quasi_iso_searches_between_minimal_models(monkeypatch):
     """zigzag_braid's T121 and T212 have total dimension 78; the search runs
     on their minimal models, of total dimension 42, and the report keeps the
