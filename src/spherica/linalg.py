@@ -396,13 +396,11 @@ class Matrix:
 
     @staticmethod
     def combinations(mats: list["Matrix"], coeffs: "Matrix") -> list["Matrix"]:
-        """sum_k coeffs[k, j] mats[k] for each column j of coeffs, as one
-        product; mats is a nonempty list of matrices of one shape."""
-        first = mats[0]
-        arrays, den = _common(first.field, mats)
-        flat = Matrix._wrap(first.field, np.stack([a.ravel() for a in arrays], axis=1), den)
-        out = flat * coeffs
-        return [out.column_vec(j).reshape(first.rows, first.cols) for j in range(out.cols)]
+        """sum_k coeffs[k, j] mats[k] for each column j of coeffs: the blocks
+        of block_combinations with one row block; mats is a nonempty list of
+        matrices of one shape."""
+        out, w = Matrix.block_combinations(mats, coeffs), mats[0].cols
+        return [out.submatrix(slice(None), slice(j * w, (j + 1) * w)) for j in range(coeffs.cols)]
 
     @staticmethod
     def from_rows(field: Field, rows: list, cols: int | None = None) -> "Matrix":

@@ -271,8 +271,8 @@ def check_theorem(p: Kernel, report: ConditionReport | None = None) -> Verdict:
         return Verdict("not_applicable", "cotwist is not an equivalence or (4) fails")
     if not report.cond_T_equiv:
         return Verdict("fail", "hypotheses hold but the twist is not an equivalence")
-    tw = kernel_ops(kernel_ops(p).model()).twist().kernel
-    if not is_quasi_iso(kernel_ops(kernel_ops(tw).model()).unit_left()):
+    # the unit of L_T -| T at the generator A is the right action of T
+    if not right_action_is_quasi_iso(kernel_ops(kernel_ops(p).model()).twist().kernel.complex):
         return Verdict("fail", "unit of the twist adjunction is not a quasi-iso")
     return Verdict("pass")
 

@@ -26,10 +26,13 @@ degrees n and n + 1 is never changed by a cancellation in another pair
 of degrees.  It carries along the inclusion i: X' -> X and the
 projection p: X -> X' of the homotopy equivalence it builds.  X' is then
 minimal, and Hom_A(X', X') is read in generator-value form,
-Hom_A(e_v A, M) = M e_v: a map is its values at the generators, and its
-differential is two Kronecker products, read at the coordinates of the
-values.  The action is a quasi-isomorphism exactly when a |-> p L_a i,
-A -> Hom_A(X', X'), is one, which ranks decide.
+Hom_A(e_v A, M) = M e_v: a map is its values at the generators.  Every
+coordinate matrix here is formed only at the entries that can be
+nonzero, each one row of the algebra's stacked multiplication matrices
+times the coefficients of an entry over A, so no matrix has a side of
+(number of slots) x A.dim.  The action is a quasi-isomorphism exactly
+when a |-> p L_a i, A -> Hom_A(X', X'), is one, which ranks decide; L_a
+acts on the values of i in the basis of each term of X.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from itertools import accumulate
 import numpy as np
 
 from .algebras import Algebra
-from .bimodules import Bimodule, BimoduleError, _generator_coeffs, _splitting, flip
+from .bimodules import Bimodule, BimoduleError, _splitting, _stacked_left, flip
 from .complexes import Complex, _part, eliminate
 from .linalg import Matrix, kept
 
@@ -60,8 +63,9 @@ def right_action_is_quasi_iso(x: Complex) -> bool:
 class _FreeTables:
     """What the free right modules over an algebra read, kept per algebra:
     start[k] and end[k], the vertices v and w with e_v a_k = a_k = a_k e_w;
-    unit[k], whether a_k is a vertex idempotent; left[k], the matrix L_k of
-    x |-> a_k x; and right_t[k], the transpose of R_k, x |-> x a_k."""
+    unit[k], whether a_k is a vertex idempotent; and left and right, the
+    matrices L_k of x |-> a_k x and R_k of x |-> x a_k stacked top to
+    bottom, so that row k A.dim + j of left is row j of L_k."""
 
     def __init__(self, alg: Algebra):
         idems = alg.vertex_idempotents
@@ -69,8 +73,8 @@ class _FreeTables:
         self.start, self.end = (np.argmax([mult(e).nonzero_mask().any(axis=0) for e in idems], axis=0)
                                 for mult in (alg.left_mult_matrix, alg.right_mult_matrix))
         self.unit = np.isin(np.arange(alg.dim), idems)
-        self.left = [alg.left_mult_matrix(k) for k in range(alg.dim)]
-        self.right_t = [alg.right_mult_matrix(k).transpose() for k in range(alg.dim)]
+        self.left, self.right = (Matrix.stack_rows(alg.field, [mult(k) for k in range(alg.dim)], alg.dim)
+                                 for mult in (alg.left_mult_matrix, alg.right_mult_matrix))
 
 
 class _Free:
@@ -98,18 +102,21 @@ def _action_is_quasi_iso(terms: dict[int, Bimodule], diffs: dict[int, Matrix]) -
                                 f"but the term at degree {n} is not")
     # the free model of X: term n is (+)_t e_{v_t} A for the slots of its
     # splitting, the first of which is slot first[n]; the differential over
-    # A has entry (t, s) c_t(d g_s) for the generators g_s
+    # A has entry (t, u) c_t(d g_u) for the generators g_u, and coordinate
+    # (t, k) of d(g_u a_j) is coefficient k of c_t(d g_u) a_j
     first = dict(zip(degs, accumulate([len(splits[n].vertex_pos) for n in degs], initial=0)))
     vert = np.concatenate([splits[n].vertex_pos for n in degs])
+    level = np.repeat(degs, np.diff([*first.values(), len(vert)]))
     full = np.flatnonzero(tables.start == vert[:, None])
+    slot, coef = full // size, full % size
     over = Matrix.from_blocks(field, len(vert) * size, len(vert), [
         (first[n + 1] * size, first[n], splits[n + 1].coords * (dn * splits[n].generators))
         for n, dn in diffs.items()])
-    d = _part(Matrix.block_combinations(tables.left, over), full, full) if diffs else \
-        Matrix.zeros(field, len(full), len(full))
-    x = _Free(vert, np.repeat(degs, np.diff([*first.values(), len(vert)])), full // size,
-              full % size, d)
-    m, keep, incl, proj = _cancelled(x, tables)
+    rows, cols = np.nonzero(level[slot][:, None] == level[slot][None, :] + 1)
+    d = _placed(field, len(full), [(rows, cols, _products(
+        tables.right, _by_entry(over), coef[cols] * size + coef[rows], slot[cols] * len(vert) + slot[rows]))])
+    x = _Free(vert, level, slot, coef, d)
+    m, incl, proj = _cancelled(x, tables)
     if not len(m.vert):
         return False  # X is contractible, and A is not
 
@@ -121,33 +128,33 @@ def _action_is_quasi_iso(terms: dict[int, Bimodule], diffs: dict[int, Matrix]) -
     hom = _hom_differential(m, s, r, tables) if len(dims) > 1 else None
     maps = {k: _part(hom, dims[k + 1], dims[k]) for k in dims if k + 1 in dims}
 
-    # a |-> p L_a i in Hom^0, at the generators, degree by degree.  L_a acts
-    # on the free model of X^n by the matrix over A of entries c_t(a g_u),
-    # lam with row block t and column u A.dim + i, whose columns are the
-    # values at the generators where nothing was cancelled.  In degree n,
-    # x has its coordinates at xs, term n's coordinates local there, and m
-    # at ms, with generators at gens; the Hom^0 coordinates at have their
-    # generator in degree n
+    # a |-> p L_a i in Hom^0, at the generators, degree by degree.  In
+    # degree n, x has its coordinates at xs and m at ms, with generators at
+    # gens; L_a acts on the values i(g) in the basis of X^n, and to_free
+    # takes them back to x's coordinates.  The Hom^0 coordinates at have
+    # their generator in degree n
     phi = []
     for n in sorted(set(m.level.tolist())):
-        width, lam = len(splits[n].vertex_pos) * size, _generator_coeffs(terms[n])
-        xs, ms = np.flatnonzero(x.level[x.slot] == n), np.flatnonzero(m.level[m.slot] == n)
-        gens, local = ms[tables.unit[m.coef[ms]]], full[xs] - first[n] * size
+        xs, ms = np.flatnonzero(level[slot] == n), np.flatnonzero(m.level[m.slot] == n)
+        gens, dim = ms[tables.unit[m.coef[ms]]], terms[n].dim
+        local, count = full[xs] - first[n] * size, len(splits[n].vertex_pos)
+        to_free = splits[n].coords.submatrix(local, slice(None))
+        # where nothing in degree n cancels, i and p are the identity there;
+        # elsewhere column (t, j) of basis is g_t a_j, the inverse of to_free
+        if len(xs) == len(ms):
+            images, out = splits[n].generators, to_free
+        else:
+            basis = Matrix.stack_rows(field, terms[n].right_action, dim) * splits[n].generators
+            basis = basis.reshape(size, dim * count).transpose().reshape(dim, count * size)
+            images = basis.submatrix(slice(None), local) * _part(incl, xs, gens)
+            out = _part(proj, ms, xs) * to_free
+        # row (i, b), column s: coordinate b of a_i . i(g_s)
+        acted = _stacked_left(terms[n]) * images
+        # row r, column (s, i): coordinate r of p L_{a_i} i at generator s
+        values = out * acted.reshape(size, dim * len(gens)).transpose().reshape(dim, len(gens) * size)
         at = np.flatnonzero((degree == 0) & (m.level[s] == n))
-        if keep[xs].all():
-            phi.append((at, 0, lam.reshape(width * len(gens), size).submatrix(
-                local[r[at] - ms[0]] * len(gens) + s[at] - m.slot[gens[0]], slice(None))))
-            continue
-        by_basis = np.arange(width).reshape(-1, size).T.reshape(-1)
-        # row (t, k, i), column (u, j): coefficient k of c_t(a_i g_u) a_j
-        acting = Matrix.block_combinations(tables.left, lam.submatrix(slice(None), by_basis))
-        moved = acting.reshape(width * size, width) * Matrix.from_blocks(
-            field, width, len(gens), [(local, 0, _part(incl, xs, gens))])
-        # row r, column (i, s): coordinate r of p L_{a_i} i at generator s
-        values = _part(proj, ms, xs) * moved.reshape(width, size * len(gens)).submatrix(
-            local, slice(None))
-        phi.append((at, 0, values.transpose().reshape(size, len(gens) * len(ms)).transpose()
-                    .submatrix((s[at] - m.slot[gens[0]]) * len(ms) + r[at] - ms[0], slice(None))))
+        phi.append((at, 0, values.reshape(len(ms) * len(gens), size).submatrix(
+            (r[at] - ms[0]) * len(gens) + s[at] - m.slot[gens[0]], slice(None))))
 
     # the cone of A -> Hom_A(X', X') is acyclic; A sits in its degree -1
     maps[-1] = Matrix.from_blocks(field, len(s), size, phi).submatrix(dims[0], slice(None)).hstack(
@@ -157,10 +164,9 @@ def _action_is_quasi_iso(terms: dict[int, Bimodule], diffs: dict[int, Matrix]) -
                for k in set(dims) | {-1})
 
 
-def _cancelled(x: _Free, tables: _FreeTables) -> tuple[_Free, np.ndarray, Matrix, Matrix]:
-    """The minimal model X' of x, the mask of x's coordinates it keeps, and
-    the inclusion i: X' -> x and projection p: x -> X', or None for both
-    when nothing cancels.
+def _cancelled(x: _Free, tables: _FreeTables) -> tuple[_Free, Matrix, Matrix]:
+    """The minimal model X' of x, with the inclusion i: X' -> x and the
+    projection p: x -> X'.
 
     The e_v coefficients of the entries between slots at one vertex (the
     others are 0) say which components are invertible: degree by degree,
@@ -168,8 +174,9 @@ def _cancelled(x: _Free, tables: _FreeTables) -> tuple[_Free, np.ndarray, Matrix
     invertible component, and all of them are cancelled in one step, with
     i as trailing rows and p as trailing columns."""
     dim, field = len(x.coef), x.d.field
+    eye = Matrix.identity(field, dim)
     if x.d.is_zero():
-        return x, np.ones(dim, dtype=bool), None, None
+        return x, eye, eye
     units = _part(x.d, *[np.flatnonzero(tables.unit[x.coef])] * 2)
     source, target = np.zeros(len(x.vert), dtype=bool), np.zeros(len(x.vert), dtype=bool)
     for n in sorted(set(x.level.tolist())):
@@ -178,37 +185,59 @@ def _cancelled(x: _Free, tables: _FreeTables) -> tuple[_Free, np.ndarray, Matrix
         source[cols[list(u.rref()[1])]] = True
         target[rows[list(u.transpose().rref()[1])]] = True
     if not source.any():
-        return x, np.ones(dim, dtype=bool), None, None
+        return x, eye, eye
     cols, rows = source[x.slot], target[x.slot]
-    keep, eye = ~(cols | rows), Matrix.identity(field, dim)
+    keep = ~(cols | rows)
     m = {0: Matrix.from_blocks(field, 2 * dim, 2 * dim, [(0, 0, x.d), (0, dim, eye), (dim, 0, eye)])}
     eliminate(m, 0, cols, rows)
     at_rows, at_cols = np.flatnonzero(keep[~rows]), np.flatnonzero(keep[~cols])
     kept = np.flatnonzero(~(source | target))
     return (_Free(x.vert[kept], x.level[kept], np.searchsorted(kept, x.slot[keep]), x.coef[keep],
-                  _part(m[0], at_rows, at_cols)), keep,
+                  _part(m[0], at_rows, at_cols)),
             _part(m[0], (~rows).sum() + np.arange(dim), at_cols),
             _part(m[0], at_rows, (~cols).sum() + np.arange(dim)))
 
 
 def _hom_differential(m: _Free, s: np.ndarray, r: np.ndarray, tables: _FreeTables) -> Matrix:
     """D f = d f - (-1)^|f| f d on Hom_A(m, m), at the coordinates (s, r):
-    coordinate r of the value at generator s.  d acts on each value; f d
-    at generator s'' is sum_s' f(g_s') c_s's'', for the entries c_s's'' of
-    d over A, read off its columns at the generators, and x |-> x.c is R_c,
-    whose transpose the tables give.  The sign goes in as (-1)^|value| on
-    one factor and -(-1)^|s'| on the entries c."""
-    field, size, count, dim = m.d.field, len(tables.start), len(m.vert), len(m.coef)
+    coordinate r of the value at generator s.  d f is d on each value, so
+    it keeps the generator and raises the value's degree by one.  f d at
+    generator s is sum_s' f(g_s') c_s's for the entries c_s's of d over A,
+    read off its columns at the generators, so it keeps the value's slot,
+    and coordinate k of a_j c is row k of L_j times c.  Only these entries
+    are formed; the sign of f d is -(-1)^|value| (-1)^|s'|."""
+    field, size, count, side = m.d.field, len(tables.start), len(m.vert), len(s)
+    dim, q = len(m.coef), m.slot[r]
+    i, j = np.nonzero((s[:, None] == s[None, :]) & (m.level[q][:, None] == m.level[q][None, :] + 1))
     gens = np.flatnonzero(tables.unit[m.coef])
-    signed = _signs(field, m.level[m.slot] + 1) * m.d
-    over = Matrix.from_blocks(field, count * size, count, [
-        (m.slot * size + m.coef, 0, signed.submatrix(slice(None), gens))])
-    post = Matrix.identity(field, count).kron(m.d)
-    pre = _signs(field, m.level).kron(Matrix.block_combinations(tables.right_t, over).transpose())
-    at = (m.slot[r] * count + s) * size + m.coef[r]
-    return _part(post, s * dim + r, s * dim + r) + _part(pre, at, at)
+    c = _by_entry(Matrix.from_blocks(field, count * size, count, [
+        (m.slot * size + m.coef, 0, m.d.submatrix(slice(None), gens))]))
+    entry = c.nonzero_mask().any(axis=0).reshape(count, count)
+    i2, j2 = np.nonzero((q[:, None] == q[None, :]) & entry[s[:, None], s[None, :]])
+    negative = (m.level[q[i2]] + m.level[s[j2]]) % 2 == 0
+    return _placed(field, side, [
+        (i, j, m.d.reshape(1, dim * dim).submatrix(slice(None), r[i] * dim + r[j])),
+        (i2, j2, _products(tables.left, c.hstack(c.scale(-1)), m.coef[r[j2]] * size + m.coef[r[i2]],
+                           s[i2] * count + s[j2] + negative * count * count))])
 
 
-def _signs(field, degrees: np.ndarray) -> Matrix:
-    """The diagonal matrix of (-1)^n for the degrees n."""
-    return Matrix(field, np.diag(1 - 2 * (degrees % 2)))
+def _by_entry(over: Matrix) -> Matrix:
+    """The entries c_tu of an S x S matrix over A, given as over with
+    coefficient k of c_tu at over[t A.dim + k, u], as the columns u S + t
+    of an A.dim x S^2 matrix."""
+    count = over.cols
+    size = over.rows // count if count else 0
+    return over.reshape(count, size * count).transpose().reshape(size, count * count)
+
+
+def _products(rows_of: Matrix, c: Matrix, row: np.ndarray, col: np.ndarray) -> Matrix:
+    """The 1 x len(row) matrix of the entries (rows_of c)[row[p], col[p]],
+    each the sum over k of rows_of[row[p], k] c[k, col[p]]."""
+    return rows_of.submatrix(row, slice(None)).transpose().combine_blocks(c.submatrix(slice(None), col))
+
+
+def _placed(field, side: int, entries) -> Matrix:
+    """The side x side matrix with the entries of each 1 x len(i) matrix e
+    of entries [(i, j, e), ...] at the positions (i, j), zeros elsewhere."""
+    return Matrix.from_blocks(field, 1, side * side, [(0, i * side + j, e) for i, j, e in entries]) \
+        .reshape(side, side)

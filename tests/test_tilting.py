@@ -14,6 +14,7 @@ sessions and the random corpus.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,50 @@ def test_each_action_test_equals_its_unit(field, monkeypatch):
         assert spherical.is_equivalence_kernel(k) == (left and right) == is_equivalence_unminimised(k)
         unrefuted_false += not (left and right) and abs(_det(ops.k0_class())) == 1
     assert len(kernels) > 20 and unrefuted_false > 0
+
+
+def _zigzag_ladder(n: int) -> str:
+    """check and spherical for P(pt, n/2) from k to the zigzag algebra of
+    A_n, with the relations of examples/zigzag_a4.sph."""
+    items = [f"vertices {' '.join(str(i) for i in range(1, n + 1))}"]
+    items += [f"arrows {a}{i}: {i} -> {i + 1}" if a == "a" else f"arrows {a}{i}: {i + 1} -> {i}"
+              for i in range(1, n) for a in "ab"]
+    items += [rel for i in range(1, n - 1) for rel in (
+        f"relations a{i}*a{i + 1} = 0", f"relations b{i + 1}*b{i} = 0",
+        f"relations b{i}*a{i} - a{i + 1}*b{i + 1} = 0")]
+    return (f"algebra k {{ vertices pt }}\nalgebra Z {{ {'; '.join(items)}; bound 3 }}\n"
+            f"kernel P from k to Z {{ deg 0: P(pt,{n // 2}) }}\ncheck P\nspherical P\n")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F101", "Q"])
+def test_zigzag_a8_ladder_decides_equivalences_in_small_memory(field, monkeypatch):
+    """On zigzag A_8 (dimension 30) the twist's one-sided model keeps ten
+    free summands.  The action tests form only the entries of their
+    coordinate matrices that can be nonzero, so each call stays under
+    8 MB, where Kronecker products with a side of (slots x dim A) take
+    over 100 MB; the report is pinned."""
+    peaks, decide = [], spherical.is_equivalence_kernel
+
+    def measured(k):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            return decide(k)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(spherical, "is_equivalence_kernel", measured)
+    tracemalloc.start()
+    try:
+        report = run_session(parse_session(_zigzag_ladder(8)), field=field)
+    finally:
+        tracemalloc.stop()
+    conditions = {"twist_equivalence": True, "cotwist_equivalence": True,
+                  "condition_3": True, "condition_4": True}
+    homology = {"twist": {"-1": 8, "0": 22}, "cotwist": {"1": 1}}
+    assert [(r.cmd, r.status, r.data) for r in report.results] == [
+        ("check P", "ok", {"conditions": conditions, "two_out_of_four": "pass", "theorem": "pass",
+                           "homology": homology}),
+        ("spherical P", "ok", {"is_spherical": True, "conditions": conditions, "homology": homology,
+                               "splitting": "pass", "adjoint_spherical": "pass", "appendix": "pass"})]
+    assert peaks and max(peaks) < 8 * 2 ** 20, [p / 2 ** 20 for p in peaks]
