@@ -338,6 +338,27 @@ def homology_dims(x: Complex) -> dict[int, int]:
     return out
 
 
+def block_homology_dims(x: Complex) -> dict[int, np.ndarray]:
+    """Degree -> the matrix of dim e_u H^n e_w over the left vertices u and
+    the right vertices w, in every degree with nonzero cohomology.  The
+    vertex idempotents commute with d, so e_u x e_w is a subcomplex with
+    cohomology e_u H e_w, and its differential is d read between the
+    terms' double blocks."""
+    shape = (len(x.left_algebra.vertex_idempotents), len(x.right_algebra.vertex_idempotents))
+    pairs = list(np.ndindex(shape))
+    ranks = {n: np.reshape([(x.term(n + 1).double_block_proj(u, w) * d * x.term(n).double_block(u, w)).rank()
+                            for u, w in pairs], shape)
+             for n, d in x.diffs.items()}
+    none = np.zeros(shape, dtype=int)
+    out = {}
+    for n in x.degrees():
+        h = np.reshape([x.term(n).double_block(u, w).cols for u, w in pairs], shape) \
+            - ranks.get(n, none) - ranks.get(n - 1, none)
+        if h.any():
+            out[n] = h
+    return out
+
+
 def is_acyclic(x: Complex) -> bool:
     return not homology_dims(x)
 

@@ -11,6 +11,8 @@ A -> Hom_A(X_A, X_A) = X (x)_A X^v, and the unit of L -| F the right action
 A^op -> Hom_A^op(_A X, _A X): the two-sided tilting criterion (Rickard,
 "Derived equivalences as derived functors", 1991).  The right action is
 the left action of the flip of X, so one test serves both.
+spherical.is_equivalence_kernel runs it over algebras with arrows only:
+over k^n it reads the vertex-block homology instead.
 
 The test builds no tensor, adjoint or cone.  As a right module each term
 of X is the free module (+)_t e_{v_t} A of its splitting, inside A^S, and

@@ -29,11 +29,7 @@ PACKAGE = Path(spherica.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 
 # kind -> why it stays although none of the runs reads it back
-ALLOWED = {
-    "condition": "each of the four conditions is decided once per kernel, in one place "
-                 "(spherical._condition), as the CI step 'Conditions are decided in one "
-                 "place' and tests/test_spherical.py pin; a repeated `spherical P` reads it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _kind(key) -> str:
