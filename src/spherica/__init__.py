@@ -38,7 +38,6 @@ from .complexes import (
     chain_map_space,
     cone,
     find_quasi_iso,
-    homology,
     homology_dims,
     is_quasi_iso,
     shift,

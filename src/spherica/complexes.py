@@ -60,6 +60,8 @@ from .bimodules import (
 )
 from .linalg import Matrix, kept
 
+WITNESS_ATTEMPTS = 120  # random chain maps find_quasi_iso draws after the basis and its sum
+
 
 class ComplexError(Exception):
     """Raised for malformed complexes or chain maps."""
@@ -363,41 +365,6 @@ def is_acyclic(x: Complex) -> bool:
     return not homology_dims(x)
 
 
-def homology(x: Complex) -> dict[int, tuple[int, Bimodule]]:
-    """Cohomology with its induced bimodule structure in every degree."""
-    out = {}
-    field = x.field
-    for n in x.degrees():
-        d_n = x.diff_matrix(n)
-        d_prev = x.diff_matrix(n - 1)
-        ker = d_n.nullspace()
-        img = d_prev.image_basis()
-        stacked = img.hstack(ker) if ker.cols else img
-        _, pivots = stacked.rref()
-        reps_cols = [p - img.cols for p in pivots if p >= img.cols]
-        if not reps_cols:
-            continue
-        reps = Matrix.stack_columns(field, [ker.column_vec(c) for c in reps_cols], x.dim(n))
-        basis = img.hstack(reps)
-        term = x.term(n)
-        hdim = reps.cols
-
-        def induced(action_mats):
-            mats = []
-            for act in action_mats:
-                coords = basis.solve(act * reps)
-                if coords is None:
-                    raise ComplexError("homology action does not preserve cycles")
-                mats.append(coords.submatrix(slice(img.cols, img.cols + hdim),
-                                             slice(0, hdim)))
-            return mats
-
-        h = Bimodule(x.left_algebra, x.right_algebra, induced(term.left_action),
-                     induced(term.right_action), hdim, label=f"H{n}")
-        out[n] = (hdim, h)
-    return out
-
-
 def is_quasi_iso(f: ChainMap) -> bool:
     return is_acyclic(cone(f).cone)
 
@@ -563,9 +530,9 @@ def first_witness(basis: list, accept, field, rng: random.Random, attempts: int)
     return None
 
 
-def find_quasi_iso(x: Complex, y: Complex, rng: random.Random,
-                   attempts: int = 120) -> ChainMap | None:
-    """Search the chain-map space for a quasi-isomorphism x -> y.
+def find_quasi_iso(x: Complex, y: Complex, rng: random.Random) -> ChainMap | None:
+    """Search the chain-map space for a quasi-isomorphism x -> y, with up to
+    WITNESS_ATTEMPTS random combinations after the basis and its sum.
 
     Deterministic given the rng state; returns None when the homology
     profiles differ or no candidate in the sampled set works.
@@ -580,4 +547,4 @@ def find_quasi_iso(x: Complex, y: Complex, rng: random.Random,
     if not basis:
         return None
     return first_witness(basis, lambda f: not f.is_zero() and is_quasi_iso(f),
-                         x.field, rng, attempts)
+                         x.field, rng, WITNESS_ATTEMPTS)

@@ -5,8 +5,7 @@ arr over a positive integer den, and all arithmetic is exact.  Only this
 module reads or writes those arrays; the rest of the engine builds and
 reads matrices through Matrix operations such as from_blocks (blocks
 placed in zeros), combinations (linear combinations of equal-shape
-matrices), block_combinations (a block matrix of such combinations),
-reshape, entries and nonzero_entries.  combine_blocks forms
+matrices), reshape, entries and nonzero_entries.  combine_blocks forms
 column-by-column combinations of row blocks, and combine_slots does so
 for several coefficient blocks in one batched product, projecting each
 result: one call gives every slot of a tensor's coordinates.
@@ -396,11 +395,15 @@ class Matrix:
 
     @staticmethod
     def combinations(mats: list["Matrix"], coeffs: "Matrix") -> list["Matrix"]:
-        """sum_k coeffs[k, j] mats[k] for each column j of coeffs: the blocks
-        of block_combinations with one row block; mats is a nonempty list of
-        matrices of one shape."""
-        out, w = Matrix.block_combinations(mats, coeffs), mats[0].cols
-        return [out.submatrix(slice(None), slice(j * w, (j + 1) * w)) for j in range(coeffs.cols)]
+        """sum_k coeffs[k, j] mats[k] for each column j of coeffs; mats is a
+        nonempty list of matrices of one shape.  One product of the
+        transposed coefficients by the flattened mats, whose row j is
+        combination j."""
+        first = mats[0]
+        arrays, den = _common(first.field, mats)
+        sums = coeffs.transpose() * Matrix._wrap(first.field, np.stack([a.ravel() for a in arrays]), den)
+        return [sums.submatrix(slice(j, j + 1), slice(None)).reshape(first.rows, first.cols)
+                for j in range(coeffs.cols)]
 
     @staticmethod
     def from_rows(field: Field, rows: list, cols: int | None = None) -> "Matrix":
@@ -477,25 +480,6 @@ class Matrix:
         out = (a[:, None, :, None] * b[None, :, None, :]).reshape(
             self.rows * other.rows, self.cols * other.cols)
         return Matrix._normal(self.field, out, self.den * other.den)
-
-    @staticmethod
-    def block_combinations(mats: list["Matrix"], coeffs: "Matrix") -> "Matrix":
-        """The block matrix whose block (t, s) is sum_k coeffs[t K + k, s] mats[k],
-        for K = len(mats) matrices of one shape: a matrix whose entries lie
-        in the span of mats, each entry given by its K coefficients in one
-        row block of coeffs.  One product of the coefficients by the
-        flattened mats, then the blocks put in place."""
-        first, k = mats[0], len(mats)
-        t, s = coeffs.rows // k, coeffs.cols
-        if coeffs.rows != t * k:
-            raise ValueError("coefficient rows are not a multiple of the number of matrices")
-        arrays, den = _common(first.field, mats)
-        flat = Matrix._wrap(first.field, np.stack([a.ravel() for a in arrays]), den)
-        # row (t, s) of the product is block (t, s), flattened
-        by_block = Matrix._wrap(coeffs.field, coeffs.arr.reshape(t, k, s).transpose(0, 2, 1)
-                                .reshape(t * s, k), coeffs.den) * flat
-        out = by_block.arr.reshape(t, s, first.rows, first.cols).transpose(0, 2, 1, 3)
-        return Matrix._wrap(first.field, out.reshape(t * first.rows, s * first.cols), by_block.den)
 
     def combine_blocks(self, coeffs: "Matrix") -> "Matrix":
         """Column by column linear combination of equal row blocks.

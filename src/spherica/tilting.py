@@ -34,7 +34,14 @@ nonzero, each one row of the algebra's stacked multiplication matrices
 times the coefficients of an entry over A, so no matrix has a side of
 (number of slots) x A.dim.  The action is a quasi-isomorphism exactly
 when a |-> p L_a i, A -> Hom_A(X', X'), is one, which ranks decide; L_a
-acts on the values of i in the basis of each term of X.
+acts on the values of i in the basis of each term of X, piece by piece
+when the term has records.
+
+The same model decides whether X is the identity kernel (is_identity),
+which spherical.quasi_iso_to_identity asks over algebras with arrows:
+by Krull-Schmidt (Krause, arXiv:1410.2822) X' must then be A_A itself,
+and a |-> p L_a i twists it by an endomorphism of A, which must be
+inner.  One nullspace decides that, with no chain map or cone.
 """
 
 from __future__ import annotations
@@ -60,6 +67,48 @@ def right_action_is_quasi_iso(x: Complex) -> bool:
     """Whether the right action is a quasi-isomorphism A^op -> Hom_A^op(X, X),
     the left action of the flip of x: the unit id -> FL of its functor, at A."""
     return _action_is_quasi_iso({n: flip(t) for n, t in x.terms.items()}, x.diffs)
+
+
+def is_identity(x: Complex) -> bool:
+    """Whether the complex x of A-bimodules, whose terms must be
+    right-projective, is quasi-isomorphic to A.
+
+    Then its free minimal model X' is homotopy equivalent to A as a
+    complex of right modules, so X' is A: one term, in degree 0, with one
+    slot e_v A at each vertex v (Krull-Schmidt).  Otherwise the answer is
+    no.  H^0 x = X' is then A_A with the left action a |-> p L_a i, which
+    psi(b) = (sum of the generators) b identifies with _sigma A for the
+    endomorphism sigma(a) = psi^-1(a psi(1)), and _sigma A is isomorphic
+    to A exactly when some unit u has sigma(a) u = u a for every generator
+    a.  These u form a subspace S, which is u_0 Z(A) when u_0 is a unit
+    among them; Z(A) is scalar modulo its radical on each block of A, so
+    an element of S then has a nonzero e_v coefficient at every vertex of
+    v's block or at none.  So with w_v the first basis element of S whose
+    e_v coefficient is nonzero, u = sum_v e_v w_v, a unit by construction,
+    lies in S exactly when S holds a unit."""
+    if not x.terms:
+        return False
+    tables, m, action = _model(x.terms, x.diffs)
+    alg = x.right_algebra
+    field, size, idems = alg.field, alg.dim, alg.vertex_idempotents
+    if m.level.any() or sorted(m.vert.tolist()) != list(range(len(idems))):
+        return False
+    # coordinate r of X' is coefficient m.coef[r] of psi^-1, once each;
+    # column i of sigma is sigma(a_i)
+    summed = action(0) * Matrix.stack_rows(field, [Matrix.identity(field, size)] * len(m.vert), size)
+    sigma = summed.submatrix(np.argsort(m.coef), slice(None))
+    # row block g of the equations is L_sigma(a_g) - R_g, for the generators a_g
+    gens = np.array(alg.generator_indices)
+    lefts = sigma.submatrix(slice(None), gens).transpose() * tables.left.reshape(size, size * size)
+    rights = tables.right.submatrix((gens[:, None] * size + np.arange(size)).ravel(), slice(None))
+    equations = lefts.reshape(len(gens) * size, size) - rights
+    units = equations.nullspace()
+    nonzero = units.submatrix(idems, slice(None)).nonzero_mask()
+    if not nonzero.any(axis=1).all():
+        return False
+    # coordinate k of u is coordinate k of w_v for the vertex v where a_k starts
+    pick = np.arange(size) * units.cols + nonzero.argmax(axis=1)[tables.start]
+    return (equations * units.reshape(1, size * units.cols).submatrix(slice(None), pick).transpose()).is_zero()
 
 
 class _FreeTables:
@@ -90,9 +139,12 @@ class _Free:
         self.vert, self.level, self.slot, self.coef, self.d = vert, level, slot, coef, d
 
 
-def _action_is_quasi_iso(terms: dict[int, Bimodule], diffs: dict[int, Matrix]) -> bool:
-    if not terms:
-        return False
+def _model(terms: dict[int, Bimodule], diffs: dict[int, Matrix]):
+    """The free minimal model X' of the complex of right-projective bimodules
+    (terms, diffs), with the tables of its algebra A and its left action up
+    to homotopy: action(n) has row r and column s A.dim + i the coordinate
+    r of p L_{a_i} i at generator s, for the coordinates r and the
+    generators s of X' in degree n, each in order."""
     alg = next(iter(terms.values())).right_algebra
     field, size = alg.field, alg.dim
     tables = kept(alg._tables, "free modules", lambda: _FreeTables(alg))
@@ -117,10 +169,48 @@ def _action_is_quasi_iso(terms: dict[int, Bimodule], diffs: dict[int, Matrix]) -
     rows, cols = np.nonzero(level[slot][:, None] == level[slot][None, :] + 1)
     d = _placed(field, len(full), [(rows, cols, _products(
         tables.right, _by_entry(over), coef[cols] * size + coef[rows], slot[cols] * len(vert) + slot[rows]))])
-    x = _Free(vert, level, slot, coef, d)
-    m, incl, proj = _cancelled(x, tables)
+    m, incl, proj = _cancelled(_Free(vert, level, slot, coef, d), tables)
+
+    def action(n: int) -> Matrix:
+        # in degree n, x has its coordinates at xs and m at ms, with
+        # generators at gens; L_a acts on the values i(g) in the basis of
+        # X^n, and to_free takes them back to x's coordinates
+        xs, ms = np.flatnonzero(level[slot] == n), np.flatnonzero(m.level[m.slot] == n)
+        gens, dim = ms[tables.unit[m.coef[ms]]], terms[n].dim
+        local = full[xs] - first[n] * size
+        to_free = splits[n].coords.submatrix(local, slice(None))
+        # where nothing in degree n cancels, i and p are the identity there;
+        # elsewhere solving by to_free takes the values of i from x's
+        # coordinates to the basis of X^n
+        if len(xs) == len(ms):
+            images, out = splits[n].generators, to_free
+        else:
+            images = to_free.solve(_part(incl, xs, gens))
+            out = _part(proj, ms, xs) * to_free
+        acted = _acted(terms[n], images)
+        return out * acted.reshape(size, dim * len(gens)).transpose().reshape(dim, len(gens) * size)
+
+    return tables, m, action
+
+
+def _acted(term: Bimodule, images: Matrix) -> Matrix:
+    """Row (i, b), column s: coordinate b of a_i . images[:, s].  A term with
+    records acts piece by piece, so no action matrix of the term is built."""
+    if not term.records:
+        return _stacked_left(term) * images
+    size, dim = term.left_algebra.dim, term.dim
+    return Matrix.from_blocks(term.field, size * dim, images.cols, [
+        ((np.arange(size)[:, None] * dim + idx).ravel(), 0, _stacked_left(piece) * images.submatrix(idx, slice(None)))
+        for piece, idx in term.records])
+
+
+def _action_is_quasi_iso(terms: dict[int, Bimodule], diffs: dict[int, Matrix]) -> bool:
+    if not terms:
+        return False
+    tables, m, action = _model(terms, diffs)
     if not len(m.vert):
         return False  # X is contractible, and A is not
+    field, size = m.d.field, len(tables.start)
 
     # Hom_A(X', X') at the generators: coordinate (s, r) is coordinate r of
     # the value at generator s, where the a_k at r ends at the vertex of s
@@ -130,33 +220,14 @@ def _action_is_quasi_iso(terms: dict[int, Bimodule], diffs: dict[int, Matrix]) -
     hom = _hom_differential(m, s, r, tables) if len(dims) > 1 else None
     maps = {k: _part(hom, dims[k + 1], dims[k]) for k in dims if k + 1 in dims}
 
-    # a |-> p L_a i in Hom^0, at the generators, degree by degree.  In
-    # degree n, x has its coordinates at xs and m at ms, with generators at
-    # gens; L_a acts on the values i(g) in the basis of X^n, and to_free
-    # takes them back to x's coordinates.  The Hom^0 coordinates at have
-    # their generator in degree n
+    # a |-> p L_a i in Hom^0, at the generators, degree by degree: the Hom^0
+    # coordinates at have their generator in degree n
     phi = []
     for n in sorted(set(m.level.tolist())):
-        xs, ms = np.flatnonzero(level[slot] == n), np.flatnonzero(m.level[m.slot] == n)
-        gens, dim = ms[tables.unit[m.coef[ms]]], terms[n].dim
-        local, count = full[xs] - first[n] * size, len(splits[n].vertex_pos)
-        to_free = splits[n].coords.submatrix(local, slice(None))
-        # where nothing in degree n cancels, i and p are the identity there;
-        # elsewhere column (t, j) of basis is g_t a_j, the inverse of to_free
-        if len(xs) == len(ms):
-            images, out = splits[n].generators, to_free
-        else:
-            basis = Matrix.stack_rows(field, terms[n].right_action, dim) * splits[n].generators
-            basis = basis.reshape(size, dim * count).transpose().reshape(dim, count * size)
-            images = basis.submatrix(slice(None), local) * _part(incl, xs, gens)
-            out = _part(proj, ms, xs) * to_free
-        # row (i, b), column s: coordinate b of a_i . i(g_s)
-        acted = _stacked_left(terms[n]) * images
-        # row r, column (s, i): coordinate r of p L_{a_i} i at generator s
-        values = out * acted.reshape(size, dim * len(gens)).transpose().reshape(dim, len(gens) * size)
+        ms, gens = np.flatnonzero(m.level[m.slot] == n), np.flatnonzero(m.level == n)
         at = np.flatnonzero((degree == 0) & (m.level[s] == n))
-        phi.append((at, 0, values.reshape(len(ms) * len(gens), size).submatrix(
-            (r[at] - ms[0]) * len(gens) + s[at] - m.slot[gens[0]], slice(None))))
+        phi.append((at, 0, action(n).reshape(len(ms) * len(gens), size).submatrix(
+            (r[at] - ms[0]) * len(gens) + s[at] - gens[0], slice(None))))
 
     # the cone of A -> Hom_A(X', X') is acyclic; A sits in its degree -1
     maps[-1] = Matrix.from_blocks(field, len(s), size, phi).submatrix(dims[0], slice(None)).hstack(

@@ -4,7 +4,9 @@ adjoint check's two composites without minimal models, the restriction
 to scalars, the center of an algebra, the two-sided hom complex, the
 quotient model of a tensor product, single-term complexes, the zero
 bimodule, the map phi of a splitting, the inclusions and projections of
-a direct sum of complexes, the identity kernel, identity chain maps and
+a direct sum of complexes, the identity kernel, twisted bimodules
+_sigma A as kernels, homology with its bimodule structure and the
+sampled identity test that reads it, identity chain maps and
 the tests for identity matrices and maps, the chained calculus
 (composites, inverses and shifts of chain maps, induced maps of tensor
 complexes, whiskers, unitors, associators and the right-shift
@@ -41,6 +43,7 @@ from spherica.bimodules import (
     is_projective,
     left_dual,
     projective_bimodule,
+    regular_bimodule,
     right_dual,
 )
 from spherica.complexes import (
@@ -49,6 +52,8 @@ from spherica.complexes import (
     ComplexError,
     TensorComplex,
     direct_sum_complexes,
+    find_quasi_iso,
+    first_witness,
     homology_dims,
     is_quasi_iso,
     shift,
@@ -499,6 +504,72 @@ def single_term(m: Bimodule, degree: int = 0) -> Complex:
 def identity_kernel(a: Algebra) -> Kernel:
     """The diagonal kernel: a as an (a,a)-bimodule in degree 0."""
     return Kernel(a, a, unit_complex(a))
+
+
+def twisted_bimodule(a: Algebra, scales: list) -> Bimodule:
+    """_sigma A: A with its own right action and a acting on the left by
+    sigma(a), for the endomorphism sigma of A that multiplies arrow t by
+    scales[t], so a basis path by the product of its arrows' scales.  The
+    relations of A must be monomial, which sigma then preserves."""
+    left = []
+    for k, path in enumerate(a.basis_paths):
+        scale = a.field.elem(1)
+        for t in path:
+            scale = scale * a.field.elem(scales[t])
+        left.append(a.left_mult_matrix(k).scale(scale))
+    return Bimodule(a, a, left, [a.right_mult_matrix(k) for k in range(a.dim)], a.dim, label="sigma A")
+
+
+def homology(x: Complex) -> dict[int, tuple[int, Bimodule]]:
+    """Cohomology with its induced bimodule structure in every degree."""
+    out = {}
+    field = x.field
+    for n in x.degrees():
+        d_n = x.diff_matrix(n)
+        d_prev = x.diff_matrix(n - 1)
+        ker = d_n.nullspace()
+        img = d_prev.image_basis()
+        stacked = img.hstack(ker) if ker.cols else img
+        _, pivots = stacked.rref()
+        reps_cols = [p - img.cols for p in pivots if p >= img.cols]
+        if not reps_cols:
+            continue
+        reps = Matrix.stack_columns(field, [ker.column_vec(c) for c in reps_cols], x.dim(n))
+        basis = img.hstack(reps)
+        term = x.term(n)
+        hdim = reps.cols
+
+        def induced(action_mats):
+            mats = []
+            for act in action_mats:
+                coords = basis.solve(act * reps)
+                if coords is None:
+                    raise ComplexError("homology action does not preserve cycles")
+                mats.append(coords.submatrix(slice(img.cols, img.cols + hdim),
+                                             slice(0, hdim)))
+            return mats
+
+        h = Bimodule(x.left_algebra, x.right_algebra, induced(term.left_action),
+                     induced(term.right_action), hdim, label=f"H{n}")
+        out[n] = (hdim, h)
+    return out
+
+
+def identity_by_search(k: Kernel) -> bool:
+    """The sampled identity test: a chain witness from the minimal model of
+    the endokernel k to the diagonal kernel, then the truncation criterion
+    (homology only in degree 0, isomorphic to A by a sampled invertible
+    bimodule map A -> H^0).  The oracle for
+    spherica.spherical.quasi_iso_to_identity, which decides exactly."""
+    a, rng = k.source_algebra, random.Random(0)
+    x = kernel_ops(k).model().complex
+    if find_quasi_iso(x, unit_complex(a), rng) is not None:
+        return True
+    h = homology(x)
+    if set(h) != {0} or h[0][0] != a.dim:
+        return False
+    candidates = hom_space(regular_bimodule(a), h[0][1])
+    return bool(candidates) and first_witness(candidates, Matrix.is_invertible, a.field, rng, 60) is not None
 
 
 def identity_map(x: Complex) -> ChainMap:

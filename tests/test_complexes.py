@@ -24,7 +24,6 @@ from spherica.complexes import (
     direct_sum_complexes,
     find_quasi_iso,
     first_witness,
-    homology,
     homology_dims,
     is_acyclic,
     is_quasi_iso,
@@ -47,6 +46,7 @@ from helpers import (
     direct_sum_maps_oracle,
     dual_numbers,
     hom_cx,
+    homology,
     identity_map,
     interchange_right_shift,
     inverse_map,

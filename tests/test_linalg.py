@@ -691,15 +691,16 @@ def test_kron_equals_numpy_kron(field, left, right):
 
 
 @pytest.mark.parametrize("field", SHAPE_FIELDS, ids=["F2", "F101", "F2147483647", "Q"])
-def test_block_combinations_equal_placed_combinations(field):
-    """Block (t, s) of Matrix.block_combinations is sum_k coeffs[t K + k, s]
-    mats[k], the combinations placed block by block."""
+def test_combinations_equal_sums_of_scaled_matrices(field):
+    """Matrix.combinations gives sum_k coeffs[k, j] mats[k] for every column
+    j of coeffs, the sum of the scaled matrices in normal form."""
     rng = random.Random(7)
     mats = [_matrix(field, _python_entries(field, 2, 3, rng), 3) for _ in range(4)]
-    coeffs = _matrix(field, _python_entries(field, 3 * 4, 5, rng), 5)
-    blocks = [(2 * t, 3 * s, Matrix.combinations(mats, coeffs.submatrix(
-        slice(4 * t, 4 * t + 4), slice(s, s + 1)))[0]) for t in range(3) for s in range(5)]
-    assert Matrix.block_combinations(mats, coeffs) == Matrix.from_blocks(field, 6, 15, blocks)
+    coeffs = _matrix(field, _python_entries(field, 4, 3 * 5, rng), 3 * 5)
+    rows = coeffs.entries()
+    sums = [sum((m.scale(rows[k][j]) for k, m in enumerate(mats)), Matrix.zeros(field, 2, 3))
+            for j in range(3 * 5)]
+    assert Matrix.combinations(mats, coeffs) == sums
 
 
 @pytest.mark.parametrize("field", SHAPE_FIELDS, ids=["F2", "F101", "F2147483647", "Q"])

@@ -45,12 +45,9 @@ ALLOWED = {
     "algebras.py:Algebra.multiply_vec": "the validation API: Algebra.check multiplies with it",
     "bimodules.py:Bimodule.check": "the validation API: checks the engine's objects on request",
     "complexes.py:ChainMap.check": "the validation API: checks the engine's objects on request",
-    "complexes.py:Complex.diff_matrix": "read by ChainMap.check and homology",
+    "complexes.py:Complex.diff_matrix": "read by ChainMap.check",
     "complexes.py:ChainMap.scale": "first_witness's random phase scales chain maps; "
                                    "these paths find every witness before it",
-    "complexes.py:homology": "the complete identity test behind quasi_iso_to_identity's "
-                             "truncation fallback: a chain witness X -> A need not exist",
-    "complexes.py:homology.<locals>.induced": "part of homology",
     "complexes.py:Complex.euler_characteristic": "public API; the acceptance criteria read it",
     "kernels.py:compose_list": "public API, named in the README",
     "spherical.py:Verdict.passed": "public API; the acceptance assertions read it",

@@ -154,43 +154,49 @@ def test_quasi_iso_to_identity(PD):
     assert not quasi_iso_to_identity(tw)
 
 
-def test_quasi_iso_to_identity_decides_on_the_minimal_model(PD, monkeypatch):
+def test_quasi_iso_to_identity_decides_on_the_one_sided_model(PD, monkeypatch):
     """cotwist(adjoint) o twist over the dual numbers has total dimension
-    18; the witness search runs on its minimal model, which is D itself in
-    degree 0."""
-    import spherica.spherical as spherical_module
-    search, seen = spherical_module.find_quasi_iso, []
+    18; its one-sided minimal model is D itself, one slot e_v D in degree
+    0, and the identity test reads that model off the composite as given."""
+    import spherica.tilting as tilting_module
+    cancelled, models = tilting_module._cancelled, []
 
-    def recording(x, y, rng, *args, **kwargs):
-        seen.append(term_dims(x))
-        return search(x, y, rng, *args, **kwargs)
+    def recording(x, tables):
+        out = cancelled(x, tables)
+        models.append(out[0])
+        return out
 
-    monkeypatch.setattr(spherical_module, "find_quasi_iso", recording)
+    monkeypatch.setattr(tilting_module, "_cancelled", recording)
     c_adj = kernel_ops(kernel_ops(PD).right_adjoint().kernel).cotwist().kernel
     k = compose(c_adj, kernel_ops(PD).twist().kernel)
     assert term_dims(k.complex) == {-1: 4, 0: 10, 1: 4}
     assert quasi_iso_to_identity(k)
-    assert seen == [{0: D.dim}]
+    assert [(m.level.tolist(), m.vert.tolist(), len(m.coef)) for m in models] == [([0], [0], D.dim)]
 
 
 @pytest.mark.parametrize("p", [2, 101])
-def test_quasi_iso_to_identity_truncation_fallback(p, monkeypatch):
-    """With the chain-level search patched to find nothing, the truncation
-    criterion decides, through the sampler's invertibility test on the
-    bimodule maps A -> H^0."""
-    import spherica.spherical as spherical_module
+def test_quasi_iso_to_identity_builds_no_chain_map(p, monkeypatch):
+    """The identity test over an algebra with arrows builds no minimal
+    model, chain-map space or cone, and searches no witness: the identity
+    kernel of zigzag A_2 and the 18-dimensional composite over D are the
+    identity, the twist over D is not."""
+    import spherica.complexes as complexes_module
+    import spherica.kernels as kernels_module
     field = Field.prime(p)
     k, d = scalar_algebra(field), dual_numbers(field)
     pd = Kernel(k, d, single_term(projective_bimodule(k, 0, d, 0)))
     tw = kernel_ops(pd).twist().kernel
     c_adj = kernel_ops(kernel_ops(pd).right_adjoint().kernel).cotwist().kernel
-    homology, reached = spherical_module.homology, []
-    monkeypatch.setattr(spherical_module, "find_quasi_iso", lambda *args, **kwargs: None)
-    monkeypatch.setattr(spherical_module, "homology", lambda x: reached.append(x) or homology(x))
-    assert quasi_iso_to_identity(identity_kernel(zigzag_a2(field)))
-    assert quasi_iso_to_identity(compose(c_adj, tw))
-    assert not quasi_iso_to_identity(tw)
-    assert len(reached) == 3
+    kernels = [identity_kernel(zigzag_a2(field)), compose(c_adj, tw), tw]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity test built a chain map, cone or two-sided model")
+
+    for module in (complexes_module, kernels_module, spherical):
+        for name in ("find_quasi_iso", "chain_map_space", "minimal_model", "cone"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [quasi_iso_to_identity(k) for k in kernels] == [True, True, False]
 
 
 def test_check_appendix(PD, PZ):
@@ -450,7 +456,6 @@ def test_a_spherical_session_decides_only_the_conditions_it_reads(monkeypatch):
             ("is_equivalence_kernel", id(q_ops.cotwist().kernel)),
             ("condition4_map", id(q_ops.p)),
         ]
-        assert {key[1] for key in kernel_ops(q)._cache if key[0] == "condition"} == {2, 4}
 
 
 def _fresh_kernels(field) -> list:
@@ -540,7 +545,7 @@ def test_identity_tests_on_model_composites_agree_with_plain_composites(field, m
     tested = []
     identity_test = spherical.quasi_iso_to_identity
     monkeypatch.setattr(spherical, "quasi_iso_to_identity",
-                        lambda k, rng=None: tested.append(k) or identity_test(k, rng))
+                        lambda k: tested.append(k) or identity_test(k))
     for p in _spherical_kernels(field):
         tested.clear()
         assert check_adjoint_spherical(p).status == "pass"

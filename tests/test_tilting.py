@@ -9,6 +9,14 @@ unit, and the verdict against the two-sided test on the unminimised
 kernel (helpers.is_equivalence_unminimised), on every endokernel that
 is_equivalence_kernel decides in the builtin sessions, the example
 sessions and the random corpus.
+
+tilting.is_identity decides whether an endokernel is the identity on
+the same one-sided model.  It is checked against the sampled test it
+replaced (helpers.identity_by_search) on every identity test of the same
+runs and on twists and adjoint composites of random kernels, and on
+twisted bimodules _sigma A, whose answer is known: each is invertible
+with homology A in degree 0, and it is the identity exactly when sigma
+is inner.
 """
 
 from __future__ import annotations
@@ -20,23 +28,31 @@ from pathlib import Path
 import pytest
 
 from spherica import Field, Kernel, check_conditions, complexes, kernel_ops, spherical
+from spherica.algebras import Arrow, QuiverPresentation, algebra_from_quiver
 from spherica.bimodules import projective_bimodule
-from spherica.complexes import Complex, scalar_algebra
+from spherica.complexes import Complex, homology_dims, scalar_algebra
 from spherica.session import BUILTIN_TEXTS, parse_session, run_session
 from spherica.spherical import _det, random_kernel
-from spherica.tilting import left_action_is_quasi_iso, right_action_is_quasi_iso
+from spherica.tilting import is_identity, left_action_is_quasi_iso, right_action_is_quasi_iso
 
 from helpers import (
     RANDOM_SHAPES,
+    adjoint_composites_unminimised,
     dual_numbers,
+    identity_by_search,
+    identity_kernel,
     is_equivalence_unminimised,
     k_times_k,
+    single_term,
+    twisted_bimodule,
     x_cubed,
     zigzag_a2,
 )
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 FIELDS = [Field.prime(2), Field.prime(101), Field.rationals()]
+# F2 has no scalar but 0 and 1 to twist by
+TWISTED_FIELDS = [Field.prime(3), Field.prime(101), Field.rationals()]
 
 
 def _decided(field, monkeypatch) -> list:
@@ -79,6 +95,93 @@ def test_each_action_test_equals_its_unit(field, monkeypatch):
         assert spherical.is_equivalence_kernel(k) == (left and right) == is_equivalence_unminimised(k)
         unrefuted_false += not (left and right) and abs(_det(ops.k0_class())) == 1
     assert len(kernels) > 20 and unrefuted_false > 0
+
+
+def _identity_tested(field, monkeypatch) -> list:
+    """Every endokernel that quasi_iso_to_identity decides on the builtin
+    and example sessions and in check_adjoint_spherical of the random
+    kernels of seeds 0-3 over every RANDOM_SHAPES pair and from k to D, X3
+    and Z, over field; then for each random kernel from k its twist, its
+    cotwist and the adjoint check's two composites tensored from the
+    triangles themselves (helpers.adjoint_composites_unminimised)."""
+    seen, identity = [], spherical.quasi_iso_to_identity
+    monkeypatch.setattr(spherical, "quasi_iso_to_identity", lambda k: seen.append(k) or identity(k))
+    texts = [*BUILTIN_TEXTS.values(), *(p.read_text() for p in sorted(EXAMPLES.glob("*.sph")))]
+    for text in texts:
+        run_session(parse_session(text), field=field)
+    k = scalar_algebra(field)
+    pairs = [(src(field), tgt(field)) for src, tgt in RANDOM_SHAPES.values()]
+    pairs += [(k, make(field)) for make in (dual_numbers, x_cubed, zigzag_a2)]
+    from_k = []
+    for a, b in pairs:
+        for seed in range(4):
+            p = random_kernel(a, b, random.Random(seed))
+            if check_conditions(p).cond_C_equiv:
+                spherical.check_adjoint_spherical(p)
+            if a is k:
+                from_k.append(p)
+    monkeypatch.undo()
+    for p in from_k:
+        ops = kernel_ops(p)
+        seen += [ops.twist().kernel, ops.cotwist().kernel, *adjoint_composites_unminimised(p)]
+    return seen
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), *TWISTED_FIELDS], ids=["F2", "F3", "F101", "Q"])
+def test_identity_equals_the_sampled_test(field, monkeypatch):
+    """The one-sided identity test gives the sampled test's answer on every
+    kernel of _identity_tested, and both answers occur over algebras with
+    arrows."""
+    kernels = _identity_tested(field, monkeypatch)
+    answers = [spherical.quasi_iso_to_identity(k) for k in kernels]
+    assert answers == [identity_by_search(k) for k in kernels]
+    with_arrows = [answer for answer, k in zip(answers, kernels) if k.source_algebra.radical_basis]
+    assert any(with_arrows) and not all(with_arrows)
+
+
+@pytest.mark.parametrize("field", TWISTED_FIELDS, ids=["F3", "F101", "Q"])
+def test_twisted_algebras_are_the_identity_exactly_when_inner(field):
+    """_sigma A is invertible, with homology of dimension dim A in degree 0
+    only, and it is the identity exactly when sigma is inner.  D is
+    commutative, so x |-> 2x is outer.  On zigzag A_2, a |-> s a and
+    b |-> t b is conjugation by a unit exactly when s t = 1, as a unit
+    l_1 e_1 + l_2 e_2 + r scales a and b by inverse ratios: so a |-> 2a,
+    b |-> b/2 is inner, a |-> 2a, b |-> b is outer, and a |-> 2a, b |-> 2b
+    is outer but over F3, where 2 * 2 = 1."""
+    d, z = dual_numbers(field), zigzag_a2(field)
+    cases = [(d, [2], False), (z, [2, 2], field.elem(4) == 1), (z, [2, field.inv(field.elem(2))], True),
+             (z, [2, 1], False)]
+    for a, scales, inner in cases:
+        k = Kernel(a, a, single_term(twisted_bimodule(a, scales)))
+        assert homology_dims(k.complex) == {0: a.dim}
+        assert spherical.is_equivalence_kernel(k)
+        assert spherical.quasi_iso_to_identity(k) == inner == identity_by_search(k), scales
+
+
+def _two_loops(field):
+    """k[x]/x^2 x k[y]/y^2: two blocks, one loop at each vertex."""
+    q = QuiverPresentation(vertices=("u", "w"), arrows=(Arrow("x", "u", "u"), Arrow("y", "w", "w")),
+                           relations=(((1, ("x", "x")),), ((1, ("y", "y")),)), length_bound=2)
+    return algebra_from_quiver(q, field, name="DD")
+
+
+@pytest.mark.parametrize("field", TWISTED_FIELDS, ids=["F3", "F101", "Q"])
+def test_identity_over_two_blocks(field):
+    """Over an algebra with two blocks a unit is one in each block: the
+    identity kernel is the identity, and a twist of either block is not."""
+    a = _two_loops(field)
+    assert spherical.quasi_iso_to_identity(identity_kernel(a))
+    for scales in ([2, 1], [1, 2], [2, 2]):
+        k = Kernel(a, a, single_term(twisted_bimodule(a, scales)))
+        assert not spherical.quasi_iso_to_identity(k) and not identity_by_search(k)
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), *TWISTED_FIELDS], ids=["F2", "F3", "F101", "Q"])
+def test_a_left_action_that_is_no_automorphism_is_not_the_identity(field):
+    """D with x acting by 0 on the left is A_A as a right module, so its
+    one-sided model is D in degree 0, but no unit u has 0 = u x."""
+    d = dual_numbers(field)
+    assert not is_identity(single_term(twisted_bimodule(d, [0])))
 
 
 def _zigzag_ladder(n: int) -> str:
