@@ -19,7 +19,10 @@ sum written entry by entry, the canonical condition and identity maps
 chained through the left-shift interchange, hom spaces solved over every
 pair of vertex blocks, adjoint differentials solved in the dual hom
 space, the dense elimination over F_p and the elimination on Fraction
-objects that the engine's kernels are checked against."""
+objects that the engine's kernels are checked against.  Acyclicity, the
+cone test for quasi-isomorphisms and vertex-block homology read off the
+double blocks at every vertex pair are the oracles of
+complexes.is_quasi_iso and complexes.block_homology_dims."""
 
 from __future__ import annotations
 
@@ -51,6 +54,7 @@ from spherica.complexes import (
     Complex,
     ComplexError,
     TensorComplex,
+    cone,
     direct_sum_complexes,
     find_quasi_iso,
     first_witness,
@@ -552,6 +556,37 @@ def homology(x: Complex) -> dict[int, tuple[int, Bimodule]]:
         h = Bimodule(x.left_algebra, x.right_algebra, induced(term.left_action),
                      induced(term.right_action), hdim, label=f"H{n}")
         out[n] = (hdim, h)
+    return out
+
+
+def is_acyclic(x: Complex) -> bool:
+    return not homology_dims(x)
+
+
+def is_quasi_iso_by_cone(f: ChainMap) -> bool:
+    """The cone test: f is a quasi-isomorphism exactly when its cone is
+    acyclic.  The oracle for spherica.complexes.is_quasi_iso, which decides
+    on homology with no cone built."""
+    return is_acyclic(cone(f).cone)
+
+
+def block_homology_dims_by_blocks(x: Complex) -> dict[int, np.ndarray]:
+    """dim e_u H^n e_w from the differential read between the terms' double
+    blocks, at every vertex pair, one vertex each side included.  The oracle
+    for spherica.complexes.block_homology_dims, which reads homology_dims
+    when each side has one vertex."""
+    shape = (len(x.left_algebra.vertex_idempotents), len(x.right_algebra.vertex_idempotents))
+    pairs = list(np.ndindex(shape))
+    ranks = {n: np.reshape([(x.term(n + 1).double_block_proj(u, w) * d * x.term(n).double_block(u, w)).rank()
+                            for u, w in pairs], shape)
+             for n, d in x.diffs.items()}
+    none = np.zeros(shape, dtype=int)
+    out = {}
+    for n in x.degrees():
+        h = np.reshape([x.term(n).double_block(u, w).cols for u, w in pairs], shape) \
+            - ranks.get(n, none) - ranks.get(n - 1, none)
+        if h.any():
+            out[n] = h
     return out
 
 

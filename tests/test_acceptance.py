@@ -16,7 +16,6 @@ from spherica.complexes import (
     cone,
     find_quasi_iso,
     homology_dims,
-    is_acyclic,
     is_quasi_iso,
     scalar_algebra,
     unit_complex,
@@ -47,6 +46,7 @@ from helpers import (
     dual_numbers,
     hom_cx,
     identity_kernel,
+    is_acyclic,
     is_identity_map,
     k_times_k,
     restrict_to_right,

@@ -25,7 +25,6 @@ from spherica.complexes import (
     find_quasi_iso,
     first_witness,
     homology_dims,
-    is_acyclic,
     is_quasi_iso,
     minimal_model,
     scalar_algebra,
@@ -50,6 +49,7 @@ from helpers import (
     identity_map,
     interchange_right_shift,
     inverse_map,
+    is_acyclic,
     is_identity_map,
     left_unitor,
     right_unitor,

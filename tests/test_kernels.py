@@ -21,7 +21,6 @@ from spherica.complexes import (
     cone,
     direct_sum_complexes,
     homology_dims,
-    is_acyclic,
     is_quasi_iso,
     scalar_algebra,
     shift,
@@ -63,6 +62,7 @@ from helpers import (
     identity_map,
     interchange_right_shift,
     interchange_right_shift_oracle,
+    is_acyclic,
     is_identity_map,
     is_identity_matrix,
     k_times_k,
