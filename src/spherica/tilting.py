@@ -1,18 +1,18 @@
-"""Invertible endokernels, decided on one-sided minimal models.
+"""Units of kernels, decided on one-sided minimal models.
 
-An endokernel X over A induces F = - (x)_A X, with adjoints L -| F -| R.
-F is an equivalence exactly when the units id -> RF and id -> FL are
-isomorphisms: F and L are then fully faithful, and FL = id makes F
-essentially surjective.  Both units are maps of kernels out of the
-diagonal A, and the value at A of a functor given by a kernel is the
-kernel itself, so each is a quasi-isomorphism exactly when its value at
-A is one.  There the unit of F -| R is the left action
-A -> Hom_A(X_A, X_A) = X (x)_A X^v, and the unit of L -| F the right action
-A^op -> Hom_A^op(_A X, _A X): the two-sided tilting criterion (Rickard,
-"Derived equivalences as derived functors", 1991).  The right action is
-the left action of the flip of X, so one test serves both.
-spherical.is_equivalence_kernel runs it over algebras with arrows only:
-over k^n it reads the vertex-block homology instead.
+A kernel X from C to A induces F = - (x)_C X, with adjoints L -| F -| R.
+F is fully faithful exactly when the unit id -> RF is an isomorphism; for
+C = A, F is an equivalence exactly when id -> FL is one too: L is then
+fully faithful, and FL = id makes F essentially surjective.  Each unit is
+a map of kernels out of a diagonal, and a functor given by a kernel
+takes the generator to the kernel itself, so each is a quasi-isomorphism
+exactly when its value there is one.  There the unit of F -| R is the
+left action C -> Hom_A(X_A, X_A) = X (x)_A X^v, and the unit of L -| F the
+right action A^op -> Hom_C^op(_C X, _C X): the two-sided tilting criterion
+(Rickard, "Derived equivalences as derived functors", 1991).  The right
+action is the left action of the flip of X, so one test serves both.  The
+faithful command runs the left one, and spherical.is_equivalence_kernel
+both over algebras with arrows: over k^n it reads vertex-block homology.
 
 The test builds no tensor, adjoint or cone.  As a right module each term
 of X is the free module (+)_t e_{v_t} A of its splitting, inside A^S, and
@@ -33,7 +33,7 @@ coordinate matrix here is formed only at the entries that can be
 nonzero, each one row of the algebra's stacked multiplication matrices
 times the coefficients of an entry over A, so no matrix has a side of
 (number of slots) x A.dim.  The action is a quasi-isomorphism exactly
-when a |-> p L_a i, A -> Hom_A(X', X'), is one, which ranks decide; L_a
+when a |-> p L_a i, C -> Hom_A(X', X'), is one, which ranks decide; L_a
 acts on the values of i in the basis of each term of X, piece by piece
 when the term has records.
 
@@ -57,14 +57,14 @@ from .linalg import Matrix, kept
 
 
 def left_action_is_quasi_iso(x: Complex) -> bool:
-    """Whether a |-> L_a is a quasi-isomorphism A -> Hom_A(X, X) of complexes
-    of right modules, for the complex X of bimodules x, whose terms must
-    be right-projective: the unit id -> RF of its functor, at A."""
+    """Whether a |-> L_a is a quasi-isomorphism C -> Hom_A(X, X) of complexes
+    of right modules, for the complex X of C-A-bimodules x, whose terms must
+    be right-projective: the unit id -> RF of its functor, at C."""
     return _action_is_quasi_iso(x.terms, x.diffs)
 
 
 def right_action_is_quasi_iso(x: Complex) -> bool:
-    """Whether the right action is a quasi-isomorphism A^op -> Hom_A^op(X, X),
+    """Whether the right action is a quasi-isomorphism A^op -> Hom_C^op(X, X),
     the left action of the flip of x: the unit id -> FL of its functor, at A."""
     return _action_is_quasi_iso({n: flip(t) for n, t in x.terms.items()}, x.diffs)
 
@@ -141,10 +141,11 @@ class _Free:
 
 def _model(terms: dict[int, Bimodule], diffs: dict[int, Matrix]):
     """The free minimal model X' of the complex of right-projective bimodules
-    (terms, diffs), with the tables of its algebra A and its left action up
-    to homotopy: action(n) has row r and column s A.dim + i the coordinate
-    r of p L_{a_i} i at generator s, for the coordinates r and the
-    generators s of X' in degree n, each in order."""
+    (terms, diffs), with the tables of its right algebra A and its left
+    action up to homotopy: action(n) has row r and column s C.dim + i the
+    coordinate r of p L_{a_i} i at generator s, for the basis a_i of the
+    left algebra C and the coordinates r and generators s of X' in degree
+    n, each in order."""
     alg = next(iter(terms.values())).right_algebra
     field, size = alg.field, alg.dim
     tables = kept(alg._tables, "free modules", lambda: _FreeTables(alg))
@@ -176,7 +177,7 @@ def _model(terms: dict[int, Bimodule], diffs: dict[int, Matrix]):
         # generators at gens; L_a acts on the values i(g) in the basis of
         # X^n, and to_free takes them back to x's coordinates
         xs, ms = np.flatnonzero(level[slot] == n), np.flatnonzero(m.level[m.slot] == n)
-        gens, dim = ms[tables.unit[m.coef[ms]]], terms[n].dim
+        gens, dim, left = ms[tables.unit[m.coef[ms]]], terms[n].dim, terms[n].left_algebra.dim
         local = full[xs] - first[n] * size
         to_free = splits[n].coords.submatrix(local, slice(None))
         # where nothing in degree n cancels, i and p are the identity there;
@@ -188,7 +189,7 @@ def _model(terms: dict[int, Bimodule], diffs: dict[int, Matrix]):
             images = to_free.solve(_part(incl, xs, gens))
             out = _part(proj, ms, xs) * to_free
         acted = _acted(terms[n], images)
-        return out * acted.reshape(size, dim * len(gens)).transpose().reshape(dim, len(gens) * size)
+        return out * acted.reshape(left, dim * len(gens)).transpose().reshape(dim, len(gens) * left)
 
     return tables, m, action
 
@@ -210,7 +211,7 @@ def _action_is_quasi_iso(terms: dict[int, Bimodule], diffs: dict[int, Matrix]) -
     tables, m, action = _model(terms, diffs)
     if not len(m.vert):
         return False  # X is contractible, and A is not
-    field, size = m.d.field, len(tables.start)
+    field, size = m.d.field, next(iter(terms.values())).left_algebra.dim
 
     # Hom_A(X', X') at the generators: coordinate (s, r) is coordinate r of
     # the value at generator s, where the a_k at r ends at the vertex of s

@@ -5,11 +5,11 @@ to scalars, the center of an algebra, the two-sided hom complex, the
 quotient model of a tensor product, single-term complexes, the zero
 bimodule, the map phi of a splitting, the inclusions and projections of
 a direct sum of complexes, the identity kernel, twisted bimodules
-_sigma A as kernels, homology with its bimodule structure and the
-sampled identity test that reads it, identity chain maps and
-the tests for identity matrices and maps, the chained calculus
-(composites, inverses and shifts of chain maps, induced maps of tensor
-complexes, whiskers, unitors, associators and the right-shift
+_sigma A as kernels, homology with its bimodule structure and the sampled
+identity test that reads it, the sampled faithful command, identity
+chain maps and the tests for identity matrices and maps, the chained
+calculus (composites, inverses and shifts of chain maps, induced maps of
+tensor complexes, whiskers, unitors, associators and the right-shift
 interchange, in a kernel's workspace), the condition, splitting and
 appendix maps chained through it, the left counit, the dual twists T'
 and C', the four triangular identities and the four standard composites
@@ -74,7 +74,7 @@ from spherica.kernels import (
     kernel_ops,
 )
 from spherica.linalg import Field, Matrix, kept
-from spherica.spherical import random_kernel
+from spherica.spherical import check_fully_faithful, random_kernel
 
 F101 = Field.prime(101)
 
@@ -605,6 +605,20 @@ def identity_by_search(k: Kernel) -> bool:
         return False
     candidates = hom_space(regular_bimodule(a), h[0][1])
     return bool(candidates) and first_witness(candidates, Matrix.is_invertible, a.field, rng, 60) is not None
+
+
+def faithful_by_search(p: Kernel, rng: random.Random) -> tuple[str, dict]:
+    """The sampled faithful command, as (status, data): a witness id -> RF
+    drawn from the chain maps out of the diagonal into RF of p's minimal
+    model, then check_fully_faithful's monad argument on it.  The oracle
+    for the faithful command, which reads the unit id -> RF itself."""
+    m = kernel_ops(p).model()
+    witness = find_quasi_iso(unit_complex(m.source_algebra), kernel_ops(m).rf().complex, rng)
+    if witness is None:
+        return "ok", {"witness_found": False, "verdict": "not_applicable",
+                      "detail": "no quasi-iso witness id -> RF exists"}
+    v = check_fully_faithful(m, witness)
+    return ("assert-failed" if v.status == "fail" else "ok"), {"witness_found": True, "verdict": v.status}
 
 
 def identity_map(x: Complex) -> ChainMap:

@@ -10,6 +10,13 @@ kernel (helpers.is_equivalence_unminimised), on every endokernel that
 is_equivalence_kernel decides in the builtin sessions, the example
 sessions and the random corpus.
 
+The same test serves kernels whose two algebras differ: the action's
+source is then the terms' left algebra, and its two halves are checked
+against the cones of the units on random kernels between k and algebras
+with and without arrows, both ways, and from D to Z.  The faithful
+command reads the left one alone, and its reports are checked against
+the sampled search it replaced (helpers.faithful_by_search).
+
 tilting.is_identity decides whether an endokernel is the identity on
 the same one-sided model.  It is checked against the sampled test it
 replaced (helpers.identity_by_search) on every identity test of the same
@@ -31,18 +38,22 @@ from spherica import Field, Kernel, check_conditions, complexes, kernel_ops, sph
 from spherica.algebras import Arrow, QuiverPresentation, algebra_from_quiver
 from spherica.bimodules import projective_bimodule
 from spherica.complexes import Complex, homology_dims, scalar_algebra
+from spherica import session
 from spherica.session import BUILTIN_TEXTS, parse_session, run_session
 from spherica.spherical import _det, random_kernel
 from spherica.tilting import is_identity, left_action_is_quasi_iso, right_action_is_quasi_iso
 
 from helpers import (
     RANDOM_SHAPES,
+    a2_path_algebra,
     adjoint_composites_unminimised,
     dual_numbers,
+    faithful_by_search,
     identity_by_search,
     identity_kernel,
     is_equivalence_unminimised,
     k_times_k,
+    kronecker,
     single_term,
     twisted_bimodule,
     x_cubed,
@@ -95,6 +106,78 @@ def test_each_action_test_equals_its_unit(field, monkeypatch):
         assert spherical.is_equivalence_kernel(k) == (left and right) == is_equivalence_unminimised(k)
         unrefuted_false += not (left and right) and abs(_det(ops.k0_class())) == 1
     assert len(kernels) > 20 and unrefuted_false > 0
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), *TWISTED_FIELDS], ids=["F2", "F3", "F101", "Q"])
+def test_action_tests_serve_kernels_between_two_algebras(field):
+    """On random kernels from k to D, X3, Z, the A_2 path algebra and KK,
+    from each of these to k, and from D to Z, the left-action test is the
+    unit id -> RF being a quasi-isomorphism and the right-action test the
+    unit id -> FL, and each test answers both ways."""
+    k = scalar_algebra(field)
+    others = [make(field) for make in (dual_numbers, x_cubed, zigzag_a2, a2_path_algebra, kronecker)]
+    pairs = [(k, b) for b in others] + [(b, k) for b in others] + [(dual_numbers(field), zigzag_a2(field))]
+    lefts, rights = set(), set()
+    for a, b in pairs:
+        for seed in range(6):
+            p = random_kernel(a, b, random.Random(seed))
+            ops = kernel_ops(p)
+            left, right = left_action_is_quasi_iso(p.complex), right_action_is_quasi_iso(p.complex)
+            assert left == complexes.is_quasi_iso(ops.unit_right()), (a.name, b.name, seed)
+            assert right == complexes.is_quasi_iso(ops.unit_left()), (a.name, b.name, seed)
+            lefts.add(left)
+            rights.add(right)
+    assert lefts == rights == {False, True}
+
+
+_Z4 = next(line for line in (EXAMPLES / "zigzag_a4_braid6.sph").read_text().splitlines()
+           if line.startswith("algebra Z4"))
+
+FAITHFUL_TEXTS = [BUILTIN_TEXTS["morita_2x2"], """\
+field F 101
+algebra k { vertices pt }
+algebra D { vertices v; arrows x: v -> v; relations x*x = 0; bound 2 }
+kernel P from k to D { deg 0: P(pt,v) }
+faithful P
+""", f"""\
+field F 101
+algebra k {{ vertices pt }}
+{_Z4}
+kernel P1 from k to Z4 {{ deg 0: P(pt,1) }}
+kernel P2 from k to Z4 {{ deg 0: P(pt,2) }}
+twist P1 as T1
+twist P2 as T2
+compose T1 T2 as T12
+faithful T1
+faithful T12
+"""]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F101", "Q"])
+def test_faithful_reports_equal_the_sampled_search(field, monkeypatch):
+    """The faithful command's reports equal those of the witness search it
+    replaced: pass on morita_2x2 and on the zigzag twists T1 and T12,
+    not_applicable on P(pt, v) from k to D, whose RF is D.  The command
+    leaves the session's rng as it found it."""
+    faithful, states = session._HANDLERS["faithful"], []
+
+    def watched(st, args):
+        before = st.rng.getstate()
+        try:
+            return faithful(st, args)
+        finally:
+            states.append(before == st.rng.getstate())
+
+    def runs(handler):
+        monkeypatch.setitem(session._HANDLERS, "faithful", handler)
+        return [[(r.cmd, r.status, r.data) for r in run_session(parse_session(text), field=field).results]
+                for text in FAITHFUL_TEXTS]
+
+    reports = runs(watched)
+    assert reports == runs(lambda st, args: faithful_by_search(st.kernels[args[0]], st.rng))
+    verdicts = [data["verdict"] for report in reports for cmd, _, data in report if cmd.startswith("faithful")]
+    assert verdicts == ["pass", "not_applicable", "pass", "pass"]
+    assert states == [True] * 4
 
 
 def _identity_tested(field, monkeypatch) -> list:
