@@ -629,7 +629,9 @@ def _run_assert_quasi_iso(st: _RunState, args):
 def _classes_differ(x: Kernel, y: Kernel) -> bool:
     """Whether kernels x and y between the same algebras both have a K_0
     class and the classes differ: then no quasi-isomorphism joins them, and
-    the search is not run, so it draws nothing from the session's rng."""
+    the search is not run, so it draws nothing from the session's rng.
+    Kernels between other algebras are left to the search, which rejects
+    them."""
     if (x.source_algebra.mult, x.target_algebra.mult) != \
             (y.source_algebra.mult, y.target_algebra.mult):
         return False

@@ -478,6 +478,34 @@ assert-quasi-iso T12 T21
     assert searches and report.to_dict() == searched.to_dict()
 
 
+OVER_D = """\
+field F 101
+algebra k { vertices pt }
+algebra D { vertices v; arrows x: v -> v; relations x*x = 0; bound 2 }
+algebra X3 { vertices v; arrows x: v -> v; relations x*x*x = 0; bound 3 }
+algebra KK { vertices u w }
+kernel A from k to D { deg 0: P(pt,v); deg 1: P(pt,v); d 0: 1 0 , 0 1 }
+kernel H from k to D { deg 0: P(pt,v) }
+"""
+
+
+@pytest.mark.parametrize("other", [
+    "kernel B from k to X3 { deg 0: P(pt,v); deg 1: P(pt,v); d 0: 1 0 0 , 0 1 0 , 0 0 1 }\n"
+    "assert-quasi-iso A B\n",
+    "kernel B from k to KK { deg 0: P(pt,u) P(pt,w) }\nassert-quasi-iso H B\n",
+    "kernel H3 from k to D { deg 0: P(pt,v) P(pt,v) P(pt,v) }\n"
+    "kernel B from k to X3 { deg 0: P(pt,v) P(pt,v) }\nassert-quasi-iso H3 B\n",
+], ids=["acyclic", "equal-homology", "other-classes"])
+def test_assert_quasi_iso_over_different_algebras_is_an_error(other):
+    """Two acyclic kernels, two kernels of equal homology, and two of equal
+    homology whose K_0 classes differ, over different target algebras: no
+    chain map joins them, so each ends in the same error and none reports
+    a witness or a failed assertion."""
+    (result,) = run_session(parse_session(OVER_D + other)).results
+    assert result.status == "error"
+    assert result.data == {"detail": "the complexes are over different algebras"}
+
+
 def test_assert_quasi_iso_searches_between_minimal_models(monkeypatch):
     """zigzag_braid's T121 and T212 have total dimension 78; the search runs
     on their minimal models, of total dimension 42, and the report keeps the
