@@ -554,12 +554,8 @@ def find_quasi_iso(x: Complex, y: Complex, rng: random.Random) -> ChainMap | Non
     WITNESS_ATTEMPTS random combinations after the basis and its sum.
 
     Deterministic given the rng state; returns None when the homology
-    profiles differ or no candidate in the sampled set works, and raises
-    ComplexError when x and y are not over the same algebras.
+    profiles differ or no candidate in the sampled set works.
     """
-    for a, b in ((x.left_algebra, y.left_algebra), (x.right_algebra, y.right_algebra)):
-        if a is not b and a.mult != b.mult:
-            raise ComplexError("the complexes are over different algebras")
     hx = homology_dims(x)
     if hx != homology_dims(y):
         return None

@@ -614,10 +614,15 @@ def _run_compose(st: _RunState, args):
 
 
 def _run_assert_quasi_iso(st: _RunState, args):
+    # no chain map joins kernels between different algebras
+    x, y = (st.kernels[a] for a in args[:2])
+    if (x.source_algebra.mult, x.target_algebra.mult) != \
+            (y.source_algebra.mult, y.target_algebra.mult):
+        raise KernelError("the kernels are over different algebras")
     # minimal models are homotopy equivalent to the complexes: they have the
     # same homology and K_0 class, and a witness exists between them exactly
     # when one exists between x and y
-    x, y = (kernel_ops(st.kernels[a]).model() for a in args[:2])
+    x, y = kernel_ops(x).model(), kernel_ops(y).model()
     hx, hy = homology_dims(x.complex), homology_dims(y.complex)
     w = find_quasi_iso(x.complex, y.complex, st.rng) \
         if hx == hy and not _classes_differ(x, y) else None
@@ -629,12 +634,7 @@ def _run_assert_quasi_iso(st: _RunState, args):
 def _classes_differ(x: Kernel, y: Kernel) -> bool:
     """Whether kernels x and y between the same algebras both have a K_0
     class and the classes differ: then no quasi-isomorphism joins them, and
-    the search is not run, so it draws nothing from the session's rng.
-    Kernels between other algebras are left to the search, which rejects
-    them."""
-    if (x.source_algebra.mult, x.target_algebra.mult) != \
-            (y.source_algebra.mult, y.target_algebra.mult):
-        return False
+    the search is not run, so it draws nothing from the session's rng."""
     try:
         return bool((kernel_ops(x).k0_class() != kernel_ops(y).k0_class()).any())
     except KernelError:

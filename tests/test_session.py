@@ -495,15 +495,16 @@ kernel H from k to D { deg 0: P(pt,v) }
     "kernel B from k to KK { deg 0: P(pt,u) P(pt,w) }\nassert-quasi-iso H B\n",
     "kernel H3 from k to D { deg 0: P(pt,v) P(pt,v) P(pt,v) }\n"
     "kernel B from k to X3 { deg 0: P(pt,v) P(pt,v) }\nassert-quasi-iso H3 B\n",
-], ids=["acyclic", "equal-homology", "other-classes"])
+    "kernel B from k to X3 { deg 0: P(pt,v) }\nassert-quasi-iso H B\n",
+], ids=["acyclic", "equal-homology", "other-classes", "other-homology"])
 def test_assert_quasi_iso_over_different_algebras_is_an_error(other):
-    """Two acyclic kernels, two kernels of equal homology, and two of equal
-    homology whose K_0 classes differ, over different target algebras: no
-    chain map joins them, so each ends in the same error and none reports
-    a witness or a failed assertion."""
+    """Two acyclic kernels, two kernels of equal homology, two of equal
+    homology whose K_0 classes differ, and two of different homology, over
+    different target algebras: no chain map joins them, so each ends in
+    the same error and none reports a witness or a failed assertion."""
     (result,) = run_session(parse_session(OVER_D + other)).results
     assert result.status == "error"
-    assert result.data == {"detail": "the complexes are over different algebras"}
+    assert result.data == {"detail": "the kernels are over different algebras"}
 
 
 def test_assert_quasi_iso_searches_between_minimal_models(monkeypatch):
