@@ -32,7 +32,12 @@ algebra (complexes.unit_complex), so each splits and builds its dual
 once.  A pair tensor of standard summands, and of the kept duals of
 standard summands, is recorded as a sum of standard summands again, so
 tensors of kernel terms need no action matrix to be split, dualised or
-cut.
+cut.  A tensor with the diagonal, and a pair tensor piece that is a
+standard summand in its basis reordered, is a reordered piece: a view of
+its root (_permuted) that reads the root's vertex blocks, splitting and
+multiplicities, moved, when the root's idempotents act diagonally and its
+radical's span is one of coordinates (_aligned), as the echelon choices
+then move with the coordinates.
 
 Tensor products m (x)_B n over a middle algebra are built from the
 splitting of m, so m must be right-projective; every kernel term is, as
@@ -222,6 +227,10 @@ class Bimodule:
         pivots, and places[k] lists the columns that piece k's go to."""
         def build():
             if not self.records:
+                if view := _root_read(self):  # unit columns at the moved pivots
+                    root, order = view
+                    pivots = np.sort(np.argsort(order)[root._block(key)[1]])
+                    return Matrix.unit_columns(self.field, self.dim, pivots), pivots, None
                 act = self.right_action[self.right_algebra.vertex_idempotents[key[-1]]]
                 if key[0] == "d":
                     act = self.left_action[self.left_algebra.vertex_idempotents[key[1]]] * act
@@ -240,11 +249,12 @@ class Bimodule:
         return kept(self._cache, key, build)
 
     def _block_proj(self, key) -> Matrix:
-        """The left inverse of the basis of _block(key); the pieces' scattered."""
+        """The left inverse of the basis of _block(key); the pieces' scattered,
+        and for unit columns their transpose."""
         def build():
             basis, _, places = self._block(key)
             if not self.records:
-                return _left_inverse(basis)
+                return basis.transpose() if _root_read(self) else _left_inverse(basis)
             return Matrix.from_blocks(self.field, basis.cols, self.dim, [
                 (pl, idx, p._block_proj(key)) for (p, idx), pl in zip(self.records, places)])
         return kept(self._cache, ("proj",) + key, build)
@@ -260,13 +270,18 @@ def flip(m: Bimodule) -> Bimodule:
 
     Kept on m; it satisfies the module axioms exactly when m does.
     Every left-side construction is the right-side one read through flip,
-    and the flip of a bimodule with records has the flipped pieces at the
-    same coordinates.
+    the flip of a bimodule with records has the flipped pieces at the
+    same coordinates, and the flip of a reordered piece is its root's flip
+    reordered.
     """
-    return kept(m._cache, "flip", lambda: Bimodule(
-        opposite(m.right_algebra), opposite(m.left_algebra),
-        lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label,
-        records=lambda: m.records and [(flip(p), idx) for p, idx in m.records]))
+    def build():
+        if "base" in m._cache:
+            root, order = m._cache["base"]
+            return _permuted(flip(root), order, m.label)
+        return Bimodule(opposite(m.right_algebra), opposite(m.left_algebra),
+                        lambda: m.right_action, lambda: m.left_action, m.dim, label=m.label,
+                        records=lambda: m.records and [(flip(p), idx) for p, idx in m.records])
+    return kept(m._cache, "flip", build)
 
 
 def _right_view(m: Bimodule, side: str) -> Bimodule:
@@ -365,13 +380,42 @@ def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimod
         a, b, _standard_left(a, v_pos), _standard_left(opposite(b), w_pos), f"P({v_pos},{w_pos})"))
 
 
-def _standard_vertex(alg: Algebra, mats: list[Matrix]) -> int | None:
-    """The vertex v with _standard_left(alg, v) == mats, if there is one."""
-    for v in range(len(alg.vertex_idempotents)):
+def _standard_vertex(alg: Algebra, mats: list[Matrix]) -> tuple[int, np.ndarray] | None:
+    """The vertex v and the order with mats the table of A e_v,
+    _standard_left(alg, v), with coordinate q moved from order[q], if there
+    are any.  Such mats fix the moved generator e_v at a unit vector e_j,
+    and their images of e_j are the table's images of e_v moved: on the
+    columns of _generated they are the permutation times an invertible
+    square.  Each order read off them is confirmed on every matrix."""
+    k = mats[0].rows
+    stacked = Matrix.stack_rows(alg.field, mats, k)
+    for v, e in enumerate(alg.vertex_idempotents):
         std = _standard_left(alg, v)
-        if std[0].rows == mats[0].rows and std == mats:
-            return v
+        if std[0].rows != k:
+            continue
+        if std == mats:
+            return v, np.arange(k)
+        cols, inverse = _generated(alg, v)
+        for j in np.flatnonzero(np.diag(mats[e].nonzero_mask())):
+            images = stacked.column_vec(j).reshape(alg.dim, k).transpose()
+            order = _unit_columns((images.submatrix(slice(None), cols) * inverse).transpose())
+            if order is not None and all(a == _restricted(b, order) for a, b in zip(mats, std)):
+                return v, order
     return None
+
+
+def _generated(alg: Algebra, v_pos: int) -> tuple[list[int], Matrix]:
+    """Columns at which the images b_i e_v of the generator of A e_v, in the
+    basis of _standard_left(alg, v), form an invertible square, and the
+    inverse of that square.  Built once per (alg, v)."""
+    def build():
+        e = alg.vertex_idempotents[v_pos]
+        gen = _left_inverse(alg.left_ideal_basis(e)) * Matrix.basis_vector(alg.field, alg.dim, e)
+        std = _standard_left(alg, v_pos)
+        images = Matrix.stack_columns(alg.field, [a * gen for a in std], std[0].rows)
+        cols = list(images.rref()[1])
+        return cols, images.submatrix(slice(None), cols).inverse()
+    return kept(alg._tables, ("generated", v_pos), build)
 
 
 def _pieces(m: Bimodule) -> list[Record]:
@@ -436,14 +480,14 @@ def coordinate_blocks(m: Bimodule) -> list[np.ndarray]:
     coordinates: every action is block diagonal on them.  Kept on m.
 
     With records they are the pieces' blocks at the pieces' coordinates,
-    read with no action matrix, and a reordered copy of a leaf (_permuted)
-    reads its base's.  Other leaves join the entries of their actions."""
+    read with no action matrix, and a reordered piece (_permuted) reads its
+    root's.  Other leaves join the entries of their actions."""
     def build():
         if m.records:
             found = [idx[blk] for p, idx in m.records for blk in coordinate_blocks(p)]
         elif "base" in m._cache:
-            base, moved = m._cache["base"]
-            found = [np.sort(moved[blk]) for blk in coordinate_blocks(base)]
+            root, order = m._cache["base"]
+            found = [np.sort(np.argsort(order)[blk]) for blk in coordinate_blocks(root)]
         else:
             found = _classes(_support(m.left_action + m.right_action))
         return sorted(found, key=lambda blk: blk[0])
@@ -597,9 +641,14 @@ def _cover(m: Bimodule) -> tuple[list[Matrix], list[int], list[int]]:
 def _splitting(m: Bimodule) -> Splitting | None:
     """The right-projective splitting of m, or None when m is not right-projective.
 
-    A bimodule with records assembles it from its pieces', with no elimination."""
-    return kept(m._cache, "split",
-                lambda: _assembled_splitting(m) if m.records else _fresh_splitting(m))
+    A bimodule with records assembles it from its pieces', and a reordered
+    piece whose root passes _aligned moves its root's, with no elimination."""
+    def build():
+        if m.records:
+            return _assembled_splitting(m)
+        view = _root_read(m)
+        return _moved_splitting(*view) if view else _fresh_splitting(m)
+    return kept(m._cache, "split", build)
 
 
 def _fresh_splitting(m: Bimodule) -> Splitting | None:
@@ -618,6 +667,24 @@ def _fresh_splitting(m: Bimodule) -> Splitting | None:
         return None
     coords = Matrix.block_diag(m.field, ideals) * phi_inv
     return Splitting(Matrix.stack_columns(m.field, gens, m.dim), vertex_pos, coords, pivots)
+
+
+def _moved_splitting(root: Bimodule, order: np.ndarray) -> Splitting | None:
+    """The splitting of root with coordinate q moved from order[q], for a
+    root that passes _aligned.  Its generators are unit columns, and _cover
+    picks the same ones moved: ordered by vertex, then by moved pivot.
+    phi is moved on both sides, so coords has its row blocks in that order
+    and column q from column order[q]."""
+    sp = _splitting(root)
+    if sp is None:
+        return None
+    pivots = np.argsort(order)[sp.pivots]
+    slots = np.lexsort((pivots, sp.vertex_pos))
+    rows = np.arange(len(slots) + 1) * root.right_algebra.dim
+    return Splitting(Matrix.unit_columns(root.field, root.dim, pivots[slots]),
+                     [sp.vertex_pos[t] for t in slots],
+                     sp.coords.submatrix(_runs(rows, slots), slice(None)).submatrix(slice(None), order),
+                     [int(p) for p in pivots[slots]])
 
 
 def _assembled_splitting(m: Bimodule) -> Splitting | None:
@@ -675,8 +742,11 @@ def right_multiplicities(m: Bimodule) -> np.ndarray | None:
     projective cover with these multiplicities maps onto e_u m (Nakayama),
     so m is right-projective exactly when the covers' dimensions add up to
     m.dim.  Each entry is one rank: e_u m e_w is a kept vertex block, and
-    e_u m.rad is spanned by the radical's actions on the image of e_u."""
+    e_u m.rad is spanned by the radical's actions on the image of e_u.  The
+    ranks do not depend on the basis, so a reordered piece reads its root's."""
     def build():
+        if "base" in m._cache:
+            return right_multiplicities(m._cache["base"][0])
         if not m.records:
             return _fresh_multiplicities(m)
         parts = [right_multiplicities(p) for p, _ in m.records]
@@ -968,10 +1038,14 @@ def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
       Then the tensor is the sum, over the classes c of slots that L links
       and the coordinate blocks beta of e_v n, of X_c (x) Y_beta: L_a on c,
       and the right action of e_v n on beta.  When X_c is A e_u and Y_beta
-      is e_y C, each in its standard basis, that piece is P(u, y).
+      is e_y C, each in its standard basis with its coordinates perhaps
+      reordered, that piece is P(u, y) reordered: x_i (x) y_j sits at
+      i dim Y + j in both, so the orders combine as a Kronecker product.
 
     Otherwise the tensor is a leaf, and its actions are the maps that the
-    split model induces from the actions of m and of n."""
+    split model induces from the actions of m and of n.  The reordered
+    pieces read their roots' (_permuted), so no piece that the diagonal or
+    a standard summand gives is split or blocked from scratch."""
     sp = _splitting(m)
     A, C, field = m.left_algebra, n.right_algebra, m.field
     label = f"{m.label or 'M'}(x){n.label or 'N'}"
@@ -989,10 +1063,12 @@ def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
                         td.bimodule.dim, label=label)
     starts = np.cumsum([0] + [n.left_block(v).cols for v in sp.vertex_pos])
     records = []
-    for slots, x, u in classes:
-        for beta, y, w in _right_blocks(n, sp.vertex_pos[slots[0]]):
-            if u is not None and w is not None:
-                piece = projective_bimodule(A, u, C, w)
+    for slots, x, left in classes:
+        for beta, y, right in _right_blocks(n, sp.vertex_pos[slots[0]]):
+            if left and right:
+                (u, sigma), (w, tau) = left, right
+                piece = _permuted(projective_bimodule(A, u, C, w),
+                                  (sigma[:, None] * len(tau) + tau).ravel(), label)
             else:
                 piece = _product(A, C, x, y, label)
                 piece._cache["blocks"] = [np.arange(piece.dim)]  # x and y are one block each
@@ -1003,17 +1079,15 @@ def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
 def _reordered_diagonal(m: Bimodule) -> bool:
     """Whether m is the diagonal, or the diagonal with its coordinates
     reordered: its generators are then the images of the idempotents."""
-    while "base" in m._cache:
-        m = m._cache["base"][0]
-    return m.diagonal
+    return (m._cache["base"][0] if "base" in m._cache else m).diagonal
 
 
-def _left_classes(m: Bimodule) -> list[tuple[np.ndarray, list[Matrix], int | None]] | None:
+def _left_classes(m: Bimodule) -> list[tuple[np.ndarray, list[Matrix], tuple | None]] | None:
     """When the left action maps the generators g_t of m's splitting to
     combinations of generators, a.g_t = sum_s L_a[s, t] g_s: the classes of
-    slots that L links, each with L_a on it and the vertex u when that is
-    A e_u in its standard basis.  None when some c_s(a.g_t) is not a
-    multiple of e_{v_s}.  Built once per m."""
+    slots that L links, each with L_a on it and (u, order) when that is
+    A e_u in its standard basis reordered (_standard_vertex).  None when
+    some c_s(a.g_t) is not a multiple of e_{v_s}.  Built once per m."""
     def build():
         sp, B = _splitting(m), m.right_algebra
         coeffs, S = _generator_coeffs(m), len(sp.vertex_pos)
@@ -1034,10 +1108,10 @@ def _slot_action(n: Bimodule, v_pos: int) -> list[Matrix]:
     return [proj * (a * blk) for a in n.right_action]
 
 
-def _right_blocks(n: Bimodule, v_pos: int) -> list[tuple[np.ndarray, list[Matrix], int | None]]:
+def _right_blocks(n: Bimodule, v_pos: int) -> list[tuple[np.ndarray, list[Matrix], tuple | None]]:
     """The coordinate blocks of e_v n in the basis n.left_block(v), each with
-    the right action on it and the vertex w when that is e_w C in its
-    standard basis.  Built once per (n, v)."""
+    the right action on it and (w, order) when that is e_w C in its
+    standard basis reordered.  Built once per (n, v)."""
     return kept(n._cache, ("right blocks", v_pos),
                 lambda: _identified(opposite(n.right_algebra), _slot_action(n, v_pos)))
 
@@ -1049,9 +1123,8 @@ def _support(mats: list[Matrix]) -> np.ndarray:
 
 def _identified(alg: Algebra, mats: list[Matrix]):
     """Each class of coordinates that the matrices' entries join, the
-    matrices on it, and the vertex v with _standard_left(alg, v) equal to
-    them, or None: the right action of C on e_w C is the left action of
-    opposite(C) on it."""
+    matrices on it, and _standard_vertex of them: the right action of C on
+    e_w C is the left action of opposite(C) on it."""
     return [(c, x, _standard_vertex(alg, x))
             for c in _classes(_support(mats)) for x in [[_restricted(a, c) for a in mats]]]
 
@@ -1065,25 +1138,53 @@ def _unit_columns(mat: Matrix) -> np.ndarray | None:
     """The rows r with column q of the square mat the unit vector at r[q],
     or None when mat is not a permutation matrix."""
     rows, cols = np.nonzero(mat.nonzero_mask())
-    if mat.rows != mat.cols or len(cols) != mat.cols:
+    if mat.rows != mat.cols or len(cols) != mat.cols or len(np.unique(rows)) != mat.rows:
         return None
     order = rows[np.argsort(cols)]
-    return order if mat == Matrix.identity(mat.field, mat.rows).submatrix(slice(None), order) \
-        else None
+    return order if mat == Matrix.unit_columns(mat.field, mat.rows, order) else None
 
 
 def _permuted(base: Bimodule, order: np.ndarray, label: str) -> Bimodule:
     """base with coordinate q moved from order[q]: base itself when order
-    is the identity, else a leaf that reads its coordinate blocks off
-    base's."""
+    is the identity, else a reordered piece, a leaf whose _cache["base"] is
+    (root, order) for a root that is not reordered itself, as orders
+    compose.  It reads its coordinate blocks and multiplicities off the
+    root, and when the root passes _aligned its vertex blocks, their
+    projections and its splitting too: the fresh constructions' choices
+    move with the coordinates, so they are the root's moved."""
+    if "base" in base._cache:
+        base, order = base._cache["base"][0], base._cache["base"][1][order]
     if (order == np.arange(len(order))).all():
         return base
-    reorder = lambda mats: [a.submatrix(order, slice(None)).submatrix(slice(None), order)
-                            for a in mats]
+    reorder = lambda mats: [_restricted(a, order) for a in mats]
     out = Bimodule(base.left_algebra, base.right_algebra, lambda: reorder(base.left_action),
                    lambda: reorder(base.right_action), base.dim, label=label)
-    out._cache["base"] = (base, np.argsort(order))
+    out._cache["base"] = (base, order)
     return out
+
+
+def _root_read(m: Bimodule) -> tuple[Bimodule, np.ndarray] | None:
+    """(root, order) for a reordered piece whose root passes _aligned."""
+    return m._cache["base"] if "base" in m._cache and _aligned(m._cache["base"][0]) else None
+
+
+def _aligned(m: Bimodule) -> bool:
+    """Whether every vertex idempotent acts on m, on either side, by a 0/1
+    diagonal matrix, and the right radical action spans a subspace spanned
+    by coordinates.  Then each vertex block is the rref's unit columns at
+    the 1s, and _cover picks, vertex by vertex, the unit columns at the
+    coordinates outside that subspace.  Kept on m."""
+    def build():
+        idems = [m.left_action[e] for e in m.left_algebra.vertex_idempotents] + \
+                [m.right_action[e] for e in m.right_algebra.vertex_idempotents]
+        for a in idems:
+            rows, cols = np.nonzero(a.nonzero_mask())
+            if (rows != cols).any() or _restricted(a, rows) != Matrix.identity(m.field, len(rows)):
+                return False
+        rad = Matrix.stack_columns(m.field, [m.right_action[r] for r in m.right_algebra.radical_basis],
+                                   m.dim)
+        return rad.rank() == int(np.count_nonzero(rad.nonzero_mask().any(axis=1)))
+    return kept(m._cache, "aligned", build)
 
 
 def tensor_over_middle(m: Bimodule, n: Bimodule) -> TensorData:

@@ -12,10 +12,12 @@ result: one call gives every slot of a tensor's coordinates.
 
 Row reduction uses deterministic pivoting (first nonzero column, then
 first nonzero row), so every basis produced downstream is reproducible
-bit for bit.  A pivot step, over F_p as over Q, updates only the rows hit
-by the pivot: those with a nonzero entry in its column.  F_p matrices of
-at most SMALL_RREF entries are reduced on Python ints instead, with no
-numpy call per pivot; the reduced form is unique, so nothing changes.
+bit for bit.  Over Q a pivot step updates only the rows hit by the
+pivot: those with a nonzero entry in its column.  Over F_p each row is
+reduced against sparse pivot rows, {column: residue} dicts kept reduced
+against each other, with no numpy call per pivot; F_p matrices of at most
+SMALL_RREF entries are reduced on dense Python int rows, which is faster
+there.  The reduced form is unique, so both give the same R and pivots.
 
 Over F_p, arr holds int64 residues and den is 1.  Prime fields go up to
 p = 2^31 - 1 (MAX_PRIME), so a product of two residues fits in int64.  A
@@ -179,8 +181,9 @@ def _primitive_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _rref_small(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """_rref_mod_p on Python int rows, for matrices too small to repay a numpy
-    call per pivot; the reduced form is unique, so R and the pivots agree."""
+    """_rref_mod_p on dense Python int rows, for matrices small enough that
+    sparse rows do not pay; the reduced form is unique, so R and the pivots
+    agree."""
     rows, cols = arr.shape
     R = arr.tolist()
     pivots: list[int] = []
@@ -204,32 +207,40 @@ def _rref_small(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def _rref_mod_p(arr: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivots of a matrix of residues mod p.
 
-    A pivot step updates only the rows with a nonzero entry in the pivot
-    column, and only from that column on: the pivot row is zero left of it.
-    """
-    R = np.array(arr, copy=True)
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = R[r:, c].nonzero()[0]
-        if len(nz) == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        row = R[r, c:] * field.inv(R[r, c]) % field.p
-        R[r, c:] = row
-        R[r, c] = 0  # so that the pivot row is not among the rows it clears
-        hit = R[:, c].nonzero()[0]
-        R[r, c] = 1
-        if len(hit):
-            sub = R[hit, c:]
-            R[hit, c:] = (sub - sub[:, :1] * row) % field.p
-        pivots.append(c)
-        r += 1
+    Each input row in turn is reduced against the pivot rows found so far,
+    kept as sparse {column: residue} rows with a 1 at their pivot and zeros
+    at each other's pivots; a row left nonzero is scaled to a new pivot
+    row at its first column, which is cleared from the others.  The rows
+    span the row space and are reduced, so they are its unique RREF."""
+    p = field.p
+
+    def subtract(target: dict[int, int], f: int, row: dict[int, int]) -> None:
+        for k, x in row.items():
+            if y := (target.get(k, 0) - f * x) % p:
+                target[k] = y
+            else:
+                del target[k]
+
+    lines: dict[int, dict[int, int]] = {}  # the nonzero rows, in order
+    at = arr.nonzero()
+    for r, c, x in zip(*(a.tolist() for a in at), arr[at].tolist()):
+        lines.setdefault(r, {})[c] = x
+    found: dict[int, dict[int, int]] = {}  # pivot column -> its row
+    for row in lines.values():
+        for c in [c for c in row if c in found]:
+            subtract(row, row[c], found[c])
+        if row:
+            c = min(row)
+            inv = field.inv(row[c])
+            row = {k: x * inv % p for k, x in row.items()}
+            for other in found.values():
+                if c in other:
+                    subtract(other, other[c], row)
+            found[c] = row
+    pivots = sorted(found)
+    R = np.zeros(arr.shape, dtype=np.int64)
+    for r, c in enumerate(pivots):
+        R[r, list(found[c])] = list(found[c].values())
     return R, pivots
 
 
@@ -418,6 +429,13 @@ class Matrix:
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         return Matrix._wrap(field, np.eye(n, dtype=np.int64))
+
+    @staticmethod
+    def unit_columns(field: Field, rows: int, at) -> "Matrix":
+        """The rows x len(at) matrix whose column q is the unit vector at row at[q]."""
+        out = np.zeros((rows, len(at)), dtype=np.int64)
+        out[np.asarray(at, dtype=int), np.arange(len(at))] = 1
+        return Matrix._wrap(field, out)
 
     @staticmethod
     def column(field: Field, entries) -> "Matrix":

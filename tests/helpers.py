@@ -5,7 +5,8 @@ to scalars, the center of an algebra, the two-sided hom complex, the
 quotient model of a tensor product, single-term complexes, the zero
 bimodule, the map phi of a splitting, the inclusions and projections of
 a direct sum of complexes, the identity kernel, twisted bimodules
-_sigma A as kernels, homology with its bimodule structure and the sampled
+_sigma A as kernels, a standard summand in a basis that is no
+permutation of its own, homology with its bimodule structure and the sampled
 identity test that reads it, the sampled faithful command, identity
 chain maps and the tests for identity matrices and maps, the chained
 calculus (composites, inverses and shifts of chain maps, induced maps of
@@ -522,6 +523,29 @@ def twisted_bimodule(a: Algebra, scales: list) -> Bimodule:
             scale = scale * a.field.elem(scales[t])
         left.append(a.left_mult_matrix(k).scale(scale))
     return Bimodule(a, a, left, [a.right_mult_matrix(k) for k in range(a.dim)], a.dim, label="sigma A")
+
+
+def tilted_summand(a: Algebra, v: int, b: Algebra, w: int) -> Bimodule:
+    """The standard summand P(v,w) in the basis changed by g = I + E_ij,
+    actions g^-1 L g, for the first i and j of one double block e_u P e_x
+    with i outside and j inside the span of the right radical's action.
+    The vertex idempotents still act by 0/1 diagonal matrices, but that
+    span holds e_j - e_i and neither coordinate vector: a leaf that is no
+    permutation of a standard summand, whose reorderings split afresh."""
+    p, field = projective_bimodule(a, v, b, w), a.field
+    rad = Matrix.stack_columns(field, [p.right_action[r] for r in b.radical_basis], p.dim)
+    inside = rad.nonzero_mask().any(axis=1)
+    where = lambda side, idems: np.argmax(
+        np.array([np.diag(side[e].nonzero_mask()) for e in idems]), axis=0)
+    block = list(zip(where(p.left_action, a.vertex_idempotents),
+                     where(p.right_action, b.vertex_idempotents)))
+    i, j = next((i, j) for i in range(p.dim) for j in range(p.dim)
+                if not inside[i] and inside[j] and block[i] == block[j])
+    one, e_ij = np.eye(p.dim, dtype=np.int64), np.zeros((p.dim, p.dim), dtype=np.int64)
+    e_ij[i, j] = 1
+    g, g_inv = Matrix(field, one + e_ij), Matrix(field, one - e_ij)
+    tilt = lambda mats: [g_inv * m * g for m in mats]
+    return Bimodule(a, b, tilt(p.left_action), tilt(p.right_action), p.dim, label=f"{p.label}~")
 
 
 def homology(x: Complex) -> dict[int, tuple[int, Bimodule]]:

@@ -59,6 +59,7 @@ from helpers import (
     loop_with_exit,
     restrict_to_right,
     splitting_phi,
+    tilted_summand,
     x_cubed,
     zero_bimodule,
     zigzag_a2,
@@ -400,6 +401,7 @@ def _assert_same_splitting(m: Bimodule, got, want) -> None:
     assert want is not None and got is not None
     assert got.generators == want.generators
     assert got.vertex_pos == want.vertex_pos
+    assert list(got.pivots) == list(want.pivots)
     assert splitting_phi(m, got) == splitting_phi(m, want)
     assert got.coords == want.coords
 
@@ -463,9 +465,10 @@ def _assert_readers_equal_fresh(m: Bimodule) -> None:
         _assert_same_dual(right_dual(m), right_dual(fresh))
 
 
-def _built_with_records(monkeypatch, run) -> tuple[list[Bimodule], set[int]]:
-    """Every bimodule with records that run() builds, flips included, and
-    the ids of those whose right dual it builds."""
+def _built_with_records(monkeypatch, run) -> tuple[list[Bimodule], set[int], list[Bimodule]]:
+    """Every bimodule with records that run() builds, flips included, the
+    ids of those whose right dual it builds, and one reordered piece per
+    root and order that it builds."""
     made, dualised = [], set()
     init, dual = Bimodule.__init__, bimodules._dual_of_sum
 
@@ -477,7 +480,9 @@ def _built_with_records(monkeypatch, run) -> tuple[list[Bimodule], set[int]]:
     monkeypatch.setattr(bimodules, "_dual_of_sum", lambda p: dualised.add(id(p)) or dual(p))
     run()
     monkeypatch.undo()
-    return [m for m in made if m.records], dualised
+    reordered = {(id(m._cache["base"][0]), m._cache["base"][1].tobytes()): m
+                 for m in made if "base" in m._cache}
+    return [m for m in made if m.records], dualised, list(reordered.values())
 
 
 def _assert_used_readers_equal_fresh(m: Bimodule, dualised: bool) -> None:
@@ -540,15 +545,50 @@ def test_records_read_what_the_fresh_constructions_find(field, case, monkeypatch
     the records are the union-find classes in the same order, and the
     vertex blocks, splittings, multiplicities and duals read off them are
     the fresh constructions on the same actions, matrix for matrix,
-    wherever the engine read them.  Those actions are the records' own,
-    so every tensor's are checked against its split model too."""
+    wherever the engine read them.  Every reordered piece, among them the
+    pieces of pair tensors recognised as reordered standard summands,
+    reads off its root what the fresh constructions find on its own
+    actions.  Those actions are the records' own, so every tensor's are
+    checked against its split model too: the pieces' actions are the
+    split model's at their coordinates."""
     tensors = _recording_tensors(monkeypatch)
-    recorded, dualised = _built_with_records(monkeypatch, lambda: _run_case(field, case))
-    assert recorded and tensors
+    recorded, dualised, reordered = _built_with_records(monkeypatch, lambda: _run_case(field, case))
+    assert recorded and tensors and (reordered or case[0] == "random")
     for m in recorded:
         _assert_used_readers_equal_fresh(m, id(m) in dualised)
+    for m in reordered:
+        _assert_readers_equal_fresh(m)
     for td in tensors:
         _assert_split_model_actions(td)
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F, Field.rationals()], ids=["F2", "F101", "Q"])
+def test_a_reordered_leaf_whose_root_fails_the_check_is_built_fresh(field, monkeypatch):
+    """The diagonal tensored with a standard summand in a basis that is no
+    permutation of its own is that leaf reordered.  The leaf fails the
+    root check, so the reordered piece takes the fresh path: its splitting
+    is eliminated on its own actions, and every reader equals the fresh
+    construction.  The same tensor with the standard summand itself reads
+    its root."""
+    z = zigzag_a4(field)
+    fresh = []
+    for name in ("_fresh_splitting", "_cover"):
+        real = getattr(bimodules, name)
+        monkeypatch.setattr(bimodules, name, lambda m, real=real: fresh.append(m) or real(m))
+    for v, w in itertools.product(range(4), range(4)):
+        leaf, standard = tilted_summand(z, v, z, w), projective_bimodule(z, v, z, w)
+        piece = bimodules._pair_tensor(regular_bimodule(z), leaf)
+        root, order = piece._cache["base"]
+        assert root is leaf and (order != np.arange(leaf.dim)).any()
+        assert not bimodules._aligned(leaf) and bimodules._aligned(standard)
+        fresh.clear()
+        _assert_readers_equal_fresh(piece)
+        assert any(m is piece for m in fresh)
+        shared = bimodules._pair_tensor(regular_bimodule(z), standard)
+        assert shared._cache["base"][0] is standard
+        fresh.clear()
+        _assert_readers_equal_fresh(shared)
+        assert not any(m is shared or m is flip(shared) for m in fresh)
 
 
 def _recorded_composites(k) -> list[Bimodule]:

@@ -238,6 +238,38 @@ def test_small_elimination_equals_the_numpy_elimination(p, rows, cols, fill, see
     got = Matrix(field, arr).rref()
     assert np.array_equal(got[0].arr, want) and got[1] == tuple(want_pivots)
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 101, MAX_PRIME]),
+    long=st.integers(0, 30),
+    short=st.integers(0, 12),
+    form=st.sampled_from(["tall", "wide"]),
+    fill=st.sampled_from(["dense", "sparse", "zero"]),
+    empty=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 10**6),
+)
+def test_sparse_elimination_equals_the_small_elimination(p, long, short, form, fill, empty, seed):
+    """_rref_mod_p reduces each row against sparse pivot rows; the reduced
+    form is unique, so R and the pivots are _rref_small's bit for bit, on
+    tall and wide shapes with zero rows and columns, either side of
+    SMALL_RREF."""
+    shape = (long, short) if form == "tall" else (short, long)
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(0, p, shape)
+    if fill == "sparse":
+        arr *= rng.random(shape) < 0.15
+    elif fill == "zero":
+        arr[...] = 0
+    arr[rng.random(shape[0]) < empty] = 0
+    arr[:, rng.random(shape[1]) < empty] = 0
+    field = Field.prime(p)
+    R, pivots = _rref_mod_p(arr, field)
+    want, want_pivots = _rref_small(arr, p)
+    assert R.dtype == want.dtype and R.shape == want.shape
+    assert np.array_equal(R, want)
+    assert pivots == want_pivots
+
+
 def test_rank_transpose_rationals():
     m = Matrix.from_rows(Q, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert m.rank() == m.transpose().rank() == 2

@@ -101,6 +101,29 @@ def _one_record_wrapper(loc, out):
         return f"a wrapper of one piece, {out!r}"
 
 
+def _root(m):
+    return m._cache["base"][0] if "base" in m._cache else m
+
+
+def _unshared_piece(loc, out):
+    # the pieces of a pair tensor are shared: standard summands, kept by
+    # an algebra, and the diagonal, each perhaps reordered
+    for p in [p for p, _ in out._records] if isinstance(out._records, list) else [out]:
+        root = _root(p)
+        if not root.diagonal and not any(t is root for alg in (root.left_algebra, root.right_algebra)
+                                         for t in alg._tables.values()):
+            return f"a piece {p!r} that is no shared standard summand or diagonal, reordered or not"
+
+
+def _reads_root(loc) -> bool:
+    # a reordered piece whose root passed the check of bimodules._aligned
+    return "base" in loc["m"]._cache and bool(_root(loc["m"])._cache.get("aligned"))
+
+
+def _reordered(loc) -> bool:
+    return "base" in loc["m"]._cache
+
+
 def _with_diagonal(loc, out):
     # only chains of whiskers and unitors tensor with the diagonal kernel,
     # and the engine writes their maps straight into their endpoint tensors
@@ -123,9 +146,12 @@ RULES = {
     "quasi-isomorphisms are decided on homology": Rule("complexes.py:is_quasi_iso", forbidden=(CONE,)),
     "minimal models read composites off their records": Rule(
         MODEL, forbidden=(("bimodules.py:Bimodule._built", lambda loc: loc["builder"] is None),)),
-    "every pair tensor has pieces": Rule(
-        "bimodules.py:_left_classes",
-        broken=lambda loc, out: out is None and "no pieces, so its actions come from the split model"),
+    "every pair tensor is shared pieces": Rule("bimodules.py:_pair_tensor", broken=_unshared_piece),
+    "reordered pieces read their root's splitting": Rule(
+        "bimodules.py:_splitting", _reordered,
+        (("bimodules.py:_fresh_splitting", _reads_root), ("bimodules.py:_cover", _reads_root))),
+    "reordered pieces read their root's multiplicities": Rule(
+        "bimodules.py:right_multiplicities", _reordered, (("bimodules.py:_fresh_multiplicities", _reordered),)),
     "no one-record wrappers": Rule("bimodules.py:_recorded", broken=_one_record_wrapper),
     "no tensor with the diagonal kernel": Rule("complexes.py:TensorComplex.__init__", broken=_with_diagonal),
     # a run over a field the session is elaborated over already (its own,
