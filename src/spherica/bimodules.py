@@ -51,6 +51,12 @@ tensor's actions are its records'.
 A map between bimodules is a plain Matrix, target.dim x source.dim:
 hom_space returns them and TensorData.induced takes and returns them.
 check_map verifies a hand-built one; the engine trusts those it builds.
+A hom space is the direct sum of the homs between the pieces' roots,
+moved: out of a standard summand P(u,v) they are its Yoneda maps, one per
+vector of e_u n e_v, and any other pair of roots solves equations; a pair
+of shared roots keeps its maps on the algebra that keeps both.  Reducing
+their coordinates with the order reversed gives the canonical basis that
+the equations over the whole bimodules give, so every draw from it stays.
 
 All values are immutable and safe to share.  What a bimodule derives
 (vertex blocks, splitting, multiplicities, coordinate blocks, its flip, a
@@ -111,6 +117,7 @@ class Bimodule:
         # read off the actions and kept from the first read: blocks, splitting, a leaf's dual
         self._cache: dict = {}
         self.diagonal = False  # the regular bimodule of its algebra
+        self.standard: tuple[int, int] | None = None  # (v, w) of the shared standard summand P(v, w)
 
     @property
     def left_action(self) -> list[Matrix]:
@@ -376,8 +383,13 @@ def projective_bimodule(a: Algebra, v_pos: int, b: Algebra, w_pos: int) -> Bimod
     so it splits and builds its dual once for as long as b lives.  It keeps
     a, which therefore lives as long as b."""
     home = a if b is scalar_algebra(b.field) else b
-    return kept(home._tables, ("P", id(a), v_pos, id(b), w_pos), lambda: _product(
-        a, b, _standard_left(a, v_pos), _standard_left(opposite(b), w_pos), f"P({v_pos},{w_pos})"))
+
+    def build():
+        p = _product(a, b, _standard_left(a, v_pos), _standard_left(opposite(b), w_pos),
+                     f"P({v_pos},{w_pos})")
+        p.standard = (v_pos, w_pos)
+        return p
+    return kept(home._tables, ("P", id(a), v_pos, id(b), w_pos), build)
 
 
 def _standard_vertex(alg: Algebra, mats: list[Matrix]) -> tuple[int, np.ndarray] | None:
@@ -529,25 +541,157 @@ def hom_space(m: Bimodule, n: Bimodule) -> list[Matrix]:
     """Basis of the space of bimodule maps m -> n (equivariant on both sides).
 
     The algebras on each side must agree.  A map is block diagonal on the
-    vertex blocks e_v m e_w -> e_v n e_w, one unknown matrix F_(v,w) each,
-    and the idempotents commute with it for free.  An arrow a: s -> t of
-    the left algebra moves block (t, w) of either module into block (s, w),
-    and an arrow of the right algebra from s to t moves (v, s) into (v, t).
-    So each arrow and vertex of the other side gives one equation
-    F_tgt m_a = n_a F_src, with m_a and n_a the arrow's action read in the
-    block bases; the basis is the canonical nullspace of these equations,
-    the unknowns in block order.  A one-sided hom is the two-sided hom of
-    the restrictions to scalars on the other side.
+    vertex blocks e_v m e_w -> e_v n e_w, one matrix F_(v,w) each; its
+    coordinates are their entries, blocks in order, row by row.  The basis
+    is the canonical nullspace basis of _solved's equations on m and n:
+    each vector has a 1 at its last nonzero coordinate, a free variable,
+    and a 0 at the others.  Hom(m, n) is the direct sum of the homs between
+    the pieces' roots (_root_homs), rows and columns moved, and reducing
+    those maps' coordinates in reverse order gives the canonical rows read
+    backwards.  When every root passes _aligned, the vertex blocks are unit
+    columns, so a map's coordinates are its entries where their pivots
+    meet; otherwise they are read through the blocks' bases.  A one-sided
+    hom is the two-sided hom of the restrictions to scalars on the other
+    side.
     """
     A, B = m.left_algebra, m.right_algebra
     if A.mult != n.left_algebra.mult:
         raise BimoduleError("left algebras differ")
     if B.mult != n.right_algebra.mult:
         raise BimoduleError("right algebras differ")
-    field = m.field
     if m.dim == 0 or n.dim == 0:
         return []
+    field, ms, ns = m.field, _pieces(m), _pieces(n)
+    blocks = [(v, w) for v in range(len(A.vertex_idempotents)) for w in range(len(B.vertex_idempotents))]
+    (owner_m, moved_m), (owner_n, moved_n) = _owners(ms, m.dim), _owners(ns, n.dim)
+    aligned = all(_aligned(_root(p)) for p, _ in ms + ns)
+    if aligned:
+        # each vertex block is unit columns at the coordinates in it, and a
+        # root map is nonzero only between equal blocks, so the coordinates
+        # joining pieces i and j hold all of its entries, moved
+        rows, cols = _unknowns(_aligned_blocks(ns, moved_n, len(blocks)),
+                               _aligned_blocks(ms, moved_m, len(blocks)))
+        pair = owner_n[rows] * len(ms) + owner_m[cols]
+        order = np.argsort(pair, kind="stable")
+        firsts, starts = np.unique(pair[order], return_index=True)
+        parts = []
+        for key, here in zip(firsts, np.split(order, starts[1:])):
+            homs = _root_homs(_root(ms[key % len(ms)][0]), _root(ns[key // len(ms)][0]))
+            if homs:
+                parts.append((here, Matrix.gathered(field, homs, moved_n[rows[here]], moved_m[cols[here]])))
+        ends = np.cumsum([0] + [g.rows for _, g in parts])
+        span = Matrix.from_blocks(field, int(ends[-1]), len(rows),
+                                  [(int(e), here, g) for e, (here, g) in zip(ends, parts)])
+    else:
+        # in the basis of the vertex blocks side by side, each one a run: the
+        # root maps moved to their pieces' coordinates, read in that basis
+        bases_m, bases_n = (Matrix.stack_columns(field, [t.double_block(*bl) for bl in blocks], t.dim)
+                            for t in (m, n))
+        projs_m, projs_n = (Matrix.stack_rows(field, [t.double_block_proj(*bl) for bl in blocks], t.dim)
+                            for t in (m, n))
+        runs = lambda t: np.split(np.arange(t.dim), np.cumsum([t.double_block(*bl).cols
+                                                               for bl in blocks])[:-1])
+        rows, cols = _unknowns(runs(n), runs(m))
+        moved = [Matrix.from_blocks(field, n.dim, m.dim, [(qi, pi, f.submatrix(moved_n[qi], slice(None))
+                                                          .submatrix(slice(None), moved_m[pi]))])
+                 for p, pi in ms for q, qi in ns for f in _root_homs(_root(p), _root(q))]
+        span = Matrix.gathered(field, [projs_n * f * bases_m for f in moved], rows, cols)
+    if not span.rows:
+        return []
+    reduced, pivots = span.submatrix(slice(None), slice(None, None, -1)).rref()
+    found = reduced.submatrix(np.arange(len(pivots))[::-1], slice(None, None, -1)) \
+        .scattered(rows, cols, n.dim, m.dim)
+    return found if aligned else [bases_n * f * projs_m for f in found]
 
+
+def _unknowns(at_n: list[np.ndarray], at_m: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Where each coordinate of a map sits, for the coordinates of each
+    vertex block of the target and the source: entry (a, b) of F_(v,w), in
+    block order, row by row, at row at_n[(v,w)][a] and column at_m[(v,w)][b]."""
+    return (np.concatenate([np.repeat(r, len(c)) for r, c in zip(at_n, at_m)]),
+            np.concatenate([np.tile(c, len(r)) for r, c in zip(at_n, at_m)]))
+
+
+def _owners(pieces: list[Record], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each coordinate, the piece it lies in and the coordinate of that
+    piece's root it is moved from."""
+    owner, moved = np.zeros(dim, dtype=int), np.zeros(dim, dtype=int)
+    for k, (p, idx) in enumerate(pieces):
+        owner[idx] = k
+        moved[idx] = p._cache["base"][1] if "base" in p._cache else np.arange(p.dim)
+    return owner, moved
+
+
+def _aligned_blocks(pieces: list[Record], moved: np.ndarray, count: int) -> list[np.ndarray]:
+    """The coordinates in each double block (v, w), blocks in order, for
+    pieces whose roots pass _aligned: a coordinate lies in the block of the
+    root coordinate it is moved from."""
+    label = np.zeros(len(moved), dtype=int)
+    for p, idx in pieces:
+        label[idx] = _block_labels(_root(p))[moved[idx]]
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(label, minlength=count))[:-1])
+
+
+def _block_labels(m: Bimodule) -> np.ndarray:
+    """For m passing _aligned, the double block (v, w) of each coordinate,
+    as v times the number of right vertices plus w.  Kept on m."""
+    def build():
+        nw, out = len(m.right_algebra.vertex_idempotents), np.zeros(m.dim, dtype=int)
+        for v in range(len(m.left_algebra.vertex_idempotents)):
+            for w in range(nw):
+                out[m._block(("d", v, w))[1]] = v * nw + w
+        return out
+    return kept(m._cache, "block labels", build)
+
+
+def _root_homs(m: Bimodule, n: Bimodule) -> list[Matrix]:
+    """A basis of the maps m -> n between two roots: the Yoneda maps when m
+    is a standard summand, else _solved's.  Kept by the algebra that keeps
+    both m and n when both are shared, so the key lives no longer than the
+    bimodules it names; any other pair is solved on each call."""
+    build = lambda: _yoneda(m, n) if m.standard else _solved(m, n)
+    home = _keeper(m)
+    if home is None or home is not _keeper(n):
+        return build()
+    return kept(home._tables, ("hom", id(m), id(n)), build)
+
+
+def _keeper(m: Bimodule) -> Algebra | None:
+    """The algebra whose tables keep m, for a shared root: a standard summand
+    (projective_bimodule) or the diagonal of complexes.unit_complex."""
+    a, b = m.left_algebra, m.right_algebra
+    if m.standard:
+        return a if b is scalar_algebra(b.field) else b
+    unit = a._tables.get("unit complex")
+    return a if unit is not None and unit.terms[0] is m else None
+
+
+def _yoneda(p: Bimodule, n: Bimodule) -> list[Matrix]:
+    """The maps P(u, y) -> n, for the standard summand p = A e_u (x) e_y B:
+    Hom(p, n) = e_u n e_y, and column k of n.double_block(u, y) gives the
+    map x_i (x) z_j |-> x_i . n_k . z_j, at column i dim(e_y B) + j as in
+    _product, for the bases x of A e_u and z of e_y B of p's tables."""
+    (u, y), a, b = p.standard, p.left_algebra, p.right_algebra
+    block = n.double_block(u, y)
+    if not block.cols:
+        return []
+    xs = Matrix.combinations(n.left_action, a.left_ideal_basis(a.vertex_idempotents[u]))
+    zs = Matrix.combinations(n.right_action, opposite(b).left_ideal_basis(b.vertex_idempotents[y]))
+    zn = Matrix.stack_columns(p.field, [z * block for z in zs], n.dim)
+    # column (i dim(e_y B) + j) block.cols + k is x_i . n_k . z_j
+    images = Matrix.stack_columns(p.field, [x * zn for x in xs], n.dim)
+    return [images.submatrix(slice(None), slice(k, None, block.cols)) for k in range(block.cols)]
+
+
+def _solved(m: Bimodule, n: Bimodule) -> list[Matrix]:
+    """hom_space by equations, for two leaves.  An arrow a: s -> t of the
+    left algebra moves block (t, w) of either module into block (s, w),
+    and an arrow of the right algebra from s to t moves (v, s) into (v, t).
+    So each arrow and vertex of the other side gives one equation
+    F_tgt m_a = n_a F_src, with m_a and n_a the arrow's action read in the
+    block bases, and the idempotents commute with the maps for free."""
+    A, B, field = m.left_algebra, m.right_algebra, m.field
     nv, nw = len(A.vertex_idempotents), len(B.vertex_idempotents)
     blocks = [(v, w) for v in range(nv) for w in range(nw)]
     sizes = {bl: (n.double_block(*bl).cols, m.double_block(*bl).cols) for bl in blocks}
@@ -1050,7 +1194,7 @@ def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
     A, C, field = m.left_algebra, n.right_algebra, m.field
     label = f"{m.label or 'M'}(x){n.label or 'N'}"
     vertices = range(len(m.right_algebra.vertex_idempotents))
-    if _reordered_diagonal(m) and sp.vertex_pos == list(vertices):
+    if _root(m).diagonal and sp.vertex_pos == list(vertices):
         order = _unit_columns(Matrix.stack_columns(field, [n.left_block(v) for v in vertices],
                                                    n.dim))
         if order is not None:
@@ -1076,10 +1220,9 @@ def _pair_tensor(m: Bimodule, n: Bimodule) -> Bimodule:
     return _recorded(A, C, records, int(starts[-1]), label)
 
 
-def _reordered_diagonal(m: Bimodule) -> bool:
-    """Whether m is the diagonal, or the diagonal with its coordinates
-    reordered: its generators are then the images of the idempotents."""
-    return (m._cache["base"][0] if "base" in m._cache else m).diagonal
+def _root(m: Bimodule) -> Bimodule:
+    """The root of a reordered piece (_permuted), and any other bimodule itself."""
+    return m._cache["base"][0] if "base" in m._cache else m
 
 
 def _left_classes(m: Bimodule) -> list[tuple[np.ndarray, list[Matrix], tuple | None]] | None:

@@ -438,6 +438,25 @@ class Matrix:
         return Matrix._wrap(field, out)
 
     @staticmethod
+    def gathered(field: Field, mats: list["Matrix"], rows: np.ndarray, cols: np.ndarray) -> "Matrix":
+        """The matrix whose row i holds the entries of mats[i] at
+        (rows[k], cols[k]), k in order."""
+        if not mats:
+            return Matrix.zeros(field, 0, len(rows))
+        arrays, den = _common(field, mats)
+        return Matrix._lowest(field, np.stack([a[rows, cols] for a in arrays]), den)
+
+    def scattered(self, rows: np.ndarray, cols: np.ndarray, height: int, width: int) -> list["Matrix"]:
+        """For each row of self, the height x width matrix with its entry k
+        at (rows[k], cols[k]) and zeros elsewhere: gathered's inverse."""
+        out = []
+        for line in self.arr:
+            a = np.zeros((height, width), dtype=self.arr.dtype)
+            a[rows, cols] = line
+            out.append(Matrix._lowest(self.field, a, self.den))
+        return out
+
+    @staticmethod
     def column(field: Field, entries) -> "Matrix":
         return Matrix.from_rows(field, [[x] for x in entries], 1)
 

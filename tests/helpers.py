@@ -75,6 +75,7 @@ from spherica.kernels import (
     kernel_ops,
 )
 from spherica.linalg import Field, Matrix, kept
+from spherica.session import _elaborate, parse_session
 from spherica.spherical import check_fully_faithful, random_kernel
 
 F101 = Field.prime(101)
@@ -546,6 +547,21 @@ def tilted_summand(a: Algebra, v: int, b: Algebra, w: int) -> Bimodule:
     g, g_inv = Matrix(field, one + e_ij), Matrix(field, one - e_ij)
     tilt = lambda mats: [g_inv * m * g for m in mats]
     return Bimodule(a, b, tilt(p.left_action), tilt(p.right_action), p.dim, label=f"{p.label}~")
+
+
+def braid_models(field: Field, text: str, words: list[str]) -> list[Kernel]:
+    """The minimal models of the composites of the twists of a session's
+    kernels P1, P2, ... along each word, applied left to right as the
+    session's compose commands do: "121" is T1, then T2, then T1."""
+    kernels = _elaborate(parse_session(text), field)[1]
+    twists = {name[1:]: kernel_ops(k).twist().kernel for name, k in kernels.items() if name[0] == "P"}
+    out = []
+    for word in words:
+        k = twists[word[0]]
+        for c in word[1:]:
+            k = compose(k, twists[c])
+        out.append(kernel_ops(k).model())
+    return out
 
 
 def homology(x: Complex) -> dict[int, tuple[int, Bimodule]]:

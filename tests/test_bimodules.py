@@ -3,6 +3,7 @@ and splittings assembled from part records."""
 
 from __future__ import annotations
 
+import functools
 import gc
 import importlib
 import itertools
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherica import bimodules, kernels
+from spherica import bimodules, complexes, kernels, spherical
 from spherica.algebras import opposite, scalar_algebra, trivial_algebra
 from spherica.bimodules import (
     Bimodule,
@@ -35,10 +36,17 @@ from spherica.bimodules import (
     right_multiplicities,
     tensor_over_middle,
 )
-from spherica.complexes import unit_complex
+from spherica.complexes import find_quasi_iso, unit_complex
 from spherica.kernels import Kernel, kernel_ops
 from spherica.linalg import Field, Matrix
-from spherica.session import _elaborate, builtin_example, builtin_names, parse_session, run_session
+from spherica.session import (
+    BUILTIN_TEXTS,
+    _elaborate,
+    builtin_example,
+    builtin_names,
+    parse_session,
+    run_session,
+)
 from spherica.spherical import (
     check_adjoint_spherical,
     check_conditions,
@@ -49,12 +57,14 @@ from spherica.spherical import (
 from helpers import (
     RANDOM_SHAPES,
     QuotientTensor,
+    braid_models,
     center_basis,
     columns,
     dual_numbers,
     hom_matrices,
     hom_space_by_block_pairs,
     is_identity_matrix,
+    k_times_k,
     kronecker,
     loop_with_exit,
     restrict_to_right,
@@ -865,6 +875,11 @@ def test_a_random_pass_covers_and_dualises_only_leaves(monkeypatch):
 FIELDS = ((Field.prime(2), "F2"), (F, "F101"), (Field.rationals(), "Q"))
 
 
+BRAIDS = {"zigzag_braid": (lambda: BUILTIN_TEXTS["zigzag_braid"], ["121", "212"]),
+          "zigzag_a4_braid6": (lambda: (EXAMPLES / "zigzag_a4_braid6.sph").read_text(),
+                               ["312132", "321232"])}
+
+
 def _hom_cases():
     for field, tag in FIELDS:
         for name in builtin_names():
@@ -873,50 +888,91 @@ def _hom_cases():
             yield pytest.param(field, ("random", shape), id=f"{tag}:random:{shape}")
         for name in ("kronecker", "loop"):
             yield pytest.param(field, ("quiver", name), id=f"{tag}:quiver:{name}")
+        for name in BRAIDS:
+            yield pytest.param(field, ("braid", name), id=f"{tag}:braid:{name}")
+
+
+def _odd_leaf(leaf: Bimodule) -> list[Bimodule]:
+    """A leaf that is no shared root, and its sum with a standard summand."""
+    return [leaf, direct_sum([leaf, projective_bimodule(leaf.left_algebra, 0, leaf.right_algebra, 0)])]
 
 
 def _hom_modules(field, case) -> list[Bimodule]:
     """Bimodules to take homs between: a builtin's kernel terms with the
     terms of RF and FR (tensors and sums of them), or two random kernels'
     terms, and the regular bimodules; for a quiver, its regular bimodule,
-    its standard projectives, a sum and tensors of them and one-sided
-    projectives.  Each with its flip, and a zero bimodule for each pair
-    of algebras."""
+    its standard projectives, a sum and tensors of them, one-sided
+    projectives, a cut of one and its sum with a standard summand; for a
+    braid relation, the terms of the two composites' minimal models, whose
+    pieces are reordered standard summands and diagonals, with a tilted
+    summand, which fails _aligned, and its sum with a standard summand.
+    Each with its flip but for the braid models, whose flips' pieces are
+    leaves solved as the other cases' are, and a zero bimodule for each
+    pair of algebras."""
     kind, name = case
     mods = []
     if kind == "quiver":
         alg = {"kronecker": kronecker, "loop": loop_with_exit}[name](field)
         k, n = trivial_algebra(field), len(alg.vertex_idempotents)
         ps = [projective_bimodule(alg, v, alg, w) for v in range(n) for w in range(n)]
+        one_sided = restrict_to_right(regular_bimodule(alg))
+        cut = bimodules.summand(one_sided, coordinate_blocks(one_sided)[0])
         mods = [regular_bimodule(alg), direct_sum(ps[:2]), *ps,
                 *[tensor_over_middle(x, y).bimodule for x in ps[:2] for y in ps[1:3]],
-                *[projective_bimodule(k, 0, alg, w) for w in range(n)],
-                restrict_to_right(regular_bimodule(alg))]
+                *[projective_bimodule(k, 0, alg, w) for w in range(n)], *_odd_leaf(cut), one_sided]
     elif kind == "random":
         a, b = (make(field) for make in RANDOM_SHAPES[name])
         for seed in (0, 7):
             mods += list(random_kernel(a, b, random.Random(seed)).complex.terms.values())
         mods += [regular_bimodule(a), regular_bimodule(b)]
+    elif kind == "braid":
+        text, words = BRAIDS[name]
+        models = braid_models(field, text(), words)
+        z = models[0].source_algebra
+        mods = [t for k in models for t in k.complex.terms.values()] + _odd_leaf(tilted_summand(z, 0, z, 1))
     else:
         for p in _elaborate(builtin_example(name), field)[1].values():
             ops = kernel_ops(p)
             mods += list(p.complex.terms.values())
             mods += list(ops.rf().complex.terms.values()) + list(ops.fr().complex.terms.values())
             mods += [regular_bimodule(p.source_algebra), regular_bimodule(p.target_algebra)]
-    mods += [flip(m) for m in mods]
+    if kind != "braid":
+        mods += [flip(m) for m in mods]
     sides = {(id(m.left_algebra), id(m.right_algebra)): m for m in mods}
     return mods + [zero_bimodule(m.left_algebra, m.right_algebra) for m in sides.values()]
 
 
+def _assert_yoneda_maps_span_the_equations(pairs) -> int:
+    """For every pair of roots of the pieces whose source is a standard
+    summand: its Yoneda maps are bimodule maps that span the space the
+    equations solve for.  The number of such root pairs."""
+    roots = {}
+    for m, n in pairs:
+        for (p, _), (q, _) in itertools.product(bimodules._pieces(m), bimodules._pieces(n)):
+            r, s = bimodules._root(p), bimodules._root(q)
+            if r.standard:
+                roots[id(r), id(s)] = r, s
+    for r, s in roots.values():
+        yoneda, solved = bimodules._yoneda(r, s), bimodules._solved(r, s)
+        flat = lambda maps: Matrix.stack_columns(r.field, [f.reshape(s.dim * r.dim, 1) for f in maps],
+                                                 s.dim * r.dim)
+        assert flat(yoneda).rank() == flat(yoneda + solved).rank() == len(solved)
+        for f in yoneda:
+            check_map(r, s, f)
+    return len(roots)
+
+
 @pytest.mark.parametrize("field, case", _hom_cases())
 def test_hom_space_equals_the_solve_over_every_block_pair(field, case):
-    """hom_space, with one equation per arrow and vertex, returns the maps
-    that the equations over every pair of a source and a target block
-    give, matrix for matrix: on terms, tensors, sums, regular and
-    zero bimodules and their flips, over quivers with parallel arrows and
-    with loops.  Over the two new quivers every map is also checked to be
-    a bimodule map, and the endomorphisms of the regular bimodule span
-    the center."""
+    """hom_space, read off the homs between the pieces' roots, returns the
+    maps that the equations over every pair of a source and a target
+    block give, matrix for matrix: on terms, tensors, sums, minimal
+    models with reordered pieces, cut and tilted leaves, regular and zero
+    bimodules and their flips, over quivers with parallel arrows and with
+    loops.  The Yoneda maps of every root pair with a standard summand as
+    source span the equations' solutions.  Over the two new quivers every
+    map is also checked to be a bimodule map, and the endomorphisms of
+    the regular bimodule span the center."""
     mods = _hom_modules(field, case)
     pairs = [(m, n) for m in mods for n in mods
              if (m.left_algebra, m.right_algebra) == (n.left_algebra, n.right_algebra)]
@@ -929,9 +985,56 @@ def test_hom_space_equals_the_solve_over_every_block_pair(field, case):
             for h in homs:
                 check_map(m, n, h)
     assert found > 0
+    assert _assert_yoneda_maps_span_the_equations(pairs) > 0
     if case[0] == "quiver":
         reg = mods[0]
         assert len(hom_space(reg, reg)) == len(center_basis(reg.left_algebra))
+
+
+def _randomness_cases(field):
+    """(seed, draw) for what draws from hom_space's bases: random kernels
+    over the random shapes and from k, as their terms and differentials,
+    and the witness searches between the braid models of zigzag_braid and
+    between the squares of its two twists, which are not quasi-isomorphic,
+    so the search draws at random."""
+    pairs = [(a(field), b(field)) for a, b in RANDOM_SHAPES.values()]
+    pairs += [(scalar_algebra(field), b(field)) for b in (dual_numbers, k_times_k, x_cubed, zigzag_a2)]
+
+    def kernel(a, b, rng):
+        k = random_kernel(a, b, rng)
+        return {n: (t.label, t.dim) for n, t in k.complex.terms.items()}, k.complex.diffs
+
+    def witness(x, y, rng):
+        f = find_quasi_iso(x.complex, y.complex, rng)
+        return f and f.components
+
+    for a, b in pairs:
+        for seed in range(20):
+            yield seed, functools.partial(kernel, a, b)
+    for words in (["121", "212"], ["11", "22"]):
+        yield 1, functools.partial(witness, *braid_models(field, BUILTIN_TEXTS["zigzag_braid"], words))
+
+
+@pytest.mark.parametrize("field", [f for f, _ in FIELDS], ids=[tag for _, tag in FIELDS])
+def test_hom_space_keeps_the_randomness_contract(field, monkeypatch):
+    """random_kernel draws its differentials as combinations of hom_space's
+    basis, and the witness search its candidates from chain_map_space's:
+    every result and the rng state after it are those of a run with
+    hom_space replaced by the equations' canonical nullspace basis."""
+    cases = list(_randomness_cases(field))
+
+    def run() -> list:
+        out = []
+        for seed, draw in cases:
+            rng = random.Random(seed)
+            out.append((draw(rng), rng.getstate()))
+        return out
+
+    got = run()
+    for module in (spherical, complexes):
+        monkeypatch.setattr(module, "hom_space", hom_space_by_block_pairs)
+    assert run() == got
+    assert got[-2][0] and got[-1][0] is None
 
 
 # --- duals of sums of standard summands, assembled from the kept ones ---

@@ -124,6 +124,13 @@ def _reordered(loc) -> bool:
     return "base" in loc["m"]._cache
 
 
+def _equations_off_their_place(loc) -> bool:
+    # hom_space solves equations only between two roots of pieces, neither
+    # reordered nor with records, whose source is no standard summand
+    m, n = loc["m"], loc["n"]
+    return m.standard is not None or any("base" in t._cache or t._records is not None for t in (m, n))
+
+
 def _with_diagonal(loc, out):
     # only chains of whiskers and unitors tensor with the diagonal kernel,
     # and the engine writes their maps straight into their endpoint tensors
@@ -152,6 +159,8 @@ RULES = {
         (("bimodules.py:_fresh_splitting", _reads_root), ("bimodules.py:_cover", _reads_root))),
     "reordered pieces read their root's multiplicities": Rule(
         "bimodules.py:right_multiplicities", _reordered, (("bimodules.py:_fresh_multiplicities", _reordered),)),
+    "hom spaces read their pieces' roots": Rule(
+        "bimodules.py:hom_space", forbidden=(("bimodules.py:_solved", _equations_off_their_place),)),
     "no one-record wrappers": Rule("bimodules.py:_recorded", broken=_one_record_wrapper),
     "no tensor with the diagonal kernel": Rule("complexes.py:TensorComplex.__init__", broken=_with_diagonal),
     # a run over a field the session is elaborated over already (its own,
